@@ -553,7 +553,6 @@ def _cmd_hier(args) -> int:
     try:
         hier = HierConfig(
             algo=args.algo,
-            control=args.control,
             train=not args.eval,
             agent_path=args.agent,
             shared_replay=args.shared_replay,
@@ -621,7 +620,6 @@ def _cmd_hier(args) -> int:
                 "routing": args.routing,
                 "num_nodes": args.nodes,
                 "algo": args.algo,
-                "control": args.control,
                 "train": not args.eval,
                 "seed": seed,
             },
@@ -653,7 +651,7 @@ def _cmd_hier(args) -> int:
     print(
         f"hier: {args.nodes} nodes x {cores} cores, app={args.app}, "
         f"policy={args.policy}, routing={args.routing}, "
-        f"algo={args.algo}, control={args.control}, "
+        f"algo={args.algo}, "
         f"mode={'eval' if args.eval else 'train'}, seed={seed}"
     )
     print(
@@ -685,7 +683,6 @@ def _cmd_hier(args) -> int:
                 "kind": "hier-fleet-agent",
                 "num_nodes": args.nodes,
                 "algo": args.algo,
-                "control": args.control,
             },
         )
         print(f"fleet-agent checkpoint written to {path}")
@@ -1003,13 +1000,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_layout_args(sp)
     sp.set_defaults(fn=_cmd_chaos)
 
-    from .hier.config import HIER_ALGOS, HIER_CONTROLS
+    from .hier.config import HIER_ALGOS
 
     sp = sub.add_parser(
         "hier",
-        help="run a fleet whose watt budget (and/or routing weights) is "
-        "apportioned by a learned fleet-level agent instead of the "
-        "heuristic coordinator",
+        help="run a fleet whose watt budget is apportioned by a learned "
+        "fleet-level agent instead of the heuristic coordinator",
     )
     sp.add_argument("--app", default="xapian")
     sp.add_argument(
@@ -1038,11 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--algo", default="ddpg", choices=list(HIER_ALGOS),
         help="upper-level learner (default: ddpg)",
-    )
-    sp.add_argument(
-        "--control", default="budget", choices=list(HIER_CONTROLS),
-        help="what the agent's action controls: per-node watt budgets, "
-        "dispatcher routing weights, or both (default: budget)",
     )
     sp.add_argument(
         "--eval", action="store_true",

@@ -190,24 +190,16 @@ class FleetBatch:
 
     # -------------------------------------------------------------- telemetry
 
-    def sample_energy(
-        self, read_fn: Optional[Callable[[int], float]] = None
-    ) -> np.ndarray:
+    def sample_energy(self) -> np.ndarray:
         """Gather per-node cumulative energy into a fresh stacked array.
 
-        ``read_fn(i)`` overrides the plain monitor read (the power-cap
-        coordinator passes its partition-aware reader).  The per-node
-        arithmetic is untouched — RAPL counters integrate lazily with
-        per-core state, so batching here means one fleet-wide gather, not
-        re-ordered float math.
+        The per-node arithmetic is untouched — RAPL counters integrate
+        lazily with per-core state, so batching here means one fleet-wide
+        gather, not re-ordered float math.
         """
         out = np.empty(self.num_nodes)
-        if read_fn is None:
-            for i, node in enumerate(self.nodes):
-                out[i] = node.monitor.total_energy()
-        else:
-            for i in range(self.num_nodes):
-                out[i] = read_fn(i)
+        for i, node in enumerate(self.nodes):
+            out[i] = node.monitor.total_energy()
         return out
 
     # ------------------------------------------------------- controller ticks

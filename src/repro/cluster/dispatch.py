@@ -186,11 +186,9 @@ class Dispatcher:
         de-weighted.  The no-failover ablation sets this False: the router
         keeps addressing dead nodes, whose queues silently grow.
     rng:
-        Seeded stream for degraded de-weighting and learned routing
-        weights (:meth:`set_weights`).  Only consulted when a degraded
-        candidate coexists with a healthy one or weights are installed,
-        so fleets that use neither draw nothing and stay bitwise
-        reproducible.
+        Seeded stream for degraded de-weighting.  Only consulted when a
+        degraded candidate coexists with a healthy one, so fault-free
+        fleets draw nothing and stay bitwise reproducible.
     degraded_penalty:
         Probability a degraded node is dropped from the candidate set for
         one routing decision (0 = ignore degradation, 1 = hard-exclude
@@ -225,12 +223,6 @@ class Dispatcher:
         self.dispatched = 0
         #: Requests that found no live node to run on.
         self.unroutable = 0
-        #: Optional per-node routing weights (node-id order).  When set —
-        #: e.g. by the hierarchical fleet agent — they *replace* the
-        #: router's decision with a weighted draw over the candidate set,
-        #: costing exactly one ``rng.random()`` per routed request on both
-        #: the scalar and the batched path.
-        self.weights: Optional[np.ndarray] = None
         # Optional FleetBatch (batched fleet stepping): when attached,
         # candidate filtering and routing run on its stacked arrays instead
         # of per-node python attribute walks.  Decisions are bitwise
@@ -240,48 +232,6 @@ class Dispatcher:
     def attach_batch(self, batch) -> None:
         """Route through ``batch``'s stacked node arrays from now on."""
         self._batch = batch
-
-    def set_weights(self, weights) -> None:
-        """Install (or clear, with ``None``) per-node routing weights.
-
-        Weights are indexed by node id and gate a weighted random pick
-        over the live candidate set; down/de-weighted nodes are filtered
-        *before* the draw, so a weight on a dead node is simply never
-        consulted.  Requires the dispatcher's seeded ``rng`` stream —
-        weighted routing is a random decision and must stay on the
-        dedicated ``dispatch`` stream to keep runs replayable.
-        """
-        if weights is None:
-            self.weights = None
-            return
-        if self.rng is None:
-            raise ValueError(
-                "dispatcher has no rng stream; weighted routing needs the "
-                "seeded 'dispatch' stream (construct Dispatcher with rng=...)"
-            )
-        arr = np.asarray(weights, dtype=float)
-        if arr.shape != (len(self.nodes),):
-            raise ValueError(
-                f"need one weight per node ({len(self.nodes)}), "
-                f"got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all() or (arr <= 0).any():
-            raise ValueError(
-                "routing weights must be finite and strictly positive "
-                "(floor tiny shares instead of zeroing them)"
-            )
-        self.weights = arr.copy()
-
-    def _weighted_pick(self, ids: np.ndarray) -> int:
-        """Position in ``ids`` drawn proportionally to ``self.weights``.
-
-        One ``rng.random()`` per decision, identical arithmetic whether
-        ``ids`` came from the scalar candidate list or the batched one —
-        the two stepping modes stay bitwise interchangeable.
-        """
-        cum = np.cumsum(self.weights[ids])
-        u = self.rng.random() * cum[-1]
-        return min(int(np.searchsorted(cum, u, side="right")), ids.size - 1)
 
     def _candidates(self) -> List[ClusterNode]:
         cands = [n for n in self.nodes if not n.is_down]
@@ -310,16 +260,12 @@ class Dispatcher:
             else:
                 req.dropped = True
             return
-        if self.weights is not None:
-            ids = np.array([n.node_id for n in cands])
-            idx = self._weighted_pick(ids)
-        else:
-            idx = self.router.select(cands)
-            if not 0 <= idx < len(cands):
-                raise IndexError(
-                    f"router {self.router.name!r} selected node {idx} "
-                    f"of {len(cands)}"
-                )
+        idx = self.router.select(cands)
+        if not 0 <= idx < len(cands):
+            raise IndexError(
+                f"router {self.router.name!r} selected node {idx} "
+                f"of {len(cands)}"
+            )
         self.dispatched += 1
         cands[idx].submit(req)
 
@@ -359,21 +305,16 @@ class Dispatcher:
                     cand_idx = live_idx[~deg_mask]
         else:
             cand_idx = batch.all_indices
-        if self.weights is not None:
-            pos = self._weighted_pick(cand_idx)
-        else:
-            select_batch = getattr(self.router, "select_batch", None)
-            if select_batch is not None:
-                pos = select_batch(batch, cand_idx)
-            else:  # custom router: fall back to its scalar protocol
-                pos = self.router.select(
-                    [self.nodes[i] for i in cand_idx.tolist()]
-                )
-            if not 0 <= pos < cand_idx.size:
-                raise IndexError(
-                    f"router {self.router.name!r} selected node {pos} "
-                    f"of {cand_idx.size}"
-                )
+        select_batch = getattr(self.router, "select_batch", None)
+        if select_batch is not None:
+            pos = select_batch(batch, cand_idx)
+        else:  # custom router: fall back to its scalar protocol
+            pos = self.router.select([self.nodes[i] for i in cand_idx.tolist()])
+        if not 0 <= pos < cand_idx.size:
+            raise IndexError(
+                f"router {self.router.name!r} selected node {pos} "
+                f"of {cand_idx.size}"
+            )
         self.dispatched += 1
         self.nodes[int(cand_idx[pos])].submit(req)
 

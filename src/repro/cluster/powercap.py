@@ -103,7 +103,9 @@ class CapWindow:
     """One coordination window's readings and decisions."""
 
     time: float
-    #: Measured last-window average power per node (W).
+    #: Last-window average power each node actually drew (W) — true
+    #: counter deltas, even while a telemetry partition freezes what the
+    #: coordinator reads.
     powers: Tuple[float, ...]
     #: Apportioned power target per node (W).
     targets: Tuple[float, ...]
@@ -189,9 +191,13 @@ class PowerCapCoordinator:
                 for n in self.nodes
             ]
         )
+        # Two baselines: energy as read (partition-frozen; apportioning
+        # runs on it) and energy actually drawn (what windows report).
         self._last_energy = np.zeros(len(self.nodes))
+        self._last_drawn = np.zeros(len(self.nodes))
         self._last_time = 0.0
         self._last_powers = np.zeros(len(self.nodes))
+        self._drawn_powers = np.zeros(len(self.nodes))
         self._task: Optional[PeriodicTask] = None
         #: Optional :class:`~repro.cluster.lifecycle.NodeLifecycle`; when
         #: set, telemetry partitions freeze a node's energy reading and
@@ -222,6 +228,7 @@ class PowerCapCoordinator:
         for cap in self.caps:
             cap.install()
         self._last_energy = np.array([n.monitor.total_energy() for n in self.nodes])
+        self._last_drawn = self._last_energy
         self._last_time = self.engine.now
         # Run after the per-node policies' control tasks at shared
         # timestamps so ceilings apply to the actions just taken.
@@ -241,20 +248,23 @@ class PowerCapCoordinator:
 
     # ------------------------------------------------------------ coordination
 
-    def _read_energy(self, i: int) -> float:
-        """Node ``i``'s energy counter as the coordinator *sees* it.
+    def _read_energy(self, drawn: np.ndarray) -> np.ndarray:
+        """The nodes' energy counters as the coordinator *sees* them.
 
-        During a telemetry partition the node's sensor messages never
+        During a telemetry partition a node's sensor messages never
         arrive, so the coordinator keeps re-reading the last value it got;
         when the partition heals, the cumulative counter catches up in one
         jump (one window of inflated measured power — the price of
-        cumulative-counter semantics).
+        cumulative-counter semantics).  ``drawn`` holds the true counters.
         """
-        if self.lifecycle is not None and self.lifecycle.is_partitioned(
-            self.nodes[i].node_id
-        ):
-            return float(self._last_energy[i])
-        return float(self.nodes[i].monitor.total_energy())
+        if self.lifecycle is None:
+            return drawn
+        frozen = np.array(
+            [self.lifecycle.is_partitioned(n.node_id) for n in self.nodes]
+        )
+        if not frozen.any():
+            return drawn
+        return np.where(frozen, self._last_energy, drawn)
 
     def _live_mask(self) -> np.ndarray:
         if self._batch is not None:
@@ -269,17 +279,20 @@ class PowerCapCoordinator:
         )
 
     def _rebalance(self) -> None:
-        energies = (
-            self._batch.sample_energy(self._read_energy)
+        drawn = (
+            self._batch.sample_energy()
             if self._batch is not None
-            else np.array([self._read_energy(i) for i in range(len(self.nodes))])
+            else np.array([n.monitor.total_energy() for n in self.nodes])
         )
+        energies = self._read_energy(drawn)
         now = self.engine.now
         dt = now - self._last_time
         if dt <= 0:  # pragma: no cover - periodic task guarantees dt > 0
             return
         powers = (energies - self._last_energy) / dt
+        self._drawn_powers = (drawn - self._last_drawn) / dt
         self._last_energy = energies
+        self._last_drawn = drawn
         self._last_time = now
         self._last_powers = powers
         self._decide(powers, "window")
@@ -287,7 +300,7 @@ class PowerCapCoordinator:
     def on_membership_change(self) -> None:
         """Re-apportion immediately after a node went down or came back.
 
-        Uses the last window's measured powers (there is no fresh reading
+        Uses the last window's readings (there is no fresh reading
         mid-window); the next periodic window measures normally.
         """
         if self._task is None:
@@ -313,7 +326,7 @@ class PowerCapCoordinator:
             self.throttled_windows += 1
         win = CapWindow(
             time=self.engine.now,
-            powers=tuple(float(p) for p in powers),
+            powers=tuple(float(p) for p in self._drawn_powers),
             targets=tuple(float(t) for t in targets),
             ceilings=tuple(ceilings),
             budget_watts=self.budget_watts,
@@ -405,17 +418,19 @@ class PowerCapCoordinator:
         Without this, a kill-and-resume mid-fleet-run restarts the energy
         baseline at the resume-time counter and the ceilings at turbo, so
         the first resumed cap window measures a bogus power and replays
-        differently from the uninterrupted run.  Captures the energy/time
-        baseline, last measured powers, applied ceilings, throttle count
-        and the window history.
+        differently from the uninterrupted run.  Captures both energy
+        baselines (read and drawn), the time baseline, last powers,
+        applied ceilings, throttle count and the window history.
         """
         return {
             "kind": "powercap-coordinator",
             "num_nodes": len(self.nodes),
             "budget_watts": self.budget_watts,
             "last_energy": self._last_energy.copy(),
+            "last_drawn": self._last_drawn.copy(),
             "last_time": float(self._last_time),
             "last_powers": self._last_powers.copy(),
+            "drawn_powers": self._drawn_powers.copy(),
             "throttled_windows": int(self.throttled_windows),
             "ceilings": [float(cap.ceiling) for cap in self.caps],
             "history": [
@@ -446,8 +461,10 @@ class PowerCapCoordinator:
                 f"has {len(self.nodes)}"
             )
         self._last_energy = np.array(state["last_energy"], dtype=float)
+        self._last_drawn = np.array(state["last_drawn"], dtype=float)
         self._last_time = float(state["last_time"])
         self._last_powers = np.array(state["last_powers"], dtype=float)
+        self._drawn_powers = np.array(state["drawn_powers"], dtype=float)
         self.throttled_windows = int(state["throttled_windows"])
         for cap, ceiling in zip(self.caps, state["ceilings"]):
             cap.set_ceiling(float(ceiling))

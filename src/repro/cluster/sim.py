@@ -94,8 +94,8 @@ class ClusterConfig:
     #: from FleetSpec cache payloads.
     stepping: str = "auto"
     #: Hierarchical fleet-RL layer (:class:`repro.hier.HierConfig`): a
-    #: fleet-level agent takes over the coordinator's budget apportioning
-    #: and/or the dispatcher's routing weights.  ``None`` (the default)
+    #: fleet-level agent takes over the coordinator's budget
+    #: apportioning.  ``None`` (the default)
     #: keeps the heuristic coordinator — no agent is built, no extra RNG
     #: stream is drawn, no extra events run, and the run stays bitwise
     #: identical to one from before the hier layer existed.
@@ -329,19 +329,11 @@ class ClusterSim:
         health_aware = (
             resilience if config.health_aware is None else bool(config.health_aware)
         )
-        # The dispatch stream also backs learned routing weights; like the
-        # degraded de-weighting it is only *drawn* when a weighted decision
-        # actually happens, so merely creating it never perturbs a run.
-        hier_weights = config.hier is not None and config.hier.controls_weights
         self.dispatcher = Dispatcher(
             self.nodes,
             self.router,
             health_aware=health_aware,
-            rng=(
-                self.rngs.get("dispatch")
-                if (resilience or hier_weights)
-                else None
-            ),
+            rng=self.rngs.get("dispatch") if resilience else None,
             degraded_penalty=config.degraded_penalty,
         )
         self.lifecycle: Optional[NodeLifecycle] = None
@@ -400,9 +392,6 @@ class ClusterSim:
                 window=config.cap_window,
                 boost=config.cap_boost,
                 trace=self._trace_writer,
-                dispatcher=(
-                    self.dispatcher if config.hier.controls_weights else None
-                ),
             )
             if config.hier.shared_replay and config.policy == "deeppower":
                 node_agents = [
@@ -822,7 +811,7 @@ class FleetSpec:
             # Only hier runs carry the extra meta key: a hier-disabled
             # trace stays byte-identical to a pre-hier fleet trace.
             if self.hier is not None:
-                meta["hier"] = f"{self.hier.algo}:{self.hier.control}"
+                meta["hier"] = self.hier.algo
             obs = Observability.from_paths(
                 trace_out=self.trace_out,
                 meta=meta,

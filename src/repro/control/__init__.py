@@ -9,9 +9,8 @@ CPU/server.  :class:`InProcessBus` is the deterministic in-process
 transport; a socket transport would slot behind the same three-channel
 interface.
 
-Attach a :class:`ControlPlaneConfig` to ``DeepPowerConfig.control`` to
-switch a runtime into bus mode; with a perfect transport the run is
-bitwise identical to direct calls, and with a
+Every runtime runs over the bus; ``DeepPowerConfig.control`` holds its
+:class:`ControlPlaneConfig`.  The default is a perfect transport.  With a
 :class:`~repro.faults.bus.BusFaultPlan` the degraded-mode machinery
 (stale-telemetry hold, ack-timeout retries, deadline escalation into the
 safe-fallback governor) keeps the node SLA-safe — the contrast the

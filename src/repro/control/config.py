@@ -1,4 +1,4 @@
-"""Configuration for the runtime's control-plane (bus) mode."""
+"""Configuration of the runtime's control plane (the message bus)."""
 
 from __future__ import annotations
 
@@ -14,12 +14,12 @@ __all__ = ["ControlPlaneConfig"]
 class ControlPlaneConfig:
     """Knobs for the message-boundary control loop.
 
-    Attaching a ``ControlPlaneConfig`` to
-    :class:`~repro.core.runtime.DeepPowerConfig` switches the runtime from
-    direct sensor/actuator calls to schema-versioned messages over an
-    :class:`~repro.control.bus.InProcessBus`.  With the default (empty)
-    ``fault_plan`` the run is bitwise identical to the direct-call
-    runtime; a lossy plan exercises the degraded-mode machinery below.
+    :class:`~repro.core.runtime.DeepPowerConfig` carries one (default:
+    this class's defaults); the runtime exchanges schema-versioned
+    messages with its node over an
+    :class:`~repro.control.bus.InProcessBus`.  The default (empty)
+    ``fault_plan`` is a perfect transport; a lossy plan exercises the
+    degraded-mode machinery below.
 
     Degraded-mode control (``degraded_mode=True``):
 

@@ -22,7 +22,7 @@ Hardening, node side:
   hands the cores back.  Disabled in the no-degraded-mode ablation.
 
 Both mechanisms are quiet in fault-free runs — no events, no state
-changes — preserving bitwise identity with the direct-call runtime.
+changes.
 """
 
 from __future__ import annotations

@@ -21,15 +21,13 @@ until telemetry has been healthy for the (exponentially backed-off)
 cooldown.  Trips, recoveries and per-step anomaly counts are exposed on
 :class:`StepRecord` and via :meth:`DeepPowerRuntime.watchdog_stats`.
 
-**Control-plane (bus) mode** — attach a
-:class:`~repro.control.ControlPlaneConfig` via ``config.control`` and the
-runtime stops calling sensors/actuators directly: a
-:class:`~repro.control.NodeEndpoint` owns telemetry sampling and the
-thread controller, and the policy loop exchanges schema-versioned
+**Control plane** — the runtime never calls sensors or actuators
+directly: a :class:`~repro.control.NodeEndpoint` owns telemetry sampling
+and the thread controller, and the policy loop exchanges schema-versioned
 ``SensorReading`` / ``ActuatorCommand`` / ``CommandAck`` messages with it
-over an :class:`~repro.control.InProcessBus`.  With a perfect transport
-the run is bitwise identical to direct calls (same snapshot/energy
-instants, same action application points, no extra randomness).  Under a
+over an :class:`~repro.control.InProcessBus` configured by
+``config.control``.  The default :class:`~repro.control.ControlPlaneConfig`
+is a perfect transport that draws no randomness.  Under a
 :class:`~repro.faults.bus.BusFaultPlan`, degraded-mode control takes
 over: stale windows hold the last action and are flagged, unacked
 commands are retried idempotently, and sustained outages escalate —
@@ -96,9 +94,15 @@ class DeepPowerConfig:
     checkpoint: Optional["CheckpointManager"] = None
     #: DRL steps between autosaves (0 = autosave disabled).
     checkpoint_every_steps: int = 0
-    #: Run the control loop over the message bus instead of direct calls;
-    #: None = the historical direct-call wiring.
-    control: Optional[ControlPlaneConfig] = None
+    #: Message-bus transport between the policy loop and the node.
+    control: ControlPlaneConfig = field(default_factory=ControlPlaneConfig)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.control, ControlPlaneConfig):
+            raise TypeError(
+                "DeepPowerConfig.control must be a ControlPlaneConfig, "
+                f"got {type(self.control).__name__}"
+            )
 
 
 @dataclass(frozen=True)
@@ -199,44 +203,41 @@ class DeepPowerRuntime:
             self._m_ckpts = m.counter("checkpoint.saves")
             self._g_reward = m.gauge("drl.reward")
             self._g_power = m.gauge("power.watts")
-        # Control plane (bus mode); None = direct calls.
+        # Control plane: the policy loop reaches the node only over the bus.
         self._ctl = self.cfg.control
-        self.bus: Optional[InProcessBus] = None
-        self._endpoint: Optional[NodeEndpoint] = None
-        if self._ctl is not None:
-            self.bus = InProcessBus(
-                engine,
-                capacity=self._ctl.capacity,
-                fault_plan=self._ctl.fault_plan,
-                trace=self._trace,
-            )
-            self._endpoint = NodeEndpoint(
-                engine,
-                server,
-                monitor,
-                self.controller,
-                self.bus,
-                self._ctl,
-                long_time=self.cfg.long_time,
-                trace=self._trace,
-            )
-            self._bus_reading_seq = 0
-            self._bus_cmd_seq = 0
-            self._bus_pending: Optional[dict] = None
-            self._bus_last_action = np.asarray(self._ctl.safe_action, dtype=float)
-            self._bus_stale_count = 0
-            self._bus_safe_mode = False
-            self._bus_recovery = 0
-            self._bus_stats = {
-                "stale_windows": 0,
-                "blind_windows": 0,
-                "safe_escalations": 0,
-                "deadline_misses": 0,
-                "retries": 0,
-                "commands_lost": 0,
-                "suppressed_readings": 0,
-                "bad_schema": 0,
-            }
+        self.bus = InProcessBus(
+            engine,
+            capacity=self._ctl.capacity,
+            fault_plan=self._ctl.fault_plan,
+            trace=self._trace,
+        )
+        self._endpoint = NodeEndpoint(
+            engine,
+            server,
+            monitor,
+            self.controller,
+            self.bus,
+            self._ctl,
+            long_time=self.cfg.long_time,
+            trace=self._trace,
+        )
+        self._bus_reading_seq = 0
+        self._bus_cmd_seq = 0
+        self._bus_pending: Optional[dict] = None
+        self._bus_last_action = np.asarray(self._ctl.safe_action, dtype=float)
+        self._bus_stale_count = 0
+        self._bus_safe_mode = False
+        self._bus_recovery = 0
+        self._bus_stats = {
+            "stale_windows": 0,
+            "blind_windows": 0,
+            "safe_escalations": 0,
+            "deadline_misses": 0,
+            "retries": 0,
+            "commands_lost": 0,
+            "suppressed_readings": 0,
+            "bad_schema": 0,
+        }
 
     # ----------------------------------------------------------------- control
 
@@ -260,56 +261,39 @@ class DeepPowerRuntime:
         self.controller.start()
         self._last_tick_count = self.controller.tick_count
         self._last_switches = self.server.cpu.total_switches()
-        if self._ctl is None:
-            snap = self.server.telemetry.snapshot()  # empty initial window
-            self.monitor.window_energy()  # (re-)zero the energy window
-            s1 = self.observer.observe(snap)
+        # The endpoint owns the windows: its start() takes the initial
+        # (empty) snapshot + energy window and publishes them; the first
+        # command travels back over the bus and is applied by the
+        # endpoint's delivery event before any controller tick.
+        self._endpoint.start()
+        first = self._ingest_readings()
+        if first is not None:
+            s1 = self.observer.observe(first.snapshot)
             a1 = self.agent.act(s1, explore=self.cfg.train)
-            self.controller.set_params(a1[0], a1[1])
             self._prev = (s1, a1)
-            step = self._drl_step
         else:
-            # Bus mode: the endpoint owns the windows.  Its start() takes
-            # the initial (empty) snapshot + energy window at the same
-            # instants the direct path would, and publishes them; the
-            # first command travels back over the bus and is applied by
-            # the endpoint's delivery event before any controller tick.
-            self._endpoint.start()
-            first = self._ingest_readings()
-            if first is not None:
-                s1 = self.observer.observe(first.snapshot)
-                a1 = self.agent.act(s1, explore=self.cfg.train)
-                self._prev = (s1, a1)
-            else:
-                # The bus is already lossy at t=0: start blind on the
-                # safe action and let the degraded machinery take over.
-                a1 = np.asarray(self._ctl.safe_action, dtype=float)
-            self._publish_action(a1)
-            step = self._drl_step_bus
+            # The bus is already lossy at t=0: start blind on the safe
+            # action and let the degraded machinery take over.
+            a1 = np.asarray(self._ctl.safe_action, dtype=float)
+        self._publish_action(a1)
         self._task = self.engine.every(
-            self.cfg.long_time, step, priority=PRIORITY_CONTROL + 1
+            self.cfg.long_time, self._interval, priority=PRIORITY_CONTROL + 1
         )
 
     def stop(self) -> None:
         self.controller.stop()
         if self._fallback is not None:
             self._fallback.stop()
-        if self._endpoint is not None:
-            self._endpoint.stop()
+        self._endpoint.stop()
         if self._task is not None:
             self._task.stop()
         self._prev = None  # the next start() must not reuse a stale state
 
     # ------------------------------------------------------------------- steps
 
-    def _drl_step(self) -> None:
-        """Algorithm 2 lines 9-18 (direct mode): sample then step."""
-        snap = self.server.telemetry.snapshot()
-        energy = self.monitor.window_energy()
-        self._step_with_window(snap, energy)
-
-    def _drl_step_bus(self) -> None:
-        """One DRL interval at the controller end of the bus.
+    def _interval(self) -> None:
+        """One DRL interval at the controller end of the bus (Algorithm 2
+        lines 9-18).
 
         Services acks/retries, ingests whatever readings the bus
         delivered, and dispatches: a fresh (same-tick) reading runs the
@@ -382,10 +366,9 @@ class DeepPowerRuntime:
             action = np.asarray(wd.cfg.safe_action, dtype=float)
             if self._fallback is not None and self._fallback._task is None:
                 self._fallback.start()
-            if self._ctl is not None:
-                # Heartbeat over the bus: keeps the node's own deadline
-                # watchdog from stacking a second governor on the cores.
-                self._publish_action(action)
+            # Heartbeat over the bus: keeps the node's own deadline
+            # watchdog from stacking a second governor on the cores.
+            self._publish_action(action)
         elif force_safe:
             action = np.asarray(self._ctl.safe_action, dtype=float)
             self._publish_action(action)
@@ -404,13 +387,10 @@ class DeepPowerRuntime:
             action = self.agent.act(s_next, explore=self.cfg.train)
             if wd is not None:
                 action = wd.screen_action(action)
-            if self._ctl is None:
-                self.controller.set_params(action[0], action[1])
-            else:
-                self._publish_action(action)
+            self._publish_action(action)
             self._prev = (s_next, action)
 
-        if self._ctl is not None and self._bus_pending is not None:
+        if self._bus_pending is not None:
             # Actuation known-dead (retries exhausted, never acked) is a
             # degraded window even when telemetry still flows.
             degraded = degraded or self._bus_pending["lost"]
@@ -751,38 +731,35 @@ class DeepPowerRuntime:
         Captures everything that outlives a single DRL step: the full
         learner state, the controller's (BaseFreq, ScalingCoef), the
         observer's adaptive normalisers, the reward window accumulator,
-        the watchdog machine, the step/transition bookkeeping and — in
-        bus mode — the control-loop state (sequence high-water marks,
-        pending command, degraded-mode machine, injector RNG streams,
-        node endpoint).  The simulated environment (event heap, in-flight
-        requests) is *not* state — a resumed runtime re-attaches to a
-        live or freshly built server, exactly like a restarted production
-        controller.
+        the watchdog machine, the step/transition bookkeeping and the
+        control-loop state (sequence high-water marks, pending command,
+        degraded-mode machine, injector RNG streams, node endpoint).  The
+        simulated environment (event heap, in-flight requests) is *not*
+        state — a resumed runtime re-attaches to a live or freshly built
+        server, exactly like a restarted production controller.
         """
         prev = None
         if self._prev is not None:
             s_prev, a_prev = self._prev
             prev = {"state": np.array(s_prev), "action": np.array(a_prev)}
-        control = None
-        if self._ctl is not None:
-            pending = None
-            if self._bus_pending is not None:
-                pending = dict(self._bus_pending)
-                # Stored as an age: a resumed loop re-anchors on its new
-                # engine clock.
-                pending["sent_age"] = self.engine.now - pending.pop("sent")
-            control = {
-                "reading_seq": self._bus_reading_seq,
-                "cmd_seq": self._bus_cmd_seq,
-                "pending": pending,
-                "last_action": np.array(self._bus_last_action),
-                "stale_count": self._bus_stale_count,
-                "safe_mode": self._bus_safe_mode,
-                "recovery": self._bus_recovery,
-                "stats": dict(self._bus_stats),
-                "bus": self.bus.state_dict(),
-                "endpoint": self._endpoint.state_dict(),
-            }
+        pending = None
+        if self._bus_pending is not None:
+            pending = dict(self._bus_pending)
+            # Stored as an age: a resumed loop re-anchors on its new
+            # engine clock.
+            pending["sent_age"] = self.engine.now - pending.pop("sent")
+        control = {
+            "reading_seq": self._bus_reading_seq,
+            "cmd_seq": self._bus_cmd_seq,
+            "pending": pending,
+            "last_action": np.array(self._bus_last_action),
+            "stale_count": self._bus_stale_count,
+            "safe_mode": self._bus_safe_mode,
+            "recovery": self._bus_recovery,
+            "stats": dict(self._bus_stats),
+            "bus": self.bus.state_dict(),
+            "endpoint": self._endpoint.state_dict(),
+        }
         return {
             "kind": "deeppower-runtime",
             "step_count": self.step_count,
@@ -803,6 +780,12 @@ class DeepPowerRuntime:
         """
         if state.get("kind") != "deeppower-runtime":
             raise ValueError("not a DeepPowerRuntime snapshot")
+        control = state.get("control")
+        if control is None:
+            raise ValueError(
+                "snapshot has no control-plane state: it was written by the "
+                "removed direct-call runtime and cannot be resumed"
+            )
         self.agent.load_state_dict(state["agent"])
         self.controller.load_state_dict(state["controller"])
         self.observer.load_state_dict(state["observer"])
@@ -817,27 +800,20 @@ class DeepPowerRuntime:
                     "snapshot carries watchdog state but this runtime has no watchdog"
                 )
             self.watchdog.load_state_dict(state["watchdog"])
-        control = state.get("control")
-        if control is not None:
-            if self._ctl is None:
-                raise ValueError(
-                    "snapshot carries control-plane state but this runtime "
-                    "has no ControlPlaneConfig"
-                )
-            self._bus_reading_seq = int(control["reading_seq"])
-            self._bus_cmd_seq = int(control["cmd_seq"])
-            pending = control["pending"]
-            if pending is not None:
-                pending = dict(pending)
-                pending["sent"] = self.engine.now - pending.pop("sent_age")
-            self._bus_pending = pending
-            self._bus_last_action = np.asarray(control["last_action"], dtype=float)
-            self._bus_stale_count = int(control["stale_count"])
-            self._bus_safe_mode = bool(control["safe_mode"])
-            self._bus_recovery = int(control["recovery"])
-            self._bus_stats.update(control["stats"])
-            self.bus.load_state_dict(control["bus"])
-            self._endpoint.load_state_dict(control["endpoint"])
+        self._bus_reading_seq = int(control["reading_seq"])
+        self._bus_cmd_seq = int(control["cmd_seq"])
+        pending = control["pending"]
+        if pending is not None:
+            pending = dict(pending)
+            pending["sent"] = self.engine.now - pending.pop("sent_age")
+        self._bus_pending = pending
+        self._bus_last_action = np.asarray(control["last_action"], dtype=float)
+        self._bus_stale_count = int(control["stale_count"])
+        self._bus_safe_mode = bool(control["safe_mode"])
+        self._bus_recovery = int(control["recovery"])
+        self._bus_stats.update(control["stats"])
+        self.bus.load_state_dict(control["bus"])
+        self._endpoint.load_state_dict(control["endpoint"])
 
     # ------------------------------------------------------------------- views
 
@@ -850,15 +826,13 @@ class DeepPowerRuntime:
         """Trip/recovery/anomaly counters (None when no watchdog configured)."""
         return None if self.watchdog is None else self.watchdog.stats()
 
-    def control_stats(self) -> Optional[dict]:
-        """Bus / degraded-mode counters (None for direct-call runtimes).
+    def control_stats(self) -> dict:
+        """Bus / degraded-mode counters.
 
         Three sections: ``loop`` (controller-side degraded machinery),
         ``bus`` (per-channel transport counters) and ``node`` (endpoint
         application/deadline counters).
         """
-        if self._ctl is None:
-            return None
         return {
             "loop": dict(self._bus_stats),
             "bus": self.bus.stats(),

@@ -112,7 +112,7 @@ def _episode_history(run: "RunResult") -> Dict[str, np.ndarray]:
         "core_frequencies": (
             np.stack([p.frequencies for p in trace]) if trace else np.zeros((0, 0))
         ),
-        # Degraded-window flags (bus mode); all-False for direct-call runs.
+        # Degraded-window flags; all-False on a fault-free bus.
         # Part of the resume payload so a run resumed mid-outage must
         # reproduce the outage bookkeeping, not just the learner state.
         "degraded": np.array([r.degraded for r in records], dtype=bool),

@@ -67,7 +67,6 @@ def hier_config() -> HierConfig:
     """
     return HierConfig(
         algo="ddpg",
-        control="budget",
         train=True,
         init_share=0.65,
         noise_sigma=0.2,

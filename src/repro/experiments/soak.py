@@ -8,12 +8,7 @@ degraded-mode controller (stale-telemetry hold, ack retries, safe-mode
 escalation, node deadline fallback) with an ablation that runs the same
 lossy bus but never defends itself — it trusts whatever reading it last
 saw and lets the thread controller free-run on frozen parameters through
-partitions.
-
-Intensity 0 doubles as the refactor's regression gate: the bus run is
-compared against a direct-call run of the identical stack, and
-``identity_ok`` reports whether metrics (and, with ``trace_dir`` set,
-trace bytes) matched exactly.
+partitions.  Intensity 0 is the fault-free reference cell.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ __all__ = [
     "render_soak",
 ]
 
-#: Default fault-intensity grid (0 = the bitwise-identity control cell).
+#: Default fault-intensity grid (0 = the fault-free reference cell).
 SOAK_INTENSITIES = (0.0, 0.5, 1.0)
 
 #: Top-layer policies the soak can drive over the bus.
@@ -74,7 +69,7 @@ class ReactivePolicy:
     trough/peak contrast is guaranteed keeps the comparison about message
     loss, not learner quality.  It is stateless and exposes the interface
     the runtime expects of an agent (``act``/``observe``/``update``/
-    ``state_dict``), so it drops into checkpoints and bus-mode runs alike.
+    ``state_dict``), so it drops into runtimes and checkpoints alike.
     """
 
     def __init__(
@@ -155,14 +150,8 @@ def _extras(ctx, driver):
     return out
 
 
-def _control_summary(stats: Optional[dict], degraded_steps: int) -> dict:
+def _control_summary(stats: dict, degraded_steps: int) -> dict:
     """Flatten ``DeepPowerRuntime.control_stats()`` into row counters."""
-    if stats is None:
-        return {
-            "drops": 0, "sheds": 0, "retries": 0, "stale_windows": 0,
-            "degraded_steps": 0, "escalations": 0, "node_engagements": 0,
-            "commands_lost": 0,
-        }
     bus = stats["bus"]
     drops = sum(
         ch["dropped_fault"] + ch["dropped_partition"] for ch in bus.values()
@@ -188,11 +177,11 @@ def run_soak(
     trace_dir: Optional[str] = None,
     policy: str = "reactive",
 ) -> dict:
-    """Sweep bus-fault intensity: direct vs degraded-mode vs ablation.
+    """Sweep bus-fault intensity: degraded-mode vs ablation.
 
     Cells per intensity: ``degraded`` (full hardening) and ``ablation``
     (same lossy bus, ``degraded_mode=False``); intensity 0 runs a single
-    bus cell plus a ``direct`` reference cell and checks bitwise identity.
+    fault-free ``degraded`` cell.
     ``policy`` picks the top layer: ``reactive`` (default, deterministic
     load-following — see :class:`ReactivePolicy`) or ``trained`` (the
     cached DDPG agent).  Returns a plain-data dict (cache/checkpoint
@@ -225,16 +214,13 @@ def run_soak(
         os.makedirs(trace_dir, exist_ok=True)
 
     def run_cell(mode: str, intensity: float):
-        if mode == "direct":
-            control = None
-        else:
-            plan = standard_bus_plan(
-                intensity, trace.duration, seed=seed, long_time=dp_cfg.long_time
-            )
-            control = ControlPlaneConfig(
-                fault_plan=None if plan.is_empty else plan,
-                degraded_mode=(mode != "ablation"),
-            )
+        plan = standard_bus_plan(
+            intensity, trace.duration, seed=seed, long_time=dp_cfg.long_time
+        )
+        control = ControlPlaneConfig(
+            fault_plan=None if plan.is_empty else plan,
+            degraded_mode=(mode != "ablation"),
+        )
         cfg = replace(dp_cfg, control=control)
         obs = None
         trace_path = None
@@ -258,7 +244,6 @@ def run_soak(
         return result, trace_path
 
     rows: List[dict] = []
-    identity_ok = None
 
     def add_row(mode: str, intensity: float):
         result, trace_path = run_cell(mode, intensity)
@@ -267,24 +252,14 @@ def run_soak(
             "intensity": intensity,
             "metrics": result.metrics.as_dict(),
             "control": _control_summary(
-                result.extras.get("control"),
-                result.extras.get("degraded_steps", 0),
+                result.extras["control"], result.extras["degraded_steps"]
             ),
             "trace_path": trace_path,
         })
-        return rows[-1]
 
-    direct = add_row("direct", 0.0)
     for intensity in sorted(set(float(i) for i in intensities)):
-        if intensity == 0.0:
-            bus_row = add_row("degraded", 0.0)
-            identity_ok = bus_row["metrics"] == direct["metrics"]
-            if identity_ok and trace_dir is not None:
-                with open(direct["trace_path"], "rb") as fa, \
-                        open(bus_row["trace_path"], "rb") as fb:
-                    identity_ok = fa.read() == fb.read()
-        else:
-            add_row("degraded", intensity)
+        add_row("degraded", intensity)
+        if intensity != 0.0:
             add_row("ablation", intensity)
 
     return {
@@ -293,7 +268,6 @@ def run_soak(
         "seed": seed,
         "sla": app.sla,
         "policy": policy,
-        "identity_ok": identity_ok,
         "rows": rows,
     }
 
@@ -317,13 +291,9 @@ def render_soak(result: dict) -> str:
             c["escalations"] + c["node_engagements"],
             "yes" if p99_ratio <= 1.0 else "NO",
         ])
-    out = format_table(
+    return format_table(
         ["mode", "intensity", "power (W)", "p99/SLA", "timeout",
          "drops", "retries", "stale", "safe", "SLA met"],
         table,
         "{:.2f}",
     )
-    if result.get("identity_ok") is not None:
-        verdict = "bitwise identical" if result["identity_ok"] else "MISMATCH"
-        out += f"\nfault-free bus vs direct calls: {verdict}\n"
-    return out

@@ -23,8 +23,7 @@ run depends only on ``(plan, message sequence)`` — two runs of the same
 plan against the same workload are bitwise identical.
 
 An empty plan (``BusFaultPlan()``) is the documented no-op: the bus skips
-building the injector entirely, so a faultless bus-mode run is bitwise
-identical to the direct-call runtime.
+building the injector entirely, so a faultless run draws no randomness.
 """
 
 from __future__ import annotations
@@ -196,8 +195,7 @@ def standard_bus_plan(
     per-message fault rates; the deterministic backbone — one all-direction
     partition across the workload's diurnal peak plus an earlier
     sensor-only partition — is included whenever ``intensity > 0``.
-    ``intensity == 0`` returns the empty plan (a fault-free bus run,
-    bitwise identical to the direct-call runtime).
+    ``intensity == 0`` returns the empty plan (a fault-free bus run).
 
     The all-direction partition is what separates degraded-mode control
     from the ablation: a controller that detects the stale window

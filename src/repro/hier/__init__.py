@@ -16,8 +16,8 @@ cap stays guaranteed by construction no matter what the agent emits.
   p99/SLA slack, RAPL-style watts, routed share and the health masks the
   batched stepping layer maintains (:mod:`repro.hier.obs`),
 * :class:`FleetAgent` / :func:`build_fleet_agent` — the upper-level agent
-  on the existing DDPG/TD3/SAC stack, acting in ``[0, 1]^k`` budget
-  shares and/or dispatcher weights (:mod:`repro.hier.agent`),
+  on the existing DDPG/TD3/SAC stack, acting in ``[0, 1]^N`` per-node
+  budget shares (:mod:`repro.hier.agent`),
 * :class:`SharedReplay` + :func:`federated_average` — node agents pooling
   transitions through one seed-namespaced buffer, with optional periodic
   parameter averaging (:mod:`repro.hier.replay`),
@@ -28,7 +28,7 @@ cap stays guaranteed by construction no matter what the agent emits.
 """
 
 from .agent import FleetAgent, build_fleet_agent, fleet_state_dim
-from .config import HIER_ALGOS, HIER_CONTROLS, HierConfig
+from .config import HIER_ALGOS, HierConfig
 from .coordinator import LearnedBudgetCoordinator
 from .obs import FEATURES_PER_NODE, FleetObserver
 from .replay import SharedReplay, federated_average
@@ -36,7 +36,6 @@ from .replay import SharedReplay, federated_average
 __all__ = [
     "HierConfig",
     "HIER_ALGOS",
-    "HIER_CONTROLS",
     "FleetObserver",
     "FEATURES_PER_NODE",
     "FleetAgent",

@@ -1,19 +1,13 @@
 """The fleet-level agent: DDPG/TD3/SAC over the fleet observation.
 
 Reuses the existing :mod:`repro.rl` stack unchanged — the only new code
-is the actor sizing (state dim scales with fleet size, action dim with
-what the layer controls) and a uniform save/load/state_dict surface over
-the three algorithms so the coordinator, the CLI and the checkpoint tree
-never branch on ``algo``.
+is the actor sizing (state and action dims scale with fleet size) and a
+uniform save/load/state_dict surface over the three algorithms so the
+coordinator, the CLI and the checkpoint tree never branch on ``algo``.
 
-Action layout (all components in [0, 1], sigmoid/tanh-squashed):
-
-* ``control="budget"``  — ``a[i]`` is node *i*'s share of its controllable
-  power envelope (see
-  :meth:`~repro.hier.coordinator.LearnedBudgetCoordinator.apportion`),
-* ``control="weights"`` — ``a[i]`` is node *i*'s dispatcher routing
-  weight (floored by ``min_weight``),
-* ``control="both"``    — first N entries budgets, last N weights.
+Action layout: ``a[i]`` in [0, 1] (sigmoid/tanh-squashed) is node *i*'s
+share of its controllable power envelope (see
+:meth:`~repro.hier.coordinator.LearnedBudgetCoordinator.apportion`).
 """
 
 from __future__ import annotations
@@ -40,10 +34,6 @@ def fleet_state_dim(num_nodes: int) -> int:
     return num_nodes * FEATURES_PER_NODE
 
 
-def _action_dim(num_nodes: int, config: HierConfig) -> int:
-    return num_nodes * (2 if config.control == "both" else 1)
-
-
 def _build_actor(
     state_dim: int,
     action_dim: int,
@@ -57,7 +47,7 @@ def _build_actor(
     (:func:`repro.core.agent.build_actor`, Lillicrap et al.'s
     U(-3e-3, 3e-3)), but the head's bias is the logit of ``init_share``
     rather than zero: the untrained policy emits near-``init_share``
-    budgets/weights — safe-by-default generous apportioning — instead of
+    budget shares — safe-by-default generous apportioning — instead of
     whatever the weight init happens to saturate to.
     """
     actor = MLP(
@@ -90,7 +80,7 @@ class FleetAgent:
         self.num_nodes = int(num_nodes)
         self.seed = int(seed)
         self.state_dim = fleet_state_dim(num_nodes)
-        self.action_dim = _action_dim(num_nodes, config)
+        self.action_dim = self.num_nodes
 
     # ------------------------------------------------------------------ acting
 
@@ -154,7 +144,6 @@ class FleetAgent:
         return {
             "kind": "fleet-agent",
             "num_nodes": self.num_nodes,
-            "control": self.config.control,
             "agent": self._agent.state_dict(),
         }
 
@@ -165,11 +154,6 @@ class FleetAgent:
             raise ValueError(
                 f"snapshot is for a {state['num_nodes']}-node fleet, "
                 f"this agent manages {self.num_nodes}"
-            )
-        if state.get("control") != self.config.control:
-            raise ValueError(
-                f"snapshot controls {state.get('control')!r}, "
-                f"this agent controls {self.config.control!r}"
             )
         self._agent.load_state_dict(state["agent"])
 
@@ -184,7 +168,7 @@ def build_fleet_agent(
     agent's exploration stream never aliases a node's streams.
     """
     state_dim = fleet_state_dim(num_nodes)
-    action_dim = _action_dim(num_nodes, config)
+    action_dim = num_nodes
     rng = np.random.default_rng(seed)
     if config.algo == "ddpg":
         cfg = DdpgConfig(

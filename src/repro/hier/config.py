@@ -15,13 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-__all__ = ["HierConfig", "HIER_ALGOS", "HIER_CONTROLS"]
+__all__ = ["HierConfig", "HIER_ALGOS"]
 
 #: Upper-level learner choices (the existing rl/ stack).
 HIER_ALGOS = ("ddpg", "td3", "sac")
-#: What the agent's action controls: per-node power budgets, dispatcher
-#: routing weights, or both (action dim doubles).
-HIER_CONTROLS = ("budget", "weights", "both")
 
 
 @dataclass(frozen=True)
@@ -32,10 +29,7 @@ class HierConfig:
     ----------
     algo:
         Upper-level learner: ``"ddpg"`` (default), ``"td3"`` or ``"sac"``.
-    control:
-        ``"budget"`` — the action apportions the watt budget (dim N);
-        ``"weights"`` — the action sets dispatcher routing weights
-        (dim N, budget apportioning stays heuristic); ``"both"`` — dim 2N.
+        Its action apportions the watt budget, one share per node.
     train:
         Learn online during the run (the DeepPower convention: explore,
         observe, update every window).  ``False`` runs the actor frozen —
@@ -61,9 +55,6 @@ class HierConfig:
     fed_avg_every:
         Coordination windows between federated parameter averages across
         the node agents (0 disables; requires ``shared_replay``).
-    min_weight:
-        Floor on learned dispatcher weights, so no live node is ever
-        starved to zero routing probability by a cold actor.
     init_share:
         The untrained actor's operating point in [0, 1] (the sigmoid
         head's initial bias).  Defaults to 0.65 — roughly one DVFS level
@@ -74,7 +65,6 @@ class HierConfig:
     """
 
     algo: str = "ddpg"
-    control: str = "budget"
     train: bool = True
     agent_path: Optional[str] = None
     energy_weight: float = 1.0
@@ -88,18 +78,12 @@ class HierConfig:
     noise_min_sigma: float = 0.02
     shared_replay: bool = False
     fed_avg_every: int = 0
-    min_weight: float = 0.05
     init_share: float = 0.65
 
     def __post_init__(self) -> None:
         if self.algo not in HIER_ALGOS:
             raise ValueError(
                 f"unknown hier algo {self.algo!r}; available: {HIER_ALGOS}"
-            )
-        if self.control not in HIER_CONTROLS:
-            raise ValueError(
-                f"unknown hier control {self.control!r}; "
-                f"available: {HIER_CONTROLS}"
             )
         if len(self.hidden) != 3 or any(h < 1 for h in self.hidden):
             raise ValueError(
@@ -122,22 +106,10 @@ class HierConfig:
             )
         if self.fed_avg_every > 0 and not self.shared_replay:
             raise ValueError("fed_avg_every requires shared_replay")
-        if not 0.0 < self.min_weight <= 1.0:
-            raise ValueError(
-                f"min_weight must be in (0, 1], got {self.min_weight}"
-            )
         if not 0.0 < self.init_share < 1.0:
             raise ValueError(
                 f"init_share must be in (0, 1), got {self.init_share}"
             )
-
-    @property
-    def controls_budget(self) -> bool:
-        return self.control in ("budget", "both")
-
-    @property
-    def controls_weights(self) -> bool:
-        return self.control in ("weights", "both")
 
     def cache_payload(self) -> dict:
         """Content for grid-cell cache keys (covers every learning-relevant
@@ -146,7 +118,6 @@ class HierConfig:
 
         return {
             "algo": self.algo,
-            "control": self.control,
             "train": self.train,
             "agent_digest": (
                 file_digest(self.agent_path) if self.agent_path else None
@@ -162,6 +133,5 @@ class HierConfig:
             "noise_min_sigma": self.noise_min_sigma,
             "shared_replay": self.shared_replay,
             "fed_avg_every": self.fed_avg_every,
-            "min_weight": self.min_weight,
             "init_share": self.init_share,
         }

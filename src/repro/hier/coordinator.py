@@ -16,10 +16,8 @@ Per coordination window the coordinator
 2. closes the previous transition with the window reward
    ``-(energy_weight * fleet_power/budget + sla_weight * timeout_frac)``
    and (in train mode) runs one learner update,
-3. queries the agent for the next action — budget shares and/or
-   dispatcher routing weights,
-4. lets the inherited ``_decide`` enforce it, then pushes routing weights
-   to the :class:`~repro.cluster.dispatch.Dispatcher` and emits a
+3. queries the agent for the next action — one budget share per node,
+4. lets the inherited ``_decide`` enforce it and emits a
    ``coordinator-decision`` trace event.
 
 Membership changes (chaos: node crash/restart) re-apportion *the held
@@ -53,17 +51,13 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
     engine, nodes, budget_watts, window, boost, trace:
         As for the base coordinator.
     agent:
-        The :class:`~repro.hier.agent.FleetAgent` (its ``num_nodes`` and
-        control mode must match this fleet / config).
+        The :class:`~repro.hier.agent.FleetAgent` (its ``num_nodes`` must
+        match this fleet).
     config:
         The :class:`~repro.hier.config.HierConfig` describing the layer.
     sla:
         Application SLA (seconds) — scales the observation's p99 feature
         and classifies window timeouts for the reward.
-    dispatcher:
-        Optional :class:`~repro.cluster.dispatch.Dispatcher`; required
-        when ``config.controls_weights`` (the action's weight half must
-        land somewhere).
     """
 
     def __init__(
@@ -77,7 +71,6 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
         window: float = 1.0,
         boost: float = 1.25,
         trace: Any = None,
-        dispatcher: Any = None,
     ) -> None:
         super().__init__(
             engine, nodes, budget_watts, window=window, boost=boost, trace=trace
@@ -87,18 +80,8 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
             raise ValueError(
                 f"fleet agent manages {agent.num_nodes} nodes, fleet has {n}"
             )
-        if agent.config.control != config.control:
-            raise ValueError(
-                f"agent controls {agent.config.control!r}, "
-                f"config says {config.control!r}"
-            )
-        if config.controls_weights and dispatcher is None:
-            raise ValueError(
-                "control includes dispatcher weights but no dispatcher given"
-            )
         self.agent = agent
         self.config = config
-        self.dispatcher = dispatcher
         self.observer = FleetObserver(self.nodes, sla, self._cap)
         #: Optional :class:`SharedReplay` pooling the node agents'
         #: transitions; set by the wiring layer after binding.
@@ -114,14 +97,6 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
     def attach_batch(self, batch: Any) -> None:
         super().attach_batch(batch)
         self.observer.attach_batch(batch)
-
-    # ----------------------------------------------------------- action slices
-
-    def _budget_part(self, action: np.ndarray) -> np.ndarray:
-        return action[: len(self.nodes)]
-
-    def _weights_part(self, action: np.ndarray) -> np.ndarray:
-        return action[-len(self.nodes):]
 
     # ---------------------------------------------------------------- learning
 
@@ -174,17 +149,6 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
         # Inherited enforcement: calls the overridden apportion(), pins
         # parked nodes, applies ceilings, records/emits the cap window.
         super()._decide(powers, reason)
-        if (
-            self.config.controls_weights
-            and self.dispatcher is not None
-            and self._last_action is not None
-        ):
-            raw = self._weights_part(self._last_action)
-            weights = (
-                self.config.min_weight
-                + (1.0 - self.config.min_weight) * np.clip(raw, 0.0, 1.0)
-            )
-            self.dispatcher.set_weights(weights)
         if self.trace is not None:
             self.trace.emit(
                 "coordinator-decision",
@@ -217,9 +181,9 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
         watts the agent did not ask for stay unspent, which is exactly the
         frugality a learned apportioner can exploit.
         """
-        if self._last_action is None or not self.config.controls_budget:
+        if self._last_action is None:
             return super().apportion(powers, live)
-        share = np.clip(self._budget_part(self._last_action), 0.0, 1.0)
+        share = np.clip(self._last_action, 0.0, 1.0)
         wanted = self._floor + share * (self._cap - self._floor)
         if live is None:
             live = np.ones(len(self.nodes), dtype=bool)

@@ -78,7 +78,7 @@ class TraceSummary:
     episodes: List[Dict[str, Any]] = field(default_factory=list)
     #: ``run-warning`` events (degenerate runs surface here).
     warnings: List[Dict[str, Any]] = field(default_factory=list)
-    #: Control-plane (bus) aggregation — empty for direct-call runs.
+    #: Control-plane (bus) aggregation — empty when the bus saw no faults.
     #: Keys: ``drops`` (per channel), ``drop_reasons`` (fault / partition /
     #: shed), ``retries``, ``stale_windows``, ``max_consecutive_stale``,
     #: ``deadline_misses`` (per side), ``degraded_intervals``.

@@ -292,72 +292,6 @@ class TestDispatcher:
             disp.submit(_request(0))
 
 
-class TestDispatcherWeights:
-    """Learned routing weights: validation, steering and determinism."""
-
-    def _weighted(self, n=3, seed=5):
-        engine, _, nodes = _fleet(n)
-        disp = Dispatcher(
-            nodes, RoundRobinRouter(), rng=np.random.default_rng(seed)
-        )
-        return engine, nodes, disp
-
-    def test_requires_rng(self):
-        _, _, nodes = _fleet(2)
-        disp = Dispatcher(nodes, RoundRobinRouter())
-        with pytest.raises(ValueError, match="rng"):
-            disp.set_weights(np.array([0.5, 0.5]))
-
-    def test_validates_shape_and_values(self):
-        _, _, disp = self._weighted(2)
-        with pytest.raises(ValueError, match="shape"):
-            disp.set_weights(np.array([1.0]))
-        with pytest.raises(ValueError, match="finite"):
-            disp.set_weights(np.array([1.0, float("nan")]))
-        with pytest.raises(ValueError, match="positive"):
-            disp.set_weights(np.array([1.0, 0.0]))
-
-    def test_none_clears_back_to_router(self):
-        _, _, disp = self._weighted(2)
-        disp.set_weights(np.array([1.0, 1.0]))
-        disp.set_weights(None)
-        assert disp.weights is None
-        for i in range(4):
-            disp.submit(_request(i))
-        assert disp.routed_counts() == [2, 2]  # round-robin again
-
-    def test_extreme_weight_concentrates_routing(self):
-        _, _, disp = self._weighted(3)
-        disp.set_weights(np.array([1e-9, 1.0, 1e-9]))
-        for i in range(20):
-            disp.submit(_request(i))
-        assert disp.routed_counts()[1] == 20
-
-    def test_mid_run_update_bitwise_replayable(self):
-        # Satellite: weight changes mid-run must replay identically across
-        # two runs seeded the same through the "dispatch" stream.
-        def run(seed):
-            from repro.sim.rng import RngRegistry
-
-            engine, _, nodes = _fleet(3, seed=seed)
-            disp = Dispatcher(
-                nodes, RoundRobinRouter(), rng=RngRegistry(seed).get("dispatch")
-            )
-            picks = []
-            disp.set_weights(np.array([0.2, 0.5, 0.3]))
-            for i in range(30):
-                if i == 10:
-                    disp.set_weights(np.array([0.7, 0.1, 0.2]))
-                if i == 20:
-                    disp.set_weights(np.array([0.05, 0.05, 0.9]))
-                disp.submit(_request(i))
-                picks.append(disp.routed_counts().copy())
-            return picks
-
-        assert run(5) == run(5)
-        assert run(5) != run(6)  # the stream actually drives the picks
-
-
 class TestClusterNode:
     def test_seed_namespaced_by_node_id(self):
         _, _, nodes = _fleet(3, seed=9)

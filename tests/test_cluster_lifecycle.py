@@ -279,19 +279,32 @@ class TestMembershipAwarePowerCap:
         )
         life = NodeLifecycle(engine, nodes, plan, Dispatcher(nodes, RoundRobinRouter()))
         coord.lifecycle = life
+        read = []  # (time, powers the coordinator apportions on)
+        apportion = coord.apportion
+
+        def spy(powers, live=None):
+            read.append((engine.now, np.array(powers)))
+            return apportion(powers, live)
+
+        coord.apportion = spy
         coord.start()
         life.start()
         engine.run_until(3.0)
-        # Windows measured inside the partition see zero power for node 0
-        # (frozen counter) while node 1 reads normally.
-        partitioned = [w for w in coord.history if 1.5 < w.time <= 3.5]
+        # Windows read inside the partition see zero power for node 0
+        # (frozen counter) while node 1 reads normally ...
+        partitioned = [p for t, p in read if 1.5 < t <= 3.5]
         assert partitioned
-        assert all(w.powers[0] == 0.0 for w in partitioned)
-        assert all(w.powers[1] > 0.0 for w in partitioned)
-        # After the heal the deferred energy lands in one catch-up window.
+        assert all(p[0] == 0.0 for p in partitioned)
+        assert all(p[1] > 0.0 for p in partitioned)
+        # ... but the recorded windows keep the power node 0 really drew.
+        assert all(
+            w.powers[0] > 0.0 for w in coord.history if 1.5 < w.time <= 3.5
+        )
+        # After the heal the deferred energy lands in one catch-up reading.
         engine.run_until(5.0)
-        healed = [w for w in coord.history if w.time > 3.5]
-        assert healed and healed[0].powers[0] > 0.0
+        healed = [p for t, p in read if t > 3.5]
+        drawn = [w.powers[0] for w in coord.history if w.time > 3.5]
+        assert healed and healed[0][0] > drawn[0] > 0.0
         coord.stop()
 
 

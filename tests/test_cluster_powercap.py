@@ -166,6 +166,8 @@ class TestCoordinatorStateDict:
         assert fresh.throttled_windows == coord.throttled_windows
         np.testing.assert_array_equal(fresh._last_energy, coord._last_energy)
         np.testing.assert_array_equal(fresh._last_powers, coord._last_powers)
+        np.testing.assert_array_equal(fresh._last_drawn, coord._last_drawn)
+        np.testing.assert_array_equal(fresh._drawn_powers, coord._drawn_powers)
         assert [w.reason for w in fresh.history] == [
             w.reason for w in coord.history
         ]
@@ -209,3 +211,48 @@ class TestFleetPowerBudget:
             fleet_power_budget(2, 2, fraction=0.0)
         with pytest.raises(ValueError, match="fraction"):
             fleet_power_budget(2, 2, fraction=1.5)
+
+
+class TestTelemetryPartition:
+    """A partition freezes what the coordinator reads, not what nodes draw."""
+
+    def test_cap_ok_reports_drawn_power(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.cluster.sim import ClusterConfig, ClusterSim
+        from repro.faults.fleet import FleetEvent, FleetFaultPlan
+        from repro.obs import Observability
+        from repro.workload.trace import constant_trace
+
+        plan = FleetFaultPlan(
+            events=(FleetEvent(4.0, "telemetry.partition", node=0, duration=4.0),)
+        )
+        config = ClusterConfig(
+            app="xapian", num_nodes=4, cores_per_node=2, policy="controller",
+            routing="jsq", seed=5, fault_plan=plan,
+            power_cap_watts=fleet_power_budget(4, 2, 0.7),
+        )
+        trace = constant_trace(get_app("xapian").rps_for_load(0.5, 8), 12.0)
+        path = str(tmp_path / "partition.trace.jsonl")
+        obs = Observability.from_paths(trace_out=path)
+        try:
+            sim = ClusterSim(config, trace, obs=obs)
+            read_totals = []
+            apportion = sim.coordinator.apportion
+
+            def spy(powers, live=None):
+                read_totals.append(float(np.sum(powers)))
+                return apportion(powers, live)
+
+            sim.coordinator.apportion = spy
+            metrics = sim.run()
+        finally:
+            obs.close()
+        assert metrics.partitions == 1
+        # Apportioning still runs on the frozen reading, whose catch-up
+        # jump at the heal reads as more than the whole budget ...
+        assert max(read_totals) > config.power_cap_watts
+        # ... but the nodes never drew it, and the verdict says so.
+        assert metrics.cap_ok
+        assert metrics.max_window_power <= config.power_cap_watts
+        assert main(["trace", "summarize", path, "--group-by", "node"]) == 0
+        assert "cap_ok=True" in capsys.readouterr().out

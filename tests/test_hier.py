@@ -80,8 +80,6 @@ class TestHierConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="algo"):
             HierConfig(algo="dqn")
-        with pytest.raises(ValueError, match="control"):
-            HierConfig(control="everything")
         with pytest.raises(ValueError, match="hidden"):
             HierConfig(hidden=(64, 32))
         with pytest.raises(ValueError, match="warmup"):
@@ -90,8 +88,6 @@ class TestHierConfig:
             HierConfig(batch_size=64, buffer_capacity=8)
         with pytest.raises(ValueError, match="shared_replay"):
             HierConfig(fed_avg_every=4)
-        with pytest.raises(ValueError, match="min_weight"):
-            HierConfig(min_weight=0.0)
         with pytest.raises(ValueError, match="init_share"):
             HierConfig(init_share=1.0)
 
@@ -100,13 +96,6 @@ class TestHierConfig:
         b = HierConfig(noise_sigma=0.123)
         assert a.cache_payload() != b.cache_payload()
         assert a.cache_payload() == HierConfig().cache_payload()
-
-    def test_control_properties(self):
-        assert HierConfig(control="budget").controls_budget
-        assert not HierConfig(control="budget").controls_weights
-        assert HierConfig(control="weights").controls_weights
-        both = HierConfig(control="both")
-        assert both.controls_budget and both.controls_weights
 
 
 class TestFleetAgent:
@@ -142,10 +131,6 @@ class TestFleetAgent:
             agent.act(state, explore=True), agent.act(state, explore=False)
         )
 
-    def test_control_both_doubles_action_dim(self):
-        agent = build_fleet_agent(3, _hier(control="both"), seed=5)
-        assert agent.action_dim == 6
-
     def test_act_validates_state_shape(self):
         agent = build_fleet_agent(2, _hier(), seed=5)
         with pytest.raises(ValueError, match="shape"):
@@ -171,8 +156,6 @@ class TestFleetAgent:
         snap = build_fleet_agent(2, _hier(), seed=5).state_dict()
         with pytest.raises(ValueError, match="node fleet"):
             build_fleet_agent(3, _hier(), seed=5).load_state_dict(snap)
-        with pytest.raises(ValueError, match="controls"):
-            build_fleet_agent(2, _hier(control="weights"), seed=5).load_state_dict(snap)
 
 
 class TestFleetObserver:
@@ -262,16 +245,6 @@ class TestLearnedCoordinatorSim:
         )
         assert metrics["hier_decisions"] > 0
         assert metrics["hier_updates"] == 0
-
-    def test_weights_control_steers_dispatcher(self):
-        trace = _trace()
-        cfg = _config(hier=_hier(control="both"))
-        sim = ClusterSim(cfg, trace)
-        metrics = sim.run()
-        assert sim.dispatcher.weights is not None
-        assert metrics.hier_decisions > 0
-        # Deterministic replay holds for the weighted dispatcher too.
-        assert _run_json(cfg, trace) == _run_json(cfg, trace)
 
     def test_shared_replay_pools_deeppower_nodes(self):
         trace = _trace()
@@ -416,7 +389,7 @@ class TestFleetSpecHier:
         metrics, _ = spec.execute()
         assert metrics.hier_decisions > 0
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["meta"]["hier"] == "ddpg:budget"
+        assert header["meta"]["hier"] == "ddpg"
         # Hier-disabled specs carry no hier meta key at all.
         plain_path = tmp_path / "plain.trace.jsonl"
         FleetSpec(trace_out=str(plain_path), **base).execute()

@@ -920,11 +920,11 @@ def main(argv=None) -> int:
                    help="also run the learned-vs-heuristic budget "
                         "coordinator A/B at 64 batched nodes; exit 1 when "
                         "the frozen fleet agent's decision path costs more "
-                        f"than {HIER_OVERHEAD_TOLERANCE:.0%}")
+                        f"than {HIER_OVERHEAD_TOLERANCE * 100:.0f}%%")
     p.add_argument("--obs-check", action="store_true",
                    help="also run the observability A/B; exit 1 when a "
                         "metrics-only handle costs more than "
-                        f"{OBS_OVERHEAD_TOLERANCE:.0%}")
+                        f"{OBS_OVERHEAD_TOLERANCE * 100:.0f}%%")
     p.add_argument("--baseline", default=DEFAULT_BASELINE,
                    help="baseline JSON for --check")
     args = p.parse_args(argv)

@@ -57,7 +57,7 @@ from .node import (
     NodeContext,
     build_node_driver,
 )
-from .powercap import CapWindow, FrequencyCap, PowerCapCoordinator
+from .powercap import CapWindow, PowerCapCoordinator
 from .sim import (
     ClusterConfig,
     ClusterSim,
@@ -79,7 +79,6 @@ __all__ = [
     "PowerAwareRouter",
     "ROUTERS",
     "PowerCapCoordinator",
-    "FrequencyCap",
     "CapWindow",
     "ClusterConfig",
     "ClusterSim",

@@ -36,12 +36,16 @@ tests byte-compare traces).  The techniques that make that hold:
 * *Identical RNG draw schedules.*  Degraded de-weighting draws
   ``rng.random(k)`` for the ``k`` degraded candidates in candidate order —
   bit-identical to ``k`` sequential scalar draws.
-* *Override nodes take the scalar lane.*  Power-cap ceilings and fault
-  injectors install instance-level ``core.set_frequency`` overrides that
-  must see one raw call per tick; both are installed before adoption
-  (coordinator start / harness arm), so the batch flags those nodes once
-  and routes their rows through the unmodified per-node
-  ``Cpu.set_frequencies`` path.
+* *Ceilings are a column, not a wrapper.*  Power-cap ceilings are socket
+  state (:meth:`~repro.cpu.topology.Cpu.set_ceiling`), mirrored into an
+  ``[N, 1]`` column by a listener; the tick clamps the raw requests with
+  one ``np.minimum`` before quantising.  Quantisation is monotone and
+  maps every level to itself, so this equals the per-core clamp.
+* *Injector nodes take the scalar lane.*  Fault injectors install
+  instance-level ``core.set_frequency`` overrides that must see one raw
+  (unclamped) call per tick; they are armed before adoption, so the batch
+  flags those nodes once and routes their rows through the unmodified
+  per-node ``Cpu.set_frequencies`` path.
 * *Down nodes keep ticking.*  The lifecycle never stops a crashed node's
   controller (its parked cores just keep being re-asserted), so the
   batched tick deliberately includes down nodes too; the lifecycle masks
@@ -79,8 +83,8 @@ class FleetBatch:
 
     Build *after* the nodes exist but before any request flows; controller
     adoption happens later, once drivers / coordinator / lifecycle have
-    started (their ``core.set_frequency`` overrides must be in place so
-    the per-node override flags are final).
+    started (fault injectors' ``core.set_frequency`` overrides must be in
+    place so the per-node override flags are final).
     """
 
     def __init__(self, nodes: Sequence[ClusterNode]) -> None:
@@ -141,6 +145,7 @@ class FleetBatch:
         self._win_rows: List[Tuple[int, Any]] = []
         self._base = np.empty((n, 1))
         self._coef = np.empty((n, 1))
+        self._ceil = np.empty((n, 1))
 
     # ------------------------------------------------------------------ hooks
 
@@ -251,9 +256,12 @@ class FleetBatch:
             self._coef[i, 0] = c.scaling_coef
             c._params_listener = self._make_params_hook(i)
             c._task.stop()
+        for i, node in enumerate(self.nodes):
+            self._ceil[i, 0] = node.cpu.ceiling
+            node.cpu._ceiling_listener = self._make_ceiling_hook(i)
         # Nodes whose cores carry instance-level set_frequency overrides
-        # (power-cap ceilings, actuator faults) take the per-node scalar
-        # apply lane; overrides are static for the run by construction.
+        # (actuator faults) take the per-node scalar apply lane; overrides
+        # are static for the run by construction.
         self._ov_rows = [
             i
             for i, node in enumerate(self.nodes)
@@ -284,6 +292,14 @@ class FleetBatch:
 
         return note
 
+    def _make_ceiling_hook(self, i: int) -> Callable[[Any], None]:
+        ceil = self._ceil
+
+        def note(cpu: Any) -> None:
+            ceil[i, 0] = cpu.ceiling
+
+        return note
+
     def _tick_all(self) -> None:
         """Algorithm 1 for every worker core of every node, one event.
 
@@ -305,16 +321,20 @@ class FleetBatch:
         np.multiply(s, self._fspan, out=raw)
         raw += self._fmin
         np.copyto(raw, self._turbo, where=self._turbo_mask)
+        # Clamp into the spent scores buffer: injector rows below must get
+        # the unclamped request, since their cores clamp when a (possibly
+        # delayed) write lands.
+        np.minimum(raw, self._ceil, out=s)
         q = self._quant_buf
-        self._table.quantize_into(raw.reshape(-1), q.reshape(-1))
+        self._table.quantize_into(s.reshape(-1), q.reshape(-1))
         diff = self._diff_mask
         np.not_equal(q, self._fw, out=diff)
         if self._ov_rows:
             w = self.num_workers
             for i in self._ov_rows:
                 diff[i, :] = False
-                # Overridden cores must see one raw write per tick (RNG
-                # draws, cap clamps) — the unmodified per-node path.
+                # Injector-wrapped cores must see one raw write per tick
+                # (RNG draws) — the unmodified per-node path.
                 applied = self.nodes[i].cpu.set_frequencies(raw[i], count=w)
                 ctrl = self._controllers[i]
                 if ctrl._win:
@@ -345,4 +365,6 @@ class FleetBatch:
             c._params_listener = None
             if not self._live_tick_counts:
                 c.tick_count += self._tick_total
+        for node in self.nodes:
+            node.cpu._ceiling_listener = None
         self._controllers = []

@@ -20,12 +20,12 @@ managers do:
    target.  A ceiling below turbo revokes turbo eligibility; below fmax
    it throttles the sustained range too.
 
-Ceilings are enforced by :class:`FrequencyCap`, which installs
-instance-level ``core.set_frequency`` overrides — the same mechanism the
-fault injectors use, which the batched
-:meth:`~repro.cpu.topology.Cpu.set_frequencies` path already detects and
-routes through — so *every* policy (baselines and the DeepPower thread
-controller alike) is capped without modification.
+Ceilings are socket state: :meth:`~repro.cpu.topology.Cpu.set_ceiling`
+stores the level on the cpu and its cores, and every DVFS write — a
+core's ``set_frequency``, both lanes of ``Cpu.set_frequencies`` and the
+fleet batch's vector tick — clamps to it before quantising, so *every*
+policy (baselines and the DeepPower thread controller alike) is capped
+without modification.
 
 Because ceilings are chosen against worst-case node power, the sum of
 per-node worst cases never exceeds the apportioned targets: steady-state
@@ -40,62 +40,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cpu.core import Core
-from ..cpu.topology import Cpu
 from ..sim.engine import Engine, PeriodicTask
 from ..sim.events import PRIORITY_CONTROL
 from .node import DOWN, RECOVERING, ClusterNode
 
-__all__ = ["FrequencyCap", "CapWindow", "PowerCapCoordinator"]
-
-
-class FrequencyCap:
-    """Clamp every DVFS write on a socket to a movable frequency ceiling.
-
-    Installs an instance-level ``set_frequency`` override on each core
-    (chaining whatever override — e.g. a fault injector — is already
-    there).  The batched ``Cpu.set_frequencies`` fast path detects the
-    instance override and falls back to per-core calls, so the cap holds
-    on both the scalar and the vectorised path.
-    """
-
-    def __init__(self, cpu: Cpu) -> None:
-        self.cpu = cpu
-        self.ceiling = cpu.table.turbo
-        self._installed = False
-        self._wrapped: List[Tuple[Core, Optional[Any]]] = []
-
-    def install(self) -> None:
-        if self._installed:
-            return
-        self._installed = True
-        for core in self.cpu.cores:
-            prior = core.__dict__.get("set_frequency")
-            inner = core.set_frequency  # bound method or prior override
-
-            def capped(freq: float, *, quantize: bool = True, _inner=inner) -> float:
-                return _inner(min(freq, self.ceiling), quantize=quantize)
-
-            core.set_frequency = capped
-            self._wrapped.append((core, prior))
-
-    def uninstall(self) -> None:
-        if not self._installed:
-            return
-        self._installed = False
-        for core, prior in self._wrapped:
-            if prior is None:
-                del core.__dict__["set_frequency"]
-            else:
-                core.set_frequency = prior
-        self._wrapped.clear()
-
-    def set_ceiling(self, ceiling: float) -> None:
-        """Move the ceiling (a table level) and clamp cores already above it."""
-        self.ceiling = ceiling
-        for core in self.cpu.cores:
-            if core.frequency > ceiling:
-                core.set_frequency(ceiling)
+__all__ = ["CapWindow", "PowerCapCoordinator"]
 
 
 @dataclass(frozen=True)
@@ -160,7 +109,6 @@ class PowerCapCoordinator:
         self.window = float(window)
         self.boost = float(boost)
         self.trace = trace
-        self.caps = [FrequencyCap(n.cpu) for n in self.nodes]
         # Worst-case (all workers busy) node power per DVFS level, per node:
         # the ceiling decision compares targets against these.
         self._level_power: List[np.ndarray] = []
@@ -225,8 +173,6 @@ class PowerCapCoordinator:
     def start(self) -> None:
         if self._task is not None:
             raise RuntimeError("PowerCapCoordinator already started")
-        for cap in self.caps:
-            cap.install()
         self._last_energy = np.array([n.monitor.total_energy() for n in self.nodes])
         self._last_drawn = self._last_energy
         self._last_time = self.engine.now
@@ -243,8 +189,8 @@ class PowerCapCoordinator:
         if self._task is not None:
             self._task.stop()
             self._task = None
-        for cap in self.caps:
-            cap.uninstall()
+        for n in self.nodes:
+            n.cpu.set_ceiling(n.cpu.table.turbo)
 
     # ------------------------------------------------------------ coordination
 
@@ -312,12 +258,12 @@ class PowerCapCoordinator:
         parked = self._parked_mask()
         targets = self.apportion(powers, live=None if live.all() else live)
         ceilings = []
-        for i, cap in enumerate(self.caps):
+        for i, node in enumerate(self.nodes):
             if parked[i]:
                 ceiling = self._levels[i][0]
             else:
                 ceiling = self._ceiling_for(i, targets[i])
-            cap.set_ceiling(ceiling)
+            node.cpu.set_ceiling(ceiling)
             ceilings.append(ceiling)
         turbo_lost = any(
             c < self._levels[i][-1] for i, c in enumerate(ceilings)
@@ -432,7 +378,7 @@ class PowerCapCoordinator:
             "last_powers": self._last_powers.copy(),
             "drawn_powers": self._drawn_powers.copy(),
             "throttled_windows": int(self.throttled_windows),
-            "ceilings": [float(cap.ceiling) for cap in self.caps],
+            "ceilings": [float(n.cpu.ceiling) for n in self.nodes],
             "history": [
                 {
                     "time": w.time,
@@ -466,8 +412,8 @@ class PowerCapCoordinator:
         self._last_powers = np.array(state["last_powers"], dtype=float)
         self._drawn_powers = np.array(state["drawn_powers"], dtype=float)
         self.throttled_windows = int(state["throttled_windows"])
-        for cap, ceiling in zip(self.caps, state["ceilings"]):
-            cap.set_ceiling(float(ceiling))
+        for n, ceiling in zip(self.nodes, state["ceilings"]):
+            n.cpu.set_ceiling(float(ceiling))
         self.history = [
             CapWindow(
                 time=float(w["time"]),

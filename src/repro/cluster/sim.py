@@ -434,9 +434,7 @@ class ClusterSim:
                 on_change=self._on_health_change,
             )
         # Batched fleet stepping: stack per-node state into fleet-wide
-        # arrays and route dispatch / power-cap reads through them.  Built
-        # last so every override the coordinator or fault harness installs
-        # is already in place when the batch snapshots node state.
+        # arrays and route dispatch / power-cap reads through them.
         self.batch: Optional[FleetBatch] = None
         if config.batched_stepping:
             self.batch = FleetBatch(self.nodes)
@@ -481,11 +479,6 @@ class ClusterSim:
 
     # -------------------------------------------------------------- telemetry
 
-    def _node_ceiling(self, idx: int) -> float:
-        if self.coordinator is not None:
-            return self.coordinator.caps[idx].ceiling
-        return self.nodes[idx].cpu.table.turbo
-
     def _emit_node_windows(self) -> None:
         tw = self._trace_writer
         now = self.engine.now
@@ -507,7 +500,7 @@ class ClusterSim:
                 routed=node.routed,
                 completed=node.server.metrics.completed,
                 timeouts=node.server.metrics.timeouts,
-                ceiling=self._node_ceiling(i),
+                ceiling=node.cpu.ceiling,
             )
             self._win_energy[i] = energy
         self._win_time = now

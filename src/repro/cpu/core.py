@@ -60,6 +60,8 @@ class Core:
         self._last_t = engine.now
         self.switch_count = 0
         self._listeners: List[FreqListener] = []
+        # Socket-wide DVFS ceiling; owned by Cpu.set_ceiling.
+        self._ceiling = table.turbo
 
     # ------------------------------------------------------------------ state
 
@@ -84,8 +86,12 @@ class Core:
 
         Equivalent to writing ``scaling_setspeed`` under the userspace
         governor: the request snaps to a P-state, and a no-op write (same
-        level) costs nothing.
+        level) costs nothing.  Requests above the socket's ceiling (see
+        :meth:`~repro.cpu.topology.Cpu.set_ceiling`) are clamped to it
+        first.
         """
+        if freq > self._ceiling:
+            freq = self._ceiling
         f = self.table.quantize(freq) if quantize else freq
         if f == self._freq:
             return f

@@ -7,7 +7,7 @@ list of Cpus (see :func:`dual_socket`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,9 +60,14 @@ class Cpu:
         # Listener-synced mirror of per-core frequencies plus scratch
         # buffers for the batched (vector-quantised) set_frequencies path.
         self._freqs = np.full(num_cores, table.fmax)
+        self._clamp_buf = np.empty(num_cores)
         self._apply_buf = np.empty(num_cores)
         for core in self.cores:
             core.add_frequency_listener(self._note_freq_change)
+        #: Highest DVFS level any core may run at (see :meth:`set_ceiling`).
+        self.ceiling = table.turbo
+        #: Optional ``fn(cpu)`` called after every ceiling move.
+        self._ceiling_listener: Optional[Callable[["Cpu"], None]] = None
 
     def _note_freq_change(self, core: Core, old: float, new: float) -> None:
         self._freqs[core.core_id] = new
@@ -89,6 +94,23 @@ class Cpu:
         for core in self.cores:
             core.set_frequency(freq)
 
+    def set_ceiling(self, level: float) -> None:
+        """Cap every core's frequency at ``level`` (a table level).
+
+        Every later write is clamped to the ceiling before quantisation;
+        cores already above it are clamped now, through each core's
+        ``set_frequency`` attribute so an armed fault injector sees the
+        write.  ``table.turbo`` lifts the cap.
+        """
+        self.ceiling = level
+        for core in self.cores:
+            core._ceiling = level
+        for core in self.cores:
+            if core.frequency > level:
+                core.set_frequency(level)
+        if self._ceiling_listener is not None:
+            self._ceiling_listener(self)
+
     def set_frequencies(
         self, freqs: Sequence[float], count: Optional[int] = None
     ) -> np.ndarray:
@@ -103,14 +125,16 @@ class Cpu:
         twenty no-op calls.  Quantisation runs as one numpy pass above
         :data:`SCALAR_BATCH_CUTOFF` cores and as a tuned scalar loop below
         it (identical results; numpy per-call overhead loses on short
-        vectors).  Returns the applied (quantised) frequencies for
-        ``cores[:k]`` in a buffer that is *reused across calls* — copy to
-        retain.
+        vectors).  Requests are clamped to :attr:`ceiling` before
+        quantisation.  Returns the applied (clamped, quantised) frequencies
+        for ``cores[:k]`` in a buffer that is *reused across calls* — copy
+        to retain.
 
         When fault injection has wrapped a core's ``set_frequency`` (an
         instance-level override), the batched fast path would change how
         many faulted writes the injector sees; in that case every core gets
-        its historic one-call-per-core write with the raw frequency.
+        its historic one-call-per-core write with the raw frequency, and
+        the core clamps it when the write lands.
         """
         cores = self.cores
         n = len(cores) if count is None else int(count)
@@ -127,6 +151,7 @@ class Cpu:
         if n <= SCALAR_BATCH_CUTOFF:
             vals = freqs.tolist() if isinstance(freqs, np.ndarray) else freqs
             quantize = self.table.quantize
+            ceiling = self.ceiling
             for i in range(n):
                 c = cores[i]
                 if "set_frequency" in c.__dict__:
@@ -135,7 +160,8 @@ class Cpu:
                     # the same call count and RNG draws.
                     applied[i] = c.set_frequency(float(vals[i]))
                     continue
-                q = quantize(vals[i])
+                v = vals[i]
+                q = quantize(ceiling if v > ceiling else v)
                 applied[i] = q
                 if q != c._freq:
                     c.set_frequency(q, quantize=False)
@@ -145,8 +171,9 @@ class Cpu:
             for i in range(n):
                 applied[i] = cores[i].set_frequency(float(freqs[i]))
             return applied
-        f = np.asarray(freqs, dtype=float)
-        self.table.quantize_into(f[:n], applied)
+        clamped = self._clamp_buf[:n]
+        np.minimum(np.asarray(freqs, dtype=float)[:n], self.ceiling, out=clamped)
+        self.table.quantize_into(clamped, applied)
         for i in np.nonzero(applied != self._freqs[:n])[0]:
             cores[i].set_frequency(float(applied[i]), quantize=False)
         return applied

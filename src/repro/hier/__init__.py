@@ -6,7 +6,7 @@ redistribution).  This package replaces that *apportioning decision* with
 a fleet-level DRL agent — the two-level scheme of HiDVFS and Liu et al.'s
 hierarchical cloud framework (PAPERS.md) — while keeping the enforcement
 path untouched: targets still become per-node DVFS ceilings through
-``_ceiling_for`` + :class:`~repro.cluster.powercap.FrequencyCap`, so the
+``_ceiling_for`` + :meth:`~repro.cpu.topology.Cpu.set_ceiling`, so the
 cap stays guaranteed by construction no matter what the agent emits.
 
 * :class:`HierConfig` — frozen, picklable description of the layer; a

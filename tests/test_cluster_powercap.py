@@ -1,13 +1,16 @@
-"""Tests for FrequencyCap and the PowerCapCoordinator's apportioning."""
+"""Tests for the socket frequency ceiling and the PowerCapCoordinator."""
 
 import numpy as np
 import pytest
 
 from repro.cluster.node import ClusterNode
-from repro.cluster.powercap import FrequencyCap, PowerCapCoordinator
+from repro.cluster.powercap import PowerCapCoordinator
 from repro.cluster.sim import fleet_power_budget
 from repro.cpu.dvfs import DEFAULT_TABLE
 from repro.cpu.power import DEFAULT_POWER_MODEL
+from repro.cpu.topology import Cpu
+from repro.faults.injectors import ActuatorFaults
+from repro.faults.plan import FaultPlan
 from repro.sim.engine import Engine
 from repro.workload.apps import get_app
 
@@ -21,12 +24,12 @@ def _nodes(n=2, cores=2, seed=3):
 
 
 class TestFrequencyCap:
+    """The socket frequency ceiling, :meth:`Cpu.set_ceiling`."""
+
     def test_clamps_writes_above_ceiling(self):
         _, nodes = _nodes(1)
         cpu = nodes[0].cpu
-        cap = FrequencyCap(cpu)
-        cap.install()
-        cap.set_ceiling(1.5)
+        cpu.set_ceiling(1.5)
         cpu.cores[0].set_frequency(cpu.table.turbo)
         assert cpu.cores[0].frequency == pytest.approx(1.5)
         # Writes at/below the ceiling pass through untouched.
@@ -34,34 +37,45 @@ class TestFrequencyCap:
         assert cpu.cores[0].frequency == pytest.approx(1.0)
 
     def test_batched_path_respects_cap(self):
-        _, nodes = _nodes(1, cores=3)
-        cpu = nodes[0].cpu
-        cap = FrequencyCap(cpu)
-        cap.install()
-        cap.set_ceiling(1.2)
-        cpu.set_all_frequencies(cpu.table.turbo)
-        assert np.all(cpu.frequencies() <= 1.2 + 1e-12)
+        for cores in (3, 20):  # the scalar and the numpy lane
+            cpu = Cpu(Engine(), cores)
+            cpu.set_ceiling(1.2)
+            raw = np.linspace(0.5, 3.5, cores)
+            applied = cpu.set_frequencies(raw).copy()
+            expected = [cpu.table.quantize(min(f, 1.2)) for f in raw.tolist()]
+            assert applied.tolist() == expected
+            assert cpu.frequencies().tolist() == expected
 
     def test_set_ceiling_clamps_cores_already_above(self):
         _, nodes = _nodes(1)
         cpu = nodes[0].cpu
         cpu.cores[0].set_frequency(cpu.table.turbo)
-        cap = FrequencyCap(cpu)
-        cap.install()
-        cap.set_ceiling(1.0)
+        cpu.set_ceiling(1.0)
         assert cpu.cores[0].frequency == pytest.approx(1.0)
 
-    def test_uninstall_restores_full_range(self):
+    def test_turbo_ceiling_restores_full_range(self):
         _, nodes = _nodes(1)
         cpu = nodes[0].cpu
-        cap = FrequencyCap(cpu)
-        cap.install()
-        cap.set_ceiling(1.0)
-        cap.uninstall()
+        cpu.set_ceiling(1.0)
+        cpu.set_ceiling(cpu.table.turbo)
         cpu.cores[0].set_frequency(cpu.table.turbo)
         assert cpu.cores[0].frequency == pytest.approx(cpu.table.turbo)
 
+    def test_coordinator_stop_lifts_ceilings(self):
+        engine, nodes = _nodes(2)
+        coord = PowerCapCoordinator(
+            engine, nodes, fleet_power_budget(2, 2, fraction=0.1)
+        )
+        coord.start()
+        engine.run_until(2.5)
+        assert all(n.cpu.ceiling < n.cpu.table.turbo for n in nodes)
+        coord.stop()
+        assert all(n.cpu.ceiling == n.cpu.table.turbo for n in nodes)
+
     def test_chains_with_prior_instance_override(self):
+        # An injector-style wrapper sees the raw request; the core still
+        # ends at or below the ceiling, and set_ceiling's own clamp goes
+        # through the wrapper.
         _, nodes = _nodes(1)
         cpu = nodes[0].cpu
         core = cpu.cores[0]
@@ -73,13 +87,24 @@ class TestFrequencyCap:
             return inner(freq, quantize=quantize)
 
         core.set_frequency = spy  # e.g. a fault injector
-        cap = FrequencyCap(cpu)
-        cap.install()
-        cap.set_ceiling(1.3)
-        core.set_frequency(cpu.table.turbo)
-        assert calls and max(calls) <= 1.3 + 1e-12
-        cap.uninstall()
-        assert core.__dict__["set_frequency"] is spy
+        cpu.set_ceiling(1.3)
+        assert calls == [1.3]
+        assert core.set_frequency(cpu.table.turbo) == pytest.approx(1.3)
+        assert calls[-1] == cpu.table.turbo
+        assert core.frequency <= 1.3 + 1e-12
+        cpu.set_frequencies([cpu.table.turbo, cpu.table.turbo])
+        assert calls[-1] == cpu.table.turbo
+        assert core.frequency <= 1.3 + 1e-12
+
+    def test_delayed_write_is_clamped_when_it_lands(self):
+        engine, nodes = _nodes(1)
+        cpu = nodes[0].cpu
+        plan = FaultPlan(seed=1, dvfs_delay_prob=1.0, dvfs_delay=0.01)
+        ActuatorFaults(engine, plan, np.random.default_rng(0), cpu).arm()
+        cpu.cores[0].set_frequency(cpu.table.turbo)  # lands at t=0.01
+        cpu.set_ceiling(1.4)  # its own clamp is delayed too
+        engine.run_until(0.02)
+        assert cpu.cores[0].frequency == pytest.approx(1.4)
 
 
 class TestApportion:
@@ -160,9 +185,9 @@ class TestCoordinatorStateDict:
             )
 
         assert _as_json(fresh.state_dict()) == _as_json(snap)
-        # Restored ceilings are re-applied to the actual frequency caps.
-        for cap, ceiling in zip(fresh.caps, snap["ceilings"]):
-            assert cap.ceiling == pytest.approx(ceiling)
+        # Restored ceilings are re-applied to the sockets.
+        for node, ceiling in zip(nodes2, snap["ceilings"]):
+            assert node.cpu.ceiling == pytest.approx(ceiling)
         assert fresh.throttled_windows == coord.throttled_windows
         np.testing.assert_array_equal(fresh._last_energy, coord._last_energy)
         np.testing.assert_array_equal(fresh._last_powers, coord._last_powers)

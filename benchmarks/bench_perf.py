@@ -30,22 +30,20 @@ vectorised controller is slower than the legacy loop.  Machines differ, so
 the committed baseline is deliberately conservative; the vs-legacy ratio is
 measured in-process and is machine-independent.
 
-Fleet scaling (ISSUE 5 + ISSUE 8)::
+Fleet scaling::
 
     python benchmarks/bench_perf.py --fleet
 
 additionally times :class:`~repro.cluster.sim.ClusterSim` at 2/4/8 nodes
 (per-node load held constant) and records simulated node-seconds per wall
 second plus a scaling-efficiency ratio under the ``fleet`` key
-(informational — absolute throughput is machine-dependent), and runs the
-**batched-vs-scalar stepping A/B** under ``fleet_scaling``: the
-tick-driven ``controller`` policy at 4/64/256 nodes in both stepping
-modes plus 1024 nodes batched-only, at light load so the measurement
-isolates stepping overhead rather than the shared per-request pipeline.
-``--fleet --check`` gates the in-process 256-node speedup at
-``FLEET_SPEEDUP_FLOOR`` (5x) and, when the committed baseline carries a
-``fleet_scaling`` section, the absolute batched nodes/sec at 256 nodes
-at the usual 30 % tolerance.
+(informational — absolute throughput is machine-dependent), and records
+**fleet-tick throughput** under ``fleet_scaling``: the tick-driven
+``controller`` policy at 4/64/256/1024 nodes, at light load so the
+measurement isolates per-tick overhead rather than the shared
+per-request pipeline.  ``--fleet --check`` gates the 256-node nodes/sec
+against the committed baseline's ``fleet_scaling`` section at the usual
+30 % tolerance.
 
 Observability overhead gate (ISSUE 4)::
 
@@ -100,15 +98,13 @@ DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "bench_perf_baseline.
 #: MB/s and compressed-vs-plain trace size ratios.
 #: Schema 4 (ISSUE 10): adds the ``hier`` section — learned fleet-agent
 #: decision overhead vs the heuristic coordinator at 64 batched nodes.
-BENCH_SCHEMA = 4
+#: Schema 5: ``fleet_scaling`` rows carry one ``wall_seconds`` /
+#: ``nodes_per_sec`` pair per fleet size (no scalar column, no A/B
+#: speedup); the gated row is ``gate_nodes`` / ``gate_nodes_per_sec``.
+BENCH_SCHEMA = 5
 
 #: --check fails when ticks/sec falls below (1 - this) * baseline.
 REGRESSION_TOLERANCE = 0.30
-
-#: --fleet --check fails when batched stepping is less than this many
-#: times faster than scalar stepping at 256 nodes (in-process A/B, so
-#: machine-independent like speedup_vs_legacy).
-FLEET_SPEEDUP_FLOOR = 5.0
 
 #: --check gates grid parallel speedup at this floor — but only when the
 #: machine actually has more cores than grid jobs; an oversubscribed run
@@ -350,7 +346,7 @@ def bench_hier_overhead(
         config = ClusterConfig(
             app="xapian", num_nodes=nodes, cores_per_node=cores_per_node,
             policy="controller", routing="jsq", seed=seed,
-            power_cap_watts=budget, stepping="batched",
+            power_cap_watts=budget,
             hier=hier if learned else None,
         )
         t0 = time.perf_counter()
@@ -433,55 +429,42 @@ def bench_fleet(
 
 
 def bench_fleet_scaling(
-    ab_counts=(4, 64, 256), batched_only=(1024,), cores_per_node: int = 2,
-    duration: float = 4.0, load: float = 0.05, seed: int = 3,
+    counts=(4, 64, 256, 1024), gate_nodes: int = 256,
+    cores_per_node: int = 2, duration: float = 4.0, load: float = 0.05,
+    seed: int = 3,
 ) -> dict:
-    """Batched vs scalar fleet stepping A/B (ISSUE 8 tentpole).
+    """Fleet throughput of the tick-driven ``controller`` policy.
 
-    Runs the tick-driven ``controller`` policy (a fixed-parameter
-    :class:`~repro.core.thread_controller.ThreadController` per node, the
-    shape whose per-tick python dispatch dominated large fleets) in both
-    stepping modes at each A/B node count, then batched-only at fleet
-    sizes where scalar would take minutes.  Light per-worker load so the
-    measurement isolates stepping overhead rather than the shared
-    per-request pipeline, which both modes pay identically.  The metrics
-    of every A/B pair are asserted identical — the speedup is only
-    meaningful because the two modes simulate the same world.
+    A fixed-parameter
+    :class:`~repro.core.thread_controller.ThreadController` per node is
+    the shape whose per-tick python dispatch dominates large fleets.
+    Fleets from ``SCALAR_BATCH_CUTOFF`` (16) nodes up run it as one
+    stacked fleet tick; smaller ones keep per-node ticks.  Light
+    per-worker load so the measurement isolates tick overhead rather
+    than the shared per-request pipeline.
     """
     from repro.cluster import ClusterConfig, ClusterSim
 
     app = get_app("xapian")
     rows = []
-    for n in tuple(ab_counts) + tuple(batched_only):
-        total_cores = n * cores_per_node
-        trace = constant_trace(app.rps_for_load(load, total_cores), duration)
-        row = {"nodes": n, "sim_seconds": duration}
-        metrics_json = {}
-        modes = ("scalar", "batched") if n in ab_counts else ("batched",)
-        for stepping in modes:
-            config = ClusterConfig(
-                app="xapian", num_nodes=n, cores_per_node=cores_per_node,
-                policy="controller", routing="jsq", seed=seed,
-                stepping=stepping,
-            )
-            t0 = time.perf_counter()
-            metrics = ClusterSim(config, trace).run()
-            wall = time.perf_counter() - t0
-            metrics_json[stepping] = json.dumps(
-                metrics.as_dict(), sort_keys=True
-            )
-            row[f"{stepping}_wall_seconds"] = wall
-            row[f"{stepping}_nodes_per_sec"] = n * duration / wall
-        if len(modes) == 2:
-            if metrics_json["scalar"] != metrics_json["batched"]:
-                raise AssertionError(
-                    f"batched stepping diverged from scalar at {n} nodes"
-                )
-            row["speedup"] = (
-                row["scalar_wall_seconds"] / row["batched_wall_seconds"]
-            )
-        rows.append(row)
-    ab = max((r for r in rows if "speedup" in r), key=lambda r: r["nodes"])
+    for n in counts:
+        trace = constant_trace(
+            app.rps_for_load(load, n * cores_per_node), duration
+        )
+        config = ClusterConfig(
+            app="xapian", num_nodes=n, cores_per_node=cores_per_node,
+            policy="controller", routing="jsq", seed=seed,
+        )
+        t0 = time.perf_counter()
+        ClusterSim(config, trace).run()
+        wall = time.perf_counter() - t0
+        rows.append({
+            "nodes": n,
+            "sim_seconds": duration,
+            "wall_seconds": wall,
+            "nodes_per_sec": n * duration / wall,
+        })
+    gate = next(r for r in rows if r["nodes"] == gate_nodes)
     return {
         "cpus": os.cpu_count(),
         "policy": "controller",
@@ -489,12 +472,10 @@ def bench_fleet_scaling(
         "cores_per_node": cores_per_node,
         "load": load,
         "rows": rows,
-        # headline numbers: the in-process A/B at the largest paired fleet
-        # (machine-independent) and its absolute batched throughput (for
-        # the baseline floor check).
-        "ab_nodes": ab["nodes"],
-        "ab_speedup": ab["speedup"],
-        "ab_batched_nodes_per_sec": ab["batched_nodes_per_sec"],
+        # The --check floor compares this absolute throughput against the
+        # committed baseline.
+        "gate_nodes": gate_nodes,
+        "gate_nodes_per_sec": gate["nodes_per_sec"],
     }
 
 
@@ -716,20 +697,13 @@ def run_benchmarks(args) -> dict:
             )
         print(f"  scaling efficiency {fleet['scaling_efficiency']:.2f}")
         result["fleet"] = fleet
-        print("[bench_perf] batched vs scalar stepping A/B ...")
+        print("[bench_perf] fleet-tick throughput ...")
         scaling = bench_fleet_scaling()
         for row in scaling["rows"]:
-            parts = [f"  {row['nodes']} nodes:"]
-            if "scalar_nodes_per_sec" in row:
-                parts.append(f"scalar {row['scalar_nodes_per_sec']:.0f} node-s/s,")
-            parts.append(f"batched {row['batched_nodes_per_sec']:.0f} node-s/s")
-            if "speedup" in row:
-                parts.append(f"({row['speedup']:.2f}x)")
-            print(" ".join(parts))
-        print(
-            f"  speedup at {scaling['ab_nodes']} nodes: "
-            f"{scaling['ab_speedup']:.2f}x"
-        )
+            print(
+                f"  {row['nodes']} nodes: "
+                f"{row['nodes_per_sec']:.0f} node-s/s"
+            )
         result["fleet_scaling"] = scaling
     if args.trace:
         print("[bench_perf] streaming trace summarize + compression ratios ...")
@@ -847,34 +821,22 @@ def check_regression(result: dict, baseline_path: str) -> int:
     else:
         print(f"[bench_perf] grid speedup gate {grid['speedup_gate']}")
     scaling = result.get("fleet_scaling")
-    if scaling is not None:
-        if scaling["ab_speedup"] < FLEET_SPEEDUP_FLOOR:
+    base_scaling = (baseline or {}).get("fleet_scaling")
+    if scaling is not None and base_scaling is not None:
+        n = scaling["gate_nodes"]
+        base_nps = base_scaling["gate_nodes_per_sec"]
+        nps = scaling["gate_nodes_per_sec"]
+        floor = (1.0 - REGRESSION_TOLERANCE) * base_nps
+        if nps < floor:
             failures.append(
-                f"batched stepping only {scaling['ab_speedup']:.2f}x over "
-                f"scalar at {scaling['ab_nodes']} nodes "
-                f"(floor {FLEET_SPEEDUP_FLOOR}x)"
+                f"fleet nodes/sec at {n} nodes regressed: {nps:,.0f} < "
+                f"{floor:,.0f} (70% of baseline {base_nps:,.0f})"
             )
         else:
             print(
-                f"[bench_perf] batched stepping "
-                f"{scaling['ab_speedup']:.2f}x at {scaling['ab_nodes']} "
-                f"nodes: OK"
+                f"[bench_perf] fleet nodes/sec at {n} nodes {nps:,.0f} vs "
+                f"baseline {base_nps:,.0f} (floor {floor:,.0f}): OK"
             )
-        base_scaling = (baseline or {}).get("fleet_scaling")
-        if base_scaling is not None:
-            base_nps = base_scaling["ab_batched_nodes_per_sec"]
-            nps = scaling["ab_batched_nodes_per_sec"]
-            floor = (1.0 - REGRESSION_TOLERANCE) * base_nps
-            if nps < floor:
-                failures.append(
-                    f"batched nodes/sec regressed: {nps:,.0f} < "
-                    f"{floor:,.0f} (70% of baseline {base_nps:,.0f})"
-                )
-            else:
-                print(
-                    f"[bench_perf] batched nodes/sec {nps:,.0f} vs baseline "
-                    f"{base_nps:,.0f} (floor {floor:,.0f}): OK"
-                )
     trace = result.get("trace")
     if trace is not None:
         mbps = trace["summarize_mb_per_sec"]
@@ -909,8 +871,8 @@ def main(argv=None) -> int:
                    help="exit 1 on perf regression vs the committed baseline")
     p.add_argument("--fleet", action="store_true",
                    help="also measure cluster-sim nodes-per-second scaling "
-                        "(2/4/8 nodes) and the batched-vs-scalar stepping "
-                        "A/B up to 1024 nodes (recorded in the JSON report)")
+                        "(2/4/8 nodes) and fleet-tick throughput up to "
+                        "1024 nodes (recorded in the JSON report)")
     p.add_argument("--trace", action="store_true",
                    help="also benchmark the streaming trace summarizer "
                         "(MB/s over a synthetic fleet trace) and the "

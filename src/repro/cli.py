@@ -350,7 +350,6 @@ def _cmd_fleet(args) -> int:
         power_cap_watts=cap,
         seed=seed,
         agent_path=args.agent,
-        stepping=args.stepping,
     )
     obs = None
     if args.trace_out:
@@ -452,7 +451,6 @@ def _cmd_chaos(args) -> int:
         agent_path=args.agent,
         fault_plan=plan,
         health_aware=False if args.no_failover else None,
-        stepping=args.stepping,
     )
     obs = None
     if args.trace_out:
@@ -569,7 +567,6 @@ def _cmd_hier(args) -> int:
         routing=args.routing,
         power_cap_watts=budget,
         seed=seed,
-        stepping=args.stepping,
         hier=hier,
     )
 
@@ -901,13 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--full", action="store_true", help="full-scale profile")
     sp.add_argument(
-        "--stepping", default="auto", choices=["auto", "batched", "scalar"],
-        help="fleet stepping strategy: 'batched' vectorises controller "
-        "ticks and dispatch across nodes, 'scalar' forces the per-node "
-        "path, 'auto' (default) batches at >= 16 nodes; results are "
-        "bitwise identical either way",
-    )
-    sp.add_argument(
         "--trace-out", type=_out_file_arg, default=None,
         help="write a node-tagged JSONL fleet trace here "
         "(inspect with: deeppower trace summarize FILE --group-by node)",
@@ -985,13 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--full", action="store_true", help="full-scale profile")
     sp.add_argument(
-        "--stepping", default="auto", choices=["auto", "batched", "scalar"],
-        help="fleet stepping strategy: 'batched' vectorises controller "
-        "ticks and dispatch across nodes, 'scalar' forces the per-node "
-        "path, 'auto' (default) batches at >= 16 nodes; results are "
-        "bitwise identical either way",
-    )
-    sp.add_argument(
         "--trace-out", type=_out_file_arg, default=None,
         help="write a node-tagged JSONL chaos trace here, including "
         "node-down/node-up/redispatch events "
@@ -1067,13 +1050,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--seed", type=int, default=None, help="default: profile seed")
     sp.add_argument("--full", action="store_true", help="full-scale profile")
-    sp.add_argument(
-        "--stepping", default="auto", choices=["auto", "batched", "scalar"],
-        help="fleet stepping strategy: 'batched' vectorises controller "
-        "ticks and dispatch across nodes, 'scalar' forces the per-node "
-        "path, 'auto' (default) batches at >= 16 nodes; results are "
-        "bitwise identical either way",
-    )
     sp.add_argument(
         "--checkpoint-dir", default=None,
         help="write the fleet agent's complete learner state (networks, "

@@ -1,38 +1,43 @@
-"""Fleet-wide SoA stepping: one numpy-batched tick across all nodes.
+"""Fleet-wide SoA state: batched dispatch and one numpy fleet tick.
 
 A :class:`FleetBatch` re-lays the per-node hot state of a whole fleet as
 structure-of-arrays matrices — per-node frequency rows, begin-time rows,
-an int backlog vector, lifecycle masks and a stacked energy buffer — and
-then coalesces the two per-tick costs that dominate large fleets:
+an int backlog vector, lifecycle masks and a ceiling column — and
+coalesces the two per-event costs that dominate large fleets:
 
-* **Dispatch**: every routing decision used to walk ``N`` python objects
-  (``backlog()``/``worker_capacity_ghz()`` per candidate).  The batch
-  keeps those quantities as arrays maintained incrementally by hooks on
+* **Dispatch**: a routing decision reads ``N`` nodes' backlog and
+  worker-core capacity.  The batch keeps those quantities as arrays
+  maintained incrementally by hooks on
   :class:`~repro.cluster.node.ClusterNode` /
   :class:`~repro.server.server.Server`, so a decision is a handful of
-  vector ops regardless of fleet size.
-* **Controller ticks**: ``N`` per-node 1 ms
+  vector ops regardless of fleet size.  The
+  :class:`~repro.cluster.dispatch.Dispatcher` builds and owns the batch,
+  so every fleet routes this way.
+* **Controller ticks**: from :data:`SCALAR_BATCH_CUTOFF` nodes up, ``N``
+  per-node 1 ms
   :meth:`~repro.core.thread_controller.ThreadController.tick` events per
   tick time become *one* engine event computing Algorithm 1 for all
   ``N x W`` worker cores in stacked buffers, then writing only the DVFS
-  levels that actually changed.
+  levels that actually changed.  Smaller fleets keep the per-node ticks,
+  which are cheaper there.
 
-The contract is **bitwise identity** with per-node stepping: same metrics,
-same trace bytes, under chaos / power-cap / bus configs alike (the parity
-tests byte-compare traces).  The techniques that make that hold:
+The contract is **bitwise identity** with per-node ticks: same metrics,
+same trace bytes, under chaos / power-cap / bus configs alike (the golden
+digests in ``tests/fleet_goldens.json`` pin both tick topologies).  The
+techniques that make that hold:
 
 * *Row views, not copies.*  ``cpu._freqs`` and ``server._begin_times`` are
-  re-pointed at rows of the fleet matrices, so all existing scalar code —
-  frequency listeners, dispatch/completion bookkeeping, ``evacuate()`` —
+  re-pointed at rows of the fleet matrices, so all existing per-node code
+  — frequency listeners, dispatch/completion bookkeeping, ``evacuate()`` —
   keeps maintaining the stacked state in place.  Nothing is mirrored, so
   nothing can drift.
 * *Identical IEEE op order.*  The stacked score/frequency math performs
-  the same operations per element as the scalar tick
+  the same operations per element as the per-node tick
   (``(now - b) / sla * coef + base``, then ``fmin + fspan * score``), and
   quantisation reuses :meth:`~repro.cpu.dvfs.FrequencyTable.quantize_into`
-  which is element-identical to scalar ``quantize`` (PR 3's tests).
-  Candidate capacities are per-row sums over the same ``W`` contiguous
-  values the scalar ``worker_capacity_ghz`` sums.
+  which is element-identical to scalar ``quantize``.  Candidate
+  capacities are per-row sums over the same ``W`` contiguous values
+  :meth:`~repro.cluster.node.ClusterNode.worker_capacity_ghz` sums.
 * *Identical RNG draw schedules.*  Degraded de-weighting draws
   ``rng.random(k)`` for the ``k`` degraded candidates in candidate order —
   bit-identical to ``k`` sequential scalar draws.
@@ -41,22 +46,22 @@ tests byte-compare traces).  The techniques that make that hold:
   ``[N, 1]`` column by a listener; the tick clamps the raw requests with
   one ``np.minimum`` before quantising.  Quantisation is monotone and
   maps every level to itself, so this equals the per-core clamp.
-* *Injector nodes take the scalar lane.*  Fault injectors install
+* *Injector nodes take the per-node lane.*  Fault injectors install
   instance-level ``core.set_frequency`` overrides that must see one raw
   (unclamped) call per tick; they are armed before adoption, so the batch
   flags those nodes once and routes their rows through the unmodified
   per-node ``Cpu.set_frequencies`` path.
 * *Down nodes keep ticking.*  The lifecycle never stops a crashed node's
   controller (its parked cores just keep being re-asserted), so the
-  batched tick deliberately includes down nodes too; the lifecycle masks
-  gate *dispatch* only, exactly as the scalar candidate filter does.
+  fleet tick deliberately includes down nodes too; the lifecycle masks
+  gate *dispatch* only.
 
 Controller adoption is refused (returning ``False``, leaving per-node
-tasks running) whenever per-node semantics could diverge mid-run: a
-profiled (``bind_spans``) or trace-recording controller, heterogeneous
-timing/tables, or a DeepPower fleet under an active fault plan, whose
-watchdog may stop/start individual controllers.  Dispatch batching is
-unconditional — it is a pure re-expression of the candidate scan.
+tasks running) below :data:`SCALAR_BATCH_CUTOFF` nodes and whenever
+per-node semantics could diverge mid-run: a profiled (``bind_spans``),
+trace-recording or window-stats controller, heterogeneous timing/tables,
+or a DeepPower fleet under an active fault plan, whose watchdog may
+stop/start individual controllers.
 """
 
 from __future__ import annotations
@@ -71,15 +76,15 @@ from .node import DEGRADED, DOWN, ClusterNode
 
 __all__ = ["FleetBatch", "SCALAR_BATCH_CUTOFF"]
 
-#: Below this node count fleets default to scalar stepping: the batch's
-#: fixed per-tick numpy overhead beats its throughput win for small
+#: Below this node count fleets keep per-node controller ticks: the fleet
+#: tick's fixed per-tick numpy overhead beats its throughput win for small
 #: fleets, mirroring the per-socket cutoff in :mod:`repro.cpu.topology`.
-#: Both paths are bit-for-bit identical (the parity tests assert it).
+#: Both tick topologies are bit-for-bit identical (the golden tests pin it).
 SCALAR_BATCH_CUTOFF = 16
 
 
 class FleetBatch:
-    """Stacked hot state + coalesced stepping for one fleet.
+    """Stacked hot state + coalesced dispatch and ticks for one fleet.
 
     Build *after* the nodes exist but before any request flows; controller
     adoption happens later, once drivers / coordinator / lifecycle have
@@ -142,7 +147,6 @@ class FleetBatch:
         self._tick_total = 0
         self._live_tick_counts = False
         self._ov_rows: List[int] = []
-        self._win_rows: List[Tuple[int, Any]] = []
         self._base = np.empty((n, 1))
         self._coef = np.empty((n, 1))
         self._ceil = np.empty((n, 1))
@@ -187,25 +191,11 @@ class FleetBatch:
     def worker_capacities(self, idx: np.ndarray) -> np.ndarray:
         """Summed worker-core GHz per node in ``idx`` (fresh array).
 
-        Per-row sum over the same ``W`` contiguous values the scalar
-        ``worker_capacity_ghz`` sums — identical pairwise reduction,
-        identical doubles.
+        Per-row sum over the same ``W`` contiguous values
+        ``ClusterNode.worker_capacity_ghz`` sums — identical pairwise
+        reduction, identical doubles.
         """
         return self._fw[idx].sum(axis=1)
-
-    # -------------------------------------------------------------- telemetry
-
-    def sample_energy(self) -> np.ndarray:
-        """Gather per-node cumulative energy into a fresh stacked array.
-
-        The per-node arithmetic is untouched — RAPL counters integrate
-        lazily with per-core state, so batching here means one fleet-wide
-        gather, not re-ordered float math.
-        """
-        out = np.empty(self.num_nodes)
-        for i, node in enumerate(self.nodes):
-            out[i] = node.monitor.total_energy()
-        return out
 
     # ------------------------------------------------------- controller ticks
 
@@ -214,24 +204,25 @@ class FleetBatch:
     ) -> bool:
         """Replace ``N`` per-node controller tasks with one fleet tick.
 
-        Returns ``False`` (adopting nothing) unless every controller is a
-        plain, started, homogeneous
+        Returns ``False`` (adopting nothing) below
+        :data:`SCALAR_BATCH_CUTOFF` nodes, and unless every controller is
+        a plain, started, homogeneous
         :class:`~repro.core.thread_controller.ThreadController` with no
-        instance-level ``tick`` override and no trace recording.  With
-        ``live_tick_counts`` each controller's ``tick_count`` is advanced
-        every tick (DeepPower's DRL step reads it mid-run); otherwise the
-        counts are settled once at :meth:`detach`.
+        instance-level ``tick`` override, no trace recording and no window
+        stats.  With ``live_tick_counts`` each controller's ``tick_count``
+        is advanced every tick (DeepPower's DRL step reads it mid-run);
+        otherwise the counts are settled once at :meth:`detach`.
         """
         from ..core.thread_controller import ThreadController
 
         ctrls = list(controllers)
-        if len(ctrls) != self.num_nodes:
+        if self.num_nodes < SCALAR_BATCH_CUTOFF or len(ctrls) != self.num_nodes:
             return False
         ref = ctrls[0]
         for c in ctrls:
             if not isinstance(c, ThreadController):
                 return False
-            if "tick" in c.__dict__ or c.record_trace:
+            if "tick" in c.__dict__ or c.record_trace or c._win:
                 return False
             if c._task is None or c._task.stopped:
                 return False
@@ -260,14 +251,13 @@ class FleetBatch:
             self._ceil[i, 0] = node.cpu.ceiling
             node.cpu._ceiling_listener = self._make_ceiling_hook(i)
         # Nodes whose cores carry instance-level set_frequency overrides
-        # (actuator faults) take the per-node scalar apply lane; overrides
+        # (actuator faults) take the per-node apply lane; overrides
         # are static for the run by construction.
         self._ov_rows = [
             i
             for i, node in enumerate(self.nodes)
             if any("set_frequency" in core.__dict__ for core in node.cpu.cores[:w])
         ]
-        self._win_rows = [(i, c) for i, c in enumerate(ctrls) if c._win]
         # Reused per-tick buffers (the fleet tick must not allocate).
         self._scores_buf = np.empty((n, w))
         self._raw_buf = np.empty((n, w))
@@ -335,18 +325,12 @@ class FleetBatch:
                 diff[i, :] = False
                 # Injector-wrapped cores must see one raw write per tick
                 # (RNG draws) — the unmodified per-node path.
-                applied = self.nodes[i].cpu.set_frequencies(raw[i], count=w)
-                ctrl = self._controllers[i]
-                if ctrl._win:
-                    ctrl._win_observe(float(applied.mean()))
+                self.nodes[i].cpu.set_frequencies(raw[i], count=w)
         rows, cols = np.nonzero(diff)
         if rows.size:
             nodes = self.nodes
             for r, c in zip(rows.tolist(), cols.tolist()):
                 nodes[r].cpu.cores[c].set_frequency(float(q[r, c]), quantize=False)
-        for i, ctrl in self._win_rows:
-            if i not in self._ov_rows:
-                ctrl._win_observe(float(q[i].mean()))
         self._tick_total += 1
         if self._live_tick_counts:
             for ctrl in self._controllers:

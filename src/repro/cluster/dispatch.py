@@ -17,11 +17,15 @@ pluggable router.  Three routers cover the classic trade-off space:
 
 Routers are deterministic functions of observable node state (no RNG), so
 fleet runs stay seed-reproducible: same seed, same arrivals, same routing
-decisions.  Ties break toward the lowest node id.
+decisions.  Ties break toward the first candidate, which is the lowest
+node id.  They read that state from the
+:class:`~repro.cluster.batch.FleetBatch` the dispatcher builds over its
+nodes — stacked backlog and frequency arrays kept current by node hooks —
+so a decision costs a few vector ops at any fleet size.
 
 Health awareness lives one level up, in :class:`Dispatcher`: routers only
-ever see the *candidate* list — down nodes are filtered out before
-``select`` runs, and degraded nodes are probabilistically de-weighted
+ever see the *candidate* ids — down nodes are filtered out before
+``select_batch`` runs, and degraded nodes are probabilistically de-weighted
 (dropped from the candidate set with probability ``degraded_penalty``,
 never hard-excluded) whenever a non-degraded alternative exists.  The
 de-weighting RNG is a dedicated seeded stream, and it is only drawn when a
@@ -37,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .batch import FleetBatch
 from .node import DEGRADED, HEALTHY, ClusterNode
 
 __all__ = [
@@ -51,11 +56,12 @@ __all__ = [
 
 
 class Router:
-    """Routing policy: pick the node index for the next request."""
+    """Routing policy: pick the candidate for the next request."""
 
     name = "abstract"
 
-    def select(self, nodes: Sequence[ClusterNode]) -> int:
+    def select_batch(self, batch: FleetBatch, cand_idx: np.ndarray) -> int:
+        """Position in ``cand_idx`` (candidate node ids) of the chosen node."""
         raise NotImplementedError
 
 
@@ -74,20 +80,9 @@ class RoundRobinRouter(Router):
     def __init__(self) -> None:
         self._next = 0
 
-    def select(self, nodes: Sequence[ClusterNode]) -> int:
-        chosen = None
-        for i, node in enumerate(nodes):
-            if node.node_id >= self._next:
-                chosen = i
-                break
-        if chosen is None:  # cursor past every candidate: wrap around
-            chosen = 0
-        self._next = nodes[chosen].node_id + 1
-        return chosen
-
-    def select_batch(self, batch, cand_idx: np.ndarray) -> int:
-        # cand_idx holds node ids in ascending order, so the linear scan
-        # for the first id >= cursor is a searchsorted.
+    def select_batch(self, batch: FleetBatch, cand_idx: np.ndarray) -> int:
+        # cand_idx holds node ids in ascending order, so the first
+        # candidate at or after the cursor is a searchsorted.
         pos = int(np.searchsorted(cand_idx, self._next))
         if pos == cand_idx.size:  # cursor past every candidate: wrap
             pos = 0
@@ -104,17 +99,9 @@ class JoinShortestQueueRouter(Router):
 
     name = "jsq"
 
-    def select(self, nodes: Sequence[ClusterNode]) -> int:
-        best, best_load = 0, None
-        for i, node in enumerate(nodes):
-            load = node.backlog()
-            if best_load is None or load < best_load:
-                best, best_load = i, load
-        return best
-
-    def select_batch(self, batch, cand_idx: np.ndarray) -> int:
-        # argmin returns the first minimum — identical tie-break to the
-        # scalar strict-< scan above (and backlogs are exact integers).
+    def select_batch(self, batch: FleetBatch, cand_idx: np.ndarray) -> int:
+        # argmin returns the first minimum: ties go to the first candidate
+        # (backlogs are exact integers).
         return int(np.argmin(batch.backlog[cand_idx]))
 
 
@@ -132,21 +119,10 @@ class PowerAwareRouter(Router):
 
     name = "power-aware"
 
-    def select(self, nodes: Sequence[ClusterNode]) -> int:
-        best, best_cost = 0, None
-        for i, node in enumerate(nodes):
-            capacity = node.worker_capacity_ghz()
-            # A fully-parked node still drains eventually; keep the cost
-            # finite so it can be chosen once every alternative is worse.
-            cost = (node.backlog() + 1) / max(capacity, 1e-9)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = i, cost
-        return best
-
-    def select_batch(self, batch, cand_idx: np.ndarray) -> int:
-        # Same doubles as the scalar scan: per-row capacity sums over the
-        # identical W values, the same (backlog + 1) / max(cap, 1e-9)
-        # division, first-minimum tie-break.
+    def select_batch(self, batch: FleetBatch, cand_idx: np.ndarray) -> int:
+        # A fully-parked node still drains eventually; the 1e-9 floor keeps
+        # its cost finite so it can be chosen once every alternative is
+        # worse.  argmin breaks ties toward the first candidate.
         caps = batch.worker_capacities(cand_idx)
         np.maximum(caps, 1e-9, out=caps)
         cost = (batch.backlog[cand_idx] + 1) / caps
@@ -176,7 +152,10 @@ class Dispatcher:
 
     ``submit`` is the sink handed to the fleet's
     :class:`~repro.workload.arrivals.OpenLoopSource`; per-node routed
-    counts live on the nodes themselves (``node.routed``).
+    counts live on the nodes themselves (``node.routed``).  The dispatcher
+    builds the fleet's :class:`~repro.cluster.batch.FleetBatch` over
+    ``nodes`` (exposed as ``batch``), so construct it before any request
+    flows.
 
     Parameters
     ----------
@@ -223,63 +202,18 @@ class Dispatcher:
         self.dispatched = 0
         #: Requests that found no live node to run on.
         self.unroutable = 0
-        # Optional FleetBatch (batched fleet stepping): when attached,
-        # candidate filtering and routing run on its stacked arrays instead
-        # of per-node python attribute walks.  Decisions are bitwise
-        # identical — see the batched branch of ``submit``.
-        self._batch = None
-
-    def attach_batch(self, batch) -> None:
-        """Route through ``batch``'s stacked node arrays from now on."""
-        self._batch = batch
-
-    def _candidates(self) -> List[ClusterNode]:
-        cands = [n for n in self.nodes if not n.is_down]
-        if not cands or self.rng is None or self.degraded_penalty == 0.0:
-            return cands
-        degraded = sum(1 for n in cands if n.is_degraded)
-        if degraded == 0 or degraded == len(cands):
-            # Nothing to de-weight, or no healthy alternative to shed to.
-            return cands
-        kept = [
-            n
-            for n in cands
-            if not n.is_degraded or self.rng.random() >= self.degraded_penalty
-        ]
-        return kept if kept else [n for n in cands if not n.is_degraded]
+        #: Stacked backlog / frequency / health state of ``nodes``, kept
+        #: current by node hooks; routers and candidate filtering read it.
+        self.batch = FleetBatch(self.nodes)
 
     def submit(self, req) -> None:
-        if self._batch is not None:
-            self._submit_batched(req)
-            return
-        cands = self._candidates() if self.health_aware else self.nodes
-        if not cands:
-            self.unroutable += 1
-            if self.on_unroutable is not None:
-                self.on_unroutable(req)
-            else:
-                req.dropped = True
-            return
-        idx = self.router.select(cands)
-        if not 0 <= idx < len(cands):
-            raise IndexError(
-                f"router {self.router.name!r} selected node {idx} "
-                f"of {len(cands)}"
-            )
-        self.dispatched += 1
-        cands[idx].submit(req)
+        """Route one request: filter candidates, then ask the router.
 
-    def _submit_batched(self, req) -> None:
-        """Array-native replica of the scalar ``submit`` path.
-
-        Decision-for-decision identical: same candidate filter (down nodes
-        out, then probabilistic degraded de-weighting), same RNG draw
-        schedule (``rng.random(k)`` produces bitwise the k values k
-        sequential ``rng.random()`` calls would — one per degraded
-        candidate, in node-id order), same router arithmetic (the routers'
-        ``select_batch`` methods document their scalar equivalence).
+        Down nodes are dropped first, then each degraded candidate is
+        dropped with probability ``degraded_penalty`` — one ``rng`` draw
+        per degraded candidate, in node-id order.
         """
-        batch = self._batch
+        batch = self.batch
         if self.health_aware:
             live_idx, deg_mask, n_deg = batch.live_candidates()
             if live_idx.size == 0:
@@ -295,6 +229,7 @@ class Dispatcher:
                 or n_deg == 0
                 or n_deg == live_idx.size
             ):
+                # Nothing to de-weight, or no healthy alternative to shed to.
                 cand_idx = live_idx
             else:
                 draws = self.rng.random(n_deg)
@@ -305,11 +240,7 @@ class Dispatcher:
                     cand_idx = live_idx[~deg_mask]
         else:
             cand_idx = batch.all_indices
-        select_batch = getattr(self.router, "select_batch", None)
-        if select_batch is not None:
-            pos = select_batch(batch, cand_idx)
-        else:  # custom router: fall back to its scalar protocol
-            pos = self.router.select([self.nodes[i] for i in cand_idx.tolist()])
+        pos = self.router.select_batch(batch, cand_idx)
         if not 0 <= pos < cand_idx.size:
             raise IndexError(
                 f"router {self.router.name!r} selected node {pos} "

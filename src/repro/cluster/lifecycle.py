@@ -27,10 +27,10 @@ generation counter so the stale promotion is ignored.
 Everything is scheduled from plan data on the shared engine, so two runs
 at the same seed replay the identical fault history bit for bit.
 
-Batched-stepping interplay
---------------------------
-Under batched fleet stepping (:mod:`repro.cluster.batch`) no lifecycle
-code changes: state flips flow through the ``ClusterNode.state`` setter
+Fleet-batch interplay
+---------------------
+The dispatcher's :class:`~repro.cluster.batch.FleetBatch` needs no
+lifecycle code: state flips flow through the ``ClusterNode.state`` setter
 into the batch's down/degraded masks, ``evacuate()`` fires the server's
 reset hook (zeroing the stacked backlog entry), and parked-core writes
 land in the stacked frequency rows via the normal core listeners.  Fault

@@ -132,8 +132,8 @@ class ClusterNode:
         self.routed = 0
         #: Lifecycle state; immortal fleets (no fault plan) stay "healthy".
         self._state: str = HEALTHY
-        # Fleet-batch hooks (None outside batched fleet runs): the batch
-        # mirrors routed counts and lifecycle state into stacked arrays.
+        # Fleet-batch hooks (None until a Dispatcher builds its batch): the
+        # batch mirrors routed counts and lifecycle state into stacked arrays.
         self.on_routed: Optional[Callable[[], None]] = None
         self._state_listener: Optional[Callable[["ClusterNode"], None]] = None
 
@@ -260,8 +260,9 @@ class FixedControllerDriver:
     The cheapest tick-driven node policy: per-request work is just the
     server pipeline, and the whole per-tick cost is Algorithm 1 itself —
     which makes it the policy the fleet-scaling benchmark uses to measure
-    batched vs. scalar stepping at 256-1024 nodes, and a reasonable static
-    operating point in its own right (the paper's Fig 4 frequency floor).
+    the fleet tick (:mod:`repro.cluster.batch`) at 4-1024 nodes, and a
+    reasonable static operating point in its own right (the paper's Fig 4
+    frequency floor).
     """
 
     def __init__(

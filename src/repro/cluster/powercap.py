@@ -154,14 +154,6 @@ class PowerCapCoordinator:
         self.history: List[CapWindow] = []
         #: Windows in which at least one node's ceiling was below turbo.
         self.throttled_windows = 0
-        # Optional FleetBatch: energy reads and the live mask come from its
-        # stacked arrays instead of per-node attribute walks.  Values are
-        # identical (the batch masks mirror node state via listeners).
-        self._batch: Any = None
-
-    def attach_batch(self, batch: Any) -> None:
-        """Source per-node gathers from ``batch``'s stacked arrays."""
-        self._batch = batch
 
     @property
     def feasible(self) -> bool:
@@ -213,8 +205,6 @@ class PowerCapCoordinator:
         return np.where(frozen, self._last_energy, drawn)
 
     def _live_mask(self) -> np.ndarray:
-        if self._batch is not None:
-            return ~self._batch.down
         return np.array([not n.is_down for n in self.nodes], dtype=bool)
 
     def _parked_mask(self) -> np.ndarray:
@@ -225,11 +215,7 @@ class PowerCapCoordinator:
         )
 
     def _rebalance(self) -> None:
-        drawn = (
-            self._batch.sample_energy()
-            if self._batch is not None
-            else np.array([n.monitor.total_energy() for n in self.nodes])
-        )
+        drawn = np.array([n.monitor.total_energy() for n in self.nodes])
         energies = self._read_energy(drawn)
         now = self.engine.now
         dt = now - self._last_time

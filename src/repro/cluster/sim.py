@@ -39,7 +39,7 @@ from ..sim.rng import RngRegistry
 from ..workload.apps import get_app
 from ..workload.arrivals import OpenLoopSource
 from ..workload.trace import WorkloadTrace
-from .batch import SCALAR_BATCH_CUTOFF, FleetBatch
+from .batch import FleetBatch
 from .dispatch import ROUTERS, Dispatcher, StragglerDetector, make_router
 from .lifecycle import NodeLifecycle
 from .node import NODE_POLICIES, ClusterNode, build_node_driver
@@ -87,12 +87,6 @@ class ClusterConfig:
     straggler_multiple: float = 3.0
     #: Probability a degraded node is dropped from one routing decision.
     degraded_penalty: float = 0.5
-    #: Fleet stepping strategy: "auto" batches cross-node work once the
-    #: fleet reaches SCALAR_BATCH_CUTOFF nodes, "batched"/"scalar" force
-    #: one mode.  Pure execution strategy — results are bitwise identical
-    #: either way (tests byte-compare traces), so this field is excluded
-    #: from FleetSpec cache payloads.
-    stepping: str = "auto"
     #: Hierarchical fleet-RL layer (:class:`repro.hier.HierConfig`): a
     #: fleet-level agent takes over the coordinator's budget
     #: apportioning.  ``None`` (the default)
@@ -130,11 +124,6 @@ class ClusterConfig:
             raise ValueError(
                 f"degraded_penalty must be in [0, 1], got {self.degraded_penalty}"
             )
-        if self.stepping not in ("auto", "batched", "scalar"):
-            raise ValueError(
-                f"stepping must be 'auto', 'batched' or 'scalar', "
-                f"got {self.stepping!r}"
-            )
         if self.hier is not None:
             from ..hier.config import HierConfig
 
@@ -152,15 +141,6 @@ class ClusterConfig:
     def hier_active(self) -> bool:
         """Whether a learned fleet-level coordinator drives this run."""
         return self.hier is not None
-
-    @property
-    def batched_stepping(self) -> bool:
-        """Whether this fleet steps through the batched cross-node path."""
-        if self.stepping == "batched":
-            return True
-        if self.stepping == "scalar":
-            return False
-        return self.num_nodes >= SCALAR_BATCH_CUTOFF
 
     @property
     def resilience_active(self) -> bool:
@@ -433,14 +413,9 @@ class ClusterSim:
                 multiple=config.straggler_multiple,
                 on_change=self._on_health_change,
             )
-        # Batched fleet stepping: stack per-node state into fleet-wide
-        # arrays and route dispatch / power-cap reads through them.
-        self.batch: Optional[FleetBatch] = None
-        if config.batched_stepping:
-            self.batch = FleetBatch(self.nodes)
-            self.dispatcher.attach_batch(self.batch)
-            if self.coordinator is not None:
-                self.coordinator.attach_batch(self.batch)
+        # The dispatcher's stacked fleet state; large fleets also run their
+        # controller ticks on it (see _adopt_batched_controllers).
+        self.batch: FleetBatch = self.dispatcher.batch
         # Per-node energy at the last telemetry window (node-window events).
         self._win_energy = np.zeros(len(self.nodes))
         self._win_time = 0.0
@@ -450,15 +425,15 @@ class ClusterSim:
 
         Only engages for tick-driven policies that expose a
         ``.controller`` (the "controller" fixed-parameter policy and
-        fault-free DeepPower fleets); everything else keeps its per-node
-        tasks.  DeepPower fleets under a fault plan are excluded because
-        the resilience watchdog stops/starts individual controllers
-        mid-run.  Called after every driver, the coordinator and the
-        lifecycle have started, so frequency overrides are all installed
-        and the adoption validation sees the final tick topology.
+        fault-free DeepPower fleets) on fleets the batch accepts (see
+        :meth:`FleetBatch.adopt_controllers`); everything else keeps its
+        per-node tasks.  DeepPower fleets under a fault plan are excluded
+        because the resilience watchdog stops/starts individual
+        controllers mid-run.  Called after every driver, the coordinator
+        and the lifecycle have started, so frequency overrides are all
+        installed and the adoption validation sees the final tick
+        topology.
         """
-        if self.batch is None:
-            return
         cfg = self.config
         if cfg.policy == "deeppower" and cfg.resilience_active:
             return
@@ -483,13 +458,8 @@ class ClusterSim:
         tw = self._trace_writer
         now = self.engine.now
         dt = now - self._win_time
-        energies = (
-            self.batch.sample_energy()
-            if self.batch is not None
-            else np.array([n.monitor.total_energy() for n in self.nodes])
-        )
         for i, node in enumerate(self.nodes):
-            energy = float(energies[i])
+            energy = node.monitor.total_energy()
             tw.emit(
                 "node-window",
                 t=now,
@@ -586,8 +556,7 @@ class ClusterSim:
             health_task.stop()
         if self.coordinator is not None:
             self.coordinator.stop()
-        if self.batch is not None:
-            self.batch.detach()
+        self.batch.detach()
         for driver in self.drivers:
             if driver is not None and hasattr(driver, "stop"):
                 driver.stop()
@@ -724,10 +693,6 @@ class FleetSpec:
     health_aware: Optional[bool] = None
     straggler_multiple: float = 3.0
     degraded_penalty: float = 0.5
-    #: Execution strategy only (results are bitwise identical either way),
-    #: so deliberately NOT part of ``cache_payload``: a cached scalar
-    #: result is valid for a batched request and vice versa.
-    stepping: str = "auto"
     #: Hierarchical fleet-RL layer; None = heuristic coordinator.
     hier: Optional[Any] = None
 
@@ -783,7 +748,6 @@ class FleetSpec:
             health_aware=self.health_aware,
             straggler_multiple=self.straggler_multiple,
             degraded_penalty=self.degraded_penalty,
-            stepping=self.stepping,
             hier=self.hier,
         )
 

@@ -13,8 +13,8 @@ cap stays guaranteed by construction no matter what the agent emits.
   ``ClusterConfig.hier`` of ``None`` (the default) keeps fleet runs
   bitwise identical to runs without this package,
 * :class:`FleetObserver` — the fleet observation: per-node windowed load,
-  p99/SLA slack, RAPL-style watts, routed share and the health masks the
-  batched stepping layer maintains (:mod:`repro.hier.obs`),
+  p99/SLA slack, RAPL-style watts, routed share and the node health
+  masks (:mod:`repro.hier.obs`),
 * :class:`FleetAgent` / :func:`build_fleet_agent` — the upper-level agent
   on the existing DDPG/TD3/SAC stack, acting in ``[0, 1]^N`` per-node
   budget shares (:mod:`repro.hier.agent`),

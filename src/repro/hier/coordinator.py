@@ -94,10 +94,6 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
         self._completed_seen = np.zeros(n, dtype=np.int64)
         self._timeouts_seen = np.zeros(n, dtype=np.int64)
 
-    def attach_batch(self, batch: Any) -> None:
-        super().attach_batch(batch)
-        self.observer.attach_batch(batch)
-
     # ---------------------------------------------------------------- learning
 
     def _window_reward(self, powers: np.ndarray) -> float:

@@ -3,12 +3,10 @@
 One row of features per node, flattened in node-id order — the fleet
 analogue of the paper's 8-dim node state.  Everything is a *read* of
 state other components already maintain: backlog and the down/degraded
-health masks come from :class:`~repro.cluster.batch.FleetBatch`'s stacked
-arrays when the fleet steps batched (falling back to per-node attribute
-walks on scalar fleets — values are identical, the batch mirrors node
-state via listeners), window power comes from the same RAPL-style energy
-deltas the coordinator measures, and the windowed p99 uses the
-straggler detector's fresh-completions cursor discipline.  Building an
+health masks are read from the nodes once per window, window power comes
+from the same RAPL-style energy deltas the coordinator measures, and the
+windowed p99 uses the straggler detector's fresh-completions cursor
+discipline.  Building an
 observation draws no RNG and schedules no events.
 
 Every feature is normalised into roughly [0, 1] so one network serves any
@@ -31,7 +29,7 @@ column meaning
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -59,9 +57,6 @@ class FleetObserver:
     cap_watts:
         Per-node worst-case (all-busy turbo) power, the watt normaliser —
         the coordinator already precomputes exactly this vector.
-    batch:
-        Optional :class:`~repro.cluster.batch.FleetBatch`; when attached,
-        backlog and health masks come from its stacked arrays.
     """
 
     def __init__(
@@ -69,7 +64,6 @@ class FleetObserver:
         nodes: Sequence[ClusterNode],
         sla: float,
         cap_watts: np.ndarray,
-        batch: Any = None,
     ) -> None:
         if sla <= 0:
             raise ValueError(f"sla must be positive, got {sla}")
@@ -81,7 +75,6 @@ class FleetObserver:
                 f"cap_watts must have one entry per node, got shape "
                 f"{self.cap_watts.shape} for {len(self.nodes)} nodes"
             )
-        self._batch = batch
         n = len(self.nodes)
         # Fresh-completions cursor per node (straggler-detector style): the
         # p99 feature covers only the window since the previous observe().
@@ -92,22 +85,12 @@ class FleetObserver:
     def state_dim(self) -> int:
         return len(self.nodes) * FEATURES_PER_NODE
 
-    def attach_batch(self, batch: Any) -> None:
-        self._batch = batch
-
     # ------------------------------------------------------------------ reads
 
     def _backlogs(self) -> np.ndarray:
-        if self._batch is not None:
-            return self._batch.backlog.astype(float)
         return np.array([float(n.backlog()) for n in self.nodes])
 
     def _masks(self) -> tuple:
-        if self._batch is not None:
-            return (
-                self._batch.down.astype(float),
-                self._batch.degraded.astype(float),
-            )
         down = np.array([float(n.state == DOWN) for n in self.nodes])
         degraded = np.array([float(n.state == DEGRADED) for n in self.nodes])
         return down, degraded

@@ -32,28 +32,42 @@ def _request(req_id, t=0.0, work=1.0, sla=0.08):
     )
 
 
+def _batch(nodes):
+    """The stacked fleet state a dispatcher over ``nodes`` routes on."""
+    return Dispatcher(nodes, RoundRobinRouter()).batch
+
+
+def _ids(*node_ids):
+    return np.array(node_ids)
+
+
 class TestRouters:
     def test_round_robin_cycles(self):
         _, _, nodes = _fleet(3)
+        batch = _batch(nodes)
         router = RoundRobinRouter()
-        picks = [router.select(nodes) for _ in range(7)]
+        picks = [router.select_batch(batch, batch.all_indices) for _ in range(7)]
         assert picks == [0, 1, 2, 0, 1, 2, 0]
 
     def test_jsq_picks_smallest_backlog(self):
         _, _, nodes = _fleet(3)
+        batch = _batch(nodes)
         router = JoinShortestQueueRouter()
         nodes[0].submit(_request(1))
         nodes[0].submit(_request(2))
         nodes[1].submit(_request(3))
-        # backlogs: node0=2, node1=1, node2=0
-        assert router.select(nodes) == 2
+        # backlogs: node0=2, node1=1, node2=0 — queued plus in service
+        assert batch.backlog.tolist() == [n.backlog() for n in nodes] == [2, 1, 0]
+        assert router.select_batch(batch, batch.all_indices) == 2
 
     def test_jsq_ties_break_to_lowest_id(self):
         _, _, nodes = _fleet(3)
-        assert JoinShortestQueueRouter().select(nodes) == 0
+        batch = _batch(nodes)
+        assert JoinShortestQueueRouter().select_batch(batch, batch.all_indices) == 0
 
     def test_power_aware_prefers_faster_node(self):
         _, _, nodes = _fleet(2)
+        batch = _batch(nodes)
         router = PowerAwareRouter()
         # Equal (zero) backlog: throttle node 0's worker cores to fmin,
         # leave node 1 at a high level -> node 1 wins on capacity.
@@ -62,14 +76,15 @@ class TestRouters:
             core.set_frequency(table.fmin)
         for core in nodes[1].cpu.cores:
             core.set_frequency(table.fmax)
-        assert router.select(nodes) == 1
+        assert router.select_batch(batch, batch.all_indices) == 1
 
     def test_power_aware_sheds_from_backlogged_node(self):
         _, _, nodes = _fleet(2)
+        batch = _batch(nodes)
         router = PowerAwareRouter()
         for i in range(4):
             nodes[0].submit(_request(i))
-        assert router.select(nodes) == 1
+        assert router.select_batch(batch, batch.all_indices) == 1
 
     def test_make_router_unknown_raises(self):
         with pytest.raises(KeyError, match="unknown routing policy"):
@@ -81,43 +96,48 @@ class TestRoutersUnderChurn:
 
     def test_round_robin_cursor_survives_shrinking_candidates(self):
         _, _, nodes = _fleet(3)
+        batch = _batch(nodes)
         router = RoundRobinRouter()
-        assert router.select(nodes) == 0  # cursor now at node id 1
+        assert router.select_batch(batch, _ids(0, 1, 2)) == 0  # cursor at id 1
         # Node 1 disappears from the candidate list: the cursor lands on
         # the next surviving id (2), then wraps to 0.
-        survivors = [nodes[0], nodes[2]]
-        assert survivors[router.select(survivors)].node_id == 2
-        assert survivors[router.select(survivors)].node_id == 0
+        survivors = _ids(0, 2)
+        assert survivors[router.select_batch(batch, survivors)] == 2
+        assert survivors[router.select_batch(batch, survivors)] == 0
         # Node 1 comes back: the rotation picks it up in id order.
-        assert nodes[router.select(nodes)].node_id == 1
+        assert router.select_batch(batch, _ids(0, 1, 2)) == 1
 
     def test_round_robin_single_candidate(self):
         _, _, nodes = _fleet(3)
+        batch = _batch(nodes)
         router = RoundRobinRouter()
-        only = [nodes[1]]
-        assert [router.select(only) for _ in range(3)] == [0, 0, 0]
+        only = _ids(1)
+        assert [router.select_batch(batch, only) for _ in range(3)] == [0, 0, 0]
 
     def test_jsq_ties_break_to_first_candidate_after_shrink(self):
         _, _, nodes = _fleet(3)
+        batch = _batch(nodes)
         router = JoinShortestQueueRouter()
         # All empty: the first listed candidate wins regardless of its id.
-        assert router.select([nodes[2], nodes[1]]) == 0
-        assert router.select([nodes[1], nodes[2]]) == 0
+        assert router.select_batch(batch, _ids(2, 1)) == 0
+        assert router.select_batch(batch, _ids(1, 2)) == 0
 
     def test_jsq_decisions_identical_for_equal_candidate_lists(self):
         _, _, nodes = _fleet(3)
+        batch = _batch(nodes)
         nodes[0].submit(_request(1))
-        a = JoinShortestQueueRouter().select([nodes[0], nodes[2]])
-        b = JoinShortestQueueRouter().select([nodes[0], nodes[2]])
+        a = JoinShortestQueueRouter().select_batch(batch, _ids(0, 2))
+        b = JoinShortestQueueRouter().select_batch(batch, _ids(0, 2))
         assert a == b == 1
 
     def test_power_aware_ties_break_to_first_candidate(self):
         _, _, nodes = _fleet(3)
+        batch = _batch(nodes)
         # Identical backlog and capacity: first candidate wins, and the
-        # choice is a pure function of the list (no hidden state).
+        # choice is a pure function of the candidates (no hidden state).
         router = PowerAwareRouter()
-        assert router.select([nodes[2], nodes[0]]) == 0
-        assert router.select([nodes[2], nodes[0]]) == 0
+        assert router.select_batch(batch, _ids(2, 0)) == 0
+        assert router.select_batch(batch, _ids(2, 0)) == 0
 
 
 class TestHealthAwareDispatch:
@@ -283,8 +303,8 @@ class TestDispatcher:
 
     def test_bad_router_index_raises(self):
         class Broken(RoundRobinRouter):
-            def select(self, nodes):
-                return len(nodes)
+            def select_batch(self, batch, cand_idx):
+                return cand_idx.size
 
         _, _, nodes = _fleet(2)
         disp = Dispatcher(nodes, Broken())

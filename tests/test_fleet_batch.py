@@ -1,22 +1,32 @@
-"""Batched fleet stepping: bitwise parity with the scalar path (ISSUE 8).
+"""Fleet stepping against golden digests, and controller-tick adoption.
 
-The load-bearing guarantee of the cross-node vectorisation: with
-``stepping="batched"``, :class:`~repro.cluster.sim.ClusterSim` produces
-**byte-identical** node-tagged traces and **identical** FleetMetrics to
-the per-node scalar path, on every configuration — plain fleets, chaos
-fleets mid-fault, power-capped fleets, and long soak-style runs — at
-fleet sizes on both sides of the batching cutover.
+Every fleet routes through one :class:`~repro.cluster.batch.FleetBatch`;
+its stacked 1 ms controller tick is adopted only from
+``SCALAR_BATCH_CUTOFF`` nodes up.  The oracle is ``fleet_goldens.json``:
+SHA-256 digests of the sorted FleetMetrics JSON and of the node-tagged
+trace bytes of each config below — plain fleets, chaos fleets mid-fault,
+power-capped fleets, injector rows mixed with capped rows, DeepPower,
+windowed DeepPower and a learned (hier) coordinator, at 4, 16 and 64
+nodes.  The digests were recorded while a per-node reference stepping
+path still existed and produced the same bytes, so they pin that path's
+behaviour.  Regenerate them with ``PYTHONPATH=src python -c "from
+tests.test_fleet_batch import _regen; _regen()"`` only for an intended
+behaviour change.
 
 (The soak *experiment* itself — ``repro.experiments.soak`` — drives
 single-node :func:`run_policy` and never touches ClusterSim, so its
-parity coverage here is the long-duration chaos + power-cap fleet
-config, which exercises the same code paths a fleet soak would.)
+coverage here is the long-duration chaos + power-cap fleet config,
+which exercises the same code paths a fleet soak would.)
 """
 
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
+import repro.cluster.batch as batch_mod
 from repro.cluster import (
     ClusterConfig,
     ClusterSim,
@@ -26,6 +36,7 @@ from repro.cluster import (
 from repro.cluster.batch import SCALAR_BATCH_CUTOFF, FleetBatch
 from repro.cpu.core import Core
 from repro.faults import FaultPlan, FleetFaultPlan, standard_chaos_plan
+from repro.hier import HierConfig
 from repro.obs import Observability
 from repro.parallel import content_key
 from repro.sim.events import PRIORITY_CONTROL
@@ -33,106 +44,187 @@ from repro.workload.apps import get_app
 from repro.workload.trace import constant_trace
 
 APP = "xapian"
-
-
-def _run(tmp_path, stepping, nodes, cores, duration, load,
-         window_stats=False, **overrides):
-    """One fleet run; returns (metrics-as-sorted-json, trace bytes).
-
-    ``window_stats`` turns on every controller's per-tick frequency
-    window and adds the run-long summaries to the metrics.
-    """
-    rps = get_app(APP).rps_for_load(load, nodes * cores)
-    trace = constant_trace(rps, duration)
-    config = ClusterConfig(
-        app=APP, num_nodes=nodes, cores_per_node=cores, seed=11,
-        stepping=stepping, **overrides,
-    )
-    path = tmp_path / f"{stepping}.trace.jsonl"
-    obs = Observability.from_paths(trace_out=str(path), meta={"kind": "parity"})
-    try:
-        sim = ClusterSim(config, trace, obs=obs)
-        if window_stats:
-            for driver in sim.drivers:
-                driver.controller.enable_window_stats()
-        result = sim.run().as_dict()
-    finally:
-        obs.close()
-    if window_stats:
-        result["windows"] = [d.controller.window_summary() for d in sim.drivers]
-    return json.dumps(result, sort_keys=True), path.read_bytes()
-
-
-def _assert_parity(tmp_path, nodes=4, cores=2, duration=3.0, load=0.5,
-                   **overrides):
-    m_scalar, t_scalar = _run(
-        tmp_path, "scalar", nodes, cores, duration, load, **overrides
-    )
-    m_batched, t_batched = _run(
-        tmp_path, "batched", nodes, cores, duration, load, **overrides
-    )
-    assert m_scalar == m_batched
-    assert t_scalar == t_batched
+GOLDEN_PATH = Path(__file__).with_name("fleet_goldens.json")
 
 
 def _chaos(nodes, duration, intensity=0.6):
     return standard_chaos_plan(intensity, nodes, duration, seed=5)
 
 
+def _cfg(nodes=4, duration=3.0, load=0.5, window_stats=False, **overrides):
+    return dict(
+        nodes=nodes, duration=duration, load=load,
+        window_stats=window_stats, overrides=overrides,
+    )
+
+
+#: Golden config name -> fleet shape and ClusterConfig overrides.
+CONFIGS = {
+    "controller-jsq-4": _cfg(policy="controller", routing="jsq"),
+    "controller-round-robin-4": _cfg(
+        policy="controller", routing="round-robin"
+    ),
+    "retail-jsq-4": _cfg(policy="retail", routing="jsq"),
+    "controller-powercap-4": _cfg(
+        policy="controller", routing="power-aware",
+        power_cap_watts=fleet_power_budget(4, 2, fraction=0.5),
+    ),
+    "controller-chaos-4": _cfg(
+        policy="controller", routing="jsq", fault_plan=_chaos(4, 3.0),
+    ),
+    # DRL policy: live tick_count sync feeds its window observations.
+    "deeppower-jsq-4": _cfg(policy="deeppower", routing="jsq"),
+    # Longest config in the matrix: faults + cap + degraded routing, the
+    # fleet analogue of a soak run.
+    "retail-chaos-powercap-4": _cfg(
+        duration=8.0, policy="retail", routing="power-aware",
+        power_cap_watts=fleet_power_budget(4, 2, fraction=0.5),
+        fault_plan=_chaos(4, 8.0),
+    ),
+    # Controller window stats on, so the run-long per-controller
+    # summaries join the metrics.  Fleet runtimes have no trace of their
+    # own, so the stats are enabled directly.
+    "deeppower-powercap-windowed-4": _cfg(
+        policy="deeppower", routing="jsq", window_stats=True,
+        power_cap_watts=fleet_power_budget(4, 2, fraction=0.4),
+    ),
+    # Actuator faults (failed and delayed writes) on every third node only,
+    # so injector rows and capped vector rows share each tick.  Writes
+    # delayed across a ceiling move pin that injector rows get the
+    # unclamped request.
+    "mixed-injector-cap-16": _cfg(
+        nodes=16, load=0.4, policy="controller", routing="power-aware",
+        power_cap_watts=fleet_power_budget(16, 2, fraction=0.4),
+        fault_plan=FleetFaultPlan(
+            node_plans=tuple(
+                (i, FaultPlan(seed=i, dvfs_fail_prob=0.05,
+                              dvfs_delay_prob=0.3, dvfs_delay=0.02))
+                for i in range(0, 16, 3)
+            ),
+            seed=5,
+        ),
+    ),
+    # Learned budget coordinator: its fleet observation reads backlog and
+    # health masks once per window, across crashes and redispatch.
+    "hier-chaos-powercap-16": _cfg(
+        nodes=16, policy="controller", routing="power-aware",
+        power_cap_watts=fleet_power_budget(16, 2, fraction=0.5),
+        fault_plan=_chaos(16, 3.0), hier=HierConfig(),
+    ),
+    "controller-jsq-64": _cfg(
+        nodes=64, duration=2.0, load=0.3, policy="controller", routing="jsq",
+    ),
+    "controller-chaos-powercap-64": _cfg(
+        nodes=64, duration=2.0, load=0.3,
+        policy="controller", routing="power-aware",
+        power_cap_watts=fleet_power_budget(64, 2, fraction=0.5),
+        fault_plan=_chaos(64, 2.0),
+    ),
+    "controller-powercap-64": _cfg(
+        nodes=64, duration=2.0, load=0.3, policy="controller", routing="jsq",
+        power_cap_watts=fleet_power_budget(64, 2, fraction=0.4),
+    ),
+}
+
+
+def _run(out_dir, name):
+    """One traced fleet run; returns (metrics-as-sorted-json, trace bytes)."""
+    spec = CONFIGS[name]
+    nodes = spec["nodes"]
+    rps = get_app(APP).rps_for_load(spec["load"], nodes * 2)
+    trace = constant_trace(rps, spec["duration"])
+    config = ClusterConfig(
+        app=APP, num_nodes=nodes, cores_per_node=2, seed=11,
+        **spec["overrides"],
+    )
+    path = Path(out_dir) / f"{name}.trace.jsonl"
+    obs = Observability.from_paths(trace_out=str(path), meta={"kind": "parity"})
+    try:
+        sim = ClusterSim(config, trace, obs=obs)
+        if spec["window_stats"]:
+            for driver in sim.drivers:
+                driver.controller.enable_window_stats()
+        result = sim.run().as_dict()
+    finally:
+        obs.close()
+    if spec["window_stats"]:
+        result["windows"] = [d.controller.window_summary() for d in sim.drivers]
+    return json.dumps(result, sort_keys=True), path.read_bytes()
+
+
+def _digests(out_dir, name):
+    metrics, trace = _run(out_dir, name)
+    return {
+        "metrics": hashlib.sha256(metrics.encode()).hexdigest(),
+        "trace": hashlib.sha256(trace).hexdigest(),
+    }
+
+
+def _regen(path=GOLDEN_PATH):
+    """Re-record every golden digest (only for intended behaviour changes)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {name: _digests(tmp, name) for name in CONFIGS}
+    Path(path).write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+
+
+def _golden(name):
+    return json.loads(GOLDEN_PATH.read_text())[name]
+
+
+def _assert_golden(tmp_path, name):
+    assert _digests(tmp_path, name) == _golden(name), name
+
+
+def _spy_adoption(monkeypatch):
+    """Record every ``adopt_controllers`` verdict of the runs that follow."""
+    verdicts = []
+    real = FleetBatch.adopt_controllers
+
+    def spy(self, *args, **kwargs):
+        verdicts.append(real(self, *args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(FleetBatch, "adopt_controllers", spy)
+    return verdicts
+
+
+def test_golden_table_covers_every_config():
+    assert sorted(json.loads(GOLDEN_PATH.read_text())) == sorted(CONFIGS)
+
+
 class TestParitySmallFleet:
-    """4 nodes — below the auto cutover, forced into each mode."""
+    """4 nodes — below the cutoff, so per-node controller ticks."""
 
     def test_controller_jsq(self, tmp_path):
-        _assert_parity(tmp_path, policy="controller", routing="jsq")
+        _assert_golden(tmp_path, "controller-jsq-4")
 
     def test_controller_round_robin(self, tmp_path):
-        _assert_parity(tmp_path, policy="controller", routing="round-robin")
+        _assert_golden(tmp_path, "controller-round-robin-4")
 
     def test_retail_jsq(self, tmp_path):
-        _assert_parity(tmp_path, policy="retail", routing="jsq")
+        _assert_golden(tmp_path, "retail-jsq-4")
 
     def test_controller_powercap(self, tmp_path):
-        _assert_parity(
-            tmp_path, policy="controller", routing="power-aware",
-            power_cap_watts=fleet_power_budget(4, 2, fraction=0.5),
-        )
+        _assert_golden(tmp_path, "controller-powercap-4")
 
     def test_controller_chaos(self, tmp_path):
-        _assert_parity(
-            tmp_path, policy="controller", routing="jsq",
-            fault_plan=_chaos(4, 3.0),
-        )
+        _assert_golden(tmp_path, "controller-chaos-4")
 
     def test_deeppower(self, tmp_path):
-        # DRL policy: live tick_count sync feeds window observations.
-        _assert_parity(tmp_path, policy="deeppower", routing="jsq")
+        _assert_golden(tmp_path, "deeppower-jsq-4")
 
     def test_soak_style_chaos_powercap(self, tmp_path):
-        # Longest config in the matrix: faults + cap + degraded routing,
-        # the fleet analogue of a soak run.
-        _assert_parity(
-            tmp_path, duration=8.0, policy="retail", routing="power-aware",
-            power_cap_watts=fleet_power_budget(4, 2, fraction=0.5),
-            fault_plan=_chaos(4, 8.0),
-        )
+        _assert_golden(tmp_path, "retail-chaos-powercap-4")
 
 
 class TestParityLargeFleet:
-    """64 nodes — above the cutover, where auto already batches."""
+    """64 nodes — above the cutoff, on the adopted fleet tick."""
 
     def test_controller_jsq(self, tmp_path):
-        _assert_parity(
-            tmp_path, nodes=64, duration=2.0, load=0.3,
-            policy="controller", routing="jsq",
-        )
+        _assert_golden(tmp_path, "controller-jsq-64")
 
     def test_controller_chaos_powercap(self, tmp_path):
-        _assert_parity(
-            tmp_path, nodes=64, duration=2.0, load=0.3,
-            policy="controller", routing="power-aware",
-            power_cap_watts=fleet_power_budget(64, 2, fraction=0.5),
-            fault_plan=_chaos(64, 2.0),
-        )
+        _assert_golden(tmp_path, "controller-chaos-powercap-64")
 
 
 class TestParityCappedVectorLane:
@@ -140,40 +232,22 @@ class TestParityCappedVectorLane:
     only fault-injector rows take the per-node lane."""
 
     def test_controller_powercap_no_faults_64(self, tmp_path):
-        _assert_parity(
-            tmp_path, nodes=64, duration=2.0, load=0.3,
-            policy="controller", routing="jsq",
-            power_cap_watts=fleet_power_budget(64, 2, fraction=0.4),
-        )
+        _assert_golden(tmp_path, "controller-powercap-64")
 
     def test_mixed_injector_and_cap_rows(self, tmp_path):
-        # Actuator faults (failed and delayed writes) on every third node
-        # only, so injector rows and capped vector rows share each tick.
-        # Writes delayed across a ceiling move pin that injector rows get
-        # the unclamped request.
-        plan = FleetFaultPlan(
-            node_plans=tuple(
-                (i, FaultPlan(seed=i, dvfs_fail_prob=0.05,
-                              dvfs_delay_prob=0.3, dvfs_delay=0.02))
-                for i in range(0, 16, 3)
-            ),
-            seed=5,
-        )
-        _assert_parity(
-            tmp_path, nodes=16, duration=3.0, load=0.4,
-            policy="controller", routing="power-aware",
-            power_cap_watts=fleet_power_budget(16, 2, fraction=0.4),
-            fault_plan=plan,
-        )
+        _assert_golden(tmp_path, "mixed-injector-cap-16")
 
-    def test_deeppower_powercap(self, tmp_path):
-        # Traced DeepPower fleet with controller window stats on, so the
-        # batch's window rows observe capped frequencies.  Fleet runtimes
-        # have no trace of their own, so the stats are enabled directly.
-        _assert_parity(
-            tmp_path, policy="deeppower", routing="jsq", window_stats=True,
-            power_cap_watts=fleet_power_budget(4, 2, fraction=0.4),
-        )
+    def test_hier_chaos_powercap(self, tmp_path):
+        _assert_golden(tmp_path, "hier-chaos-powercap-16")
+
+    def test_deeppower_powercap(self, tmp_path, monkeypatch):
+        # Window stats are per-controller state the fleet tick does not
+        # feed: even with the cutoff out of the way, a windowed fleet
+        # keeps its per-node ticks.
+        monkeypatch.setattr(batch_mod, "SCALAR_BATCH_CUTOFF", 1)
+        verdicts = _spy_adoption(monkeypatch)
+        _assert_golden(tmp_path, "deeppower-powercap-windowed-4")
+        assert verdicts == [False]
 
 
 class TestCeilingInvariant:
@@ -193,7 +267,7 @@ class TestCeilingInvariant:
         rps = get_app(APP).rps_for_load(0.5, nodes * cores)
         config = ClusterConfig(
             app=APP, num_nodes=nodes, cores_per_node=cores, seed=11,
-            policy="controller", routing="jsq", stepping="batched",
+            policy="controller", routing="jsq",
             power_cap_watts=fleet_power_budget(nodes, cores, fraction=0.6),
         )
         sim = ClusterSim(config, constant_trace(rps, 4.0))
@@ -238,50 +312,92 @@ class TestCeilingInvariant:
         assert len(writes) == sum(n.cpu.total_switches() for n in sim.nodes)
 
 
+def _probe_ticks(nodes):
+    """Run a controller fleet; report its tick topology at t = 0.5 s."""
+    rps = get_app(APP).rps_for_load(0.3, nodes * 2)
+    config = ClusterConfig(
+        app=APP, num_nodes=nodes, cores_per_node=2,
+        policy="controller", routing="jsq", seed=11,
+    )
+    sim = ClusterSim(config, constant_trace(rps, 1.0))
+    assert isinstance(sim.batch, FleetBatch)
+    assert sim.dispatcher.batch is sim.batch
+    seen = {}
+
+    def probe():
+        seen["fleet_tick"] = sim.batch._tick_task is not None
+        seen["node_ticks"] = [
+            not d.controller._task.stopped for d in sim.drivers
+        ]
+
+    sim.engine.schedule_at(0.5, probe)
+    metrics = sim.run()
+    return seen, metrics
+
+
 class TestCutover:
-    def _sim(self, stepping, nodes):
-        rps = get_app(APP).rps_for_load(0.3, nodes * 2)
-        config = ClusterConfig(
-            app=APP, num_nodes=nodes, cores_per_node=2,
-            policy="controller", routing="jsq", seed=11, stepping=stepping,
-        )
-        return ClusterSim(config, constant_trace(rps, 1.0))
+    """Below ``SCALAR_BATCH_CUTOFF`` nodes each controller keeps its own
+    per-node tick; the fleet tick stays idle."""
 
     def test_auto_below_cutoff_is_scalar(self):
-        sim = self._sim("auto", SCALAR_BATCH_CUTOFF - 1)
-        assert sim.batch is None
-
-    def test_auto_at_cutoff_is_batched(self):
-        sim = self._sim("auto", SCALAR_BATCH_CUTOFF)
-        assert isinstance(sim.batch, FleetBatch)
-
-    def test_forced_modes_override_auto(self):
-        assert self._sim("batched", 2).batch is not None
-        assert self._sim("scalar", SCALAR_BATCH_CUTOFF).batch is None
+        nodes = SCALAR_BATCH_CUTOFF - 1
+        seen, _ = _probe_ticks(nodes)
+        assert not seen["fleet_tick"]
+        assert seen["node_ticks"] == [True] * nodes
 
     def test_scalar_fallback_runs(self):
-        # The fallback below the cutoff is not dead code: it simulates.
-        sim = self._sim("auto", 2)
-        assert sim.batch is None
-        metrics = sim.run()
+        # The per-node tick path is not dead code: small fleets simulate.
+        for nodes in (1, 2):
+            seen, metrics = _probe_ticks(nodes)
+            assert not seen["fleet_tick"]
+            assert seen["node_ticks"] == [True] * nodes
+            assert metrics.fleet.completed > 0
+
+
+class TestAdoption:
+    """The fleet tick replaces per-node controller ticks from
+    ``SCALAR_BATCH_CUTOFF`` nodes up; dispatch always runs on the batch."""
+
+    def test_at_cutoff_adopts(self):
+        seen, metrics = _probe_ticks(SCALAR_BATCH_CUTOFF)
+        assert seen["fleet_tick"]
+        assert seen["node_ticks"] == [False] * SCALAR_BATCH_CUTOFF
         assert metrics.fleet.completed > 0
 
-    def test_invalid_stepping_rejected(self):
-        with pytest.raises(ValueError, match="stepping"):
-            ClusterConfig(app=APP, num_nodes=2, cores_per_node=2,
-                          stepping="vector")
+    @pytest.mark.parametrize(
+        "name, adopts",
+        [
+            ("controller-jsq-4", True),
+            ("controller-round-robin-4", True),
+            ("controller-powercap-4", True),
+            ("controller-chaos-4", True),
+            ("deeppower-jsq-4", True),
+            ("retail-jsq-4", False),
+        ],
+    )
+    def test_forced_adoption_matches_golden(
+        self, tmp_path, monkeypatch, name, adopts
+    ):
+        # Tick parity: with the cutoff lowered, 4-node fleets run the
+        # stacked fleet tick and must still reproduce their goldens.
+        monkeypatch.setattr(batch_mod, "SCALAR_BATCH_CUTOFF", 4)
+        verdicts = _spy_adoption(monkeypatch)
+        _assert_golden(tmp_path, name)
+        assert verdicts == ([True] if adopts else [])
+
+
+#: ``content_key`` of the spec below, recorded before the single-path change.
+RECORDED_CACHE_KEY = (
+    "82429fc82a51e4a5f151fd0b0269c6d20846005cd04468ce622a4b386324c59a"
+)
 
 
 class TestSpecCacheKey:
-    def test_stepping_excluded_from_cache_payload(self):
-        # A cached scalar result must satisfy a batched request and vice
-        # versa — the two modes are bitwise identical by construction.
-        kw = dict(
+    def test_cache_key_matches_recorded(self):
+        # Fleet results cached before the fleet had a single stepping
+        # path stay valid: the cache key of this spec is pinned.
+        spec = FleetSpec(
             app=APP, policy="controller", trace=constant_trace(60.0, 1.0),
             num_nodes=4, cores_per_node=2, seed=11, routing="jsq",
         )
-        keys = {
-            content_key(FleetSpec(stepping=s, **kw).cache_payload())
-            for s in ("auto", "batched", "scalar")
-        }
-        assert len(keys) == 1
+        assert content_key(spec.cache_payload()) == RECORDED_CACHE_KEY

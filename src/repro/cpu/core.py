@@ -10,12 +10,13 @@ scale DVFS (the paper's thread controller) affect in-flight requests.
 Energy is metered exactly: the core integrates ``P(f, busy)`` lazily,
 accumulating on every state transition (frequency change, busy/idle edge)
 and on demand at reads.  No sampling error is introduced, matching the
-counter semantics of Intel RAPL.
+counter semantics of Intel RAPL.  The power model is immutable, so ``P`` is
+evaluated once per frequency level and cached.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Dict, List, Tuple
 
 from ..sim.engine import Engine
 from .dvfs import FrequencyTable
@@ -55,6 +56,10 @@ class Core:
 
         self._freq = table.fmax
         self._busy = False
+        # Frequency -> (idle watts, busy watts), filled on first use; the
+        # current level's pair is indexed with the busy flag.
+        self._power_pairs: Dict[float, Tuple[float, float]] = {}
+        self._watts = self._power_pair(self._freq)
         self._energy = 0.0
         self._busy_time = 0.0
         self._last_t = engine.now
@@ -98,6 +103,7 @@ class Core:
         self._advance()
         old = self._freq
         self._freq = f
+        self._watts = self._power_pair(f)
         self.switch_count += 1
         for fn in self._listeners:
             fn(self, old, f)
@@ -124,7 +130,7 @@ class Core:
 
     def power_watts(self) -> float:
         """Instantaneous power draw (W) in the current state."""
-        return self.power_model.core_power(self._freq, self._busy)
+        return self._watts[self._busy]
 
     # ----------------------------------------------------------------- compute
 
@@ -141,11 +147,19 @@ class Core:
 
     # ---------------------------------------------------------------- internal
 
+    def _power_pair(self, freq: float) -> Tuple[float, float]:
+        pair = self._power_pairs.get(freq)
+        if pair is None:
+            pm = self.power_model
+            pair = (pm.core_power(freq, False), pm.core_power(freq, True))
+            self._power_pairs[freq] = pair
+        return pair
+
     def _advance(self) -> None:
         now = self.engine.now
         dt = now - self._last_t
         if dt > 0.0:
-            self._energy += self.power_model.core_power(self._freq, self._busy) * dt
+            self._energy += self._watts[self._busy] * dt
             if self._busy:
                 self._busy_time += dt
             self._last_t = now

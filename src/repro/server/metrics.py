@@ -7,6 +7,7 @@ Fig 7c, plus the power-side numbers joined in by the experiment runner.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List
 
@@ -97,9 +98,11 @@ class LatencyRecorder:
         self.sla = float(sla)
         self.tail_quantile = float(tail_quantile)
         self.keep_requests = keep_requests
-        self.latencies: List[float] = []
-        self.service_times: List[float] = []
-        self.queue_times: List[float] = []
+        # Per-request samples as packed doubles (8 bytes each, not a boxed
+        # float per entry); they slice, extend and test truthiness like lists.
+        self.latencies = array("d")
+        self.service_times = array("d")
+        self.queue_times = array("d")
         self.requests: List[Request] = []
         self.arrived = 0
         self.completed = 0
@@ -110,18 +113,32 @@ class LatencyRecorder:
     def on_arrival(self, req: Request) -> None:
         self.arrived += 1
 
-    def on_complete(self, req: Request) -> None:
-        lat = req.latency
-        if lat is None:  # pragma: no cover - server always stamps finish_time
+    def on_complete(self, req: Request) -> float:
+        """Record a finished request; returns its end-to-end latency.
+
+        Latency, service and queue time come straight from the request's
+        stamps (the same values as its ``latency``/``service_time``/
+        ``queue_time`` views), each computed once.
+        """
+        finish = req.finish_time
+        if finish is None:  # pragma: no cover - server always stamps finish_time
             raise ValueError("on_complete called with unfinished request")
+        arrival = req.arrival_time
+        start = req.start_time
+        lat = finish - arrival
         self.completed += 1
         self.latencies.append(lat)
-        self.service_times.append(req.service_time or 0.0)
-        self.queue_times.append(req.queue_time or 0.0)
+        if start is None:  # pragma: no cover - a finished request has started
+            self.service_times.append(0.0)
+            self.queue_times.append(0.0)
+        else:
+            self.service_times.append((finish - start) or 0.0)
+            self.queue_times.append((start - arrival) or 0.0)
         if lat > self.sla:
             self.timeouts += 1
         if self.keep_requests:
             self.requests.append(req)
+        return lat
 
     # ----------------------------------------------------------------- queries
 
@@ -166,9 +183,9 @@ class LatencyRecorder:
 
     def reset(self) -> None:
         """Clear all recorded data (e.g. after a warmup period)."""
-        self.latencies.clear()
-        self.service_times.clear()
-        self.queue_times.clear()
+        del self.latencies[:]
+        del self.service_times[:]
+        del self.queue_times[:]
         self.requests.clear()
         self.arrived = 0
         self.completed = 0

@@ -61,7 +61,19 @@ def contention_inflation(
     :func:`repro.baselines.predictors.profile_app` so offline profiling
     sees the same phenomenon a live run produces.  Accepts scalars or
     arrays in ``work``.
+
+    A Python ``int``/``float`` ``work`` (every dispatch) takes a pure-Python
+    branch: the same IEEE double operations in the same order as the array
+    branch, so both give bitwise-equal results, without numpy's per-call
+    overhead on one number.
     """
+    if isinstance(work, (int, float)):
+        if mean_work <= 0:
+            return 1.0
+        size = float(work) / mean_work
+        if size > CONTENTION_SIZE_CAP:
+            size = CONTENTION_SIZE_CAP
+        return float(1.0 + contention * rho * size)
     if mean_work <= 0:
         return 1.0 if np.isscalar(work) else np.ones_like(np.asarray(work, dtype=float))
     size = np.minimum(np.asarray(work, dtype=float) / mean_work, CONTENTION_SIZE_CAP)
@@ -243,8 +255,8 @@ class Server:
         self._policy.on_start(req, worker.core)
 
     def _worker_done(self, worker: Worker, req: Request) -> None:
-        self.metrics.on_complete(req)
-        self.telemetry.note_completion(req.timed_out)
+        latency = self.metrics.on_complete(req)
+        self.telemetry.note_completion(latency > req.sla)
         self._begin_times[worker.core_id] = np.nan
         self._policy.on_complete(req, worker.core)
         if self.queue and not self._paused:

@@ -43,6 +43,8 @@ class Worker:
     ) -> None:
         self.engine = engine
         self.core = core
+        #: Id of the pinned core (fixed for the worker's lifetime).
+        self.core_id = core.core_id
         self._on_complete = on_complete
         self.current: Optional[Request] = None
         self.completed_count = 0
@@ -56,10 +58,6 @@ class Worker:
     @property
     def busy(self) -> bool:
         return self.current is not None
-
-    @property
-    def core_id(self) -> int:
-        return self.core.core_id
 
     def remaining_work(self) -> float:
         """Work (GHz-seconds) left on the current request (0 if idle)."""

@@ -54,7 +54,10 @@ class Engine:
     _COMPACT_MIN = 4096
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current virtual time in seconds.  A plain attribute so hot
+        #: callbacks read it without a property call; only the engine
+        #: writes it.
+        self.now = float(start_time)
         # Heap entries are (time, priority, seq, handle): seq is unique, so
         # heap sifting resolves every comparison on the numeric prefix in C
         # and never falls back to comparing EventHandle objects in python.
@@ -68,11 +71,6 @@ class Engine:
         self.spans = None
 
     # ------------------------------------------------------------------ clock
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def processed_events(self) -> int:
@@ -103,9 +101,9 @@ class Engine:
         priority: int = PRIORITY_DEFAULT,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}: clock already at {self._now!r}"
+                f"cannot schedule at {time!r}: clock already at {self.now!r}"
             )
         ev = EventHandle(float(time), priority, callback, args)
         heapq.heappush(self._heap, (ev.time, priority, ev.seq, ev))
@@ -121,7 +119,7 @@ class Engine:
         """Schedule ``callback(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a previously scheduled event (no-op if already fired)."""
@@ -148,7 +146,7 @@ class Engine:
         ev = self._pop_live()
         if ev is None:
             return False
-        self._now = ev.time
+        self.now = ev.time
         cb, cb_args = ev.callback, ev.args
         ev.cancel()  # release references; it has fired
         self._processed += 1
@@ -162,8 +160,8 @@ class Engine:
         With ``inclusive`` (default) events stamped exactly ``time`` fire;
         otherwise they stay pending.
         """
-        if time < self._now:
-            raise SimulationError(f"run_until({time!r}) is in the past (now={self._now!r})")
+        if time < self.now:
+            raise SimulationError(f"run_until({time!r}) is in the past (now={self.now!r})")
         self._guard_reentry()
         t0 = perf_counter() if self.spans is not None else None
         try:
@@ -180,7 +178,7 @@ class Engine:
                 if ev_time > time or (not inclusive and ev_time == time):
                     break
                 heappop(heap)
-                self._now = ev_time
+                self.now = ev_time
                 cb, cb_args = ev.callback, ev.args
                 ev.cancel()  # release references; it has fired
                 self._processed += 1
@@ -190,7 +188,7 @@ class Engine:
             self._running = False
             if t0 is not None:
                 self.spans.record("engine.run_until", perf_counter() - t0)
-        self._now = float(time)
+        self.now = float(time)
 
     def run(self, max_events: int | None = None) -> int:
         """Run until the heap drains (or ``max_events``); returns events run."""

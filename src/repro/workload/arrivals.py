@@ -6,6 +6,16 @@ queueing delay feeds directly into tail latency instead of throttling the
 client.  :class:`OpenLoopSource` implements an inhomogeneous Poisson process
 over a :class:`~repro.workload.trace.WorkloadTrace` by sampling exponential
 gaps within each piecewise-constant segment (exact, no thinning needed).
+
+Segment walk
+------------
+Arrival times only move forward, so the source keeps the index of the
+segment it is in and walks it forward past every edge at or before the
+current time — the segment ``np.searchsorted(edges, t, side="right") - 1``
+would find, without a search per arrival.  Edges and rates are kept as
+plain Python floats, so the per-arrival arithmetic never touches numpy
+scalars; the random stream sees the same ``exponential(1 / rate)`` draws
+in the same order.
 """
 
 from __future__ import annotations
@@ -59,6 +69,9 @@ class OpenLoopSource:
         self.sla = float(sla)
         self.sink = sink
         self.rng = rng
+        self._edges = trace.edges.tolist()
+        self._rates = trace.rates.tolist()
+        self._seg = 0
         self.generated = 0
         self._next_id = 0
         self._done = False
@@ -115,23 +128,27 @@ class OpenLoopSource:
         Walks segments: in a segment with rate ``r`` the residual gap is
         exponential with mean ``1/r``; if the candidate lands beyond the
         segment end, the process restarts (memorylessness) at the next
-        segment boundary.
+        segment boundary.  ``after`` never decreases between calls, so the
+        current segment index only moves forward.
         """
-        edges = self.trace.edges
-        rates = self.trace.rates
+        edges = self._edges
+        rates = self._rates
+        last = len(rates) - 1
+        seg = self._seg
         t = after
-        end = float(edges[-1])
+        end = edges[-1]
         while t < end:
-            idx = int(np.searchsorted(edges, t, side="right")) - 1
-            idx = max(idx, 0)
-            rate = float(rates[idx])
-            seg_end = float(edges[idx + 1])
+            while seg < last and edges[seg + 1] <= t:
+                seg += 1
+            rate = rates[seg]
+            seg_end = edges[seg + 1]
             if rate <= 0.0:
                 t = seg_end
                 continue
-            gap = self.rng.exponential(1.0 / rate)
-            candidate = t + gap
+            candidate = t + self.rng.exponential(1.0 / rate)
             if candidate <= seg_end:
+                self._seg = seg
                 return candidate
             t = seg_end
+        self._seg = seg
         return None

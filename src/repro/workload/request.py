@@ -10,7 +10,7 @@ import numpy as np
 __all__ = ["Request"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """A single client request.
 

@@ -90,11 +90,16 @@ class LognormalCorrelatedService(ServiceModel):
             raise ValueError("sigma must be >= 0")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
+        # Per-request constants, computed once (not dataclass fields).
+        object.__setattr__(
+            self, "_mu", math.log(self.mean_work) - 0.5 * self.sigma * self.sigma
+        )
+        object.__setattr__(self, "_hid_scale", math.sqrt(1.0 - self.rho * self.rho))
 
     @property
     def mu(self) -> float:
         """Log-mean such that E[exp(mu + sigma Z)] == mean_work."""
-        return math.log(self.mean_work) - 0.5 * self.sigma * self.sigma
+        return self._mu
 
     def tail_ratio(self, q: float = 0.99) -> float:
         """Analytic p_q / mean ratio (Fig 1's headline statistic)."""
@@ -107,9 +112,7 @@ class LognormalCorrelatedService(ServiceModel):
         z_vis = rng.standard_normal()
         z_hid = rng.standard_normal()
         u = rng.random()
-        logw = self.mu + self.sigma * (
-            self.rho * z_vis + math.sqrt(1.0 - self.rho * self.rho) * z_hid
-        )
+        logw = self._mu + self.sigma * (self.rho * z_vis + self._hid_scale * z_hid)
         work = math.exp(logw)
         feats = np.array([z_vis, z_vis * z_vis, u])
         return work, feats
@@ -118,9 +121,7 @@ class LognormalCorrelatedService(ServiceModel):
         z_vis = rng.standard_normal(n)
         z_hid = rng.standard_normal(n)
         u = rng.random(n)
-        logw = self.mu + self.sigma * (
-            self.rho * z_vis + math.sqrt(1.0 - self.rho * self.rho) * z_hid
-        )
+        logw = self._mu + self.sigma * (self.rho * z_vis + self._hid_scale * z_hid)
         works = np.exp(logw)
         feats = np.stack([z_vis, z_vis * z_vis, u], axis=1)
         return works, feats

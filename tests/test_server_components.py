@@ -113,12 +113,29 @@ class TestLatencyRecorder:
         rec.on_complete(self._completed(0.0, 0.5))
         assert len(rec.requests) == 1
 
+    def test_samples_are_packed_doubles(self):
+        # Fleet code slices the per-request samples from a seen-count,
+        # tests the slice's truthiness and extends pooled recorders.
+        rec = LatencyRecorder(sla=1.0)
+        assert not rec.latencies
+        for lat in (0.2, 0.4, 1.5):
+            rec.on_complete(self._completed(0.0, lat))
+        assert rec.latencies.typecode == "d"
+        fresh = rec.latencies[1:]
+        assert fresh and list(fresh) == [0.4, 1.5]
+        assert not rec.latencies[3:]
+        pooled = LatencyRecorder(sla=1.0)
+        pooled.latencies.extend(rec.latencies)
+        pooled.latencies.extend([2.0])
+        assert list(pooled.latencies) == [0.2, 0.4, 1.5, 2.0]
+        assert rec.tail_latency() == float(np.quantile([0.2, 0.4, 1.5], 0.99))
+
     def test_reset(self):
         rec = LatencyRecorder(sla=1.0)
         rec.on_arrival(_req())
         rec.on_complete(self._completed(0.0, 0.5))
         rec.reset()
-        assert rec.completed == 0 and rec.arrived == 0 and rec.latencies == []
+        assert rec.completed == 0 and rec.arrived == 0 and list(rec.latencies) == []
 
     def test_empty_summarize_is_nan_not_perfect(self):
         # A zero-completion run has no latency evidence: the old 0.0

@@ -1,15 +1,19 @@
 """Tests for the server (dispatch, queueing, contention, telemetry)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.predictors import profile_app
 from repro.cpu import Cpu
 from repro.server import Server
 from repro.server.server import CONTENTION_SIZE_CAP, contention_inflation
 from repro.sim import Engine, RngRegistry
 from repro.workload import OpenLoopSource, Request, constant_trace
+from repro.workload.apps import get_app
 
 
 def _req(i=0, arrival=0.0, work=1.0, sla=10.0):
@@ -34,6 +38,53 @@ class TestContentionInflation:
         out = contention_inflation(0.5, 0.5, np.array([0.5, 1.0, 10.0]), 1.0)
         assert out.shape == (3,)
         assert out[0] < out[1] < out[2]
+
+    def test_scalar_branch_bitwise_equals_array_branch(self):
+        # Dispatch takes the pure-Python scalar branch, profile_app the array
+        # one; they must agree exactly, across the size cap and for a
+        # non-positive mean.
+        for mean_work in (-1.0, 0.0, 0.013, 0.37, 1.0, 2.5):
+            cap = CONTENTION_SIZE_CAP * mean_work
+            works = np.concatenate([
+                np.linspace(0.0, 5.0 * abs(mean_work) + 1.0, 97),
+                [cap, np.nextafter(cap, -np.inf), np.nextafter(cap, np.inf)],
+                [1e-300, 1e300, 7.0],
+            ])
+            for contention in (0.0, 0.2, 0.35, 1.7):
+                for rho in (0.0, 1.0 / 3.0, 0.8, 1.0):
+                    arr = contention_inflation(contention, rho, works, mean_work)
+                    assert arr.shape == works.shape
+                    for w, a in zip(works.tolist(), arr.tolist()):
+                        s = contention_inflation(contention, rho, w, mean_work)
+                        assert type(s) is float
+                        assert s == a, (contention, rho, w, mean_work)
+                        assert contention_inflation(contention, rho, np.float64(w), mean_work) == a
+        assert contention_inflation(0.5, 0.5, 7, 2.0) == contention_inflation(0.5, 0.5, 7.0, 2.0)
+
+    # SHA-256 of profile_app's (features, works) bytes, recorded before the
+    # scalar branch existed: offline profiling must see the same data.
+    PROFILE_DIGESTS = {
+        ("xapian", 0.0): "6a8dfb9ea5528065b014d03c2fb71f4f5b875ce6266681045539fea04351b240",
+        ("xapian", 0.5): "6c8cebd51d3dbd19ef95cf84906ead8e870984e880b25e7ce917ce688ef97bc9",
+        ("xapian", 0.9): "227ea80b153a89560ba68e688c370e07efb697c98de8dfcd4b6fa6b7403046cb",
+        ("img-dnn", 0.0): "7c3cdd6166fbc702cefa629b01deb338918e781e3bec502a5a2315dffe3f41e9",
+        ("img-dnn", 0.5): "6c346f67c7932d5f6b96c749d144aae3e5a9ce667d7a40042aa0bc04997ef3ce",
+        ("img-dnn", 0.9): "caa1080a932243f0d2669c89d9f7315fafb13f1e540130315f7a40df6d14e89b",
+    }
+
+    @pytest.mark.parametrize("app_name, load", sorted(PROFILE_DIGESTS))
+    def test_profile_app_unchanged(self, app_name, load):
+        app = get_app(app_name)
+        feats, works = profile_app(app, np.random.default_rng(11), n=500, load=load)
+        digest = hashlib.sha256(feats.tobytes() + works.tobytes()).hexdigest()
+        assert digest == self.PROFILE_DIGESTS[(app_name, load)]
+        # ... and equals the raw draws inflated one request at a time.
+        raw, _ = app.service.sample_batch(np.random.default_rng(11), 500)
+        mean = app.service.expected_work()
+        scalar = [
+            w * contention_inflation(app.contention, load, w, mean) for w in raw.tolist()
+        ]
+        assert works.tolist() == scalar
 
 
 class TestServerDispatch:

@@ -23,6 +23,14 @@ Run an 8-node fleet under a global power cap and inspect it per node::
         --power-cap auto --trace-out fleet.trace.jsonl
     deeppower trace summarize fleet.trace.jsonl --group-by node
 
+The same fleet under seeded node failures, with a learned budget
+coordinator, and with both::
+
+    deeppower fleet --nodes 8 --policy retail --chaos 1
+    deeppower fleet --nodes 8 --routing power-aware --power-cap auto --hier ddpg
+    deeppower fleet --nodes 8 --routing power-aware --power-cap auto \
+        --chaos 1 --hier ddpg
+
 Rebuild the per-interval (Fig 8-style) table from a trace::
 
     deeppower trace summarize run.trace.jsonl
@@ -31,6 +39,7 @@ Rebuild the per-interval (Fig 8-style) table from a trace::
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -224,6 +233,19 @@ def _validate_resume(parser: argparse.ArgumentParser, args) -> None:
         )
 
 
+def _validate_switches(parser: argparse.ArgumentParser, args) -> None:
+    """Reject ``fleet`` group flags given without ``--chaos`` / ``--hier``."""
+    if args.command != "fleet":
+        return
+    for switch, flags in args.switched.items():
+        if getattr(args, switch) is None:
+            for flag in flags:
+                if hasattr(args, flag.dest):
+                    parser.error(f"{flag.option_strings[0]} requires --{switch}")
+    if args.hier is not None and args.power_cap is None:
+        parser.error("--hier requires --power-cap (the budget it apportions)")
+
+
 def _cmd_list(args) -> int:
     for exp in list_experiments():
         print(f"{exp.id:22s} {exp.description}")
@@ -239,14 +261,13 @@ def _cmd_experiment(args) -> int:
         result_cache=not args.no_cache,
         trace_dir=args.trace_dir,
     )
-    kwargs = {}
     if args.full:
-        kwargs["full"] = True
-    try:
-        print(exp.execute(**ckpt, **kwargs))
-    except TypeError:
-        # Some experiments (fig5, table2, overhead) take no `full` flag.
-        print(exp.execute(**ckpt))
+        # Some experiments (fig5, table2, overhead) have no full profile.
+        if "full" not in inspect.signature(exp.run).parameters:
+            print(f"experiment {exp.id!r} has no --full profile", file=sys.stderr)
+            return 2
+        ckpt["full"] = True
+    print(exp.execute(**ckpt))
     return 0
 
 
@@ -323,12 +344,49 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _resume_fleet_agent(manager, args, hier, seed):
+    """The fleet agent in the newest ``--checkpoint-dir`` snapshot, or None
+    (start fresh) when there is none; ValueError if it cannot be used."""
+    from .hier import build_fleet_agent
+    from .parallel.pool import derive_seed
+
+    record = manager.load_latest()
+    if record is None:
+        print(
+            f"--resume: no fleet-agent snapshot in "
+            f"{args.checkpoint_dir!r}; starting fresh",
+            file=sys.stderr,
+        )
+        return None
+    if record.meta.get("kind") != "hier-fleet-agent":
+        raise ValueError(
+            f"newest snapshot in {args.checkpoint_dir!r} is not a "
+            f"fleet-agent checkpoint (kind={record.meta.get('kind')!r})"
+        )
+    fleet_agent = build_fleet_agent(
+        args.nodes, hier, derive_seed(seed, "hier", "fleet-agent")
+    )
+    try:
+        fleet_agent.load_state_dict(record.state["fleet_agent"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"snapshot rejected: {exc}") from exc
+    print(f"resumed fleet agent from step {record.step} ({record.path})")
+    return fleet_agent
+
+
+def _given(args, switch):
+    """The ``switch`` group's flags given on the command line, by dest."""
+    return {
+        flag.dest: getattr(args, flag.dest)
+        for flag in args.switched[switch] if hasattr(args, flag.dest)
+    }
+
+
 def _cmd_fleet(args) -> int:
     from .analysis.reporting import format_table
-    from .cluster import ClusterConfig, ClusterSim, fleet_power_budget, fleet_trace
+    from .cluster import ClusterConfig, fleet_power_budget, fleet_trace, run_cluster
     from .experiments.fleet import FLEET_LOAD, fleet_dimensions
     from .experiments.scenarios import active_profile, evaluation_trace
-    from .obs import Observability
 
     profile = active_profile(args.full)
     _, default_cores = fleet_dimensions(profile)
@@ -341,105 +399,57 @@ def _cmd_fleet(args) -> int:
     cap = args.power_cap
     if cap == "auto":
         cap = fleet_power_budget(args.nodes, cores)
-    config = ClusterConfig(
-        app=args.app,
-        num_nodes=args.nodes,
-        cores_per_node=cores,
-        policy=args.policy,
-        routing=args.routing,
-        power_cap_watts=cap,
-        seed=seed,
-        agent_path=args.agent,
-    )
-    obs = None
-    if args.trace_out:
-        obs = Observability.from_paths(
-            trace_out=args.trace_out,
-            meta={
-                "kind": "fleet",
-                "app": args.app,
-                "policy": args.policy,
-                "routing": args.routing,
-                "num_nodes": args.nodes,
-                "seed": seed,
-            },
-            trace_segment_events=args.trace_segment_events,
-            trace_compress=args.trace_compress,
-            trace_shard_key="node" if args.trace_shard_nodes else None,
-        )
-    try:
-        metrics = ClusterSim(config, trace, obs=obs).run()
-    finally:
-        if obs is not None:
-            obs.close()
-
-    def _ms(seconds: float) -> float:
-        return seconds * 1e3
-
-    rows = []
-    for node, (m, routed) in enumerate(zip(metrics.node_metrics, metrics.routed)):
-        rows.append(
-            [node, routed, m.avg_power_watts, m.energy_joules, m.completed,
-             m.timeouts, _ms(m.p95_latency), _ms(m.tail_latency)]
-        )
-    f = metrics.fleet
-    rows.append(
-        ["fleet", sum(metrics.routed), f.avg_power_watts, f.energy_joules,
-         f.completed, f.timeouts, _ms(f.p95_latency), _ms(f.tail_latency)]
-    )
-    print(
+    meta = {
+        "kind": "fleet",
+        "app": args.app,
+        "policy": args.policy,
+        "routing": args.routing,
+        "num_nodes": args.nodes,
+        "seed": seed,
+    }
+    banner = (
         f"fleet: {args.nodes} nodes x {cores} cores, app={args.app}, "
         f"policy={args.policy}, routing={args.routing}, seed={seed}"
     )
-    print(
-        format_table(
-            ["node", "routed", "power(W)", "energy(J)", "completed",
-             "timeouts", "p95(ms)", "p99(ms)"],
-            rows,
-            "{:.2f}",
+
+    plan = None
+    chaos_opts = _given(args, "chaos")
+    failover = not chaos_opts.pop("no_failover", False)
+    if args.chaos is not None:
+        from .faults import standard_chaos_plan
+
+        plan = standard_chaos_plan(
+            args.chaos, args.nodes, trace.duration, seed=seed, **chaos_opts
         )
-    )
-    if cap is not None:
-        verdict = "ok" if metrics.cap_ok else "EXCEEDED"
-        print(
-            f"power cap: budget={cap:.1f} W, "
-            f"peak window={metrics.max_window_power:.1f} W, "
-            f"throttled windows={metrics.throttled_windows} [{verdict}]"
-        )
-    if args.trace_out:
-        print(f"trace written to {args.trace_out}")
-    return 0
+        meta.update(intensity=args.chaos, failover=failover)
+        banner += f", chaos={args.chaos:g}, failover={'on' if failover else 'off'}"
 
+    hier = manager = fleet_agent = None
+    hier_opts = _given(args, "hier")
+    save_to = hier_opts.pop("save_hier_agent", None)
+    checkpoint_dir = hier_opts.pop("checkpoint_dir", None)
+    resume = hier_opts.pop("resume", False)
+    if args.hier is not None:
+        from .hier import HierConfig
 
-def _cmd_chaos(args) -> int:
-    from .analysis.reporting import format_table
-    from .cluster import ClusterConfig, ClusterSim, fleet_power_budget, fleet_trace
-    from .experiments.fleet import FLEET_LOAD, fleet_dimensions
-    from .experiments.scenarios import active_profile, evaluation_trace
-    from .faults import standard_chaos_plan
-    from .obs import Observability
+        try:
+            hier = HierConfig(algo=args.hier, **hier_opts)
+        except ValueError as exc:
+            print(f"invalid hier configuration: {exc}", file=sys.stderr)
+            return 2
+        if checkpoint_dir is not None:
+            from .checkpoint import CheckpointManager
 
-    profile = active_profile(args.full)
-    _, default_cores = fleet_dimensions(profile)
-    cores = args.cores if args.cores is not None else default_cores
-    seed = args.seed if args.seed is not None else profile.seed
-    load = args.load if args.load is not None else FLEET_LOAD
-    trace = fleet_trace(
-        evaluation_trace(profile), args.app, args.nodes, cores, load=load
-    )
-    plan = standard_chaos_plan(
-        args.intensity,
-        args.nodes,
-        trace.duration,
-        seed=seed,
-        retry_budget=args.retry_budget,
-        retry_backoff=args.retry_backoff,
-        recovery_time=args.recovery,
-        drop_in_flight=args.drop_in_flight,
-    )
-    cap = args.power_cap
-    if cap == "auto":
-        cap = fleet_power_budget(args.nodes, cores)
+            manager = CheckpointManager(checkpoint_dir, prefix="hier")
+            if resume:
+                try:
+                    fleet_agent = _resume_fleet_agent(manager, args, hier, seed)
+                except ValueError as exc:
+                    print(f"--resume: {exc}", file=sys.stderr)
+                    return 2
+        meta.update(algo=args.hier, train=hier.train)
+        banner += f", hier={args.hier}, mode={'train' if hier.train else 'eval'}"
+
     config = ClusterConfig(
         app=args.app,
         num_nodes=args.nodes,
@@ -450,71 +460,50 @@ def _cmd_chaos(args) -> int:
         seed=seed,
         agent_path=args.agent,
         fault_plan=plan,
-        health_aware=False if args.no_failover else None,
+        health_aware=None if failover else False,
+        hier=hier,
     )
-    obs = None
-    if args.trace_out:
-        obs = Observability.from_paths(
-            trace_out=args.trace_out,
-            meta={
-                "kind": "chaos",
-                "app": args.app,
-                "policy": args.policy,
-                "routing": args.routing,
-                "num_nodes": args.nodes,
-                "intensity": args.intensity,
-                "failover": not args.no_failover,
-                "seed": seed,
-            },
-            trace_segment_events=args.trace_segment_events,
-            trace_compress=args.trace_compress,
-            trace_shard_key="node" if args.trace_shard_nodes else None,
-        )
-    try:
-        metrics = ClusterSim(config, trace, obs=obs).run()
-    finally:
-        if obs is not None:
-            obs.close()
+    sim, metrics = run_cluster(
+        config,
+        trace,
+        trace_out=args.trace_out,
+        meta=meta,
+        trace_segment_events=args.trace_segment_events,
+        trace_compress=args.trace_compress,
+        trace_shard_by_node=args.trace_shard_nodes,
+        fleet_agent=fleet_agent,
+    )
 
-    def _ms(seconds: float) -> float:
-        return seconds * 1e3
-
-    rows = []
-    for node, (m, routed) in enumerate(zip(metrics.node_metrics, metrics.routed)):
-        rows.append(
-            [node, routed, m.avg_power_watts, m.energy_joules, m.completed,
-             m.timeouts, _ms(m.p95_latency), _ms(m.tail_latency),
-             metrics.node_availability[node]]
-        )
+    headers = ["node", "routed", "power(W)", "energy(J)", "completed",
+               "timeouts", "p95(ms)", "p99(ms)"]
     f = metrics.fleet
+    rows = [
+        [node, routed, m.avg_power_watts, m.energy_joules, m.completed,
+         m.timeouts, m.p95_latency * 1e3, m.tail_latency * 1e3]
+        for node, (m, routed) in enumerate(zip(metrics.node_metrics, metrics.routed))
+    ]
     rows.append(
         ["fleet", sum(metrics.routed), f.avg_power_watts, f.energy_joules,
-         f.completed, f.timeouts, _ms(f.p95_latency), _ms(f.tail_latency),
-         metrics.fleet_availability]
+         f.completed, f.timeouts, f.p95_latency * 1e3, f.tail_latency * 1e3]
     )
-    print(
-        f"chaos: {args.nodes} nodes x {cores} cores, app={args.app}, "
-        f"policy={args.policy}, routing={args.routing}, "
-        f"intensity={args.intensity:g}, "
-        f"failover={'off' if args.no_failover else 'on'}, seed={seed}"
-    )
-    print(
-        format_table(
-            ["node", "routed", "power(W)", "energy(J)", "completed",
-             "timeouts", "p95(ms)", "p99(ms)", "avail"],
-            rows,
-            "{:.2f}",
+    if plan is not None:
+        headers.append("avail")
+        for row, avail in zip(
+            rows, [*metrics.node_availability, metrics.fleet_availability]
+        ):
+            row.append(avail)
+    print(banner)
+    print(format_table(headers, rows, "{:.2f}"))
+    if plan is not None:
+        print(
+            f"chaos: crashes={metrics.crashes}, "
+            f"redispatched={metrics.redispatches}, "
+            f"dropped={metrics.dropped_requests}, "
+            f"unroutable={metrics.unroutable}, "
+            f"partitions={metrics.partitions}, "
+            f"availability={metrics.fleet_availability:.3f}, "
+            f"sla={'met' if f.sla_met else 'MISS'}"
         )
-    )
-    print(
-        f"chaos: crashes={metrics.crashes}, "
-        f"redispatched={metrics.redispatches}, "
-        f"dropped={metrics.dropped_requests}, "
-        f"unroutable={metrics.unroutable}, "
-        f"partitions={metrics.partitions}, "
-        f"availability={metrics.fleet_availability:.3f}, "
-        f"sla={'met' if f.sla_met else 'MISS'}"
-    )
     if cap is not None:
         verdict = "ok" if metrics.cap_ok else "EXCEEDED"
         print(
@@ -522,170 +511,27 @@ def _cmd_chaos(args) -> int:
             f"peak window={metrics.max_window_power:.1f} W, "
             f"throttled windows={metrics.throttled_windows} [{verdict}]"
         )
-    if args.trace_out:
-        print(f"trace written to {args.trace_out}")
-    return 0
-
-
-def _cmd_hier(args) -> int:
-    from .analysis.reporting import format_table
-    from .cluster import ClusterConfig, ClusterSim, fleet_power_budget, fleet_trace
-    from .experiments.fleet import fleet_dimensions
-    from .experiments.hier import HIER_LOAD
-    from .experiments.scenarios import active_profile, evaluation_trace
-    from .hier import HierConfig, build_fleet_agent
-    from .obs import Observability
-    from .parallel.pool import derive_seed
-
-    profile = active_profile(args.full)
-    _, default_cores = fleet_dimensions(profile)
-    cores = args.cores if args.cores is not None else default_cores
-    seed = args.seed if args.seed is not None else profile.seed
-    load = args.load if args.load is not None else HIER_LOAD
-    trace = fleet_trace(
-        evaluation_trace(profile), args.app, args.nodes, cores, load=load
-    )
-    budget = args.power_budget
-    if budget == "auto":
-        budget = fleet_power_budget(args.nodes, cores)
-    try:
-        hier = HierConfig(
-            algo=args.algo,
-            train=not args.eval,
-            agent_path=args.agent,
-            shared_replay=args.shared_replay,
-            fed_avg_every=args.fed_avg_every,
+    if hier is not None:
+        print(
+            f"fleet agent: decisions={metrics.hier_decisions}, "
+            f"updates={metrics.hier_updates}, "
+            f"fed_rounds={metrics.hier_fed_rounds}, "
+            f"sla={'met' if f.sla_met else 'MISS'}"
         )
-    except ValueError as exc:
-        print(f"invalid hier configuration: {exc}", file=sys.stderr)
-        return 2
-    config = ClusterConfig(
-        app=args.app,
-        num_nodes=args.nodes,
-        cores_per_node=cores,
-        policy=args.policy,
-        routing=args.routing,
-        power_cap_watts=budget,
-        seed=seed,
-        hier=hier,
-    )
-
-    manager = None
-    fleet_agent = None
-    if args.checkpoint_dir is not None:
-        from .checkpoint import CheckpointManager
-
-        manager = CheckpointManager(args.checkpoint_dir, prefix="hier")
-        if args.resume:
-            record = manager.load_latest()
-            if record is None:
-                print(
-                    f"--resume: no fleet-agent snapshot in "
-                    f"{args.checkpoint_dir!r}; starting fresh",
-                    file=sys.stderr,
-                )
-            elif record.meta.get("kind") != "hier-fleet-agent":
-                print(
-                    f"--resume: newest snapshot in {args.checkpoint_dir!r} "
-                    f"is not a fleet-agent checkpoint "
-                    f"(kind={record.meta.get('kind')!r})",
-                    file=sys.stderr,
-                )
-                return 2
-            else:
-                fleet_agent = build_fleet_agent(
-                    args.nodes, hier, derive_seed(seed, "hier", "fleet-agent")
-                )
-                try:
-                    fleet_agent.load_state_dict(record.state["fleet_agent"])
-                except (KeyError, ValueError) as exc:
-                    print(f"--resume: snapshot rejected: {exc}", file=sys.stderr)
-                    return 2
-                print(
-                    f"resumed fleet agent from step {record.step} "
-                    f"({record.path})"
-                )
-
-    obs = None
-    if args.trace_out:
-        obs = Observability.from_paths(
-            trace_out=args.trace_out,
-            meta={
-                "kind": "hier",
-                "app": args.app,
-                "policy": args.policy,
-                "routing": args.routing,
-                "num_nodes": args.nodes,
-                "algo": args.algo,
-                "train": not args.eval,
-                "seed": seed,
-            },
-            trace_segment_events=args.trace_segment_events,
-            trace_compress=args.trace_compress,
-            trace_shard_key="node" if args.trace_shard_nodes else None,
-        )
-    sim = ClusterSim(config, trace, obs=obs, fleet_agent=fleet_agent)
-    try:
-        metrics = sim.run()
-    finally:
-        if obs is not None:
-            obs.close()
-
-    def _ms(seconds: float) -> float:
-        return seconds * 1e3
-
-    rows = []
-    for node, (m, routed) in enumerate(zip(metrics.node_metrics, metrics.routed)):
-        rows.append(
-            [node, routed, m.avg_power_watts, m.energy_joules, m.completed,
-             m.timeouts, _ms(m.p95_latency), _ms(m.tail_latency)]
-        )
-    f = metrics.fleet
-    rows.append(
-        ["fleet", sum(metrics.routed), f.avg_power_watts, f.energy_joules,
-         f.completed, f.timeouts, _ms(f.p95_latency), _ms(f.tail_latency)]
-    )
-    print(
-        f"hier: {args.nodes} nodes x {cores} cores, app={args.app}, "
-        f"policy={args.policy}, routing={args.routing}, "
-        f"algo={args.algo}, "
-        f"mode={'eval' if args.eval else 'train'}, seed={seed}"
-    )
-    print(
-        format_table(
-            ["node", "routed", "power(W)", "energy(J)", "completed",
-             "timeouts", "p95(ms)", "p99(ms)"],
-            rows,
-            "{:.2f}",
-        )
-    )
-    verdict = "ok" if metrics.cap_ok else "EXCEEDED"
-    print(
-        f"power cap: budget={budget:.1f} W, "
-        f"peak window={metrics.max_window_power:.1f} W, "
-        f"throttled windows={metrics.throttled_windows} [{verdict}]"
-    )
-    print(
-        f"fleet agent: decisions={metrics.hier_decisions}, "
-        f"updates={metrics.hier_updates}, "
-        f"fed_rounds={metrics.hier_fed_rounds}, "
-        f"sla={'met' if f.sla_met else 'MISS'}"
-    )
     if manager is not None:
-        step = (manager.latest_step() or 0) + 1
         path = manager.save(
             {"fleet_agent": sim.fleet_agent.state_dict()},
-            step=step,
+            step=(manager.latest_step() or 0) + 1,
             meta={
                 "kind": "hier-fleet-agent",
                 "num_nodes": args.nodes,
-                "algo": args.algo,
+                "algo": args.hier,
             },
         )
         print(f"fleet-agent checkpoint written to {path}")
-    if args.save_agent:
-        sim.fleet_agent.save(args.save_agent)
-        print(f"fleet-agent parameters saved to {args.save_agent}")
+    if save_to:
+        sim.fleet_agent.save(save_to)
+        print(f"fleet-agent parameters saved to {save_to}")
     if args.trace_out:
         print(f"trace written to {args.trace_out}")
     return 0
@@ -861,7 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_train)
 
     sp = sub.add_parser(
-        "fleet", help="run a multi-node cluster under one arrival stream"
+        "fleet",
+        help="run a multi-node cluster under one arrival stream, optionally "
+        "under seeded faults (--chaos) and a learned budget coordinator "
+        "(--hier)",
     )
     sp.add_argument("--app", default="xapian")
     sp.add_argument(
@@ -884,7 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--power-cap", type=_power_cap_arg, default=None,
         help="global fleet power budget in watts, or 'auto' for a budget at "
-        "70%% of the fleet's controllable range (default: uncapped)",
+        "70%% of the fleet's controllable range (default: uncapped; "
+        "required by --hier)",
     )
     sp.add_argument(
         "--load", type=_positive_float, default=None,
@@ -899,175 +749,94 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--full", action="store_true", help="full-scale profile")
     sp.add_argument(
         "--trace-out", type=_out_file_arg, default=None,
-        help="write a node-tagged JSONL fleet trace here "
+        help="write a node-tagged JSONL fleet trace here, including "
+        "node-down/redispatch events with --chaos and coordinator-decision "
+        "events with --hier "
         "(inspect with: deeppower trace summarize FILE --group-by node)",
     )
     _add_trace_layout_args(sp)
-    sp.set_defaults(fn=_cmd_fleet)
 
-    sp = sub.add_parser(
-        "chaos",
-        help="run the fleet under a seeded fault plan (crashes, rack "
-        "failures, telemetry partitions) with failover dispatch",
+    # Group flags default to SUPPRESS, so ``args`` holds exactly the ones
+    # given: _validate_switches rejects them without their switch, and
+    # _cmd_fleet passes them on by dest, so the callee's defaults apply.
+    chaos = sp.add_argument_group(
+        "chaos", "seeded fault plan (crashes, rack failures, telemetry "
+        "partitions) with failover dispatch; the flags below need --chaos",
     )
-    sp.add_argument("--app", default="xapian")
-    sp.add_argument(
-        "--nodes", type=_positive_int, default=4,
-        help="number of simulated machines (default: 4)",
+    chaos.add_argument(
+        "--chaos", metavar="INTENSITY", type=_positive_float, default=None,
+        help="turn the fault plan on at this intensity (> 0; scales outage "
+        "durations and per-node DVFS fault rates)",
     )
-    sp.add_argument(
-        "--cores", type=_positive_int, default=None,
-        help="cores per node (default: profile-sized)",
-    )
-    sp.add_argument(
-        "--policy", default="retail",
-        help="per-node power policy: baseline, retail, gemini, deeppower",
-    )
-    sp.add_argument(
-        "--routing", default="round-robin",
-        choices=["round-robin", "jsq", "power-aware"],
-        help="dispatcher routing policy",
-    )
-    sp.add_argument(
-        "--intensity", type=_positive_float, default=1.0,
-        help="fault-plan intensity scale (> 0; scales outage durations and "
-        "per-node DVFS fault rates)",
-    )
-    sp.add_argument(
-        "--retry-budget", type=_nonneg_int, default=2,
+    chaos_flags = [chaos.add_argument(
+        "--retry-budget", type=_nonneg_int, default=argparse.SUPPRESS,
         help="re-dispatch attempts per evacuated request before it is "
         "dropped (>= 0; default: 2)",
-    )
-    sp.add_argument(
-        "--retry-backoff", type=_positive_float, default=0.05,
+    ), chaos.add_argument(
+        "--retry-backoff", type=_positive_float, default=argparse.SUPPRESS,
         help="base re-dispatch delay in seconds, doubled per retry "
         "(> 0; default: 0.05)",
-    )
-    sp.add_argument(
-        "--recovery", type=_nonneg_float, default=None,
+    ), chaos.add_argument(
+        "--recovery", dest="recovery_time", metavar="RECOVERY",
+        type=_nonneg_float, default=argparse.SUPPRESS,
         help="seconds a restarted node stays frequency-capped in the "
         "'recovering' state (default: 5%% of the trace)",
-    )
-    sp.add_argument(
-        "--drop-in-flight", action="store_true",
+    ), chaos.add_argument(
+        "--drop-in-flight", action="store_true", default=argparse.SUPPRESS,
         help="drop requests caught on a crashing node instead of "
         "re-dispatching them",
-    )
-    sp.add_argument(
-        "--no-failover", action="store_true",
+    ), chaos.add_argument(
+        "--no-failover", action="store_true", default=argparse.SUPPRESS,
         help="ablation: disable health-aware dispatch so routers keep "
         "addressing down nodes",
-    )
-    sp.add_argument(
-        "--power-cap", type=_power_cap_arg, default=None,
-        help="global fleet power budget in watts, or 'auto' (default: "
-        "uncapped)",
-    )
-    sp.add_argument(
-        "--load", type=_positive_float, default=None,
-        help="mean fleet utilisation the arrival trace is scaled to "
-        "(default: the fleet experiment's load)",
-    )
-    sp.add_argument("--seed", type=int, default=None, help="default: profile seed")
-    sp.add_argument(
-        "--agent", default=None,
-        help="trained agent .npz for --policy deeppower (default: untrained)",
-    )
-    sp.add_argument("--full", action="store_true", help="full-scale profile")
-    sp.add_argument(
-        "--trace-out", type=_out_file_arg, default=None,
-        help="write a node-tagged JSONL chaos trace here, including "
-        "node-down/node-up/redispatch events "
-        "(inspect with: deeppower trace summarize FILE --group-by node)",
-    )
-    _add_trace_layout_args(sp)
-    sp.set_defaults(fn=_cmd_chaos)
+    )]
 
     from .hier.config import HIER_ALGOS
 
-    sp = sub.add_parser(
-        "hier",
-        help="run a fleet whose watt budget is apportioned by a learned "
-        "fleet-level agent instead of the heuristic coordinator",
+    hier = sp.add_argument_group(
+        "hier", "a learned fleet-level agent apportions the --power-cap "
+        "budget instead of the heuristic coordinator; the flags below "
+        "need --hier",
     )
-    sp.add_argument("--app", default="xapian")
-    sp.add_argument(
-        "--nodes", type=_positive_int, default=4,
-        help="number of simulated machines (default: 4)",
+    hier.add_argument(
+        "--hier", metavar="ALGO", default=None, choices=list(HIER_ALGOS),
+        help=f"turn the learned coordinator on with this upper-level "
+        f"learner ({', '.join(HIER_ALGOS)})",
     )
-    sp.add_argument(
-        "--cores", type=_positive_int, default=None,
-        help="cores per node (default: profile-sized)",
-    )
-    sp.add_argument(
-        "--policy", default="baseline",
-        help="per-node power policy: baseline, retail, gemini, deeppower",
-    )
-    sp.add_argument(
-        "--routing", default="power-aware",
-        choices=["round-robin", "jsq", "power-aware"],
-        help="dispatcher routing policy (default: power-aware)",
-    )
-    sp.add_argument(
-        "--power-budget", type=_power_cap_arg, default="auto",
-        help="global fleet power budget in watts the agent apportions, or "
-        "'auto' (default) for a budget at 70%% of the fleet's "
-        "controllable range",
-    )
-    sp.add_argument(
-        "--algo", default="ddpg", choices=list(HIER_ALGOS),
-        help="upper-level learner (default: ddpg)",
-    )
-    sp.add_argument(
-        "--eval", action="store_true",
+    hier_flags = [hier.add_argument(
+        "--eval", dest="train", action="store_false",
+        default=argparse.SUPPRESS,
         help="run the actor frozen: no exploration noise, no learner "
         "updates (default: train online during the run)",
-    )
-    sp.add_argument(
-        "--agent", default=None,
+    ), hier.add_argument(
+        "--hier-agent", dest="agent_path", metavar="HIER_AGENT",
+        default=argparse.SUPPRESS,
         help="fleet-agent parameters .npz to preload (written by "
-        "--save-agent)",
-    )
-    sp.add_argument(
-        "--save-agent", type=_out_file_arg, default=None,
+        "--save-hier-agent)",
+    ), hier.add_argument(
+        "--save-hier-agent", type=_out_file_arg, default=argparse.SUPPRESS,
         help="save the fleet agent's network parameters here after the "
-        "run (the --agent eval artifact)",
-    )
-    sp.add_argument(
-        "--shared-replay", action="store_true",
+        "run (the --hier-agent eval artifact)",
+    ), hier.add_argument(
+        "--shared-replay", action="store_true", default=argparse.SUPPRESS,
         help="pool the node agents' transitions through one shared replay "
         "buffer (--policy deeppower only; ignored otherwise)",
-    )
-    sp.add_argument(
-        "--fed-avg-every", type=_nonneg_int, default=0,
+    ), hier.add_argument(
+        "--fed-avg-every", type=_nonneg_int, default=argparse.SUPPRESS,
         help="coordination windows between federated parameter averages "
         "across node agents (0 disables; requires --shared-replay)",
-    )
-    sp.add_argument(
-        "--load", type=_positive_float, default=None,
-        help="mean fleet utilisation the arrival trace is scaled to "
-        "(default: the hier experiment's load)",
-    )
-    sp.add_argument("--seed", type=int, default=None, help="default: profile seed")
-    sp.add_argument("--full", action="store_true", help="full-scale profile")
-    sp.add_argument(
-        "--checkpoint-dir", default=None,
+    ), hier.add_argument(
+        "--checkpoint-dir", default=argparse.SUPPRESS,
         help="write the fleet agent's complete learner state (networks, "
         "optimisers, replay, noise, RNG) here after the run",
-    )
-    sp.add_argument(
-        "--resume", action="store_true",
+    ), hier.add_argument(
+        "--resume", action="store_true", default=argparse.SUPPRESS,
         help="preload the newest fleet-agent snapshot from "
         "--checkpoint-dir and continue training from it",
+    )]
+    sp.set_defaults(
+        fn=_cmd_fleet, switched={"chaos": chaos_flags, "hier": hier_flags}
     )
-    sp.add_argument(
-        "--trace-out", type=_out_file_arg, default=None,
-        help="write a node-tagged JSONL trace here, including "
-        "coordinator-decision events "
-        "(inspect with: deeppower trace summarize FILE --group-by node)",
-    )
-    _add_trace_layout_args(sp)
-    sp.set_defaults(fn=_cmd_hier)
 
     sp = sub.add_parser(
         "soak",
@@ -1187,6 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _validate_switches(parser, args)
     _validate_resume(parser, args)
     return args.fn(args)
 

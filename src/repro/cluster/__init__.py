@@ -19,8 +19,9 @@ single-node stack without modifying it:
   node's frequency ceiling (including turbo eligibility) and
   redistributing headroom from idle nodes to loaded ones
   (:mod:`repro.cluster.powercap`),
-* :class:`ClusterSim` / :class:`FleetSpec` — the fleet harness plus a
-  picklable grid cell so fleet experiments fan out through
+* :class:`ClusterSim` / :func:`run_cluster` / :class:`FleetSpec` — the
+  fleet harness, its traced run, and a picklable grid cell (a
+  :class:`ClusterConfig` plus its trace) so fleet experiments fan out through
   :func:`repro.parallel.run_grid` exactly like single-node grids
   (:mod:`repro.cluster.sim`),
 * :class:`NodeLifecycle` + :class:`StragglerDetector` — the resilience
@@ -66,6 +67,7 @@ from .sim import (
     fleet_power_budget,
     fleet_trace,
     merge_run_metrics,
+    run_cluster,
 )
 
 __all__ = [
@@ -87,6 +89,7 @@ __all__ = [
     "fleet_trace",
     "fleet_power_budget",
     "merge_run_metrics",
+    "run_cluster",
     "NodeLifecycle",
     "StragglerDetector",
     "HEALTHY",

@@ -7,10 +7,12 @@ one clock — so a fleet run is exactly as deterministic as a single-node
 run: same seed, same arrivals, same routing decisions, same metrics,
 regardless of node count elsewhere in the process or of ``--jobs``.
 
+:func:`run_cluster` runs one config with an optional trace file; the
+``deeppower fleet`` command and :class:`FleetSpec` both go through it.
 :class:`FleetSpec` is the picklable grid-cell form (the fleet analogue of
-:class:`~repro.parallel.grid.RunSpec`): it carries everything a worker
-process needs to rebuild and run the fleet, exposes the same
-``cache_payload()`` / ``label`` / ``trace_out`` surface, and executes via
+:class:`~repro.parallel.grid.RunSpec`): a :class:`ClusterConfig` plus its
+workload trace and trace-output settings.  It exposes the same
+``cache_payload()`` / ``label`` / ``trace_out`` surface and executes via
 ``spec.execute()`` — which is all :func:`repro.parallel.run_grid` needs,
 so routing × policy fleets fan out through the existing cached executor.
 
@@ -53,6 +55,7 @@ __all__ = [
     "fleet_trace",
     "fleet_power_budget",
     "merge_run_metrics",
+    "run_cluster",
 ]
 
 
@@ -657,9 +660,43 @@ class ClusterSim:
 
 # ---------------------------------------------------------------- grid cells
 
+def run_cluster(
+    config: ClusterConfig,
+    trace: WorkloadTrace,
+    trace_out: Optional[str] = None,
+    meta: Optional[Dict[str, Any]] = None,
+    trace_segment_events: Optional[int] = None,
+    trace_compress: Optional[str] = None,
+    trace_shard_by_node: bool = False,
+    fleet_agent: Any = None,
+) -> Tuple[ClusterSim, FleetMetrics]:
+    """Run one fleet, tracing to ``trace_out`` (with header ``meta``) if set.
+
+    The trace is closed however the run ends.  Returns the finished
+    simulator (for its fleet agent) and its metrics.
+    """
+    from ..obs import Observability
+
+    obs = None
+    if trace_out:
+        obs = Observability.from_paths(
+            trace_out=trace_out,
+            meta=meta,
+            trace_segment_events=trace_segment_events,
+            trace_compress=trace_compress,
+            trace_shard_key="node" if trace_shard_by_node else None,
+        )
+    try:
+        sim = ClusterSim(config, trace, obs=obs, fleet_agent=fleet_agent)
+        return sim, sim.run()
+    finally:
+        if obs is not None:
+            obs.close()
+
+
 @dataclass(frozen=True)
 class FleetSpec:
-    """One (routing, policy) cell of a fleet grid — the fleet RunSpec.
+    """One cell of a fleet grid — the fleet RunSpec: a fleet plus its trace.
 
     Exposes the same surface :func:`repro.parallel.run_grid` consumes:
     ``cache_payload()`` for the result cache, ``label`` / ``app`` /
@@ -667,20 +704,8 @@ class FleetSpec:
     observability traces, and ``execute()`` for the pool worker.
     """
 
-    app: str
-    policy: str
+    config: ClusterConfig
     trace: WorkloadTrace
-    num_nodes: int
-    cores_per_node: int
-    seed: int
-    num_workers: Optional[int] = None
-    routing: str = "round-robin"
-    policy_kwargs: Tuple[Tuple[str, Any], ...] = ()
-    power_cap_watts: Optional[float] = None
-    cap_window: float = 1.0
-    cap_boost: float = 1.25
-    agent_path: Optional[str] = None
-    agent_seed: int = 7
     label: str = ""
     trace_out: Optional[str] = None
     #: Trace storage layout (segment rotation, gzip/zstd codec, per-node
@@ -689,100 +714,83 @@ class FleetSpec:
     trace_segment_events: Optional[int] = None
     trace_compress: Optional[str] = None
     trace_shard_by_node: bool = False
-    fault_plan: Optional[FleetFaultPlan] = None
-    health_aware: Optional[bool] = None
-    straggler_multiple: float = 3.0
-    degraded_penalty: float = 0.5
-    #: Hierarchical fleet-RL layer; None = heuristic coordinator.
-    hier: Optional[Any] = None
+
+    @property
+    def app(self) -> str:
+        return self.config.app
+
+    @property
+    def policy(self) -> str:
+        return self.config.policy
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
     def cache_payload(self) -> dict:
         from ..parallel.cache import file_digest, plan_digest
 
-        return {
+        cfg = self.config
+        payload = {
             "kind": "fleet-spec",
-            "app": self.app,
-            "policy": self.policy,
-            "routing": self.routing,
+            "app": cfg.app,
+            "policy": cfg.policy,
+            "routing": cfg.routing,
             "trace_edges": self.trace.edges,
             "trace_rates": self.trace.rates,
-            "num_nodes": self.num_nodes,
-            "cores_per_node": self.cores_per_node,
-            "num_workers": self.num_workers,
-            "seed": self.seed,
-            "policy_kwargs": list(self.policy_kwargs),
-            "power_cap_watts": self.power_cap_watts,
-            "cap_window": self.cap_window,
-            "cap_boost": self.cap_boost,
-            "agent_digest": file_digest(self.agent_path) if self.agent_path else None,
-            "agent_seed": self.agent_seed if self.agent_path else None,
+            "num_nodes": cfg.num_nodes,
+            "cores_per_node": cfg.cores_per_node,
+            "num_workers": cfg.num_workers,
+            "seed": cfg.seed,
+            "policy_kwargs": list(cfg.policy_kwargs),
+            "power_cap_watts": cfg.power_cap_watts,
+            "cap_window": cfg.cap_window,
+            "cap_boost": cfg.cap_boost,
+            "agent_digest": file_digest(cfg.agent_path) if cfg.agent_path else None,
+            "agent_seed": cfg.agent_seed if cfg.agent_path else None,
             "label": self.label,
             # A faulted run must never collide with a clean run of the same
             # spec: the digest is None exactly when the plan is a no-op.
-            "fault_plan": plan_digest(self.fault_plan),
-            "health_aware": self.health_aware,
-            "straggler_multiple": self.straggler_multiple,
-            "degraded_penalty": self.degraded_penalty,
+            "fault_plan": plan_digest(cfg.fault_plan),
+            "health_aware": cfg.health_aware,
+            "straggler_multiple": cfg.straggler_multiple,
+            "degraded_penalty": cfg.degraded_penalty,
             # Learned-coordinator runs must never collide with heuristic
             # runs of the same spec; the payload covers every
             # learning-relevant hier field.
-            "hier": self.hier.cache_payload() if self.hier is not None else None,
+            "hier": cfg.hier.cache_payload() if cfg.hier is not None else None,
         }
-
-    def to_config(self) -> ClusterConfig:
-        return ClusterConfig(
-            app=self.app,
-            num_nodes=self.num_nodes,
-            cores_per_node=self.cores_per_node,
-            num_workers=self.num_workers,
-            policy=self.policy,
-            policy_kwargs=self.policy_kwargs,
-            routing=self.routing,
-            power_cap_watts=self.power_cap_watts,
-            cap_window=self.cap_window,
-            cap_boost=self.cap_boost,
-            seed=self.seed,
-            agent_path=self.agent_path,
-            agent_seed=self.agent_seed,
-            fault_plan=self.fault_plan,
-            health_aware=self.health_aware,
-            straggler_multiple=self.straggler_multiple,
-            degraded_penalty=self.degraded_penalty,
-            hier=self.hier,
-        )
+        # Kept requests change the result; the key is added only when set so
+        # every entry cached without it keeps its key.
+        if cfg.keep_requests:
+            payload["keep_requests"] = True
+        return payload
 
     def execute(self) -> Tuple[FleetMetrics, Dict[str, Any]]:
         """Build the fleet from scratch and run it (pool-worker entry)."""
-        from ..obs import Observability
-
-        obs = None
-        if self.trace_out:
-            meta = {
-                "app": self.app,
-                "policy": self.policy,
-                "routing": self.routing,
-                "num_nodes": self.num_nodes,
-                "seed": self.seed,
-                "label": self.label,
-            }
-            # Only hier runs carry the extra meta key: a hier-disabled
-            # trace stays byte-identical to a pre-hier fleet trace.
-            if self.hier is not None:
-                meta["hier"] = self.hier.algo
-            obs = Observability.from_paths(
-                trace_out=self.trace_out,
-                meta=meta,
-                trace_segment_events=self.trace_segment_events,
-                trace_compress=self.trace_compress,
-                trace_shard_key="node" if self.trace_shard_by_node else None,
-            )
-        try:
-            sim = ClusterSim(self.to_config(), self.trace, obs=obs)
-            metrics = sim.run()
-            return metrics, {}
-        finally:
-            if obs is not None:
-                obs.close()
+        cfg = self.config
+        meta = {
+            "app": cfg.app,
+            "policy": cfg.policy,
+            "routing": cfg.routing,
+            "num_nodes": cfg.num_nodes,
+            "seed": cfg.seed,
+            "label": self.label,
+        }
+        # Only hier runs carry the extra meta key: a hier-disabled
+        # trace stays byte-identical to a pre-hier fleet trace.
+        if cfg.hier is not None:
+            meta["hier"] = cfg.hier.algo
+        _, metrics = run_cluster(
+            cfg,
+            self.trace,
+            trace_out=self.trace_out,
+            meta=meta,
+            trace_segment_events=self.trace_segment_events,
+            trace_compress=self.trace_compress,
+            trace_shard_by_node=self.trace_shard_by_node,
+        )
+        return metrics, {}
 
 
 # ------------------------------------------------------------------- helpers

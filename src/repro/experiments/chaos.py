@@ -17,22 +17,22 @@ orders of magnitude.  Queue-aware routers (JSQ, power-aware) partially
 self-heal — a paused node's backlog repels them — which the ablation rows
 make visible too.
 
-Cells are :class:`~repro.cluster.sim.FleetSpec` objects executed through
-:func:`repro.parallel.run_grid` — the fault plan is part of the cache key
-(see ``plan_digest``), so chaos cells never collide with clean fleet
-cells of the same spec.
+Cells are :class:`~repro.cluster.sim.FleetSpec` objects — a
+:class:`~repro.cluster.sim.ClusterConfig` carrying the fault plan, plus
+the shared trace — executed through :func:`repro.parallel.run_grid`; the
+fault plan is part of the cache key (see ``plan_digest``), so chaos cells
+never collide with clean fleet cells of the same spec.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
 from ..analysis.reporting import format_table
-from ..cluster.sim import FleetSpec, fleet_trace
+from ..cluster.sim import ClusterConfig, FleetSpec, fleet_trace
 from ..faults.fleet import standard_chaos_plan
 from ..parallel.grid import run_grid
-from .fleet import FLEET_LOAD, fleet_dimensions
+from .fleet import FLEET_LOAD, fleet_dimensions, fmt_cell
 from .scenarios import active_profile, evaluation_trace
 
 __all__ = ["run_chaos", "render_chaos", "CHAOS_ROUTINGS", "CHAOS_INTENSITIES"]
@@ -75,17 +75,20 @@ def run_chaos(
     def add(routing: str, intensity: float, health_aware: Optional[bool]) -> None:
         plan = standard_chaos_plan(intensity, n_nodes, duration, seed=run_seed)
         failover = health_aware is None  # None = auto (on when plan active)
+        config = ClusterConfig(
+            app=app_name,
+            num_nodes=n_nodes,
+            cores_per_node=cores_per_node,
+            policy=CHAOS_POLICY,
+            routing=routing,
+            seed=run_seed,
+            fault_plan=plan if not plan.is_empty else None,
+            health_aware=health_aware,
+        )
         specs.append(
             FleetSpec(
-                app=app_name,
-                policy=CHAOS_POLICY,
-                trace=trace,
-                num_nodes=n_nodes,
-                cores_per_node=cores_per_node,
-                seed=run_seed,
-                routing=routing,
-                fault_plan=plan if not plan.is_empty else None,
-                health_aware=health_aware,
+                config,
+                trace,
                 label=(
                     f"{profile.name}-chaos-{routing}-i{intensity:g}"
                     + ("" if failover else "-nofailover")
@@ -125,14 +128,6 @@ def run_chaos(
     }
 
 
-def _fmt(value, spec: str = "{:.2f}") -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float) and not math.isfinite(value):
-        return "n/a"
-    return spec.format(value)
-
-
 def render_chaos(result: dict) -> str:
     """Comparison table: routing × intensity, failover vs ablation rows."""
     headers = [
@@ -154,7 +149,7 @@ def render_chaos(result: dict) -> str:
     for row in result["rows"]:
         if "error" in row:
             table_rows.append(
-                [row["routing"], _fmt(row["intensity"], "{:.1f}"),
+                [row["routing"], fmt_cell(row["intensity"], "{:.1f}"),
                  "yes" if row["failover"] else "NO"]
                 + ["ERROR"] * (len(headers) - 3)
             )
@@ -165,18 +160,18 @@ def render_chaos(result: dict) -> str:
         table_rows.append(
             [
                 row["routing"],
-                _fmt(row["intensity"], "{:.1f}"),
+                fmt_cell(row["intensity"], "{:.1f}"),
                 "yes" if row["failover"] else "NO",
-                _fmt(fleet["avg_power_watts"], "{:.1f}"),
-                _fmt(fleet["energy_joules"], "{:.0f}"),
-                _fmt(fleet["tail_latency"] * 1e3),
-                _fmt(fleet["tail_latency"] / sla if sla else float("nan")),
+                fmt_cell(fleet["avg_power_watts"], "{:.1f}"),
+                fmt_cell(fleet["energy_joules"], "{:.0f}"),
+                fmt_cell(fleet["tail_latency"] * 1e3),
+                fmt_cell(fleet["tail_latency"] / sla if sla else float("nan")),
                 "met" if fleet["sla_met"] else "MISS",
-                _fmt(fleet["timeout_rate"], "{:.2%}"),
+                fmt_cell(fleet["timeout_rate"], "{:.2%}"),
                 m["crashes"],
                 m["redispatches"],
                 m["dropped_requests"],
-                _fmt(m["fleet_availability"], "{:.3f}"),
+                fmt_cell(m["fleet_availability"], "{:.3f}"),
             ]
         )
     lines = [

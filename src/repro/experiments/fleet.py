@@ -10,10 +10,11 @@ power-capped column under the power-aware router, where the
 :class:`~repro.cluster.powercap.PowerCapCoordinator` holds the fleet to a
 deterministic global budget.
 
-Cells are :class:`~repro.cluster.sim.FleetSpec` objects executed through
-:func:`repro.parallel.run_grid` — same fan-out, result cache and per-cell
-``--trace-dir`` observability traces as the single-node grids (fleet
-traces carry ``node``-tagged events for
+Cells are :class:`~repro.cluster.sim.FleetSpec` objects (one
+:class:`~repro.cluster.sim.ClusterConfig` each plus the shared trace)
+executed through :func:`repro.parallel.run_grid` — same fan-out, result
+cache and per-cell ``--trace-dir`` observability traces as the
+single-node grids (fleet traces carry ``node``-tagged events for
 ``deeppower trace summarize --group-by node``).
 """
 
@@ -23,7 +24,7 @@ import math
 from typing import List, Optional
 
 from ..analysis.reporting import format_table
-from ..cluster.sim import FleetSpec, fleet_power_budget, fleet_trace
+from ..cluster.sim import ClusterConfig, FleetSpec, fleet_power_budget, fleet_trace
 from ..parallel.grid import run_grid
 from .scenarios import active_profile, evaluation_trace
 
@@ -71,45 +72,36 @@ def run_fleet(
     trace = fleet_trace(base, app_name, n_nodes, cores_per_node, load=FLEET_LOAD)
     budget = fleet_power_budget(n_nodes, cores_per_node, fraction=CAP_FRACTION)
 
-    specs: List[FleetSpec] = []
-    for routing in FLEET_ROUTINGS:
-        for policy in FLEET_POLICIES:
-            specs.append(
-                FleetSpec(
-                    app=app_name,
-                    policy=policy,
-                    trace=trace,
-                    num_nodes=n_nodes,
-                    cores_per_node=cores_per_node,
-                    seed=run_seed,
-                    routing=routing,
-                    label=f"{profile.name}-fleet-{routing}",
-                )
-            )
+    def cell(policy: str, routing: str, cap, tag: str) -> FleetSpec:
+        config = ClusterConfig(
+            app=app_name,
+            num_nodes=n_nodes,
+            cores_per_node=cores_per_node,
+            policy=policy,
+            routing=routing,
+            power_cap_watts=cap,
+            seed=run_seed,
+        )
+        return FleetSpec(config, trace, label=f"{profile.name}-fleet-{tag}")
+
+    specs: List[FleetSpec] = [
+        cell(policy, routing, None, routing)
+        for routing in FLEET_ROUTINGS
+        for policy in FLEET_POLICIES
+    ]
     # The capped column: the power-aware router is the one designed to
     # cooperate with the coordinator (throttled nodes shed traffic).
-    for policy in FLEET_POLICIES:
-        specs.append(
-            FleetSpec(
-                app=app_name,
-                policy=policy,
-                trace=trace,
-                num_nodes=n_nodes,
-                cores_per_node=cores_per_node,
-                seed=run_seed,
-                routing="power-aware",
-                power_cap_watts=budget,
-                label=f"{profile.name}-fleet-capped",
-            )
-        )
+    specs += [
+        cell(policy, "power-aware", budget, "capped") for policy in FLEET_POLICIES
+    ]
 
     outcomes = run_grid(specs, jobs=jobs, cache=result_cache, trace_dir=trace_dir)
     rows = []
     for spec, outcome in zip(specs, outcomes):
         row = {
-            "routing": spec.routing,
+            "routing": spec.config.routing,
             "policy": spec.policy,
-            "cap_watts": spec.power_cap_watts,
+            "cap_watts": spec.config.power_cap_watts,
         }
         if outcome.ok:
             row["metrics"] = outcome.metrics.as_dict()
@@ -127,7 +119,8 @@ def run_fleet(
     }
 
 
-def _fmt(value, spec: str = "{:.2f}") -> str:
+def fmt_cell(value, spec: str = "{:.2f}") -> str:
+    """One table cell of a fleet grid: ``-`` for None, ``n/a`` for NaN/inf."""
     if value is None:
         return "-"
     if isinstance(value, float) and not math.isfinite(value):
@@ -154,7 +147,7 @@ def render_fleet(result: dict) -> str:
     for row in result["rows"]:
         if "error" in row:
             table_rows.append(
-                [row["routing"], row["policy"], _fmt(row["cap_watts"], "{:.1f}")]
+                [row["routing"], row["policy"], fmt_cell(row["cap_watts"], "{:.1f}")]
                 + ["ERROR"] * (len(headers) - 3)
             )
             continue
@@ -165,14 +158,14 @@ def render_fleet(result: dict) -> str:
             [
                 row["routing"],
                 row["policy"],
-                _fmt(row["cap_watts"], "{:.1f}"),
-                _fmt(fleet["avg_power_watts"], "{:.1f}"),
-                _fmt(m["max_window_power"], "{:.1f}"),
-                _fmt(fleet["energy_joules"], "{:.0f}"),
-                _fmt(fleet["tail_latency"] * 1e3),
-                _fmt(fleet["tail_latency"] / sla if sla else float("nan")),
-                _fmt(fleet["timeout_rate"], "{:.2%}"),
-                _fmt(m["routed_imbalance"]),
+                fmt_cell(row["cap_watts"], "{:.1f}"),
+                fmt_cell(fleet["avg_power_watts"], "{:.1f}"),
+                fmt_cell(m["max_window_power"], "{:.1f}"),
+                fmt_cell(fleet["energy_joules"], "{:.0f}"),
+                fmt_cell(fleet["tail_latency"] * 1e3),
+                fmt_cell(fleet["tail_latency"] / sla if sla else float("nan")),
+                fmt_cell(fleet["timeout_rate"], "{:.2%}"),
+                fmt_cell(m["routed_imbalance"]),
                 "yes" if m["cap_ok"] else "NO",
             ]
         )

@@ -20,21 +20,22 @@ redistributes every spare watt up to the cap, so its fleet draw rides the
 budget; the learned apportioner spends only what its actions ask for, and
 at moderate load that frugality buys lower energy at the same (met) SLA.
 
-Cells are :class:`~repro.cluster.sim.FleetSpec` objects through
-:func:`repro.parallel.run_grid` — the hier config rides the spec's cache
-payload, so learned cells never collide with heuristic cells.
+Cells are :class:`~repro.cluster.sim.FleetSpec` objects — a
+:class:`~repro.cluster.sim.ClusterConfig` carrying the hier config, plus
+the shared trace — through :func:`repro.parallel.run_grid`; the hier
+config rides the spec's cache payload, so learned cells never collide
+with heuristic cells.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
 from ..analysis.reporting import format_table
-from ..cluster.sim import FleetSpec, fleet_power_budget, fleet_trace
+from ..cluster.sim import ClusterConfig, FleetSpec, fleet_power_budget, fleet_trace
 from ..hier import HierConfig
 from ..parallel.grid import run_grid
-from .fleet import fleet_dimensions
+from .fleet import fleet_dimensions, fmt_cell
 from .scenarios import active_profile, evaluation_trace
 
 __all__ = [
@@ -105,19 +106,18 @@ def run_hier(
     for policy in HIER_EXPERIMENT_POLICIES:
         for coordinator in HIER_COORDINATORS:
             capped = coordinator != "uncapped"
+            config = ClusterConfig(
+                app=app_name,
+                num_nodes=n_nodes,
+                cores_per_node=cores_per_node,
+                policy=policy,
+                routing="power-aware",
+                power_cap_watts=budget if capped else None,
+                seed=run_seed,
+                hier=hier_config() if coordinator == "learned" else None,
+            )
             specs.append(
-                FleetSpec(
-                    app=app_name,
-                    policy=policy,
-                    trace=trace,
-                    num_nodes=n_nodes,
-                    cores_per_node=cores_per_node,
-                    seed=run_seed,
-                    routing="power-aware",
-                    power_cap_watts=budget if capped else None,
-                    hier=hier_config() if coordinator == "learned" else None,
-                    label=f"{profile.name}-hier-{coordinator}",
-                )
+                FleetSpec(config, trace, label=f"{profile.name}-hier-{coordinator}")
             )
             cells.append((policy, coordinator))
 
@@ -127,7 +127,7 @@ def run_hier(
         row = {
             "coordinator": coordinator,
             "policy": policy,
-            "cap_watts": spec.power_cap_watts,
+            "cap_watts": spec.config.power_cap_watts,
         }
         if outcome.ok:
             row["metrics"] = outcome.metrics.as_dict()
@@ -143,14 +143,6 @@ def run_hier(
         "seed": run_seed,
         "rows": rows,
     }
-
-
-def _fmt(value, spec: str = "{:.2f}") -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float) and not math.isfinite(value):
-        return "n/a"
-    return spec.format(value)
 
 
 def render_hier(result: dict) -> str:
@@ -174,7 +166,7 @@ def render_hier(result: dict) -> str:
     for row in result["rows"]:
         if "error" in row:
             table_rows.append(
-                [row["policy"], row["coordinator"], _fmt(row["cap_watts"], "{:.1f}")]
+                [row["policy"], row["coordinator"], fmt_cell(row["cap_watts"], "{:.1f}")]
                 + ["ERROR"] * (len(headers) - 3)
             )
             continue
@@ -189,14 +181,14 @@ def render_hier(result: dict) -> str:
             [
                 row["policy"],
                 row["coordinator"],
-                _fmt(row["cap_watts"], "{:.1f}"),
-                _fmt(fleet["avg_power_watts"], "{:.1f}"),
-                _fmt(fleet["energy_joules"], "{:.0f}"),
-                _fmt(fleet["tail_latency"] * 1e3),
-                _fmt(fleet["tail_latency"] / sla if sla else float("nan")),
+                fmt_cell(row["cap_watts"], "{:.1f}"),
+                fmt_cell(fleet["avg_power_watts"], "{:.1f}"),
+                fmt_cell(fleet["energy_joules"], "{:.0f}"),
+                fmt_cell(fleet["tail_latency"] * 1e3),
+                fmt_cell(fleet["tail_latency"] / sla if sla else float("nan")),
                 "yes" if fleet["sla_met"] else "NO",
-                _fmt(fleet["timeout_rate"], "{:.2%}"),
-                _fmt(m["routed_imbalance"]),
+                fmt_cell(fleet["timeout_rate"], "{:.2%}"),
+                fmt_cell(m["routed_imbalance"]),
                 str(m.get("hier_decisions", 0)),
                 "yes" if m["cap_ok"] else "NO",
             ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import inspect
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from .ablations import (
@@ -131,8 +132,8 @@ REGISTRY: Dict[str, Experiment] = {
         Experiment("fig6", "diurnal workload trace", run_fig6, render_fig6),
         Experiment("fig7", "main power/QoS comparison across apps", run_fig7, render_fig7),
         Experiment("fig8", "DeepPower per-second behaviour on Xapian", run_fig8, render_fig8),
-        Experiment("fig9", "per-core frequency traces, Xapian", lambda **kw: run_freq_traces(app_name=kw.pop("app_name", "xapian"), **kw), render_freq_traces),
-        Experiment("fig10", "per-core frequency traces, Sphinx", lambda **kw: run_freq_traces(app_name=kw.pop("app_name", "sphinx"), **kw), render_freq_traces),
+        Experiment("fig9", "per-core frequency traces, Xapian", partial(run_freq_traces, app_name="xapian"), render_freq_traces),
+        Experiment("fig10", "per-core frequency traces, Sphinx", partial(run_freq_traces, app_name="sphinx"), render_freq_traces),
         Experiment("fig11", "fixed-parameter controller behaviour", run_fig11, render_fig11),
         Experiment("overhead", "framework overhead micro-benchmarks (§5.5)", run_overhead, render_overhead),
         Experiment("ablation-hierarchy", "hierarchical vs flat vs DQN top layer", run_hierarchy_ablation, render_ablation_rows),

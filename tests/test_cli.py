@@ -2,7 +2,23 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.experiments.registry import Experiment
+
+#: A minimal valid learned-coordinator fleet command line.
+HIER = ["fleet", "--hier", "ddpg", "--power-cap", "auto"]
+#: Each ``fleet`` group flag, its switch, and a valid value (none for
+#: store-true flags).
+SWITCHED_FLAGS = [
+    ("chaos", "--retry-budget", ["1"]), ("chaos", "--retry-backoff", ["0.1"]),
+    ("chaos", "--recovery", ["1"]), ("chaos", "--drop-in-flight", []),
+    ("chaos", "--no-failover", []),
+    ("hier", "--eval", []), ("hier", "--hier-agent", ["agent.npz"]),
+    ("hier", "--save-hier-agent", ["agent.npz"]),
+    ("hier", "--shared-replay", []), ("hier", "--fed-avg-every", ["2"]),
+    ("hier", "--checkpoint-dir", ["ckpt"]), ("hier", "--resume", []),
+]
 
 
 class TestValidation:
@@ -57,31 +73,79 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_hier_power_budget_rejects_nonfinite(self, capsys, bad):
+        # The budget the fleet agent apportions is --power-cap.
         with pytest.raises(SystemExit):
-            main(["hier", "--power-budget", bad])
+            main(["fleet", "--hier", "ddpg", "--power-cap", bad])
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag", ["--load", "--intensity", "--retry-backoff"]
+        "flag", ["--load", "--chaos", "--retry-backoff"]
     )
     def test_chaos_rates_reject_nonfinite(self, capsys, flag):
         with pytest.raises(SystemExit):
-            main(["chaos", flag, "nan"])
+            main(["fleet", "--chaos", "1", flag, "nan"])
         assert "finite" in capsys.readouterr().err
 
     def test_hier_fed_avg_requires_shared_replay(self, capsys):
-        assert main(["hier", "--fed-avg-every", "4"]) == 2
+        assert main([*HIER, "--fed-avg-every", "4"]) == 2
         assert "shared_replay" in capsys.readouterr().err
 
     def test_hier_rejects_unknown_algo(self, capsys):
         with pytest.raises(SystemExit):
-            main(["hier", "--algo", "dqn"])
+            main(["fleet", "--hier", "dqn", "--power-cap", "auto"])
         assert "invalid choice" in capsys.readouterr().err
 
     def test_hier_resume_requires_checkpoint_dir(self, capsys):
         with pytest.raises(SystemExit):
-            main(["hier", "--resume"])
+            main([*HIER, "--resume"])
         assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
+
+    def test_hier_requires_power_cap(self, capsys):
+        # A parser error, not ClusterConfig's ValueError traceback.
+        with pytest.raises(SystemExit):
+            main(["fleet", "--hier", "ddpg"])
+        assert "--hier requires --power-cap" in capsys.readouterr().err
+
+    def test_resume_requires_hier(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fleet", "--resume"])
+        assert "--resume requires --hier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("switch,flag,value", SWITCHED_FLAGS)
+    def test_group_flag_requires_its_switch(self, capsys, switch, flag, value):
+        with pytest.raises(SystemExit):
+            main(["fleet", flag, *value])
+        assert f"{flag} requires --{switch}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module,callee,argv,want", [
+        ("repro.faults", "standard_chaos_plan",
+         ["--chaos", "1", "--retry-budget", "3", "--retry-backoff", "0.2",
+          "--recovery", "4", "--drop-in-flight"],
+         dict(retry_budget=3, retry_backoff=0.2, recovery_time=4.0,
+              drop_in_flight=True)),
+        ("repro.hier", "HierConfig",
+         [*HIER[1:], "--eval", "--hier-agent", "a.npz", "--shared-replay",
+          "--fed-avg-every", "2"],
+         dict(algo="ddpg", train=False, agent_path="a.npz",
+              shared_replay=True, fed_avg_every=2)),
+    ])
+    def test_group_flags_reach_their_callee(
+        self, monkeypatch, module, callee, argv, want
+    ):
+        import importlib
+
+        class Reached(Exception):
+            pass
+
+        def record(*args, **kwargs):
+            raise Reached(kwargs)
+
+        monkeypatch.setattr(importlib.import_module(module), callee, record)
+        with pytest.raises(Reached) as exc:
+            main(["fleet", *argv])
+        got = exc.value.args[0]
+        assert {k: got[k] for k in want} == want
+        assert "no_failover" not in got and "save_hier_agent" not in got
 
     def test_fleet_nodes_must_be_positive(self, capsys):
         with pytest.raises(SystemExit):
@@ -95,33 +159,33 @@ class TestValidation:
 
     def test_chaos_nodes_must_be_positive(self, capsys):
         with pytest.raises(SystemExit):
-            main(["chaos", "--nodes", "0"])
+            main(["fleet", "--chaos", "1", "--nodes", "0"])
         assert "must be >= 1" in capsys.readouterr().err
 
     def test_chaos_intensity_must_be_positive(self, capsys):
         for bad in ("0", "-1"):
             with pytest.raises(SystemExit):
-                main(["chaos", "--intensity", bad])
+                main(["fleet", "--chaos", bad])
             assert "must be > 0" in capsys.readouterr().err
 
     def test_chaos_retry_budget_rejects_negative(self, capsys):
         with pytest.raises(SystemExit):
-            main(["chaos", "--retry-budget", "-1"])
+            main(["fleet", "--chaos", "1", "--retry-budget", "-1"])
         assert "must be >= 0" in capsys.readouterr().err
 
     def test_chaos_retry_backoff_rejects_nonpositive(self, capsys):
         with pytest.raises(SystemExit):
-            main(["chaos", "--retry-backoff", "0"])
+            main(["fleet", "--chaos", "1", "--retry-backoff", "0"])
         assert "must be > 0" in capsys.readouterr().err
 
     def test_chaos_recovery_rejects_negative(self, capsys):
         with pytest.raises(SystemExit):
-            main(["chaos", "--recovery", "-0.5"])
+            main(["fleet", "--chaos", "1", "--recovery", "-0.5"])
         assert "must be >= 0" in capsys.readouterr().err
 
     def test_chaos_rejects_non_numeric(self, capsys):
         with pytest.raises(SystemExit):
-            main(["chaos", "--intensity", "heavy"])
+            main(["fleet", "--chaos", "heavy"])
         assert "expected a number" in capsys.readouterr().err
 
 
@@ -144,10 +208,11 @@ class TestFleetCommand:
     def test_chaos_run_and_group_by_node_round_trip(self, capsys, tmp_path):
         trace = str(tmp_path / "chaos.trace.jsonl")
         assert main([
-            "chaos", "--nodes", "2", "--seed", "2023", "--trace-out", trace,
+            "fleet", "--nodes", "2", "--policy", "retail", "--seed", "2023",
+            "--chaos", "1", "--trace-out", trace,
         ]) == 0
         out = capsys.readouterr().out
-        assert "chaos: 2 nodes" in out
+        assert "fleet: 2 nodes" in out and "chaos=1, failover=on" in out
         assert "chaos: crashes=" in out and "availability=" in out
         assert main(["trace", "summarize", trace, "--group-by", "node"]) == 0
         out = capsys.readouterr().out
@@ -174,6 +239,52 @@ class TestParser:
         assert main(["experiment", "fig5"]) == 0
         out = capsys.readouterr().out
         assert "scaleFunc" in out
+
+    def test_experiment_full_rejected_without_full_profile(self, capsys):
+        assert main(["experiment", "fig5", "--full"]) == 2
+        assert "'fig5' has no --full profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exp_id", ["fig9", "fig10"])
+    def test_experiment_full_reaches_freq_traces(self, monkeypatch, exp_id):
+        # fig9/fig10 wrap one run function; --full must still reach it.
+        from repro.experiments import fig9_10_freq_traces
+
+        class Reached(Exception):
+            pass
+
+        def active_profile(full):
+            raise Reached(full)
+
+        monkeypatch.setattr(fig9_10_freq_traces, "active_profile", active_profile)
+        with pytest.raises(Reached) as exc:
+            main(["experiment", exp_id, "--full", "--no-cache"])
+        assert exc.value.args == (True,)
+
+    def test_only_profileless_experiments_reject_full(self):
+        import inspect
+
+        from repro.experiments.registry import REGISTRY
+
+        rejected = {
+            exp_id for exp_id, exp in REGISTRY.items()
+            if "full" not in inspect.signature(exp.run).parameters
+        }
+        assert rejected == {"fig5", "table2", "overhead"}
+
+    def test_experiment_type_error_is_not_retried(self, monkeypatch):
+        # A TypeError raised inside a run must surface, not trigger a
+        # silent second run at the small profile.
+        calls = []
+
+        def run(full=None):
+            calls.append(full)
+            raise TypeError("deep inside the run")
+
+        fake = Experiment("fake", "raises", run, str)
+        monkeypatch.setattr(cli, "get_experiment", lambda _id: fake)
+        with pytest.raises(TypeError, match="deep inside"):
+            main(["experiment", "fake", "--full", "--no-cache"])
+        assert calls == [True]
 
     def test_experiment_unknown_raises(self):
         with pytest.raises(KeyError):

@@ -183,9 +183,8 @@ class TestFleetSpecGrid:
     def _specs(self):
         trace = _trace(duration=4.0, load=0.4)
         return [
-            FleetSpec(app=APP, policy="retail", trace=trace, num_nodes=2,
-                      cores_per_node=2, seed=7, routing=routing,
-                      label="test-fleet")
+            FleetSpec(_config(policy="retail", seed=7, routing=routing),
+                      trace, label="test-fleet")
             for routing in ("round-robin", "jsq")
         ]
 
@@ -208,9 +207,11 @@ class TestFleetSpecGrid:
 
     def test_failed_cell_isolated(self):
         specs = self._specs()
-        bad = FleetSpec(app=APP, policy="deeppower", trace=specs[0].trace,
-                        num_nodes=2, cores_per_node=2, seed=7,
-                        agent_path="/nonexistent/agent.npz")
+        bad = FleetSpec(
+            _config(policy="deeppower", seed=7,
+                    agent_path="/nonexistent/agent.npz"),
+            specs[0].trace,
+        )
         outcomes = run_grid([specs[0], bad], jobs=1)
         assert outcomes[0].ok
         assert not outcomes[1].ok and outcomes[1].error

@@ -240,9 +240,9 @@ class TestChaosExperiment:
             len(chaos_mod.CHAOS_INTENSITIES) + 1
         )
         # Intensity-0 baseline rows carry no fault plan (clean cache key).
-        baseline = [s for s in specs if s.fault_plan is None]
+        baseline = [s for s in specs if s.config.fault_plan is None]
         assert len(baseline) == len(chaos_mod.CHAOS_ROUTINGS)
-        ablations = [s for s in specs if s.health_aware is False]
+        ablations = [s for s in specs if s.config.health_aware is False]
         assert len(ablations) == len(chaos_mod.CHAOS_ROUTINGS)
-        assert all(s.fault_plan is not None for s in ablations)
+        assert all(s.config.fault_plan is not None for s in ablations)
         assert all("error" in row for row in result["rows"])

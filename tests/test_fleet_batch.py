@@ -397,7 +397,8 @@ class TestSpecCacheKey:
         # Fleet results cached before the fleet had a single stepping
         # path stay valid: the cache key of this spec is pinned.
         spec = FleetSpec(
-            app=APP, policy="controller", trace=constant_trace(60.0, 1.0),
-            num_nodes=4, cores_per_node=2, seed=11, routing="jsq",
+            ClusterConfig(app=APP, policy="controller", num_nodes=4,
+                          cores_per_node=2, seed=11, routing="jsq"),
+            constant_trace(60.0, 1.0),
         )
         assert content_key(spec.cache_payload()) == RECORDED_CACHE_KEY

@@ -364,13 +364,13 @@ class TestFleetSpecHier:
     def test_cache_payload_covers_hier(self):
         trace = _trace()
         base = dict(
-            app=APP, policy="baseline", trace=trace, num_nodes=2,
-            cores_per_node=2, seed=11, routing="power-aware",
+            app=APP, policy="baseline", num_nodes=2, cores_per_node=2,
+            seed=11, routing="power-aware",
             power_cap_watts=fleet_power_budget(2, 2, fraction=0.7),
         )
-        plain = FleetSpec(**base)
-        learned = FleetSpec(hier=_hier(), **base)
-        other = FleetSpec(hier=_hier(noise_sigma=0.2), **base)
+        plain = FleetSpec(ClusterConfig(**base), trace)
+        learned = FleetSpec(ClusterConfig(hier=_hier(), **base), trace)
+        other = FleetSpec(ClusterConfig(hier=_hier(noise_sigma=0.2), **base), trace)
         keys = {
             json.dumps(s.cache_payload(), sort_keys=True, default=str)
             for s in (plain, learned, other)
@@ -380,18 +380,19 @@ class TestFleetSpecHier:
     def test_execute_tags_trace_meta(self, tmp_path):
         trace = _trace(duration=4.0)
         base = dict(
-            app=APP, policy="baseline", trace=trace, num_nodes=2,
-            cores_per_node=2, seed=11, routing="power-aware",
+            app=APP, policy="baseline", num_nodes=2, cores_per_node=2,
+            seed=11, routing="power-aware",
             power_cap_watts=fleet_power_budget(2, 2, fraction=0.7),
         )
         path = tmp_path / "spec.trace.jsonl"
-        spec = FleetSpec(hier=_hier(), trace_out=str(path), **base)
+        spec = FleetSpec(ClusterConfig(hier=_hier(), **base), trace,
+                         trace_out=str(path))
         metrics, _ = spec.execute()
         assert metrics.hier_decisions > 0
         header = json.loads(path.read_text().splitlines()[0])
         assert header["meta"]["hier"] == "ddpg"
         # Hier-disabled specs carry no hier meta key at all.
         plain_path = tmp_path / "plain.trace.jsonl"
-        FleetSpec(trace_out=str(plain_path), **base).execute()
+        FleetSpec(ClusterConfig(**base), trace, trace_out=str(plain_path)).execute()
         plain_header = json.loads(plain_path.read_text().splitlines()[0])
         assert "hier" not in plain_header["meta"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.sim import FleetSpec, fleet_power_budget
+from repro.cluster.sim import ClusterConfig, FleetSpec, fleet_power_budget
 from repro.obs import (
     TraceWriter,
     render_fleet_summary,
@@ -14,11 +14,11 @@ from repro.workload.trace import constant_trace
 
 def _run_fleet_with_trace(path, power_cap=None, duration=5.0):
     rps = get_app("xapian").rps_for_load(0.5, 4)
-    spec = FleetSpec(
-        app="xapian", policy="retail", trace=constant_trace(rps, duration),
-        num_nodes=2, cores_per_node=2, seed=5, routing="jsq",
-        power_cap_watts=power_cap, trace_out=str(path),
+    config = ClusterConfig(
+        app="xapian", policy="retail", num_nodes=2, cores_per_node=2, seed=5,
+        routing="jsq", power_cap_watts=power_cap,
     )
+    spec = FleetSpec(config, constant_trace(rps, duration), trace_out=str(path))
     metrics, _ = spec.execute()
     return metrics
 

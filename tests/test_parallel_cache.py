@@ -99,8 +99,9 @@ class TestPlanDigest:
         """The bug this guards: a chaos cell and a clean cell of the same
         spec used to share a cache key, so whichever ran first poisoned the
         other's results."""
-        from repro.cluster.sim import FleetSpec
+        from repro.cluster.sim import ClusterConfig, FleetSpec
         from repro.faults import FleetEvent, FleetFaultPlan
+        from repro.hier import HierConfig
         from repro.workload.trace import constant_trace
 
         trace = constant_trace(10.0, 4.0)
@@ -109,17 +110,30 @@ class TestPlanDigest:
         )
 
         def key(**over):
-            spec = FleetSpec(
-                app="xapian", policy="retail", trace=trace, num_nodes=2,
-                cores_per_node=2, seed=7, **over,
+            config = ClusterConfig(
+                app="xapian", policy="retail", num_nodes=2, cores_per_node=2,
+                seed=7, **over,
             )
-            return content_key(spec.cache_payload())
+            return content_key(FleetSpec(config, trace).cache_payload())
 
         assert key() != key(fault_plan=plan)
         assert key() == key(fault_plan=FleetFaultPlan())  # empty plan = clean
         assert key(fault_plan=plan) != key(fault_plan=plan, health_aware=False)
         assert key() != key(degraded_penalty=0.9)
         assert key() != key(straggler_multiple=4.0)
+        assert key() != key(keep_requests=True)
+        # Keys recorded when FleetSpec still mirrored ClusterConfig's fields
+        # one by one: results cached then must still hit.
+        assert key() == (
+            "8b640521049c4bd7de6843bfcc7759aba90647c190af9802d24bee86c144939e"
+        )
+        assert key(fault_plan=plan, health_aware=False) == (
+            "90c8889d473c38da7fc84ca0be05bd58e053aba36b5b7fd3d166910906841105"
+        )
+        assert key(
+            routing="power-aware", power_cap_watts=40.0,
+            hier=HierConfig(algo="ddpg"),
+        ) == "284f3fa7442aff63d244e5ce712eb56d009011b47af234d6514aa6ea886fac8a"
 
 
 class TestRunResultCache:

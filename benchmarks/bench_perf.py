@@ -439,7 +439,8 @@ def bench_fleet_scaling(
     :class:`~repro.core.thread_controller.ThreadController` per node is
     the shape whose per-tick python dispatch dominates large fleets.
     Fleets from ``SCALAR_BATCH_CUTOFF`` (16) nodes up run it as one
-    stacked fleet tick; smaller ones keep per-node ticks.  Light
+    stacked fleet tick; smaller ones as one event calling each node's
+    tick.  Light
     per-worker load so the measurement isolates tick overhead rather
     than the shared per-request pipeline.
     """

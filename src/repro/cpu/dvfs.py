@@ -104,8 +104,9 @@ class FrequencyTable:
         # result to np.ceil for finite floats, ~3x cheaper per call — this
         # runs on the 1 ms hot path)
         idx = math.ceil((freq - self.fmin) / self.step - 1e-9)
-        idx = min(idx, len(self.levels) - 2)
-        return self.levels[idx]
+        levels = self.levels
+        top = len(levels) - 2
+        return levels[idx if idx < top else top]
 
     def quantize_array(self, freqs: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`quantize` over an array of GHz values."""

@@ -6,7 +6,10 @@ monitor's ``read``, the telemetry channel's ``snapshot``, every core's
 ``set_frequency``, the agent's replay pool — by replacing the *instance*
 attribute with a faulting closure.  The wrapped object never knows; the
 runtime above it experiences exactly what a real deployment would: stale
-counters, lost messages, writes that lie.
+counters, lost messages, writes that lie.  Row writes (controller ticks,
+:meth:`~repro.cpu.topology.Cpu.set_frequencies`) go through
+:meth:`ActuatorFaults.write_row` instead, which faults a whole row with the
+same draws the per-core closures would make.
 
 Injection is armed once per run (``arm()``), is a no-op for empty plans,
 and counts every fault it actually delivers in ``counts`` so experiments
@@ -16,7 +19,7 @@ can report injected-fault totals next to the watchdog's trip statistics.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -171,7 +174,12 @@ class SensorFaults(_Injector):
 
 class ActuatorFaults(_Injector):
     """DVFS-side faults: writes that silently fail, switch-latency spikes,
-    and transient core offlining (parked at fmin, writes ignored)."""
+    and transient core offlining (parked at fmin, writes ignored).
+
+    Armed, it wraps every core's ``set_frequency`` (for single writers:
+    ceiling clamps, governors, baselines) and registers itself as its
+    socket's row writer, :meth:`write_row`, for batched writes.
+    """
 
     def __init__(
         self,
@@ -185,8 +193,11 @@ class ActuatorFaults(_Injector):
         self._offline_until: Dict[int, float] = {}
 
     def _arm(self) -> None:
+        if self.cpu._actuator is not None:
+            raise ValueError("cpu already has an armed actuator fault injector")
         for core in self.cpu.cores:
             self._wrap_core(core)
+        self.cpu._actuator = self
         for ev in self.plan.events_of("actuator.offline"):
             if not 0 <= ev.target < self.cpu.num_cores:
                 raise ValueError(f"actuator.offline target {ev.target} out of range")
@@ -212,6 +223,52 @@ class ActuatorFaults(_Injector):
         core.set_frequency = faulted_set
         if not hasattr(core, "_true_set_frequency"):
             core._true_set_frequency = true_set
+
+    def write_row(self, raw: Sequence[float], levels: Sequence[float]) -> None:
+        """Fault one batched write to ``cores[:n]``, ``n = len(levels)``.
+
+        ``raw[i]`` is core ``i``'s request and ``levels[i]`` the same
+        request clamped to the ceiling and quantised.  Makes exactly the
+        draws, counts and delayed (raw) writes that ``n`` sequential
+        per-core ``set_frequency`` calls would: an offline core draws
+        nothing, a fail-only plan draws one ``rng.random(k)`` block for the
+        ``k`` online cores (the same stream as ``k`` scalar draws), and a
+        plan with delays keeps the conditional second draw in order.  Only
+        levels that change reach the core.
+        """
+        cores = self.cpu.cores
+        n = len(levels)
+        plan = self.plan
+        fail_p, delay_p = plan.dvfs_fail_prob, plan.dvfs_delay_prob
+        now = self.engine.now
+        offline = self._offline_until
+        rng = self.rng
+        draws = None
+        if fail_p > 0.0 and delay_p == 0.0:
+            k = n
+            if offline:
+                k -= sum(1 for i in range(n) if now < offline.get(i, -math.inf))
+            draws = rng.random(k).tolist()
+        j = 0
+        for i in range(n):
+            core = cores[i]
+            if offline and now < offline.get(i, -math.inf):
+                self._count("actuator.offline_write")
+                continue
+            if draws is not None:
+                failed = draws[j] < fail_p
+                j += 1
+            else:
+                failed = fail_p > 0.0 and rng.random() < fail_p
+            if failed:
+                self._count("actuator.write_fail")
+            elif delay_p > 0.0 and rng.random() < delay_p:
+                self._count("actuator.delay")
+                self.engine.schedule_after(
+                    plan.dvfs_delay, core._true_set_frequency, float(raw[i])
+                )
+            elif levels[i] != core._freq:
+                core._true_set_frequency(levels[i], quantize=False)
 
     def _begin_offline(self, core_id: int, until: float) -> None:
         core = self.cpu[core_id]

@@ -73,28 +73,34 @@ class TestFrequencyCap:
         assert all(n.cpu.ceiling == n.cpu.table.turbo for n in nodes)
 
     def test_chains_with_prior_instance_override(self):
-        # An injector-style wrapper sees the raw request; the core still
+        # An armed actuator injector sees the raw request (here every
+        # write is delayed, so the pending write holds it); the core still
         # ends at or below the ceiling, and set_ceiling's own clamp goes
-        # through the wrapper.
-        _, nodes = _nodes(1)
+        # through the injector.
+        engine, nodes = _nodes(1)
         cpu = nodes[0].cpu
         core = cpu.cores[0]
-        calls = []
-        inner = core.set_frequency
+        plan = FaultPlan(seed=1, dvfs_delay_prob=1.0, dvfs_delay=0.01)
+        inj = ActuatorFaults(engine, plan, np.random.default_rng(0), cpu)
+        inj.arm()
 
-        def spy(freq, *, quantize=True):
-            calls.append(freq)
-            return inner(freq, quantize=quantize)
+        def delayed_core0():
+            return [
+                ev.args[0] for _, _, _, ev in sorted(engine._heap)
+                if not ev.cancelled and ev.callback == core._true_set_frequency
+            ]
 
-        core.set_frequency = spy  # e.g. a fault injector
         cpu.set_ceiling(1.3)
-        assert calls == [1.3]
-        assert core.set_frequency(cpu.table.turbo) == pytest.approx(1.3)
-        assert calls[-1] == cpu.table.turbo
+        assert delayed_core0() == [1.3]
+        assert core.set_frequency(cpu.table.turbo) == core.frequency
+        assert delayed_core0()[-1] == cpu.table.turbo
+        engine.run_until(0.02)
         assert core.frequency <= 1.3 + 1e-12
         cpu.set_frequencies([cpu.table.turbo, cpu.table.turbo])
-        assert calls[-1] == cpu.table.turbo
+        assert delayed_core0() == [cpu.table.turbo]
+        engine.run_until(0.04)
         assert core.frequency <= 1.3 + 1e-12
+        assert inj.counts["actuator.delay"] == 5
 
     def test_delayed_write_is_clamped_when_it_lands(self):
         engine, nodes = _nodes(1)

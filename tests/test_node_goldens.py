@@ -10,7 +10,8 @@ digest.
 
 Policies cover the max-frequency baseline, a fixed frequency, the 1 ms
 thread controller, ReTail, Gemini, the utilisation oracle and a short
-online-training DeepPower run.  Apps cover a lognormal service process
+online-training DeepPower run; the controller and DeepPower also run under
+``standard_fault_plan(0.05)`` (``+faults``).  Apps cover a lognormal service process
 (xapian) and a deterministic one (img-dnn).  Traces cover a constant rate,
 a diurnal pattern and a piecewise trace that starts after t=0 and has
 zero-rate segments.
@@ -32,6 +33,7 @@ from repro.core.runtime import DeepPowerConfig, DeepPowerRuntime
 from repro.core.thread_controller import ThreadController
 from repro.experiments.fig7_main import tuned_agent_setup
 from repro.experiments.runner import run_policy
+from repro.faults import FaultHarness, standard_fault_plan
 from repro.workload.apps import get_app
 from repro.workload.trace import WorkloadTrace, constant_trace, diurnal_trace
 
@@ -61,6 +63,22 @@ def _deeppower(ctx):
     return DeepPowerRuntime(ctx.engine, ctx.server, ctx.monitor, agent, cfg)
 
 
+def _faulted(factory):
+    """``factory`` on a node armed with ``standard_fault_plan(0.05)``:
+    failed and delayed DVFS writes, sensor and telemetry faults."""
+
+    def build(ctx):
+        driver = factory(ctx)
+        plan = standard_fault_plan(0.05, DURATION, long_time=0.05, seed=SEED)
+        FaultHarness(
+            plan, ctx.engine, cpu=ctx.cpu, monitor=ctx.monitor,
+            telemetry=ctx.server.telemetry,
+        ).arm()
+        return driver
+
+    return build
+
+
 POLICIES = {
     "baseline": MaxFrequencyPolicy,
     "fixed": lambda ctx: FixedFrequencyPolicy(ctx, 1.6),
@@ -69,6 +87,8 @@ POLICIES = {
     "gemini": GeminiPolicy,
     "oracle": UtilizationOraclePolicy,
     "deeppower": _deeppower,
+    "controller+faults": _faulted(_ControllerPolicy),
+    "deeppower+faults": _faulted(_deeppower),
 }
 
 APPS = ("xapian", "img-dnn")

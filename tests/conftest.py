@@ -30,8 +30,7 @@ def cpu(engine) -> Cpu:
     return Cpu(engine, 4)
 
 
-@pytest.fixture
-def tiny_app() -> AppSpec:
+def make_tiny_app() -> AppSpec:
     """A fast app profile for cheap end-to-end tests.
 
     Mean service 10 ms at fmax, SLA 60 ms, mild tail — one simulated second
@@ -45,3 +44,8 @@ def tiny_app() -> AppSpec:
         short_time=0.002,
         description="test app",
     )
+
+
+@pytest.fixture
+def tiny_app() -> AppSpec:
+    return make_tiny_app()

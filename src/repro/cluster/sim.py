@@ -431,11 +431,11 @@ class ClusterSim:
         fault-free DeepPower fleets) on fleets the batch accepts (see
         :meth:`FleetBatch.adopt_controllers`); everything else keeps its
         per-node tasks.  DeepPower fleets under a fault plan or on a lossy
-        control bus are excluded because the resilience watchdog or the
-        node endpoint's deadline fallback stops/starts individual
-        controllers mid-run, off the fleet tick's grid; a path missed here
-        raises, since adopted controllers refuse ``start()``/``stop()``
-        until :meth:`FleetBatch.detach`.  Called after every driver, the
+        control bus are excluded because the node endpoint's safe mode
+        (engaged by its command deadline or by the runtime watchdog)
+        stops/starts individual controllers mid-run, off the fleet tick's
+        grid; a path missed here raises, since adopted controllers refuse
+        ``start()``/``stop()`` until :meth:`FleetBatch.detach`.  Called after every driver, the
         coordinator and the lifecycle have started, so fault injectors are
         all armed and the adoption validation sees the final tick topology.
         """

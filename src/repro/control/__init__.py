@@ -10,11 +10,14 @@ transport; a socket transport would slot behind the same three-channel
 interface.
 
 Every runtime runs over the bus; ``DeepPowerConfig.control`` holds its
-:class:`ControlPlaneConfig`.  The default is a perfect transport.  With a
+:class:`ControlPlaneConfig`: the bus fault plan, the degraded-mode switch
+and the watchdog switch.  The default is a perfect transport.  With a
 :class:`~repro.faults.bus.BusFaultPlan` the degraded-mode machinery
 (stale-telemetry hold, ack-timeout retries, deadline escalation into the
-safe-fallback governor) keeps the node SLA-safe — the contrast the
-``control-soak`` experiment measures.
+fallback governor) keeps the node SLA-safe — the contrast the
+``control-soak`` experiment measures.  The :class:`NodeEndpoint` owns the
+one fallback governor; its ``engage``/``release`` pair serves both the
+node's command deadline and the runtime watchdog.
 """
 
 from .bus import BusFaultInjector, Channel, ControlBus, InProcessBus

@@ -16,9 +16,10 @@ Delivery semantics:
   :class:`BusFaultInjector` may instead drop it (stochastic loss or a
   scheduled partition) or fan it out into duplicate copies.
 * **Bounded queues / shed policy**: each channel holds at most
-  ``capacity`` undelivered messages; overflow sheds the *oldest*
-  undelivered entry (freshest-data-wins, the right policy for telemetry
-  and for idempotent commands, whose retry machinery recovers the loss).
+  ``capacity`` (default :data:`QUEUE_CAPACITY`) undelivered messages;
+  overflow sheds the *oldest* undelivered entry (freshest-data-wins, the
+  right policy for telemetry and for idempotent commands, whose retry
+  machinery recovers the loss).
   Sheds are counted and traced as ``bus-drop`` with ``reason="shed"`` —
   backpressure is always explicit, never silent.
 * **Polled or subscribed**: receivers either ``poll(now)`` for messages
@@ -44,6 +45,9 @@ from ..faults.bus import BUS_DIRECTIONS, BusFaultPlan
 from ..sim.engine import Engine
 
 __all__ = ["Channel", "ControlBus", "InProcessBus", "BusFaultInjector"]
+
+#: Per-channel bounded queue depth; overflow sheds the oldest entry.
+QUEUE_CAPACITY = 64
 
 
 class BusFaultInjector:
@@ -246,7 +250,7 @@ class InProcessBus(ControlBus):
     def __init__(
         self,
         engine: Engine,
-        capacity: int = 64,
+        capacity: int = QUEUE_CAPACITY,
         fault_plan: Optional[BusFaultPlan] = None,
         trace=None,
     ) -> None:

@@ -1,107 +1,69 @@
-"""Configuration of the runtime's control plane (the message bus)."""
+"""The runtime's degraded-mode switches and the control plane's constants.
+
+:class:`ControlPlaneConfig` holds the three settings a caller chooses:
+the bus ``fault_plan``, ``degraded_mode`` (off for the soak ablation) and
+whether the runtime ``watchdog`` screens the DRL loop.  Every other
+degraded-mode value is a module constant: the ones below for the bus
+ladders, :mod:`repro.faults.watchdog`'s for the watchdog and its
+``SAFE_ACTION``, and :data:`repro.control.bus.QUEUE_CAPACITY` for the
+channel depth.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..faults.bus import BusFaultPlan
 
 __all__ = ["ControlPlaneConfig"]
 
+#: Seconds before an unacknowledged command is retransmitted.
+ACK_TIMEOUT = 0.5
+#: Maximum idempotent retransmissions per command.
+MAX_RETRIES = 2
+#: Age slack (seconds) beyond which a reading counts as stale; 0 means only
+#: a same-tick reading is fresh (matches the watchdog's screen).
+STALE_TOLERANCE = 0.0
+#: Consecutive stale windows (controller side) / command-less DRL
+#: intervals (node side) before safe-mode escalation.
+DEADLINE_MISSES = 3
+#: Consecutive fresh windows required to leave controller safe mode.
+RECOVERY_WINDOWS = 2
+
 
 @dataclass(frozen=True)
 class ControlPlaneConfig:
-    """Knobs for the message-boundary control loop.
+    """Bus transport and safe-mode switches of one runtime.
 
     :class:`~repro.core.runtime.DeepPowerConfig` carries one (default:
-    this class's defaults); the runtime exchanges schema-versioned
-    messages with its node over an
-    :class:`~repro.control.bus.InProcessBus`.  The default (empty)
-    ``fault_plan`` is a perfect transport; a lossy plan exercises the
-    degraded-mode machinery below.
+    a perfect transport, degraded mode armed, no watchdog); the runtime
+    exchanges schema-versioned messages with its node over an
+    :class:`~repro.control.bus.InProcessBus`.
 
     Degraded-mode control (``degraded_mode=True``):
 
-    * **stale telemetry** — a DRL window with no same-tick reading
-      (beyond ``stale_tolerance`` seconds of age slack) is flagged: the
-      controller holds its last action, skips learning, and after
-      ``deadline_misses`` consecutive stale windows escalates to
-      broadcasting ``safe_action`` until telemetry has been healthy for
-      ``recovery_windows`` windows.
+    * **stale telemetry** — a DRL window with no same-tick reading is
+      flagged: the controller holds its last action, skips learning, and
+      after ``DEADLINE_MISSES`` consecutive stale windows escalates to
+      broadcasting ``SAFE_ACTION`` until telemetry has been healthy for
+      ``RECOVERY_WINDOWS`` windows.
     * **ack timeout / retry** — an unacknowledged command is resent
-      idempotently (same ``seq``) after ``ack_timeout`` seconds, at most
-      ``max_retries`` times.
-    * **node deadline watchdog** — the node endpoint engages the
-      ``fallback`` governor when no valid command has arrived for
-      ``deadline_misses`` DRL intervals, and hands the cores back on the
-      next applied command.
+      idempotently (same ``seq``) after ``ACK_TIMEOUT`` seconds, at most
+      ``MAX_RETRIES`` times.
+    * **node deadline** — the node endpoint engages the fallback governor
+      when no valid command has arrived for ``DEADLINE_MISSES`` DRL
+      intervals, and hands the cores back on the next applied command.
 
     ``degraded_mode=False`` is the soak ablation: stale readings are
     trusted as current, commands are never retried, and neither side
-    escalates.
+    escalates.  ``watchdog=True`` screens every DRL step and trips into
+    the same fallback governor (:mod:`repro.faults.watchdog`).
     """
 
-    #: Per-channel bounded queue depth; overflow sheds the oldest entry.
-    capacity: int = 64
-    #: Seconds before an unacknowledged command is retransmitted.
-    ack_timeout: float = 0.5
-    #: Maximum idempotent retransmissions per command.
-    max_retries: int = 2
-    #: Age slack (seconds) beyond which a reading counts as stale; 0 means
-    #: only a same-tick reading is fresh (matches the watchdog's screen).
-    stale_tolerance: float = 0.0
-    #: Consecutive stale windows (controller side) / command-less DRL
-    #: intervals (node side) before safe-mode escalation.
-    deadline_misses: int = 3
-    #: Consecutive fresh windows required to leave controller safe mode.
-    recovery_windows: int = 2
-    #: False = the no-degraded-mode ablation.
-    degraded_mode: bool = True
-    #: ``(BaseFreq, ScalingCoef)`` broadcast while escalated.
-    safe_action: Tuple[float, float] = (1.0, 1.0)
-    #: Node-side fallback governor (``performance`` | ``ondemand``).
-    fallback: str = "performance"
     #: Bus misbehaviour to inject; None/empty = perfect transport.
     fault_plan: Optional[BusFaultPlan] = None
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity!r}")
-        if self.ack_timeout <= 0:
-            raise ValueError(f"ack_timeout must be > 0, got {self.ack_timeout!r}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
-        if self.stale_tolerance < 0:
-            raise ValueError(
-                f"stale_tolerance must be >= 0, got {self.stale_tolerance!r}"
-            )
-        if self.deadline_misses < 1:
-            raise ValueError(
-                f"deadline_misses must be >= 1, got {self.deadline_misses!r}"
-            )
-        if self.recovery_windows < 1:
-            raise ValueError(
-                f"recovery_windows must be >= 1, got {self.recovery_windows!r}"
-            )
-        if self.fallback not in ("performance", "ondemand"):
-            raise ValueError(
-                f"fallback must be 'performance' or 'ondemand', got {self.fallback!r}"
-            )
-        if len(self.safe_action) != 2:
-            raise ValueError("safe_action must be a (base_freq, scaling_coef) pair")
-
-    def payload(self) -> tuple:
-        """Plain-data value for content-addressed cache keys."""
-        return (
-            self.capacity,
-            self.ack_timeout,
-            self.max_retries,
-            self.stale_tolerance,
-            self.deadline_misses,
-            self.recovery_windows,
-            self.degraded_mode,
-            tuple(self.safe_action),
-            self.fallback,
-            None if self.fault_plan is None else self.fault_plan.payload(),
-        )
+    #: False = the no-degraded-mode ablation.
+    degraded_mode: bool = True
+    #: Screen the DRL loop with the runtime watchdog.
+    watchdog: bool = False

@@ -4,10 +4,12 @@ The :class:`NodeEndpoint` is what a daemon running *on the node* would
 be: it owns the sensor side (telemetry snapshots + RAPL window energy,
 published as age-stamped :class:`~repro.control.messages.SensorReading`
 once per DRL interval) and the actuator side (the millisecond
-:class:`~repro.core.thread_controller.ThreadController` plus application
-of incoming :class:`~repro.control.messages.ActuatorCommand`), while the
-policy side of :class:`~repro.core.runtime.DeepPowerRuntime` talks to it
-only through the bus.
+:class:`~repro.core.thread_controller.ThreadController`, the SLA-safe
+fallback governor, and application of incoming
+:class:`~repro.control.messages.ActuatorCommand`), while the policy side
+of :class:`~repro.core.runtime.DeepPowerRuntime` talks to it only through
+the bus and the one safe-mode pair :meth:`NodeEndpoint.engage` /
+:meth:`NodeEndpoint.release`.
 
 Hardening, node side:
 
@@ -15,28 +17,29 @@ Hardening, node side:
   their ``seq`` exceeds the node's high-water mark; duplicates and
   reordered stragglers are counted, suppressed, and still acknowledged
   (re-acking a duplicate is what lets a retry recover a lost ack).
-* **control-deadline watchdog** — when no valid command has landed for
-  ``deadline_misses`` DRL intervals the node stops trusting the (possibly
-  frozen) controller parameters and engages the existing safe-fallback
-  governor from :mod:`repro.faults.watchdog`; the next applied command
-  hands the cores back.  Disabled in the no-degraded-mode ablation.
+* **control deadline** — when no valid command has landed for
+  ``DEADLINE_MISSES`` DRL intervals the node stops trusting the (possibly
+  frozen) controller parameters and engages the fallback governor; the
+  next applied command releases it.  Disabled in the no-degraded-mode
+  ablation.
 
-Both mechanisms are quiet in fault-free runs — no events, no state
-changes.
+The runtime watchdog's trip and re-arm call the same engage/release
+pair; the two triggers do not share state, so whichever acts last owns
+the cores.  Both mechanisms are quiet in fault-free runs — no events, no
+state changes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
-from ..cpu.governors import Governor
+from ..cpu.governors import PerformanceGovernor
 from ..cpu.rapl import PowerMonitor
-from ..faults.watchdog import WatchdogConfig, make_fallback_governor
 from ..server.server import Server
 from ..sim.engine import Engine, PeriodicTask
 from ..sim.events import PRIORITY_CONTROL
 from .bus import ControlBus
-from .config import ControlPlaneConfig
+from .config import DEADLINE_MISSES, ControlPlaneConfig
 from .messages import CONTROL_SCHEMA, ActuatorCommand, CommandAck, SensorReading
 
 __all__ = ["NodeEndpoint"]
@@ -64,7 +67,7 @@ class NodeEndpoint:
         self.cfg = cfg
         self.long_time = float(long_time)
         #: Seconds without a valid command before the fallback engages.
-        self.deadline = cfg.deadline_misses * self.long_time
+        self.deadline = DEADLINE_MISSES * self.long_time
         self._trace = trace
         self._task: Optional[PeriodicTask] = None
         self._reading_seq = 0
@@ -73,7 +76,8 @@ class NodeEndpoint:
         self._last_cmd_time = engine.now
         self.safe_engaged = False
         self._restored = False
-        self._governor: Optional[Governor] = None
+        #: The SLA-safe fallback: pins every core at turbo while engaged.
+        self._governor = PerformanceGovernor(engine, server.cpu)
         self.stats: Dict[str, int] = {
             "readings": 0,
             "applied": 0,
@@ -97,9 +101,7 @@ class NodeEndpoint:
         if self._restored:
             self._restored = False
             if self.safe_engaged:
-                self.safe_engaged = False  # _engage_safe re-sets it
-                self.stats["safe_engagements"] -= 1  # not a new engagement
-                self._engage_safe()
+                self.engage()
         else:
             self._last_cmd_time = self.engine.now
         self.publish_reading()
@@ -110,8 +112,7 @@ class NodeEndpoint:
     def stop(self) -> None:
         if self._task is not None:
             self._task.stop()
-        if self._governor is not None:
-            self._governor.stop()
+        self._governor.stop()
 
     # ------------------------------------------------------------------ sensor
 
@@ -155,7 +156,8 @@ class NodeEndpoint:
             self._publish_ack(cmd.seq, applied=False)
             return
         if self.safe_engaged:
-            self._disengage_safe()
+            self.release()
+            self.safe_engaged = False
         self.controller.set_params(cmd.base_freq, cmd.scaling_coef)
         self._applied_seq = cmd.seq
         self._last_cmd_time = now
@@ -173,7 +175,22 @@ class NodeEndpoint:
             )
         )
 
-    # ----------------------------------------------------- deadline watchdog
+    # --------------------------------------------------------------- safe mode
+
+    def engage(self) -> None:
+        """Bench the thread controller and pin the cores with the fallback
+        governor.  Re-engaging re-pins turbo, so a silently failed DVFS
+        write cannot stick."""
+        self.controller.stop()
+        self._governor.start()
+
+    def release(self, params: Optional[Sequence[float]] = None) -> None:
+        """Hand the cores back to the thread controller, first setting its
+        ``(BaseFreq, ScalingCoef)`` to ``params`` when given."""
+        self._governor.stop()
+        if params is not None:
+            self.controller.set_params(*params)
+        self.controller.start()
 
     def _check_deadline(self) -> None:
         if not self.cfg.degraded_mode:
@@ -192,28 +209,9 @@ class NodeEndpoint:
                 engaged=not self.safe_engaged,
             )
         if not self.safe_engaged:
-            self._engage_safe()
-
-    def _engage_safe(self) -> None:
-        """Deadline missed: bench the (stale-parameter) controller and
-        hand the cores to the SLA-safe fallback governor."""
-        self.safe_engaged = True
-        self.stats["safe_engagements"] += 1
-        self.controller.stop()
-        if self._governor is None:
-            self._governor = make_fallback_governor(
-                WatchdogConfig(fallback=self.cfg.fallback),
-                self.engine,
-                self.server.cpu,
-            )
-        self._governor.start()
-
-    def _disengage_safe(self) -> None:
-        """A valid command arrived: governor off, controller back on."""
-        if self._governor is not None:
-            self._governor.stop()
-        self.controller.start()
-        self.safe_engaged = False
+            self.safe_engaged = True
+            self.stats["safe_engagements"] += 1
+            self.engage()
 
     # ------------------------------------------------------------- persistence
 

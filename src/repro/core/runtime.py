@@ -13,26 +13,30 @@ The agent acts every ``LongTime`` (default 1 s); the controller ticks every
 performs one DDPG update; in evaluation mode the loaded policy runs
 deterministically (no noise, no updates).
 
-When a :class:`~repro.faults.watchdog.WatchdogConfig` is supplied, every
-step's telemetry/state/reward/action passes the watchdog's screens, and on
-repeated anomalies the runtime *trips*: the thread controller stops, an
-SLA-safe fallback governor takes the cores, and the DRL loop stays benched
-until telemetry has been healthy for the (exponentially backed-off)
-cooldown.  Trips, recoveries and per-step anomaly counts are exposed on
-:class:`StepRecord` and via :meth:`DeepPowerRuntime.watchdog_stats`.
+With ``config.control.watchdog`` set, every step's
+telemetry/state/reward/action passes the watchdog's screens, and on
+repeated anomalies the runtime *trips*: the node endpoint benches the
+thread controller and its SLA-safe fallback governor takes the cores, and
+the DRL loop stays benched until telemetry has been healthy for the
+(exponentially backed-off) cooldown.  A runtime resumed from a snapshot
+taken mid-trip re-engages the governor.  Trips, recoveries and per-step
+anomaly counts are exposed on :class:`StepRecord` and via
+:meth:`DeepPowerRuntime.watchdog_stats`.
 
 **Control plane** — the runtime never calls sensors or actuators
-directly: a :class:`~repro.control.NodeEndpoint` owns telemetry sampling
-and the thread controller, and the policy loop exchanges schema-versioned
-``SensorReading`` / ``ActuatorCommand`` / ``CommandAck`` messages with it
-over an :class:`~repro.control.InProcessBus` configured by
-``config.control``.  The default :class:`~repro.control.ControlPlaneConfig`
-is a perfect transport that draws no randomness.  Under a
+directly: a :class:`~repro.control.NodeEndpoint` owns telemetry sampling,
+the thread controller and the fallback governor, and the policy loop
+exchanges schema-versioned ``SensorReading`` / ``ActuatorCommand`` /
+``CommandAck`` messages with it over an
+:class:`~repro.control.InProcessBus` configured by ``config.control``;
+watchdog verdicts go through the endpoint's one engage/release pair.
+The default :class:`~repro.control.ControlPlaneConfig` is a perfect
+transport that draws no randomness.  Under a
 :class:`~repro.faults.bus.BusFaultPlan`, degraded-mode control takes
 over: stale windows hold the last action and are flagged, unacked
 commands are retried idempotently, and sustained outages escalate —
-controller side to broadcasting the safe action, node side into the
-safe-fallback governor — with ``stale-window`` / ``cmd-retry`` /
+controller side to broadcasting ``SAFE_ACTION``, node side into the
+fallback governor — with ``stale-window`` / ``cmd-retry`` /
 ``deadline-miss`` / ``bus-drop`` events in the trace.
 """
 
@@ -54,9 +58,15 @@ from ..control import (
     InProcessBus,
     NodeEndpoint,
 )
-from ..cpu.governors import Governor
+from ..control.config import (
+    ACK_TIMEOUT,
+    DEADLINE_MISSES,
+    MAX_RETRIES,
+    RECOVERY_WINDOWS,
+    STALE_TOLERANCE,
+)
 from ..cpu.rapl import PowerMonitor
-from ..faults.watchdog import Watchdog, WatchdogConfig, make_fallback_governor
+from ..faults.watchdog import SAFE_ACTION, Watchdog
 from ..server.server import Server
 from ..sim.engine import Engine, PeriodicTask
 from ..sim.events import PRIORITY_CONTROL
@@ -85,16 +95,13 @@ class DeepPowerConfig:
     train: bool = True
     #: DDPG updates per DRL step while training.
     updates_per_step: int = 1
-    #: Enable the runtime watchdog (anomaly screening + safe-fallback
-    #: degradation); None = no watchdog, the historical behaviour.
-    watchdog: Optional[WatchdogConfig] = None
     #: Periodic autosave target; with ``checkpoint_every_steps`` > 0 the
     #: runtime snapshots its full state (agent, controller, observer,
     #: reward window, watchdog) every N DRL steps.
     checkpoint: Optional["CheckpointManager"] = None
     #: DRL steps between autosaves (0 = autosave disabled).
     checkpoint_every_steps: int = 0
-    #: Message-bus transport between the policy loop and the node.
+    #: Message-bus transport and safe-mode switches (watchdog included).
     control: ControlPlaneConfig = field(default_factory=ControlPlaneConfig)
 
     def __post_init__(self) -> None:
@@ -118,7 +125,7 @@ class StepRecord:
     queue_len: int
     timeouts: int
     avg_frequency: float
-    #: Whether the watchdog had the runtime in safe-fallback this step.
+    #: Whether the watchdog had the runtime tripped this step.
     fallback: bool = False
     #: Anomalies the watchdog screened out of this step's inputs.
     anomalies: int = 0
@@ -172,15 +179,13 @@ class DeepPowerRuntime:
         self._task: Optional[PeriodicTask] = None
         self._last_losses: Optional[dict] = None
         self.watchdog: Optional[Watchdog] = None
-        if self.cfg.watchdog is not None:
+        if self.cfg.control.watchdog:
             self.watchdog = Watchdog(
-                self.cfg.watchdog,
                 max_power_watts=max_power,
                 min_power_watts=min_power,
                 long_time=self.cfg.long_time,
                 short_time=self.controller.short_time,
             )
-        self._fallback: Optional[Governor] = None
         self._last_tick_count = 0
         # Observability (opt-in; obs=None leaves every hot path branch-only).
         self.obs = obs
@@ -206,10 +211,7 @@ class DeepPowerRuntime:
         # Control plane: the policy loop reaches the node only over the bus.
         self._ctl = self.cfg.control
         self.bus = InProcessBus(
-            engine,
-            capacity=self._ctl.capacity,
-            fault_plan=self._ctl.fault_plan,
-            trace=self._trace,
+            engine, fault_plan=self._ctl.fault_plan, trace=self._trace
         )
         self._endpoint = NodeEndpoint(
             engine,
@@ -224,7 +226,7 @@ class DeepPowerRuntime:
         self._bus_reading_seq = 0
         self._bus_cmd_seq = 0
         self._bus_pending: Optional[dict] = None
-        self._bus_last_action = np.asarray(self._ctl.safe_action, dtype=float)
+        self._bus_last_action = np.asarray(SAFE_ACTION, dtype=float)
         self._bus_stale_count = 0
         self._bus_safe_mode = False
         self._bus_recovery = 0
@@ -267,14 +269,16 @@ class DeepPowerRuntime:
         # endpoint's delivery event before any controller tick.
         self._endpoint.start()
         first = self._ingest_readings()
-        if first is not None:
+        # Blind on a bus already lossy at t=0 (the degraded machinery
+        # takes over) or resumed mid-trip (the governor keeps the cores
+        # until the watchdog re-arms): start on the safe action.
+        a1 = np.asarray(SAFE_ACTION, dtype=float)
+        if self.watchdog is not None and self.watchdog.tripped:
+            self._endpoint.engage()
+        elif first is not None:
             s1 = self.observer.observe(first.snapshot)
             a1 = self.agent.act(s1, explore=self.cfg.train)
             self._prev = (s1, a1)
-        else:
-            # The bus is already lossy at t=0: start blind on the safe
-            # action and let the degraded machinery take over.
-            a1 = np.asarray(self._ctl.safe_action, dtype=float)
         self._publish_action(a1)
         self._task = self.engine.every(
             self.cfg.long_time, self._interval, priority=PRIORITY_CONTROL + 1
@@ -282,8 +286,6 @@ class DeepPowerRuntime:
 
     def stop(self) -> None:
         self.controller.stop()
-        if self._fallback is not None:
-            self._fallback.stop()
         self._endpoint.stop()
         if self._task is not None:
             self._task.stop()
@@ -301,11 +303,10 @@ class DeepPowerRuntime:
         escalation ladder; the ablation (``degraded_mode=False``) trusts
         any reading it has and never protects itself.
         """
-        ctl = self._ctl
         self._service_acks()
         newest = self._ingest_readings()
         now = self.engine.now
-        if not ctl.degraded_mode:
+        if not self._ctl.degraded_mode:
             if newest is not None:
                 self._step_with_window(newest.snapshot, newest.energy)
             else:
@@ -314,16 +315,16 @@ class DeepPowerRuntime:
             return
         fresh = (
             newest is not None
-            and now - newest.t_sent <= ctl.stale_tolerance + 1e-12
+            and now - newest.t_sent <= STALE_TOLERANCE + 1e-12
         )
         if not fresh:
             self._stale_step(have_reading=newest is not None)
             return
         if self._bus_safe_mode:
             self._bus_recovery += 1
-            if self._bus_recovery < ctl.recovery_windows:
+            if self._bus_recovery < RECOVERY_WINDOWS:
                 # Recovery dwell: telemetry is back but trust rebuilds
-                # over recovery_windows windows; keep broadcasting the
+                # over RECOVERY_WINDOWS windows; keep broadcasting the
                 # safe action (no learning) until then.
                 self._step_with_window(
                     newest.snapshot, newest.energy, degraded=True, force_safe=True
@@ -345,7 +346,8 @@ class DeepPowerRuntime:
 
         With a watchdog attached, the step's inputs are screened first and
         the trip/re-arm verdict is applied at the end; while tripped the
-        agent is bypassed entirely and the fallback governor owns the cores.
+        agent is bypassed entirely and the endpoint's fallback governor
+        owns the cores.
         """
         wd = self.watchdog
         if wd is not None:
@@ -360,17 +362,15 @@ class DeepPowerRuntime:
             rb = wd.screen_reward(rb)
 
         if wd is not None and wd.tripped:
-            # Safe-fallback mode: the governor owns the cores; re-assert
-            # static fallbacks (no periodic task of their own) so silently
-            # failed DVFS writes cannot stick.
-            action = np.asarray(wd.cfg.safe_action, dtype=float)
-            if self._fallback is not None and self._fallback._task is None:
-                self._fallback.start()
-            # Heartbeat over the bus: keeps the node's own deadline
-            # watchdog from stacking a second governor on the cores.
+            # Tripped: the governor owns the cores; re-engage every step so
+            # silently failed DVFS writes cannot stick.
+            action = np.asarray(SAFE_ACTION, dtype=float)
+            self._endpoint.engage()
+            # Heartbeat over the bus: keeps the node's own command
+            # deadline quiet.
             self._publish_action(action)
         elif force_safe:
-            action = np.asarray(self._ctl.safe_action, dtype=float)
+            action = np.asarray(SAFE_ACTION, dtype=float)
             self._publish_action(action)
             self._prev = None
         else:
@@ -402,7 +402,8 @@ class DeepPowerRuntime:
             fallback_now = wd.tripped
             transition = wd.finish_step()
             if transition == "trip":
-                self._enter_fallback()
+                self._endpoint.engage()
+                self._prev = None  # no transition bridges the outage
                 fallback_now = True
                 if self._m_trips is not None:
                     self._m_trips.inc()
@@ -414,7 +415,10 @@ class DeepPowerRuntime:
                         anomalies=anomalies,
                     )
             elif transition == "rearm":
-                self._exit_fallback()
+                # Controller back on with safe parameters until the agent's
+                # next action lands (one LongTime later).
+                self._endpoint.release(SAFE_ACTION)
+                self._last_tick_count = self.controller.tick_count
                 if self._m_rearms is not None:
                     self._m_rearms.inc()
                 if self._trace is not None:
@@ -510,7 +514,7 @@ class DeepPowerRuntime:
         """Match delivered acks to the pending command; retry on timeout.
 
         Retries are idempotent (same ``seq``) and bounded by
-        ``max_retries``; an exhausted, never-acked command is flagged
+        ``MAX_RETRIES``; an exhausted, never-acked command is flagged
         lost, which marks subsequent steps degraded until a newer command
         supersedes it.  The ablation consumes acks but never retries.
         """
@@ -526,9 +530,9 @@ class DeepPowerRuntime:
             return
         if pending is None or pending["acked"] or pending["lost"]:
             return
-        if now - pending["sent"] < self._ctl.ack_timeout:
+        if now - pending["sent"] < ACK_TIMEOUT:
             return
-        if pending["attempts"] < self._ctl.max_retries:
+        if pending["attempts"] < MAX_RETRIES:
             pending["attempts"] += 1
             pending["sent"] = now
             self._bus_stats["retries"] += 1
@@ -580,14 +584,13 @@ class DeepPowerRuntime:
         """Degraded window: no fresh telemetry arrived this interval.
 
         Holds the last action (no learning, no fabricated transitions)
-        and flags the window; after ``deadline_misses`` consecutive stale
-        windows the controller escalates to broadcasting the safe action
+        and flags the window; after ``DEADLINE_MISSES`` consecutive stale
+        windows the controller escalates to broadcasting ``SAFE_ACTION``
         until telemetry recovers — the controller-side half of the
-        control-deadline watchdog (the node-side half engages the
-        fallback governor when *commands* stop arriving).
+        control deadline (the node-side half engages the fallback
+        governor when *commands* stop arriving).
         """
         now = self.engine.now
-        ctl = self._ctl
         self._bus_stale_count += 1
         self._bus_recovery = 0
         self._bus_stats["stale_windows"] += 1
@@ -600,7 +603,7 @@ class DeepPowerRuntime:
                 consecutive=self._bus_stale_count,
                 have_reading=have_reading,
             )
-        if self._bus_stale_count >= ctl.deadline_misses:
+        if self._bus_stale_count >= DEADLINE_MISSES:
             if not self._bus_safe_mode:
                 self._bus_safe_mode = True
                 self._bus_stats["safe_escalations"] += 1
@@ -613,7 +616,7 @@ class DeepPowerRuntime:
                     misses=self._bus_stale_count,
                     engaged=True,
                 )
-            action = np.asarray(ctl.safe_action, dtype=float)
+            action = np.asarray(SAFE_ACTION, dtype=float)
             self._publish_action(action)
         else:
             action = self._bus_last_action
@@ -625,10 +628,13 @@ class DeepPowerRuntime:
         The controller cannot see power/rps/queue for a window whose
         reading never arrived, and fabricating them from node-side state
         would defeat the boundary — the record says NaN and means it.
+        The ``fallback`` flag is the watchdog's state, which a stale
+        window does not move.
         """
         step_no = self._advance_step()
         if self.cfg.record_steps or self.obs is not None:
             nan = float("nan")
+            fallback = self.watchdog is not None and self.watchdog.tripped
             action = np.asarray(action, dtype=float)
             if self.cfg.record_steps:
                 self.records.append(
@@ -642,7 +648,7 @@ class DeepPowerRuntime:
                         queue_len=-1,
                         timeouts=-1,
                         avg_frequency=nan,
-                        fallback=False,
+                        fallback=fallback,
                         anomalies=0,
                         degraded=degraded,
                     )
@@ -660,7 +666,7 @@ class DeepPowerRuntime:
                     queue_len=-1,
                     timeouts=-1,
                     avg_freq=nan,
-                    fallback=False,
+                    fallback=fallback,
                     anomalies=0,
                     degraded=degraded,
                 )
@@ -701,27 +707,6 @@ class DeepPowerRuntime:
             **self.controller.window_summary(),
         )
         self._last_switches = switches
-
-    # --------------------------------------------------------------- fallback
-
-    def _enter_fallback(self) -> None:
-        """Trip: bench the DRL loop, hand the cores to the safe governor."""
-        self.controller.stop()
-        self._prev = None  # no transition bridges the outage
-        if self._fallback is None:
-            self._fallback = make_fallback_governor(
-                self.watchdog.cfg, self.engine, self.server.cpu
-            )
-        self._fallback.start()
-
-    def _exit_fallback(self) -> None:
-        """Re-arm: governor off, controller back on with safe parameters
-        until the agent's next action lands (one LongTime later)."""
-        if self._fallback is not None:
-            self._fallback.stop()
-        self.controller.set_params(*self.watchdog.cfg.safe_action)
-        self.controller.start()
-        self._last_tick_count = self.controller.tick_count
 
     # ------------------------------------------------------------- persistence
 

@@ -29,7 +29,6 @@ from ..baselines.simple import MaxFrequencyPolicy
 from ..core.runtime import DeepPowerRuntime
 from ..faults.injectors import FaultHarness
 from ..faults.plan import FaultPlan, standard_fault_plan
-from ..faults.watchdog import WatchdogConfig
 from ..server.metrics import RunMetrics
 from ..workload.apps import get_app
 from .calibration import calibrate_to_sla
@@ -127,7 +126,9 @@ def run_fault_tolerance(
         app_name, cal.trace, profile, nw, seed=seed, use_cache=use_cache
     )
     trace = cal.trace
-    dp_cfg = replace(dp_cfg, train=False, watchdog=WatchdogConfig())
+    dp_cfg = replace(
+        dp_cfg, train=False, control=replace(dp_cfg.control, watchdog=True)
+    )
 
     rows: List[FaultToleranceRow] = []
     for rate in fault_rates:

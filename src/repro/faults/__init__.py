@@ -9,8 +9,9 @@ Three layers:
   :class:`ActuatorFaults`, :class:`AgentFaults` and the bundling
   :class:`FaultHarness`, which interpret a plan against a live stack.
 * :mod:`repro.faults.watchdog` — :class:`Watchdog`, the runtime's
-  anomaly screen and trip/re-arm state machine, degrading to an SLA-safe
-  governor while telemetry is broken.
+  anomaly screen and trip/re-arm state machine, degrading to the node's
+  SLA-safe fallback governor while telemetry is broken, and
+  :data:`SAFE_ACTION`, the action of every safe mode.
 
 Two sibling plan layers compose over the same contract: fleet-level
 chaos (:mod:`repro.faults.fleet`) and control-bus loss/delay/partition
@@ -33,7 +34,7 @@ from .fleet import (
 )
 from .injectors import ActuatorFaults, AgentFaults, FaultHarness, SensorFaults
 from .plan import FAULT_KINDS, FaultEvent, FaultPlan, standard_fault_plan
-from .watchdog import Watchdog, WatchdogConfig, make_fallback_governor
+from .watchdog import SAFE_ACTION, Watchdog
 
 __all__ = [
     "FAULT_KINDS",
@@ -54,7 +55,6 @@ __all__ = [
     "ActuatorFaults",
     "AgentFaults",
     "FaultHarness",
+    "SAFE_ACTION",
     "Watchdog",
-    "WatchdogConfig",
-    "make_fallback_governor",
 ]

@@ -7,83 +7,55 @@ reward and action for staleness, implausibility and non-finiteness,
 substitutes a safe value for anything broken, and drives a trip/re-arm
 state machine:
 
-* **Trip** — when ``trip_threshold`` of the last ``window_steps`` steps
-  were anomalous, the runtime abandons the DRL policy and falls back to a
-  classic SLA-safe governor (:mod:`repro.cpu.governors`).
-* **Re-arm** — after ``cooldown_steps`` consecutive healthy steps the DRL
-  loop resumes.  A relapse (re-trip soon after recovery) doubles the
-  cooldown (exponential backoff, capped), so a flapping sensor cannot make
-  the system oscillate between controllers at the trip frequency.
+* **Trip** — when ``TRIP_THRESHOLD`` of the last ``WINDOW_STEPS`` steps
+  were anomalous, the runtime abandons the DRL policy and the node
+  endpoint's fallback governor pins the cores at turbo.
+* **Re-arm** — after ``COOLDOWN_STEPS`` consecutive healthy steps the DRL
+  loop resumes.  A relapse (re-trip within ``RELAPSE_WINDOW`` steps of a
+  recovery) multiplies the cooldown by ``BACKOFF_FACTOR`` up to
+  ``MAX_COOLDOWN_STEPS``, so a flapping sensor cannot make the system
+  oscillate between controllers at the trip frequency.
 
 The watchdog is pure decision logic — it owns no engine tasks and touches
-no hardware.  The runtime applies its verdicts (stop/start the thread
-controller, run the fallback governor) so that all actuation stays in one
-place.  With healthy inputs every screen is an identity function and no
-RNG is consumed: enabling the watchdog on a faultless run changes nothing.
+no hardware.  The runtime applies its verdicts through the node
+endpoint's one engage/release pair
+(:meth:`~repro.control.endpoint.NodeEndpoint.engage`), the same path the
+node's command deadline uses.  With healthy inputs every screen is an
+identity function and no RNG is consumed: enabling the watchdog
+(``ControlPlaneConfig(watchdog=True)``) on a faultless run changes nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..cpu.governors import Governor, OndemandGovernor, PerformanceGovernor
 from ..server.telemetry import TelemetrySnapshot
 
-__all__ = ["WatchdogConfig", "Watchdog", "make_fallback_governor"]
+__all__ = ["SAFE_ACTION", "Watchdog"]
 
-
-@dataclass
-class WatchdogConfig:
-    """Knobs for anomaly detection and graceful degradation."""
-
-    #: Anomalous steps within the sliding window that trip the fallback.
-    trip_threshold: int = 3
-    #: Sliding-window length, in DRL steps.
-    window_steps: int = 6
-    #: Consecutive healthy steps required before re-arming the DRL loop.
-    cooldown_steps: int = 3
-    #: Cooldown multiplier applied on a relapse (re-trip soon after re-arm).
-    backoff_factor: float = 2.0
-    #: Upper bound for the backed-off cooldown.
-    max_cooldown_steps: int = 48
-    #: A re-trip within this many steps of a recovery counts as a relapse.
-    relapse_window: int = 8
-    #: Fallback governor: "performance" (static, max/turbo — maximally
-    #: SLA-safe) or "ondemand" (SLA-safe parameters, re-samples so it also
-    #: rides out DVFS write failures).
-    fallback: str = "performance"
-    #: Extra kwargs for the fallback governor's constructor.
-    fallback_kwargs: Dict = field(default_factory=dict)
-    #: Window power above ``margin * max_socket_power`` is a sensor spike.
-    max_power_margin: float = 2.0
-    #: Controller ticks below this fraction of expected flags missed ticks.
-    min_tick_fraction: float = 0.5
-    #: (BaseFreq, ScalingCoef) recorded/applied when the DRL action is
-    #: unusable; (1, 1) drives every score >= 1, i.e. turbo — SLA-safe.
-    safe_action: Tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self) -> None:
-        if self.trip_threshold <= 0 or self.window_steps < self.trip_threshold:
-            raise ValueError("need 0 < trip_threshold <= window_steps")
-        if self.cooldown_steps <= 0:
-            raise ValueError("cooldown_steps must be positive")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.fallback not in ("performance", "ondemand"):
-            raise ValueError("fallback must be 'performance' or 'ondemand'")
-
-
-def make_fallback_governor(cfg: WatchdogConfig, engine, cpu) -> Governor:
-    """Build the configured SLA-safe fallback governor."""
-    if cfg.fallback == "performance":
-        return PerformanceGovernor(engine, cpu, **cfg.fallback_kwargs)
-    kwargs = dict(up_threshold=0.35, sampling_rate=0.05)
-    kwargs.update(cfg.fallback_kwargs)
-    return OndemandGovernor(engine, cpu, **kwargs)
+#: Anomalous steps within the sliding window that trip the fallback.
+TRIP_THRESHOLD = 3
+#: Sliding-window length, in DRL steps.
+WINDOW_STEPS = 6
+#: Consecutive healthy steps required before re-arming the DRL loop.
+COOLDOWN_STEPS = 3
+#: Cooldown multiplier applied on a relapse (re-trip soon after re-arm).
+BACKOFF_FACTOR = 2.0
+#: Upper bound for the backed-off cooldown.
+MAX_COOLDOWN_STEPS = 48
+#: A re-trip within this many steps of a recovery counts as a relapse.
+RELAPSE_WINDOW = 8
+#: Window power above ``margin * max_socket_power`` is a sensor spike.
+MAX_POWER_MARGIN = 2.0
+#: Controller ticks below this fraction of expected flags missed ticks.
+MIN_TICK_FRACTION = 0.5
+#: (BaseFreq, ScalingCoef) of every safe mode: the watchdog's substitute
+#: for an unusable action and the action broadcast while tripped or
+#: escalated.  (1, 1) drives every score >= 1, i.e. turbo — SLA-safe.
+SAFE_ACTION: Tuple[float, float] = (1.0, 1.0)
 
 
 class Watchdog:
@@ -91,8 +63,6 @@ class Watchdog:
 
     Parameters
     ----------
-    cfg:
-        Detection/degradation knobs.
     max_power_watts, min_power_watts:
         The socket's physical power envelope (same numbers the reward
         calculator normalises with); bounds plausible window energy.
@@ -103,17 +73,15 @@ class Watchdog:
 
     def __init__(
         self,
-        cfg: Optional[WatchdogConfig] = None,
         *,
         max_power_watts: float,
         min_power_watts: float,
         long_time: float,
         short_time: float,
     ) -> None:
-        self.cfg = cfg or WatchdogConfig()
         self.long_time = long_time
         self.expected_ticks = long_time / short_time if short_time > 0 else 0.0
-        self.max_plausible_watts = self.cfg.max_power_margin * max_power_watts
+        self.max_plausible_watts = MAX_POWER_MARGIN * max_power_watts
         self._last_power = min_power_watts
 
         # Counters (public diagnostics).
@@ -125,10 +93,10 @@ class Watchdog:
 
         # State machine internals.
         self.tripped = False
-        self._recent: deque = deque(maxlen=self.cfg.window_steps)
+        self._recent: deque = deque(maxlen=WINDOW_STEPS)
         self._step_anomalies = 0
         self._healthy_streak = 0
-        self._cooldown = self.cfg.cooldown_steps
+        self._cooldown = COOLDOWN_STEPS
         self._step_index = 0
         self._last_recovery_step: Optional[int] = None
 
@@ -196,7 +164,7 @@ class Watchdog:
         if (
             not self.tripped
             and self.expected_ticks > 0
-            and ticks < self.cfg.min_tick_fraction * self.expected_ticks
+            and ticks < MIN_TICK_FRACTION * self.expected_ticks
         ):
             self._note("missed_ticks")
         return snap, energy
@@ -222,7 +190,7 @@ class Watchdog:
         """Clamp an out-of-box action; replace a non-finite one outright."""
         if not np.isfinite(action).all():
             self._note("action_nonfinite")
-            return np.asarray(self.cfg.safe_action, dtype=float)
+            return np.asarray(SAFE_ACTION, dtype=float)
         if (action < 0.0).any() or (action > 1.0).any():
             self._note("action_out_of_bounds")
             return np.clip(action, 0.0, 1.0)
@@ -236,7 +204,7 @@ class Watchdog:
         self._step_index += 1
         if not self.tripped:
             self._recent.append(anomalous)
-            if sum(self._recent) >= self.cfg.trip_threshold:
+            if sum(self._recent) >= TRIP_THRESHOLD:
                 self._trip()
                 return "trip"
             return None
@@ -258,14 +226,14 @@ class Watchdog:
         self._recent.clear()
         if (
             self._last_recovery_step is not None
-            and self._step_index - self._last_recovery_step <= self.cfg.relapse_window
+            and self._step_index - self._last_recovery_step <= RELAPSE_WINDOW
         ):
             self._cooldown = min(
-                int(round(self._cooldown * self.cfg.backoff_factor)),
-                self.cfg.max_cooldown_steps,
+                int(round(self._cooldown * BACKOFF_FACTOR)),
+                MAX_COOLDOWN_STEPS,
             )
         else:
-            self._cooldown = self.cfg.cooldown_steps
+            self._cooldown = COOLDOWN_STEPS
 
     def _rearm(self) -> None:
         self.recoveries += 1
@@ -322,7 +290,7 @@ class Watchdog:
         self.fallback_steps = int(state["fallback_steps"])
         self.tripped = bool(state["tripped"])
         self._recent = deque(
-            (bool(v) for v in state["recent"]), maxlen=self.cfg.window_steps
+            (bool(v) for v in state["recent"]), maxlen=WINDOW_STEPS
         )
         self._step_anomalies = int(state["step_anomalies"])
         self._healthy_streak = int(state["healthy_streak"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.control import ControlPlaneConfig
 from repro.core import DeepPowerAgent, DeepPowerConfig, DeepPowerRuntime, default_ddpg_config
 from repro.cpu import Cpu
 from repro.cpu.rapl import PowerMonitor
@@ -13,10 +14,16 @@ from repro.faults import (
     FaultEvent,
     FaultHarness,
     FaultPlan,
+    SAFE_ACTION,
     SensorFaults,
     Watchdog,
-    WatchdogConfig,
     standard_fault_plan,
+)
+from repro.faults.watchdog import (
+    COOLDOWN_STEPS,
+    MAX_COOLDOWN_STEPS,
+    RELAPSE_WINDOW,
+    TRIP_THRESHOLD,
 )
 from repro.server.telemetry import TelemetrySnapshot
 from repro.sim import RngRegistry
@@ -223,13 +230,9 @@ class TestPowerMonitorScreen:
 
 
 class TestWatchdog:
-    def _wd(self, **over):
-        cfg = WatchdogConfig(
-            trip_threshold=3, window_steps=6, cooldown_steps=2, relapse_window=8,
-            **over,
-        )
+    def _wd(self):
         return Watchdog(
-            cfg, max_power_watts=100.0, min_power_watts=10.0,
+            max_power_watts=100.0, min_power_watts=10.0,
             long_time=1.0, short_time=0.01,
         )
 
@@ -239,19 +242,21 @@ class TestWatchdog:
         wd.screen_window(snap, 50.0, now=now, ticks=100)
         return wd.finish_step()
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            WatchdogConfig(trip_threshold=0)
-        with pytest.raises(ValueError):
-            WatchdogConfig(trip_threshold=5, window_steps=3)
-        with pytest.raises(ValueError):
-            WatchdogConfig(fallback="turbo-button")
+    def _advancer(self, wd):
+        now = [0.0]
+
+        def advance(stale):
+            now[0] += 1.0
+            return self._step(wd, stale=stale, now=now[0])
+
+        return advance
 
     def test_trips_after_threshold_anomalous_steps(self):
         wd = self._wd()
-        assert self._step(wd, stale=True, now=1.0) is None
-        assert self._step(wd, stale=True, now=2.0) is None
-        assert self._step(wd, stale=True, now=3.0) == "trip"
+        advance = self._advancer(wd)
+        for _ in range(TRIP_THRESHOLD - 1):
+            assert advance(True) is None
+        assert advance(True) == "trip"
         assert wd.tripped and wd.trips == 1
 
     def test_healthy_steps_never_trip(self):
@@ -262,54 +267,53 @@ class TestWatchdog:
 
     def test_rearms_after_cooldown_and_counts_recovery(self):
         wd = self._wd()
-        for i in range(3):
-            self._step(wd, stale=True, now=float(i + 1))
+        advance = self._advancer(wd)
+        for _ in range(TRIP_THRESHOLD):
+            advance(True)
         assert wd.tripped
-        assert self._step(wd, now=4.0) is None
-        assert self._step(wd, now=5.0) == "rearm"
+        for _ in range(COOLDOWN_STEPS - 1):
+            assert advance(False) is None
+        assert advance(False) == "rearm"
         assert not wd.tripped and wd.recoveries == 1
 
     def test_relapse_doubles_cooldown_capped(self):
         wd = self._wd()
-        now = [0.0]
-
-        def advance(stale):
-            now[0] += 1.0
-            return self._step(wd, stale=stale, now=now[0])
-
-        for _ in range(3):
+        advance = self._advancer(wd)
+        for _ in range(TRIP_THRESHOLD):
             advance(True)
         while wd.tripped:
             advance(False)
-        assert wd.current_cooldown == 2
-        for _ in range(3):  # relapse immediately
+        assert wd.current_cooldown == COOLDOWN_STEPS
+        for _ in range(TRIP_THRESHOLD):  # relapse immediately
             advance(True)
         assert wd.tripped
-        assert wd.current_cooldown == 4  # backed off
+        assert wd.current_cooldown == 2 * COOLDOWN_STEPS  # backed off
         while wd.tripped:
             advance(False)
         # A calm stretch far beyond the relapse window resets the backoff.
-        for _ in range(20):
+        for _ in range(RELAPSE_WINDOW + 12):
             advance(False)
-        for _ in range(3):
+        for _ in range(TRIP_THRESHOLD):
             advance(True)
-        assert wd.current_cooldown == 2
+        assert wd.current_cooldown == COOLDOWN_STEPS
 
     def test_repeated_back_to_back_faults_saturate_backoff(self):
         """A persistently flapping fleet: trip -> recover -> immediate
         relapse, over and over.  The cooldown must double per relapse up
-        to the configured cap and the watchdog must keep trip/recovery
+        to MAX_COOLDOWN_STEPS and the watchdog must keep trip/recovery
         accounting consistent throughout."""
-        wd = self._wd(max_cooldown_steps=8)
-        now = [0.0]
+        wd = self._wd()
+        advance = self._advancer(wd)
 
-        def advance(stale):
-            now[0] += 1.0
-            return self._step(wd, stale=stale, now=now[0])
-
-        expected_cooldowns = [2, 4, 8, 8, 8]  # doubles, then pins at the cap
+        expected_cooldowns = [COOLDOWN_STEPS]
+        while expected_cooldowns[-1] < MAX_COOLDOWN_STEPS:
+            expected_cooldowns.append(
+                min(2 * expected_cooldowns[-1], MAX_COOLDOWN_STEPS)
+            )
+        expected_cooldowns += [MAX_COOLDOWN_STEPS] * 2  # pinned at the cap
+        assert expected_cooldowns == [3, 6, 12, 24, 48, 48, 48]
         for round_no, expected in enumerate(expected_cooldowns):
-            for _ in range(3):  # back-to-back anomalous steps re-trip
+            for _ in range(TRIP_THRESHOLD):  # back-to-back anomalous steps re-trip
                 advance(True)
             assert wd.tripped, f"round {round_no} failed to trip"
             # The backoff is applied at (re-)trip time.
@@ -326,21 +330,17 @@ class TestWatchdog:
     def test_trip_during_cooldown_resets_healthy_streak(self):
         """An anomalous step mid-cooldown re-trips instead of re-arming."""
         wd = self._wd()
-        now = [0.0]
-
-        def advance(stale):
-            now[0] += 1.0
-            return self._step(wd, stale=stale, now=now[0])
-
-        for _ in range(3):
+        advance = self._advancer(wd)
+        for _ in range(TRIP_THRESHOLD):
             advance(True)
         assert wd.tripped and wd.trips == 1
-        advance(False)  # one healthy step of the two needed
-        for _ in range(3):
+        advance(False)  # one healthy step of the COOLDOWN_STEPS needed
+        for _ in range(TRIP_THRESHOLD):
             advance(True)  # fault storm resumes before re-arm
         assert wd.tripped
         assert wd.recoveries == 0  # never recovered in between
-        advance(False)
+        for _ in range(COOLDOWN_STEPS - 1):
+            assert advance(False) is None
         assert advance(False) == "rearm"
         assert wd.recoveries == 1
 
@@ -355,7 +355,7 @@ class TestWatchdog:
         assert np.all(s == 0.0)
         # Non-finite action snaps to the safe action; out-of-box is clipped.
         a = wd.screen_action(np.array([np.inf, 0.5]))
-        assert tuple(a) == wd.cfg.safe_action
+        assert tuple(a) == SAFE_ACTION
         a = wd.screen_action(np.array([1.7, -0.2]))
         assert tuple(a) == (1.0, 0.0)
         assert wd.step_anomalies == 4
@@ -412,7 +412,7 @@ class TestFaultToleranceAcceptance:
         ctx = build_context(tiny_app, trace, 2, seed=seed)
         agent = agent or _agent(warmup=2, batch_size=4)
         cfg = DeepPowerConfig(
-            long_time=0.5, watchdog=WatchdogConfig() if watchdog else None
+            long_time=0.5, control=ControlPlaneConfig(watchdog=watchdog)
         )
         rt = DeepPowerRuntime(ctx.engine, ctx.server, ctx.monitor, agent, cfg)
         harness = FaultHarness(

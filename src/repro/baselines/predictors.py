@@ -157,7 +157,7 @@ class MlpServicePredictor(ServicePredictor):
         ys = ((y - self._y_mean) / self._y_std).reshape(-1, 1)
 
         self.net = MLP([x.shape[1], *self.hidden, 1], self.rng)
-        opt = Adam(self.net.parameters(), lr=self.lr)
+        opt = Adam(self.net.arena, lr=self.lr)
         n = len(xs)
         for _ in range(self.epochs):
             order = self.rng.permutation(n)
@@ -166,7 +166,7 @@ class MlpServicePredictor(ServicePredictor):
                 pred = self.net.forward(xs[idx])
                 _, grad = mse_loss(pred, ys[idx])
                 self.net.zero_grad()
-                self.net.backward(grad)
+                self.net.backward(grad, input_grad=False)
                 opt.step()
         self._record_residuals(x, y)
 

@@ -4,6 +4,10 @@ Besides the generic :class:`MLP`, this module provides the two-branch
 actor topology the paper describes in §4.6 ("the input state passes the
 first shared fully-connected layer and then gets through two separate
 fully-connected layers", sigmoid outputs) as :class:`TwoHeadMLP`.
+
+Every network owns one :class:`~repro.nn.layers.ParamArena`; a network
+nested inside another (a head, a twin critic's half) views its slice of
+the outer network's arena.
 """
 
 from __future__ import annotations
@@ -12,7 +16,16 @@ from typing import Dict, List, Sequence, Type
 
 import numpy as np
 
-from .layers import Identity, Layer, Linear, Parameter, ReLU, Sigmoid, Tanh
+from .layers import (
+    Identity,
+    Layer,
+    Linear,
+    ParamArena,
+    Parameter,
+    ReLU,
+    Sigmoid,
+    Tanh,
+)
 
 __all__ = ["MLP", "TwoHeadMLP", "Module", "ACTIVATIONS"]
 
@@ -25,7 +38,16 @@ ACTIVATIONS: Dict[str, Type[Layer]] = {
 
 
 class Module:
-    """Base container: parameter bookkeeping shared by all networks."""
+    """Base container: parameter bookkeeping shared by all networks.
+
+    A subclass builds its layers and sub-networks, then calls
+    :meth:`_pack` last in ``__init__``: that moves every parameter into
+    one :class:`~repro.nn.layers.ParamArena` (``self.arena``) and points
+    each sub-network's ``arena`` at its slice.  ``parameters()`` must list
+    a sub-network's parameters as one contiguous run.
+    """
+
+    arena: ParamArena
 
     def parameters(self) -> List[Parameter]:
         raise NotImplementedError
@@ -33,56 +55,62 @@ class Module:
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
+    def _pack(self) -> None:
+        ParamArena.pack(self.parameters())
+        self._adopt()
+
+    def _adopt(self) -> None:
+        self.arena = ParamArena.of(self.parameters())
+        for child in vars(self).values():
+            if isinstance(child, Module):
+                child._adopt()
+
     # ------------------------------------------------------------- parameters
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self.arena.grad.fill(0.0)
 
     def num_parameters(self) -> int:
         """Total trainable scalar count (the paper reports 2096 for its actor)."""
-        return sum(p.size for p in self.parameters())
+        return self.arena.data.size
 
     def get_flat(self) -> np.ndarray:
-        """All parameters concatenated into one vector (for tests/serialization)."""
-        ps = self.parameters()
-        if not ps:
-            return np.zeros(0)
-        return np.concatenate([p.data.ravel() for p in ps])
+        """All parameters concatenated into one vector (a copy)."""
+        return self.arena.data.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
         """Load parameters from a flat vector produced by :meth:`get_flat`."""
         vec = np.asarray(vec, dtype=np.float64)
-        off = 0
-        for p in self.parameters():
-            n = p.size
-            if off + n > vec.size:
-                raise ValueError("flat vector too short for this network")
-            p.data[...] = vec[off : off + n].reshape(p.data.shape)
-            off += n
-        if off != vec.size:
-            raise ValueError(f"flat vector has {vec.size - off} extra values")
+        data = self.arena.data
+        if vec.size < data.size:
+            raise ValueError("flat vector too short for this network")
+        if vec.size > data.size:
+            raise ValueError(f"flat vector has {vec.size - data.size} extra values")
+        data[...] = vec
 
     def copy_from(self, other: "Module") -> None:
         """Hard copy of another network's parameters (target-net init)."""
-        self.set_flat(other.get_flat())
+        self.arena.check_layout(other.arena)
+        self.arena.data[...] = other.arena.data
 
     def soft_update_from(self, other: "Module", tau: float) -> None:
         """Polyak averaging: ``theta <- tau * theta_src + (1-tau) * theta``.
 
         The DDPG/SAC target-network update (paper Algorithm 2, line 18).
+        Raises ``ValueError`` when the two networks' layouts differ.
         """
         if not 0.0 <= tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        for p_t, p_s in zip(self.parameters(), other.parameters()):
-            p_t.data *= 1.0 - tau
-            p_t.data += tau * p_s.data
+        self.arena.check_layout(other.arena)
+        data = self.arena.data
+        data *= 1.0 - tau
+        data += tau * other.arena.data
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Named parameter snapshot (savable with ``np.savez``)."""
@@ -139,16 +167,27 @@ class MLP(Module):
             self.layers.append(Linear(dims[i], dims[i + 1], rng, name=f"fc{i}"))
             act = hidden_activation if i < n - 1 else output_activation
             self.layers.append(ACTIVATIONS[act]())
+        self._pack()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray:
+        """Accumulate parameter gradients; return ``dL/dx``, or ``None``
+        when ``input_grad`` is false (the first layer then skips it)."""
+        g = grad_out
+        layers = self.layers
+        for layer in reversed(layers[1:]):
+            g = layer.backward(g)
+        return layers[0].backward(g, input_grad)
+
+    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
+        """``dL/dx`` only; parameter gradients are left untouched."""
         g = grad_out
         for layer in reversed(self.layers):
-            g = layer.backward(g)
+            g = layer.backward_input(g)
         return g
 
     def parameters(self) -> List[Parameter]:
@@ -197,6 +236,7 @@ class TwoHeadMLP(Module):
             hidden_activation=hidden_activation,
             output_activation=output_activation,
         )
+        self._pack()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = self.trunk.forward(x)
@@ -204,10 +244,10 @@ class TwoHeadMLP(Module):
         b = self.head_b.forward(h)
         return np.concatenate([a, b], axis=1)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray:
         ga = self.head_a.backward(grad_out[:, :1])
         gb = self.head_b.backward(grad_out[:, 1:2])
-        return self.trunk.backward(ga + gb)
+        return self.trunk.backward(ga + gb, input_grad)
 
     def parameters(self) -> List[Parameter]:
         return self.trunk.parameters() + self.head_a.parameters() + self.head_b.parameters()

@@ -7,8 +7,9 @@ gradient paths DDPG needs:
 
 * ``backward(dL/dQ)`` — accumulate parameter gradients (critic update) and
   return ``(dL/ds, dL/da)``;
-* the ``dL/da`` output doubles as the deterministic-policy-gradient signal
-  for the actor update (caller zeroes critic parameter grads afterwards).
+* ``action_gradient(s, a)`` — ``(Q, dQ/da)``, the deterministic-policy-
+  gradient signal for the actor update, from an input-gradient-only pass
+  that leaves the critic's parameter gradients untouched.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class StateActionCritic(Module):
         self.act1 = ReLU()
         self.tail = MLP([h1 + action_dim, h2, h3, 1], rng, output_activation="identity")
         self._h1: Optional[np.ndarray] = None
+        self._pack()
 
     def forward_sa(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Q values, shape ``(batch, 1)``."""
@@ -64,12 +66,17 @@ class StateActionCritic(Module):
         a = x[:, -self.action_dim :]
         return self.forward_sa(s, a)
 
-    def backward(self, grad_out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Backprop ``dL/dQ``; returns ``(dL/dstate, dL/daction)``."""
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Backprop ``dL/dQ``; returns ``(dL/dstate, dL/daction)``.
+
+        ``dL/dstate`` is ``None`` when ``input_grad`` is false.
+        """
         gz = self.tail.backward(grad_out)
         gh = gz[:, : -self.action_dim]
         ga = gz[:, -self.action_dim :]
-        gs = self.fc_state.backward(self.act1.backward(gh))
+        gs = self.fc_state.backward(self.act1.backward(gh), input_grad)
         return gs, ga
 
     def action_gradient(
@@ -77,14 +84,13 @@ class StateActionCritic(Module):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(Q, dQ/da)`` for the actor update.
 
-        Parameter gradients accumulated as a side effect are zeroed before
-        returning, so callers can interleave this with critic updates.
+        Only input gradients are propagated, and only through the layers
+        after the action joins: parameter gradients are left as they were,
+        so callers can interleave this with critic updates.
         """
         q = self.forward_sa(states, actions)
-        ones = np.ones_like(q)
-        _, ga = self.backward(ones)
-        self.zero_grad()
-        return q, ga
+        gz = self.tail.backward_input(np.ones_like(q))
+        return q, gz[:, -self.action_dim :]
 
     def parameters(self) -> List[Parameter]:
         return self.fc_state.parameters() + self.tail.parameters()
@@ -102,6 +108,7 @@ class TwinCritic(Module):
     ) -> None:
         self.q1 = StateActionCritic(state_dim, action_dim, rng, hidden)
         self.q2 = StateActionCritic(state_dim, action_dim, rng, hidden)
+        self._pack()
 
     def forward_sa(self, states: np.ndarray, actions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self.q1.forward_sa(states, actions), self.q2.forward_sa(states, actions)
@@ -113,7 +120,7 @@ class TwinCritic(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - API parity
         return np.minimum(self.q1.forward(x), self.q2.forward(x))
 
-    def backward(self, grad_out: np.ndarray):  # pragma: no cover - not used
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True):  # pragma: no cover
         raise NotImplementedError("backprop through min(); use q1/q2 directly")
 
     def parameters(self) -> List[Parameter]:

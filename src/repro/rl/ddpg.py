@@ -88,8 +88,8 @@ class DdpgAgent:
             config.state_dim, config.action_dim, crng, config.critic_hidden
         )
         self.critic_target.copy_from(self.critic)
-        self.actor_opt = Adam(self.actor.parameters(), lr=config.actor_lr)
-        self.critic_opt = Adam(self.critic.parameters(), lr=config.critic_lr)
+        self.actor_opt = Adam(self.actor.arena, lr=config.actor_lr)
+        self.critic_opt = Adam(self.critic.arena, lr=config.critic_lr)
         self.replay = ReplayBuffer(config.buffer_capacity, config.state_dim, config.action_dim)
         self.noise = GaussianNoise(
             config.action_dim,
@@ -165,8 +165,8 @@ class DdpgAgent:
             self.skipped_updates += 1
             return None
         self.critic.zero_grad()
-        self.critic.backward(grad)
-        clip_grad_norm(self.critic.parameters(), cfg.grad_clip)
+        self.critic.backward(grad, input_grad=False)
+        clip_grad_norm(self.critic.arena, cfg.grad_clip)
         self.critic_opt.step()
 
         # ---- actor: maximize Q(s, pi(s)) --------------------------------------
@@ -178,8 +178,8 @@ class DdpgAgent:
             return None
         self.actor.zero_grad()
         # d(-mean Q)/d pi = -dQ/da / batch
-        self.actor.backward(-dq_da / cfg.batch_size)
-        clip_grad_norm(self.actor.parameters(), cfg.grad_clip)
+        self.actor.backward(-dq_da / cfg.batch_size, input_grad=False)
+        clip_grad_norm(self.actor.arena, cfg.grad_clip)
         self.actor_opt.step()
 
         # ---- targets ----------------------------------------------------------

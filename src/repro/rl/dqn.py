@@ -65,7 +65,7 @@ class DqnAgent:
         self.q = MLP(dims, rng)
         self.q_target = MLP(dims, rng)
         self.q_target.copy_from(self.q)
-        self.opt = Adam(self.q.parameters(), lr=config.lr)
+        self.opt = Adam(self.q.arena, lr=config.lr)
         # Action index stored as a 1-d float in the shared replay layout.
         self.replay = ReplayBuffer(config.buffer_capacity, config.state_dim, 1)
         self.epsilon = config.epsilon_start
@@ -125,8 +125,8 @@ class DqnAgent:
         grad_full = np.zeros_like(q_all)
         grad_full[np.arange(cfg.batch_size), a_idx] = dloss[:, 0]
         self.q.zero_grad()
-        self.q.backward(grad_full)
-        clip_grad_norm(self.q.parameters(), cfg.grad_clip)
+        self.q.backward(grad_full, input_grad=False)
+        clip_grad_norm(self.q.arena, cfg.grad_clip)
         self.opt.step()
 
         self.updates += 1

@@ -47,6 +47,7 @@ class GaussianPolicy(Module):
         self.mean_head = Linear(hidden[-1], action_dim, rng, name="sac.mean")
         self.log_std_head = Linear(hidden[-1], action_dim, rng, name="sac.log_std")
         self._raw: Optional[np.ndarray] = None
+        self._pack()
 
     def forward(self, states: np.ndarray) -> np.ndarray:
         """Returns ``[mean | log_std]`` of shape (batch, 2 * action_dim)."""
@@ -57,7 +58,7 @@ class GaussianPolicy(Module):
         log_std = _LOG_STD_MIN + 0.5 * (_LOG_STD_MAX - _LOG_STD_MIN) * (np.tanh(raw) + 1.0)
         return np.concatenate([mean, log_std], axis=1)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray:
         """``grad_out`` is ``[d/dmean | d/dlog_std]``."""
         if self._raw is None:
             raise RuntimeError("backward before forward")
@@ -67,7 +68,7 @@ class GaussianPolicy(Module):
         t = np.tanh(self._raw)
         g_raw = g_log_std * 0.5 * (_LOG_STD_MAX - _LOG_STD_MIN) * (1.0 - t * t)
         gh = self.mean_head.backward(g_mean) + self.log_std_head.backward(g_raw)
-        return self.trunk.backward(gh)
+        return self.trunk.backward(gh, input_grad)
 
     def parameters(self) -> List[Parameter]:
         return (
@@ -137,8 +138,8 @@ class SacAgent:
         self.critic = TwinCritic(config.state_dim, config.action_dim, rng, ch)
         self.critic_target = TwinCritic(config.state_dim, config.action_dim, rng, ch)
         self.critic_target.copy_from(self.critic)
-        self.actor_opt = Adam(self.policy.parameters(), lr=config.actor_lr)
-        self.critic_opt = Adam(self.critic.parameters(), lr=config.critic_lr)
+        self.actor_opt = Adam(self.policy.arena, lr=config.actor_lr)
+        self.critic_opt = Adam(self.critic.arena, lr=config.critic_lr)
         self.replay = ReplayBuffer(config.buffer_capacity, config.state_dim, config.action_dim)
         self.updates = 0
         #: Minibatches abandoned because the batch or its losses were
@@ -191,18 +192,14 @@ class SacAgent:
             self.skipped_updates += 1
             return None
         for qnet, grad in grads:
-            qnet.backward(grad)
-        clip_grad_norm(self.critic.parameters(), cfg.grad_clip)
+            qnet.backward(grad, input_grad=False)
+        clip_grad_norm(self.critic.arena, cfg.grad_clip)
         self.critic_opt.step()
 
         # ---- actor: minimise E[alpha log pi - min Q(s, a_pi)] ----------------
         a_pi, logp, cache = self.policy.sample(s, self.rng)
-        q1 = self.critic.q1.forward_sa(s, a_pi)
-        _, dq1_da = self.critic.q1.backward(np.ones_like(q1))
-        self.critic.q1.zero_grad()
-        q2 = self.critic.q2.forward_sa(s, a_pi)
-        _, dq2_da = self.critic.q2.backward(np.ones_like(q2))
-        self.critic.q2.zero_grad()
+        q1, dq1_da = self.critic.q1.action_gradient(s, a_pi)
+        q2, dq2_da = self.critic.q2.action_gradient(s, a_pi)
         # Backprop through the element-wise min of the twin critics.
         use_q1 = (q1 <= q2).astype(float)  # (batch, 1) broadcast over actions
         dq_da = use_q1 * dq1_da + (1.0 - use_q1) * dq2_da
@@ -228,8 +225,8 @@ class SacAgent:
         self.policy.zero_grad()
         # Re-run forward so layer caches match the sampled batch.
         self.policy.forward(s)
-        self.policy.backward(grad_out)
-        clip_grad_norm(self.policy.parameters(), cfg.grad_clip)
+        self.policy.backward(grad_out, input_grad=False)
+        clip_grad_norm(self.policy.arena, cfg.grad_clip)
         self.actor_opt.step()
 
         # ---- targets ----------------------------------------------------------

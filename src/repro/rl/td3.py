@@ -75,8 +75,8 @@ class Td3Agent:
             config.state_dim, config.action_dim, rng, config.critic_hidden
         )
         self.critic_target.copy_from(self.critic)
-        self.actor_opt = Adam(self.actor.parameters(), lr=config.actor_lr)
-        self.critic_opt = Adam(self.critic.parameters(), lr=config.critic_lr)
+        self.actor_opt = Adam(self.actor.arena, lr=config.actor_lr)
+        self.critic_opt = Adam(self.critic.arena, lr=config.critic_lr)
         self.replay = ReplayBuffer(
             config.buffer_capacity, config.state_dim, config.action_dim
         )
@@ -147,8 +147,8 @@ class Td3Agent:
             self.skipped_updates += 1
             return None
         for qnet, grad in grads:
-            qnet.backward(grad)
-        clip_grad_norm(self.critic.parameters(), cfg.grad_clip)
+            qnet.backward(grad, input_grad=False)
+        clip_grad_norm(self.critic.arena, cfg.grad_clip)
         self.critic_opt.step()
         self.updates += 1
 
@@ -161,8 +161,8 @@ class Td3Agent:
                 self.skipped_updates += 1
                 return out
             self.actor.zero_grad()
-            self.actor.backward(-dq_da / cfg.batch_size)
-            clip_grad_norm(self.actor.parameters(), cfg.grad_clip)
+            self.actor.backward(-dq_da / cfg.batch_size, input_grad=False)
+            clip_grad_norm(self.actor.arena, cfg.grad_clip)
             self.actor_opt.step()
             self.actor_target.soft_update_from(self.actor, cfg.tau)
             self.critic_target.soft_update_from(self.critic, cfg.tau)

@@ -6,7 +6,9 @@ the trace body (every line after the ``trace-header`` line) and of stdout
 Each entry names the ``fleet`` argv it runs.  The digests were recorded
 from the former ``fleet``, ``chaos --nodes 4`` and ``hier --nodes 4``
 subcommands (all at ``--seed 2023``), before those were merged into
-``fleet``; the argv spells out the defaults they relied on.  Regenerate with
+``fleet``; the argv spells out the defaults they relied on.
+``fleet-scale-64`` is the 64-node capped JSQ fleet whose rerun determinism
+the fleet-scale CI job once checked with a shell ``cmp``.  Regenerate with
 ``PYTHONPATH=src python -c "from tests.test_cli_fleet import _regen;
 _regen()"`` only for an intended behaviour change.
 

@@ -1,17 +1,8 @@
 """Analysis helpers: statistics and plain-text reporting."""
 
 from .queueing import MmcQueue, erlang_c, mdc_mean_wait, mg1_mean_wait
-from .timeseries import lagged_correlation, moving_average, series_summary, window_binned
-from .reporting import format_heatmap, format_markdown_table, format_table, sparkline
-from .stats import (
-    bootstrap_mean_ci,
-    ecdf,
-    normalized_cdf,
-    quantile,
-    relative_error_matrix_stats,
-    rmse,
-    tail_ratio,
-)
+from .reporting import format_heatmap, format_table, sparkline
+from .stats import ecdf, normalized_cdf, relative_error_matrix_stats, tail_ratio
 
 __all__ = [
     "erlang_c",
@@ -21,16 +12,8 @@ __all__ = [
     "ecdf",
     "normalized_cdf",
     "tail_ratio",
-    "quantile",
-    "rmse",
     "relative_error_matrix_stats",
-    "bootstrap_mean_ci",
     "format_table",
-    "moving_average",
-    "window_binned",
-    "lagged_correlation",
-    "series_summary",
-    "format_markdown_table",
     "format_heatmap",
     "sparkline",
 ]

@@ -12,7 +12,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-__all__ = ["format_table", "format_heatmap", "sparkline", "format_markdown_table"]
+__all__ = ["format_table", "format_heatmap", "sparkline"]
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -45,18 +45,6 @@ def format_table(
     lines.append("-" * len(lines[0]))
     for row in str_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_markdown_table(headers: Sequence[str], rows: Iterable[Sequence], float_fmt="{:.3f}") -> str:
-    """GitHub-markdown table (for EXPERIMENTS.md)."""
-    def fmt(x):
-        return float_fmt.format(x) if isinstance(x, float) else str(x)
-
-    lines = ["| " + " | ".join(headers) + " |"]
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(fmt(c) for c in row) + " |")
     return "\n".join(lines)
 
 

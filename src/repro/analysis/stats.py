@@ -10,10 +10,7 @@ __all__ = [
     "ecdf",
     "normalized_cdf",
     "tail_ratio",
-    "quantile",
-    "rmse",
     "relative_error_matrix_stats",
-    "bootstrap_mean_ci",
 ]
 
 
@@ -53,21 +50,6 @@ def tail_ratio(values: Sequence[float], q: float = 0.99) -> float:
     return float(np.quantile(v, q) / m) if m > 0 else 0.0
 
 
-def quantile(values: Sequence[float], q: float) -> float:
-    """Convenience quantile with empty-input safety."""
-    v = np.asarray(values, dtype=float)
-    return float(np.quantile(v, q)) if v.size else 0.0
-
-
-def rmse(pred: Sequence[float], truth: Sequence[float]) -> float:
-    """Root mean squared error."""
-    p = np.asarray(pred, dtype=float)
-    t = np.asarray(truth, dtype=float)
-    if p.shape != t.shape:
-        raise ValueError("shape mismatch")
-    return float(np.sqrt(np.mean((p - t) ** 2))) if p.size else 0.0
-
-
 def relative_error_matrix_stats(matrix: np.ndarray) -> dict:
     """Summary of a Fig 2-style relative-RMSE matrix.
 
@@ -87,17 +69,3 @@ def relative_error_matrix_stats(matrix: np.ndarray) -> dict:
         "worst_pair": (int(worst[0]), int(worst[1])),
     }
 
-
-def bootstrap_mean_ci(
-    values: Sequence[float],
-    rng: np.random.Generator,
-    n_boot: int = 1000,
-    ci: float = 0.95,
-) -> Tuple[float, float, float]:
-    """(mean, lo, hi) bootstrap confidence interval of the mean."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return 0.0, 0.0, 0.0
-    means = rng.choice(v, size=(n_boot, v.size), replace=True).mean(axis=1)
-    alpha = (1.0 - ci) / 2.0
-    return float(v.mean()), float(np.quantile(means, alpha)), float(np.quantile(means, 1 - alpha))

@@ -2,12 +2,11 @@
 
 The paper's evaluation compares DeepPower against a no-management baseline
 and two state-of-the-art prediction-based managers (ReTail, Gemini); this
-package implements all of them plus reference policies used by the
-extension/ablation benches.
+package implements all of them plus two reference policies: a fixed
+frequency and a utilisation oracle.
 """
 
 from .base import PowerManager
-from .dynsleep import DynSleepPolicy
 from .gemini import GeminiPolicy
 from .predictors import (
     LinearServicePredictor,
@@ -31,5 +30,4 @@ __all__ = [
     "UtilizationOraclePolicy",
     "RetailPolicy",
     "GeminiPolicy",
-    "DynSleepPolicy",
 ]

@@ -632,6 +632,9 @@ def _cmd_trace_slice(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .cluster.node import NODE_POLICIES
+    from .workload.apps import APP_NAMES
+
     p = argparse.ArgumentParser(prog="deeppower", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -639,7 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_list)
 
     sp = sub.add_parser("experiment", help="run one paper experiment by id")
-    sp.add_argument("id", help="experiment id, e.g. fig7, table2")
+    sp.add_argument(
+        "id", metavar="ID", choices=[e.id for e in list_experiments()],
+        help="experiment id, e.g. fig7, table2 (see 'deeppower list')",
+    )
     sp.add_argument("--full", action="store_true", help="full-scale profile")
     sp.add_argument(
         "--checkpoint-dir", default=None,
@@ -666,14 +672,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_experiment)
 
     sp = sub.add_parser("compare", help="compare policies on one app")
-    sp.add_argument("--app", default="xapian")
+    sp.add_argument("--app", default="xapian", choices=APP_NAMES)
     sp.add_argument("--policies", default="baseline,retail,gemini")
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--full", action="store_true")
     sp.set_defaults(fn=_cmd_compare)
 
     sp = sub.add_parser("train", help="train a DeepPower agent and save it")
-    sp.add_argument("--app", default="xapian")
+    sp.add_argument("--app", default="xapian", choices=APP_NAMES)
     sp.add_argument("--episodes", type=int, default=0, help="0 = profile default")
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--out", default="deeppower-agent.npz")
@@ -712,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
         "under seeded faults (--chaos) and a learned budget coordinator "
         "(--hier)",
     )
-    sp.add_argument("--app", default="xapian")
+    sp.add_argument("--app", default="xapian", choices=APP_NAMES)
     sp.add_argument(
         "--nodes", type=_positive_int, default=8,
         help="number of simulated machines (default: 8)",
@@ -722,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cores per node (default: profile-sized)",
     )
     sp.add_argument(
-        "--policy", default="baseline",
-        help="per-node power policy: baseline, retail, gemini, deeppower",
+        "--policy", default="baseline", choices=list(NODE_POLICIES),
+        help="per-node power policy (default: %(default)s)",
     )
     sp.add_argument(
         "--routing", default="round-robin",
@@ -843,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="soak the DeepPower control loop over a lossy message bus, "
         "sweeping fault intensity against a no-degraded-mode ablation",
     )
-    sp.add_argument("--app", default="xapian")
+    sp.add_argument("--app", default="xapian", choices=APP_NAMES)
     sp.add_argument(
         "--intensities", default="0,0.5,1",
         help="comma-separated bus-fault intensities (>= 0; 0 doubles as "

@@ -66,7 +66,6 @@ from .sim import (
     FleetSpec,
     fleet_power_budget,
     fleet_trace,
-    merge_run_metrics,
     run_cluster,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "FleetSpec",
     "fleet_trace",
     "fleet_power_budget",
-    "merge_run_metrics",
     "run_cluster",
     "NodeLifecycle",
     "StragglerDetector",

@@ -26,7 +26,7 @@ so a decision costs a few vector ops at any fleet size.
 Health awareness lives one level up, in :class:`Dispatcher`: routers only
 ever see the *candidate* ids — down nodes are filtered out before
 ``select_batch`` runs, and degraded nodes are probabilistically de-weighted
-(dropped from the candidate set with probability ``degraded_penalty``,
+(dropped from the candidate set with probability ``DEGRADED_PENALTY``,
 never hard-excluded) whenever a non-degraded alternative exists.  The
 de-weighting RNG is a dedicated seeded stream, and it is only drawn when a
 degraded candidate actually exists, so fault-free fleets make bitwise the
@@ -52,7 +52,16 @@ __all__ = [
     "ROUTERS",
     "Dispatcher",
     "StragglerDetector",
+    "DEGRADED_PENALTY",
+    "STRAGGLER_MULTIPLE",
 ]
+
+#: Probability a degraded node is dropped from the candidate set for one
+#: routing decision (it stays routable when no healthy alternative exists).
+DEGRADED_PENALTY = 0.5
+#: A node whose window p99 exceeds this multiple of the fleet median
+#: window p99 is marked degraded.
+STRAGGLER_MULTIPLE = 3.0
 
 
 class Router:
@@ -168,10 +177,6 @@ class Dispatcher:
         Seeded stream for degraded de-weighting.  Only consulted when a
         degraded candidate coexists with a healthy one, so fault-free
         fleets draw nothing and stay bitwise reproducible.
-    degraded_penalty:
-        Probability a degraded node is dropped from the candidate set for
-        one routing decision (0 = ignore degradation, 1 = hard-exclude
-        while alternatives exist).
     on_unroutable:
         Callback for requests with zero live candidates (entire fleet
         down).  Default: mark the request dropped.
@@ -184,20 +189,14 @@ class Dispatcher:
         *,
         health_aware: bool = True,
         rng: Optional[np.random.Generator] = None,
-        degraded_penalty: float = 0.5,
         on_unroutable: Optional[Callable] = None,
     ) -> None:
         if not nodes:
             raise ValueError("dispatcher needs at least one node")
-        if not 0.0 <= degraded_penalty <= 1.0:
-            raise ValueError(
-                f"degraded_penalty must be in [0, 1], got {degraded_penalty!r}"
-            )
         self.nodes: List[ClusterNode] = list(nodes)
         self.router = router
         self.health_aware = bool(health_aware)
         self.rng = rng
-        self.degraded_penalty = float(degraded_penalty)
         self.on_unroutable = on_unroutable
         self.dispatched = 0
         #: Requests that found no live node to run on.
@@ -210,7 +209,7 @@ class Dispatcher:
         """Route one request: filter candidates, then ask the router.
 
         Down nodes are dropped first, then each degraded candidate is
-        dropped with probability ``degraded_penalty`` — one ``rng`` draw
+        dropped with probability :data:`DEGRADED_PENALTY` — one ``rng`` draw
         per degraded candidate, in node-id order.
         """
         batch = self.batch
@@ -223,18 +222,13 @@ class Dispatcher:
                 else:
                     req.dropped = True
                 return
-            if (
-                self.rng is None
-                or self.degraded_penalty == 0.0
-                or n_deg == 0
-                or n_deg == live_idx.size
-            ):
+            if self.rng is None or n_deg == 0 or n_deg == live_idx.size:
                 # Nothing to de-weight, or no healthy alternative to shed to.
                 cand_idx = live_idx
             else:
                 draws = self.rng.random(n_deg)
                 keep = np.ones(live_idx.size, dtype=bool)
-                keep[deg_mask] = draws >= self.degraded_penalty
+                keep[deg_mask] = draws >= DEGRADED_PENALTY
                 cand_idx = live_idx[keep]
                 if cand_idx.size == 0:
                     cand_idx = live_idx[~deg_mask]
@@ -260,10 +254,10 @@ class StragglerDetector:
     Periodically (driven by the cluster harness) computes each node's p99
     over the completions that landed since the previous check and compares
     it to the fleet-wide median of those window p99s: a node above
-    ``multiple``x the median is marked ``degraded``; a degraded node back
-    within bounds is restored to ``healthy``.  Only the healthy <->
-    degraded edge is touched — down/recovering nodes belong to the
-    lifecycle, though their completion cursor still advances so stale
+    :data:`STRAGGLER_MULTIPLE` x the median is marked ``degraded``; a
+    degraded node back within bounds is restored to ``healthy``.  Only the
+    healthy <-> degraded edge is touched — down/recovering nodes belong to
+    the lifecycle, though their completion cursor still advances so stale
     samples cannot condemn a node that just came back.
     """
 
@@ -271,14 +265,10 @@ class StragglerDetector:
         self,
         nodes: Sequence[ClusterNode],
         *,
-        multiple: float = 3.0,
         min_samples: int = 5,
         on_change: Optional[Callable[[ClusterNode, str], None]] = None,
     ) -> None:
-        if multiple <= 1.0:
-            raise ValueError(f"straggler multiple must be > 1, got {multiple!r}")
         self.nodes = list(nodes)
-        self.multiple = float(multiple)
         self.min_samples = int(min_samples)
         self.on_change = on_change
         self._seen = [0] * len(self.nodes)
@@ -305,7 +295,7 @@ class StragglerDetector:
         for node, p99 in zip(self.nodes, window_p99):
             if node.state not in (HEALTHY, DEGRADED):
                 continue
-            if np.isfinite(p99) and p99 > self.multiple * median:
+            if np.isfinite(p99) and p99 > STRAGGLER_MULTIPLE * median:
                 if node.state == HEALTHY:
                     self._flip(node, DEGRADED)
             elif node.state == DEGRADED and np.isfinite(p99):

@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from ..cpu.dvfs import DEFAULT_TABLE, FrequencyTable
-from ..cpu.power import DEFAULT_POWER_MODEL, PowerModel
 from ..cpu.rapl import PowerMonitor
 from ..cpu.topology import Cpu
 from ..parallel.grid import GRID_POLICIES
@@ -43,6 +41,7 @@ __all__ = [
     "NodeContext",
     "ClusterNode",
     "FixedControllerDriver",
+    "AGENT_SEED",
     "NODE_POLICIES",
     "build_node_driver",
     "HEALTHY",
@@ -95,14 +94,10 @@ class ClusterNode:
         Stable index of this node (enters its RNG namespace and traces).
     app:
         Application profile served by this node's workers.
-    num_cores, num_workers:
-        Socket size and worker-thread count (defaults to one per core).
+    num_cores:
+        Socket size; the node runs one worker thread per core.
     seed:
         Fleet base seed; the node derives its own namespaced streams.
-    table, power_model:
-        DVFS table / power model (shared defaults unless overridden).
-    keep_requests:
-        Retain completed request objects in the node's recorder.
     """
 
     def __init__(
@@ -111,21 +106,15 @@ class ClusterNode:
         node_id: int,
         app: AppSpec,
         num_cores: int,
-        num_workers: Optional[int] = None,
         seed: int = 0,
-        table: FrequencyTable = DEFAULT_TABLE,
-        power_model: PowerModel = DEFAULT_POWER_MODEL,
-        keep_requests: bool = False,
     ) -> None:
         self.engine = engine
         self.node_id = int(node_id)
         self.app = app
         self.seed = derive_seed(seed, "node", self.node_id)
         self.rngs = RngRegistry(self.seed)
-        self.cpu = Cpu(engine, num_cores, table, power_model)
-        self.server = Server(
-            engine, self.cpu, app, num_workers=num_workers, keep_requests=keep_requests
-        )
+        self.cpu = Cpu(engine, num_cores)
+        self.server = Server(engine, self.cpu, app)
         self.monitor = PowerMonitor(engine, self.cpu)
         self.driver: Any = None
         #: Requests the dispatcher routed to this node.
@@ -178,10 +167,6 @@ class ClusterNode:
         return self.state == DOWN
 
     @property
-    def is_degraded(self) -> bool:
-        return self.state == DEGRADED
-
-    @property
     def accepting(self) -> bool:
         """Whether a health-aware dispatcher may route new work here."""
         return self.state != DOWN
@@ -217,18 +202,13 @@ class ClusterNode:
 
 # ------------------------------------------------------------------- policies
 
-def _deeppower_node_driver(
-    node: ClusterNode,
-    kwargs: Dict[str, Any],
-    agent_path: Optional[str],
-    agent_seed: int,
-):
-    """A DeepPower runtime for one node (evaluation mode by default).
+#: Seed of the tuned DeepPower agent every ``deeppower`` node builds before
+#: loading ``agent_path`` (``tuned_agent_setup``'s default).
+AGENT_SEED = 7
 
-    ``policy_kwargs={"train": True}`` keeps the node learner live — the
-    hierarchical fleet layer uses this so node agents keep collecting
-    transitions (optionally into a shared replay pool) under the fleet
-    agent.
+
+def _deeppower_node_driver(node: ClusterNode, agent_path: Optional[str]):
+    """A frozen, evaluation-mode DeepPower runtime for one node.
 
     Deferred imports: :mod:`repro.experiments` imports this package via the
     fleet experiment, so the dependency must stay runtime-only here.
@@ -236,10 +216,10 @@ def _deeppower_node_driver(
     from ..core.runtime import DeepPowerRuntime
     from ..experiments.fig7_main import tuned_agent_setup
 
-    agent, cfg = tuned_agent_setup(agent_seed, app=node.app)
+    agent, cfg = tuned_agent_setup(AGENT_SEED, app=node.app)
     if agent_path is not None:
         agent.load(agent_path)
-    cfg.train = bool(kwargs.get("train", False))
+    cfg.train = False
     cfg.record_steps = False
     return DeepPowerRuntime(node.engine, node.server, node.monitor, agent, cfg)
 
@@ -247,15 +227,15 @@ def _deeppower_node_driver(
 def _baseline_node_driver(policy: str):
     factory = GRID_POLICIES[policy]
 
-    def build(node: ClusterNode, kwargs, agent_path, agent_seed):
-        return factory(node.context(), kwargs)
+    def build(node: ClusterNode, agent_path):
+        return factory(node.context(), {})
 
     return build
 
 
 class FixedControllerDriver:
     """DeepPower's 1 ms thread controller with frozen ``(BaseFreq,
-    ScalingCoef)`` and no learner on top.
+    ScalingCoef) = (0.35, 0.6)`` and no learner on top.
 
     The cheapest tick-driven node policy: per-request work is just the
     server pipeline, and the whole per-tick cost is Algorithm 1 itself —
@@ -265,19 +245,11 @@ class FixedControllerDriver:
     frequency floor).
     """
 
-    def __init__(
-        self,
-        node: ClusterNode,
-        base_freq: float = 0.35,
-        scaling_coef: float = 0.6,
-        short_time: Optional[float] = None,
-    ) -> None:
+    def __init__(self, node: ClusterNode) -> None:
         from ..core.thread_controller import ThreadController
 
-        self.controller = ThreadController(
-            node.engine, node.server, short_time=short_time
-        )
-        self.controller.set_params(base_freq, scaling_coef)
+        self.controller = ThreadController(node.engine, node.server)
+        self.controller.set_params(0.35, 0.6)
 
     def start(self) -> None:
         self.controller.start()
@@ -286,16 +258,11 @@ class FixedControllerDriver:
         self.controller.stop()
 
 
-def _controller_node_driver(
-    node: ClusterNode,
-    kwargs: Dict[str, Any],
-    agent_path: Optional[str],
-    agent_seed: int,
-):
-    return FixedControllerDriver(node, **kwargs)
+def _controller_node_driver(node: ClusterNode, agent_path: Optional[str]):
+    return FixedControllerDriver(node)
 
 
-#: Per-node policy name -> ``build(node, kwargs, agent_path, agent_seed)``.
+#: Per-node policy name -> ``build(node, agent_path)``.
 NODE_POLICIES: Dict[str, Callable] = {
     **{name: _baseline_node_driver(name) for name in GRID_POLICIES},
     "deeppower": _deeppower_node_driver,
@@ -304,11 +271,7 @@ NODE_POLICIES: Dict[str, Callable] = {
 
 
 def build_node_driver(
-    node: ClusterNode,
-    policy: str,
-    policy_kwargs: Optional[Dict[str, Any]] = None,
-    agent_path: Optional[str] = None,
-    agent_seed: int = 7,
+    node: ClusterNode, policy: str, agent_path: Optional[str] = None
 ):
     """Instantiate (and attach) the named power policy on ``node``."""
     try:
@@ -317,6 +280,6 @@ def build_node_driver(
         raise KeyError(
             f"unknown node policy {policy!r}; available: {sorted(NODE_POLICIES)}"
         ) from None
-    driver = build(node, dict(policy_kwargs or {}), agent_path, agent_seed)
+    driver = build(node, agent_path)
     node.attach_driver(driver)
     return driver

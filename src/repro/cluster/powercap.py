@@ -44,7 +44,14 @@ from ..sim.engine import Engine, PeriodicTask
 from ..sim.events import PRIORITY_CONTROL
 from .node import DOWN, RECOVERING, ClusterNode
 
-__all__ = ["CapWindow", "PowerCapCoordinator"]
+__all__ = ["CAP_BOOST", "CAP_WINDOW", "CapWindow", "PowerCapCoordinator"]
+
+#: Coordination interval, seconds (the paper's ``LongTime`` scale).
+CAP_WINDOW = 1.0
+#: Demand margin over measured power — a node asking for exactly its
+#: last-window draw could never ramp up, so demand is ``measured * boost``
+#: before flooring/capping.
+CAP_BOOST = 1.25
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,8 @@ class CapWindow:
 
 
 class PowerCapCoordinator:
-    """Apportion ``budget_watts`` across fleet nodes every window.
+    """Apportion ``budget_watts`` across fleet nodes every
+    :data:`CAP_WINDOW` seconds.
 
     Parameters
     ----------
@@ -79,12 +87,6 @@ class PowerCapCoordinator:
         Shared clock and the fleet (each node carries its own monitor).
     budget_watts:
         Global cluster power budget (W).
-    window:
-        Coordination interval, seconds (the paper's ``LongTime`` scale).
-    boost:
-        Demand margin over measured power — a node asking for exactly its
-        last-window draw could never ramp up, so demand is
-        ``measured * boost`` before flooring/capping.
     trace:
         Optional :class:`~repro.obs.TraceWriter`; each window emits a
         ``powercap-window`` event with per-node powers/targets/ceilings.
@@ -95,19 +97,13 @@ class PowerCapCoordinator:
         engine: Engine,
         nodes: Sequence[ClusterNode],
         budget_watts: float,
-        window: float = 1.0,
-        boost: float = 1.25,
         trace: Any = None,
     ) -> None:
         if budget_watts <= 0:
             raise ValueError(f"budget_watts must be positive, got {budget_watts}")
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
         self.engine = engine
         self.nodes = list(nodes)
         self.budget_watts = float(budget_watts)
-        self.window = float(window)
-        self.boost = float(boost)
         self.trace = trace
         # Worst-case (all workers busy) node power per DVFS level, per node:
         # the ceiling decision compares targets against these.
@@ -171,9 +167,9 @@ class PowerCapCoordinator:
         # Run after the per-node policies' control tasks at shared
         # timestamps so ceilings apply to the actions just taken.
         self._task = self.engine.every(
-            self.window,
+            CAP_WINDOW,
             self._rebalance,
-            start_delay=self.window,
+            start_delay=CAP_WINDOW,
             priority=PRIORITY_CONTROL + 2,
         )
 
@@ -316,7 +312,7 @@ class PowerCapCoordinator:
         cap: np.ndarray,
         budget: float,
     ) -> np.ndarray:
-        demand = np.clip(powers * self.boost, floor, cap)
+        demand = np.clip(powers * CAP_BOOST, floor, cap)
         total = float(demand.sum())
         if total <= budget:
             spare = budget - total

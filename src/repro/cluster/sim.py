@@ -27,12 +27,12 @@ fleet-wide table from exactly these.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..cpu.dvfs import DEFAULT_TABLE, FrequencyTable
-from ..cpu.power import DEFAULT_POWER_MODEL, PowerModel
+from ..cpu.dvfs import DEFAULT_TABLE
+from ..cpu.power import DEFAULT_POWER_MODEL
 from ..faults.fleet import FleetFaultPlan
 from ..server.metrics import LatencyRecorder, RunMetrics
 from ..sim.engine import Engine
@@ -42,10 +42,17 @@ from ..workload.apps import get_app
 from ..workload.arrivals import OpenLoopSource
 from ..workload.trace import WorkloadTrace
 from .batch import FleetBatch
-from .dispatch import ROUTERS, Dispatcher, StragglerDetector, make_router
+from .dispatch import (
+    DEGRADED_PENALTY,
+    ROUTERS,
+    STRAGGLER_MULTIPLE,
+    Dispatcher,
+    StragglerDetector,
+    make_router,
+)
 from .lifecycle import NodeLifecycle
-from .node import NODE_POLICIES, ClusterNode, build_node_driver
-from .powercap import PowerCapCoordinator
+from .node import AGENT_SEED, NODE_POLICIES, ClusterNode, build_node_driver
+from .powercap import CAP_BOOST, CAP_WINDOW, PowerCapCoordinator
 
 __all__ = [
     "ClusterConfig",
@@ -54,7 +61,6 @@ __all__ = [
     "FleetSpec",
     "fleet_trace",
     "fleet_power_budget",
-    "merge_run_metrics",
     "run_cluster",
 ]
 
@@ -66,18 +72,12 @@ class ClusterConfig:
     app: str
     num_nodes: int
     cores_per_node: int
-    num_workers: Optional[int] = None
     policy: str = "baseline"
-    policy_kwargs: Tuple[Tuple[str, Any], ...] = ()
     routing: str = "round-robin"
     #: Global fleet power budget (W); None disables the coordinator.
     power_cap_watts: Optional[float] = None
-    cap_window: float = 1.0
-    cap_boost: float = 1.25
     seed: int = 0
     agent_path: Optional[str] = None
-    agent_seed: int = 7
-    keep_requests: bool = False
     #: Fleet fault scenario; None (or an empty plan) keeps the fleet
     #: immortal and the run bitwise identical to a plain fleet run.
     fault_plan: Optional[FleetFaultPlan] = None
@@ -85,11 +85,6 @@ class ClusterConfig:
     #: None = on exactly when a fault plan is active; False = the
     #: no-failover ablation.
     health_aware: Optional[bool] = None
-    #: Straggler detector: degrade a node whose window p99 exceeds this
-    #: multiple of the fleet median window p99.
-    straggler_multiple: float = 3.0
-    #: Probability a degraded node is dropped from one routing decision.
-    degraded_penalty: float = 0.5
     #: Hierarchical fleet-RL layer (:class:`repro.hier.HierConfig`): a
     #: fleet-level agent takes over the coordinator's budget
     #: apportioning.  ``None`` (the default)
@@ -119,14 +114,6 @@ class ClusterConfig:
             raise ValueError(
                 f"power_cap_watts must be positive, got {self.power_cap_watts}"
             )
-        if self.straggler_multiple <= 1.0:
-            raise ValueError(
-                f"straggler_multiple must be > 1, got {self.straggler_multiple}"
-            )
-        if not 0.0 <= self.degraded_penalty <= 1.0:
-            raise ValueError(
-                f"degraded_penalty must be in [0, 1], got {self.degraded_penalty}"
-            )
         if self.hier is not None:
             from ..hier.config import HierConfig
 
@@ -139,11 +126,6 @@ class ClusterConfig:
                     "hier requires power_cap_watts: the fleet agent "
                     "apportions the cap budget, so there must be one"
                 )
-
-    @property
-    def hier_active(self) -> bool:
-        """Whether a learned fleet-level coordinator drives this run."""
-        return self.hier is not None
 
     @property
     def resilience_active(self) -> bool:
@@ -231,26 +213,6 @@ class FleetMetrics:
         }
 
 
-def merge_run_metrics(
-    recorders: Sequence[LatencyRecorder], sla: float, duration: float
-) -> RunMetrics:
-    """Fleet-wide metrics from per-node recorders (quantiles over the pool).
-
-    Concatenates the raw per-request samples rather than averaging node
-    quantiles — a p99 of averages is not the average's p99, and fleet SLA
-    compliance is defined over the full request population.
-    """
-    merged = LatencyRecorder(sla)
-    for rec in recorders:
-        merged.latencies.extend(rec.latencies)
-        merged.service_times.extend(rec.service_times)
-        merged.queue_times.extend(rec.queue_times)
-        merged.arrived += rec.arrived
-        merged.completed += rec.completed
-        merged.timeouts += rec.timeouts
-    return merged.summarize(duration)
-
-
 class ClusterSim:
     """Build and run one fleet: nodes + dispatcher + coordinator + source.
 
@@ -265,8 +227,6 @@ class ClusterSim:
     obs:
         Optional :class:`~repro.obs.Observability`; the caller owns its
         lifecycle (the sim flushes but never closes it).
-    table, power_model:
-        Shared DVFS table / power model for every node.
     fleet_agent:
         Optional pre-built :class:`~repro.hier.FleetAgent` to reuse (the
         hier training loop carries one agent across episodes); only valid
@@ -279,8 +239,6 @@ class ClusterSim:
         config: ClusterConfig,
         trace: WorkloadTrace,
         obs: Any = None,
-        table: FrequencyTable = DEFAULT_TABLE,
-        power_model: PowerModel = DEFAULT_POWER_MODEL,
         fleet_agent: Any = None,
     ) -> None:
         self.config = config
@@ -292,15 +250,7 @@ class ClusterSim:
         self.rngs = RngRegistry(config.seed)
         self.nodes: List[ClusterNode] = [
             ClusterNode(
-                self.engine,
-                i,
-                self.app,
-                config.cores_per_node,
-                num_workers=config.num_workers,
-                seed=config.seed,
-                table=table,
-                power_model=power_model,
-                keep_requests=config.keep_requests,
+                self.engine, i, self.app, config.cores_per_node, seed=config.seed
             )
             for i in range(config.num_nodes)
         ]
@@ -317,18 +267,11 @@ class ClusterSim:
             self.router,
             health_aware=health_aware,
             rng=self.rngs.get("dispatch") if resilience else None,
-            degraded_penalty=config.degraded_penalty,
         )
         self.lifecycle: Optional[NodeLifecycle] = None
         self.detector: Optional[StragglerDetector] = None
         self.drivers = [
-            build_node_driver(
-                node,
-                config.policy,
-                dict(config.policy_kwargs),
-                agent_path=config.agent_path,
-                agent_seed=config.agent_seed,
-            )
+            build_node_driver(node, config.policy, agent_path=config.agent_path)
             for node in self.nodes
         ]
         self.source = OpenLoopSource(
@@ -372,8 +315,6 @@ class ClusterSim:
                 self.fleet_agent,
                 config.hier,
                 self.app.sla,
-                window=config.cap_window,
-                boost=config.cap_boost,
                 trace=self._trace_writer,
             )
             if config.hier.shared_replay and config.policy == "deeppower":
@@ -395,8 +336,6 @@ class ClusterSim:
                 self.engine,
                 self.nodes,
                 config.power_cap_watts,
-                window=config.cap_window,
-                boost=config.cap_boost,
                 trace=self._trace_writer,
             )
         if resilience:
@@ -412,9 +351,7 @@ class ClusterSim:
             if self.coordinator is not None:
                 self.coordinator.lifecycle = self.lifecycle
             self.detector = StragglerDetector(
-                self.nodes,
-                multiple=config.straggler_multiple,
-                on_change=self._on_health_change,
+                self.nodes, on_change=self._on_health_change
             )
         # The dispatcher's stacked fleet state; it also runs the fleet's
         # controller ticks as one event (see _adopt_batched_controllers).
@@ -520,9 +457,9 @@ class ClusterSim:
         health_task = None
         if self.detector is not None:
             health_task = self.engine.every(
-                cfg.cap_window,
+                CAP_WINDOW,
                 self.detector.check,
-                start_delay=cfg.cap_window,
+                start_delay=CAP_WINDOW,
                 priority=PRIORITY_CONTROL + 1,
             )
         window_task = None
@@ -532,9 +469,9 @@ class ClusterSim:
             )
             self._win_time = self.engine.now
             window_task = self.engine.every(
-                cfg.cap_window,
+                CAP_WINDOW,
                 self._emit_node_windows,
-                start_delay=cfg.cap_window,
+                start_delay=CAP_WINDOW,
                 priority=PRIORITY_CONTROL + 3,
             )
         self.source.start()
@@ -579,9 +516,19 @@ class ClusterSim:
             m.dvfs_switches = node_switches[i]
             node_metrics.append(m)
 
-        fleet = merge_run_metrics(
-            [n.server.metrics for n in self.nodes], self.app.sla, duration
-        )
+        # Fleet-wide metrics pool the raw per-request samples rather than
+        # averaging node quantiles: a p99 of averages is not the average's
+        # p99, and fleet SLA compliance is defined over every request.
+        merged = LatencyRecorder(self.app.sla)
+        for node in self.nodes:
+            rec = node.server.metrics
+            merged.latencies.extend(rec.latencies)
+            merged.service_times.extend(rec.service_times)
+            merged.queue_times.extend(rec.queue_times)
+            merged.arrived += rec.arrived
+            merged.completed += rec.completed
+            merged.timeouts += rec.timeouts
+        fleet = merged.summarize(duration)
         fleet.energy_joules = float(sum(node_energy))
         fleet.avg_power_watts = (
             fleet.energy_joules / duration if duration > 0 else float("nan")
@@ -736,7 +683,7 @@ class FleetSpec:
         from ..parallel.cache import file_digest, plan_digest
 
         cfg = self.config
-        payload = {
+        return {
             "kind": "fleet-spec",
             "app": cfg.app,
             "policy": cfg.policy,
@@ -745,31 +692,28 @@ class FleetSpec:
             "trace_rates": self.trace.rates,
             "num_nodes": cfg.num_nodes,
             "cores_per_node": cfg.cores_per_node,
-            "num_workers": cfg.num_workers,
+            # These keys hold module constants; they stay so that results
+            # cached under them still hit.
+            "num_workers": None,
             "seed": cfg.seed,
-            "policy_kwargs": list(cfg.policy_kwargs),
+            "policy_kwargs": [],
             "power_cap_watts": cfg.power_cap_watts,
-            "cap_window": cfg.cap_window,
-            "cap_boost": cfg.cap_boost,
+            "cap_window": CAP_WINDOW,
+            "cap_boost": CAP_BOOST,
             "agent_digest": file_digest(cfg.agent_path) if cfg.agent_path else None,
-            "agent_seed": cfg.agent_seed if cfg.agent_path else None,
+            "agent_seed": AGENT_SEED if cfg.agent_path else None,
             "label": self.label,
             # A faulted run must never collide with a clean run of the same
             # spec: the digest is None exactly when the plan is a no-op.
             "fault_plan": plan_digest(cfg.fault_plan),
             "health_aware": cfg.health_aware,
-            "straggler_multiple": cfg.straggler_multiple,
-            "degraded_penalty": cfg.degraded_penalty,
+            "straggler_multiple": STRAGGLER_MULTIPLE,
+            "degraded_penalty": DEGRADED_PENALTY,
             # Learned-coordinator runs must never collide with heuristic
             # runs of the same spec; the payload covers every
             # learning-relevant hier field.
             "hier": cfg.hier.cache_payload() if cfg.hier is not None else None,
         }
-        # Kept requests change the result; the key is added only when set so
-        # every entry cached without it keeps its key.
-        if cfg.keep_requests:
-            payload["keep_requests"] = True
-        return payload
 
     def execute(self) -> Tuple[FleetMetrics, Dict[str, Any]]:
         """Build the fleet from scratch and run it (pool-worker entry)."""
@@ -822,8 +766,6 @@ def fleet_power_budget(
     num_nodes: int,
     cores_per_node: int,
     fraction: float = 0.7,
-    table: FrequencyTable = DEFAULT_TABLE,
-    power_model: PowerModel = DEFAULT_POWER_MODEL,
 ) -> float:
     """A deterministic cluster budget ``fraction`` of the way up the
     fleet's controllable power range.
@@ -838,10 +780,10 @@ def fleet_power_budget(
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     busy = np.ones(cores_per_node, dtype=bool)
-    floor = num_nodes * power_model.socket_power(
-        np.full(cores_per_node, table.fmin), busy
+    floor = num_nodes * DEFAULT_POWER_MODEL.socket_power(
+        np.full(cores_per_node, DEFAULT_TABLE.fmin), busy
     )
-    worst_turbo = num_nodes * power_model.socket_power(
-        np.full(cores_per_node, table.turbo), busy
+    worst_turbo = num_nodes * DEFAULT_POWER_MODEL.socket_power(
+        np.full(cores_per_node, DEFAULT_TABLE.turbo), busy
     )
     return float(floor + fraction * (worst_turbo - floor))

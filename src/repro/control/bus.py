@@ -144,11 +144,6 @@ class Channel:
         """Deliver via engine events at each copy's delivery time."""
         self._subscriber = callback
 
-    @property
-    def depth(self) -> int:
-        """Undelivered messages currently queued."""
-        return len(self._heap)
-
     def publish(self, message) -> None:
         """Enqueue one message, consulting the fault injector for its fate."""
         self.stats["published"] += 1

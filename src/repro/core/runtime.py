@@ -44,12 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..checkpoint import CheckpointManager
 
 from ..control import (
     ActuatorCommand,
@@ -95,12 +92,6 @@ class DeepPowerConfig:
     train: bool = True
     #: DDPG updates per DRL step while training.
     updates_per_step: int = 1
-    #: Periodic autosave target; with ``checkpoint_every_steps`` > 0 the
-    #: runtime snapshots its full state (agent, controller, observer,
-    #: reward window, watchdog) every N DRL steps.
-    checkpoint: Optional["CheckpointManager"] = None
-    #: DRL steps between autosaves (0 = autosave disabled).
-    checkpoint_every_steps: int = 0
     #: Message-bus transport and safe-mode switches (watchdog included).
     control: ControlPlaneConfig = field(default_factory=ControlPlaneConfig)
 
@@ -192,7 +183,7 @@ class DeepPowerRuntime:
         self._trace = obs.trace if obs is not None else None
         self._spans = obs.spans if obs is not None else None
         self._last_switches = 0
-        self._m_steps = self._m_trips = self._m_rearms = self._m_ckpts = None
+        self._m_steps = self._m_trips = self._m_rearms = None
         self._g_reward = self._g_power = None
         if obs is not None:
             engine.spans = obs.spans  # None when not profiling
@@ -205,7 +196,6 @@ class DeepPowerRuntime:
             self._m_steps = m.counter("drl.steps")
             self._m_trips = m.counter("watchdog.trips")
             self._m_rearms = m.counter("watchdog.rearms")
-            self._m_ckpts = m.counter("checkpoint.saves")
             self._g_reward = m.gauge("drl.reward")
             self._g_power = m.gauge("power.watts")
         # Control plane: the policy loop reaches the node only over the bus.
@@ -673,28 +663,11 @@ class DeepPowerRuntime:
                 self._emit_controller_window(self.engine.now, step_no)
 
     def _advance_step(self) -> int:
-        """Shared per-step bookkeeping: counters and checkpoint autosave."""
+        """Shared per-step bookkeeping: the step counter and its metric."""
         step_no = self.step_count
         self.step_count += 1
         if self._m_steps is not None:
             self._m_steps.inc()
-        if (
-            self.cfg.checkpoint is not None
-            and self.cfg.checkpoint_every_steps > 0
-            and self.step_count % self.cfg.checkpoint_every_steps == 0
-        ):
-            self.cfg.checkpoint.save(
-                self.state_dict(), step=self.step_count, meta={"kind": "runtime"}
-            )
-            if self._m_ckpts is not None:
-                self._m_ckpts.inc()
-            if self._trace is not None:
-                self._trace.emit(
-                    "checkpoint",
-                    t=self.engine.now,
-                    step=self.step_count,
-                    ckpt_kind="runtime",
-                )
         return step_no
 
     def _emit_controller_window(self, t: float, step_no: int) -> None:

@@ -333,9 +333,6 @@ class ThreadController:
 
     # ------------------------------------------------------------------ traces
 
-    def clear_trace(self) -> None:
-        self.trace.clear()
-
     def trace_arrays(self):
         """``(times, freq_matrix)`` from the recorded trace.
 

@@ -7,38 +7,22 @@ rationale.
 """
 
 from .core import Core
-from .cstates import DEFAULT_CSTATES, CState, CStateTable, IdleGovernor
 from .dvfs import DEFAULT_TABLE, FrequencyTable
-from .governors import (
-    ConservativeGovernor,
-    Governor,
-    OndemandGovernor,
-    PerformanceGovernor,
-    PowersaveGovernor,
-    UserspaceGovernor,
-)
+from .governors import Governor, OndemandGovernor, PerformanceGovernor
 from .power import DEFAULT_POWER_MODEL, PowerModel
 from .rapl import EnergySample, PowerMonitor
-from .topology import Cpu, dual_socket
+from .topology import Cpu
 
 __all__ = [
     "Core",
-    "CState",
-    "CStateTable",
-    "IdleGovernor",
-    "DEFAULT_CSTATES",
     "FrequencyTable",
     "DEFAULT_TABLE",
     "PowerModel",
     "DEFAULT_POWER_MODEL",
     "Cpu",
-    "dual_socket",
     "PowerMonitor",
     "EnergySample",
     "Governor",
     "PerformanceGovernor",
-    "PowersaveGovernor",
-    "UserspaceGovernor",
     "OndemandGovernor",
-    "ConservativeGovernor",
 ]

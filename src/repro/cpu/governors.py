@@ -1,16 +1,12 @@
 """Classic Linux cpufreq governors, re-implemented over the simulated CPU.
 
-These provide OS-level comparison points (and sanity baselines for tests):
+These provide OS-level comparison points:
 
-* ``performance`` — pin every core at max/turbo.
-* ``powersave``   — pin every core at fmin.
-* ``userspace``   — whatever an external policy writes (a no-op shim; the
-  power-management policies in :mod:`repro.baselines` and DeepPower's
-  thread controller all drive cores through this path).
+* ``performance`` — pin every core at max/turbo (the fallback governor a
+  node endpoint engages in safe mode).
 * ``ondemand``    — sample per-core utilisation every ``sampling_rate``; jump
   to max above ``up_threshold``, else pick the lowest frequency that keeps
   projected utilisation below the threshold (Linux's proportional drop).
-* ``conservative``— like ondemand but steps up/down gradually.
 """
 
 from __future__ import annotations
@@ -21,14 +17,7 @@ from ..sim.engine import Engine, PeriodicTask
 from .core import Core
 from .topology import Cpu
 
-__all__ = [
-    "Governor",
-    "PerformanceGovernor",
-    "PowersaveGovernor",
-    "UserspaceGovernor",
-    "OndemandGovernor",
-    "ConservativeGovernor",
-]
+__all__ = ["Governor", "PerformanceGovernor", "OndemandGovernor"]
 
 
 class Governor:
@@ -68,54 +57,7 @@ class PerformanceGovernor(Governor):
         self.cpu.set_all_frequencies(target)
 
 
-class PowersaveGovernor(Governor):
-    """Pin all cores at the lowest frequency."""
-
-    name = "powersave"
-
-    def start(self) -> None:
-        self.cpu.set_all_frequencies(self.cpu.table.fmin)
-
-
-class UserspaceGovernor(Governor):
-    """External control: exposes ``set_speed`` like ``scaling_setspeed``."""
-
-    name = "userspace"
-
-    def start(self) -> None:  # nothing to do; external writers drive cores
-        pass
-
-    def set_speed(self, core_id: int, freq: float) -> float:
-        """Write a frequency for one core; returns the quantised value."""
-        return self.cpu[core_id].set_frequency(freq)
-
-
-class _SamplingGovernor(Governor):
-    """Shared machinery for utilisation-sampling governors."""
-
-    def __init__(self, engine: Engine, cpu: Cpu, sampling_rate: float = 0.01) -> None:
-        super().__init__(engine, cpu)
-        if sampling_rate <= 0:
-            raise ValueError("sampling_rate must be > 0")
-        self.sampling_rate = sampling_rate
-        self._last_busy: List[float] = []
-
-    def start(self) -> None:
-        self._last_busy = [c.busy_seconds() for c in self.cpu.cores]
-        self._task = self.engine.every(self.sampling_rate, self._sample)
-
-    def _sample(self) -> None:
-        for i, core in enumerate(self.cpu.cores):
-            b = core.busy_seconds()
-            util = (b - self._last_busy[i]) / self.sampling_rate
-            self._last_busy[i] = b
-            self._apply(core, min(util, 1.0))
-
-    def _apply(self, core: Core, util: float) -> None:
-        raise NotImplementedError
-
-
-class OndemandGovernor(_SamplingGovernor):
+class OndemandGovernor(Governor):
     """Linux ondemand: burst to max above the threshold, else proportional.
 
     Below ``up_threshold`` the next frequency is chosen so that, at the
@@ -134,11 +76,26 @@ class OndemandGovernor(_SamplingGovernor):
         up_threshold: float = 0.8,
         use_turbo: bool = True,
     ) -> None:
-        super().__init__(engine, cpu, sampling_rate)
+        super().__init__(engine, cpu)
+        if sampling_rate <= 0:
+            raise ValueError("sampling_rate must be > 0")
         if not 0 < up_threshold <= 1:
             raise ValueError("up_threshold must be in (0, 1]")
+        self.sampling_rate = sampling_rate
         self.up_threshold = up_threshold
         self.use_turbo = use_turbo
+        self._last_busy: List[float] = []
+
+    def start(self) -> None:
+        self._last_busy = [c.busy_seconds() for c in self.cpu.cores]
+        self._task = self.engine.every(self.sampling_rate, self._sample)
+
+    def _sample(self) -> None:
+        for i, core in enumerate(self.cpu.cores):
+            b = core.busy_seconds()
+            util = (b - self._last_busy[i]) / self.sampling_rate
+            self._last_busy[i] = b
+            self._apply(core, min(util, 1.0))
 
     def _apply(self, core: Core, util: float) -> None:
         table = self.cpu.table
@@ -148,30 +105,3 @@ class OndemandGovernor(_SamplingGovernor):
             target = core.frequency * util / self.up_threshold
             core.set_frequency(max(table.fmin, min(target, table.fmax)))
 
-
-class ConservativeGovernor(_SamplingGovernor):
-    """Linux conservative: step one level up/down between two thresholds."""
-
-    name = "conservative"
-
-    def __init__(
-        self,
-        engine: Engine,
-        cpu: Cpu,
-        sampling_rate: float = 0.01,
-        up_threshold: float = 0.8,
-        down_threshold: float = 0.2,
-    ) -> None:
-        super().__init__(engine, cpu, sampling_rate)
-        if not 0 <= down_threshold < up_threshold <= 1:
-            raise ValueError("need 0 <= down_threshold < up_threshold <= 1")
-        self.up_threshold = up_threshold
-        self.down_threshold = down_threshold
-
-    def _apply(self, core: Core, util: float) -> None:
-        table = self.cpu.table
-        idx = table.index_of(core.frequency)
-        if util > self.up_threshold and idx < table.num_levels - 1:
-            core.set_frequency(table.levels[idx + 1])
-        elif util < self.down_threshold and idx > 0:
-            core.set_frequency(table.levels[idx - 1])

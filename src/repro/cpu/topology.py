@@ -1,8 +1,7 @@
 """CPU package: a socket of cores sharing a DVFS table and power model.
 
 The paper deploys worker threads on socket 0 and measures that socket's RAPL
-domain; here a :class:`Cpu` is one such socket.  Multi-socket layouts are a
-list of Cpus (see :func:`dual_socket`).
+domain; here a :class:`Cpu` is one such socket.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from .core import Core
 from .dvfs import DEFAULT_TABLE, FrequencyTable
 from .power import DEFAULT_POWER_MODEL, PowerModel
 
-__all__ = ["Cpu", "dual_socket"]
+__all__ = ["Cpu"]
 
 class Cpu:
     """A socket of ``num_cores`` DVFS-capable cores.
@@ -191,15 +190,3 @@ class Cpu:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cpu(cores={len(self.cores)}, table={self.table.fmin}-{self.table.turbo} GHz)"
 
-
-def dual_socket(
-    engine: Engine,
-    cores_per_socket: int,
-    table: FrequencyTable = DEFAULT_TABLE,
-    power_model: PowerModel = DEFAULT_POWER_MODEL,
-) -> List[Cpu]:
-    """The paper's 2-socket layout: workers on socket 0, support on socket 1."""
-    return [
-        Cpu(engine, cores_per_socket, table, power_model),
-        Cpu(engine, cores_per_socket, table, power_model),
-    ]

@@ -58,22 +58,19 @@ HIER_LOAD = 0.35
 HIER_CAP_FRACTION = 0.7
 
 
-def hier_config() -> HierConfig:
-    """The experiment's fleet-agent configuration (online-learning DDPG).
-
-    The actor starts at a 0.65 share of each node's controllable envelope
-    — one DVFS ceiling below where the budget-riding heuristic lands —
-    with moderate exploration noise so the learner can probe lower shares
-    during trace valleys without destabilising the tail.
-    """
-    return HierConfig(
-        algo="ddpg",
-        train=True,
-        init_share=0.65,
-        noise_sigma=0.2,
-        noise_decay=0.98,
-        noise_min_sigma=0.02,
-    )
+#: The experiment's fleet-agent configuration (online-learning DDPG).  The
+#: actor starts at a 0.65 share of each node's controllable envelope — one
+#: DVFS ceiling below where the budget-riding heuristic lands — with
+#: moderate exploration noise so the learner can probe lower shares during
+#: trace valleys without destabilising the tail.
+HIER_AGENT = HierConfig(
+    algo="ddpg",
+    train=True,
+    init_share=0.65,
+    noise_sigma=0.2,
+    noise_decay=0.98,
+    noise_min_sigma=0.02,
+)
 
 
 def run_hier(
@@ -114,7 +111,7 @@ def run_hier(
                 routing="power-aware",
                 power_cap_watts=budget if capped else None,
                 seed=run_seed,
-                hier=hier_config() if coordinator == "learned" else None,
+                hier=HIER_AGENT if coordinator == "learned" else None,
             )
             specs.append(
                 FleetSpec(config, trace, label=f"{profile.name}-hier-{coordinator}")

@@ -15,10 +15,7 @@ governors all fit this shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..checkpoint import CheckpointManager
+from typing import Any, Callable, Dict, Optional
 
 from ..cpu.rapl import PowerMonitor
 from ..cpu.topology import Cpu
@@ -57,14 +54,6 @@ class RunResult:
     metrics: RunMetrics
     #: Driver-specific artifacts (step records, frequency traces, ...).
     extras: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def power(self) -> float:
-        return self.metrics.avg_power_watts
-
-    @property
-    def energy(self) -> float:
-        return self.metrics.energy_joules
 
 
 def build_context(
@@ -113,8 +102,6 @@ def run_policy(
     keep_requests: bool = False,
     drain_grace: Optional[float] = None,
     extras_fn: Optional[Callable[[RunContext, Any], Dict[str, Any]]] = None,
-    checkpoint: Optional["CheckpointManager"] = None,
-    checkpoint_every: float = 0.0,
     obs: Any = None,
 ) -> RunResult:
     """Run one (app, policy, trace) experiment.
@@ -130,10 +117,6 @@ def run_policy(
         the trace window; latency statistics include drained completions.
     extras_fn:
         Optional ``fn(ctx, driver) -> dict`` collecting driver artifacts.
-    checkpoint, checkpoint_every:
-        With both set and a driver exposing ``state_dict()``, autosave the
-        driver's state every ``checkpoint_every`` simulated seconds, so a
-        crash mid-run loses at most one autosave interval of learning.
     obs:
         Optional :class:`~repro.obs.Observability`.  The runner emits
         ``run-start`` / ``run-summary`` (and ``run-warning`` for
@@ -168,23 +151,6 @@ def run_policy(
     driver = driver_factory(ctx)
     if driver is not None and hasattr(driver, "start"):
         driver.start()
-    if (
-        checkpoint is not None
-        and checkpoint_every > 0
-        and driver is not None
-        and hasattr(driver, "state_dict")
-    ):
-        save_count = [0]
-
-        def _autosave() -> None:
-            save_count[0] += 1
-            checkpoint.save(
-                driver.state_dict(),
-                step=save_count[0],
-                meta={"kind": "run-driver", "time": ctx.engine.now},
-            )
-
-        ctx.engine.every(checkpoint_every, _autosave)
     ctx.source.start()
 
     duration = trace.duration

@@ -18,7 +18,6 @@ from typing import Dict, Optional
 
 
 from ..sim.rng import RngRegistry
-from ..workload.apps import SIM_APPS, AppSpec, get_app
 from ..workload.trace import WorkloadTrace, diurnal_trace
 
 __all__ = [
@@ -102,11 +101,3 @@ def evaluation_trace(
         num_segments=profile.trace_segments,
     )
 
-
-def app_for(name: str) -> AppSpec:
-    """Profile-independent app lookup (always the sim-scale catalog)."""
-    return get_app(name)
-
-
-def all_app_names():
-    return tuple(SIM_APPS)

@@ -29,21 +29,6 @@ __all__ = ["Table3Row", "run_table3", "render_table3", "TABLE3_LOADS"]
 TABLE3_LOADS = (0.2, 0.5, 0.7)
 
 
-def rps_for_measured_load(app, load: float, num_workers: int) -> float:
-    """Arrival rate at ``load`` fraction of *measured* peak throughput.
-
-    Tailbench expresses load as a fraction of the peak QPS the server
-    sustains, and at peak every request carries the full colocation
-    inflation — so the peak is ``n * f / (mean_work * (1 + contention))``,
-    not the contention-free nominal capacity.  Using the nominal figure
-    would make "70 % load" saturate the machine.
-    """
-    peak = num_workers * 2.1 / (
-        app.service.expected_work() * (1.0 + app.contention)
-    )
-    return load * peak
-
-
 @dataclass(frozen=True)
 class Table3Row:
     app: str
@@ -77,8 +62,13 @@ def run_table3(
     for name in apps:
         app = get_app(name)
         nw = workers_for(name, profile.num_cores)
+        # Tailbench load is a fraction of the peak QPS the server sustains,
+        # and at peak every request carries the full colocation inflation:
+        # the peak is n * f / (mean_work * (1 + contention)), not the
+        # nominal capacity (which would make "70 % load" saturate it).
+        peak = nw * 2.1 / (app.service.expected_work() * (1.0 + app.contention))
         for load in loads:
-            rps = rps_for_measured_load(app, load, nw)
+            rps = load * peak
             specs.append(
                 RunSpec(
                     app=name,

@@ -47,10 +47,6 @@ class _Injector:
     def _count(self, kind: str, n: int = 1) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + n
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.counts.values())
-
     def arm(self) -> None:
         if self.armed:
             return

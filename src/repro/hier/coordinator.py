@@ -48,7 +48,7 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
 
     Parameters
     ----------
-    engine, nodes, budget_watts, window, boost, trace:
+    engine, nodes, budget_watts, trace:
         As for the base coordinator.
     agent:
         The :class:`~repro.hier.agent.FleetAgent` (its ``num_nodes`` must
@@ -68,13 +68,9 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
         agent: FleetAgent,
         config: HierConfig,
         sla: float,
-        window: float = 1.0,
-        boost: float = 1.25,
         trace: Any = None,
     ) -> None:
-        super().__init__(
-            engine, nodes, budget_watts, window=window, boost=boost, trace=trace
-        )
+        super().__init__(engine, nodes, budget_watts, trace=trace)
         n = len(self.nodes)
         if agent.num_nodes != n:
             raise ValueError(

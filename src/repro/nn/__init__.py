@@ -6,10 +6,10 @@ dependency-free, and easy to verify against finite differences.
 """
 
 from .layers import Identity, Layer, Linear, Parameter, ReLU, Sigmoid, Tanh
-from .losses import gaussian_nll, huber_loss, mse_loss
+from .losses import huber_loss, mse_loss
 from .network import ACTIVATIONS, MLP, Module, TwoHeadMLP, numerical_gradient
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .serialization import load_module, load_modules, save_module, save_modules
+from .serialization import load_modules, save_modules
 
 __all__ = [
     "Parameter",
@@ -30,9 +30,6 @@ __all__ = [
     "clip_grad_norm",
     "mse_loss",
     "huber_loss",
-    "gaussian_nll",
-    "save_module",
-    "load_module",
     "save_modules",
     "load_modules",
 ]

@@ -6,7 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["mse_loss", "huber_loss", "gaussian_nll"]
+__all__ = ["mse_loss", "huber_loss"]
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -39,19 +39,3 @@ def huber_loss(
     grad = np.where(quad, diff, delta * np.sign(diff)) / n
     return float(loss_elems.sum() / n), grad
 
-
-def gaussian_nll(
-    mean: np.ndarray, log_std: np.ndarray, x: np.ndarray
-) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Negative log-likelihood of ``x`` under N(mean, exp(log_std)^2).
-
-    Returns ``(nll, d nll/d mean, d nll/d log_std)``; used by the SAC
-    policy substrate.
-    """
-    std = np.exp(log_std)
-    z = (x - mean) / std
-    n = x.size
-    nll = float(np.sum(0.5 * z * z + log_std + 0.5 * np.log(2 * np.pi)) / n)
-    dmean = (-z / std) / n
-    dlog_std = (1.0 - z * z) / n
-    return nll, dmean, dlog_std

@@ -26,7 +26,7 @@ import numpy as np
 
 from .network import Module
 
-__all__ = ["save_module", "load_module", "save_modules", "load_modules"]
+__all__ = ["save_modules", "load_modules"]
 
 
 def _npz_path(path: str) -> str:
@@ -51,20 +51,6 @@ def _atomic_savez(path: str, payload: Dict[str, np.ndarray]) -> None:
         except OSError:
             pass
         raise
-
-
-def save_module(module: Module, path: str) -> None:
-    """Write a module's parameters to ``path`` (``.npz``), atomically."""
-    _atomic_savez(path, module.state_dict())
-
-
-def load_module(module: Module, path: str) -> None:
-    """Load parameters saved by :func:`save_module` into ``module``."""
-    path = _npz_path(path)
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with np.load(path) as data:
-        module.load_state_dict({k: data[k] for k in data.files})
 
 
 def save_modules(modules: Dict[str, Module], path: str) -> None:

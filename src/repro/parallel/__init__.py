@@ -41,7 +41,6 @@ from .pool import (
     ParallelMap,
     PoolStats,
     derive_seed,
-    effective_jobs,
     shutdown_pools,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "ItemOutcome",
     "PoolStats",
     "derive_seed",
-    "effective_jobs",
     "shutdown_pools",
     "RunResultCache",
     "content_key",

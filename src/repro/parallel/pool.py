@@ -64,7 +64,6 @@ __all__ = [
     "ParallelMap",
     "PoolStats",
     "derive_seed",
-    "effective_jobs",
     "shutdown_pools",
 ]
 
@@ -88,13 +87,6 @@ def derive_seed(base_seed: int, *parts: object, bits: int = 31) -> int:
     payload = repr((int(base_seed),) + parts).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big") % (1 << bits)
-
-
-def effective_jobs(jobs: Optional[int]) -> int:
-    """Normalise a ``jobs`` request: None/0 -> all CPUs, negatives -> 1."""
-    if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
-    return max(1, int(jobs))
 
 
 def _fork_available() -> bool:
@@ -202,12 +194,6 @@ def _acquire_pool(
     return pool
 
 
-def _evict_pool(workers: int, warmup: Optional[Callable[[], None]]) -> None:
-    pool = _POOLS.pop((workers, warmup), None)
-    if pool is not None:
-        pool.close()
-
-
 def shutdown_pools() -> int:
     """Terminate every persistent pool; returns how many were closed.
 
@@ -264,7 +250,10 @@ class ParallelMap:
         chunksize: Optional[int] = None,
         persistent: bool = True,
     ) -> None:
-        self.jobs = effective_jobs(jobs)
+        # None/0 -> all CPUs, negatives -> 1.
+        self.jobs = (
+            (os.cpu_count() or 1) if jobs is None or jobs == 0 else max(1, int(jobs))
+        )
         self.warmup = warmup
         self.chunksize = None if chunksize is None else max(1, int(chunksize))
         self.persistent = bool(persistent)
@@ -306,7 +295,8 @@ class ParallelMap:
             except BaseException:
                 # A broken pool (killed worker, unpicklable payload mid-map)
                 # must not serve the next caller: evict and re-fork lazily.
-                _evict_pool(self.jobs, self.warmup)
+                if _POOLS.pop((self.jobs, self.warmup), None) is not None:
+                    pool.close()
                 raise
             self.last_stats = replace(pool.stats)
         else:

@@ -8,8 +8,8 @@ stochastic top-layer ablations.
 
 from .critics import StateActionCritic, TwinCritic
 from .ddpg import DdpgAgent, DdpgConfig
-from .dqn import DqnAgent, DqnConfig, action_grid, make_ddqn
-from .noise import GaussianNoise, OrnsteinUhlenbeckNoise
+from .dqn import DqnAgent, DqnConfig, action_grid
+from .noise import GaussianNoise
 from .replay import ReplayBuffer, Transition
 from .sac import GaussianPolicy, SacAgent, SacConfig
 from .td3 import Td3Agent, Td3Config
@@ -18,14 +18,12 @@ __all__ = [
     "ReplayBuffer",
     "Transition",
     "GaussianNoise",
-    "OrnsteinUhlenbeckNoise",
     "StateActionCritic",
     "TwinCritic",
     "DdpgAgent",
     "DdpgConfig",
     "DqnAgent",
     "DqnConfig",
-    "make_ddqn",
     "action_grid",
     "SacAgent",
     "Td3Agent",

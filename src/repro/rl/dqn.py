@@ -134,8 +134,3 @@ class DqnAgent:
             self.q_target.copy_from(self.q)
         return {"loss": loss, "mean_q": float(q_sa.mean()), "epsilon": self.epsilon}
 
-
-def make_ddqn(config: DqnConfig, rng: np.random.Generator) -> DqnAgent:
-    """Convenience: a Double-DQN agent (van Hasselt et al. 2016)."""
-    cfg = DqnConfig(**{**config.__dict__, "double": True})
-    return DqnAgent(cfg, rng)

@@ -1,11 +1,10 @@
-"""Exploration noise processes for continuous-action agents.
+"""Gaussian exploration noise for continuous-action agents.
 
 The paper adds Gaussian noise ``N(mu=0.3, sigma=1)`` to the actor output
 during training (§4.6): the positive mean biases early exploration toward
 high frequencies (avoiding queue blow-up while the policy is random), and
 the large variance covers the whole [0, 1] action range.  A decay schedule
-is provided so evaluation-time noise can anneal away, and an
-Ornstein–Uhlenbeck process is included as the classic DDPG alternative.
+is provided so evaluation-time noise can anneal away.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["GaussianNoise", "OrnsteinUhlenbeckNoise"]
+__all__ = ["GaussianNoise"]
 
 
 class GaussianNoise:
@@ -79,80 +78,3 @@ class GaussianNoise:
         self.mu0 = float(state["mu0"])
         self.sigma0 = float(state["sigma0"])
 
-
-class OrnsteinUhlenbeckNoise:
-    """Temporally correlated OU noise (Lillicrap et al. 2015 default).
-
-    ``dx = theta * (mu - x) dt + sigma * sqrt(dt) * N(0, 1)``
-
-    ``decay`` follows the same contract as :class:`GaussianNoise`: each
-    ``step_decay()`` multiplies sigma by it, floored at ``min_sigma``
-    (the OU position ``x`` is untouched — only the diffusion magnitude
-    anneals).  The default ``decay=1.0`` keeps the historical
-    constant-sigma behaviour.
-    """
-
-    def __init__(
-        self,
-        dim: int,
-        rng: np.random.Generator,
-        mu: float = 0.0,
-        theta: float = 0.15,
-        sigma: float = 0.2,
-        dt: float = 1.0,
-        decay: float = 1.0,
-        min_sigma: float = 0.05,
-    ) -> None:
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        if theta < 0 or sigma < 0 or dt <= 0:
-            raise ValueError("invalid OU parameters")
-        if not 0 < decay <= 1:
-            raise ValueError("decay must be in (0, 1]")
-        if min_sigma < 0:
-            raise ValueError("min_sigma must be >= 0")
-        self.dim = dim
-        self.rng = rng
-        self.mu = float(mu)
-        self.theta = float(theta)
-        self.sigma0 = float(sigma)
-        self.sigma = float(sigma)
-        self.dt = float(dt)
-        self.decay = float(decay)
-        self.min_sigma = float(min_sigma)
-        self._x = np.full(dim, self.mu)
-
-    def sample(self) -> np.ndarray:
-        dx = self.theta * (self.mu - self._x) * self.dt + self.sigma * np.sqrt(
-            self.dt
-        ) * self.rng.standard_normal(self.dim)
-        self._x = self._x + dx
-        return self._x.copy()
-
-    def step_decay(self) -> None:
-        """Anneal the diffusion sigma (same contract as GaussianNoise).
-
-        Was a silent no-op before: an OU-configured agent with a decay
-        schedule never actually annealed its exploration.
-        """
-        if self.decay < 1.0:
-            self.sigma = max(self.min_sigma, self.sigma * self.decay)
-
-    def reset(self) -> None:
-        """Restore the initial position and diffusion magnitude."""
-        self._x = np.full(self.dim, self.mu)
-        self.sigma = self.sigma0
-
-    def state_dict(self) -> Dict:
-        """Snapshot of the process position and annealing state."""
-        return {"x": self._x.copy(), "sigma": self.sigma, "sigma0": self.sigma0}
-
-    def load_state_dict(self, state: Dict) -> None:
-        x = np.asarray(state["x"], dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"OU snapshot has dim {x.shape}, process has {self.dim}")
-        self._x = x.copy()
-        # Older snapshots predate sigma annealing; keep the live values.
-        if "sigma" in state:
-            self.sigma = float(state["sigma"])
-            self.sigma0 = float(state.get("sigma0", self.sigma0))

@@ -225,10 +225,6 @@ class Server:
         """Busy fraction of *worker* cores (not the whole socket)."""
         return self.busy_workers() / len(self.workers)
 
-    def worker_requests(self) -> List[Optional[Request]]:
-        """Current request per worker (None for idle workers)."""
-        return [w.current for w in self.workers]
-
     def begin_times(self) -> np.ndarray:
         """Per-worker *arrival* time of the in-flight request (Algorithm 1's
         ``BeginTimes`` input: "Request arrive time of each thread"); NaN for

@@ -2,7 +2,7 @@
 
 from .engine import Engine, PeriodicTask, SimulationError, drain
 from .events import PRIORITY_CONTROL, PRIORITY_DEFAULT, PRIORITY_LATE, EventHandle
-from .rng import RngRegistry, generator_state, restore_generator, stream_seed
+from .rng import RngRegistry, generator_state, restore_generator
 
 __all__ = [
     "Engine",
@@ -14,7 +14,6 @@ __all__ = [
     "PRIORITY_CONTROL",
     "PRIORITY_LATE",
     "RngRegistry",
-    "stream_seed",
     "generator_state",
     "restore_generator",
 ]

@@ -15,7 +15,7 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["RngRegistry", "stream_seed", "generator_state", "restore_generator"]
+__all__ = ["RngRegistry", "generator_state", "restore_generator"]
 
 
 def generator_state(gen: np.random.Generator) -> Dict:
@@ -36,16 +36,6 @@ def restore_generator(gen: np.random.Generator, state: Dict) -> None:
             f"generator is {expected!r}"
         )
     gen.bit_generator.state = state
-
-
-def stream_seed(root_seed: int, name: str) -> np.random.SeedSequence:
-    """Derive a child :class:`~numpy.random.SeedSequence` for ``name``.
-
-    The stream key is a stable CRC32 of the name, so streams are invariant
-    across python hash randomisation and process restarts.
-    """
-    key = zlib.crc32(name.encode("utf-8"))
-    return np.random.SeedSequence(entropy=root_seed, spawn_key=(key,))
 
 
 class RngRegistry:
@@ -70,7 +60,7 @@ class RngRegistry:
         """Return the generator for ``name``, creating it on first use."""
         gen = self._streams.get(name)
         if gen is None:
-            gen = np.random.Generator(np.random.PCG64(stream_seed(self.seed, name)))
+            gen = self.get_fresh(name)
             self._streams[name] = gen
         return gen
 
@@ -83,8 +73,14 @@ class RngRegistry:
         return self.get_fresh(f"{name}#{offset}")
 
     def get_fresh(self, name: str) -> np.random.Generator:
-        """A new generator for ``name`` that is *not* cached (stateless reuse)."""
-        return np.random.Generator(np.random.PCG64(stream_seed(self.seed, name)))
+        """A new generator for ``name`` that is *not* cached (stateless reuse).
+
+        The stream key is a stable CRC32 of the name, so streams are
+        invariant across python hash randomisation and process restarts.
+        """
+        key = zlib.crc32(name.encode("utf-8"))
+        seed = np.random.SeedSequence(entropy=self.seed, spawn_key=(key,))
+        return np.random.Generator(np.random.PCG64(seed))
 
     def reset(self) -> None:
         """Drop all cached streams; subsequent ``get`` calls start fresh."""

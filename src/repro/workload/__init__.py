@@ -2,7 +2,7 @@
 
 from .apps import APP_NAMES, PAPER_APPS, SIM_APPS, AppSpec, get_app
 from .arrivals import OpenLoopSource
-from .burst import ClosedLoopSource, mmpp_trace
+from .burst import mmpp_trace
 from .request import Request
 from .service_time import (
     FEATURE_DIM,
@@ -28,6 +28,5 @@ __all__ = [
     "diurnal_trace",
     "constant_trace",
     "OpenLoopSource",
-    "ClosedLoopSource",
     "mmpp_trace",
 ]

@@ -1,31 +1,19 @@
-"""Additional arrival processes: MMPP bursts and closed-loop clients.
+"""Bursty arrivals: a Markov-modulated Poisson trace.
 
-The paper evaluates under open-loop diurnal Poisson traffic; these models
-extend the workload substrate for robustness studies:
-
-* :func:`mmpp_trace` — a two-state Markov-modulated Poisson process
-  rendered as a piecewise-constant trace (burst/calm alternation), the
-  classic model for flash-crowd arrivals.
-* :class:`ClosedLoopSource` — a fixed population of clients with think
-  time; each client issues its next request only after the previous
-  response returns (Tailbench's "integrated" mode).  Under a closed loop,
-  queueing self-throttles, so tail behaviour differs qualitatively from
-  the open-loop results — useful for checking a policy doesn't overfit the
-  open-loop assumption.
+The paper evaluates under open-loop diurnal Poisson traffic;
+:func:`mmpp_trace` extends the workload substrate for robustness studies.
+It is a two-state Markov-modulated Poisson process rendered as a
+piecewise-constant trace (burst/calm alternation), the classic model for
+flash-crowd arrivals.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
-from ..sim.engine import Engine
-from .request import Request
-from .service_time import ServiceModel
 from .trace import WorkloadTrace
 
-__all__ = ["mmpp_trace", "ClosedLoopSource"]
+__all__ = ["mmpp_trace"]
 
 
 def mmpp_trace(
@@ -66,73 +54,3 @@ def mmpp_trace(
         burst = not burst
     return WorkloadTrace(np.array(edges), np.array(rates))
 
-
-class ClosedLoopSource:
-    """Fixed client population with exponential think time.
-
-    Each of ``population`` clients repeats: think (exponential with mean
-    ``think_time``) -> submit a request -> wait for its completion.  The
-    server signals completions back via :meth:`notify_complete`, which the
-    harness wires to the server's completion hook.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        population: int,
-        think_time: float,
-        service: ServiceModel,
-        sla: float,
-        sink: Callable[[Request], None],
-        rng: np.random.Generator,
-        duration: Optional[float] = None,
-    ) -> None:
-        if population <= 0:
-            raise ValueError("population must be positive")
-        if think_time < 0:
-            raise ValueError("think_time must be >= 0")
-        self.engine = engine
-        self.population = population
-        self.think_time = think_time
-        self.service = service
-        self.sla = float(sla)
-        self.sink = sink
-        self.rng = rng
-        self.duration = duration
-        self.generated = 0
-        self._next_id = 0
-        #: req_id -> client index, for routing completions back.
-        self._outstanding = {}
-
-    def start(self) -> None:
-        for client in range(self.population):
-            self._schedule_think(client)
-
-    def notify_complete(self, request: Request) -> None:
-        """Wire to the server: a client's request finished; think again."""
-        client = self._outstanding.pop(request.req_id, None)
-        if client is not None:
-            self._schedule_think(client)
-
-    # ---------------------------------------------------------------- internal
-
-    def _schedule_think(self, client: int) -> None:
-        delay = self.rng.exponential(self.think_time) if self.think_time > 0 else 0.0
-        t = self.engine.now + delay
-        if self.duration is not None and t > self.duration:
-            return
-        self.engine.schedule_at(t, self._issue, client)
-
-    def _issue(self, client: int) -> None:
-        work, feats = self.service.sample(self.rng)
-        req = Request(
-            req_id=self._next_id,
-            arrival_time=self.engine.now,
-            work=float(work),
-            features=feats,
-            sla=self.sla,
-        )
-        self._outstanding[req.req_id] = client
-        self._next_id += 1
-        self.generated += 1
-        self.sink(req)

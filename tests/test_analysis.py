@@ -6,15 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
-    bootstrap_mean_ci,
     ecdf,
     format_heatmap,
-    format_markdown_table,
     format_table,
     normalized_cdf,
-    quantile,
     relative_error_matrix_stats,
-    rmse,
     sparkline,
     tail_ratio,
 )
@@ -46,15 +42,6 @@ class TestStats:
     def test_tail_ratio_empty(self):
         assert tail_ratio([]) == 0.0
 
-    def test_quantile(self):
-        assert quantile([1.0, 2.0, 3.0], 0.5) == 2.0
-        assert quantile([], 0.5) == 0.0
-
-    def test_rmse(self):
-        assert rmse([1.0, 2.0], [0.0, 0.0]) == pytest.approx(np.sqrt(2.5))
-        with pytest.raises(ValueError):
-            rmse([1.0], [1.0, 2.0])
-
     def test_relative_error_matrix_stats(self):
         m = np.array([[1.0, 2.0], [3.0, 1.0]])
         s = relative_error_matrix_stats(m)
@@ -67,15 +54,6 @@ class TestStats:
         with pytest.raises(ValueError):
             relative_error_matrix_stats(np.zeros((2, 3)))
 
-    def test_bootstrap_ci_contains_mean(self, rng):
-        vals = rng.normal(5.0, 1.0, size=500)
-        mean, lo, hi = bootstrap_mean_ci(vals, rng)
-        assert lo < mean < hi
-        assert lo < 5.0 < hi
-
-    def test_bootstrap_empty(self, rng):
-        assert bootstrap_mean_ci([], rng) == (0.0, 0.0, 0.0)
-
 
 class TestReporting:
     def test_format_table_alignment(self):
@@ -84,11 +62,6 @@ class TestReporting:
         assert lines[0].startswith("name")
         assert "1.50" in out and "2.25" in out
         assert len(lines) == 4
-
-    def test_format_markdown_table(self):
-        out = format_markdown_table(["a", "b"], [[1, 2.0]], "{:.1f}")
-        assert out.splitlines()[1] == "|---|---|"
-        assert "| 1 | 2.0 |" in out
 
     def test_format_heatmap_shape_validation(self):
         with pytest.raises(ValueError):

@@ -29,8 +29,9 @@ from repro.experiments.registry import Experiment
 from repro.experiments.runner import build_context
 from repro.nn.layers import Parameter
 from repro.nn.optim import SGD, Adam
-from repro.rl.noise import GaussianNoise, OrnsteinUhlenbeckNoise
+from repro.rl.noise import GaussianNoise
 from repro.rl.replay import ReplayBuffer
+from repro.rl.sac import SacAgent, SacConfig
 from repro.rl.td3 import Td3Agent, Td3Config
 from repro.sim import RngRegistry
 from repro.workload import constant_trace
@@ -153,46 +154,6 @@ class TestNoiseRoundTrip:
         n2.reset()
         assert n2.sigma == n1.sigma0 == 0.8  # reset() restores the *initial* schedule
 
-    def test_ou_restores_process_position(self):
-        n1 = OrnsteinUhlenbeckNoise(3, np.random.default_rng(0))
-        for _ in range(10):
-            n1.sample()
-        n2 = OrnsteinUhlenbeckNoise(3, np.random.default_rng(42))
-        n2.load_state_dict(n1.state_dict())
-        np.testing.assert_array_equal(n2._x, n1._x)
-        with pytest.raises(ValueError, match="dim"):
-            OrnsteinUhlenbeckNoise(5, np.random.default_rng(0)).load_state_dict(
-                n1.state_dict()
-            )
-
-    def test_ou_step_decay_anneals_sigma(self):
-        # step_decay() used to be a silent no-op on the OU process.
-        n = OrnsteinUhlenbeckNoise(2, np.random.default_rng(0), sigma=0.8, decay=0.9, min_sigma=0.1)
-        for _ in range(5):
-            n.step_decay()
-        assert n.sigma == pytest.approx(0.8 * 0.9**5)
-        for _ in range(100):
-            n.step_decay()
-        assert n.sigma == 0.1  # floored at min_sigma
-        n.reset()
-        assert n.sigma == 0.8  # reset restores the initial schedule
-
-    def test_ou_restores_decayed_sigma(self):
-        n1 = OrnsteinUhlenbeckNoise(2, np.random.default_rng(0), sigma=0.8, decay=0.9)
-        for _ in range(10):
-            n1.sample()
-            n1.step_decay()
-        n2 = OrnsteinUhlenbeckNoise(2, np.random.default_rng(42), sigma=0.8, decay=0.9)
-        n2.load_state_dict(n1.state_dict())
-        assert n2.sigma == n1.sigma
-        assert n2.sigma0 == n1.sigma0 == 0.8
-        np.testing.assert_array_equal(n2._x, n1._x)
-
-    def test_ou_accepts_legacy_snapshot_without_sigma(self):
-        n = OrnsteinUhlenbeckNoise(2, np.random.default_rng(0), sigma=0.5)
-        n.load_state_dict({"x": np.zeros(2)})  # pre-annealing snapshot shape
-        assert n.sigma == 0.5
-
 
 class TestAgentRoundTrip:
     def _drive(self, agent, seed, k):
@@ -223,6 +184,21 @@ class TestAgentRoundTrip:
         def fresh(seed):
             rng = RngRegistry(seed).get("agent")
             return Td3Agent(lambda: build_actor(rng), Td3Config(warmup=4, batch_size=8), rng)
+
+        a1 = fresh(3)
+        self._drive(a1, 0, 30)
+        snap = a1.state_dict()
+        cont = self._drive(a1, 1, 15)
+        a2 = fresh(99)
+        a2.load_state_dict(snap)
+        np.testing.assert_array_equal(self._drive(a2, 1, 15), cont)
+
+    def test_sac_restored_agent_continues_bitwise(self):
+        # The load path of ``fleet --hier sac --resume``.
+        def fresh(seed):
+            return SacAgent(
+                SacConfig(warmup=4, batch_size=8), RngRegistry(seed).get("agent")
+            )
 
         a1 = fresh(3)
         self._drive(a1, 0, 30)
@@ -274,27 +250,6 @@ class TestRuntimeCheckpoint:
         rt, _ = _fresh_runtime(tiny_app, 1.0, DeepPowerConfig(long_time=0.5))
         with pytest.raises(ValueError, match="snapshot"):
             rt.load_state_dict({"kind": "something-else"})
-
-    def test_autosave_cadence_and_rotation(self, tiny_app, tmp_path):
-        mgr = CheckpointManager(str(tmp_path), keep_last=2)
-        cfg = DeepPowerConfig(
-            long_time=0.5, checkpoint=mgr, checkpoint_every_steps=2
-        )
-        rt, ctx = _fresh_runtime(tiny_app, 4.0, cfg)
-        rt.start()
-        ctx.source.start()
-        ctx.engine.run_until(4.0)
-        rt.stop()
-        steps = mgr.list_steps()
-        assert steps and len(steps) <= 2
-        assert all(s % 2 == 0 for s in steps)
-        rec = mgr.load_latest()
-        assert rec.meta["kind"] == "runtime"
-        assert rec.state["step_count"] == rec.step
-        # a fresh runtime accepts the autosaved snapshot
-        rt2, _ = _fresh_runtime(tiny_app, 4.0, DeepPowerConfig(long_time=0.5))
-        rt2.load_state_dict(rec.state)
-        assert rt2.step_count == rec.step
 
 
 # --------------------------------------------------------------------------

@@ -283,12 +283,31 @@ class TestParser:
         fake = Experiment("fake", "raises", run, str)
         monkeypatch.setattr(cli, "get_experiment", lambda _id: fake)
         with pytest.raises(TypeError, match="deep inside"):
-            main(["experiment", "fake", "--full", "--no-cache"])
+            # The parser admits registered ids only; the patched lookup
+            # then hands back the fake.
+            main(["experiment", "fig7", "--full", "--no-cache"])
         assert calls == [True]
 
     def test_experiment_unknown_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exc:
             main(["experiment", "fig99"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--policy", "foo"],
+        ["compare", "--app", "nope"],
+        ["train", "--app", "nope"],
+        ["fleet", "--app", "nope"],
+        ["soak", "--app", "nope"],
+        ["experiment", "nope"],
+    ])
+    def test_unknown_name_is_a_usage_error(self, capsys, argv):
+        # A mistyped policy, app or experiment id is a usage error (exit
+        # 2), not a KeyError/ValueError traceback from deep in the run.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_compare_rejects_unknown_policy(self, capsys):
         rc = main(["compare", "--app", "xapian", "--policies", "nonsense"])

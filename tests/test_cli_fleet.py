@@ -14,8 +14,9 @@ _regen()"`` only for an intended behaviour change.
 
 The other tests rerun a scenario in-process and pin the same properties
 a shell ``cmp``/``grep`` would: rerun determinism, failover and learning
-actually engaged, checkpoint/resume, and a hier-off run free of any
-coordinator footprint.
+actually engaged, checkpoint/resume, a hier-off run free of any
+coordinator footprint, and the per-node ``trace summarize`` table (one
+row per node, crash and decision counts) the CI smoke jobs print.
 """
 
 import contextlib
@@ -181,3 +182,32 @@ def test_hier_off_has_zero_footprint(tmp_path, capsys):
     assert main(["trace", "summarize", str(tmp_path / "plain1.jsonl"),
                  "--group-by", "node"]) == 0
     assert "hier:" not in capsys.readouterr().out
+
+
+def _node_summary(trace, tmp_path):
+    """stdout of ``trace summarize --group-by node`` over a run's trace."""
+    path = tmp_path / "run.trace.jsonl"
+    path.write_bytes(trace)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["trace", "summarize", str(path), "--group-by", "node"])
+    assert rc == 0
+    return buf.getvalue()
+
+
+def test_capped_summary_has_one_row_per_node(traced, tmp_path):
+    _, _, trace = traced("fleet-capped")
+    lines = _node_summary(trace, tmp_path).splitlines()
+    nodes = [int(ln.split()[0]) for ln in lines if re.match(r"\d+\s", ln)]
+    assert nodes == [0, 1, 2, 3]
+    assert sum(ln.startswith("fleet ") for ln in lines) == 1
+
+
+def test_chaos_summary_counts_crashes(traced, tmp_path):
+    _, _, trace = traced("chaos")
+    assert re.search(r"faults: crashes=[1-9]", _node_summary(trace, tmp_path))
+
+
+def test_hier_summary_counts_decisions(traced, tmp_path):
+    _, _, trace = traced("hier")
+    assert re.search(r"hier: decisions=[1-9]", _node_summary(trace, tmp_path))

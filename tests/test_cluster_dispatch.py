@@ -159,31 +159,6 @@ class TestHealthAwareDispatch:
             disp.submit(_request(i))
         assert nodes[1].routed == 2
 
-    def test_degraded_penalty_one_excludes_while_alternative_exists(self):
-        _, _, nodes = _fleet(2)
-        nodes[0].state = DEGRADED
-        disp = Dispatcher(
-            nodes, RoundRobinRouter(),
-            rng=np.random.default_rng(0), degraded_penalty=1.0,
-        )
-        for i in range(4):
-            disp.submit(_request(i))
-        assert nodes[0].routed == 0 and nodes[1].routed == 4
-
-    def test_degraded_penalty_zero_draws_no_rng(self):
-        class Exploding:
-            def random(self):
-                raise AssertionError("rng must not be consulted")
-
-        _, _, nodes = _fleet(2)
-        nodes[0].state = DEGRADED
-        disp = Dispatcher(
-            nodes, RoundRobinRouter(), rng=Exploding(), degraded_penalty=0.0,
-        )
-        for i in range(4):
-            disp.submit(_request(i))
-        assert nodes[0].routed == 2
-
     def test_all_degraded_draws_no_rng(self):
         class Exploding:
             def random(self):
@@ -191,16 +166,9 @@ class TestHealthAwareDispatch:
 
         _, _, nodes = _fleet(2)
         nodes[0].state = nodes[1].state = DEGRADED
-        disp = Dispatcher(
-            nodes, RoundRobinRouter(), rng=Exploding(), degraded_penalty=0.5,
-        )
+        disp = Dispatcher(nodes, RoundRobinRouter(), rng=Exploding())
         disp.submit(_request(0))
         assert disp.dispatched == 1
-
-    def test_invalid_penalty_rejected(self):
-        _, _, nodes = _fleet(1)
-        with pytest.raises(ValueError, match="degraded_penalty"):
-            Dispatcher(nodes, RoundRobinRouter(), degraded_penalty=1.5)
 
     def test_all_down_marks_unroutable(self):
         _, _, nodes = _fleet(2)
@@ -234,8 +202,7 @@ class TestStragglerDetector:
         _, _, nodes = _fleet(3)
         changes = []
         det = self._detector(
-            nodes, multiple=3.0,
-            on_change=lambda n, s: changes.append((n.node_id, s)),
+            nodes, on_change=lambda n, s: changes.append((n.node_id, s)),
         )
         self._feed(nodes[0], [0.01] * 5)
         self._feed(nodes[1], [0.01] * 5)
@@ -280,11 +247,6 @@ class TestStragglerDetector:
         det.check()
         assert nodes[2].state == DOWN  # untouched
         assert det.transitions == []
-
-    def test_multiple_validated(self):
-        _, _, nodes = _fleet(1)
-        with pytest.raises(ValueError, match="multiple"):
-            StragglerDetector(nodes, multiple=1.0)
 
 
 class TestDispatcher:

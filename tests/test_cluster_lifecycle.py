@@ -240,7 +240,7 @@ class TestMembershipAwarePowerCap:
         app = get_app(APP)
         nodes = [ClusterNode(engine, i, app, 2, seed=5) for i in range(2)]
         budget = fleet_power_budget(2, 2, fraction=0.7)
-        coord = PowerCapCoordinator(engine, nodes, budget, window=1.0)
+        coord = PowerCapCoordinator(engine, nodes, budget)
         plan = _crash_plan(node=1, time=2.5, down=3.0, recovery_time=2.0)
         disp = Dispatcher(nodes, RoundRobinRouter())
         life = NodeLifecycle(engine, nodes, plan, disp, coordinator=coord)
@@ -271,9 +271,7 @@ class TestMembershipAwarePowerCap:
         engine = Engine()
         app = get_app(APP)
         nodes = [ClusterNode(engine, i, app, 2, seed=5) for i in range(2)]
-        coord = PowerCapCoordinator(
-            engine, nodes, fleet_power_budget(2, 2), window=1.0
-        )
+        coord = PowerCapCoordinator(engine, nodes, fleet_power_budget(2, 2))
         plan = FleetFaultPlan(
             events=(FleetEvent(1.5, "telemetry.partition", node=0, duration=2.0),),
         )
@@ -340,12 +338,6 @@ class TestChaosDeterminism:
         plain = _run_json(_config(), trace)
         empty = _run_json(_config(fault_plan=FleetFaultPlan()), trace)
         assert plain == empty
-
-    def test_config_validates_resilience_knobs(self):
-        with pytest.raises(ValueError, match="straggler_multiple"):
-            _config(straggler_multiple=1.0)
-        with pytest.raises(ValueError, match="degraded_penalty"):
-            _config(degraded_penalty=1.5)
 
 
 class TestFailoverAcceptance:

@@ -160,8 +160,6 @@ class TestApportion:
         engine, nodes = _nodes(1)
         with pytest.raises(ValueError, match="budget_watts"):
             PowerCapCoordinator(engine, nodes, 0.0)
-        with pytest.raises(ValueError, match="window"):
-            PowerCapCoordinator(engine, nodes, 10.0, window=0.0)
 
 
 class TestCoordinatorStateDict:

@@ -12,7 +12,6 @@ from repro.cluster.sim import (
     FleetSpec,
     fleet_power_budget,
     fleet_trace,
-    merge_run_metrics,
 )
 from repro.parallel import RunResultCache, run_grid
 from repro.server.metrics import LatencyRecorder
@@ -140,29 +139,26 @@ class TestBaselinesUnderDispatch:
 
 class TestMergeRunMetrics:
     def test_pooled_equals_concatenated(self):
-        rng = np.random.default_rng(4)
-        sla = 0.08
-        recs = []
-        pooled = LatencyRecorder(sla)
-        for k in range(3):
-            rec = LatencyRecorder(sla)
-            for lat in rng.uniform(0.01, 0.2, size=50):
-                lat = float(lat)
-                rec.latencies.append(lat)
-                rec.service_times.append(lat * 0.6)
-                rec.queue_times.append(lat * 0.4)
-                pooled.latencies.append(lat)
-                pooled.service_times.append(lat * 0.6)
-                pooled.queue_times.append(lat * 0.4)
-            rec.arrived = rec.completed = 50
-            rec.timeouts = sum(1 for x in rec.latencies if x > sla)
-            pooled.arrived += 50
-            pooled.completed += 50
+        # Fleet metrics pool every node's raw per-request samples; they are
+        # not an average of per-node quantiles.
+        trace = _trace()
+        sim = ClusterSim(_config(), trace)
+        fleet = sim.run().fleet
+        pooled = LatencyRecorder(sim.app.sla)
+        for node in sim.nodes:
+            rec = node.server.metrics
+            pooled.latencies.extend(rec.latencies)
+            pooled.service_times.extend(rec.service_times)
+            pooled.queue_times.extend(rec.queue_times)
+            pooled.arrived += rec.arrived
+            pooled.completed += rec.completed
             pooled.timeouts += rec.timeouts
-            recs.append(rec)
-        merged = merge_run_metrics(recs, sla, duration=10.0)
-        direct = pooled.summarize(10.0)
-        assert json.dumps(merged.as_dict(), sort_keys=True) == json.dumps(
+        direct = pooled.summarize(trace.duration)
+        direct.energy_joules = fleet.energy_joules
+        direct.avg_power_watts = fleet.avg_power_watts
+        direct.dvfs_switches = fleet.dvfs_switches
+        assert fleet.completed == sum(n.server.metrics.completed for n in sim.nodes) > 0
+        assert json.dumps(fleet.as_dict(), sort_keys=True) == json.dumps(
             direct.as_dict(), sort_keys=True
         )
 

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cpu import (
-    ConservativeGovernor,
-    Cpu,
-    OndemandGovernor,
-    PerformanceGovernor,
-    PowersaveGovernor,
-    UserspaceGovernor,
-)
+from repro.cpu import OndemandGovernor, PerformanceGovernor
 
 
 class TestStaticGovernors:
@@ -21,18 +14,6 @@ class TestStaticGovernors:
     def test_performance_without_turbo(self, engine, cpu):
         PerformanceGovernor(engine, cpu, use_turbo=False).start()
         assert np.allclose(cpu.frequencies(), cpu.table.fmax)
-
-    def test_powersave_pins_fmin(self, engine, cpu):
-        PowersaveGovernor(engine, cpu).start()
-        assert np.allclose(cpu.frequencies(), cpu.table.fmin)
-
-    def test_userspace_set_speed(self, engine, cpu):
-        gov = UserspaceGovernor(engine, cpu)
-        gov.start()
-        applied = gov.set_speed(1, 1.33)
-        assert applied == pytest.approx(1.4)
-        assert cpu[1].frequency == pytest.approx(1.4)
-        assert cpu[0].frequency == pytest.approx(cpu.table.fmax)
 
 
 class TestOndemand:
@@ -68,25 +49,3 @@ class TestOndemand:
     def test_invalid_sampling_rate(self, engine, cpu):
         with pytest.raises(ValueError):
             OndemandGovernor(engine, cpu, sampling_rate=0.0)
-
-
-class TestConservative:
-    def test_steps_up_one_level_per_sample(self, engine, cpu):
-        cpu.set_all_frequencies(1.0)
-        gov = ConservativeGovernor(engine, cpu, sampling_rate=0.01)
-        gov.start()
-        for c in cpu.cores:
-            c.set_busy(True)
-        engine.run_until(0.03)  # 3 samples
-        assert np.allclose(cpu.frequencies(), 1.3)
-
-    def test_steps_down_when_idle(self, engine, cpu):
-        cpu.set_all_frequencies(1.0)
-        gov = ConservativeGovernor(engine, cpu, sampling_rate=0.01)
-        gov.start()
-        engine.run_until(0.02)  # 2 idle samples
-        assert np.allclose(cpu.frequencies(), 0.8)
-
-    def test_threshold_validation(self, engine, cpu):
-        with pytest.raises(ValueError):
-            ConservativeGovernor(engine, cpu, up_threshold=0.2, down_threshold=0.5)

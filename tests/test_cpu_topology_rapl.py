@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cpu import Cpu, PowerMonitor, dual_socket
+from repro.cpu import Cpu, PowerMonitor
 
 
 class TestCpu:
@@ -61,11 +61,6 @@ class TestCpu:
         cpu[1].set_frequency(1.5)
         cpu[1].set_frequency(0.8)
         assert cpu.total_switches() == 3
-
-    def test_dual_socket_layout(self, engine):
-        sockets = dual_socket(engine, 4)
-        assert len(sockets) == 2
-        assert all(s.num_cores == 4 for s in sockets)
 
 
 class TestPowerMonitor:

@@ -5,11 +5,7 @@ import pytest
 
 from repro.cpu import DEFAULT_TABLE
 from repro.experiments.fig4_controller import run_fig4
-from repro.experiments.table3_load_latency import (
-    render_table3,
-    rps_for_measured_load,
-    run_table3,
-)
+from repro.experiments.table3_load_latency import render_table3, run_table3
 from repro.workload import get_app
 
 
@@ -42,10 +38,24 @@ class TestFig4:
 
 
 class TestTable3:
-    def test_measured_load_accounts_for_contention(self):
+    def test_measured_load_accounts_for_contention(self, monkeypatch):
+        import repro.parallel
+
+        class _Captured(Exception):
+            pass
+
+        specs = []
+
+        def capture(cells, **kwargs):
+            specs.extend(cells)
+            raise _Captured
+
+        monkeypatch.setattr(repro.parallel, "run_grid", capture)
+        with pytest.raises(_Captured):
+            run_table3(apps=["masstree"], loads=(0.7,), full=False)
         app = get_app("masstree")
-        nominal = app.rps_for_load(0.7, 4)
-        measured = rps_for_measured_load(app, 0.7, 4)
+        nominal = app.rps_for_load(0.7, specs[0].num_workers)
+        measured = float(specs[0].trace.rates[0])
         assert measured < nominal
         assert measured == pytest.approx(nominal / (1 + app.contention), rel=1e-9)
 

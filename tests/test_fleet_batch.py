@@ -37,6 +37,7 @@ from repro.cluster import (
     fleet_power_budget,
 )
 from repro.cluster.batch import SCALAR_BATCH_CUTOFF, FleetBatch
+from repro.cluster.node import AGENT_SEED
 from repro.cpu.core import Core
 from repro.control import ControlPlaneConfig
 from repro.core.runtime import DeepPowerRuntime
@@ -175,8 +176,8 @@ def _bus_deeppower_driver(intensity, duration):
     """The fleet's DeepPower node driver with a lossy control bus (a
     :func:`standard_bus_plan` seeded by node id)."""
 
-    def build(node, kwargs, agent_path, agent_seed):
-        agent, cfg = tuned_agent_setup(agent_seed, app=node.app)
+    def build(node, agent_path):
+        agent, cfg = tuned_agent_setup(AGENT_SEED, app=node.app)
         cfg.train = False
         cfg.record_steps = False
         cfg.control = ControlPlaneConfig(

@@ -178,17 +178,15 @@ class TestFleetObserver:
 
 class TestSharedReplay:
     def _agents(self, n=2):
-        from repro.cluster.node import ClusterNode, build_node_driver
-        from repro.sim.engine import Engine
+        # Node agents seeded apart, so averaging has something to move.
+        from repro.experiments.fig7_main import tuned_agent_setup
+        from repro.parallel.pool import derive_seed
 
-        engine = Engine()
         app = get_app(APP)
-        nodes = [ClusterNode(engine, i, app, 2, seed=3) for i in range(n)]
-        drivers = [
-            build_node_driver(node, "deeppower", agent_seed=node.seed)
-            for node in nodes
+        return [
+            tuned_agent_setup(derive_seed(3, "node", i), app=app)[0]
+            for i in range(n)
         ]
-        return [d.agent for d in drivers]
 
     def test_bind_pools_transitions(self):
         agents = self._agents(2)

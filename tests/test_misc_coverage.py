@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import format_markdown_table
 from repro.core.training import EpisodeStats, TrainingResult
 from repro.core import DeepPowerAgent, default_ddpg_config
 from repro.experiments.fig1_cdf import render_fig1, run_fig1
@@ -101,7 +100,3 @@ class TestRenderers:
     def test_overhead_renderer(self):
         out = render_overhead(run_overhead(updates=2, inferences=20))
         assert "DDPG update" in out and "paper" in out
-
-    def test_markdown_table_roundtrip(self):
-        out = format_markdown_table(["x"], [[1.23456]], "{:.2f}")
-        assert "| 1.23 |" in out

@@ -1,8 +1,8 @@
 """Tests for the .npz module (de)serialization helpers.
 
 Regression coverage for the extension bug: ``np.savez("foo")`` writes
-``foo.npz``, so ``save_module(m, "foo")`` followed by ``load_module(m,
-"foo")`` used to raise ``FileNotFoundError``.  Both directions now
+``foo.npz``, so saving to ``"foo"`` and loading from ``"foo"`` used to
+raise ``FileNotFoundError``.  Both directions now
 normalise the extension, and writes are atomic (temp file + rename).
 """
 
@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.agent import DeepPowerAgent, build_actor, default_ddpg_config
-from repro.nn.serialization import (
-    load_module,
-    load_modules,
-    save_module,
-    save_modules,
-)
+from repro.nn.serialization import load_modules, save_modules
 from repro.sim import RngRegistry
 
 
@@ -30,20 +25,20 @@ class TestExtensionNormalisation:
         """The original bug: a path without .npz must round-trip."""
         path = str(tmp_path / "weights")  # no extension
         m1 = _actor(0)
-        save_module(m1, path)
+        save_modules({"actor": m1}, path)
         assert os.path.exists(path + ".npz")  # np.savez's real output name
         m2 = _actor(1)
-        load_module(m2, path)
+        load_modules({"actor": m2}, path)
         x = np.random.default_rng(2).random((4, 8))
         np.testing.assert_array_equal(m1.forward(x), m2.forward(x))
 
     def test_save_load_with_extension(self, tmp_path):
         path = str(tmp_path / "weights.npz")
         m1 = _actor(0)
-        save_module(m1, path)
+        save_modules({"actor": m1}, path)
         assert os.path.exists(path)
         m2 = _actor(1)
-        load_module(m2, path)
+        load_modules({"actor": m2}, path)
         x = np.random.default_rng(2).random((4, 8))
         np.testing.assert_array_equal(m1.forward(x), m2.forward(x))
 
@@ -71,8 +66,6 @@ class TestExtensionNormalisation:
 
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_module(_actor(), str(tmp_path / "absent"))
-        with pytest.raises(FileNotFoundError):
             load_modules({"a": _actor()}, str(tmp_path / "absent"))
 
     def test_load_modules_missing_prefix_raises(self, tmp_path):
@@ -84,14 +77,13 @@ class TestExtensionNormalisation:
 
 class TestAtomicWrites:
     def test_no_temp_files_left_behind(self, tmp_path):
-        save_module(_actor(), str(tmp_path / "m"))
+        save_modules({"actor": _actor()}, str(tmp_path / "m"))
         assert sorted(os.listdir(tmp_path)) == ["m.npz"]
 
     def test_overwrite_is_replace_not_append(self, tmp_path):
         path = str(tmp_path / "m.npz")
-        save_module(_actor(0), path)
+        save_modules({"actor": _actor(0)}, path)
         first = os.path.getsize(path)
-        save_module(_actor(1), path)
+        save_modules({"actor": _actor(1)}, path)
         assert os.path.getsize(path) == first  # same architecture, same size
-        m = _actor(2)
-        load_module(m, path)  # still a valid archive
+        load_modules({"actor": _actor(2)}, path)  # still a valid archive

@@ -119,9 +119,6 @@ class TestPlanDigest:
         assert key() != key(fault_plan=plan)
         assert key() == key(fault_plan=FleetFaultPlan())  # empty plan = clean
         assert key(fault_plan=plan) != key(fault_plan=plan, health_aware=False)
-        assert key() != key(degraded_penalty=0.9)
-        assert key() != key(straggler_multiple=4.0)
-        assert key() != key(keep_requests=True)
         # Keys recorded when FleetSpec still mirrored ClusterConfig's fields
         # one by one: results cached then must still hit.
         assert key() == (

@@ -12,7 +12,6 @@ from repro.parallel.pool import (
     ParallelMap,
     PoolStats,
     derive_seed,
-    effective_jobs,
     shutdown_pools,
 )
 
@@ -52,14 +51,14 @@ class TestDeriveSeed:
 
 class TestEffectiveJobs:
     def test_none_and_zero_mean_all_cpus(self):
-        assert effective_jobs(None) == (os.cpu_count() or 1)
-        assert effective_jobs(0) == (os.cpu_count() or 1)
+        assert ParallelMap(jobs=None).jobs == (os.cpu_count() or 1)
+        assert ParallelMap(jobs=0).jobs == (os.cpu_count() or 1)
 
     def test_negative_clamps_to_one(self):
-        assert effective_jobs(-3) == 1
+        assert ParallelMap(jobs=-3).jobs == 1
 
     def test_positive_passthrough(self):
-        assert effective_jobs(5) == 5
+        assert ParallelMap(jobs=5).jobs == 5
 
 
 class TestItemOutcome:

@@ -14,7 +14,6 @@ from repro.rl import (
     StateActionCritic,
     TwinCritic,
     action_grid,
-    make_ddqn,
 )
 
 
@@ -159,11 +158,6 @@ class TestDqn:
             agent.update()
         greedy = [agent.act(rng.random(2), explore=False) for _ in range(10)]
         assert greedy.count(2) >= 8
-
-    def test_ddqn_flag_and_factory(self, rng):
-        base = DqnConfig(state_dim=2, num_actions=3)
-        agent = make_ddqn(base, rng)
-        assert agent.cfg.double is True
 
     def test_target_sync(self, rng):
         cfg = DqnConfig(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rl import GaussianNoise, OrnsteinUhlenbeckNoise, ReplayBuffer, Transition
+from repro.rl import GaussianNoise, ReplayBuffer, Transition
 
 
 class TestReplayBuffer:
@@ -118,29 +118,3 @@ class TestGaussianNoise:
             GaussianNoise(1, rng, sigma=-1.0)
         with pytest.raises(ValueError):
             GaussianNoise(1, rng, decay=0.0)
-
-
-class TestOrnsteinUhlenbeck:
-    def test_temporal_correlation(self, rng):
-        noise = OrnsteinUhlenbeckNoise(1, rng, theta=0.1, sigma=0.2)
-        xs = np.array([noise.sample()[0] for _ in range(5000)])
-        lag1 = np.corrcoef(xs[:-1], xs[1:])[0, 1]
-        assert lag1 > 0.8  # strongly correlated, unlike white noise
-
-    def test_mean_reversion(self, rng):
-        noise = OrnsteinUhlenbeckNoise(1, rng, mu=2.0, theta=0.5, sigma=0.01)
-        for _ in range(200):
-            x = noise.sample()
-        assert x[0] == pytest.approx(2.0, abs=0.2)
-
-    def test_reset(self, rng):
-        noise = OrnsteinUhlenbeckNoise(2, rng, mu=0.0)
-        noise.sample()
-        noise.reset()
-        assert np.allclose(noise._x, 0.0)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            OrnsteinUhlenbeckNoise(0, rng)
-        with pytest.raises(ValueError):
-            OrnsteinUhlenbeckNoise(1, rng, dt=0.0)

@@ -1,16 +1,11 @@
-"""Tests for the TD3 extension agent and the extra arrival processes."""
+"""Tests for the TD3 extension agent and the MMPP arrival trace."""
 
 import numpy as np
 import pytest
 
-from repro.cpu import Cpu
 from repro.nn import TwoHeadMLP
 from repro.rl import Td3Agent, Td3Config
-from repro.server import Server
-from repro.sim import Engine, RngRegistry
-from repro.workload import ClosedLoopSource, mmpp_trace
-from repro.workload.service_time import LognormalCorrelatedService
-from repro.workload.apps import AppSpec
+from repro.workload import mmpp_trace
 
 
 def _actor_factory(rng):
@@ -89,62 +84,3 @@ class TestMmppTrace:
         with pytest.raises(ValueError):
             mmpp_trace(rng, duration=10.0, calm_rate=1.0, burst_rate=2.0,
                        mean_calm=0.0, mean_burst=1.0)
-
-
-class TestClosedLoopSource:
-    def _setup(self, population=4, think=0.05, duration=20.0):
-        engine = Engine()
-        rngs = RngRegistry(3)
-        cpu = Cpu(engine, 2)
-        app = AppSpec(
-            name="t", sla=1.0,
-            service=LognormalCorrelatedService(mean_work=0.02, sigma=0.4),
-            contention=0.0,
-        )
-        srv = Server(engine, cpu, app)
-        src = ClosedLoopSource(
-            engine, population, think, app.service, app.sla,
-            srv.submit, rngs.get("cl"), duration=duration,
-        )
-
-        class Hook:
-            def on_arrival(self, r): pass
-            def on_start(self, r, c): pass
-            def on_complete(self, r, c): src.notify_complete(r)
-
-        srv.set_policy(Hook())
-        return engine, srv, src
-
-    def test_outstanding_never_exceeds_population(self):
-        engine, srv, src = self._setup(population=3)
-        src.start()
-        # sample in-flight count as the run progresses
-        for t in np.linspace(1.0, 19.0, 10):
-            engine.run_until(t)
-            assert srv.metrics.in_flight <= 3
-        assert src.generated > 10
-
-    def test_throughput_bounded_by_population_law(self):
-        # N clients, think Z, service S: X <= N / (Z + S).
-        engine, srv, src = self._setup(population=4, think=0.05)
-        src.start()
-        engine.run_until(20.0)
-        x = srv.metrics.completed / 20.0
-        bound = 4 / (0.05 + 0.02 / 2.1)
-        assert x <= bound * 1.05
-
-    def test_zero_think_time_saturates(self):
-        engine, srv, src = self._setup(population=2, think=0.0)
-        src.start()
-        engine.run_until(10.0)
-        # with no think time, both clients always have a request in flight
-        assert srv.metrics.completed > 100
-
-    def test_validation(self):
-        engine = Engine()
-        rngs = RngRegistry(0)
-        svc = LognormalCorrelatedService(mean_work=0.02, sigma=0.4)
-        with pytest.raises(ValueError):
-            ClosedLoopSource(engine, 0, 0.1, svc, 1.0, lambda r: None, rngs.get("a"))
-        with pytest.raises(ValueError):
-            ClosedLoopSource(engine, 2, -0.1, svc, 1.0, lambda r: None, rngs.get("a"))

@@ -143,6 +143,21 @@ def _out_file_arg(value: str) -> str:
     return value
 
 
+def _agent_file_arg(value: str) -> str:
+    """argparse type for agent ``.npz`` inputs (``--agent``, ``--hier-agent``).
+
+    Accepts exactly what the loader opens: ``value`` itself, or
+    ``value + ".npz"`` when the extension is missing.
+    """
+    from .nn.serialization import npz_path
+
+    if not os.path.exists(npz_path(value)):
+        raise argparse.ArgumentTypeError(
+            f"agent file {npz_path(value)!r} does not exist"
+        )
+    return value
+
+
 def _out_dir_arg(value: str) -> str:
     """argparse type for output directories (``--trace-dir``).
 
@@ -432,11 +447,7 @@ def _cmd_fleet(args) -> int:
     if args.hier is not None:
         from .hier import HierConfig
 
-        try:
-            hier = HierConfig(algo=args.hier, **hier_opts)
-        except ValueError as exc:
-            print(f"invalid hier configuration: {exc}", file=sys.stderr)
-            return 2
+        hier = HierConfig(algo=args.hier, **hier_opts)
         if checkpoint_dir is not None:
             from .checkpoint import CheckpointManager
 
@@ -515,7 +526,6 @@ def _cmd_fleet(args) -> int:
         print(
             f"fleet agent: decisions={metrics.hier_decisions}, "
             f"updates={metrics.hier_updates}, "
-            f"fed_rounds={metrics.hier_fed_rounds}, "
             f"sla={'met' if f.sla_met else 'MISS'}"
         )
     if manager is not None:
@@ -749,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--seed", type=int, default=None, help="default: profile seed")
     sp.add_argument(
-        "--agent", default=None,
+        "--agent", type=_agent_file_arg, default=None,
         help="trained agent .npz for --policy deeppower (default: untrained)",
     )
     sp.add_argument("--full", action="store_true", help="full-scale profile")
@@ -816,21 +826,13 @@ def build_parser() -> argparse.ArgumentParser:
         "updates (default: train online during the run)",
     ), hier.add_argument(
         "--hier-agent", dest="agent_path", metavar="HIER_AGENT",
-        default=argparse.SUPPRESS,
+        type=_agent_file_arg, default=argparse.SUPPRESS,
         help="fleet-agent parameters .npz to preload (written by "
         "--save-hier-agent)",
     ), hier.add_argument(
         "--save-hier-agent", type=_out_file_arg, default=argparse.SUPPRESS,
         help="save the fleet agent's network parameters here after the "
         "run (the --hier-agent eval artifact)",
-    ), hier.add_argument(
-        "--shared-replay", action="store_true", default=argparse.SUPPRESS,
-        help="pool the node agents' transitions through one shared replay "
-        "buffer (--policy deeppower only; ignored otherwise)",
-    ), hier.add_argument(
-        "--fed-avg-every", type=_nonneg_int, default=argparse.SUPPRESS,
-        help="coordination windows between federated parameter averages "
-        "across node agents (0 disables; requires --shared-replay)",
     ), hier.add_argument(
         "--checkpoint-dir", default=argparse.SUPPRESS,
         help="write the fleet agent's complete learner state (networks, "

@@ -84,9 +84,8 @@ __all__ = ["FleetBatch", "SCALAR_BATCH_CUTOFF"]
 
 #: Below this node count the fleet tick calls each node's own tick: the
 #: stacked tick's fixed per-tick numpy overhead beats its throughput win
-#: for small fleets, mirroring the per-socket cutoff in
-#: :mod:`repro.core.thread_controller`.  Both are bit-for-bit identical to
-#: per-node ticks (the golden tests pin it).
+#: for small fleets.  Both are bit-for-bit identical to per-node ticks
+#: (the golden tests pin it).
 SCALAR_BATCH_CUTOFF = 16
 
 

@@ -164,7 +164,6 @@ class FleetMetrics:
     # ---- hierarchical-coordinator accounting (zero without a hier layer) ----
     hier_decisions: int = 0
     hier_updates: int = 0
-    hier_fed_rounds: int = 0
     #: Per-node up-fraction of the trace window (1.0 without faults).
     node_availability: List[float] = None  # type: ignore[assignment]
 
@@ -207,7 +206,6 @@ class FleetMetrics:
             "unroutable": self.unroutable,
             "hier_decisions": self.hier_decisions,
             "hier_updates": self.hier_updates,
-            "hier_fed_rounds": self.hier_fed_rounds,
             "node_availability": list(self.node_availability),
             "fleet_availability": self.fleet_availability,
         }
@@ -284,7 +282,6 @@ class ClusterSim:
         )
         self.coordinator: Optional[PowerCapCoordinator] = None
         self.fleet_agent: Any = None
-        self.shared_replay: Any = None
         if fleet_agent is not None and config.hier is None:
             raise ValueError(
                 "fleet_agent given but config.hier is None; enable the hier "
@@ -293,11 +290,7 @@ class ClusterSim:
         if config.hier is not None:
             # Runtime-only import: repro.hier imports this package's
             # siblings, so the dependency must not be module-level here.
-            from ..hier import (
-                LearnedBudgetCoordinator,
-                SharedReplay,
-                build_fleet_agent,
-            )
+            from ..hier import LearnedBudgetCoordinator, build_fleet_agent
             from ..parallel.pool import derive_seed
 
             if fleet_agent is not None:
@@ -317,20 +310,6 @@ class ClusterSim:
                 self.app.sla,
                 trace=self._trace_writer,
             )
-            if config.hier.shared_replay and config.policy == "deeppower":
-                node_agents = [
-                    d.agent for d in self.drivers if hasattr(d, "agent")
-                ]
-                proto = node_agents[0].replay
-                self.shared_replay = SharedReplay(
-                    proto.capacity,
-                    proto.state_dim,
-                    proto.action_dim,
-                    derive_seed(config.seed, "hier", "shared-replay"),
-                )
-                for node, agent in zip(self.nodes, node_agents):
-                    self.shared_replay.bind(agent, node.node_id)
-                self.coordinator.shared_replay = self.shared_replay
         elif config.power_cap_watts is not None:
             self.coordinator = PowerCapCoordinator(
                 self.engine,
@@ -562,7 +541,6 @@ class ClusterSim:
                 if coord is not None and hasattr(coord, "agent")
                 else 0
             ),
-            hier_fed_rounds=int(getattr(coord, "fed_rounds", 0) or 0),
             node_availability=availability,
         )
 

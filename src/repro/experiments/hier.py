@@ -58,19 +58,9 @@ HIER_LOAD = 0.35
 HIER_CAP_FRACTION = 0.7
 
 
-#: The experiment's fleet-agent configuration (online-learning DDPG).  The
-#: actor starts at a 0.65 share of each node's controllable envelope — one
-#: DVFS ceiling below where the budget-riding heuristic lands — with
-#: moderate exploration noise so the learner can probe lower shares during
-#: trace valleys without destabilising the tail.
-HIER_AGENT = HierConfig(
-    algo="ddpg",
-    train=True,
-    init_share=0.65,
-    noise_sigma=0.2,
-    noise_decay=0.98,
-    noise_min_sigma=0.02,
-)
+#: The experiment's fleet-agent configuration: online-learning DDPG, with
+#: :mod:`repro.hier.config`'s start share and exploration noise.
+HIER_AGENT = HierConfig()
 
 
 def run_hier(

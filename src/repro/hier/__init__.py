@@ -18,9 +18,6 @@ cap stays guaranteed by construction no matter what the agent emits.
 * :class:`FleetAgent` / :func:`build_fleet_agent` — the upper-level agent
   on the existing DDPG/TD3/SAC stack, acting in ``[0, 1]^N`` per-node
   budget shares (:mod:`repro.hier.agent`),
-* :class:`SharedReplay` + :func:`federated_average` — node agents pooling
-  transitions through one seed-namespaced buffer, with optional periodic
-  parameter averaging (:mod:`repro.hier.replay`),
 * :class:`LearnedBudgetCoordinator` — the drop-in coordinator subclass
   that queries the agent every window, emits ``coordinator-decision``
   trace events and re-apportions on membership changes
@@ -31,7 +28,6 @@ from .agent import FleetAgent, build_fleet_agent, fleet_state_dim
 from .config import HIER_ALGOS, HierConfig
 from .coordinator import LearnedBudgetCoordinator
 from .obs import FEATURES_PER_NODE, FleetObserver
-from .replay import SharedReplay, federated_average
 
 __all__ = [
     "HierConfig",
@@ -41,7 +37,5 @@ __all__ = [
     "FleetAgent",
     "build_fleet_agent",
     "fleet_state_dim",
-    "SharedReplay",
-    "federated_average",
     "LearnedBudgetCoordinator",
 ]

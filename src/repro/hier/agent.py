@@ -21,7 +21,17 @@ from ..nn.serialization import load_modules, save_modules
 from ..rl.ddpg import DdpgAgent, DdpgConfig
 from ..rl.sac import SacAgent, SacConfig
 from ..rl.td3 import Td3Agent, Td3Config
-from .config import HierConfig
+from .config import (
+    BATCH_SIZE,
+    BUFFER_CAPACITY,
+    HIDDEN,
+    INIT_SHARE,
+    NOISE_DECAY,
+    NOISE_MIN_SIGMA,
+    NOISE_SIGMA,
+    WARMUP,
+    HierConfig,
+)
 from .obs import FEATURES_PER_NODE
 
 __all__ = ["FleetAgent", "build_fleet_agent", "fleet_state_dim"]
@@ -35,29 +45,23 @@ def fleet_state_dim(num_nodes: int) -> int:
 
 
 def _build_actor(
-    state_dim: int,
-    action_dim: int,
-    hidden,
-    rng: np.random.Generator,
-    init_share: float,
+    state_dim: int, action_dim: int, rng: np.random.Generator
 ) -> MLP:
-    """Sigmoid MLP actor small-initialised at the ``init_share`` point.
+    """Sigmoid MLP actor small-initialised at the ``INIT_SHARE`` point.
 
     Same small-weight discipline as the node actor
     (:func:`repro.core.agent.build_actor`, Lillicrap et al.'s
-    U(-3e-3, 3e-3)), but the head's bias is the logit of ``init_share``
-    rather than zero: the untrained policy emits near-``init_share``
+    U(-3e-3, 3e-3)), but the head's bias is the logit of ``INIT_SHARE``
+    rather than zero: the untrained policy emits near-``INIT_SHARE``
     budget shares — safe-by-default generous apportioning — instead of
     whatever the weight init happens to saturate to.
     """
     actor = MLP(
-        [state_dim, *hidden, action_dim], rng, output_activation="sigmoid"
+        [state_dim, *HIDDEN, action_dim], rng, output_activation="sigmoid"
     )
     last_linear = actor.layers[-2]  # [..., Linear, Sigmoid]
     last_linear.weight.data *= 0.01
-    last_linear.bias.data[...] = float(
-        np.log(init_share / (1.0 - init_share))
-    )
+    last_linear.bias.data[...] = float(np.log(INIT_SHARE / (1.0 - INIT_SHARE)))
     return actor
 
 
@@ -170,58 +174,33 @@ def build_fleet_agent(
     state_dim = fleet_state_dim(num_nodes)
     action_dim = num_nodes
     rng = np.random.default_rng(seed)
-    if config.algo == "ddpg":
-        cfg = DdpgConfig(
-            state_dim=state_dim,
-            action_dim=action_dim,
-            gamma=0.9,
-            tau=0.01,
-            batch_size=config.batch_size,
-            buffer_capacity=config.buffer_capacity,
-            warmup=config.warmup,
-            noise_mu=0.0,
-            noise_sigma=config.noise_sigma,
-            noise_decay=config.noise_decay,
-            noise_min_sigma=config.noise_min_sigma,
-            critic_hidden=tuple(config.hidden),
-        )
-        agent = DdpgAgent(
-            lambda: _build_actor(
-                state_dim, action_dim, config.hidden, rng, config.init_share
-            ),
-            cfg,
-            rng,
-        )
-    elif config.algo == "td3":
-        cfg = Td3Config(
-            state_dim=state_dim,
-            action_dim=action_dim,
-            batch_size=config.batch_size,
-            buffer_capacity=config.buffer_capacity,
-            warmup=config.warmup,
-            noise_mu=0.0,
-            noise_sigma=config.noise_sigma,
-            noise_decay=config.noise_decay,
-            noise_min_sigma=config.noise_min_sigma,
-            critic_hidden=tuple(config.hidden),
-        )
-        agent = Td3Agent(
-            lambda: _build_actor(
-                state_dim, action_dim, config.hidden, rng, config.init_share
-            ),
-            cfg,
-            rng,
-        )
-    else:  # sac (HierConfig validated algo membership)
-        cfg = SacConfig(
-            state_dim=state_dim,
-            action_dim=action_dim,
-            batch_size=config.batch_size,
-            buffer_capacity=config.buffer_capacity,
-            warmup=config.warmup,
-            hidden=tuple(config.hidden),
-        )
-        agent = SacAgent(cfg, rng)
+    sizes = dict(
+        state_dim=state_dim,
+        action_dim=action_dim,
+        batch_size=BATCH_SIZE,
+        buffer_capacity=BUFFER_CAPACITY,
+        warmup=WARMUP,
+    )
+    noise = dict(
+        noise_mu=0.0,
+        noise_sigma=NOISE_SIGMA,
+        noise_decay=NOISE_DECAY,
+        noise_min_sigma=NOISE_MIN_SIGMA,
+    )
+    if config.algo == "sac":  # HierConfig validated algo membership
+        agent = SacAgent(SacConfig(**sizes, hidden=HIDDEN), rng)
+    else:
+        def actor() -> MLP:
+            return _build_actor(state_dim, action_dim, rng)
+
+        if config.algo == "ddpg":
+            cfg = DdpgConfig(
+                **sizes, **noise, gamma=0.9, tau=0.01, critic_hidden=HIDDEN
+            )
+            agent = DdpgAgent(actor, cfg, rng)
+        else:
+            cfg = Td3Config(**sizes, **noise, critic_hidden=HIDDEN)
+            agent = Td3Agent(actor, cfg, rng)
     fleet_agent = FleetAgent(agent, config, num_nodes, seed)
     if config.agent_path is not None:
         fleet_agent.load(config.agent_path)

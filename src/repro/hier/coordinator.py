@@ -14,7 +14,7 @@ Per coordination window the coordinator
 
 1. builds the fleet observation (:class:`~repro.hier.obs.FleetObserver`),
 2. closes the previous transition with the window reward
-   ``-(energy_weight * fleet_power/budget + sla_weight * timeout_frac)``
+   ``-(ENERGY_WEIGHT * fleet_power/budget + SLA_WEIGHT * timeout_frac)``
    and (in train mode) runs one learner update,
 3. queries the agent for the next action — one budget share per node,
 4. lets the inherited ``_decide`` enforce it and emits a
@@ -36,9 +36,8 @@ from ..cluster.node import ClusterNode
 from ..cluster.powercap import PowerCapCoordinator
 from ..sim.engine import Engine
 from .agent import FleetAgent
-from .config import HierConfig
+from .config import ENERGY_WEIGHT, SLA_WEIGHT, HierConfig
 from .obs import FleetObserver
-from .replay import SharedReplay, federated_average
 
 __all__ = ["LearnedBudgetCoordinator"]
 
@@ -79,11 +78,7 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
         self.agent = agent
         self.config = config
         self.observer = FleetObserver(self.nodes, sla, self._cap)
-        #: Optional :class:`SharedReplay` pooling the node agents'
-        #: transitions; set by the wiring layer after binding.
-        self.shared_replay: Optional[SharedReplay] = None
         self.decisions = 0
-        self.fed_rounds = 0
         self._last_action: Optional[np.ndarray] = None
         self._pending: Optional[tuple] = None
         self._last_reward: Optional[float] = None
@@ -106,10 +101,7 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
         self._timeouts_seen = timeouts
         timeout_frac = d_timeouts / d_completed if d_completed > 0 else 0.0
         energy_term = float(powers.sum()) / self.budget_watts
-        return -(
-            self.config.energy_weight * energy_term
-            + self.config.sla_weight * timeout_frac
-        )
+        return -(ENERGY_WEIGHT * energy_term + SLA_WEIGHT * timeout_frac)
 
     # ------------------------------------------------------------ coordination
 
@@ -131,13 +123,6 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
             self._pending = (obs, action)
             self._last_action = action
             self.decisions += 1
-            if (
-                self.config.fed_avg_every > 0
-                and self.shared_replay is not None
-                and self.decisions % self.config.fed_avg_every == 0
-                and federated_average(self.shared_replay.bound_agents) > 0
-            ):
-                self.fed_rounds += 1
         # Inherited enforcement: calls the overridden apportion(), pins
         # parked nodes, applies ceilings, records/emits the cap window.
         super()._decide(powers, reason)
@@ -156,7 +141,6 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
                 reward=self._last_reward,
                 train=self.config.train,
                 updates=self.agent.updates,
-                fed_rounds=self.fed_rounds,
             )
 
     def apportion(
@@ -209,7 +193,6 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
         state["kind"] = "learned-coordinator"
         state["agent"] = self.agent.state_dict()
         state["decisions"] = int(self.decisions)
-        state["fed_rounds"] = int(self.fed_rounds)
         state["last_action"] = (
             None if self._last_action is None else self._last_action.copy()
         )
@@ -223,19 +206,21 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
         state["timeouts_seen"] = self._timeouts_seen.copy()
         state["lat_seen"] = list(self.observer._lat_seen)
         state["routed_seen"] = self.observer._routed_seen.copy()
-        if self.shared_replay is not None:
-            state["shared_replay"] = self.shared_replay.state_dict()
         return state
 
     def load_state_dict(self, state: Dict) -> None:
         if state.get("kind") != "learned-coordinator":
             raise ValueError("snapshot is not a learned-coordinator state")
+        if state.get("shared_replay") is not None:
+            raise ValueError(
+                "snapshot carries shared-replay state; pooling node-agent "
+                "replay across the fleet was removed"
+            )
         base = dict(state)
         base["kind"] = "powercap-coordinator"
         super().load_state_dict(base)
         self.agent.load_state_dict(state["agent"])
         self.decisions = int(state["decisions"])
-        self.fed_rounds = int(state["fed_rounds"])
         last_action = state["last_action"]
         self._last_action = (
             None if last_action is None else np.array(last_action, dtype=float)
@@ -256,10 +241,3 @@ class LearnedBudgetCoordinator(PowerCapCoordinator):
         self.observer._routed_seen = np.array(
             state["routed_seen"], dtype=np.int64
         )
-        if state.get("shared_replay") is not None:
-            if self.shared_replay is None:
-                raise ValueError(
-                    "snapshot carries shared-replay state but no SharedReplay "
-                    "is attached"
-                )
-            self.shared_replay.load_state_dict(state["shared_replay"])

@@ -26,17 +26,17 @@ import numpy as np
 
 from .network import Module
 
-__all__ = ["save_modules", "load_modules"]
+__all__ = ["save_modules", "load_modules", "npz_path"]
 
 
-def _npz_path(path: str) -> str:
+def npz_path(path: str) -> str:
     """The path ``np.savez`` actually writes for ``path``."""
     return path if path.endswith(".npz") else path + ".npz"
 
 
 def _atomic_savez(path: str, payload: Dict[str, np.ndarray]) -> None:
     """Write an ``.npz`` archive atomically (temp file + fsync + rename)."""
-    path = _npz_path(path)
+    path = npz_path(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
     try:
@@ -64,7 +64,7 @@ def save_modules(modules: Dict[str, Module], path: str) -> None:
 
 def load_modules(modules: Dict[str, Module], path: str) -> None:
     """Load an archive produced by :func:`save_modules`."""
-    path = _npz_path(path)
+    path = npz_path(path)
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with np.load(path) as data:

@@ -339,7 +339,6 @@ def summarize_fleet_trace(path: str, strict: bool = True) -> FleetTraceSummary:
     hier_reward_n = 0
     hier_reward_sum: float = 0
     hier_updates: Optional[int] = None
-    hier_fed_rounds: Optional[int] = None
     downs: Dict[Any, int] = {}
     down_since: Dict[Any, float] = {}
     downtime: Dict[Any, float] = {}
@@ -436,8 +435,6 @@ def summarize_fleet_trace(path: str, strict: bool = True) -> FleetTraceSummary:
                 hier_reward_sum += reward
             if event.get("updates") is not None:
                 hier_updates = event.get("updates")
-            if event.get("fed_rounds") is not None:
-                hier_fed_rounds = event.get("fed_rounds")
         elif kind == "run-warning":
             summary.warnings.append(event)
 
@@ -502,8 +499,6 @@ def summarize_fleet_trace(path: str, strict: bool = True) -> FleetTraceSummary:
             summary.hier["mean_reward"] = hier_reward_sum / hier_reward_n
         if hier_updates is not None:
             summary.hier["updates"] = hier_updates
-        if hier_fed_rounds:
-            summary.hier["fed_rounds"] = hier_fed_rounds
     return summary
 
 

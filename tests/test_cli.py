@@ -16,7 +16,6 @@ SWITCHED_FLAGS = [
     ("chaos", "--no-failover", []),
     ("hier", "--eval", []), ("hier", "--hier-agent", ["agent.npz"]),
     ("hier", "--save-hier-agent", ["agent.npz"]),
-    ("hier", "--shared-replay", []), ("hier", "--fed-avg-every", ["2"]),
     ("hier", "--checkpoint-dir", ["ckpt"]), ("hier", "--resume", []),
 ]
 
@@ -86,9 +85,33 @@ class TestValidation:
             main(["fleet", "--chaos", "1", flag, "nan"])
         assert "finite" in capsys.readouterr().err
 
-    def test_hier_fed_avg_requires_shared_replay(self, capsys):
-        assert main([*HIER, "--fed-avg-every", "4"]) == 2
-        assert "shared_replay" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv", [["fleet", "--agent"], [*HIER, "--hier-agent"]],
+        ids=["agent", "hier-agent"],
+    )
+    def test_missing_agent_file_is_a_usage_error(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(tmp_path / "missing.npz")])
+        assert exc.value.code == 2
+        assert "does not exist" in capsys.readouterr().err
+
+    def test_agent_file_arg_accepts_what_the_loader_opens(self, tmp_path):
+        # The loader appends a missing .npz extension, so both spellings
+        # name the same archive.
+        (tmp_path / "agent.npz").write_bytes(b"")
+        for value in ("agent.npz", "agent"):
+            path = str(tmp_path / value)
+            assert cli._agent_file_arg(path) == path
+
+    @pytest.mark.parametrize(
+        "flag", [["--shared-replay"], ["--fed-avg-every", "2"]],
+        ids=["shared-replay", "fed-avg-every"],
+    )
+    def test_removed_replay_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*HIER, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_hier_rejects_unknown_algo(self, capsys):
         with pytest.raises(SystemExit):
@@ -112,7 +135,11 @@ class TestValidation:
         assert "--resume requires --hier" in capsys.readouterr().err
 
     @pytest.mark.parametrize("switch,flag,value", SWITCHED_FLAGS)
-    def test_group_flag_requires_its_switch(self, capsys, switch, flag, value):
+    def test_group_flag_requires_its_switch(
+        self, capsys, monkeypatch, tmp_path, switch, flag, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "agent.npz").write_bytes(b"")  # --hier-agent must exist
         with pytest.raises(SystemExit):
             main(["fleet", flag, *value])
         assert f"{flag} requires --{switch}" in capsys.readouterr().err
@@ -124,15 +151,16 @@ class TestValidation:
          dict(retry_budget=3, retry_backoff=0.2, recovery_time=4.0,
               drop_in_flight=True)),
         ("repro.hier", "HierConfig",
-         [*HIER[1:], "--eval", "--hier-agent", "a.npz", "--shared-replay",
-          "--fed-avg-every", "2"],
-         dict(algo="ddpg", train=False, agent_path="a.npz",
-              shared_replay=True, fed_avg_every=2)),
+         [*HIER[1:], "--eval", "--hier-agent", "a.npz"],
+         dict(algo="ddpg", train=False, agent_path="a.npz")),
     ])
     def test_group_flags_reach_their_callee(
-        self, monkeypatch, module, callee, argv, want
+        self, monkeypatch, tmp_path, module, callee, argv, want
     ):
         import importlib
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.npz").write_bytes(b"")  # --hier-agent must exist
 
         class Reached(Exception):
             pass

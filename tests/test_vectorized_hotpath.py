@@ -1,15 +1,16 @@
-"""Bitwise-equivalence tests for the vectorised 1 ms hot path (ISSUE 3).
+"""Bitwise-equivalence tests for the vectorised 1 ms hot path.
 
-Every optimisation here — the vector quantiser, the scalar small-socket
-fast paths, the reused begin-times buffer, the preallocated replay batch —
-must be *exactly* equal to its reference formulation, not approximately:
-the parallel grid's determinism guarantee rests on it.
+Every optimisation here — the vector quantiser, the batched frequency
+writes, the fused controller tick, the reused begin-times buffer, the
+preallocated replay batch — must be *exactly* equal to its reference
+formulation, not approximately: the parallel grid's determinism guarantee
+rests on it.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.thread_controller import SCALAR_TICK_CUTOFF, ThreadController
+from repro.core.thread_controller import ThreadController
 from repro.cpu import Cpu
 from repro.cpu.dvfs import DEFAULT_TABLE, FrequencyTable
 from repro.experiments.runner import build_context
@@ -52,10 +53,10 @@ class TestSetFrequenciesBatched:
     def _applied_reference(self, freqs):
         return np.array([DEFAULT_TABLE.quantize(float(f)) for f in freqs])
 
-    @pytest.mark.parametrize("n", [1, 4, SCALAR_TICK_CUTOFF, SCALAR_TICK_CUTOFF + 1, 40])
+    @pytest.mark.parametrize("n", [1, 4, 16, 17, 40])
     def test_scalar_and_vector_paths_agree(self, n):
-        # The numpy pass against the scalar-quantize reference, for socket
-        # sizes on both sides of the controller tick's scalar cutoff.
+        # The numpy pass against the scalar-quantize reference, for small
+        # and large sockets.
         rng = np.random.default_rng(5)
         cpu = Cpu(Engine(), n)
         for _ in range(5):
@@ -115,41 +116,59 @@ class TestSetFrequenciesBatched:
 
 
 class TestControllerScalarVsVector:
+    """The fused per-core tick against the vectorised :meth:`scores`
+    reference, with and without trace recording."""
+
     def _run(self, record_trace, num_cores=4, duration=3.0, ceilings=()):
         from repro.workload.apps import get_app
 
         app = get_app("xapian")
-        ctx = build_context(app, constant_trace(140.0, duration), num_cores, 9)
-        # record_trace=True forces the vector tick; False takes the scalar
-        # fast path at this socket size.
+        load = 140.0 * num_cores / 4
+        ctx = build_context(app, constant_trace(load, duration), num_cores, 9)
         tc = ThreadController(ctx.engine, ctx.server, record_trace=record_trace)
         tc.set_params(0.45, 0.7)
         for t, level in ceilings:
             ctx.engine.schedule_at(t, ctx.cpu.set_ceiling, level)
+        writes = []
+        for i, core in enumerate(ctx.cpu.cores):
+            inner = core.set_frequency
+
+            def logged(freq, quantize=True, i=i, inner=inner):
+                writes.append((ctx.engine.now, i, freq))
+                inner(freq, quantize=quantize)
+
+            core.set_frequency = logged
         tc.start()
         ctx.source.start()
         ctx.engine.run_until(duration)
-        return ctx, tc
+        return ctx, tc, writes
 
-    def test_scalar_tick_bitwise_matches_vector_tick(self, ceilings=()):
-        ctx_s, tc_s = self._run(record_trace=False, ceilings=ceilings)
-        ctx_v, tc_v = self._run(record_trace=True, ceilings=ceilings)
-        assert tc_s.tick_count == tc_v.tick_count
-        assert ctx_s.engine.processed_events == ctx_v.engine.processed_events
-        assert np.array_equal(
-            ctx_s.server.cpu.frequencies(), ctx_v.server.cpu.frequencies()
-        )
-        assert ctx_s.server.cpu.energy_joules() == ctx_v.server.cpu.energy_joules()
-        assert ctx_s.server.cpu.total_switches() == ctx_v.server.cpu.total_switches()
-        assert [w.completed_count for w in ctx_s.server.workers] == [
-            w.completed_count for w in ctx_v.server.workers
+    @pytest.mark.parametrize("num_cores", [4, 17, 40])
+    def test_recording_a_trace_changes_no_write(self, num_cores, ceilings=()):
+        ctx_p, tc_p, writes_p = self._run(False, num_cores, ceilings=ceilings)
+        ctx_r, tc_r, writes_r = self._run(True, num_cores, ceilings=ceilings)
+        assert writes_p and writes_r == writes_p
+        assert tc_p.tick_count == tc_r.tick_count == len(tc_r.trace)
+        assert not tc_p.trace
+        assert ctx_p.engine.processed_events == ctx_r.engine.processed_events
+        assert ctx_p.cpu.energy_joules() == ctx_r.cpu.energy_joules()
+        assert [w.completed_count for w in ctx_p.server.workers] == [
+            w.completed_count for w in ctx_r.server.workers
         ]
+        # Each point holds the per-core scores and the levels written for
+        # them (the reference mapping applies while no ceiling binds).
+        assert tc_r.trace[-1].frequencies.shape == (num_cores,)
+        if not ceilings:
+            for point in tc_r.trace[::97]:
+                assert [
+                    tc_r.frequency_for_score(s) for s in point.scores
+                ] == point.frequencies.tolist()
 
-    def test_scalar_tick_matches_vector_tick_under_moving_ceiling(self):
+    def test_recording_changes_no_write_under_moving_ceiling(self):
         # The ceiling crosses the idle cores' level (1.4 GHz at BaseFreq
         # 0.45) and the busy levels.
-        self.test_scalar_tick_bitwise_matches_vector_tick(
-            ceilings=((0.5, 1.0), (1.0, 3.0), (1.5, 1.2), (2.0, 0.8), (2.5, 2.1))
+        self.test_recording_a_trace_changes_no_write(
+            4, ceilings=((0.5, 1.0), (1.0, 3.0), (1.5, 1.2), (2.0, 0.8), (2.5, 2.1))
         )
 
     def test_scores_buffer_reused_and_idle_uses_base(self):

@@ -31,10 +31,9 @@ from ..faults.injectors import FaultHarness
 from ..faults.plan import FaultPlan, standard_fault_plan
 from ..server.metrics import RunMetrics
 from ..workload.apps import get_app
-from .calibration import calibrate_to_sla
-from .fig7_main import EVAL_SEED, calibration_target_for, trained_agent
+from .fig7_main import EVAL_SEED, fig7_calibration, trained_agent
 from .runner import run_policy
-from .scenarios import active_profile, evaluation_trace, workers_for
+from .scenarios import active_profile, workers_for
 
 __all__ = ["FaultToleranceRow", "run_fault_tolerance", "render_fault_tolerance"]
 
@@ -118,10 +117,7 @@ def run_fault_tolerance(
     profile = active_profile(full)
     app = get_app(app_name)
     nw = workers_for(app_name, profile.num_cores)
-    cal = calibrate_to_sla(
-        app, evaluation_trace(profile), profile.num_cores, num_workers=nw,
-        target_fraction=calibration_target_for(app_name),
-    )
+    cal = fig7_calibration(app_name, profile)
     agent, dp_cfg = trained_agent(
         app_name, cal.trace, profile, nw, seed=seed, use_cache=use_cache
     )

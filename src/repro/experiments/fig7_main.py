@@ -17,7 +17,8 @@ Expected shape versus the paper:
   long requests ramp up).
 
 Trained agents are cached under ``REPRO_CACHE`` (default ``.artifacts/``)
-keyed by app + profile, so re-running the bench reuses them.
+keyed by app, profile, seed and training trace, so re-running the bench
+reuses them.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from ..core.agent import DeepPowerAgent, default_ddpg_config
 from ..core.reward import RewardConfig
 from ..core.runtime import DeepPowerConfig
 from ..core.training import train_deeppower
+from ..parallel.cache import content_key
 from ..server.metrics import RunMetrics
 from ..sim.rng import RngRegistry
 from ..workload.apps import get_app
-from .calibration import calibrate_to_sla
+from .calibration import CalibrationResult, calibrate_to_sla
 from .scenarios import ExperimentProfile, active_profile, evaluation_trace, workers_for
 
 __all__ = [
@@ -88,6 +90,19 @@ def calibration_target_for(app_name: str) -> float:
     return CALIBRATION_TARGET.get(app_name, DEFAULT_CALIBRATION_TARGET)
 
 
+def fig7_calibration(app_name: str, profile: ExperimentProfile) -> CalibrationResult:
+    """The diurnal evaluation trace scaled to ``app_name``'s SLA target.
+
+    Its trace is the one the standard fig7 agent trains on, so every
+    experiment that reuses that agent calibrates through here.
+    """
+    return calibrate_to_sla(
+        get_app(app_name), evaluation_trace(profile), profile.num_cores,
+        num_workers=workers_for(app_name, profile.num_cores),
+        target_fraction=calibration_target_for(app_name),
+    )
+
+
 def tuned_agent_setup(seed: int = 7, app=None):
     """The DDPG/reward configuration tuned for the simulated stack.
 
@@ -124,11 +139,21 @@ def _cache_dir() -> str:
     return os.environ.get("REPRO_CACHE", os.path.join(os.getcwd(), ".artifacts"))
 
 
-def _agent_cache_path(app_name: str, profile: ExperimentProfile, seed: int) -> str:
+def _agent_cache_path(
+    app_name: str, profile: ExperimentProfile, seed: int, trace
+) -> str:
+    """Cache file of the agent trained on ``trace``.
+
+    The name carries a digest of the trace's edges and rates, so callers
+    that train on different traces never load each other's agents.
+    """
     d = os.path.join(_cache_dir(), "agents")
     os.makedirs(d, exist_ok=True)
+    digest = content_key({"edges": trace.edges, "rates": trace.rates})[:16]
     return os.path.join(
-        d, f"deeppower-{app_name}-{profile.name}-e{profile.train_episodes}-s{seed}.npz"
+        d,
+        f"deeppower-{app_name}-{profile.name}-e{profile.train_episodes}"
+        f"-s{seed}-t{digest}.npz",
     )
 
 
@@ -143,7 +168,7 @@ def trained_agent(
 ):
     """Train (or load from cache) a DeepPower agent for one app."""
     agent, cfg = tuned_agent_setup(seed, app=get_app(app_name))
-    path = _agent_cache_path(app_name, profile, seed)
+    path = _agent_cache_path(app_name, profile, seed, trace)
     if use_cache and os.path.exists(path):
         try:
             agent.load(path)
@@ -224,18 +249,14 @@ def run_fig7(
             continue
         app = get_app(name)
         nw = workers_for(name, profile.num_cores)
-        base_trace = evaluation_trace(profile)
-        cal = calibrate_to_sla(
-            app, base_trace, profile.num_cores, num_workers=nw,
-            target_fraction=calibration_target_for(name),
-        )
+        cal = fig7_calibration(name, profile)
         trace = cal.trace
 
         agent, dp_cfg = trained_agent(
             name, trace, profile, nw, seed=seed, use_cache=use_cache, verbose=verbose
         )
         if use_cache:
-            agent_path = _agent_cache_path(name, profile, seed)
+            agent_path = _agent_cache_path(name, profile, seed, trace)
         else:
             if tmpdir is None:
                 tmpdir = tempfile.mkdtemp(prefix="fig7-agents-")

@@ -29,10 +29,9 @@ from ..server.metrics import RunMetrics
 from ..sim.rng import RngRegistry
 from ..workload.apps import get_app
 from ..workload.burst import mmpp_trace
-from .calibration import calibrate_to_sla
-from .fig7_main import calibration_target_for, trained_agent
+from .fig7_main import fig7_calibration, trained_agent
 from .runner import run_policy
-from .scenarios import active_profile, evaluation_trace, workers_for
+from .scenarios import active_profile, workers_for
 
 __all__ = ["RobustnessRow", "run_mmpp_robustness", "render_robustness"]
 
@@ -61,10 +60,7 @@ def run_mmpp_robustness(
     app = get_app(app_name)
     nw = workers_for(app_name, profile.num_cores)
     # Calibrate on the standard diurnal workload (= training conditions).
-    cal = calibrate_to_sla(
-        app, evaluation_trace(profile), profile.num_cores, num_workers=nw,
-        target_fraction=calibration_target_for(app_name),
-    )
+    cal = fig7_calibration(app_name, profile)
     agent, dp_cfg = trained_agent(
         app_name, cal.trace, profile, nw, seed=seed, use_cache=use_cache
     )

@@ -30,11 +30,12 @@ from .calibration import calibrate_to_sla
 from .fig7_main import (
     EVAL_SEED,
     calibration_target_for,
+    fig7_calibration,
     trained_agent,
     tuned_agent_setup,
 )
 from .runner import run_policy
-from .scenarios import active_profile, evaluation_trace, workers_for
+from .scenarios import active_profile, workers_for
 
 __all__ = [
     "SOAK_INTENSITIES",
@@ -197,11 +198,11 @@ def run_soak(
         num_workers=nw, target_fraction=calibration_target_for(app_name),
     )
     if policy == "trained":
-        # The standard fig7 agent (trained on the diurnal evaluation
-        # trace); evaluating it on the soak workload doubles as a
+        # The standard fig7 agent, trained on fig7's calibrated diurnal
+        # trace; evaluating it on the soak workload doubles as a
         # generalisation check and keeps the agent cache shared.
         agent, dp_cfg = trained_agent(
-            app_name, evaluation_trace(profile), profile, nw,
+            app_name, fig7_calibration(app_name, profile).trace, profile, nw,
             seed=seed, use_cache=use_cache,
         )
         make_agent = lambda: agent  # frozen weights; act is stateless

@@ -6,7 +6,7 @@ import pytest
 from repro.cpu import DEFAULT_TABLE
 from repro.experiments.fig4_controller import run_fig4
 from repro.experiments.table3_load_latency import render_table3, run_table3
-from repro.workload import get_app
+from repro.workload import constant_trace, get_app
 
 
 class TestFig4:
@@ -105,5 +105,23 @@ class TestFig7Helpers:
         from repro.experiments.fig7_main import _agent_cache_path
         from repro.experiments.scenarios import SMOKE
 
-        p = _agent_cache_path("xapian", SMOKE, 7)
+        p = _agent_cache_path("xapian", SMOKE, 7, constant_trace(100.0, 10.0))
         assert str(tmp_path) in p and "xapian" in p and p.endswith(".npz")
+
+    def test_agent_cache_is_keyed_on_the_training_trace(self, tmp_path, monkeypatch):
+        """An agent trained on one trace is never loaded for another."""
+        import repro.experiments.fig7_main as fig7
+        from repro.experiments.scenarios import SMOKE
+
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        trained_on = []
+        monkeypatch.setattr(
+            fig7, "train_deeppower",
+            lambda app, trace, **kw: trained_on.append(trace),
+        )
+        calm, busy = constant_trace(100.0, 10.0), constant_trace(150.0, 10.0)
+        fig7.trained_agent("xapian", calm, SMOKE, 4)
+        fig7.trained_agent("xapian", busy, SMOKE, 4)
+        fig7.trained_agent("xapian", calm, SMOKE, 4)
+        assert len(trained_on) == 2 and trained_on[1] is busy
+        assert len(list((tmp_path / "agents").glob("*.npz"))) == 2

@@ -119,7 +119,8 @@ def bench_obs_overhead(
     runtime, so this drives :class:`DeepPowerRuntime` directly) because that
     is where the obs branches live.  The arms run in :func:`paired_rounds`
     with the plain run as warmup.  The simulated duration is floored at
-    60 s so each arm runs long enough for the ratio to be meaningful.  The
+    240 s so each arm runs for at least about a second of wall time and
+    the per-round ratios read the instrumentation, not host noise.  The
     traced arm writes a real JSONL trace to a throwaway file and is
     reported but not gated.
     """
@@ -131,7 +132,7 @@ def bench_obs_overhead(
     from repro.sim import RngRegistry
 
     app = get_app(app_name)
-    duration = max(duration, 60.0)
+    duration = max(duration, 240.0)
     trace = constant_trace(rps, duration)
 
     def _timed(mk_obs):
@@ -181,7 +182,7 @@ def bench_obs_overhead(
 
 
 def bench_hier_overhead(
-    nodes: int = 64, cores_per_node: int = 2, duration: float = 6.0,
+    nodes: int = 64, cores_per_node: int = 2, duration: float = 48.0,
     load: float = 0.05, seed: int = 3, repeats: int = 3,
 ) -> dict:
     """In-process A/B of the learned budget coordinator vs the heuristic.
@@ -194,7 +195,9 @@ def bench_hier_overhead(
     cost rather than fixed overhead), with the learned run as warmup.
     Light per-worker load and the cheap tick-driven ``controller`` policy
     keep the shared pipeline thin, so the ratio actually stresses the
-    coordinator path instead of burying it.
+    coordinator path instead of burying it.  48 simulated seconds make
+    each arm run for over a second of wall time, so the gate is not
+    reading host noise.
     """
     from repro.cluster import ClusterConfig, ClusterSim, fleet_power_budget
     from repro.hier import HierConfig
@@ -608,7 +611,7 @@ def main(argv=None) -> int:
                    help="comma-separated apps for the grid benchmark")
     p.add_argument("--duration", type=float, default=20.0,
                    help="simulated seconds per grid cell and per obs A/B "
-                        "run (floored at 60 there)")
+                        "run (floored at 240 there)")
     p.add_argument("--out", default=None,
                    help="write the JSON gate report here (not "
                         "BENCH_perf.json, the end-to-end benchmark's report)")

@@ -242,7 +242,8 @@ class Server:
     def _dispatch(self, worker: Worker, req: Request) -> None:
         # Interference comes from the *other* busy threads; the dispatching
         # worker is already counted busy (it was popped from the idle list).
-        rho = (self.busy_workers() - 1) / len(self.workers)
+        n = len(self.workers)
+        rho = (n - len(self._idle) - 1) / n
         effective = req.work * contention_inflation(
             self.app.contention, rho, req.work, self._mean_work
         )

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from ..cpu.core import Core
 from ..sim.engine import Engine
-from ..sim.events import EventHandle
+from ..sim.events import Event
 from ..workload.request import Request
 
 __all__ = ["Worker"]
@@ -50,7 +50,7 @@ class Worker:
         self.completed_count = 0
         self._remaining_work = 0.0
         self._progress_t = 0.0
-        self._completion_ev: Optional[EventHandle] = None
+        self._completion_ev: Optional[Event] = None
         core.add_frequency_listener(self._on_freq_change)
 
     # ------------------------------------------------------------------ state
@@ -132,8 +132,12 @@ class Worker:
 
     def _schedule_completion(self) -> None:
         assert self.current is not None
-        dt = self._remaining_work / self.core.frequency
-        self._completion_ev = self.engine.schedule_after(dt, self._complete)
+        # schedule_after's float expression without its extra call; _freq is
+        # Core.frequency without the property call.
+        engine = self.engine
+        self._completion_ev = engine.schedule_at(
+            engine.now + self._remaining_work / self.core._freq, self._complete
+        )
 
     def _on_freq_change(self, core: Core, old: float, new: float) -> None:
         """Re-derive the completion time after a DVFS transition."""

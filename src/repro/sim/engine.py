@@ -4,10 +4,16 @@ Design notes
 ------------
 * Single-threaded, deterministic: events at equal ``(time, priority)`` fire
   in scheduling order.
-* Lazy cancellation (see :mod:`repro.sim.events`): ``cancel`` is O(1) and the
-  heap is compacted when the fraction of dead entries grows too large, so a
-  workload that reschedules completions on every DVFS step stays O(log n)
-  amortized.
+* The heap entry is the event handle: a 5-slot list
+  ``[time, priority, seq, callback, args]``.  ``seq`` is unique, so heap
+  sifting resolves every comparison on the numeric prefix in C and never
+  reaches the callback.
+* Lazy cancellation (see :mod:`repro.sim.events`): firing or cancelling an
+  entry clears its callback slot, so an entry is live while
+  ``entry[3] is not None``.  ``cancel`` is O(1); cancelled entries stay in the
+  heap until popped, and the heap is compacted when the fraction of dead
+  entries grows too large, so a workload that reschedules completions on
+  every DVFS step stays O(log n) amortized.
 * The clock is ``float`` seconds.  All latency-critical quantities in the
   paper are milliseconds and up, far above double-precision resolution.
 """
@@ -15,10 +21,11 @@ Design notes
 from __future__ import annotations
 
 import heapq
+import itertools
 from time import perf_counter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
-from .events import PRIORITY_DEFAULT, EventHandle
+from .events import PRIORITY_DEFAULT, Event
 
 __all__ = ["Engine", "SimulationError"]
 
@@ -58,10 +65,9 @@ class Engine:
         #: callbacks read it without a property call; only the engine
         #: writes it.
         self.now = float(start_time)
-        # Heap entries are (time, priority, seq, handle): seq is unique, so
-        # heap sifting resolves every comparison on the numeric prefix in C
-        # and never falls back to comparing EventHandle objects in python.
-        self._heap: list[tuple[float, int, int, EventHandle]] = []
+        self._heap: list[Event] = []
+        # Unique, increasing tiebreaker: equal (time, priority) fire FIFO.
+        self._seq = itertools.count()
         self._cancelled = 0
         self._processed = 0
         self._running = False
@@ -89,7 +95,7 @@ class Engine:
         without committing to a fixed-size time chunk.
         """
         ev = self._peek_live()
-        return None if ev is None else ev.time
+        return None if ev is None else ev[0]
 
     # -------------------------------------------------------------- scheduling
 
@@ -99,14 +105,20 @@ class Engine:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute virtual ``time``."""
+    ) -> Event:
+        """Schedule ``callback(*args)`` at absolute virtual ``time``.
+
+        Returns the event's heap entry, the handle :meth:`cancel` takes.
+        Every event enters the heap here (``schedule_after`` and
+        :class:`PeriodicTask` call it), so wrapping this one method sees
+        every event.
+        """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time!r}: clock already at {self.now!r}"
             )
-        ev = EventHandle(float(time), priority, callback, args)
-        heapq.heappush(self._heap, (ev.time, priority, ev.seq, ev))
+        ev = [float(time), priority, next(self._seq), callback, args]
+        heapq.heappush(self._heap, ev)
         return ev
 
     def schedule_after(
@@ -115,16 +127,19 @@ class Engine:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self.schedule_at(self.now + delay, callback, *args, priority=priority)
 
-    def cancel(self, handle: EventHandle) -> None:
-        """Cancel a previously scheduled event (no-op if already fired)."""
-        if handle.active:
-            handle.cancel()
+    def cancel(self, ev: Event) -> None:
+        """Cancel a previously scheduled event (no-op if fired or cancelled)."""
+        if ev[3] is not None:
+            ev[3] = None
+            # Drop the arguments so a cancelled entry pinned in the heap does
+            # not keep request/worker objects alive for the rest of the run.
+            ev[4] = ()
             self._cancelled += 1
             self._maybe_compact()
 
@@ -146,12 +161,11 @@ class Engine:
         ev = self._pop_live()
         if ev is None:
             return False
-        self.now = ev.time
-        cb, cb_args = ev.callback, ev.args
-        ev.cancel()  # release references; it has fired
+        self.now = ev[0]
+        cb = ev[3]
+        ev[3] = None  # fired
         self._processed += 1
-        assert cb is not None
-        cb(*cb_args)
+        cb(*ev[4])
         return True
 
     def run_until(self, time: float, *, inclusive: bool = True) -> None:
@@ -170,8 +184,9 @@ class Engine:
             heap = self._heap
             heappop = heapq.heappop
             while heap:
-                ev_time, _, _, ev = heap[0]
-                if ev.cancelled:
+                ev = heap[0]
+                ev_time, _, _, cb, cb_args = ev
+                if cb is None:
                     heappop(heap)
                     self._cancelled -= 1
                     continue
@@ -179,10 +194,8 @@ class Engine:
                     break
                 heappop(heap)
                 self.now = ev_time
-                cb, cb_args = ev.callback, ev.args
-                ev.cancel()  # release references; it has fired
+                ev[3] = None  # fired
                 self._processed += 1
-                assert cb is not None
                 cb(*cb_args)
         finally:
             self._running = False
@@ -213,18 +226,18 @@ class Engine:
             raise SimulationError("engine loop is not re-entrant")
         self._running = True
 
-    def _pop_live(self) -> EventHandle | None:
+    def _pop_live(self) -> Event | None:
         while self._heap:
-            ev = heapq.heappop(self._heap)[3]
-            if not ev.cancelled:
+            ev = heapq.heappop(self._heap)
+            if ev[3] is not None:
                 return ev
             self._cancelled -= 1
         return None
 
-    def _peek_live(self) -> EventHandle | None:
+    def _peek_live(self) -> Event | None:
         while self._heap:
-            ev = self._heap[0][3]
-            if not ev.cancelled:
+            ev = self._heap[0]
+            if ev[3] is not None:
                 return ev
             heapq.heappop(self._heap)
             self._cancelled -= 1
@@ -233,7 +246,7 @@ class Engine:
     def _maybe_compact(self) -> None:
         n = len(self._heap)
         if n >= self._COMPACT_MIN and self._cancelled > n * self._COMPACT_RATIO:
-            self._heap = [entry for entry in self._heap if not entry[3].cancelled]
+            self._heap = [ev for ev in self._heap if ev[3] is not None]
             heapq.heapify(self._heap)
             self._cancelled = 0
 
@@ -285,25 +298,8 @@ class PeriodicTask:
         """Stop future invocations (idempotent)."""
         if not self._stopped:
             self._stopped = True
-            if self._handle.active:
-                self._engine.cancel(self._handle)
+            self._engine.cancel(self._handle)
 
     @property
     def stopped(self) -> bool:
         return self._stopped
-
-
-def drain(engine: Engine, horizon: float, chunks: Iterable[float]) -> None:
-    """Utility: advance ``engine`` to ``horizon`` in the given chunk sizes.
-
-    Handy for callers that want to interleave python-side bookkeeping with
-    simulation progress (e.g. progress printing in examples).
-    """
-    t = engine.now
-    for chunk in chunks:
-        t = min(horizon, t + chunk)
-        engine.run_until(t)
-        if t >= horizon:
-            break
-    if engine.now < horizon:
-        engine.run_until(horizon)

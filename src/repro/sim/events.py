@@ -1,18 +1,28 @@
 """Event primitives for the discrete-event simulation kernel.
 
-The engine stores events in a binary heap.  Cancellation is *lazy*: an
-:class:`EventHandle` carries a ``cancelled`` flag and the engine simply skips
-cancelled entries when it pops them.  This keeps cancellation O(1), which
-matters because frequency changes on a busy core cancel and reschedule the
-in-flight completion event — potentially once per DVFS transition.
+An event is its heap entry: a 5-slot list ``[time, priority, seq, callback,
+args]`` that :meth:`repro.sim.engine.Engine.schedule_at` pushes and returns
+as the handle.  The heap orders entries on the unique ``(time, priority,
+seq)`` prefix, so events at the same instant and priority fire in the order
+they were scheduled, and runs are deterministic.
+
+Cancellation is *lazy*: firing or cancelling an entry sets its callback slot
+to ``None`` (cancelling also drops ``args``), and the engine skips such
+entries when it pops them.  An entry is therefore live while ``entry[3] is
+not None``; cancelling a fired entry is a no-op.  This keeps cancellation
+O(1), which matters because frequency changes on a busy core cancel and
+reschedule the in-flight completion event — potentially once per DVFS
+transition.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable
+from typing import Any, List
 
-__all__ = ["EventHandle", "PRIORITY_DEFAULT", "PRIORITY_CONTROL", "PRIORITY_LATE"]
+__all__ = ["Event", "PRIORITY_DEFAULT", "PRIORITY_CONTROL", "PRIORITY_LATE"]
+
+#: A scheduled event: ``[time, priority, seq, callback | None, args]``.
+Event = List[Any]
 
 #: Priority for ordinary simulation events (arrivals, completions).
 PRIORITY_DEFAULT = 0
@@ -21,60 +31,3 @@ PRIORITY_DEFAULT = 0
 PRIORITY_CONTROL = 10
 #: Runs after everything else at the same timestamp (end-of-run flushes).
 PRIORITY_LATE = 100
-
-_seq = itertools.count()
-
-
-class EventHandle:
-    """A scheduled callback, orderable by ``(time, priority, seq)``.
-
-    ``seq`` is a global monotonically increasing tiebreaker so that two
-    events scheduled for the same instant and priority fire in the order
-    they were scheduled (FIFO within a timestamp), which makes runs
-    deterministic.
-
-    A plain ``__slots__`` class, not a dataclass: the engine creates one
-    per scheduled event on the simulation hot path, and the heap orders
-    ``(time, priority, seq)`` key tuples in C rather than calling back
-    into python-level comparisons (see :class:`repro.sim.engine.Engine`).
-    """
-
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        callback: Callable[..., Any] | None = None,
-        args: tuple = (),
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = next(_seq)
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "active"
-        return f"EventHandle(time={self.time!r}, priority={self.priority}, {state})"
-
-    def cancel(self) -> None:
-        """Mark this event as cancelled; the engine will skip it."""
-        self.cancelled = True
-        # Drop references so cancelled events pinned in the heap do not keep
-        # request/worker objects alive for the rest of the run.
-        self.callback = None
-        self.args = ()
-
-    @property
-    def active(self) -> bool:
-        """Whether the event will still fire."""
-        return not self.cancelled

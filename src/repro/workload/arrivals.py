@@ -101,13 +101,9 @@ class OpenLoopSource:
 
     def _arrive(self, t: float) -> None:
         work, feats = self.service.sample(self.rng)
-        req = Request(
-            req_id=self._next_id,
-            arrival_time=t,
-            work=float(work),
-            features=feats,
-            sla=self.sla,
-        )
+        # Positional (req_id, arrival_time, work, features, sla): one
+        # Request per arrival, built on the hot path.
+        req = Request(self._next_id, t, float(work), feats, self.sla)
         self._next_id += 1
         self.generated += 1
         self.sink(req)

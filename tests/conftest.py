@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+from typing import Any, Callable, Iterator, Tuple
+
 import numpy as np
 import pytest
 
 from repro.cpu import Cpu
 from repro.sim import Engine, RngRegistry
 from repro.workload import AppSpec, LognormalCorrelatedService
+
+
+def live_events(engine: Engine) -> Iterator[Tuple[float, int, Callable, Tuple[Any, ...]]]:
+    """Pending (not cancelled) events of ``engine`` as ``(time, priority,
+    callback, args)``, in the order they will fire."""
+    for time, priority, _, callback, args in sorted(engine._heap):
+        if callback is not None:
+            yield time, priority, callback, args
 
 
 @pytest.fixture

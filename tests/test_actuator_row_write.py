@@ -16,6 +16,8 @@ from repro.cpu import Cpu
 from repro.faults import ActuatorFaults, FaultEvent, FaultPlan
 from repro.sim import Engine
 
+from .conftest import live_events
+
 #: (dvfs_fail_prob, dvfs_delay_prob) pairs, 0 and 1 included.
 PROBS = [
     (0.0, 0.0), (0.3, 0.0), (1.0, 0.0), (0.0, 0.4), (0.0, 1.0),
@@ -50,10 +52,9 @@ def _twin(plan, num_cores):
 def _pending(engine):
     """Live scheduled events as (time, priority, callback, core, args)."""
     return [
-        (ev.time, ev.priority, ev.callback.__name__,
-         getattr(ev.callback.__self__, "core_id", None), ev.args)
-        for *_, ev in sorted(engine._heap)
-        if not ev.cancelled
+        (time, priority, callback.__name__,
+         getattr(callback.__self__, "core_id", None), args)
+        for time, priority, callback, args in live_events(engine)
     ]
 
 

@@ -14,6 +14,8 @@ from repro.faults.plan import FaultPlan
 from repro.sim.engine import Engine
 from repro.workload.apps import get_app
 
+from .conftest import live_events
+
 
 def _nodes(n=2, cores=2, seed=3):
     engine = Engine()
@@ -86,8 +88,8 @@ class TestFrequencyCap:
 
         def delayed_core0():
             return [
-                ev.args[0] for _, _, _, ev in sorted(engine._heap)
-                if not ev.cancelled and ev.callback == core._true_set_frequency
+                args[0] for _, _, callback, args in live_events(engine)
+                if callback == core._true_set_frequency
             ]
 
         cpu.set_ceiling(1.3)

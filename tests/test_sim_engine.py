@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import PRIORITY_CONTROL, PRIORITY_DEFAULT, Engine, SimulationError
-from repro.sim.engine import drain
 
 
 class TestScheduling:
@@ -250,16 +249,6 @@ class TestPeriodicTask:
         assert fired == ["live"]
 
 
-class TestDrain:
-    def test_drain_reaches_horizon(self):
-        eng = Engine()
-        fired = []
-        eng.schedule_at(4.5, fired.append, "x")
-        drain(eng, 5.0, [1.0, 1.0, 1.0])
-        assert eng.now == 5.0
-        assert fired == ["x"]
-
-
 @given(
     times=st.lists(
         st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=200
@@ -290,3 +279,141 @@ def test_property_cancelled_subset_never_fires(n, cancel_idx):
         eng.cancel(handles[i])
     eng.run()
     assert fired == set(range(n)) - cancelled
+
+
+# One engine operation: schedule a one-shot event, start a periodic task,
+# cancel a handle (fired, cancelled or live), stop a task, run to a horizon
+# (inclusive or not) or step once.  Offsets come from a small grid so equal
+# (time, priority) ties are common.
+_OFFSETS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+_PRIORITIES = st.sampled_from([PRIORITY_DEFAULT, PRIORITY_CONTROL])
+_ENGINE_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _OFFSETS, _PRIORITIES),
+    st.tuples(st.just("every"), st.sampled_from([0.25, 0.5, 1.0]), _PRIORITIES),
+    st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+    st.tuples(st.just("stop"), st.integers(0, 10**6)),
+    st.tuples(st.just("run"), _OFFSETS, st.booleans()),
+    st.tuples(st.just("step")),
+)
+
+
+class _ReferenceEngine:
+    """Pending events in a plain dict, fired in sorted (time, priority,
+    scheduling order); periodic tasks reschedule when they fire."""
+
+    def __init__(self):
+        self.pending = {}  # label -> (time, priority, order, label)
+        self.order = 0
+        self.fired = []
+        self.processed = 0
+        self.now = 0.0
+        self.interval = {}  # periodic label -> period
+        self.next_time = {}  # periodic label -> accumulated next firing time
+
+    def add(self, time, priority, label):
+        self.pending[label] = (time, priority, self.order, label)
+        self.order += 1
+
+    def remove(self, label):
+        self.pending.pop(label, None)
+
+    def fire_next(self):
+        time, priority, _, label = min(self.pending.values())
+        del self.pending[label]
+        self.now = time
+        self.processed += 1
+        if label in self.interval:
+            self.next_time[label] += self.interval[label]
+            self.add(self.next_time[label], priority, label)
+        self.fired.append(label)
+
+    def run_until(self, horizon, inclusive):
+        while self.pending:
+            time = min(self.pending.values())[0]
+            if time > horizon or (not inclusive and time == horizon):
+                break
+            self.fire_next()
+        self.now = horizon
+
+
+@given(
+    ops=st.lists(_ENGINE_OPS, min_size=20, max_size=80),
+    burst_at=st.integers(0, 80),
+    burst_keep_every=st.integers(40, 80),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_property_engine_matches_sorted_reference(ops, burst_at, burst_keep_every):
+    """Schedules, cancels (also after firing), periodic stops, runs and steps
+    fire in (time, priority, scheduling order) like a sorted reference list,
+    with exact pending and processed counts, across heap compaction.
+
+    A burst of more than ``_COMPACT_MIN`` events, most of them cancelled at
+    once, is spliced in at ``burst_at`` so that compaction runs.
+    """
+    eng = Engine()
+    ref = _ReferenceEngine()
+    fired = []
+    handles = []  # (handle, label)
+    tasks = []
+    compacted = False
+    n_burst = Engine._COMPACT_MIN + 64
+    ops = list(ops)
+    ops.insert(min(burst_at, len(ops)), ("burst",))
+
+    def cancel(handle, label):
+        nonlocal compacted
+        before = eng._cancelled
+        eng.cancel(handle)
+        ref.remove(label)
+        compacted |= eng._cancelled < before
+
+    for op in ops:
+        kind = op[0]
+        if kind == "schedule":
+            label = ("e", len(handles))
+            time = eng.now + op[1]
+            handles.append((eng.schedule_at(time, fired.append, label, priority=op[2]), label))
+            ref.add(time, op[2], label)
+        elif kind == "every":
+            label = ("p", len(tasks))
+            task = eng.every(op[1], fired.append, label, priority=op[2])
+            tasks.append((task, label))
+            ref.interval[label] = op[1]
+            ref.next_time[label] = eng.now + op[1]
+            ref.add(ref.next_time[label], op[2], label)
+        elif kind == "cancel" and handles:
+            cancel(*handles[op[1] % len(handles)])
+        elif kind == "stop" and tasks:
+            task, label = tasks[op[1] % len(tasks)]
+            before = eng._cancelled
+            task.stop()
+            ref.remove(label)
+            compacted |= eng._cancelled < before
+        elif kind == "run":
+            horizon = eng.now + op[1]
+            eng.run_until(horizon, inclusive=op[2])
+            ref.run_until(horizon, op[2])
+        elif kind == "step":
+            assert eng.step() is bool(ref.pending)
+            if ref.pending:
+                ref.fire_next()
+        elif kind == "burst":
+            burst = []
+            for i in range(n_burst):
+                label = ("b", i)
+                time = eng.now + 0.25 * (i % 4)
+                burst.append((eng.schedule_at(time, fired.append, label), label))
+                ref.add(time, PRIORITY_DEFAULT, label)
+            for i, (handle, label) in enumerate(burst):
+                if i % burst_keep_every:
+                    cancel(handle, label)
+            handles.extend(burst[::burst_keep_every])
+        assert fired == ref.fired
+        assert eng.now == ref.now
+        assert eng.pending_events == len(ref.pending)
+        assert eng.processed_events == ref.processed
+    assert compacted
+    eng.run_until(eng.now + 2.0)
+    ref.run_until(ref.now + 2.0, True)
+    assert fired == ref.fired
+    assert eng.processed_events == ref.processed

@@ -19,6 +19,8 @@ from repro.rl.replay import ReplayBuffer
 from repro.sim import Engine
 from repro.workload.trace import constant_trace
 
+from .conftest import live_events
+
 
 class TestQuantizeInto:
     def test_dense_sweep_matches_scalar_quantize(self):
@@ -103,7 +105,7 @@ class TestSetFrequenciesBatched:
         for step in range(3):
             engine.run_until(0.1 * step)
             cpu.set_frequencies([1.05, 1.05, 1.05, 1.05])
-        raw = [ev.args for *_, ev in sorted(engine._heap) if not ev.cancelled]
+        raw = [args for *_, args in live_events(engine)]
         assert raw == [(1.05,)] * 12
         assert inj.counts == {"actuator.delay": 12}
         engine.run_until(1.0)

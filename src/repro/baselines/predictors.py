@@ -66,8 +66,8 @@ class ServicePredictor:
         """Predicted work, shape (n,). Accepts (n, d) or a single (d,)."""
         raise NotImplementedError
 
-    def predict_one(self, features: np.ndarray) -> float:
-        return float(self.predict(features.reshape(1, -1))[0])
+    def predict_one(self, features) -> float:
+        return float(self.predict(np.asarray(features, dtype=float).reshape(1, -1))[0])
 
     def rmse(self, features: np.ndarray, works: np.ndarray) -> float:
         """Root mean squared prediction error on a labelled set."""

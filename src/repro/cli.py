@@ -269,9 +269,7 @@ def _cmd_list(args) -> int:
 
 def _cmd_experiment(args) -> int:
     exp = get_experiment(args.id)
-    ckpt = dict(
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
+    kwargs = dict(
         jobs=args.jobs,
         result_cache=not args.no_cache,
         trace_dir=args.trace_dir,
@@ -281,8 +279,8 @@ def _cmd_experiment(args) -> int:
         if "full" not in inspect.signature(exp.run).parameters:
             print(f"experiment {exp.id!r} has no --full profile", file=sys.stderr)
             return 2
-        ckpt["full"] = True
-    print(exp.execute(**ckpt))
+        kwargs["full"] = True
+    print(exp.execute(**kwargs))
     return 0
 
 
@@ -325,23 +323,22 @@ def _cmd_compare(args) -> int:
 
 def _cmd_train(args) -> int:
     from .core import train_deeppower
-    from .experiments.calibration import calibrate_to_sla
-    from .experiments.fig7_main import tuned_agent_setup
-    from .experiments.scenarios import active_profile, evaluation_trace, workers_for
+    from .experiments.fig7_main import fig7_calibration, tuned_agent_setup
+    from .experiments.scenarios import active_profile, workers_for
     from .workload.apps import get_app
 
+    # Train under the recipe of the experiments' agents, which ``fleet
+    # --agent`` also assumes: the app's tuned reward and worker count on
+    # fig7's calibrated trace.
     profile = active_profile(args.full)
     app = get_app(args.app)
-    nw = workers_for(args.app, profile.num_cores)
-    cal = calibrate_to_sla(
-        app, evaluation_trace(profile), profile.num_cores, num_workers=nw
-    )
-    agent, cfg = tuned_agent_setup(args.seed)
+    cal = fig7_calibration(args.app, profile)
+    agent, cfg = tuned_agent_setup(args.seed, app=app)
     result = train_deeppower(
         app, cal.trace,
         episodes=args.episodes if args.episodes else profile.train_episodes,
         num_cores=profile.num_cores, seed=args.seed, agent=agent, config=cfg,
-        verbose=True,
+        num_workers=workers_for(args.app, profile.num_cores), verbose=True,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
@@ -572,7 +569,7 @@ def _cmd_soak(args) -> int:
         intensities=intensities,
         seed=args.seed,
         full=args.full,
-        use_cache=not args.no_cache,
+        result_cache=not args.no_cache,
         trace_dir=args.trace_dir,
         policy=args.policy,
     )
@@ -658,21 +655,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--full", action="store_true", help="full-scale profile")
     sp.add_argument(
-        "--checkpoint-dir", default=None,
-        help="snapshot experiment progress here (kill/resume safe)",
-    )
-    sp.add_argument(
-        "--resume", action="store_true",
-        help="resume from the newest valid snapshot in --checkpoint-dir",
-    )
-    sp.add_argument(
         "--jobs", type=_jobs_arg, default=1,
         help="fan independent runs over N worker processes (N >= 1); "
         "results are bitwise identical to --jobs 1",
     )
     sp.add_argument(
         "--no-cache", action="store_true",
-        help="bypass the content-addressed run-result cache under REPRO_CACHE",
+        help="read and write nothing under REPRO_CACHE: retrain every agent "
+        "and rerun every cell instead of reusing stored ones",
     )
     sp.add_argument(
         "--trace-dir", type=_out_dir_arg, default=None,
@@ -869,8 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--full", action="store_true", help="full-scale profile")
     sp.add_argument(
         "--no-cache", action="store_true",
-        help="retrain the agent instead of reusing the cached one "
-        "(--policy trained only)",
+        help="read and write nothing under REPRO_CACHE: retrain the agent "
+        "instead of reusing the stored one (--policy trained only)",
     )
     sp.add_argument(
         "--trace-dir", type=_out_dir_arg, default=None,

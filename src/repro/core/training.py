@@ -130,6 +130,7 @@ def train_deeppower(
     seed: int = 0,
     agent: Optional[DeepPowerAgent] = None,
     config: Optional[DeepPowerConfig] = None,
+    num_workers: Optional[int] = None,
     verbose: bool = False,
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 1,
@@ -148,6 +149,9 @@ def train_deeppower(
 
     Parameters
     ----------
+    num_workers:
+        Worker threads per run (None = one per core), as in
+        :func:`~repro.experiments.runner.run_policy`.
     checkpoint_dir:
         Autosave the full training state here every ``checkpoint_every``
         episodes (None = no checkpointing).
@@ -221,6 +225,7 @@ def train_deeppower(
                 trace,
                 num_cores,
                 seed=seed * 10_000 + ep + 1,
+                num_workers=num_workers,
                 extras_fn=_runtime_extras,
                 obs=obs,
             )
@@ -278,6 +283,7 @@ def evaluate_deeppower(
     num_cores: int = 4,
     seed: int = 12345,
     config: Optional[DeepPowerConfig] = None,
+    num_workers: Optional[int] = None,
     keep_requests: bool = False,
     record_freq_trace: bool = False,
     obs=None,
@@ -295,6 +301,7 @@ def evaluate_deeppower(
         trace,
         num_cores,
         seed=seed,
+        num_workers=num_workers,
         keep_requests=keep_requests,
         extras_fn=_runtime_extras,
         obs=obs,

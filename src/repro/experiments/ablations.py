@@ -206,6 +206,7 @@ def run_hierarchy_ablation(
     app_name: str = "xapian",
     full: Optional[bool] = None,
     seed: int = 7,
+    result_cache=True,
 ) -> List[AblationRow]:
     """DeepPower vs flat DRL vs DQN-hierarchical on one app."""
     from .fig7_main import trained_agent, tuned_agent_setup
@@ -219,10 +220,13 @@ def run_hierarchy_ablation(
     trace = cal.trace
     rows: List[AblationRow] = []
 
-    # Full DeepPower (cached agent from the Fig 7 pipeline).
-    agent, dp_cfg = trained_agent(app_name, trace, profile, nw, seed=seed)
+    # Full DeepPower (stored agent from the Fig 7 pipeline).
+    agent, dp_cfg, _ = trained_agent(
+        app_name, trace, profile, nw, seed=seed, result_cache=result_cache
+    )
     m = evaluate_deeppower(
-        agent, app, trace, num_cores=profile.num_cores, seed=60_001, config=dp_cfg
+        agent, app, trace, num_cores=profile.num_cores, seed=60_001, config=dp_cfg,
+        num_workers=nw,
     ).metrics
     rows.append(AblationRow("deeppower (hierarchical DDPG)", m.avg_power_watts, m.tail_latency / app.sla, m.timeout_rate))
 
@@ -323,7 +327,7 @@ def run_reward_weight_sweep(
 
 def _short_time_cell(item: tuple) -> dict:
     """One multiplier of the ShortTime sweep, from a saved frozen agent."""
-    app_name, agent_path, agent_seed, mult, trace, num_cores = item
+    app_name, agent_path, agent_seed, mult, trace, num_cores, num_workers = item
     from .fig7_main import tuned_agent_setup
 
     app = get_app(app_name)
@@ -332,7 +336,8 @@ def _short_time_cell(item: tuple) -> dict:
     cfg = copy.copy(dp_cfg)
     cfg.short_time = app.short_time * mult
     m = evaluate_deeppower(
-        agent, app, trace, num_cores=num_cores, seed=60_001, config=cfg
+        agent, app, trace, num_cores=num_cores, seed=60_001, config=cfg,
+        num_workers=num_workers,
     ).metrics
     return {
         "short_time_ms": cfg.short_time * 1e3,
@@ -348,6 +353,7 @@ def run_short_time_sweep(
     full: Optional[bool] = None,
     seed: int = 7,
     jobs: int = 1,
+    result_cache=True,
 ) -> List[dict]:
     """Controller-tick granularity sweep with a frozen trained agent."""
     import tempfile
@@ -361,13 +367,17 @@ def run_short_time_sweep(
     cal = calibrate_to_sla(
         app, evaluation_trace(profile), profile.num_cores, num_workers=nw
     )
-    agent, dp_cfg = trained_agent(app_name, cal.trace, profile, nw, seed=seed)
-    # The frozen agent travels to the workers as an .npz artifact.
+    agent, _, agent_path = trained_agent(
+        app_name, cal.trace, profile, nw, seed=seed, result_cache=result_cache
+    )
+    # The frozen agent travels to the workers as an .npz file (a temporary
+    # copy only when the store is off).
     with tempfile.TemporaryDirectory(prefix="shorttime-") as tmpdir:
-        agent_path = os.path.join(tmpdir, f"{app_name}.npz")
-        agent.save(agent_path)
+        if agent_path is None:
+            agent_path = os.path.join(tmpdir, f"{app_name}.npz")
+            agent.save(agent_path)
         items = [
-            (app_name, agent_path, seed, mult, cal.trace, profile.num_cores)
+            (app_name, agent_path, seed, mult, cal.trace, profile.num_cores, nw)
             for mult in multipliers
         ]
         return ParallelMap(jobs=jobs).map_values(_short_time_cell, items)

@@ -104,7 +104,7 @@ def run_fault_tolerance(
     fault_rates: Sequence[float] = (0.0, 0.01, 0.05),
     seed: int = 7,
     full: Optional[bool] = None,
-    use_cache: bool = True,
+    result_cache=True,
 ) -> List[FaultToleranceRow]:
     """Sweep fault rates over all policies; DeepPower runs watchdog-protected.
 
@@ -118,8 +118,8 @@ def run_fault_tolerance(
     app = get_app(app_name)
     nw = workers_for(app_name, profile.num_cores)
     cal = fig7_calibration(app_name, profile)
-    agent, dp_cfg = trained_agent(
-        app_name, cal.trace, profile, nw, seed=seed, use_cache=use_cache
+    agent, dp_cfg, _ = trained_agent(
+        app_name, cal.trace, profile, nw, seed=seed, result_cache=result_cache
     )
     trace = cal.trace
     dp_cfg = replace(

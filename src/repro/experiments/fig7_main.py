@@ -16,8 +16,8 @@ Expected shape versus the paper:
 * DeepPower's mean/tail ratio is the highest (short requests run slow,
   long requests ramp up).
 
-Trained agents are cached under ``REPRO_CACHE`` (default ``.artifacts/``)
-keyed by app, profile, seed and training trace, so re-running the bench
+Trained agents and evaluation cells are stored under ``REPRO_CACHE``
+(default ``.artifacts/``), keyed by content, so re-running the bench
 reuses them.
 """
 
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..checkpoint import CheckpointManager
     from ..parallel import RunResultCache
 
 from ..analysis.reporting import format_table
@@ -38,7 +37,7 @@ from ..core.agent import DeepPowerAgent, default_ddpg_config
 from ..core.reward import RewardConfig
 from ..core.runtime import DeepPowerConfig
 from ..core.training import train_deeppower
-from ..parallel.cache import content_key
+from ..parallel.cache import resolve_cache
 from ..server.metrics import RunMetrics
 from ..sim.rng import RngRegistry
 from ..workload.apps import get_app
@@ -135,159 +134,142 @@ def tuned_agent_setup(seed: int = 7, app=None):
     return agent, cfg
 
 
-def _cache_dir() -> str:
-    return os.environ.get("REPRO_CACHE", os.path.join(os.getcwd(), ".artifacts"))
-
-
-def _agent_cache_path(
-    app_name: str, profile: ExperimentProfile, seed: int, trace
-) -> str:
-    """Cache file of the agent trained on ``trace``.
-
-    The name carries a digest of the trace's edges and rates, so callers
-    that train on different traces never load each other's agents.
-    """
-    d = os.path.join(_cache_dir(), "agents")
-    os.makedirs(d, exist_ok=True)
-    digest = content_key({"edges": trace.edges, "rates": trace.rates})[:16]
-    return os.path.join(
-        d,
-        f"deeppower-{app_name}-{profile.name}-e{profile.train_episodes}"
-        f"-s{seed}-t{digest}.npz",
-    )
-
-
 def trained_agent(
     app_name: str,
     trace,
     profile: ExperimentProfile,
     num_workers: int,
     seed: int = 7,
-    use_cache: bool = True,
+    result_cache: "bool | RunResultCache | None" = True,
     verbose: bool = False,
 ):
-    """Train (or load from cache) a DeepPower agent for one app."""
-    agent, cfg = tuned_agent_setup(seed, app=get_app(app_name))
-    path = _agent_cache_path(app_name, profile, seed, trace)
-    if use_cache and os.path.exists(path):
-        try:
-            agent.load(path)
-            return agent, cfg
-        except Exception as exc:  # corrupt/truncated cache -> retrain
-            warnings.warn(
-                f"discarding unreadable agent cache {path!r} ({exc}); retraining",
-                stacklevel=2,
-            )
-            os.remove(path)
-            # The failed load may have partially written network weights;
-            # rebuild the agent from scratch before training.
-            agent, cfg = tuned_agent_setup(seed, app=get_app(app_name))
+    """Train a DeepPower agent for one app, or load it from the store.
+
+    Returns ``(agent, config, path)``.  With ``result_cache`` on, the agent
+    lives in the run-result store at ``path``, addressed by its full
+    training recipe: app, trace content, episodes, cores, workers, seed,
+    both configs and the store's schema version.  A recipe change can
+    therefore never load a stale agent, and an unreadable entry is evicted
+    and retrained.  With ``result_cache`` off, nothing is read or written
+    and ``path`` is None.
+    """
     app = get_app(app_name)
+    agent, cfg = tuned_agent_setup(seed, app=app)
+    cache = resolve_cache(result_cache)
+    path = None
+    if cache is not None:
+        recipe = {
+            "kind": "deeppower-agent",
+            "app": app_name,
+            "trace_edges": trace.edges,
+            "trace_rates": trace.rates,
+            "episodes": profile.train_episodes,
+            "num_cores": profile.num_cores,
+            "num_workers": num_workers,
+            "seed": seed,
+            "agent": agent.cfg,
+            "config": cfg,
+        }
+        path = cache.path_for(cache.key(recipe), ".npz")
+        if os.path.exists(path):
+            try:
+                agent.load(path)
+                return agent, cfg, path
+            except Exception as exc:  # corrupt/truncated entry -> retrain
+                warnings.warn(
+                    f"discarding unreadable agent {path!r} ({exc}); retraining",
+                    stacklevel=2,
+                )
+                os.remove(path)
+                # The failed load may have partially written network
+                # weights; rebuild the agent before training.
+                agent, cfg = tuned_agent_setup(seed, app=app)
     train_deeppower(
         app,
         trace,
         episodes=profile.train_episodes,
         num_cores=profile.num_cores,
+        num_workers=num_workers,
         seed=seed,
         agent=agent,
         config=cfg,
         verbose=verbose,
     )
-    if use_cache:
+    if path is not None:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         agent.save(path)
-    return agent, cfg
-
-
-_FIG7_CKPT_KIND = "fig7-partial"
+    return agent, cfg, path
 
 
 def run_fig7(
     apps: Optional[Sequence[str]] = None,
     full: Optional[bool] = None,
     seed: int = 7,
-    use_cache: bool = True,
     verbose: bool = False,
-    checkpoint: Optional["CheckpointManager"] = None,
     jobs: int = 1,
-    result_cache: Optional["RunResultCache"] = None,
+    result_cache: "bool | RunResultCache | None" = True,
     trace_dir: Optional[str] = None,
 ) -> Dict[str, Fig7AppResult]:
     """The full Fig 7 pipeline, staged: calibrate/train per app, then fan
     the whole (app x policy) evaluation grid out at once.
 
-    With ``checkpoint`` set, each finished app's result is snapshotted, and
-    a re-run resumes at the first app without a completed result — a killed
-    multi-hour sweep repeats at most one app's work.
-
     ``jobs`` fans the evaluation grid over forked worker processes (results
     are bitwise identical to ``jobs=1``: every cell owns its engine and RNG
-    stack); ``result_cache`` short-circuits cells whose content-addressed
-    key — trace content, seed, trained-agent digest — is already stored.
-    ``trace_dir`` writes a per-cell JSONL observability trace (traced
-    cells always execute; see :func:`repro.parallel.run_grid`).
+    stack).  ``result_cache`` stores each trained agent as soon as it is
+    trained and each evaluation cell once the grid returns, keyed by
+    content; a re-run loads both instead of recomputing.  ``False`` reads
+    and writes nothing.  ``trace_dir`` writes a per-cell JSONL
+    observability trace (traced cells always execute; see
+    :func:`repro.parallel.run_grid`).
     """
     from ..parallel import RunSpec, run_grid
 
     profile = active_profile(full)
     apps = apps if apps is not None else ("xapian", "masstree", "moses", "sphinx", "img-dnn")
+    cache = resolve_cache(result_cache)
+
+    with tempfile.TemporaryDirectory(prefix="fig7-agents-") as tmpdir:
+        # Stage 1 (serial): calibrate the workload and train/load the agent
+        # for each app.  Training dominates wall-clock, so it stays
+        # in-process; the agent reaches the evaluation grid as an .npz file
+        # (a temporary copy only when the store is off).
+        staged = []
+        for name in apps:
+            nw = workers_for(name, profile.num_cores)
+            cal = fig7_calibration(name, profile)
+            agent, _, agent_path = trained_agent(
+                name, cal.trace, profile, nw, seed=seed, result_cache=cache,
+                verbose=verbose,
+            )
+            if agent_path is None:
+                agent_path = os.path.join(tmpdir, f"{name}.npz")
+                agent.save(agent_path)
+            staged.append((name, nw, cal, agent_path))
+
+        # Stage 2: one flat grid of (app x policy) evaluation cells.
+        specs: List[RunSpec] = [
+            RunSpec(
+                app=name,
+                policy=pol,
+                trace=cal.trace,
+                num_cores=profile.num_cores,
+                seed=EVAL_SEED,
+                num_workers=nw,
+                agent_path=agent_path if pol == "deeppower" else None,
+                agent_seed=seed,
+                label=f"fig7-{profile.name}",
+            )
+            for name, nw, cal, agent_path in staged
+            for pol in FIG7_POLICIES
+        ]
+        outcomes = iter(run_grid(specs, jobs=jobs, cache=cache, trace_dir=trace_dir))
+
     results: Dict[str, Fig7AppResult] = {}
-    if checkpoint is not None:
-        record = checkpoint.load_latest()
-        if record is not None and record.meta.get("kind") == _FIG7_CKPT_KIND:
-            results.update(
-                {k: v for k, v in record.state["results"].items() if k in apps}
-            )
-
-    # Stage 1 (serial): calibrate the workload and train/load the agent for
-    # each app still missing a result.  Training dominates wall-clock and
-    # mutates the on-disk agent cache, so it stays in-process; the trained
-    # agent is handed to the evaluation grid as an .npz artifact.
-    staged = []
-    tmpdir: Optional[str] = None
-    for name in apps:
-        if name in results:
-            continue
-        app = get_app(name)
-        nw = workers_for(name, profile.num_cores)
-        cal = fig7_calibration(name, profile)
-        trace = cal.trace
-
-        agent, dp_cfg = trained_agent(
-            name, trace, profile, nw, seed=seed, use_cache=use_cache, verbose=verbose
-        )
-        if use_cache:
-            agent_path = _agent_cache_path(name, profile, seed, trace)
-        else:
-            if tmpdir is None:
-                tmpdir = tempfile.mkdtemp(prefix="fig7-agents-")
-            agent_path = os.path.join(tmpdir, f"{name}.npz")
-            agent.save(agent_path)
-        staged.append((name, app, nw, cal, trace, agent_path))
-
-    # Stage 2: one flat grid of (app x policy) evaluation cells.
-    specs: List[RunSpec] = []
-    for name, app, nw, cal, trace, agent_path in staged:
-        for pol in FIG7_POLICIES:
-            specs.append(
-                RunSpec(
-                    app=name,
-                    policy=pol,
-                    trace=trace,
-                    num_cores=profile.num_cores,
-                    seed=EVAL_SEED,
-                    num_workers=nw,
-                    agent_path=agent_path if pol == "deeppower" else None,
-                    agent_seed=seed,
-                    label=f"fig7-{profile.name}",
-                )
-            )
-    outcomes = iter(run_grid(specs, jobs=jobs, cache=result_cache, trace_dir=trace_dir))
-
-    for name, app, nw, cal, trace, agent_path in staged:
+    for name, _, cal, _ in staged:
         runs: Dict[str, RunMetrics] = {
             pol: next(outcomes).unwrap() for pol in FIG7_POLICIES
         }
-        app_res = Fig7AppResult(app=name, sla=app.sla, mean_load=cal.mean_load)
+        app_res = Fig7AppResult(app=name, sla=get_app(name).sla, mean_load=cal.mean_load)
         base_power = runs["baseline"].avg_power_watts
         for pol, m in runs.items():
             app_res.outcomes[pol] = PolicyOutcome(
@@ -296,12 +278,6 @@ def run_fig7(
                 saving_vs_baseline=1.0 - m.avg_power_watts / base_power,
             )
         results[name] = app_res
-        if checkpoint is not None:
-            checkpoint.save(
-                {"results": results},
-                step=len(results),
-                meta={"kind": _FIG7_CKPT_KIND},
-            )
     return results
 
 

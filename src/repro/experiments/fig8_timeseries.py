@@ -41,7 +41,7 @@ def run_fig8(
     app_name: str = "xapian",
     seed: int = 7,
     full: Optional[bool] = None,
-    use_cache: bool = True,
+    result_cache=True,
 ) -> Fig8Result:
     profile = active_profile(full)
     app = get_app(app_name)
@@ -50,11 +50,12 @@ def run_fig8(
     cal = calibrate_to_sla(
         app, base_trace, profile.num_cores, num_workers=nw, target_fraction=0.7
     )
-    agent, dp_cfg = trained_agent(
-        app_name, cal.trace, profile, nw, seed=seed, use_cache=use_cache
+    agent, dp_cfg, _ = trained_agent(
+        app_name, cal.trace, profile, nw, seed=seed, result_cache=result_cache
     )
     run = evaluate_deeppower(
-        agent, app, cal.trace, num_cores=profile.num_cores, seed=99, config=dp_cfg
+        agent, app, cal.trace, num_cores=profile.num_cores, seed=99, config=dp_cfg,
+        num_workers=nw,
     )
     recs = run.extras["records"]
     times = np.array([r.time for r in recs])

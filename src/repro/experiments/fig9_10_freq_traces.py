@@ -89,7 +89,7 @@ def run_freq_traces(
     app_name: str = "xapian",
     seed: int = 7,
     full: Optional[bool] = None,
-    use_cache: bool = True,
+    result_cache=True,
 ) -> Dict[str, FreqTraceResult]:
     """Frequency traces for DeepPower / ReTail / Gemini on one app."""
     profile = active_profile(full)
@@ -142,12 +142,12 @@ def run_freq_traces(
         )
 
     # --- DeepPower -----------------------------------------------------------
-    agent, dp_cfg = trained_agent(
-        app_name, trace, profile, nw, seed=seed, use_cache=use_cache
+    agent, dp_cfg, _ = trained_agent(
+        app_name, trace, profile, nw, seed=seed, result_cache=result_cache
     )
     run = evaluate_deeppower(
         agent, app, trace, num_cores=profile.num_cores, seed=99, config=dp_cfg,
-        keep_requests=True, record_freq_trace=True,
+        num_workers=nw, keep_requests=True, record_freq_trace=True,
     )
     controller: ThreadController = run.extras["controller"]
     times, freqs = controller.trace_arrays()

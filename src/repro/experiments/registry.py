@@ -8,7 +8,6 @@ code that regenerates it, as indexed in DESIGN.md §4.  Used by the CLI
 from __future__ import annotations
 
 import inspect
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional
@@ -53,8 +52,6 @@ class Experiment:
 
     def execute(
         self,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
         jobs: int = 1,
         result_cache=True,
         trace_dir: Optional[str] = None,
@@ -62,21 +59,13 @@ class Experiment:
     ) -> str:
         """Run and render to text.
 
-        With ``checkpoint_dir`` set, the experiment becomes kill/resume
-        safe: its finished result is snapshotted under
-        ``<checkpoint_dir>/<id>/``, and ``resume=True`` renders a stored
-        result instead of recomputing.  Experiments whose run function
-        accepts a ``checkpoint`` keyword (e.g. fig7) additionally get the
-        manager passed through for finer-grained mid-run snapshots, so a
-        killed run restarts from its last completed stage.
-
         ``jobs``, ``result_cache`` and ``trace_dir`` are forwarded only to
         run functions that declare the corresponding parameter: ``jobs``
         fans independent runs over worker processes, ``result_cache``
         (default on; ``False`` disables, or pass a
         :class:`~repro.parallel.RunResultCache`) reuses content-addressed
-        cached run results under ``REPRO_CACHE``, and ``trace_dir`` writes
-        per-run JSONL observability traces there.
+        run results and trained agents under ``REPRO_CACHE``, and
+        ``trace_dir`` writes per-run JSONL observability traces there.
         """
         run_params = inspect.signature(self.run).parameters
         if "jobs" in run_params:
@@ -87,30 +76,7 @@ class Experiment:
             kwargs.setdefault("result_cache", resolve_cache(result_cache))
         if trace_dir is not None and "trace_dir" in run_params:
             kwargs.setdefault("trace_dir", trace_dir)
-        if checkpoint_dir is None:
-            return self.render(self.run(**kwargs))
-        from ..checkpoint import CheckpointManager
-
-        manager = CheckpointManager(
-            os.path.join(checkpoint_dir, self.id), prefix="exp"
-        )
-        if resume:
-            record = manager.load_latest()
-            if record is not None and record.meta.get("kind") == "experiment-result":
-                return self.render(record.state["result"])
-        params = inspect.signature(self.run).parameters
-        if "checkpoint" in params and params["checkpoint"].kind in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.KEYWORD_ONLY,
-        ):
-            kwargs["checkpoint"] = manager
-        result = self.run(**kwargs)
-        manager.save(
-            {"result": result},
-            step=(manager.latest_step() or 0) + 1,
-            meta={"kind": "experiment-result", "experiment": self.id},
-        )
-        return self.render(result)
+        return self.render(self.run(**kwargs))
 
 
 def _render_dicts(rows) -> str:

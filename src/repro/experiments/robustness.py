@@ -48,7 +48,7 @@ def run_mmpp_robustness(
     burst_ratio: float = 2.5,
     seed: int = 7,
     full: Optional[bool] = None,
-    use_cache: bool = True,
+    result_cache=True,
 ) -> Dict[str, RobustnessRow]:
     """Evaluate all policies under a flash-crowd MMPP arrival process.
 
@@ -61,8 +61,8 @@ def run_mmpp_robustness(
     nw = workers_for(app_name, profile.num_cores)
     # Calibrate on the standard diurnal workload (= training conditions).
     cal = fig7_calibration(app_name, profile)
-    agent, dp_cfg = trained_agent(
-        app_name, cal.trace, profile, nw, seed=seed, use_cache=use_cache
+    agent, dp_cfg, _ = trained_agent(
+        app_name, cal.trace, profile, nw, seed=seed, result_cache=result_cache
     )
 
     # Build an MMPP with the same mean rate: calm/burst around the mean.
@@ -93,7 +93,8 @@ def run_mmpp_robustness(
         seed=999, num_workers=nw,
     ).metrics
     runs["deeppower"] = evaluate_deeppower(
-        agent, app, trace, num_cores=profile.num_cores, seed=999, config=dp_cfg
+        agent, app, trace, num_cores=profile.num_cores, seed=999, config=dp_cfg,
+        num_workers=nw,
     ).metrics
 
     base_p = runs["baseline"].avg_power_watts

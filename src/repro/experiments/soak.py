@@ -174,7 +174,7 @@ def run_soak(
     intensities: Sequence[float] = SOAK_INTENSITIES,
     seed: int = 7,
     full: Optional[bool] = None,
-    use_cache: bool = True,
+    result_cache=True,
     trace_dir: Optional[str] = None,
     policy: str = "reactive",
 ) -> dict:
@@ -200,10 +200,10 @@ def run_soak(
     if policy == "trained":
         # The standard fig7 agent, trained on fig7's calibrated diurnal
         # trace; evaluating it on the soak workload doubles as a
-        # generalisation check and keeps the agent cache shared.
-        agent, dp_cfg = trained_agent(
+        # generalisation check and keeps the agent store shared.
+        agent, dp_cfg, _ = trained_agent(
             app_name, fig7_calibration(app_name, profile).trace, profile, nw,
-            seed=seed, use_cache=use_cache,
+            seed=seed, result_cache=result_cache,
         )
         make_agent = lambda: agent  # frozen weights; act is stateless
     else:

@@ -11,8 +11,8 @@ Two durability guarantees:
   path without it round-trips instead of raising ``FileNotFoundError``.
 * **Atomic writes** — archives are written to a same-directory temp file,
   fsynced and ``os.replace``d into place, so a crash mid-save can never
-  leave a truncated archive under the final name (the fig7 agent cache
-  relies on this: a half-written cache would otherwise be discarded and
+  leave a truncated archive under the final name (the agent store
+  relies on this: a half-written entry would otherwise be discarded and
   retrained on the next run).
 """
 

@@ -11,10 +11,9 @@ results to the serial loop.  This package provides:
   failure isolation (a crashing item returns an error, siblings survive),
   worker warm-up, and a serial in-process fallback when ``jobs == 1`` or
   the platform cannot ``fork``.
-* :class:`RunResultCache` — a content-addressed on-disk cache for run
-  results, keyed by a stable hash of the complete run description
-  (app / policy / trace content / seed / profile) and invalidated by a
-  schema version.
+* :class:`RunResultCache` — the content-addressed on-disk store for run
+  results and trained agents, keyed by a stable hash of the complete run
+  description or training recipe and invalidated by a schema version.
 * :mod:`repro.parallel.grid` — picklable :class:`RunSpec` descriptions of
   single ``run_policy`` cells plus :func:`run_grid`, which combines the
   pool and the cache.

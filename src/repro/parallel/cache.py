@@ -8,11 +8,12 @@ change to an input yields a different address automatically.  Code changes
 that alter run *semantics* without changing inputs are handled the blunt
 way: bump :data:`CACHE_SCHEMA_VERSION`, which namespaces the whole store.
 
-Layout (next to the existing fig7 agent cache)::
+It is the one place experiments persist anything.  Layout::
 
     $REPRO_CACHE/                 (default ./.artifacts)
-        agents/                   trained DeepPower agents (fig7)
-        runs/v<schema>/ab/abcdef...pkl   run-result entries, sharded by prefix
+        runs/v<schema>/ab/abcdef...pkl   run results, sharded by key prefix
+        runs/v<schema>/ab/abcdef...npz   trained DeepPower agents, keyed on
+                                         their full training recipe
 
 Writes are atomic (unique temp file + ``os.replace``), so concurrent
 writers — a ``--jobs`` pool, or pytest-xdist workers sharing a cache dir —
@@ -45,7 +46,7 @@ CACHE_SCHEMA_VERSION = 1
 
 
 def default_cache_root() -> str:
-    """The shared artifact root (same convention as the fig7 agent cache)."""
+    """The artifact root: ``$REPRO_CACHE``, else ``./.artifacts``."""
     return os.environ.get("REPRO_CACHE", os.path.join(os.getcwd(), ".artifacts"))
 
 
@@ -129,7 +130,11 @@ def plan_digest(plan: Any) -> Optional[str]:
 
 
 class RunResultCache:
-    """Pickle-backed content-addressed store under ``<root>/runs/v<schema>/``.
+    """Content-addressed store under ``<root>/runs/v<schema>/``.
+
+    :meth:`get`/:meth:`put` hold pickled run results; trained agents are
+    ``.npz`` files at ``path_for(key, ".npz")``, written by the agent's
+    own atomic save.
 
     Parameters
     ----------
@@ -155,8 +160,9 @@ class RunResultCache:
 
     # ------------------------------------------------------------------ paths
 
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.dir, key[:2], f"{key}.pkl")
+    def path_for(self, key: str, suffix: str = ".pkl") -> str:
+        """Entry path of ``key``: ``.pkl`` for run results, ``.npz`` agents."""
+        return os.path.join(self.dir, key[:2], key + suffix)
 
     def key(self, payload: Any) -> str:
         """Address for a payload; schema version is part of the content."""

@@ -264,6 +264,7 @@ def execute_run_spec(spec: RunSpec) -> Tuple[RunMetrics, Dict[str, Any]]:
                 num_cores=spec.num_cores,
                 seed=spec.seed,
                 config=cfg,
+                num_workers=spec.num_workers,
                 obs=obs,
             )
             # evaluate_deeppower's extras hold live runtime objects (engine,

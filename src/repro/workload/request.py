@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Sequence
 
 __all__ = ["Request"]
 
@@ -24,7 +22,7 @@ class Request:
     req_id: int
     arrival_time: float
     work: float
-    features: np.ndarray
+    features: Sequence[float]
     #: Deadline-defining SLA (seconds) captured at creation time.
     sla: float
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +45,9 @@ FEATURE_DIM = 3
 class ServiceModel:
     """Interface: sample (work, features) pairs.  Work is in GHz-seconds."""
 
-    def sample(self, rng: np.random.Generator) -> Tuple[float, np.ndarray]:
-        """Draw one request: returns ``(work, features)``."""
+    def sample(self, rng: np.random.Generator) -> Tuple[float, Sequence[float]]:
+        """Draw one request: returns ``(work, features)``, with
+        ``FEATURE_DIM`` features as any float sequence."""
         raise NotImplementedError
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -108,14 +109,14 @@ class LognormalCorrelatedService(ServiceModel):
         zq = float(norm.ppf(q))
         return math.exp(zq * self.sigma - 0.5 * self.sigma * self.sigma)
 
-    def sample(self, rng: np.random.Generator) -> Tuple[float, np.ndarray]:
+    def sample(self, rng: np.random.Generator) -> Tuple[float, Sequence[float]]:
         z_vis = rng.standard_normal()
         z_hid = rng.standard_normal()
         u = rng.random()
         logw = self._mu + self.sigma * (self.rho * z_vis + self._hid_scale * z_hid)
-        work = math.exp(logw)
-        feats = np.array([z_vis, z_vis * z_vis, u])
-        return work, feats
+        # A plain tuple: only the prediction baselines read features, and
+        # they convert where they do.
+        return math.exp(logw), (z_vis, z_vis * z_vis, u)
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> Tuple[np.ndarray, np.ndarray]:
         z_vis = rng.standard_normal(n)

@@ -205,6 +205,12 @@ class TestCheckpointManager:
         assert a.list_steps() == [1]
         assert b.list_steps() == [9]
 
+    def test_nested_dirs_created_on_demand(self, tmp_path):
+        deep = os.path.join(str(tmp_path), "a", "b", "c")
+        mgr = CheckpointManager(deep)
+        mgr.save({"v": 1}, step=1)
+        assert mgr.load_latest().state["v"] == 1
+
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointManager(str(tmp_path), keep_last=0)

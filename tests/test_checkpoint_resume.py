@@ -8,8 +8,6 @@ uninterrupted run — for DDPG and TD3.  Plus round-trip tests for every
 fallback wired through a real training resume.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -23,9 +21,7 @@ from repro.core import (
     train_deeppower,
 )
 from repro.core.agent import build_actor
-from repro.experiments.fig7_main import Fig7AppResult, run_fig7
 from repro.faults.bus import BusEvent, BusFaultPlan, LinkFaults
-from repro.experiments.registry import Experiment
 from repro.experiments.runner import build_context
 from repro.nn.layers import Parameter
 from repro.nn.optim import SGD, Adam
@@ -396,61 +392,3 @@ class TestTrainingResume:
         with pytest.raises(ValueError, match="checkpoint_every"):
             _train(tiny_app, _make_ddpg(), 1, checkpoint_every=0)
 
-
-# --------------------------------------------------------------------------
-# experiment-level checkpointing
-# --------------------------------------------------------------------------
-
-
-class TestExperimentCheckpoint:
-    def test_execute_snapshots_and_resumes_result(self, tmp_path):
-        calls = []
-
-        def run(**kw):
-            calls.append(kw)
-            return {"x": 41 + len(calls)}
-
-        exp = Experiment("toy", "toy experiment", run, lambda r: f"x={r['x']}")
-        out1 = exp.execute(checkpoint_dir=str(tmp_path))
-        assert out1 == "x=42" and len(calls) == 1
-        # resume renders the stored result without recomputing
-        out2 = exp.execute(checkpoint_dir=str(tmp_path), resume=True)
-        assert out2 == "x=42" and len(calls) == 1
-        # resume=False recomputes
-        out3 = exp.execute(checkpoint_dir=str(tmp_path))
-        assert out3 == "x=43" and len(calls) == 2
-
-    def test_checkpoint_manager_passed_only_when_declared(self, tmp_path):
-        seen = {}
-
-        def run_with(checkpoint=None):
-            seen["ckpt"] = checkpoint
-            return 1
-
-        exp = Experiment("toy2", "toy", run_with, str)
-        exp.execute(checkpoint_dir=str(tmp_path))
-        assert isinstance(seen["ckpt"], CheckpointManager)
-        exp.execute()
-        assert seen["ckpt"] is None
-        # **kwargs-only run functions must NOT receive the manager
-        def run_kw(**kw):
-            return dict(kw)
-
-        exp_kw = Experiment("toy3", "toy", run_kw, str)
-        assert "checkpoint" not in exp_kw.execute(checkpoint_dir=str(tmp_path))
-
-    def test_fig7_skips_apps_with_snapshotted_results(self, tmp_path):
-        mgr = CheckpointManager(str(tmp_path))
-        done = Fig7AppResult(app="xapian", sla=0.1, mean_load=0.5)
-        mgr.save({"results": {"xapian": done}}, step=1, meta={"kind": "fig7-partial"})
-        # with every requested app already snapshotted, run_fig7 returns
-        # immediately — no calibration/training work at all
-        results = run_fig7(apps=("xapian",), checkpoint=mgr)
-        assert set(results) == {"xapian"}
-        assert results["xapian"].sla == 0.1
-
-    def test_nested_dirs_created_on_demand(self, tmp_path):
-        deep = os.path.join(str(tmp_path), "a", "b", "c")
-        mgr = CheckpointManager(deep)
-        mgr.save({"v": 1}, step=1)
-        assert mgr.load_latest().state["v"] == 1

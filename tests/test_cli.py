@@ -44,13 +44,24 @@ class TestValidation:
     def test_resume_rejects_missing_dir(self, capsys, tmp_path):
         missing = str(tmp_path / "nope")
         with pytest.raises(SystemExit):
-            main(["experiment", "fig5", "--resume", "--checkpoint-dir", missing])
+            main(["train", "--resume", "--checkpoint-dir", missing])
         assert "does not exist" in capsys.readouterr().err
 
-    def test_resume_accepts_existing_dir(self, capsys, tmp_path):
-        assert main(
-            ["experiment", "fig5", "--resume", "--checkpoint-dir", str(tmp_path)]
-        ) == 0
+    def test_resume_accepts_existing_dir(self, tmp_path):
+        parser = build_parser()
+        args = parser.parse_args(
+            ["train", "--resume", "--checkpoint-dir", str(tmp_path)]
+        )
+        cli._validate_resume(parser, args)  # no SystemExit
+
+    @pytest.mark.parametrize("flags", [
+        ["--checkpoint-dir", "ckpt"], ["--resume"],
+    ])
+    def test_experiment_has_no_snapshot_flags(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig5", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_power_cap_rejects_nonpositive(self, capsys):
         with pytest.raises(SystemExit):
@@ -346,3 +357,28 @@ class TestParser:
         assert args.app == "moses"
         assert args.episodes == 0
         assert args.fn is not None
+
+    def test_train_uses_the_experiment_recipe(self, monkeypatch, tmp_path):
+        # ``train`` builds the agent fig7, soak and ``fleet --agent`` use:
+        # the app's tuned reward on fig7's calibrated trace.
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        import repro.core
+        from repro.experiments.fig7_main import fig7_calibration
+        from repro.experiments.scenarios import SMOKE
+
+        seen = {}
+
+        def stub(app, trace, **kw):
+            seen.update(kw, trace=trace)
+            return SimpleNamespace(episodes=[SimpleNamespace(mean_reward=0.0)])
+
+        monkeypatch.setattr(repro.core, "train_deeppower", stub)
+        out = str(tmp_path / "agent.npz")
+        assert main(["train", "--app", "xapian", "--out", out]) == 0
+        assert seen["config"].reward.beta == 26.0
+        assert seen["num_workers"] == 4
+        want = fig7_calibration("xapian", SMOKE).trace
+        np.testing.assert_array_equal(seen["trace"].rates, want.rates)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cpu import DEFAULT_TABLE
+from repro.parallel import CACHE_SCHEMA_VERSION
 from repro.experiments.fig4_controller import run_fig4
+from repro.experiments.scenarios import SMOKE
 from repro.experiments.table3_load_latency import render_table3, run_table3
 from repro.workload import constant_trace, get_app
 
@@ -100,28 +102,98 @@ class TestFig7Helpers:
         _, cfg = tuned_agent_setup(seed=1, app=get_app("moses"))
         assert cfg.reward.beta == pytest.approx(20.0)
 
-    def test_agent_cache_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
-        from repro.experiments.fig7_main import _agent_cache_path
-        from repro.experiments.scenarios import SMOKE
+    def test_agent_cache_roundtrip(self, agent_store):
+        """A stored agent loads back with its trained weights."""
+        fig7, trained, root = agent_store
+        first, _, path = fig7.trained_agent("xapian", constant_trace(100.0, 10.0), SMOKE, 4)
+        again, _, path2 = fig7.trained_agent("xapian", constant_trace(100.0, 10.0), SMOKE, 4)
+        assert len(trained) == 1 and path2 == path
+        assert path.startswith(str(root / "runs" / f"v{CACHE_SCHEMA_VERSION}"))
+        assert path.endswith(".npz")
+        want, got = first.actor.state_dict(), again.actor.state_dict()
+        for k in want:
+            np.testing.assert_array_equal(got[k], want[k])
 
-        p = _agent_cache_path("xapian", SMOKE, 7, constant_trace(100.0, 10.0))
-        assert str(tmp_path) in p and "xapian" in p and p.endswith(".npz")
-
-    def test_agent_cache_is_keyed_on_the_training_trace(self, tmp_path, monkeypatch):
+    def test_agent_cache_is_keyed_on_the_training_trace(self, agent_store):
         """An agent trained on one trace is never loaded for another."""
-        import repro.experiments.fig7_main as fig7
-        from repro.experiments.scenarios import SMOKE
-
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
-        trained_on = []
-        monkeypatch.setattr(
-            fig7, "train_deeppower",
-            lambda app, trace, **kw: trained_on.append(trace),
-        )
+        fig7, trained, root = agent_store
         calm, busy = constant_trace(100.0, 10.0), constant_trace(150.0, 10.0)
         fig7.trained_agent("xapian", calm, SMOKE, 4)
         fig7.trained_agent("xapian", busy, SMOKE, 4)
         fig7.trained_agent("xapian", calm, SMOKE, 4)
-        assert len(trained_on) == 2 and trained_on[1] is busy
-        assert len(list((tmp_path / "agents").glob("*.npz"))) == 2
+        assert len(trained) == 2
+        assert len(list(root.rglob("*.npz"))) == 2
+
+    @pytest.mark.parametrize("change", ["num_workers", "beta", "updates_per_step"])
+    def test_agent_store_misses_on_any_recipe_change(
+        self, agent_store, monkeypatch, change
+    ):
+        from dataclasses import replace
+
+        fig7, trained, root = agent_store
+        trace = constant_trace(100.0, 10.0)
+        fig7.trained_agent("masstree", trace, SMOKE, 2)
+        workers = 2
+        if change == "num_workers":
+            workers = 4
+        elif change == "beta":
+            monkeypatch.setitem(fig7.REWARD_OVERRIDES, "masstree", {"beta": 21.0})
+        else:
+            setup = fig7.tuned_agent_setup
+
+            def more_updates(seed, app=None):
+                agent, cfg = setup(seed, app=app)
+                return agent, replace(cfg, updates_per_step=cfg.updates_per_step + 1)
+
+            monkeypatch.setattr(fig7, "tuned_agent_setup", more_updates)
+        fig7.trained_agent("masstree", trace, SMOKE, workers)
+        assert len(trained) == 2
+        assert len(list(root.rglob("*.npz"))) == 2
+        assert trained[1]["num_workers"] == workers
+
+    def test_truncated_agent_entry_is_evicted_and_retrained(self, agent_store):
+        fig7, trained, root = agent_store
+        trace = constant_trace(100.0, 10.0)
+        _, _, path = fig7.trained_agent("xapian", trace, SMOKE, 4)
+        with open(path, "r+b") as f:
+            f.truncate(64)
+        with pytest.warns(UserWarning, match="discarding unreadable agent"):
+            fig7.trained_agent("xapian", trace, SMOKE, 4)
+        assert len(trained) == 2
+        fig7.trained_agent("xapian", trace, SMOKE, 4)  # the rewrite loads
+        assert len(trained) == 2
+
+    def test_store_off_reads_and_writes_nothing(self, agent_store):
+        """``result_cache=False`` leaves REPRO_CACHE empty, agents included."""
+        from repro.experiments.registry import get_experiment
+
+        fig7, trained, root = agent_store
+        _, _, path = fig7.trained_agent(
+            "xapian", constant_trace(100.0, 10.0), SMOKE, 4, result_cache=False
+        )
+        assert path is None
+        out = get_experiment("fig7").execute(result_cache=False, apps=("img-dnn",))
+        assert "img-dnn" in out and len(trained) == 2
+        assert list(root.iterdir()) == []
+
+
+@pytest.fixture
+def agent_store(tmp_path, monkeypatch):
+    """fig7's agent store under ``tmp_path``, with training stubbed out.
+
+    The stub records each training call and shifts the actor's weights, so
+    a load from the store is told apart from a fresh agent.
+    """
+    import repro.experiments.fig7_main as fig7
+
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+    trained = []
+
+    def train(app, trace, agent, **kw):
+        trained.append(kw)
+        agent.actor.load_state_dict(
+            {k: v + 1.0 for k, v in agent.actor.state_dict().items()}
+        )
+
+    monkeypatch.setattr(fig7, "train_deeppower", train)
+    return fig7, trained, tmp_path

@@ -82,6 +82,23 @@ class TestRunSpec:
     def test_extras_registry_names(self):
         assert set(EXTRAS) <= set(EXTRAS_COLLECTORS)
 
+    def test_deeppower_runs_the_specs_worker_count(self, tmp_path):
+        """Masstree's half-socket pool holds for every policy, DeepPower too."""
+        from repro.experiments.fig7_main import tuned_agent_setup
+        from repro.workload import get_app
+
+        agent_path = str(tmp_path / "agent.npz")
+        tuned_agent_setup(7, app=get_app("masstree"))[0].save(agent_path)
+        for policy in ("baseline", "deeppower"):
+            spec = RunSpec(
+                app="masstree", policy=policy, trace=constant_trace(200.0, 2.0),
+                num_cores=4, seed=3, num_workers=2,
+                agent_path=agent_path if policy == "deeppower" else None,
+                extras=("worker_completed",),
+            )
+            _, extras = execute_run_spec(spec)
+            assert len(extras["worker_completed"]) == 2, policy
+
 
 def _kw(spec: RunSpec) -> dict:
     return {

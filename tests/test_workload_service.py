@@ -37,7 +37,7 @@ class TestLognormalCorrelatedService:
     def test_features_have_expected_shape(self, rng):
         svc = LognormalCorrelatedService(mean_work=1.0, sigma=0.5)
         w, f = svc.sample(rng)
-        assert f.shape == (FEATURE_DIM,)
+        assert np.asarray(f).shape == (FEATURE_DIM,)
         works, feats = svc.sample_batch(rng, 10)
         assert works.shape == (10,) and feats.shape == (10, FEATURE_DIM)
 

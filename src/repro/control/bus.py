@@ -7,7 +7,7 @@ The transport abstraction behind the runtime's message boundary.  A
 time on the virtual clock.  :class:`InProcessBus` is the deterministic
 in-process implementation; a socket transport would present the same
 three-channel interface (publish / poll / subscribe) with wall-clock
-delivery, which is the seam the ROADMAP's daemon/client split plugs into.
+delivery.
 
 Delivery semantics:
 

@@ -37,28 +37,13 @@ class ControlPlaneConfig:
     """Bus transport and safe-mode switches of one runtime.
 
     :class:`~repro.core.runtime.DeepPowerConfig` carries one (default:
-    a perfect transport, degraded mode armed, no watchdog); the runtime
-    exchanges schema-versioned messages with its node over an
-    :class:`~repro.control.bus.InProcessBus`.
-
-    Degraded-mode control (``degraded_mode=True``):
-
-    * **stale telemetry** — a DRL window with no same-tick reading is
-      flagged: the controller holds its last action, skips learning, and
-      after ``DEADLINE_MISSES`` consecutive stale windows escalates to
-      broadcasting ``SAFE_ACTION`` until telemetry has been healthy for
-      ``RECOVERY_WINDOWS`` windows.
-    * **ack timeout / retry** — an unacknowledged command is resent
-      idempotently (same ``seq``) after ``ACK_TIMEOUT`` seconds, at most
-      ``MAX_RETRIES`` times.
-    * **node deadline** — the node endpoint engages the fallback governor
-      when no valid command has arrived for ``DEADLINE_MISSES`` DRL
-      intervals, and hands the cores back on the next applied command.
-
-    ``degraded_mode=False`` is the soak ablation: stale readings are
-    trusted as current, commands are never retried, and neither side
-    escalates.  ``watchdog=True`` screens every DRL step and trips into
-    the same fallback governor (:mod:`repro.faults.watchdog`).
+    a perfect transport, degraded mode armed, no watchdog); the runtime's
+    :class:`~repro.control.endpoint.PolicyEndpoint` builds its bus and
+    node from it.  :mod:`repro.control.endpoint` describes the
+    degraded-mode ladder that ``degraded_mode`` arms and the soak
+    ablation (``degraded_mode=False``) turns off.  ``watchdog=True``
+    screens every DRL step and trips into the node's fallback governor
+    (:mod:`repro.faults.watchdog`).
     """
 
     #: Bus misbehaviour to inject; None/empty = perfect transport.

@@ -1,7 +1,6 @@
 """Schema-versioned messages exchanged over the control bus.
 
-Three message types cross the controller/node boundary (the NRM-style
-daemon split of ROADMAP's "live control plane" item):
+Three message types cross the controller/node boundary:
 
 * :class:`SensorReading` — node → controller, one per DRL interval: the
   telemetry snapshot plus the RAPL window energy, age-stamped with the

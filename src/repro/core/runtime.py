@@ -23,21 +23,10 @@ taken mid-trip re-engages the governor.  Trips, recoveries and per-step
 anomaly counts are exposed on :class:`StepRecord` and via
 :meth:`DeepPowerRuntime.watchdog_stats`.
 
-**Control plane** — the runtime never calls sensors or actuators
-directly: a :class:`~repro.control.NodeEndpoint` owns telemetry sampling,
-the thread controller and the fallback governor, and the policy loop
-exchanges schema-versioned ``SensorReading`` / ``ActuatorCommand`` /
-``CommandAck`` messages with it over an
-:class:`~repro.control.InProcessBus` configured by ``config.control``;
-watchdog verdicts go through the endpoint's one engage/release pair.
-The default :class:`~repro.control.ControlPlaneConfig` is a perfect
-transport that draws no randomness.  Under a
-:class:`~repro.faults.bus.BusFaultPlan`, degraded-mode control takes
-over: stale windows hold the last action and are flagged, unacked
-commands are retried idempotently, and sustained outages escalate —
-controller side to broadcasting ``SAFE_ACTION``, node side into the
-fallback governor — with ``stale-window`` / ``cmd-retry`` /
-``deadline-miss`` / ``bus-drop`` events in the trace.
+The runtime never calls sensors or actuators directly: its
+:class:`~repro.control.PolicyEndpoint` (configured by ``config.control``)
+owns the bus and the node, and each interval hands the runtime either a
+fresh reading or a window it must not learn from.
 """
 
 from __future__ import annotations
@@ -48,20 +37,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..control import (
-    ActuatorCommand,
-    CONTROL_SCHEMA,
-    ControlPlaneConfig,
-    InProcessBus,
-    NodeEndpoint,
-)
-from ..control.config import (
-    ACK_TIMEOUT,
-    DEADLINE_MISSES,
-    MAX_RETRIES,
-    RECOVERY_WINDOWS,
-    STALE_TOLERANCE,
-)
+from ..control import ControlPlaneConfig, PolicyEndpoint
 from ..cpu.rapl import PowerMonitor
 from ..faults.watchdog import SAFE_ACTION, Watchdog
 from ..server.server import Server
@@ -121,7 +97,7 @@ class StepRecord:
     #: Anomalies the watchdog screened out of this step's inputs.
     anomalies: int = 0
     #: Whether the bus control loop ran degraded this step (stale
-    #: telemetry hold, safe-mode broadcast, or known-lost actuation).
+    #: telemetry hold, safe-mode broadcast or recovery dwell).
     degraded: bool = False
 
 
@@ -198,38 +174,16 @@ class DeepPowerRuntime:
             self._m_rearms = m.counter("watchdog.rearms")
             self._g_reward = m.gauge("drl.reward")
             self._g_power = m.gauge("power.watts")
-        # Control plane: the policy loop reaches the node only over the bus.
-        self._ctl = self.cfg.control
-        self.bus = InProcessBus(
-            engine, fault_plan=self._ctl.fault_plan, trace=self._trace
-        )
-        self._endpoint = NodeEndpoint(
+        # The policy loop reaches the node only over the bus.
+        self.endpoint = PolicyEndpoint(
             engine,
+            self.cfg.control,
             server,
             monitor,
             self.controller,
-            self.bus,
-            self._ctl,
             long_time=self.cfg.long_time,
             trace=self._trace,
         )
-        self._bus_reading_seq = 0
-        self._bus_cmd_seq = 0
-        self._bus_pending: Optional[dict] = None
-        self._bus_last_action = np.asarray(SAFE_ACTION, dtype=float)
-        self._bus_stale_count = 0
-        self._bus_safe_mode = False
-        self._bus_recovery = 0
-        self._bus_stats = {
-            "stale_windows": 0,
-            "blind_windows": 0,
-            "safe_escalations": 0,
-            "deadline_misses": 0,
-            "retries": 0,
-            "commands_lost": 0,
-            "suppressed_readings": 0,
-            "bad_schema": 0,
-        }
 
     # ----------------------------------------------------------------- control
 
@@ -253,30 +207,29 @@ class DeepPowerRuntime:
         self.controller.start()
         self._last_tick_count = self.controller.tick_count
         self._last_switches = self.server.cpu.total_switches()
-        # The endpoint owns the windows: its start() takes the initial
+        # The node owns the windows: its start() takes the initial
         # (empty) snapshot + energy window and publishes them; the first
         # command travels back over the bus and is applied by the
-        # endpoint's delivery event before any controller tick.
-        self._endpoint.start()
-        first = self._ingest_readings()
+        # node's delivery event before any controller tick.
+        first = self.endpoint.start()
         # Blind on a bus already lossy at t=0 (the degraded machinery
         # takes over) or resumed mid-trip (the governor keeps the cores
         # until the watchdog re-arms): start on the safe action.
         a1 = np.asarray(SAFE_ACTION, dtype=float)
         if self.watchdog is not None and self.watchdog.tripped:
-            self._endpoint.engage()
+            self.endpoint.node.engage()
         elif first is not None:
             s1 = self.observer.observe(first.snapshot)
             a1 = self.agent.act(s1, explore=self.cfg.train)
             self._prev = (s1, a1)
-        self._publish_action(a1)
+        self.endpoint.publish(a1)
         self._task = self.engine.every(
             self.cfg.long_time, self._interval, priority=PRIORITY_CONTROL + 1
         )
 
     def stop(self) -> None:
         self.controller.stop()
-        self._endpoint.stop()
+        self.endpoint.stop()
         if self._task is not None:
             self._task.stop()
         self._prev = None  # the next start() must not reuse a stale state
@@ -284,60 +237,36 @@ class DeepPowerRuntime:
     # ------------------------------------------------------------------- steps
 
     def _interval(self) -> None:
-        """One DRL interval at the controller end of the bus (Algorithm 2
-        lines 9-18).
+        """One DRL interval (Algorithm 2 lines 9-18).
 
-        Services acks/retries, ingests whatever readings the bus
-        delivered, and dispatches: a fresh (same-tick) reading runs the
-        normal policy step; a stale window runs the degraded-mode hold /
-        escalation ladder; the ablation (``degraded_mode=False``) trusts
-        any reading it has and never protects itself.
+        The endpoint's verdict picks the step: a fresh reading runs the
+        normal policy step, a recovering one the same step on the safe
+        action without learning; a stale or blind window has no data and
+        only records the action the endpoint holds.
         """
-        self._service_acks()
-        newest = self._ingest_readings()
-        now = self.engine.now
-        if not self._ctl.degraded_mode:
-            if newest is not None:
-                self._step_with_window(newest.snapshot, newest.energy)
-            else:
-                self._bus_stats["blind_windows"] += 1
-                self._record_degraded_step(self._bus_last_action, degraded=False)
+        verdict, reading = self.endpoint.poll(self.step_count)
+        if reading is not None:
+            self._step_with_window(
+                reading.snapshot, reading.energy, safe=verdict == "recovering"
+            )
             return
-        fresh = (
-            newest is not None
-            and now - newest.t_sent <= STALE_TOLERANCE + 1e-12
+        if verdict == "stale":
+            self._prev = None  # the outage breaks the transition chain
+        self._record_step(
+            self.engine.now,
+            self.endpoint.last_action,
+            fallback=self.watchdog is not None and self.watchdog.tripped,
+            degraded=verdict == "stale",
         )
-        if not fresh:
-            self._stale_step(have_reading=newest is not None)
-            return
-        if self._bus_safe_mode:
-            self._bus_recovery += 1
-            if self._bus_recovery < RECOVERY_WINDOWS:
-                # Recovery dwell: telemetry is back but trust rebuilds
-                # over RECOVERY_WINDOWS windows; keep broadcasting the
-                # safe action (no learning) until then.
-                self._step_with_window(
-                    newest.snapshot, newest.energy, degraded=True, force_safe=True
-                )
-                return
-            self._bus_safe_mode = False
-            self._bus_recovery = 0
-        self._bus_stale_count = 0
-        self._step_with_window(newest.snapshot, newest.energy)
 
-    def _step_with_window(
-        self,
-        snap,
-        energy: float,
-        degraded: bool = False,
-        force_safe: bool = False,
-    ) -> None:
+    def _step_with_window(self, snap, energy: float, safe: bool = False) -> None:
         """One observe/reward/act/train cycle over a telemetry window.
 
         With a watchdog attached, the step's inputs are screened first and
         the trip/re-arm verdict is applied at the end; while tripped the
-        agent is bypassed entirely and the endpoint's fallback governor
-        owns the cores.
+        agent is bypassed entirely and the node's fallback governor owns
+        the cores.  ``safe`` (the recovery dwell) publishes the safe
+        action without learning.
         """
         wd = self.watchdog
         if wd is not None:
@@ -351,17 +280,15 @@ class DeepPowerRuntime:
             s_next = wd.screen_state(s_next)
             rb = wd.screen_reward(rb)
 
-        if wd is not None and wd.tripped:
-            # Tripped: the governor owns the cores; re-engage every step so
-            # silently failed DVFS writes cannot stick.
+        tripped = wd is not None and wd.tripped
+        if tripped or safe:
+            # No learning across a safe window.  Tripped, the governor owns
+            # the cores: re-engage every step so silently failed DVFS
+            # writes cannot stick.  The safe action still goes out, as a
+            # heartbeat that keeps the node's own command deadline quiet.
+            if tripped:
+                self.endpoint.node.engage()
             action = np.asarray(SAFE_ACTION, dtype=float)
-            self._endpoint.engage()
-            # Heartbeat over the bus: keeps the node's own command
-            # deadline quiet.
-            self._publish_action(action)
-        elif force_safe:
-            action = np.asarray(SAFE_ACTION, dtype=float)
-            self._publish_action(action)
             self._prev = None
         else:
             if self._prev is not None:
@@ -377,13 +304,8 @@ class DeepPowerRuntime:
             action = self.agent.act(s_next, explore=self.cfg.train)
             if wd is not None:
                 action = wd.screen_action(action)
-            self._publish_action(action)
             self._prev = (s_next, action)
-
-        if self._bus_pending is not None:
-            # Actuation known-dead (retries exhausted, never acked) is a
-            # degraded window even when telemetry still flows.
-            degraded = degraded or self._bus_pending["lost"]
+        self.endpoint.publish(action)
 
         anomalies = 0
         fallback_now = False
@@ -392,7 +314,7 @@ class DeepPowerRuntime:
             fallback_now = wd.tripped
             transition = wd.finish_step()
             if transition == "trip":
-                self._endpoint.engage()
+                self.endpoint.node.engage()
                 self._prev = None  # no transition bridges the outage
                 fallback_now = True
                 if self._m_trips is not None:
@@ -407,7 +329,7 @@ class DeepPowerRuntime:
             elif transition == "rearm":
                 # Controller back on with safe parameters until the agent's
                 # next action lands (one LongTime later).
-                self._endpoint.release(SAFE_ACTION)
+                self.endpoint.node.release(SAFE_ACTION)
                 self._last_tick_count = self.controller.tick_count
                 if self._m_rearms is not None:
                     self._m_rearms.inc()
@@ -415,271 +337,109 @@ class DeepPowerRuntime:
                     self._trace.emit(
                         "watchdog-rearm", t=self.engine.now, step=self.step_count
                     )
-        step_no = self._advance_step()
+        self._record_step(
+            snap.time,
+            action,
+            snap=snap,
+            energy=energy,
+            state=s_next,
+            rb=rb,
+            fallback=fallback_now,
+            anomalies=anomalies,
+            degraded=safe,
+        )
 
-        trace = self._trace
-        if self.cfg.record_steps or self.obs is not None:
+    def _record_step(
+        self,
+        t: float,
+        action: np.ndarray,
+        *,
+        snap=None,
+        energy: float = 0.0,
+        state: Optional[np.ndarray] = None,
+        rb: Optional[RewardBreakdown] = None,
+        fallback: bool,
+        anomalies: int = 0,
+        degraded: bool,
+    ) -> None:
+        """Close a step: the step counter, its record and its trace events.
+
+        ``snap`` is None for a window whose reading never arrived: the
+        controller cannot see power/rps/queue then, and fabricating them
+        from node-side state would defeat the bus boundary, so the record
+        says NaN (and -1 for the counts) and means it.
+        """
+        step_no = self.step_count
+        self.step_count += 1
+        if self._m_steps is not None:
+            self._m_steps.inc()
+        if not (self.cfg.record_steps or self.obs is not None):
+            return
+        if snap is None:
+            power_w = rps = avg_freq = float("nan")
+            queue_len = timeouts = -1
+        else:
             window = max(snap.window, 1e-12)
             freqs = self.server.cpu.frequencies()[: self.server.num_workers]
             power_w = energy / window
             rps = snap.num_req / window
             avg_freq = float(freqs.mean())
-            if self.cfg.record_steps:
-                self.records.append(
-                    StepRecord(
-                        time=snap.time,
-                        state=s_next,
-                        action=action.copy(),
-                        reward=rb,
-                        power_watts=power_w,
-                        rps=rps,
-                        queue_len=snap.queue_len,
-                        timeouts=snap.timeouts,
-                        avg_frequency=avg_freq,
-                        fallback=fallback_now,
-                        anomalies=anomalies,
-                        degraded=degraded,
-                    )
-                )
+            queue_len, timeouts = snap.queue_len, snap.timeouts
             if self._g_power is not None:
                 self._g_power.set(power_w)
                 if rb is not None:
                     self._g_reward.set(rb.total)
-            if trace is not None:
-                trace.emit(
-                    "drl-step",
-                    t=snap.time,
-                    step=step_no,
-                    state=s_next,
-                    action=action,
-                    reward=None
-                    if rb is None
-                    else {
-                        "total": rb.total,
-                        "energy": rb.energy_term,
-                        "timeout": rb.timeout_term,
-                        "queue": rb.queue_term,
-                    },
-                    power_w=power_w,
+        if self.cfg.record_steps:
+            self.records.append(
+                StepRecord(
+                    time=t,
+                    state=state,
+                    action=action.copy(),
+                    reward=rb,
+                    power_watts=power_w,
                     rps=rps,
-                    queue_len=snap.queue_len,
-                    timeouts=snap.timeouts,
-                    avg_freq=avg_freq,
-                    fallback=fallback_now,
+                    queue_len=queue_len,
+                    timeouts=timeouts,
+                    avg_frequency=avg_freq,
+                    fallback=fallback,
                     anomalies=anomalies,
                     degraded=degraded,
                 )
-                self._emit_controller_window(snap.time, step_no)
-
-    # ------------------------------------------------------------ bus plumbing
-
-    def _ingest_readings(self):
-        """Drain the sensor channel; return the newest unseen reading.
-
-        Monotonic sequence numbers make duplicates and reordered
-        stragglers harmless: anything at or below the high-water mark is
-        counted and discarded, and of several new readings only the
-        newest wins (its predecessors describe windows that are already
-        history).
-        """
-        newest = None
-        for msg in self.bus.sensor.poll(self.engine.now):
-            if getattr(msg, "schema", None) != CONTROL_SCHEMA:
-                self._bus_stats["bad_schema"] += 1
-                continue
-            if msg.seq <= self._bus_reading_seq:
-                self._bus_stats["suppressed_readings"] += 1
-                continue
-            if newest is None or msg.seq > newest.seq:
-                if newest is not None:
-                    self._bus_stats["suppressed_readings"] += 1
-                newest = msg
-            else:
-                self._bus_stats["suppressed_readings"] += 1
-        if newest is not None:
-            self._bus_reading_seq = newest.seq
-        return newest
-
-    def _service_acks(self) -> None:
-        """Match delivered acks to the pending command; retry on timeout.
-
-        Retries are idempotent (same ``seq``) and bounded by
-        ``MAX_RETRIES``; an exhausted, never-acked command is flagged
-        lost, which marks subsequent steps degraded until a newer command
-        supersedes it.  The ablation consumes acks but never retries.
-        """
-        now = self.engine.now
-        pending = self._bus_pending
-        for ack in self.bus.ack.poll(now):
-            if getattr(ack, "schema", None) != CONTROL_SCHEMA:
-                self._bus_stats["bad_schema"] += 1
-                continue
-            if pending is not None and ack.cmd_seq == pending["seq"]:
-                pending["acked"] = True
-        if not self._ctl.degraded_mode:
-            return
-        if pending is None or pending["acked"] or pending["lost"]:
-            return
-        if now - pending["sent"] < ACK_TIMEOUT:
-            return
-        if pending["attempts"] < MAX_RETRIES:
-            pending["attempts"] += 1
-            pending["sent"] = now
-            self._bus_stats["retries"] += 1
-            if self._trace is not None:
-                self._trace.emit(
-                    "cmd-retry",
-                    t=now,
-                    cmd_seq=pending["seq"],
-                    attempt=pending["attempts"],
-                )
-            self.bus.command.publish(
-                ActuatorCommand(
-                    seq=pending["seq"],
-                    t_sent=now,
-                    base_freq=pending["base_freq"],
-                    scaling_coef=pending["scaling_coef"],
-                    attempt=pending["attempts"],
-                )
             )
-        else:
-            pending["lost"] = True
-            self._bus_stats["commands_lost"] += 1
-
-    def _publish_action(self, action) -> None:
-        self._bus_cmd_seq += 1
-        now = self.engine.now
-        base_freq = float(action[0])
-        scaling_coef = float(action[1])
-        self._bus_pending = {
-            "seq": self._bus_cmd_seq,
-            "base_freq": base_freq,
-            "scaling_coef": scaling_coef,
-            "sent": now,
-            "attempts": 0,
-            "acked": False,
-            "lost": False,
-        }
-        self._bus_last_action = np.asarray(action, dtype=float).copy()
-        self.bus.command.publish(
-            ActuatorCommand(
-                seq=self._bus_cmd_seq,
-                t_sent=now,
-                base_freq=base_freq,
-                scaling_coef=scaling_coef,
+        trace = self._trace
+        if trace is not None:
+            trace.emit(
+                "drl-step",
+                t=t,
+                step=step_no,
+                state=state,
+                action=action,
+                reward=None
+                if rb is None
+                else {
+                    "total": rb.total,
+                    "energy": rb.energy_term,
+                    "timeout": rb.timeout_term,
+                    "queue": rb.queue_term,
+                },
+                power_w=power_w,
+                rps=rps,
+                queue_len=queue_len,
+                timeouts=timeouts,
+                avg_freq=avg_freq,
+                fallback=fallback,
+                anomalies=anomalies,
+                degraded=degraded,
             )
-        )
-
-    def _stale_step(self, have_reading: bool) -> None:
-        """Degraded window: no fresh telemetry arrived this interval.
-
-        Holds the last action (no learning, no fabricated transitions)
-        and flags the window; after ``DEADLINE_MISSES`` consecutive stale
-        windows the controller escalates to broadcasting ``SAFE_ACTION``
-        until telemetry recovers — the controller-side half of the
-        control deadline (the node-side half engages the fallback
-        governor when *commands* stop arriving).
-        """
-        now = self.engine.now
-        self._bus_stale_count += 1
-        self._bus_recovery = 0
-        self._bus_stats["stale_windows"] += 1
-        self._prev = None  # the outage breaks the transition chain
-        if self._trace is not None:
-            self._trace.emit(
-                "stale-window",
-                t=now,
-                step=self.step_count,
-                consecutive=self._bus_stale_count,
-                have_reading=have_reading,
+            switches = self.server.cpu.total_switches()
+            trace.emit(
+                "controller-window",
+                t=t,
+                step=step_no,
+                dvfs_switches=switches - self._last_switches,
+                **self.controller.window_summary(),
             )
-        if self._bus_stale_count >= DEADLINE_MISSES:
-            if not self._bus_safe_mode:
-                self._bus_safe_mode = True
-                self._bus_stats["safe_escalations"] += 1
-            self._bus_stats["deadline_misses"] += 1
-            if self._trace is not None:
-                self._trace.emit(
-                    "deadline-miss",
-                    t=now,
-                    side="controller",
-                    misses=self._bus_stale_count,
-                    engaged=True,
-                )
-            action = np.asarray(SAFE_ACTION, dtype=float)
-            self._publish_action(action)
-        else:
-            action = self._bus_last_action
-        self._record_degraded_step(action, degraded=True)
-
-    def _record_degraded_step(self, action, degraded: bool) -> None:
-        """Close a data-less window: bookkeeping + NaN-metric records.
-
-        The controller cannot see power/rps/queue for a window whose
-        reading never arrived, and fabricating them from node-side state
-        would defeat the boundary — the record says NaN and means it.
-        The ``fallback`` flag is the watchdog's state, which a stale
-        window does not move.
-        """
-        step_no = self._advance_step()
-        if self.cfg.record_steps or self.obs is not None:
-            nan = float("nan")
-            fallback = self.watchdog is not None and self.watchdog.tripped
-            action = np.asarray(action, dtype=float)
-            if self.cfg.record_steps:
-                self.records.append(
-                    StepRecord(
-                        time=self.engine.now,
-                        state=None,
-                        action=action.copy(),
-                        reward=None,
-                        power_watts=nan,
-                        rps=nan,
-                        queue_len=-1,
-                        timeouts=-1,
-                        avg_frequency=nan,
-                        fallback=fallback,
-                        anomalies=0,
-                        degraded=degraded,
-                    )
-                )
-            if self._trace is not None:
-                self._trace.emit(
-                    "drl-step",
-                    t=self.engine.now,
-                    step=step_no,
-                    state=None,
-                    action=action,
-                    reward=None,
-                    power_w=nan,
-                    rps=nan,
-                    queue_len=-1,
-                    timeouts=-1,
-                    avg_freq=nan,
-                    fallback=fallback,
-                    anomalies=0,
-                    degraded=degraded,
-                )
-                self._emit_controller_window(self.engine.now, step_no)
-
-    def _advance_step(self) -> int:
-        """Shared per-step bookkeeping: the step counter and its metric."""
-        step_no = self.step_count
-        self.step_count += 1
-        if self._m_steps is not None:
-            self._m_steps.inc()
-        return step_no
-
-    def _emit_controller_window(self, t: float, step_no: int) -> None:
-        switches = self.server.cpu.total_switches()
-        self._trace.emit(
-            "controller-window",
-            t=t,
-            step=step_no,
-            dvfs_switches=switches - self._last_switches,
-            **self.controller.window_summary(),
-        )
-        self._last_switches = switches
+            self._last_switches = switches
 
     # ------------------------------------------------------------- persistence
 
@@ -690,8 +450,8 @@ class DeepPowerRuntime:
         learner state, the controller's (BaseFreq, ScalingCoef), the
         observer's adaptive normalisers, the reward window accumulator,
         the watchdog machine, the step/transition bookkeeping and the
-        control-loop state (sequence high-water marks, pending command,
-        degraded-mode machine, injector RNG streams, node endpoint).  The
+        endpoint's ``control`` state (sequence high-water marks, pending
+        command, degraded-mode machine, injector RNG streams, node).  The
         simulated environment (event heap, in-flight requests) is *not*
         state — a resumed runtime re-attaches to a live or freshly built
         server, exactly like a restarted production controller.
@@ -700,24 +460,6 @@ class DeepPowerRuntime:
         if self._prev is not None:
             s_prev, a_prev = self._prev
             prev = {"state": np.array(s_prev), "action": np.array(a_prev)}
-        pending = None
-        if self._bus_pending is not None:
-            pending = dict(self._bus_pending)
-            # Stored as an age: a resumed loop re-anchors on its new
-            # engine clock.
-            pending["sent_age"] = self.engine.now - pending.pop("sent")
-        control = {
-            "reading_seq": self._bus_reading_seq,
-            "cmd_seq": self._bus_cmd_seq,
-            "pending": pending,
-            "last_action": np.array(self._bus_last_action),
-            "stale_count": self._bus_stale_count,
-            "safe_mode": self._bus_safe_mode,
-            "recovery": self._bus_recovery,
-            "stats": dict(self._bus_stats),
-            "bus": self.bus.state_dict(),
-            "endpoint": self._endpoint.state_dict(),
-        }
         return {
             "kind": "deeppower-runtime",
             "step_count": self.step_count,
@@ -728,7 +470,7 @@ class DeepPowerRuntime:
             "prev": prev,
             "last_tick_count": self._last_tick_count,
             "watchdog": None if self.watchdog is None else self.watchdog.state_dict(),
-            "control": control,
+            "control": self.endpoint.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -758,20 +500,7 @@ class DeepPowerRuntime:
                     "snapshot carries watchdog state but this runtime has no watchdog"
                 )
             self.watchdog.load_state_dict(state["watchdog"])
-        self._bus_reading_seq = int(control["reading_seq"])
-        self._bus_cmd_seq = int(control["cmd_seq"])
-        pending = control["pending"]
-        if pending is not None:
-            pending = dict(pending)
-            pending["sent"] = self.engine.now - pending.pop("sent_age")
-        self._bus_pending = pending
-        self._bus_last_action = np.asarray(control["last_action"], dtype=float)
-        self._bus_stale_count = int(control["stale_count"])
-        self._bus_safe_mode = bool(control["safe_mode"])
-        self._bus_recovery = int(control["recovery"])
-        self._bus_stats.update(control["stats"])
-        self.bus.load_state_dict(control["bus"])
-        self._endpoint.load_state_dict(control["endpoint"])
+        self.endpoint.load_state_dict(control)
 
     # ------------------------------------------------------------------- views
 
@@ -785,17 +514,8 @@ class DeepPowerRuntime:
         return None if self.watchdog is None else self.watchdog.stats()
 
     def control_stats(self) -> dict:
-        """Bus / degraded-mode counters.
-
-        Three sections: ``loop`` (controller-side degraded machinery),
-        ``bus`` (per-channel transport counters) and ``node`` (endpoint
-        application/deadline counters).
-        """
-        return {
-            "loop": dict(self._bus_stats),
-            "bus": self.bus.stats(),
-            "node": dict(self._endpoint.stats),
-        }
+        """Bus / degraded-mode counters (see :meth:`PolicyEndpoint.control_stats`)."""
+        return self.endpoint.control_stats()
 
     def reward_history(self) -> np.ndarray:
         """Total reward per recorded step."""

@@ -358,6 +358,31 @@ class TestParser:
         assert args.episodes == 0
         assert args.fn is not None
 
+    def test_train_metrics_hold_steps_and_spans(self, monkeypatch, tmp_path):
+        # The traced-training smoke run's facts, on a 3 s trace in place
+        # of fig7's calibrated one.
+        import json
+        from types import SimpleNamespace
+
+        import repro.experiments.fig7_main as fig7_main
+        from repro.workload import constant_trace
+        from repro.workload.apps import get_app
+
+        rps = get_app("xapian").rps_for_load(0.4, 4)
+        monkeypatch.setattr(
+            fig7_main, "fig7_calibration",
+            lambda app, profile: SimpleNamespace(trace=constant_trace(rps, 3.0)),
+        )
+        metrics = tmp_path / "metrics.json"
+        assert main([
+            "train", "--app", "xapian", "--episodes", "2", "--seed", "3",
+            "--out", str(tmp_path / "agent.npz"),
+            "--metrics-out", str(metrics), "--profile-spans",
+        ]) == 0
+        payload = json.loads(metrics.read_text())
+        assert payload["counters"]["drl.steps"] > 0, payload
+        assert payload["spans"], "--profile-spans produced no spans"
+
     def test_train_uses_the_experiment_recipe(self, monkeypatch, tmp_path):
         # ``train`` builds the agent fig7, soak and ``fleet --agent`` use:
         # the app's tuned reward on fig7's calibrated trace.

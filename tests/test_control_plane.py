@@ -16,9 +16,17 @@ from repro.control import (
     ActuatorCommand,
     BusFaultInjector,
     CONTROL_SCHEMA,
+    CommandAck,
     ControlPlaneConfig,
     InProcessBus,
+    PolicyEndpoint,
     SensorReading,
+)
+from repro.control.config import (
+    ACK_TIMEOUT,
+    DEADLINE_MISSES,
+    MAX_RETRIES,
+    RECOVERY_WINDOWS,
 )
 from repro.core import (
     DeepPowerAgent,
@@ -28,7 +36,6 @@ from repro.core import (
 )
 from repro.experiments.runner import build_context
 from repro.faults import (
-    BUS_DIRECTIONS,
     SAFE_ACTION,
     BusEvent,
     BusFaultPlan,
@@ -272,7 +279,7 @@ def _qos(ctx):
 class TestBitwiseIdentity:
     def test_fault_free_bus_consumes_no_rng(self, tiny_app):
         rt, _ = _bus_run(tiny_app, 2.0, ControlPlaneConfig())
-        assert rt.bus.injector is None
+        assert rt.endpoint.bus.injector is None
         stats = rt.control_stats()
         assert stats["loop"]["stale_windows"] == 0
         assert stats["loop"]["retries"] == 0
@@ -341,7 +348,7 @@ class TestDegradedMode:
         rt, _ = _bus_run(tiny_app, 6.0, cfg)
         # degraded flags clear once telemetry returns and recovery dwell passes
         assert not rt.records[-1].degraded
-        assert rt._bus_safe_mode is False
+        assert rt.endpoint.safe_mode is False
 
     def test_command_outage_engages_node_fallback(self, tiny_app, tmp_path):
         path = str(tmp_path / "cmd.trace.jsonl")
@@ -351,7 +358,7 @@ class TestDegradedMode:
         assert node["deadline_misses"] >= 1
         assert node["safe_engagements"] >= 1
         # commands resumed after the partition: the governor handed back
-        assert rt._endpoint.safe_engaged is False
+        assert rt.endpoint.node.safe_engaged is False
         misses = [e for e in read_trace(path) if e["kind"] == "deadline-miss"]
         assert any(e["side"] == "node" for e in misses)
 
@@ -372,7 +379,7 @@ class TestDegradedMode:
         assert stats["loop"]["commands_lost"] >= 1  # retry budget exhausted
         # ...but the retries were duplicates the node suppressed idempotently
         assert stats["node"]["suppressed_commands"] >= 1
-        assert stats["node"]["applied"] == rt._bus_cmd_seq  # every command landed once
+        assert stats["node"]["applied"] == rt.endpoint.cmd_seq  # every command landed once
         kinds = [e["kind"] for e in read_trace(path)]
         assert "cmd-retry" in kinds
 
@@ -428,6 +435,148 @@ class TestDegradedMode:
 
 
 # --------------------------------------------------------------------------
+# the controller end alone, on a bare bus driven by hand
+# --------------------------------------------------------------------------
+
+_AGENT = (0.25, 0.5)
+_FRESH = ["rP"]
+_STALE = [""]
+
+
+def _drive(windows, degraded_mode=True):
+    """Run a :class:`PolicyEndpoint` through one window per script string.
+
+    Before each poll (one per ``ACK_TIMEOUT``-exceeding second) the node
+    side publishes: ``r`` a fresh reading, ``o`` a new but old reading,
+    ``d`` the previous reading again, ``2`` two new readings out of
+    order, ``x`` a reading and ``X`` an ack with an unknown schema, ``a``
+    an ack of the pending command.  After the poll the runtime side
+    publishes ``P`` the agent's action or ``S`` the safe action.
+    """
+    engine = Engine()
+    ep = PolicyEndpoint(engine, ControlPlaneConfig(degraded_mode=degraded_mode))
+    seq, last, verdicts = 0, None, []
+
+    def reading(n, t_sent, **kw):
+        return SensorReading(seq=n, t_sent=t_sent, snapshot=None, energy=0.0, **kw)
+
+    for i, script in enumerate(windows):
+        engine.run_until(float(i + 1))
+        now = engine.now
+        for op in script.replace("P", "").replace("S", ""):
+            if op in "ro":
+                seq += 1
+                last = reading(seq, now if op == "r" else now - 1.0)
+                ep.bus.sensor.publish(last)
+            elif op == "d":
+                ep.bus.sensor.publish(last)
+            elif op == "2":
+                ep.bus.sensor.publish(reading(seq + 2, now))
+                ep.bus.sensor.publish(reading(seq + 1, now))
+                seq += 2
+            elif op == "x":
+                seq += 1
+                ep.bus.sensor.publish(reading(seq, now, schema=CONTROL_SCHEMA + 1))
+            elif op in "aX":
+                schema = CONTROL_SCHEMA if op == "a" else CONTROL_SCHEMA + 1
+                ep.bus.ack.publish(
+                    CommandAck(seq=i, t_sent=now, cmd_seq=ep.pending.seq,
+                               applied=True, schema=schema)
+                )
+        verdict, got = ep.poll(step=i)
+        assert (got is None) == (verdict in ("stale", "blind"))
+        verdicts.append(verdict)
+        if "P" in script:
+            ep.publish(_AGENT)
+        elif "S" in script:
+            ep.publish(SAFE_ACTION)
+    return ep, verdicts
+
+
+_RECOVER = ["rS"] * (RECOVERY_WINDOWS - 1)
+
+LADDER = [
+    # (id, degraded_mode, windows, verdicts, expected end state)
+    ("hold", True, _FRESH + _STALE * (DEADLINE_MISSES - 1),
+     ["fresh"] + ["stale"] * (DEADLINE_MISSES - 1),
+     dict(safe_mode=False, last=_AGENT, stale_windows=DEADLINE_MISSES - 1,
+          safe_escalations=0, deadline_misses=0)),
+    ("fresh-resets-streak", True, (_FRESH + _STALE * (DEADLINE_MISSES - 1)) * 2,
+     (["fresh"] + ["stale"] * (DEADLINE_MISSES - 1)) * 2,
+     dict(safe_mode=False, last=_AGENT, stale_windows=2 * (DEADLINE_MISSES - 1),
+          safe_escalations=0)),
+    ("escalate", True, _FRESH + _STALE * DEADLINE_MISSES,
+     ["fresh"] + ["stale"] * DEADLINE_MISSES,
+     dict(safe_mode=True, last=SAFE_ACTION, safe_escalations=1, deadline_misses=1)),
+    ("escalate-once", True, _FRESH + _STALE * (DEADLINE_MISSES + 1),
+     ["fresh"] + ["stale"] * (DEADLINE_MISSES + 1),
+     dict(safe_mode=True, last=SAFE_ACTION, safe_escalations=1, deadline_misses=2)),
+    ("old-reading-is-stale", True, _FRESH + ["o"] * DEADLINE_MISSES,
+     ["fresh"] + ["stale"] * DEADLINE_MISSES,
+     dict(safe_mode=True, last=SAFE_ACTION, stale_windows=DEADLINE_MISSES)),
+    ("recovery-dwell", True, _FRESH + _STALE * DEADLINE_MISSES + _RECOVER,
+     ["fresh"] + ["stale"] * DEADLINE_MISSES + ["recovering"] * (RECOVERY_WINDOWS - 1),
+     dict(safe_mode=True, last=SAFE_ACTION)),
+    ("recovered", True, _FRESH + _STALE * DEADLINE_MISSES + _RECOVER + _FRESH,
+     ["fresh"] + ["stale"] * DEADLINE_MISSES + ["recovering"] * (RECOVERY_WINDOWS - 1)
+     + ["fresh"],
+     dict(safe_mode=False, last=_AGENT)),
+    ("dwell-restarts-on-stale", True,
+     _FRESH + _STALE * DEADLINE_MISSES + _RECOVER + _STALE + _RECOVER + _FRESH,
+     ["fresh"] + ["stale"] * DEADLINE_MISSES + ["recovering"] * (RECOVERY_WINDOWS - 1)
+     + ["stale"] + ["recovering"] * (RECOVERY_WINDOWS - 1) + ["fresh"],
+     dict(safe_mode=False, last=_AGENT, safe_escalations=1)),
+    ("acked", True, _FRESH + ["ar"] * (MAX_RETRIES + 1),
+     ["fresh"] * (MAX_RETRIES + 2),
+     dict(lost=False, retries=0, commands_lost=0)),
+    ("lost", True, _FRESH + ["r"] * (MAX_RETRIES + 1),
+     ["fresh"] * (MAX_RETRIES + 2),
+     dict(lost=True, retries=MAX_RETRIES, commands_lost=1)),
+    ("superseded", True, _FRESH * (MAX_RETRIES + 2),
+     ["fresh"] * (MAX_RETRIES + 2),
+     dict(lost=False, retries=MAX_RETRIES + 1, commands_lost=0)),
+    ("dedup", True, _FRESH + ["d", "2P", "xX"],
+     ["fresh", "stale", "fresh", "stale"],
+     dict(suppressed_readings=2, bad_schema=2, stale_windows=2)),
+    ("ablation", False, _FRESH + ["", "oP", ""] + _STALE * DEADLINE_MISSES,
+     ["fresh", "blind", "fresh", "blind"] + ["blind"] * DEADLINE_MISSES,
+     dict(safe_mode=False, last=_AGENT, lost=False, retries=0, stale_windows=0,
+          blind_windows=DEADLINE_MISSES + 2, safe_escalations=0)),
+]
+
+
+class TestPolicyEndpointLadder:
+    @pytest.mark.parametrize(
+        "degraded_mode, windows, verdicts, end",
+        [case[1:] for case in LADDER],
+        ids=[case[0] for case in LADDER],
+    )
+    def test_ladder(self, degraded_mode, windows, verdicts, end):
+        ep, got = _drive(windows, degraded_mode)
+        assert got == verdicts
+        end = dict(end)
+        if "safe_mode" in end:
+            assert ep.safe_mode is end.pop("safe_mode")
+        if "lost" in end:
+            assert ep.lost is end.pop("lost")
+        if "last" in end:
+            assert tuple(ep.last_action) == tuple(end.pop("last"))
+        assert {k: ep.stats[k] for k in end} == end
+
+    def test_retry_resends_the_same_command(self):
+        assert ACK_TIMEOUT < 1.0  # one window is past the ack timeout
+        ep, _ = _drive(_FRESH + ["r"] * (MAX_RETRIES + 1))
+        wire = ep.bus.command.poll(ep.engine.now)
+        assert [c.attempt for c in wire] == list(range(MAX_RETRIES + 1))
+        assert {c.seq for c in wire} == {1}
+        assert [c.t_sent for c in wire] == [1.0 + i for i in range(MAX_RETRIES + 1)]
+        assert all(
+            (c.base_freq, c.scaling_coef, c.schema) == (*_AGENT, CONTROL_SCHEMA)
+            for c in wire
+        )
+
+
+# --------------------------------------------------------------------------
 # checkpoint/resume in degraded mode (see also test_checkpoint_resume)
 # --------------------------------------------------------------------------
 
@@ -450,14 +599,40 @@ class TestControlStatePersistence:
         plan = _partition_plan("all", 0.5, 10.0)
         cfg = ControlPlaneConfig(fault_plan=plan)
         rt1, _ = _bus_run(tiny_app, 4.0, cfg)
-        assert rt1._bus_safe_mode is True
-        assert rt1._endpoint.safe_engaged is True
+        assert rt1.endpoint.safe_mode is True
+        assert rt1.endpoint.node.safe_engaged is True
         snap = rt1.state_dict()
         assert snap["control"]["safe_mode"] is True
 
         rt2 = _fresh_runtime(tiny_app, cfg)
         rt2.load_state_dict(snap)
         assert_tree_equal(rt2.state_dict(), snap)
+
+    def test_snapshot_layout(self, tiny_app):
+        # Snapshots on disk outlive the code that wrote them: these keys
+        # are what a resumed runtime reads.
+        plan = BusFaultPlan(ack=LinkFaults(drop_prob=1.0), seed=2)
+        rt, _ = _bus_run(tiny_app, 2.0, ControlPlaneConfig(fault_plan=plan))
+        snap = rt.state_dict()
+        assert list(snap) == [
+            "kind", "step_count", "agent", "controller", "observer",
+            "reward_calc", "prev", "last_tick_count", "watchdog", "control",
+        ]
+        control = snap["control"]
+        assert list(control) == [
+            "reading_seq", "cmd_seq", "pending", "last_action", "stale_count",
+            "safe_mode", "recovery", "stats", "bus", "endpoint",
+        ]
+        pending = control["pending"]
+        assert list(pending) == [
+            "seq", "base_freq", "scaling_coef", "attempts", "acked", "lost",
+            "sent_age",
+        ]
+        assert pending["seq"] == control["cmd_seq"]
+        assert pending["acked"] is False and pending["lost"] is False
+        # Published at the last DRL tick, which is the end of the run.
+        assert pending["sent_age"] == 0.0
+        assert list(control["stats"]) == list(rt.control_stats()["loop"])
 
     def test_direct_runtime_snapshot_rejected(self, tiny_app):
         rt1, _ = _bus_run(tiny_app, 1.0, ControlPlaneConfig())
@@ -483,7 +658,7 @@ class TestControlStatePersistence:
         assert rt2.controller.tick_count == ticks
         cpu = rt2.server.cpu
         assert all(f == cpu.table.turbo for f in cpu.frequencies())
-        assert tuple(rt2._bus_last_action) == SAFE_ACTION
+        assert tuple(rt2.endpoint.last_action) == SAFE_ACTION
         assert rt2.watchdog.tripped
 
 

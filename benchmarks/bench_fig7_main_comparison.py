@@ -6,8 +6,6 @@ down).  ``REPRO_FULL=1`` covers all five paper apps; trained agents are
 cached under ``.artifacts/``.
 """
 
-import os
-
 from conftest import run_once
 
 from repro.experiments.fig7_main import render_fig7, run_fig7

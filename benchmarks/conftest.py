@@ -7,7 +7,6 @@ every artifact is printed so ``pytest benchmarks/ --benchmark-only -s``
 shows the reproduced shapes inline.
 """
 
-import os
 import sys
 
 import pytest

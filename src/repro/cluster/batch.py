@@ -53,7 +53,10 @@ techniques that make the stacked tick hold:
   write and delay the raw (unclamped) request, so the batch flags those
   nodes once (injectors are armed before adoption) and hands their raw
   and quantised rows to its
-  :meth:`~repro.faults.injectors.ActuatorFaults.write_row`.
+  :meth:`~repro.faults.injectors.ActuatorFaults.write_row`, which takes
+  the draws from the injector's prefetched block.  Only the per-node
+  tick asks :meth:`~repro.faults.injectors.ActuatorFaults.clean_row`
+  first: here the rows are already built, so there is nothing to skip.
 * *Down nodes keep ticking.*  The lifecycle never stops a crashed node's
   controller (its parked cores just keep being re-asserted), so the
   fleet tick deliberately includes down nodes too; the lifecycle masks

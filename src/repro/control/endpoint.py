@@ -158,13 +158,14 @@ class PolicyEndpoint:
         if reading is None or now - reading.t_sent > STALE_TOLERANCE + 1e-12:
             self._stale(now, step, have_reading=reading is not None)
             return "stale", None
+        # Any fresh reading, recovering or not, ends the stale streak.
+        self._stale_count = 0
         if self.safe_mode:
             self._recovery += 1
             if self._recovery < RECOVERY_WINDOWS:
                 return "recovering", reading
             self.safe_mode = False
             self._recovery = 0
-        self._stale_count = 0
         return "fresh", reading
 
     def publish(self, action) -> None:

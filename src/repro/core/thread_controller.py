@@ -251,8 +251,12 @@ class ThreadController:
         clamp, quantisation and write per core, and only cores whose
         quantised level changes get a DVFS write; idle cores reuse a level
         cached on ``(base_freq, ceiling)``.  With an armed actuator fault
-        injector the loop collects the row for its
-        :meth:`~repro.faults.injectors.ActuatorFaults.write_row` instead.
+        injector the same loop runs whenever
+        :meth:`~repro.faults.injectors.ActuatorFaults.clean_row` takes a
+        fault-free row (no delays, no offline core, no failure drawn), and
+        writes through each core's unwrapped setter; any other tick
+        collects the raw and quantised row for the injector's
+        :meth:`~repro.faults.injectors.ActuatorFaults.write_row`.
         A trace-recording controller then appends the tick's
         :meth:`scores` and the worker cores' frequencies after the writes.
         """
@@ -271,7 +275,10 @@ class ThreadController:
         idle_raw, idle = self._idle
         begins = self.server.begin_times().tolist()
         actuator = cpu._actuator
-        if actuator is None:
+        if actuator is None or actuator.clean_row(len(begins)):
+            # A clean row has already taken its draws: write past the
+            # injector's per-core closures.
+            wrapped = actuator is not None
             for b, core in zip(begins, cpu.cores):
                 if b != b:
                     q = idle
@@ -280,7 +287,10 @@ class ThreadController:
                     r = turbo if s >= 1.0 else fmin + fspan * s
                     q = quantize(ceiling if r > ceiling else r)
                 if q != core._freq:
-                    core.set_frequency(q, quantize=False)
+                    if wrapped:
+                        core._true_set_frequency(q, quantize=False)
+                    else:
+                        core.set_frequency(q, quantize=False)
         else:
             raw, levels = [], []
             for b in begins:

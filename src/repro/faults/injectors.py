@@ -11,6 +11,15 @@ counters, lost messages, writes that lie.  Row writes (controller ticks,
 :meth:`ActuatorFaults.write_row` instead, which faults a whole row with the
 same draws the per-core closures would make.
 
+:class:`ActuatorFaults` takes its uniforms from a prefetched block of
+:data:`DRAW_BLOCK` draws, consumed strictly in order by the per-core
+closures, :meth:`~ActuatorFaults.write_row` and
+:meth:`~ActuatorFaults.clean_row`.  Since ``rng.random(m)`` yields the same
+stream as ``m`` scalar ``rng.random()`` calls, every fault lands where one
+scalar draw per decision would put it; only the generator's own state runs
+up to a block ahead, which is why :attr:`~ActuatorFaults.drawn` (not
+``rng.bit_generator.state``) is the injector's position in its stream.
+
 Injection is armed once per run (``arm()``), is a no-op for empty plans,
 and counts every fault it actually delivers in ``counts`` so experiments
 can report injected-fault totals next to the watchdog's trip statistics.
@@ -19,7 +28,7 @@ can report injected-fault totals next to the watchdog's trip statistics.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..server.telemetry import TelemetryChannel
 
 __all__ = ["SensorFaults", "ActuatorFaults", "AgentFaults", "FaultHarness"]
+
+#: Uniforms an armed :class:`ActuatorFaults` fetches per refill.  Each
+#: injector holds one block (about 32 B per Python float, so 8 KB), and a
+#: refill costs about what a handful of scalar draws do.
+DRAW_BLOCK = 256
 
 
 class _Injector:
@@ -174,7 +188,10 @@ class ActuatorFaults(_Injector):
 
     Armed, it wraps every core's ``set_frequency`` (for single writers:
     ceiling clamps, governors, baselines) and registers itself as its
-    socket's row writer, :meth:`write_row`, for batched writes.
+    socket's row writer, :meth:`write_row`, for batched writes.  The
+    controller tick first asks :meth:`clean_row` whether its row would draw
+    no fault at all, and only otherwise builds the row for
+    :meth:`write_row`.
     """
 
     def __init__(
@@ -187,6 +204,31 @@ class ActuatorFaults(_Injector):
         super().__init__(engine, plan, rng)
         self.cpu = cpu
         self._offline_until: Dict[int, float] = {}
+        # Prefetched uniforms: ``_block[_pos:]`` are the next draws.
+        self._block: List[float] = []
+        self._pos = 0
+        self._blocks = 0
+
+    @property
+    def drawn(self) -> int:
+        """Uniforms consumed so far: the scalar ``rng.random()`` calls an
+        injector without a block would have made."""
+        return self._blocks * DRAW_BLOCK - len(self._block) + self._pos
+
+    def _refill(self) -> List[float]:
+        """Append the next block to the unconsumed tail; return the buffer."""
+        block = self._block[self._pos:] + self.rng.random(DRAW_BLOCK).tolist()
+        self._block, self._pos = block, 0
+        self._blocks += 1
+        return block
+
+    def _draw(self) -> float:
+        """The next uniform of the stream."""
+        if self._pos == len(self._block):
+            self._refill()
+        pos = self._pos
+        self._pos = pos + 1
+        return self._block[pos]
 
     def _arm(self) -> None:
         if self.cpu._actuator is not None:
@@ -207,10 +249,10 @@ class ActuatorFaults(_Injector):
             if self.engine.now < self._offline_until.get(core.core_id, -math.inf):
                 self._count("actuator.offline_write")
                 return core.frequency
-            if plan.dvfs_fail_prob > 0.0 and self.rng.random() < plan.dvfs_fail_prob:
+            if plan.dvfs_fail_prob > 0.0 and self._draw() < plan.dvfs_fail_prob:
                 self._count("actuator.write_fail")
                 return core.frequency
-            if plan.dvfs_delay_prob > 0.0 and self.rng.random() < plan.dvfs_delay_prob:
+            if plan.dvfs_delay_prob > 0.0 and self._draw() < plan.dvfs_delay_prob:
                 self._count("actuator.delay")
                 self.engine.schedule_after(plan.dvfs_delay, true_set, freq)
                 return core.frequency
@@ -220,45 +262,66 @@ class ActuatorFaults(_Injector):
         if not hasattr(core, "_true_set_frequency"):
             core._true_set_frequency = true_set
 
+    def clean_row(self, k: int) -> bool:
+        """Take a fault-free row write to ``cores[:k]`` if the next draws give one.
+
+        Applies only to a plan without delays while none of the ``k`` cores
+        is offline: then the row draws exactly ``k`` uniforms, one per core.
+        If none of them is below ``dvfs_fail_prob`` they are consumed and
+        the caller writes the row through each core's
+        ``_true_set_frequency`` itself, exactly as :meth:`write_row` would.
+        A plan with no DVFS probabilities draws nothing and returns True.
+        In every other case nothing is consumed and the row belongs to
+        :meth:`write_row`.
+        """
+        plan = self.plan
+        if plan.dvfs_delay_prob > 0.0:
+            return False
+        offline = self._offline_until
+        if offline:
+            now = self.engine.now
+            for i in range(k):
+                if now < offline.get(i, -math.inf):
+                    return False
+        fail_p = plan.dvfs_fail_prob
+        if fail_p == 0.0:
+            return True
+        pos = self._pos
+        end = pos + k
+        block = self._block
+        while end > len(block):
+            block = self._refill()
+            pos, end = 0, k
+        for u in block[pos:end]:
+            if u < fail_p:
+                return False
+        self._pos = end
+        return True
+
     def write_row(self, raw: Sequence[float], levels: Sequence[float]) -> None:
         """Fault one batched write to ``cores[:n]``, ``n = len(levels)``.
 
         ``raw[i]`` is core ``i``'s request and ``levels[i]`` the same
         request clamped to the ceiling and quantised.  Makes exactly the
         draws, counts and delayed (raw) writes that ``n`` sequential
-        per-core ``set_frequency`` calls would: an offline core draws
-        nothing, a fail-only plan draws one ``rng.random(k)`` block for the
-        ``k`` online cores (the same stream as ``k`` scalar draws), and a
-        plan with delays keeps the conditional second draw in order.  Only
-        levels that change reach the core.
+        per-core ``set_frequency`` calls would: core by core, an offline
+        core draws nothing, an online one draws its failure and, if it did
+        not fail and the plan has delays, its delay.  Only levels that
+        change reach the core.
         """
         cores = self.cpu.cores
-        n = len(levels)
         plan = self.plan
         fail_p, delay_p = plan.dvfs_fail_prob, plan.dvfs_delay_prob
         now = self.engine.now
         offline = self._offline_until
-        rng = self.rng
-        draws = None
-        if fail_p > 0.0 and delay_p == 0.0:
-            k = n
-            if offline:
-                k -= sum(1 for i in range(n) if now < offline.get(i, -math.inf))
-            draws = rng.random(k).tolist()
-        j = 0
-        for i in range(n):
+        draw = self._draw
+        for i in range(len(levels)):
             core = cores[i]
             if offline and now < offline.get(i, -math.inf):
                 self._count("actuator.offline_write")
-                continue
-            if draws is not None:
-                failed = draws[j] < fail_p
-                j += 1
-            else:
-                failed = fail_p > 0.0 and rng.random() < fail_p
-            if failed:
+            elif fail_p > 0.0 and draw() < fail_p:
                 self._count("actuator.write_fail")
-            elif delay_p > 0.0 and rng.random() < delay_p:
+            elif delay_p > 0.0 and draw() < delay_p:
                 self._count("actuator.delay")
                 self.engine.schedule_after(
                     plan.dvfs_delay, core._true_set_frequency, float(raw[i])

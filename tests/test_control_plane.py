@@ -525,7 +525,8 @@ LADDER = [
      _FRESH + _STALE * DEADLINE_MISSES + _RECOVER + _STALE + _RECOVER + _FRESH,
      ["fresh"] + ["stale"] * DEADLINE_MISSES + ["recovering"] * (RECOVERY_WINDOWS - 1)
      + ["stale"] + ["recovering"] * (RECOVERY_WINDOWS - 1) + ["fresh"],
-     dict(safe_mode=False, last=_AGENT, safe_escalations=1)),
+     dict(safe_mode=False, last=_AGENT, safe_escalations=1, deadline_misses=1,
+          stale_windows=DEADLINE_MISSES + 1)),
     ("acked", True, _FRESH + ["ar"] * (MAX_RETRIES + 1),
      ["fresh"] * (MAX_RETRIES + 2),
      dict(lost=False, retries=0, commands_lost=0)),

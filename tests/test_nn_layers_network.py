@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.nn import (
     MLP,
     Linear,
-    Parameter,
     ReLU,
     Sigmoid,
     Tanh,

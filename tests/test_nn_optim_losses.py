@@ -1,7 +1,5 @@
 """Tests for optimizers, losses and serialization."""
 
-import os
-
 import numpy as np
 import pytest
 

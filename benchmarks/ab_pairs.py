@@ -5,6 +5,7 @@ against this checkout.
 Usage::
 
     python benchmarks/ab_pairs.py --base HEAD~1 --workload fleet-chaos --seed 1 --pairs 10
+    python benchmarks/ab_pairs.py --base HEAD~1 --workload node-deeppower --metric setup_s
 
 Each pair runs ``benchmarks/e2e/run.py --workload W --seed S --runs 1``
 once in a checkout of the base and once in this checkout, alternating
@@ -13,12 +14,15 @@ checkout is ``git archive`` of ``--base`` extracted into a temporary
 directory (honouring ``TMPDIR``) and removed afterwards; the repository
 itself gains no worktree entry.
 
-Prints every pair, then each side's median and quartiles of
-``node_s_per_wall_s``, the change over the base, the pairs the change
+Prints every pair, then each side's median and quartiles of the
+``--metric`` (any end-to-end metric of ``BENCHMARK.json``; default
+``node_s_per_wall_s``), the change over the base, the pairs the change
 won, whether the gap between the medians is larger than the base's
 interquartile range, whether ``sim_energy_j`` and ``sim_digest`` were
 equal in every run, and each side's median of the other end-to-end
-metrics.  The exit code is 1 when a run fails.
+metrics.  A pair is won, and the gap counted, in the direction the
+metric's ``better`` field in ``BENCHMARK.json`` gives.  The exit code is
+1 when a run fails.
 """
 
 from __future__ import annotations
@@ -36,6 +40,17 @@ from typing import Callable, ContextManager, Dict, Iterator, List, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 METRIC = "node_s_per_wall_s"
+
+
+def _better() -> Dict[str, str]:
+    """End-to-end metric name -> ``"higher"`` or ``"lower"``, from
+    ``BENCHMARK.json``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+#: The end-to-end metrics and the direction in which each is better.
+BETTER = _better()
 
 #: ``runner(checkout, workload, seed)`` -> one run's result, see :func:`run_e2e`.
 Runner = Callable[[Path, str, int], Dict]
@@ -99,11 +114,11 @@ def base_checkout(rev: str) -> Iterator[Path]:
 
 def run_pairs(
     runner: Runner, base: Path, change: Path, workload: str, seed: int,
-    pairs: int,
+    pairs: int, metric: str = METRIC,
 ) -> List[Tuple[Dict, Dict]]:
     """``pairs`` (base, change) results; odd pairs run the change first.
 
-    Echoes each pair's metric as it completes.
+    Echoes each pair's ``metric`` as it completes.
     """
     results = []
     for i in range(pairs):
@@ -114,39 +129,45 @@ def run_pairs(
         results.append((got["base"], got["change"]))
         print(
             f"# pair {i + 1} ({order[0][0]} first): "
-            f"base {got['base']['metrics'][METRIC]:.6g} "
-            f"change {got['change']['metrics'][METRIC]:.6g}",
+            f"base {got['base']['metrics'][metric]:.6g} "
+            f"change {got['change']['metrics'][metric]:.6g}",
             flush=True,
         )
     return results
 
 
-def report(results: List[Tuple[Dict, Dict]]) -> List[str]:
-    """The summary lines for ``results``."""
-    base = [b["metrics"][METRIC] for b, _ in results]
-    change = [c["metrics"][METRIC] for _, c in results]
+def report(results: List[Tuple[Dict, Dict]], metric: str = METRIC) -> List[str]:
+    """The summary lines for ``results`` on ``metric``.
+
+    Pairs won and the median gap count in the metric's better direction,
+    so a positive gap is always an improvement.
+    """
+    base = [b["metrics"][metric] for b, _ in results]
+    change = [c["metrics"][metric] for _, c in results]
     bq, cq = summarize(base), summarize(change)
-    won = sum(1 for b, c in zip(base, change) if c > b)
-    gap = cq["median"] - bq["median"]
+    sign = 1.0 if BETTER[metric] == "higher" else -1.0
+    won = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
+    gap = sign * (cq["median"] - bq["median"])
     iqr = bq["q3"] - bq["q1"]
     runs = [r for pair in results for r in pair]
     energy = len({r["metrics"]["sim_energy_j"] for r in runs}) == 1
     digests = {r["sim_digest"] for r in runs}
     lines = [
-        f"{side:<6} {METRIC} median {q['median']:.6g} q1={q['q1']:.6g} "
+        f"{side:<6} {metric} median {q['median']:.6g} q1={q['q1']:.6g} "
         f"q3={q['q3']:.6g} n={q['n']}"
         for side, q in (("base", bq), ("change", cq))
     ]
     lines += [
         f"change/base {cq['median'] / bq['median']:.3f}x; "
-        f"pairs won {won}/{len(results)}; median gap {gap:.6g} > base IQR "
+        f"pairs won {won}/{len(results)} ({BETTER[metric]} is better); "
+        f"median gap {gap:.6g} > base IQR "
         f"{iqr:.6g}: {'yes' if gap > iqr else 'no'}",
         f"sim_energy_j equal: {'yes' if energy else 'no'}; "
         f"sim_digest equal: {'yes' if len(digests) == 1 else 'no'} "
         f"({', '.join(sorted(d[:12] for d in digests))})",
     ]
     for name in results[0][0]["metrics"]:
-        if name != METRIC:
+        if name != metric:
             lines.append(
                 f"{name} median base "
                 f"{statistics.median(b['metrics'][name] for b, _ in results):.6g}"
@@ -167,21 +188,25 @@ def main(
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--metric", default=METRIC, choices=sorted(BETTER),
+                   help=f"end-to-end metric to pair (default {METRIC})")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be positive")
 
     with checkout(args.base) as base_path:
         print(f"# base {args.base}; change {ROOT}; "
-              f"{args.workload} seed {args.seed}, {args.pairs} pairs", flush=True)
+              f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.metric}",
+              flush=True)
         try:
             results = run_pairs(
-                runner, base_path, ROOT, args.workload, args.seed, args.pairs
+                runner, base_path, ROOT, args.workload, args.seed, args.pairs,
+                args.metric,
             )
         except RuntimeError as err:
             print(f"# FAILED {err}", file=sys.stderr)
             return 1
-    for line in report(results):
+    for line in report(results, args.metric):
         print(line)
     return 0
 

@@ -1,8 +1,13 @@
 """Analysis helpers: statistics and plain-text reporting."""
 
-from .queueing import MmcQueue, erlang_c, mdc_mean_wait, mg1_mean_wait
-from .reporting import format_heatmap, format_table, sparkline
-from .stats import ecdf, normalized_cdf, relative_error_matrix_stats, tail_ratio
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .queueing import MmcQueue, erlang_c, mdc_mean_wait, mg1_mean_wait
+    from .reporting import format_heatmap, format_table, sparkline
+    from .stats import ecdf, normalized_cdf, relative_error_matrix_stats, tail_ratio
 
 __all__ = [
     "erlang_c",
@@ -17,3 +22,5 @@ __all__ = [
     "format_heatmap",
     "sparkline",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -6,17 +6,22 @@ package implements all of them plus two reference policies: a fixed
 frequency and a utilisation oracle.
 """
 
-from .base import PowerManager
-from .gemini import GeminiPolicy
-from .predictors import (
-    LinearServicePredictor,
-    MlpServicePredictor,
-    ServicePredictor,
-    profile_app,
-    relative_rmse_matrix,
-)
-from .retail import RetailPolicy
-from .simple import FixedFrequencyPolicy, MaxFrequencyPolicy, UtilizationOraclePolicy
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .base import PowerManager
+    from .gemini import GeminiPolicy
+    from .predictors import (
+        LinearServicePredictor,
+        MlpServicePredictor,
+        ServicePredictor,
+        profile_app,
+        relative_rmse_matrix,
+    )
+    from .retail import RetailPolicy
+    from .simple import FixedFrequencyPolicy, MaxFrequencyPolicy, UtilizationOraclePolicy
 
 __all__ = [
     "PowerManager",
@@ -31,3 +36,5 @@ __all__ = [
     "RetailPolicy",
     "GeminiPolicy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -7,14 +7,19 @@ optimizers, replay pool, RNG registry and runtime.  See README.md
 ("Checkpointing and resume") for the format and workflow.
 """
 
-from .manager import (
-    SCHEMA_VERSION,
-    CheckpointCorruptError,
-    CheckpointError,
-    CheckpointManager,
-    CheckpointRecord,
-)
-from .serialize import CheckpointEncodeError, decode_tree, encode_tree
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .manager import (
+        SCHEMA_VERSION,
+        CheckpointCorruptError,
+        CheckpointError,
+        CheckpointManager,
+        CheckpointRecord,
+    )
+    from .serialize import CheckpointEncodeError, decode_tree, encode_tree
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -26,3 +31,5 @@ __all__ = [
     "encode_tree",
     "decode_tree",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

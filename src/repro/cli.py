@@ -360,7 +360,7 @@ def _resume_fleet_agent(manager, args, hier, seed):
     """The fleet agent in the newest ``--checkpoint-dir`` snapshot, or None
     (start fresh) when there is none; ValueError if it cannot be used."""
     from .hier import build_fleet_agent
-    from .parallel.pool import derive_seed
+    from .parallel.cells import derive_seed
 
     record = manager.load_latest()
     if record is None:

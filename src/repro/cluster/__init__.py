@@ -38,36 +38,41 @@ streams) and emit ``node``-tagged observability events that
 per-node and fleet-wide tables.
 """
 
-from .dispatch import (
-    ROUTERS,
-    Dispatcher,
-    JoinShortestQueueRouter,
-    PowerAwareRouter,
-    RoundRobinRouter,
-    StragglerDetector,
-)
-from .lifecycle import NodeLifecycle
-from .node import (
-    DEGRADED,
-    DOWN,
-    HEALTHY,
-    NODE_POLICIES,
-    NODE_STATES,
-    RECOVERING,
-    ClusterNode,
-    NodeContext,
-    build_node_driver,
-)
-from .powercap import CapWindow, PowerCapCoordinator
-from .sim import (
-    ClusterConfig,
-    ClusterSim,
-    FleetMetrics,
-    FleetSpec,
-    fleet_power_budget,
-    fleet_trace,
-    run_cluster,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .dispatch import (
+        ROUTERS,
+        Dispatcher,
+        JoinShortestQueueRouter,
+        PowerAwareRouter,
+        RoundRobinRouter,
+        StragglerDetector,
+    )
+    from .lifecycle import NodeLifecycle
+    from .node import (
+        DEGRADED,
+        DOWN,
+        HEALTHY,
+        NODE_POLICIES,
+        NODE_STATES,
+        RECOVERING,
+        ClusterNode,
+        NodeContext,
+        build_node_driver,
+    )
+    from .powercap import CapWindow, PowerCapCoordinator
+    from .sim import (
+        ClusterConfig,
+        ClusterSim,
+        FleetMetrics,
+        FleetSpec,
+        fleet_power_budget,
+        fleet_trace,
+        run_cluster,
+    )
 
 __all__ = [
     "ClusterNode",
@@ -96,3 +101,5 @@ __all__ = [
     "RECOVERING",
     "NODE_STATES",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -15,9 +15,10 @@ the same substream-splitting discipline the parallel grid uses for cells.
 
 Policy drivers attach through the same factory protocol the single-node
 runner uses; :func:`build_node_driver` resolves the policy name through
-the grid's registry (baselines) or builds a frozen evaluation-mode
-DeepPower runtime per node.  The driver receives a :class:`NodeContext`,
-which is shaped like :class:`~repro.experiments.runner.RunContext`
+the baseline table it shares with the grid (:mod:`repro.parallel.cells`)
+or builds a frozen evaluation-mode DeepPower runtime per node.  The
+driver receives a :class:`NodeContext`, which is shaped like
+:class:`~repro.experiments.runner.RunContext`
 (``engine/cpu/server/monitor/rngs/app/...``) but is defined here to keep
 the cluster package import-free of :mod:`repro.experiments` at module
 level (the experiments package imports *us* through the fleet experiment).
@@ -30,8 +31,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..cpu.rapl import PowerMonitor
 from ..cpu.topology import Cpu
-from ..parallel.grid import GRID_POLICIES
-from ..parallel.pool import derive_seed
+from ..parallel.cells import GRID_POLICIES, derive_seed, grid_policy
 from ..server.server import Server
 from ..sim.engine import Engine
 from ..sim.rng import RngRegistry
@@ -225,10 +225,8 @@ def _deeppower_node_driver(node: ClusterNode, agent_path: Optional[str]):
 
 
 def _baseline_node_driver(policy: str):
-    factory = GRID_POLICIES[policy]
-
     def build(node: ClusterNode, agent_path):
-        return factory(node.context(), {})
+        return grid_policy(policy)(node.context())
 
     return build
 

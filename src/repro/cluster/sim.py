@@ -34,6 +34,7 @@ import numpy as np
 from ..cpu.dvfs import DEFAULT_TABLE
 from ..cpu.power import DEFAULT_POWER_MODEL
 from ..faults.fleet import FleetFaultPlan
+from ..parallel.cells import derive_seed, policy_modules
 from ..server.metrics import LatencyRecorder, RunMetrics
 from ..sim.engine import Engine
 from ..sim.events import PRIORITY_CONTROL
@@ -291,7 +292,6 @@ class ClusterSim:
             # Runtime-only import: repro.hier imports this package's
             # siblings, so the dependency must not be module-level here.
             from ..hier import LearnedBudgetCoordinator, build_fleet_agent
-            from ..parallel.pool import derive_seed
 
             if fleet_agent is not None:
                 self.fleet_agent = fleet_agent
@@ -692,6 +692,11 @@ class FleetSpec:
             # learning-relevant hier field.
             "hier": cfg.hier.cache_payload() if cfg.hier is not None else None,
         }
+
+    def imports(self) -> Tuple[str, ...]:
+        """Modules executing this cell imports (see :func:`repro.parallel.run_grid`)."""
+        hier = ("repro.hier.coordinator",) if self.config.hier is not None else ()
+        return (*policy_modules(self.config.policy), *hier)
 
     def execute(self) -> Tuple[FleetMetrics, Dict[str, Any]]:
         """Build the fleet from scratch and run it (pool-worker entry)."""

@@ -18,10 +18,15 @@ one fallback governor; its ``engage``/``release`` pair serves both the
 node's command deadline and the runtime watchdog.
 """
 
-from .bus import BusFaultInjector, Channel, ControlBus, InProcessBus
-from .config import ControlPlaneConfig
-from .endpoint import NodeEndpoint, PolicyEndpoint
-from .messages import CONTROL_SCHEMA, ActuatorCommand, CommandAck, SensorReading
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .bus import BusFaultInjector, Channel, ControlBus, InProcessBus
+    from .config import ControlPlaneConfig
+    from .endpoint import NodeEndpoint, PolicyEndpoint
+    from .messages import CONTROL_SCHEMA, ActuatorCommand, CommandAck, SensorReading
 
 __all__ = [
     "CONTROL_SCHEMA",
@@ -36,3 +41,5 @@ __all__ = [
     "NodeEndpoint",
     "ControlPlaneConfig",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

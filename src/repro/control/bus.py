@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..faults.bus import BUS_DIRECTIONS, BusFaultPlan
+from ..parallel.cells import derive_seed
 from ..sim.engine import Engine
 
 __all__ = ["Channel", "ControlBus", "InProcessBus", "BusFaultInjector"]
@@ -61,8 +62,6 @@ class BusFaultInjector:
     """
 
     def __init__(self, plan: BusFaultPlan) -> None:
-        from ..parallel.pool import derive_seed
-
         self.plan = plan
         self._rngs = {
             d: np.random.default_rng(derive_seed(plan.seed, "bus", d))

@@ -6,12 +6,17 @@ accounting simulated socket.  See DESIGN.md §2 for the substitution
 rationale.
 """
 
-from .core import Core
-from .dvfs import DEFAULT_TABLE, FrequencyTable
-from .governors import Governor, OndemandGovernor, PerformanceGovernor
-from .power import DEFAULT_POWER_MODEL, PowerModel
-from .rapl import EnergySample, PowerMonitor
-from .topology import Cpu
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .core import Core
+    from .dvfs import DEFAULT_TABLE, FrequencyTable
+    from .governors import Governor, OndemandGovernor, PerformanceGovernor
+    from .power import DEFAULT_POWER_MODEL, PowerModel
+    from .rapl import EnergySample, PowerMonitor
+    from .topology import Cpu
 
 __all__ = [
     "Core",
@@ -26,3 +31,5 @@ __all__ = [
     "PerformanceGovernor",
     "OndemandGovernor",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

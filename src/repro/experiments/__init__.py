@@ -8,17 +8,22 @@ programmatic access:
 >>> print(exp.execute())  # doctest: +SKIP
 """
 
-from .calibration import CalibrationResult, calibrate_to_sla
-from .registry import REGISTRY, Experiment, get_experiment, list_experiments
-from .runner import RunContext, RunResult, build_context, run_policy
-from .scenarios import (
-    FULL,
-    SMOKE,
-    ExperimentProfile,
-    active_profile,
-    evaluation_trace,
-    workers_for,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .calibration import CalibrationResult, calibrate_to_sla
+    from .registry import REGISTRY, Experiment, get_experiment, list_experiments
+    from .runner import RunContext, RunResult, build_context, run_policy
+    from .scenarios import (
+        FULL,
+        SMOKE,
+        ExperimentProfile,
+        active_profile,
+        evaluation_trace,
+        workers_for,
+    )
 
 __all__ = [
     "RunContext",
@@ -38,3 +43,5 @@ __all__ = [
     "get_experiment",
     "list_experiments",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -29,20 +29,17 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..parallel import RunResultCache
-
-from ..analysis.reporting import format_table
 from ..core.agent import DeepPowerAgent, default_ddpg_config
 from ..core.reward import RewardConfig
 from ..core.runtime import DeepPowerConfig
-from ..core.training import train_deeppower
-from ..parallel.cache import resolve_cache
 from ..server.metrics import RunMetrics
 from ..sim.rng import RngRegistry
 from ..workload.apps import get_app
-from .calibration import CalibrationResult, calibrate_to_sla
 from .scenarios import ExperimentProfile, active_profile, evaluation_trace, workers_for
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..parallel import RunResultCache
+    from .calibration import CalibrationResult
 
 __all__ = [
     "PolicyOutcome",
@@ -95,6 +92,8 @@ def fig7_calibration(app_name: str, profile: ExperimentProfile) -> CalibrationRe
     Its trace is the one the standard fig7 agent trains on, so every
     experiment that reuses that agent calibrates through here.
     """
+    from .calibration import calibrate_to_sla
+
     return calibrate_to_sla(
         get_app(app_name), evaluation_trace(profile), profile.num_cores,
         num_workers=workers_for(app_name, profile.num_cores),
@@ -153,6 +152,9 @@ def trained_agent(
     and retrained.  With ``result_cache`` off, nothing is read or written
     and ``path`` is None.
     """
+    from ..core.training import train_deeppower
+    from ..parallel.cache import resolve_cache
+
     app = get_app(app_name)
     agent, cfg = tuned_agent_setup(seed, app=app)
     cache = resolve_cache(result_cache)
@@ -222,7 +224,7 @@ def run_fig7(
     observability trace (traced cells always execute; see
     :func:`repro.parallel.run_grid`).
     """
-    from ..parallel import RunSpec, run_grid
+    from ..parallel import RunSpec, resolve_cache, run_grid
 
     profile = active_profile(full)
     apps = apps if apps is not None else ("xapian", "masstree", "moses", "sphinx", "img-dnn")
@@ -287,6 +289,8 @@ def _fmt_or_na(value: float, fmt: str) -> str:
 
 
 def render_fig7(results: Dict[str, Fig7AppResult]) -> str:
+    from ..analysis.reporting import format_table
+
     rows = []
     for name, ar in results.items():
         for pol in FIG7_POLICIES:

@@ -17,6 +17,7 @@ We quantify the visual with two statistics per policy:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -33,7 +34,13 @@ from .fig7_main import trained_agent
 from .runner import run_policy
 from .scenarios import active_profile, evaluation_trace, workers_for
 
-__all__ = ["FreqTraceResult", "run_freq_traces", "render_freq_traces"]
+__all__ = [
+    "FreqTraceResult",
+    "run_freq_traces",
+    "run_fig9",
+    "run_fig10",
+    "render_freq_traces",
+]
 
 
 @dataclass(frozen=True)
@@ -163,6 +170,12 @@ def run_freq_traces(
         mean_frequency=float(freqs.mean()) if freqs.size else 0.0,
     )
     return out
+
+
+
+#: Fig 9 (Xapian) and Fig 10 (Sphinx): the same traces on two apps.
+run_fig9 = partial(run_freq_traces, app_name="xapian")
+run_fig10 = partial(run_freq_traces, app_name="sphinx")
 
 
 def render_freq_traces(results: Dict[str, FreqTraceResult]) -> str:

@@ -18,23 +18,28 @@ chaos (:mod:`repro.faults.fleet`) and control-bus loss/delay/partition
 (:mod:`repro.faults.bus`, interpreted by :mod:`repro.control.bus`).
 """
 
-from .bus import (
-    BUS_DIRECTIONS,
-    BUS_FAULT_KINDS,
-    BusEvent,
-    BusFaultPlan,
-    LinkFaults,
-    standard_bus_plan,
-)
-from .fleet import (
-    FLEET_FAULT_KINDS,
-    FleetEvent,
-    FleetFaultPlan,
-    standard_chaos_plan,
-)
-from .injectors import ActuatorFaults, AgentFaults, FaultHarness, SensorFaults
-from .plan import FAULT_KINDS, FaultEvent, FaultPlan, standard_fault_plan
-from .watchdog import SAFE_ACTION, Watchdog
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .bus import (
+        BUS_DIRECTIONS,
+        BUS_FAULT_KINDS,
+        BusEvent,
+        BusFaultPlan,
+        LinkFaults,
+        standard_bus_plan,
+    )
+    from .fleet import (
+        FLEET_FAULT_KINDS,
+        FleetEvent,
+        FleetFaultPlan,
+        standard_chaos_plan,
+    )
+    from .injectors import ActuatorFaults, AgentFaults, FaultHarness, SensorFaults
+    from .plan import FAULT_KINDS, FaultEvent, FaultPlan, standard_fault_plan
+    from .watchdog import SAFE_ACTION, Watchdog
 
 __all__ = [
     "FAULT_KINDS",
@@ -58,3 +63,5 @@ __all__ = [
     "SAFE_ACTION",
     "Watchdog",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
+from ..parallel.cells import derive_seed
 from .plan import FaultPlan
 
 __all__ = [
@@ -184,8 +185,6 @@ def standard_chaos_plan(
         raise ValueError(f"duration must be > 0, got {duration!r}")
     if intensity == 0.0:
         return FleetFaultPlan(seed=seed)
-    from ..parallel.pool import derive_seed
-
     scale = min(intensity, 1.0)
     down = 0.2 * duration * scale
     recovery = recovery_time if recovery_time is not None else 0.05 * duration

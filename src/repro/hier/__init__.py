@@ -24,10 +24,15 @@ cap stays guaranteed by construction no matter what the agent emits.
   (:mod:`repro.hier.coordinator`).
 """
 
-from .agent import FleetAgent, build_fleet_agent, fleet_state_dim
-from .config import HIER_ALGOS, HierConfig
-from .coordinator import LearnedBudgetCoordinator
-from .obs import FEATURES_PER_NODE, FleetObserver
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .agent import FleetAgent, build_fleet_agent, fleet_state_dim
+    from .config import HIER_ALGOS, HierConfig
+    from .coordinator import LearnedBudgetCoordinator
+    from .obs import FEATURES_PER_NODE, FleetObserver
 
 __all__ = [
     "HierConfig",
@@ -39,3 +44,5 @@ __all__ = [
     "fleet_state_dim",
     "LearnedBudgetCoordinator",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -19,8 +19,6 @@ import numpy as np
 from ..nn.network import MLP
 from ..nn.serialization import load_modules, save_modules
 from ..rl.ddpg import DdpgAgent, DdpgConfig
-from ..rl.sac import SacAgent, SacConfig
-from ..rl.td3 import Td3Agent, Td3Config
 from .config import (
     BATCH_SIZE,
     BUFFER_CAPACITY,
@@ -188,6 +186,8 @@ def build_fleet_agent(
         noise_min_sigma=NOISE_MIN_SIGMA,
     )
     if config.algo == "sac":  # HierConfig validated algo membership
+        from ..rl.sac import SacAgent, SacConfig
+
         agent = SacAgent(SacConfig(**sizes, hidden=HIDDEN), rng)
     else:
         def actor() -> MLP:
@@ -199,6 +199,8 @@ def build_fleet_agent(
             )
             agent = DdpgAgent(actor, cfg, rng)
         else:
+            from ..rl.td3 import Td3Agent, Td3Config
+
             cfg = Td3Config(**sizes, **noise, critic_hidden=HIDDEN)
             agent = Td3Agent(actor, cfg, rng)
     fleet_agent = FleetAgent(agent, config, num_nodes, seed)

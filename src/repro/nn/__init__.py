@@ -5,11 +5,16 @@ has ~2k parameters), for which explicit reverse-mode numpy code is fast,
 dependency-free, and easy to verify against finite differences.
 """
 
-from .layers import Identity, Layer, Linear, Parameter, ReLU, Sigmoid, Tanh
-from .losses import huber_loss, mse_loss
-from .network import ACTIVATIONS, MLP, Module, TwoHeadMLP, numerical_gradient
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .serialization import load_modules, save_modules
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .layers import Identity, Layer, Linear, Parameter, ReLU, Sigmoid, Tanh
+    from .losses import huber_loss, mse_loss
+    from .network import ACTIVATIONS, MLP, Module, TwoHeadMLP, numerical_gradient
+    from .optim import SGD, Adam, Optimizer, clip_grad_norm
+    from .serialization import load_modules, save_modules
 
 __all__ = [
     "Parameter",
@@ -33,3 +38,5 @@ __all__ = [
     "save_modules",
     "load_modules",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -25,28 +25,31 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from .query import trace_query, trace_tail
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .spans import SpanRecorder
-from .summarize import (
-    FleetTraceSummary,
-    TraceSummary,
-    render_fleet_summary,
-    render_summary,
-    summarize_fleet_trace,
-    summarize_trace,
-)
-from .trace import (
-    TRACE_SCHEMA,
-    TraceError,
-    TraceWriter,
-    read_trace,
-    read_trace_index,
-    trace_codecs,
-    zstd_available,
-)
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .query import trace_query, trace_tail
+    from .registry import Counter, Gauge, Histogram, MetricsRegistry
+    from .spans import SpanRecorder
+    from .summarize import (
+        FleetTraceSummary,
+        TraceSummary,
+        render_fleet_summary,
+        render_summary,
+        summarize_fleet_trace,
+        summarize_trace,
+    )
+    from .trace import (
+        TRACE_SCHEMA,
+        TraceError,
+        TraceWriter,
+        read_trace,
+        read_trace_index,
+        trace_codecs,
+        zstd_available,
+    )
 
 __all__ = [
     "Counter",
@@ -71,6 +74,8 @@ __all__ = [
     "render_fleet_summary",
     "Observability",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)
 
 
 class Observability:
@@ -98,9 +103,11 @@ class Observability:
         profile: bool = False,
         metrics_out: Optional[str] = None,
     ) -> None:
+        from . import registry, spans
+
         self.trace = trace
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.spans: Optional[SpanRecorder] = SpanRecorder() if profile else None
+        self.metrics = metrics if metrics is not None else registry.MetricsRegistry()
+        self.spans: Optional[SpanRecorder] = spans.SpanRecorder() if profile else None
         self.metrics_out = metrics_out
         self._closed = False
 
@@ -121,8 +128,10 @@ class Observability:
         forward to :class:`TraceWriter` — segmented, compressed and/or
         sharded layouts all read back through :func:`read_trace`.
         """
+        from . import trace as trace_io
+
         trace = (
-            TraceWriter(
+            trace_io.TraceWriter(
                 trace_out,
                 meta=meta,
                 segment_events=trace_segment_events,

@@ -19,29 +19,29 @@ results to the serial loop.  This package provides:
   pool and the cache.
 """
 
-from .cache import (
-    CACHE_SCHEMA_VERSION,
-    RunResultCache,
-    content_key,
-    default_cache_root,
-    plan_digest,
-    resolve_cache,
-)
-from .grid import (
-    EXTRAS_COLLECTORS,
-    GridOutcome,
-    RunSpec,
-    execute_run_spec,
-    grid_trace_path,
-    run_grid,
-)
-from .pool import (
-    ItemOutcome,
-    ParallelMap,
-    PoolStats,
-    derive_seed,
-    shutdown_pools,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .cache import (
+        CACHE_SCHEMA_VERSION,
+        RunResultCache,
+        content_key,
+        default_cache_root,
+        plan_digest,
+        resolve_cache,
+    )
+    from .cells import derive_seed
+    from .grid import (
+        EXTRAS_COLLECTORS,
+        GridOutcome,
+        RunSpec,
+        execute_run_spec,
+        grid_trace_path,
+        run_grid,
+    )
+    from .pool import ItemOutcome, ParallelMap, PoolStats, shutdown_pools
 
 __all__ = [
     "ParallelMap",
@@ -62,3 +62,5 @@ __all__ = [
     "execute_run_spec",
     "EXTRAS_COLLECTORS",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

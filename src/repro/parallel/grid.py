@@ -16,6 +16,7 @@ Because every cell builds its own engine/RNG stack from the spec alone,
 
 from __future__ import annotations
 
+import importlib
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -27,8 +28,8 @@ from ..server.metrics import RunMetrics
 from ..workload.apps import get_app
 from ..workload.trace import WorkloadTrace
 from .cache import RunResultCache, file_digest
+from .cells import GRID_POLICIES, grid_policy, policy_modules
 from .pool import ItemOutcome, ParallelMap
-from .pool import default_warmup as _default_warmup
 
 __all__ = [
     "RunSpec",
@@ -64,33 +65,6 @@ EXTRAS_COLLECTORS: Dict[str, Callable] = {
     "worker_completed": _extras_worker_completed,
     "final_frequencies": _extras_final_frequencies,
     "event_count": _extras_event_count,
-}
-
-
-# ------------------------------------------------------------------- policies
-
-def _factory_baseline(ctx, kwargs):
-    from ..baselines.simple import MaxFrequencyPolicy
-
-    return MaxFrequencyPolicy(ctx, **kwargs)
-
-
-def _factory_retail(ctx, kwargs):
-    from ..baselines.retail import RetailPolicy
-
-    return RetailPolicy(ctx, **kwargs)
-
-
-def _factory_gemini(ctx, kwargs):
-    from ..baselines.gemini import GeminiPolicy
-
-    return GeminiPolicy(ctx, **kwargs)
-
-
-GRID_POLICIES: Dict[str, Callable] = {
-    "baseline": _factory_baseline,
-    "retail": _factory_retail,
-    "gemini": _factory_gemini,
 }
 
 
@@ -151,11 +125,15 @@ class RunSpec:
         """Run this cell from scratch (the generic spec protocol).
 
         ``run_grid`` accepts *any* spec object exposing ``execute()`` /
-        ``cache_payload()`` / ``label`` / ``trace_out`` — e.g. the fleet's
-        :class:`~repro.cluster.sim.FleetSpec` — so new grid shapes reuse
-        the pool + cache machinery without touching it.
+        ``imports()`` / ``cache_payload()`` / ``label`` / ``trace_out`` —
+        e.g. the fleet's :class:`~repro.cluster.sim.FleetSpec` — so new
+        grid shapes reuse the pool + cache machinery without touching it.
         """
         return execute_run_spec(self)
+
+    def imports(self) -> Tuple[str, ...]:
+        """Modules executing this cell imports (see :func:`run_grid`)."""
+        return ("repro.experiments.runner", *policy_modules(self.policy))
 
     def cache_payload(self) -> dict:
         """Content entering the cache key (agent folded in by digest)."""
@@ -277,7 +255,7 @@ def execute_run_spec(spec: RunSpec) -> Tuple[RunMetrics, Dict[str, Any]]:
             return res.metrics, extras
 
         try:
-            factory = GRID_POLICIES[spec.policy]
+            policy_cls = grid_policy(spec.policy)
         except KeyError:
             raise KeyError(
                 f"unknown grid policy {spec.policy!r}; "
@@ -285,7 +263,7 @@ def execute_run_spec(spec: RunSpec) -> Tuple[RunMetrics, Dict[str, Any]]:
             ) from None
 
         def driver_factory(ctx):
-            return factory(ctx, kwargs)
+            return policy_cls(ctx, **kwargs)
 
         res = run_policy(
             driver_factory,
@@ -329,7 +307,7 @@ def run_grid(
     specs: Sequence[RunSpec],
     jobs: int = 1,
     cache: Optional[RunResultCache] = None,
-    warmup: Optional[Callable[[], None]] = _default_warmup,
+    warmup: Optional[Callable[[], None]] = None,
     trace_dir: Optional[str] = None,
     trace_segment_events: Optional[int] = None,
     trace_compress: Optional[str] = None,
@@ -349,6 +327,9 @@ def run_grid(
     ``trace_segment_events`` / ``trace_compress`` pick the storage layout
     for those per-cell traces (cells that arrive with their own
     ``trace_out`` keep their own settings).
+
+    Before it forks, the parent imports every module the pending cells
+    name in ``imports()``, so the workers inherit them compiled.
 
     Outcomes are returned in spec order regardless of completion order.
     """
@@ -385,6 +366,12 @@ def run_grid(
 
     if pending:
         pool = ParallelMap(jobs=jobs, warmup=warmup)
+        if not pool.is_serial:
+            # Forked workers inherit the parent's modules: import what the
+            # cells execute here, once, rather than once in every worker.
+            modules = {name for _, spec, _ in pending for name in spec.imports()}
+            for name in sorted(modules):
+                importlib.import_module(name)
         t0 = time.perf_counter()
         results: List[ItemOutcome] = pool.map(_cell_worker, [s for _, s, _ in pending])
         elapsed = time.perf_counter() - t0

@@ -13,10 +13,10 @@ Design constraints (ISSUE 3):
   exercise identical per-item logic.
 
 The pool uses the ``fork`` start method: workers inherit the parent's
-imported modules (numpy, the repro package) for free, which is the cheap
-"warm-up" that makes small grids worth fanning out.  An optional explicit
-``warmup`` callable runs once per worker for anything fork does not cover
-(e.g. priming lazy caches).
+imported modules for free (``run_grid`` imports what its cells execute
+before it forks), which is the cheap "warm-up" that makes small grids
+worth fanning out.  An optional explicit ``warmup`` callable runs once
+per worker for anything fork does not cover (e.g. priming lazy caches).
 
 Persistent pools (ISSUE 8)
 --------------------------
@@ -42,7 +42,6 @@ not seen by an already-forked pool.  Pass ``persistent=False`` (or call
 from __future__ import annotations
 
 import atexit
-import hashlib
 import multiprocessing as mp
 import os
 import traceback
@@ -59,6 +58,8 @@ from typing import (
     TypeVar,
 )
 
+from .cells import derive_seed
+
 __all__ = [
     "ItemOutcome",
     "ParallelMap",
@@ -69,24 +70,6 @@ __all__ = [
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def derive_seed(base_seed: int, *parts: object, bits: int = 31) -> int:
-    """Stable per-item seed: hash of ``base_seed`` and the item identity.
-
-    Uses SHA-256 over the repr of the parts, so the result is invariant
-    across python hash randomisation, process boundaries, and platforms —
-    two grid cells with the same ``(base_seed, parts)`` always simulate
-    the same world, and distinct cells get well-separated streams.
-
-    >>> derive_seed(7, "xapian", "retail") == derive_seed(7, "xapian", "retail")
-    True
-    >>> derive_seed(7, "xapian", "retail") != derive_seed(7, "xapian", "gemini")
-    True
-    """
-    payload = repr((int(base_seed),) + parts).encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") % (1 << bits)
 
 
 def _fork_available() -> bool:
@@ -318,14 +301,3 @@ class ParallelMap:
     def map_values(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         """Like :meth:`map` but unwraps, re-raising the first item error."""
         return [out.unwrap() for out in self.map(fn, items)]
-
-
-def default_warmup() -> None:  # pragma: no cover - exercised in subprocesses
-    """Touch the heavy imports so the first real item does not pay them.
-
-    With ``fork`` this is usually a no-op (the parent already imported
-    everything); under unusual embedding it still guarantees a warm worker.
-    """
-    import numpy  # noqa: F401
-
-    from .. import experiments  # noqa: F401

@@ -6,13 +6,18 @@ motivating the hierarchical design (Table 2) and they power the discrete/
 stochastic top-layer ablations.
 """
 
-from .critics import StateActionCritic, TwinCritic
-from .ddpg import DdpgAgent, DdpgConfig
-from .dqn import DqnAgent, DqnConfig, action_grid
-from .noise import GaussianNoise
-from .replay import ReplayBuffer, Transition
-from .sac import GaussianPolicy, SacAgent, SacConfig
-from .td3 import Td3Agent, Td3Config
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .critics import StateActionCritic, TwinCritic
+    from .ddpg import DdpgAgent, DdpgConfig
+    from .dqn import DqnAgent, DqnConfig, action_grid
+    from .noise import GaussianNoise
+    from .replay import ReplayBuffer, Transition
+    from .sac import GaussianPolicy, SacAgent, SacConfig
+    from .td3 import Td3Agent, Td3Config
 
 __all__ = [
     "ReplayBuffer",
@@ -31,3 +36,5 @@ __all__ = [
     "SacConfig",
     "GaussianPolicy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

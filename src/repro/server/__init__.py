@@ -1,10 +1,15 @@
 """Latency-critical server substrate: queue, workers, metrics, telemetry."""
 
-from .metrics import LatencyRecorder, RunMetrics
-from .queue import RequestQueue
-from .server import PolicyHooks, Server
-from .telemetry import STATE_FRACTIONS, TelemetryChannel, TelemetrySnapshot
-from .worker import Worker
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .metrics import LatencyRecorder, RunMetrics
+    from .queue import RequestQueue
+    from .server import PolicyHooks, Server
+    from .telemetry import STATE_FRACTIONS, TelemetryChannel, TelemetrySnapshot
+    from .worker import Worker
 
 __all__ = [
     "RequestQueue",
@@ -17,3 +22,5 @@ __all__ = [
     "TelemetrySnapshot",
     "STATE_FRACTIONS",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -1,8 +1,13 @@
 """Discrete-event simulation kernel (virtual clock, event heap, RNG streams)."""
 
-from .engine import Engine, PeriodicTask, SimulationError
-from .events import PRIORITY_CONTROL, PRIORITY_DEFAULT, PRIORITY_LATE
-from .rng import RngRegistry, generator_state, restore_generator
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .engine import Engine, PeriodicTask, SimulationError
+    from .events import PRIORITY_CONTROL, PRIORITY_DEFAULT, PRIORITY_LATE
+    from .rng import RngRegistry, generator_state, restore_generator
 
 __all__ = [
     "Engine",
@@ -15,3 +20,5 @@ __all__ = [
     "generator_state",
     "restore_generator",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -1,16 +1,21 @@
 """Latency-critical workload models: requests, service times, apps, traces."""
 
-from .apps import APP_NAMES, PAPER_APPS, SIM_APPS, AppSpec, get_app
-from .arrivals import OpenLoopSource
-from .burst import mmpp_trace
-from .request import Request
-from .service_time import (
-    FEATURE_DIM,
-    DeterministicService,
-    LognormalCorrelatedService,
-    ServiceModel,
-)
-from .trace import WorkloadTrace, constant_trace, diurnal_trace, synthesize_month
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .apps import APP_NAMES, PAPER_APPS, SIM_APPS, AppSpec, get_app
+    from .arrivals import OpenLoopSource
+    from .burst import mmpp_trace
+    from .request import Request
+    from .service_time import (
+        FEATURE_DIM,
+        DeterministicService,
+        LognormalCorrelatedService,
+        ServiceModel,
+    )
+    from .trace import WorkloadTrace, constant_trace, diurnal_trace, synthesize_month
 
 __all__ = [
     "Request",
@@ -30,3 +35,5 @@ __all__ = [
     "OpenLoopSource",
     "mmpp_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__)

@@ -49,9 +49,6 @@ class OpenLoopSource:
         Callable receiving each :class:`Request` (usually ``Server.submit``).
     rng:
         Dedicated random stream.
-    jitter:
-        If > 0, deterministic arrivals instead of Poisson are NOT supported;
-        reserved for future closed-loop modes.
     """
 
     def __init__(

@@ -19,10 +19,12 @@ def _load():
 
 
 class FakeRunner:
-    """Scripted per-side values; records the order of calls."""
+    """Scripted per-side values of ``metric``; records the order of calls."""
 
-    def __init__(self, base_dir, base, change, energy=(5.0, 5.0), digest=("d", "d")):
+    def __init__(self, base_dir, base, change, energy=(5.0, 5.0), digest=("d", "d"),
+                 metric="node_s_per_wall_s"):
         self.base_dir = Path(base_dir)
+        self.metric = metric
         self.values = {"base": list(base), "change": list(change)}
         self.energy = dict(zip(("base", "change"), energy))
         self.digest = dict(zip(("base", "change"), digest))
@@ -31,14 +33,14 @@ class FakeRunner:
     def __call__(self, checkout, workload, seed):
         side = "base" if Path(checkout) == self.base_dir else "change"
         self.calls.append((side, workload, seed))
-        return {
-            "metrics": {
-                "node_s_per_wall_s": self.values[side].pop(0),
-                "peak_rss_mb": 50.0 if side == "base" else 51.0,
-                "sim_energy_j": self.energy[side],
-            },
-            "sim_digest": self.digest[side],
+        metrics = {
+            "node_s_per_wall_s": 100.0,
+            "setup_s": 0.5,
+            "peak_rss_mb": 50.0 if side == "base" else 51.0,
+            "sim_energy_j": self.energy[side],
         }
+        metrics[self.metric] = self.values[side].pop(0)
+        return {"metrics": metrics, "sim_digest": self.digest[side]}
 
 
 def _main(tool, runner, tmp_path, *extra):
@@ -74,6 +76,31 @@ def test_alternates_sides_and_reports_the_pairs(tmp_path, capsys):
     assert "sim_energy_j equal: yes; sim_digest equal: yes (d)" in out
     assert "peak_rss_mb median base 50 change 51" in out
     assert "sim_energy_j median base 5 change 5" in out
+
+
+def test_lower_is_better_metric_counts_drops_as_wins(tmp_path, capsys):
+    # setup_s is "lower" in BENCHMARK.json: a pair is won when the change
+    # is faster, and the gap is the base median minus the change median.
+    tool = _load()
+    runner = FakeRunner(
+        tmp_path, base=[0.50, 0.48, 0.52, 0.49], change=[0.37, 0.36, 0.53, 0.38],
+        metric="setup_s",
+    )
+    assert _main(tool, runner, tmp_path, "--pairs", "4", "--metric", "setup_s") == 0
+    out = capsys.readouterr().out
+    assert "# pair 1 (base first): base 0.5 change 0.37" in out
+    assert "base   setup_s median 0.495 q1=0.4825 q3=0.515 n=4" in out
+    assert "change/base 0.758x; pairs won 3/4 (lower is better)" in out
+    assert "median gap 0.12 > base IQR 0.0325: yes" in out
+    assert "node_s_per_wall_s median base 100 change 100" in out
+
+
+def test_metric_must_be_an_end_to_end_metric(tmp_path, capsys):
+    tool = _load()
+    runner = FakeRunner(tmp_path, base=[1.0], change=[1.0])
+    with pytest.raises(SystemExit):
+        _main(tool, runner, tmp_path, "--metric", "sim.events")
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_reports_energy_and_digest_mismatches(tmp_path, capsys):

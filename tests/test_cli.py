@@ -274,6 +274,28 @@ class TestParser:
         out = capsys.readouterr().out
         assert "fig7" in out and "table2" in out
 
+    def test_help_imports_no_experiment(self):
+        # The registry lists ids and descriptions without importing the
+        # experiments, so the help text costs no experiment's compile.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro.cli", "--help"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(repro.__path__[0])),
+        )
+        assert "deeppower" in proc.stdout
+        loaded = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")
+        }
+        experiments = sorted(m for m in loaded if m.startswith("repro.experiments."))
+        assert experiments == ["repro.experiments.registry"]
+
     def test_experiment_fig5(self, capsys):
         assert main(["experiment", "fig5"]) == 0
         out = capsys.readouterr().out

@@ -184,6 +184,7 @@ def agent_store(tmp_path, monkeypatch):
     The stub records each training call and shifts the actor's weights, so
     a load from the store is told apart from a fresh agent.
     """
+    import repro.core.training
     import repro.experiments.fig7_main as fig7
 
     monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
@@ -195,5 +196,6 @@ def agent_store(tmp_path, monkeypatch):
             {k: v + 1.0 for k, v in agent.actor.state_dict().items()}
         )
 
-    monkeypatch.setattr(fig7, "train_deeppower", train)
+    # fig7 imports the trainer where it trains, so stub it at its source.
+    monkeypatch.setattr(repro.core.training, "train_deeppower", train)
     return fig7, trained, tmp_path

@@ -165,6 +165,60 @@ class TestGridPoolReuse:
         assert all(o.from_cache and o.pool_stats is None for o in warm)
 
 
+class TestPreForkImports:
+    """The parent imports what the cells execute before it forks."""
+
+    @pytest.mark.parametrize("policy", ["baseline", "retail", "gemini", "deeppower", "controller"])
+    def test_named_modules_exist(self, policy):
+        import importlib
+
+        from repro.parallel.cells import policy_modules
+
+        assert policy_modules(policy)
+        for name in policy_modules(policy):
+            importlib.import_module(name)
+
+    def test_fleet_spec_names_its_policy_and_coordinator(self):
+        from repro.cluster import ClusterConfig, FleetSpec
+        from repro.hier import HierConfig
+
+        config = ClusterConfig(app="xapian", num_nodes=2, cores_per_node=2, policy="retail")
+        spec = FleetSpec(config, constant_trace(10.0, 1.0))
+        assert spec.imports() == ("repro.baselines.retail",)
+        hier = FleetSpec(
+            ClusterConfig(app="xapian", num_nodes=2, cores_per_node=2, policy="controller",
+                          power_cap_watts=200.0, hier=HierConfig()),
+            constant_trace(10.0, 1.0),
+        )
+        assert hier.imports() == ("repro.core.thread_controller", "repro.hier.coordinator")
+
+    @pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
+    def test_forked_grid_imports_the_policy_in_the_parent(self):
+        # A fresh interpreter has not imported gemini; the cell runs in a
+        # worker, so only the pre-fork import can load it in the parent.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.parallel import RunSpec, run_grid\n"
+            "from repro.workload.trace import constant_trace\n"
+            "spec = RunSpec(app='xapian', policy='gemini', trace=constant_trace(50.0, 0.3),"
+            " num_cores=2, seed=1)\n"
+            "assert 'repro.baselines.gemini' not in sys.modules\n"
+            "assert run_grid([spec, spec], jobs=2)[0].ok\n"
+            "print('repro.baselines.gemini' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(repro.__path__[0])),
+        )
+        assert proc.stdout.split() == ["True"]
+
+
 class TestGridCache:
     def test_cold_then_warm_identical(self, tmp_path):
         cache = RunResultCache(root=str(tmp_path))

@@ -6,7 +6,7 @@ account, and its ``--out`` report is ``BENCH_perf.json``.  This script
 keeps the five gates that benchmark has no equivalent for.  Each mode
 runs only the section it gates::
 
-    python benchmarks/bench_perf.py --jobs 2 --check   # grid speedup >= 1.5x
+    python benchmarks/bench_perf.py --jobs 2 --check   # median grid speedup >= 1.5x
     python benchmarks/bench_perf.py --obs-check        # metrics-only obs <= 2 %
     python benchmarks/bench_perf.py --hier             # learned coordinator < 5 %
     python benchmarks/bench_perf.py --trace --check    # summarize >= 5 MB/s
@@ -17,8 +17,10 @@ combine; with none of them the grid runs.  ``--check`` gates the grid,
 trace and fleet-scaling sections.  The two overhead A/Bs (``--obs-check``,
 ``--hier``) gate themselves: each times its arms in paired rounds and
 compares the median of per-round ratios, so the gate does not depend on
-how fast the machine is.  The grid speedup gate is skipped, with the reason recorded,
-when the grid's jobs oversubscribe the machine's cores.  The 256-node
+how fast the machine is.  The grid gate likewise reads the median
+serial/parallel ratio of ``GRID_ROUNDS`` alternating rounds; it is
+skipped, with the reason recorded, when the grid's jobs oversubscribe
+the machine's cores.  The 256-node
 floor is 70 % of the ``fleet_scaling`` row of
 ``benchmarks/bench_perf_baseline.json``.
 
@@ -48,18 +50,22 @@ E2E_REPORT = os.path.join(REPO_ROOT, "BENCH_perf.json")
 DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "bench_perf_baseline.json")
 
 #: Gate report schema version (documented in EXPERIMENTS.md).
-#: Schema 6: the ``controller``, ``run_policy`` and ``fleet`` sections are
-#: gone, and a report holds only the sections its mode ran.
-BENCH_SCHEMA = 6
+#: Schema 7: ``grid`` records the ratio of every round and gates their
+#: median; ``grid.pool_stats`` and the zstd trace codec are gone.
+BENCH_SCHEMA = 7
 
 #: --fleet --check fails when 256-node nodes/sec falls below (1 - this) *
 #: the committed baseline.
 REGRESSION_TOLERANCE = 0.30
 
-#: --check gates grid parallel speedup at this floor — but only when the
-#: machine actually has more cores than grid jobs; an oversubscribed run
-#: (jobs > cpus) skips the gate with a logged reason.
+#: --check gates the median grid parallel speedup at this floor — but
+#: only when the machine actually has more cores than grid jobs; an
+#: oversubscribed run (jobs > cpus) skips the gate with a logged reason.
 GRID_SPEEDUP_FLOOR = 1.5
+
+#: Alternating serial/parallel grid rounds; one wall-clock ratio of a
+#: short grid on a shared host is too noisy to gate alone.
+GRID_ROUNDS = 3
 
 #: --trace --check fails when the streaming fleet summarizer processes
 #: fewer MB of plain JSONL per second than this.  Deliberately far below
@@ -335,20 +341,20 @@ def _write_synthetic_fleet_trace(path: str, nodes: int, windows: int,
 
 
 def bench_trace(nodes: int = 32, windows: int = 500, repeats: int = 3) -> dict:
-    """Streaming-summarize throughput and compressed trace size ratios.
+    """Streaming-summarize throughput and the gzip trace size ratio.
 
     Writes one deterministic fleet-shaped trace (``nodes`` node-windows
     per simulated second for ``windows`` seconds, plus powercap windows
     and summaries), then measures (a) how many MB of plain JSONL
     :func:`~repro.obs.summarize_fleet_trace` processes per wall second
-    (best of ``repeats``) and (b) the plain-vs-compressed size ratio of
-    the same event stream for each available codec.  ``--trace --check``
+    (best of ``repeats``) and (b) the plain-vs-gzip size ratio of the
+    same event stream.  ``--trace --check``
     gates (a) at ``TRACE_SUMMARIZE_MBPS_FLOOR``; the ratios are
     informational.
     """
     import tempfile
 
-    from repro.obs import summarize_fleet_trace, trace_codecs
+    from repro.obs import summarize_fleet_trace
 
     with tempfile.TemporaryDirectory(prefix="bench-trace-") as tmp:
         plain = os.path.join(tmp, "bench.trace.jsonl")
@@ -368,19 +374,19 @@ def bench_trace(nodes: int = 32, windows: int = 500, repeats: int = 3) -> dict:
             "plain_bytes": plain_bytes,
             "summarize_seconds": best,
             "summarize_mb_per_sec": plain_bytes / 1e6 / best,
-            "codecs": {},
         }
-        for codec in trace_codecs():
-            out = os.path.join(tmp, f"bench.{codec}.trace.jsonl")
-            t0 = time.perf_counter()
-            _write_synthetic_fleet_trace(out, nodes, windows, compress=codec)
-            write_wall = time.perf_counter() - t0
-            size = os.path.getsize(out)
-            result["codecs"][codec] = {
+        gz = os.path.join(tmp, "bench.gzip.trace.jsonl")
+        t0 = time.perf_counter()
+        _write_synthetic_fleet_trace(gz, nodes, windows, compress="gzip")
+        write_wall = time.perf_counter() - t0
+        size = os.path.getsize(gz)
+        result["codecs"] = {
+            "gzip": {
                 "bytes": size,
                 "ratio_vs_plain": plain_bytes / size,
                 "write_seconds": write_wall,
-            }
+            },
+        }
         return result
 
 
@@ -408,6 +414,8 @@ def bench_grid(apps, jobs, num_cores: int = 4, duration: float = 20.0,
                seed: int = 3) -> dict:
     """Wall-clock the same grid serially and fanned over ``jobs`` workers.
 
+    The two arms alternate for ``GRID_ROUNDS`` rounds; ``speedups`` holds
+    each round's serial/parallel ratio and ``speedup`` their median.
     ``jobs=None`` auto-sizes to ``min(4, cpu_count)`` so the benchmark
     never oversubscribes by default.  An explicit ``jobs`` larger than the
     machine still runs (the wall-clock numbers are real), but the section
@@ -422,17 +430,19 @@ def bench_grid(apps, jobs, num_cores: int = 4, duration: float = 20.0,
     jobs = max(1, int(jobs))
     specs = _grid_specs(apps, num_cores, duration, seed)
 
-    t0 = time.perf_counter()
-    serial = run_grid(specs, jobs=1)
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    parallel = run_grid(specs, jobs=jobs)
-    parallel_s = time.perf_counter() - t0
-
-    for a, b in zip(serial, parallel):
-        if a.unwrap() != b.unwrap():  # pragma: no cover - determinism guard
-            raise AssertionError("parallel grid diverged from serial grid")
+    rounds, reference = [], None
+    for _ in range(GRID_ROUNDS):
+        row = {}
+        for arm, arm_jobs in (("serial", 1), ("parallel", jobs)):
+            t0 = time.perf_counter()
+            outcomes = run_grid(specs, jobs=arm_jobs)
+            row[arm] = time.perf_counter() - t0
+            metrics = [o.unwrap() for o in outcomes]
+            if reference is None:
+                reference = metrics
+            elif metrics != reference:  # pragma: no cover - determinism guard
+                raise AssertionError(f"{arm} grid diverged from the first serial grid")
+        rounds.append(row)
     oversubscribed = jobs > cpus
     if oversubscribed:
         gate = (
@@ -443,7 +453,6 @@ def bench_grid(apps, jobs, num_cores: int = 4, duration: float = 20.0,
         gate = "skipped: jobs=1 is the serial path; nothing to compare"
     else:
         gate = "ok"
-    stats = next((o.pool_stats for o in parallel if o.pool_stats), None)
     return {
         "cells": len(specs),
         "jobs_requested": requested,
@@ -451,10 +460,11 @@ def bench_grid(apps, jobs, num_cores: int = 4, duration: float = 20.0,
         "cpus": cpus,
         "oversubscribed": oversubscribed,
         "speedup_gate": gate,
-        "serial_seconds": serial_s,
-        "parallel_seconds": parallel_s,
-        "speedup": serial_s / parallel_s,
-        "pool_stats": stats,
+        "rounds": GRID_ROUNDS,
+        "serial_seconds": statistics.median(r["serial"] for r in rounds),
+        "parallel_seconds": statistics.median(r["parallel"] for r in rounds),
+        "speedups": [r["serial"] / r["parallel"] for r in rounds],
+        "speedup": median_ratio(rounds, "serial", "parallel"),
     }
 
 
@@ -472,17 +482,11 @@ def run_benchmarks(args) -> dict:
         print(f"[bench_perf] grid of {3 * len(apps)} cells, jobs={args.jobs or 'auto'} ...")
         grid = bench_grid(apps, args.jobs, duration=args.duration)
         print(
-            f"  serial {grid['serial_seconds']:.2f}s, "
+            f"  median serial {grid['serial_seconds']:.2f}s, "
             f"jobs={grid['jobs']} {grid['parallel_seconds']:.2f}s "
-            f"({grid['speedup']:.2f}x on {grid['cpus']} cpu(s))"
+            f"({grid['speedup']:.2f}x on {grid['cpus']} cpu(s); rounds "
+            + ", ".join(f"{s:.2f}x" for s in grid["speedups"]) + ")"
         )
-        if grid["pool_stats"]:
-            ps = grid["pool_stats"]
-            print(
-                f"  pool: {ps['forks']} fork(s), {ps['map_calls']} map(s), "
-                f"{ps['tasks_per_worker']:.1f} tasks/worker, "
-                f"chunksize {ps['chunksize']}"
-            )
         result["grid"] = grid
     if args.fleet:
         print("[bench_perf] fleet-tick throughput ...")
@@ -494,7 +498,7 @@ def run_benchmarks(args) -> dict:
             )
         result["fleet_scaling"] = scaling
     if args.trace:
-        print("[bench_perf] streaming trace summarize + compression ratios ...")
+        print("[bench_perf] streaming trace summarize + gzip ratio ...")
         tr = bench_trace()
         print(
             f"  {tr['events']:,} events, {tr['plain_bytes'] / 1e6:.1f} MB "
@@ -557,16 +561,17 @@ def check_regression(result: dict, baseline_path: str) -> int:
     failures = []
     grid = result.get("grid")
     if grid is not None:
+        speedup = statistics.median(grid["speedups"])
         if grid["speedup_gate"] != "ok":
             print(f"[bench_perf] grid speedup gate {grid['speedup_gate']}")
-        elif grid["speedup"] < GRID_SPEEDUP_FLOOR:
+        elif speedup < GRID_SPEEDUP_FLOOR:
             failures.append(
-                f"grid speedup {grid['speedup']:.2f}x below "
+                f"median grid speedup {speedup:.2f}x below "
                 f"{GRID_SPEEDUP_FLOOR}x floor at jobs={grid['jobs']} "
                 f"on {grid['cpus']} cpu(s)"
             )
         else:
-            print(f"[bench_perf] grid speedup {grid['speedup']:.2f}x: OK")
+            print(f"[bench_perf] median grid speedup {speedup:.2f}x: OK")
     scaling = result.get("fleet_scaling")
     if scaling is not None and not os.path.exists(baseline_path):
         print(f"[bench_perf] no baseline at {baseline_path}; skipping floor check")
@@ -624,7 +629,7 @@ def main(argv=None) -> int:
     p.add_argument("--trace", action="store_true",
                    help="benchmark the streaming trace summarizer "
                         "(MB/s over a synthetic fleet trace) and the "
-                        "compressed-vs-plain size ratio per codec; with "
+                        "gzip-vs-plain size ratio; with "
                         f"--check, gate MB/s at {TRACE_SUMMARIZE_MBPS_FLOOR}")
     p.add_argument("--hier", action="store_true",
                    help="run the learned-vs-heuristic budget "

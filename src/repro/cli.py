@@ -223,9 +223,8 @@ def _add_trace_layout_args(sp: argparse.ArgumentParser) -> None:
         "transparently by trace summarize/tail/query)",
     )
     sp.add_argument(
-        "--trace-compress", default=None, choices=["gzip", "zstd"],
-        help="compress the trace (gzip: stdlib; zstd: needs the optional "
-        "zstandard module)",
+        "--trace-compress", default=None, choices=["gzip"],
+        help="compress the trace with gzip",
     )
     sp.add_argument(
         "--trace-shard-nodes", action="store_true",
@@ -639,7 +638,7 @@ def _cmd_trace_slice(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .cluster.node import NODE_POLICIES
+    from .parallel.cells import POLICY_NAMES
     from .workload.apps import APP_NAMES
 
     p = argparse.ArgumentParser(prog="deeppower", description=__doc__)
@@ -728,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cores per node (default: profile-sized)",
     )
     sp.add_argument(
-        "--policy", default="baseline", choices=list(NODE_POLICIES),
+        "--policy", default="baseline", choices=POLICY_NAMES,
         help="per-node power policy (default: %(default)s)",
     )
     sp.add_argument(
@@ -872,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "trace",
-        help="inspect a JSONL observability trace (plain, gzip/zstd "
+        help="inspect a JSONL observability trace (plain, gzip "
         "compressed, or segmented — all read transparently)",
     )
     tsub = sp.add_subparsers(dest="action", required=True)

@@ -638,12 +638,6 @@ class FleetSpec:
     trace: WorkloadTrace
     label: str = ""
     trace_out: Optional[str] = None
-    #: Trace storage layout (segment rotation, gzip/zstd codec, per-node
-    #: shards).  Like ``trace_out`` these shape a side artifact, not the
-    #: result, so they stay out of ``cache_payload``.
-    trace_segment_events: Optional[int] = None
-    trace_compress: Optional[str] = None
-    trace_shard_by_node: bool = False
 
     @property
     def app(self) -> str:
@@ -713,15 +707,7 @@ class FleetSpec:
         # trace stays byte-identical to a pre-hier fleet trace.
         if cfg.hier is not None:
             meta["hier"] = cfg.hier.algo
-        _, metrics = run_cluster(
-            cfg,
-            self.trace,
-            trace_out=self.trace_out,
-            meta=meta,
-            trace_segment_events=self.trace_segment_events,
-            trace_compress=self.trace_compress,
-            trace_shard_by_node=self.trace_shard_by_node,
-        )
+        _, metrics = run_cluster(cfg, self.trace, trace_out=self.trace_out, meta=meta)
         return metrics, {}
 
 

@@ -47,8 +47,6 @@ if TYPE_CHECKING:
         TraceWriter,
         read_trace,
         read_trace_index,
-        trace_codecs,
-        zstd_available,
     )
 
 __all__ = [
@@ -62,8 +60,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "read_trace",
     "read_trace_index",
-    "trace_codecs",
-    "zstd_available",
     "trace_query",
     "trace_tail",
     "TraceSummary",

@@ -1,7 +1,7 @@
 """Index-aware trace slicing: the ``trace tail`` / ``trace query`` backends.
 
 Both entry points ride :func:`repro.obs.trace.read_trace`'s transparent
-multi-format reading (plain, gzip/zstd-compressed, segmented), but when
+multi-format reading (plain, gzip-compressed, segmented), but when
 ``path`` is a segmented trace they consult its one-line JSON index first
 and skip whole segment files that cannot contain a match:
 

@@ -13,11 +13,10 @@ Storage layouts (ISSUE 9) — all read back through the same
 
 * **plain** (the default, byte-identical to earlier schema-1 traces):
   one JSONL file at ``path``;
-* **compressed**: the same single stream gzip- (stdlib) or
-  zstd-compressed (when the ``zstandard`` module is importable) at
+* **compressed**: the same single stream gzip-compressed (stdlib) at
   ``path``, detected on read by magic bytes;
 * **segmented** (``segment_events=N`` and/or ``shard_key=...``): events
-  are rotated into ``<path>.000N[...].jsonl[.gz|.zst]`` segment files
+  are rotated into ``<path>.000N[...].jsonl[.gz]`` segment files
   (optionally sharded by an event field such as ``node``) and ``path``
   itself becomes a one-line JSON **index** mapping each segment to its
   event count, first/last virtual timestamp and byte size — enough for
@@ -39,11 +38,10 @@ acceptance tests assert depends on this.
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import os
 import warnings
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -54,8 +52,6 @@ __all__ = [
     "TraceWriter",
     "read_trace",
     "read_trace_index",
-    "trace_codecs",
-    "zstd_available",
 ]
 
 #: Bump when the event layout changes incompatibly.
@@ -68,25 +64,12 @@ TRACE_INDEX_SCHEMA = 1
 DEFAULT_BUFFER_EVENTS = 256
 
 _GZIP_MAGIC = b"\x1f\x8b"
+#: Recognised on read only, to name the codec this reader lacks.
 _ZSTD_MAGIC = b"\x28\xb5\x2f\xfd"
 
 
 class TraceError(RuntimeError):
     """Invalid trace usage or an unreadable/incompatible trace file."""
-
-
-def zstd_available() -> bool:
-    """Whether the optional ``zstandard`` module is importable."""
-    try:
-        import zstandard  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def trace_codecs() -> Tuple[str, ...]:
-    """Codecs :class:`TraceWriter` accepts on this interpreter."""
-    return ("gzip", "zstd") if zstd_available() else ("gzip",)
 
 
 def _jsonable(obj: Any):
@@ -99,7 +82,7 @@ def _jsonable(obj: Any):
 
 
 def _codec_ext(compress: Optional[str]) -> str:
-    return {"gzip": ".gz", "zstd": ".zst", None: ""}[compress]
+    return ".gz" if compress == "gzip" else ""
 
 
 def _open_compressed_writer(raw, compress: Optional[str]):
@@ -108,10 +91,6 @@ def _open_compressed_writer(raw, compress: Optional[str]):
         # mtime=0 and an empty embedded filename keep compressed bytes
         # deterministic for equal inputs regardless of path or wall clock.
         return gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
-    if compress == "zstd":
-        import zstandard
-
-        return zstandard.ZstdCompressor().stream_writer(raw, closefd=False)
     return raw
 
 
@@ -172,8 +151,7 @@ class TraceWriter:
         Rotate to a new segment file every N events (per shard).  Enables
         the indexed layout: ``path`` becomes the JSON segment index.
     compress:
-        ``"gzip"`` (stdlib) or ``"zstd"`` (requires the optional
-        ``zstandard`` module); ``None`` writes plain JSONL.
+        ``"gzip"`` (stdlib); ``None`` writes plain JSONL.
     shard_key:
         Event field (e.g. ``"node"``) whose value routes events into
         per-shard segment files; events without the field go to the main
@@ -195,15 +173,8 @@ class TraceWriter:
             raise ValueError("buffer_events must be positive")
         if segment_events is not None and segment_events <= 0:
             raise ValueError("segment_events must be positive")
-        if compress not in (None, "gzip", "zstd"):
-            raise ValueError(
-                f"unknown trace codec {compress!r}; choose from gzip, zstd"
-            )
-        if compress == "zstd" and not zstd_available():
-            raise TraceError(
-                "zstd trace compression needs the optional 'zstandard' "
-                "module; install it or use compress='gzip'"
-            )
+        if compress not in (None, "gzip"):
+            raise ValueError(f"unknown trace codec {compress!r}; the codec is gzip")
         self.path = str(path)
         self.part_path = self.path + ".part"
         self.buffer_events = int(buffer_events)
@@ -369,16 +340,9 @@ def _open_stream(path: str, codec: Optional[str]):
     if codec == "gzip":
         return gzip.open(path, "rb")
     if codec == "zstd":
-        try:
-            import zstandard
-        except ImportError as exc:  # pragma: no cover - env without zstandard
-            raise TraceError(
-                f"{path}: zstd-compressed trace but the 'zstandard' module "
-                "is not installed"
-            ) from exc
-        raw = open(path, "rb")
-        reader = zstandard.ZstdDecompressor().stream_reader(raw, closefd=True)
-        return io.BufferedReader(reader)
+        raise TraceError(
+            f"{path}: zstd-compressed trace; only plain and gzip traces are readable"
+        )
     return open(path, "rb")
 
 
@@ -495,7 +459,7 @@ def _iter_indexed(
 def read_trace(path: str, strict: bool = True) -> Iterator[Dict[str, Any]]:
     """Yield every event of a trace, header first — any storage layout.
 
-    Plain JSONL, gzip/zstd-compressed streams (detected by magic bytes)
+    Plain JSONL, gzip-compressed streams (detected by magic bytes)
     and segmented traces (``path`` is a ``trace-index`` document) all
     read back through this one call; segmented traces yield their
     segments in index order.

@@ -8,15 +8,15 @@ process pool is free of shared state and produces *bitwise identical*
 results to the serial loop.  This package provides:
 
 * :class:`ParallelMap` — an order-preserving process-pool map with per-item
-  failure isolation (a crashing item returns an error, siblings survive),
-  worker warm-up, and a serial in-process fallback when ``jobs == 1`` or
-  the platform cannot ``fork``.
+  failure isolation (a crashing item returns an error, siblings survive)
+  on one fork pool per map, and a serial in-process fallback when
+  ``jobs == 1`` or the platform cannot ``fork``.
 * :class:`RunResultCache` — the content-addressed on-disk store for run
   results and trained agents, keyed by a stable hash of the complete run
   description or training recipe and invalidated by a schema version.
 * :mod:`repro.parallel.grid` — picklable :class:`RunSpec` descriptions of
   single ``run_policy`` cells plus :func:`run_grid`, which combines the
-  pool and the cache.
+  pool and the cache and stores each cell as soon as it finishes.
 """
 
 from typing import TYPE_CHECKING
@@ -41,14 +41,12 @@ if TYPE_CHECKING:
         grid_trace_path,
         run_grid,
     )
-    from .pool import ItemOutcome, ParallelMap, PoolStats, shutdown_pools
+    from .pool import ItemOutcome, ParallelMap
 
 __all__ = [
     "ParallelMap",
     "ItemOutcome",
-    "PoolStats",
     "derive_seed",
-    "shutdown_pools",
     "RunResultCache",
     "content_key",
     "default_cache_root",

@@ -11,7 +11,9 @@ import hashlib
 import importlib
 from typing import Dict, Tuple
 
-__all__ = ["derive_seed", "GRID_POLICIES", "grid_policy", "policy_modules"]
+__all__ = [
+    "derive_seed", "GRID_POLICIES", "POLICY_NAMES", "grid_policy", "policy_modules",
+]
 
 
 def derive_seed(base_seed: int, *parts: object, bits: int = 31) -> int:
@@ -45,6 +47,10 @@ _POLICY_MODULES: Dict[str, Tuple[str, ...]] = {
     "deeppower": ("repro.core.training", "repro.experiments.fig7_main"),
     "controller": ("repro.core.thread_controller",),
 }
+
+#: Every per-node policy name, in ``NODE_POLICIES`` order; the CLI lists
+#: these without importing the fleet.
+POLICY_NAMES: Tuple[str, ...] = (*GRID_POLICIES, *_POLICY_MODULES)
 
 
 def grid_policy(name: str) -> type:

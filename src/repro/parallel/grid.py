@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import importlib
 import os
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +28,7 @@ from ..workload.apps import get_app
 from ..workload.trace import WorkloadTrace
 from .cache import RunResultCache, file_digest
 from .cells import GRID_POLICIES, grid_policy, policy_modules
-from .pool import ItemOutcome, ParallelMap
+from .pool import ParallelMap
 
 __all__ = [
     "RunSpec",
@@ -100,10 +99,6 @@ class RunSpec:
         *excluded* from the cache key — the trace is a side artifact of
         executing the cell, not part of its result — but a traced cell
         always executes (a cache hit would produce no trace file).
-    trace_segment_events, trace_compress:
-        Trace storage layout (segment rotation and gzip/zstd codec),
-        forwarded to :class:`~repro.obs.TraceWriter`.  Side-artifact
-        controls like ``trace_out``: excluded from the cache key.
     """
 
     app: str
@@ -118,8 +113,6 @@ class RunSpec:
     extras: Tuple[str, ...] = ()
     label: str = ""
     trace_out: Optional[str] = None
-    trace_segment_events: Optional[int] = None
-    trace_compress: Optional[str] = None
 
     def execute(self) -> Tuple[RunMetrics, Dict[str, Any]]:
         """Run this cell from scratch (the generic spec protocol).
@@ -163,10 +156,6 @@ class GridOutcome:
     extras: Dict[str, Any] = field(default_factory=dict)
     error: Optional[str] = None
     from_cache: bool = False
-    elapsed: float = 0.0
-    #: Snapshot of the serving pool's lifetime stats (forks, tasks/worker,
-    #: reuse counters); ``None`` for cache hits and serial execution.
-    pool_stats: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
@@ -223,8 +212,6 @@ def execute_run_spec(spec: RunSpec) -> Tuple[RunMetrics, Dict[str, Any]]:
                 "num_cores": spec.num_cores,
                 "label": spec.label,
             },
-            trace_segment_events=spec.trace_segment_events,
-            trace_compress=spec.trace_compress,
         )
     try:
         if spec.policy == "deeppower":
@@ -307,26 +294,21 @@ def run_grid(
     specs: Sequence[RunSpec],
     jobs: int = 1,
     cache: Optional[RunResultCache] = None,
-    warmup: Optional[Callable[[], None]] = None,
     trace_dir: Optional[str] = None,
-    trace_segment_events: Optional[int] = None,
-    trace_compress: Optional[str] = None,
 ) -> List[GridOutcome]:
     """Execute a grid of specs, in parallel and through the result cache.
 
     Cache hits never enter the pool; misses are executed (fanned out over
-    ``jobs`` forked workers) and written back.  Failed cells produce
-    :class:`GridOutcome` objects carrying the worker traceback — sibling
-    results are unaffected and *not* cached-poisoned (errors are never
-    stored).
+    ``jobs`` forked workers) and each is written back as soon as it
+    finishes, so a grid killed part-way keeps every cell it completed.
+    Failed cells produce :class:`GridOutcome` objects carrying the worker
+    traceback — sibling results are unaffected and *not* cached-poisoned
+    (errors are never stored).
 
     With ``trace_dir`` set, every cell writes a JSONL observability trace
     to ``grid_trace_path(trace_dir, spec, i)``.  Traced cells skip the
     cache *read* (a hit would skip execution and leave no trace file) but
     their results are still written back for untraced reruns.
-    ``trace_segment_events`` / ``trace_compress`` pick the storage layout
-    for those per-cell traces (cells that arrive with their own
-    ``trace_out`` keep their own settings).
 
     Before it forks, the parent imports every module the pending cells
     name in ``imports()``, so the workers inherit them compiled.
@@ -336,17 +318,9 @@ def run_grid(
     specs = list(specs)
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
-        layout = {}
-        if trace_segment_events is not None:
-            layout["trace_segment_events"] = trace_segment_events
-        if trace_compress is not None:
-            layout["trace_compress"] = trace_compress
         specs = [
-            spec
-            if spec.trace_out
-            else replace(
-                spec, trace_out=grid_trace_path(trace_dir, spec, i), **layout
-            )
+            spec if spec.trace_out
+            else replace(spec, trace_out=grid_trace_path(trace_dir, spec, i))
             for i, spec in enumerate(specs)
         ]
     outcomes: List[Optional[GridOutcome]] = [None] * len(specs)
@@ -354,7 +328,7 @@ def run_grid(
 
     for i, spec in enumerate(specs):
         key = cache.key(spec.cache_payload()) if cache is not None else None
-        if cache is not None and key is not None and not spec.trace_out:
+        if key is not None and not spec.trace_out:
             hit = cache.get(key)
             if hit is not None:
                 metrics, extras = hit
@@ -364,28 +338,22 @@ def run_grid(
                 continue
         pending.append((i, spec, key))
 
-    if pending:
-        pool = ParallelMap(jobs=jobs, warmup=warmup)
-        if not pool.is_serial:
-            # Forked workers inherit the parent's modules: import what the
-            # cells execute here, once, rather than once in every worker.
-            modules = {name for _, spec, _ in pending for name in spec.imports()}
-            for name in sorted(modules):
-                importlib.import_module(name)
-        t0 = time.perf_counter()
-        results: List[ItemOutcome] = pool.map(_cell_worker, [s for _, s, _ in pending])
-        elapsed = time.perf_counter() - t0
-        stats = pool.last_stats.as_dict() if pool.last_stats is not None else None
-        for (i, spec, key), item in zip(pending, results):
-            if item.ok:
-                metrics, extras = item.value
-                outcomes[i] = GridOutcome(
-                    spec=spec, metrics=metrics, extras=extras, elapsed=elapsed,
-                    pool_stats=stats,
-                )
-                if cache is not None and key is not None:
-                    cache.put(key, (metrics, extras))
-            else:
-                outcomes[i] = GridOutcome(spec=spec, error=item.error)
+    pool = ParallelMap(jobs=jobs)
+    if pending and not pool.is_serial:
+        # Forked workers inherit the parent's modules: import what the
+        # cells execute here, once, rather than once in every worker.
+        modules = {name for _, spec, _ in pending for name in spec.imports()}
+        for name in sorted(modules):
+            importlib.import_module(name)
+    # Completion order varies with --jobs; the index places each cell.
+    for item in pool.imap(_cell_worker, [spec for _, spec, _ in pending]):
+        i, spec, key = pending[item.index]
+        if item.ok:
+            metrics, extras = item.value
+            outcomes[i] = GridOutcome(spec=spec, metrics=metrics, extras=extras)
+            if key is not None:
+                cache.put(key, (metrics, extras))
+        else:
+            outcomes[i] = GridOutcome(spec=spec, error=item.error)
 
-    return [o for o in outcomes if o is not None]
+    return outcomes  # type: ignore[return-value]

@@ -65,18 +65,24 @@ def test_trace_summarize_floor():
     assert code(4.9) == 1
 
 
-def _grid(speedup, jobs=2, cpus=4, gate="ok"):
-    return {"grid": {"speedup": speedup, "jobs": jobs, "cpus": cpus,
+def _grid(speedups, jobs=2, cpus=4, gate="ok"):
+    return {"grid": {"speedups": speedups, "jobs": jobs, "cpus": cpus,
                      "speedup_gate": gate}}
 
 
 def test_grid_speedup_floor():
-    assert bench.check_regression(_grid(1.5), "unused") == 0
-    assert bench.check_regression(_grid(1.49), "unused") == 1
+    assert bench.check_regression(_grid([1.5, 1.5, 1.5]), "unused") == 0
+    assert bench.check_regression(_grid([1.49, 1.49, 1.49]), "unused") == 1
+
+
+def test_grid_gate_reads_the_median_round():
+    # One noisy round neither fails a good grid nor passes a bad one.
+    assert bench.check_regression(_grid([1.8, 1.06, 1.7]), "unused") == 0
+    assert bench.check_regression(_grid([1.3, 2.2, 1.4]), "unused") == 1
 
 
 def test_grid_gate_skips_an_oversubscribed_run():
-    skipped = _grid(1.0, jobs=4, cpus=2, gate="skipped: jobs=4 oversubscribes 2 cpu(s)")
+    skipped = _grid([1.0], jobs=4, cpus=2, gate="skipped: jobs=4 oversubscribes 2 cpu(s)")
     assert bench.check_regression(skipped, "unused") == 0
 
 
@@ -104,7 +110,7 @@ def test_committed_baseline_gates_256_nodes():
 #: Each section bench, stubbed with the fields its progress lines print.
 STUB_SECTIONS = {
     "bench_grid": {"serial_seconds": 1.0, "parallel_seconds": 1.0, "jobs": 2,
-                   "speedup": 1.0, "cpus": 2, "pool_stats": None},
+                   "speedup": 1.0, "speedups": [1.0, 1.0, 1.0], "cpus": 2},
     "bench_fleet_scaling": {"rows": []},
     "bench_trace": {"events": 1, "plain_bytes": 1, "summarize_mb_per_sec": 9.0,
                     "codecs": {}},

@@ -295,6 +295,19 @@ class TestParser:
         }
         experiments = sorted(m for m in loaded if m.startswith("repro.experiments."))
         assert experiments == ["repro.experiments.registry"]
+        # The fleet --policy choices come from parallel.cells, not the fleet.
+        fleet = sorted(
+            m for m in loaded
+            if m == "repro.cluster.node" or m == "repro.server" or m.startswith("repro.server.")
+        )
+        assert fleet == []
+
+    def test_fleet_policy_choices_are_the_node_policies(self):
+        from repro.cluster.node import NODE_POLICIES
+
+        fleet = build_parser()._subparsers._group_actions[0].choices["fleet"]
+        (policy,) = [a for a in fleet._actions if a.dest == "policy"]
+        assert list(policy.choices) == list(NODE_POLICIES)
 
     def test_experiment_fig5(self, capsys):
         assert main(["experiment", "fig5"]) == 0

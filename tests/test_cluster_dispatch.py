@@ -12,7 +12,7 @@ from repro.cluster.dispatch import (
     make_router,
 )
 from repro.cluster.node import DEGRADED, DOWN, HEALTHY, ClusterNode, build_node_driver
-from repro.parallel.pool import derive_seed
+from repro.parallel.cells import derive_seed
 from repro.sim.engine import Engine
 from repro.workload.apps import get_app
 from repro.workload.request import Request

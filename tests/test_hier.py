@@ -28,7 +28,7 @@ from repro.hier import (
 )
 from repro.hier import agent as hier_agent
 from repro.obs import Observability, render_fleet_summary, summarize_fleet_trace
-from repro.parallel.pool import derive_seed
+from repro.parallel.cells import derive_seed
 from repro.workload.apps import get_app
 from repro.workload.trace import constant_trace
 

@@ -11,7 +11,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.parallel import RunSpec, RunResultCache, run_grid, shutdown_pools
+from repro.parallel import RunSpec, RunResultCache, run_grid
 from repro.parallel.grid import EXTRAS_COLLECTORS, execute_run_spec
 from repro.workload.trace import constant_trace
 
@@ -120,49 +120,15 @@ class TestGridDeterminism:
     @pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
     def test_jobs4_bitwise_identical_to_serial(self):
         specs = _specs()
-        serial = run_grid(specs, jobs=1, warmup=None)
-        fanned = run_grid(specs, jobs=4, warmup=None)
+        serial = run_grid(specs, jobs=1)
+        fanned = run_grid(specs, jobs=4)
         _assert_outcomes_bitwise_equal(serial, fanned)
 
     def test_serial_rerun_bitwise_identical(self):
         specs = _specs(duration=1.0)[:2]
-        a = run_grid(specs, jobs=1, warmup=None)
-        b = run_grid(specs, jobs=1, warmup=None)
+        a = run_grid(specs, jobs=1)
+        b = run_grid(specs, jobs=1)
         _assert_outcomes_bitwise_equal(a, b)
-
-
-@pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
-class TestGridPoolReuse:
-    """ISSUE 8: whole run_grid invocations share one persistent pool."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_registry(self):
-        shutdown_pools()
-        yield
-        shutdown_pools()
-
-    def test_consecutive_grids_fork_at_most_once_per_worker(self):
-        specs = _specs(duration=0.8)
-        first = run_grid(specs, jobs=2, warmup=None)
-        second = run_grid(specs, jobs=2, warmup=None)
-        for outs in (first, second):
-            stats = next(o.pool_stats for o in outs if o.pool_stats)
-            assert stats["workers"] == 2
-            assert stats["forks"] == 2  # never re-forked
-        stats2 = next(o.pool_stats for o in second if o.pool_stats)
-        assert stats2["map_calls"] == 2
-        assert stats2["reused_maps"] == 1
-        assert stats2["tasks"] == 2 * len(specs)
-        _assert_outcomes_bitwise_equal(first, second)
-
-    def test_serial_and_cached_outcomes_have_no_pool_stats(self, tmp_path):
-        specs = _specs(duration=0.8)[:2]
-        serial = run_grid(specs, jobs=1, warmup=None)
-        assert all(o.pool_stats is None for o in serial)
-        cache = RunResultCache(root=str(tmp_path))
-        run_grid(specs, jobs=2, cache=cache, warmup=None)
-        warm = run_grid(specs, jobs=2, cache=cache, warmup=None)
-        assert all(o.from_cache and o.pool_stats is None for o in warm)
 
 
 class TestPreForkImports:
@@ -223,11 +189,11 @@ class TestGridCache:
     def test_cold_then_warm_identical(self, tmp_path):
         cache = RunResultCache(root=str(tmp_path))
         specs = _specs(duration=1.0)[:2]
-        cold = run_grid(specs, jobs=1, cache=cache, warmup=None)
+        cold = run_grid(specs, jobs=1, cache=cache)
         assert cache.hits == 0 and cache.misses == len(specs)
         assert all(not o.from_cache for o in cold)
 
-        warm = run_grid(specs, jobs=1, cache=cache, warmup=None)
+        warm = run_grid(specs, jobs=1, cache=cache)
         assert cache.hits == len(specs)
         assert all(o.from_cache for o in warm)
         _assert_outcomes_bitwise_equal(cold, warm)
@@ -236,8 +202,8 @@ class TestGridCache:
     def test_warm_cache_matches_parallel_cold(self, tmp_path):
         cache = RunResultCache(root=str(tmp_path))
         specs = _specs(duration=1.0)[:3]
-        cold = run_grid(specs, jobs=2, cache=cache, warmup=None)
-        warm = run_grid(specs, jobs=2, cache=cache, warmup=None)
+        cold = run_grid(specs, jobs=2, cache=cache)
+        warm = run_grid(specs, jobs=2, cache=cache)
         _assert_outcomes_bitwise_equal(cold, warm)
 
     def test_errors_are_not_cached(self, tmp_path):
@@ -249,9 +215,70 @@ class TestGridCache:
             num_cores=2,
             seed=1,
         )
-        (out,) = run_grid([bad], jobs=1, cache=cache, warmup=None)
+        (out,) = run_grid([bad], jobs=1, cache=cache)
         assert not out.ok
         assert not cache.contains(cache.key(bad.cache_payload()))
+
+
+class TestGridKillAndRerun:
+    """Each cell is stored as soon as it finishes, so a killed grid keeps
+    every finished cell and a rerun computes only the rest."""
+
+    def test_rerun_executes_only_the_cells_not_stored(self, tmp_path):
+        import os
+        import pickle
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import repro
+
+        specs = _specs(duration=0.5)
+        n, k = len(specs), 2
+        with open(tmp_path / "specs.pkl", "wb") as f:
+            pickle.dump(specs, f)
+        root = tmp_path / "cache"
+        # Serial, so no orphaned worker outlives the kill.  Cell k blocks
+        # until the kill lands; cells 0..k-1 have been stored by then.
+        code = (
+            "import pickle, sys, time\n"
+            "import repro.parallel.grid as grid\n"
+            "from repro.parallel import RunResultCache, run_grid\n"
+            "root, specs_path, k = sys.argv[1], sys.argv[2], int(sys.argv[3])\n"
+            "real, calls = grid.execute_run_spec, []\n"
+            "def execute(spec):\n"
+            "    if len(calls) == k:\n"
+            "        time.sleep(600)\n"
+            "    calls.append(spec)\n"
+            "    return real(spec)\n"
+            "grid.execute_run_spec = execute\n"
+            "specs = pickle.load(open(specs_path, 'rb'))\n"
+            "run_grid(specs, jobs=1, cache=RunResultCache(root=root))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(root), str(tmp_path / "specs.pkl"), str(k)],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(repro.__path__[0])),
+        )
+
+        def stored():
+            return len(list(root.glob("runs/*/*/*.pkl")))
+
+        try:
+            deadline = time.monotonic() + 120.0
+            while stored() < k and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
+        assert stored() == k
+
+        cache = RunResultCache(root=str(root))
+        rerun = run_grid(specs, jobs=1, cache=cache)
+        assert [o.from_cache for o in rerun] == [True] * k + [False] * (n - k)
+        assert stored() == n
+        _assert_outcomes_bitwise_equal(rerun, run_grid(specs, jobs=1))
 
 
 class TestGridFailureIsolation:
@@ -265,7 +292,7 @@ class TestGridFailureIsolation:
             num_cores=2,
             seed=1,
         )
-        outs = run_grid([good[0], bad, good[1]], jobs=2, warmup=None)
+        outs = run_grid([good[0], bad, good[1]], jobs=2)
         assert outs[0].ok and outs[2].ok
         assert not outs[1].ok
         assert "no-such-app" in outs[1].error or "KeyError" in outs[1].error

@@ -7,7 +7,7 @@ keeps the five gates that benchmark has no equivalent for.  Each mode
 runs only the section it gates::
 
     python benchmarks/bench_perf.py --jobs 2 --check   # median grid speedup >= 1.5x
-    python benchmarks/bench_perf.py --obs-check        # metrics-only obs <= 2 %
+    python benchmarks/bench_perf.py --obs-check        # untraced obs <= 2 %
     python benchmarks/bench_perf.py --hier             # learned coordinator < 5 %
     python benchmarks/bench_perf.py --trace --check    # summarize >= 5 MB/s
     python benchmarks/bench_perf.py --fleet --check    # 256-node floor
@@ -15,7 +15,8 @@ runs only the section it gates::
 The section flags ``--fleet``, ``--trace``, ``--hier`` and ``--obs-check``
 combine; with none of them the grid runs.  ``--check`` gates the grid,
 trace and fleet-scaling sections.  The two overhead A/Bs (``--obs-check``,
-``--hier``) gate themselves: each times its arms in paired rounds and
+``--hier``) gate themselves: each times its arms in rounds (``--hier``
+back to back, ``--obs-check`` interleaved in turns of simulated time) and
 compares the median of per-round ratios, so the gate does not depend on
 how fast the machine is.  The grid gate likewise reads the median
 serial/parallel ratio of ``GRID_ROUNDS`` alternating rounds; it is
@@ -40,7 +41,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments.runner import run_policy  # noqa: E402
+from repro.experiments.runner import build_context  # noqa: E402
 from repro.parallel import RunSpec, run_grid  # noqa: E402
 from repro.workload.apps import get_app  # noqa: E402
 from repro.workload.trace import constant_trace  # noqa: E402
@@ -50,9 +51,9 @@ E2E_REPORT = os.path.join(REPO_ROOT, "BENCH_perf.json")
 DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "bench_perf_baseline.json")
 
 #: Gate report schema version (documented in EXPERIMENTS.md).
-#: Schema 7: ``grid`` records the ratio of every round and gates their
-#: median; ``grid.pool_stats`` and the zstd trace codec are gone.
-BENCH_SCHEMA = 7
+#: Schema 8: the gated ``obs`` arm is ``untraced`` (was ``metrics_only``)
+#: and the obs arms are timed in interleaved turns.
+BENCH_SCHEMA = 8
 
 #: --fleet --check fails when 256-node nodes/sec falls below (1 - this) *
 #: the committed baseline.
@@ -74,9 +75,17 @@ GRID_ROUNDS = 3
 #: throughput by an order of magnitude at fleet scale.
 TRACE_SUMMARIZE_MBPS_FLOOR = 5.0
 
-#: --obs-check fails when the metrics-only observability A/B shows more
-#: than this fractional slowdown over the no-observability run.
+#: --obs-check fails when an attached ``Observability`` with no trace and
+#: no spans costs more than this fractional slowdown over no handle at
+#: all: instrumentation must be free when it is off.
 OBS_OVERHEAD_TOLERANCE = 0.02
+
+#: Rounds of the obs A/B; the gate reads the median of their ratios.
+OBS_ROUNDS = 9
+
+#: Simulated seconds an obs A/B arm runs before the next arm takes its
+#: turn (see :func:`bench_obs_overhead`).
+OBS_TURN_SECONDS = 2.0
 
 #: --hier fails when the learned budget coordinator (frozen actor) costs
 #: more than this fractional slowdown over the heuristic coordinator at
@@ -86,8 +95,8 @@ HIER_OVERHEAD_TOLERANCE = 0.05
 
 #: The two self-gating A/Bs: section -> (ratio key, tolerance, arm, base).
 OVERHEAD_GATES = {
-    "obs": ("metrics_only_overhead", OBS_OVERHEAD_TOLERANCE,
-            "metrics-only observability", "no observability"),
+    "obs": ("untraced_overhead", OBS_OVERHEAD_TOLERANCE,
+            "untraced observability", "no observability"),
     "hier": ("hier_overhead", HIER_OVERHEAD_TOLERANCE,
              "the learned coordinator", "the heuristic"),
 }
@@ -117,19 +126,25 @@ def median_ratio(rounds: list, arm: str, base: str) -> float:
 def bench_obs_overhead(
     app_name: str = "xapian", num_cores: int = 4,
     duration: float = 20.0, rps: float = 150.0, seed: int = 3,
-    repeats: int = 5,
+    repeats: int = OBS_ROUNDS,
 ) -> dict:
-    """In-process A/B of run_policy with and without observability attached.
+    """In-process A/B of a DeepPower run with and without observability.
 
-    Uses the DRL evaluation path (``gemini`` would dodge the instrumented
-    runtime, so this drives :class:`DeepPowerRuntime` directly) because that
-    is where the obs branches live.  The arms run in :func:`paired_rounds`
-    with the plain run as warmup.  The simulated duration is floored at
-    240 s so each arm runs for at least about a second of wall time and
-    the per-round ratios read the instrumentation, not host noise.  The
-    traced arm writes a real JSONL trace to a throwaway file and is
-    reported but not gated.
+    Drives :class:`DeepPowerRuntime` (``gemini`` would dodge the
+    instrumented runtime) because that is where the obs branches live.
+    Each round starts one run per arm on the same trace and seed and
+    advances them in turns of ``OBS_TURN_SECONDS`` simulated seconds,
+    cycling through every order of the arms; an arm's time is the sum of
+    its turns.  A host slowdown that outlasts a few turns therefore lands
+    on every arm alike, which back-to-back whole runs did not achieve:
+    there, two identical arms read ratios of 0.82-1.22 per round on a
+    shared 2-vCPU host.  The simulated duration is floored at 240 s, and
+    one untimed round absorbs cold start.  The gated ``untraced`` arm
+    attaches an ``Observability()`` with no sinks, which must run as the
+    plain one does.  The traced arm writes a real JSONL trace to a
+    throwaway file and is reported but not gated.
     """
+    import itertools
     import tempfile
 
     from repro.core import DeepPowerAgent, default_ddpg_config
@@ -141,48 +156,53 @@ def bench_obs_overhead(
     duration = max(duration, 240.0)
     trace = constant_trace(rps, duration)
 
-    def _timed(mk_obs):
-        def run() -> float:
-            obs = mk_obs()
-            try:
-                agent = DeepPowerAgent(
-                    RngRegistry(seed).get("agent"),
-                    default_ddpg_config(warmup=8, batch_size=16),
-                )
+    def start(obs):
+        agent = DeepPowerAgent(
+            RngRegistry(seed).get("agent"),
+            default_ddpg_config(warmup=8, batch_size=16),
+        )
+        ctx = build_context(app, trace, num_cores, seed, obs=obs)
+        DeepPowerRuntime(
+            ctx.engine, ctx.server, ctx.monitor, agent, DeepPowerConfig(), obs=obs,
+        ).start()
+        ctx.source.start()
+        return ctx.engine
 
-                def factory(ctx):
-                    return DeepPowerRuntime(
-                        ctx.engine, ctx.server, ctx.monitor, agent,
-                        DeepPowerConfig(), obs=obs,
-                    )
-
-                t0 = time.perf_counter()
-                run_policy(factory, app, trace, num_cores, seed=seed, obs=obs)
-                return time.perf_counter() - t0
-            finally:
+    def one_round() -> dict:
+        with tempfile.TemporaryDirectory(prefix="obs-check-") as tmp:
+            handles = {
+                "plain": None,
+                "untraced": Observability(),
+                "traced": Observability(
+                    trace=TraceWriter(os.path.join(tmp, "run.trace.jsonl"))
+                ),
+            }
+            engines = {name: start(obs) for name, obs in handles.items()}
+            spent = dict.fromkeys(handles, 0.0)
+            orders = list(itertools.permutations(handles))
+            t, turn = 0.0, 0
+            while t < duration:
+                t = min(t + OBS_TURN_SECONDS, duration)
+                for name in orders[turn % len(orders)]:
+                    t0 = time.perf_counter()
+                    engines[name].run_until(t)
+                    spent[name] += time.perf_counter() - t0
+                turn += 1
+            for obs in handles.values():
                 if obs is not None:
                     obs.close()
-        return run
+        return spent
 
-    tmp = tempfile.NamedTemporaryFile(suffix=".trace.jsonl", delete=False)
-    tmp.close()
-    arms = {
-        "plain": _timed(lambda: None),
-        "metrics_only": _timed(Observability),
-        "traced": _timed(lambda: Observability(trace=TraceWriter(tmp.name))),
-    }
-    try:
-        rounds = paired_rounds(arms, repeats, warmup="plain")
-    finally:
-        os.unlink(tmp.name)
-    best = {name: min(r[name] for r in rounds) for name in arms}
+    one_round()
+    rounds = [one_round() for _ in range(repeats)]
+    best = {name: min(r[name] for r in rounds) for name in rounds[0]}
     return {
         "sim_seconds": duration,
         "repeats": repeats,
         "plain_seconds": best["plain"],
-        "metrics_only_seconds": best["metrics_only"],
+        "untraced_seconds": best["untraced"],
         "traced_seconds": best["traced"],
-        "metrics_only_overhead": median_ratio(rounds, "metrics_only", "plain"),
+        "untraced_overhead": median_ratio(rounds, "untraced", "plain"),
         "traced_overhead": median_ratio(rounds, "traced", "plain"),
     }
 
@@ -519,11 +539,14 @@ def run_benchmarks(args) -> dict:
         )
         result["hier"] = hier
     if args.obs_check:
-        print("[bench_perf] observability overhead A/B (median of 5 paired rounds) ...")
+        print(
+            "[bench_perf] observability overhead A/B "
+            f"(median of {OBS_ROUNDS} interleaved rounds) ..."
+        )
         obs = bench_obs_overhead(duration=args.duration)
         print(
-            f"  plain {obs['plain_seconds']:.2f}s, metrics-only "
-            f"{obs['metrics_only_seconds']:.2f}s, traced "
+            f"  plain {obs['plain_seconds']:.2f}s, untraced "
+            f"{obs['untraced_seconds']:.2f}s, traced "
             f"{obs['traced_seconds']:.2f}s "
             f"({(obs['traced_overhead'] - 1.0) * 100:+.1f}%, not gated)"
         )
@@ -638,7 +661,7 @@ def main(argv=None) -> int:
                         f"than {HIER_OVERHEAD_TOLERANCE * 100:.0f}%%")
     p.add_argument("--obs-check", action="store_true",
                    help="run the observability A/B; exit 1 when a "
-                        "metrics-only handle costs more than "
+                        "handle with no trace and no spans costs more than "
                         f"{OBS_OVERHEAD_TOLERANCE * 100:.0f}%%")
     p.add_argument("--baseline", default=DEFAULT_BASELINE,
                    help="baseline JSON for the --fleet --check floor")

@@ -37,8 +37,7 @@ Package map
 ``repro.hier``
     The learned fleet budget coordinator above the per-node agents.
 ``repro.obs``
-    Observability: metrics registry, JSONL run traces, spans, trace
-    summaries and queries.
+    Observability: JSONL run traces, spans, trace summaries and queries.
 ``repro.parallel``
     Deterministic process-pool grids and the content-addressed result
     store.

@@ -15,7 +15,7 @@ Quick policy comparison on one app::
 Train and save a DeepPower agent (with an observability trace)::
 
     deeppower train --app xapian --episodes 20 --out agent.npz \
-        --trace-out run.trace.jsonl --metrics-out run.metrics.json
+        --trace-out run.trace.jsonl --profile-spans
 
 Run an 8-node fleet under a global power cap and inspect it per node::
 
@@ -116,7 +116,7 @@ def _nonneg_int(value: str) -> int:
 
 
 def _out_file_arg(value: str) -> str:
-    """argparse type for output file paths (``--trace-out``, ``--metrics-out``).
+    """argparse type for output file paths (``--trace-out``).
 
     Fails fast — before minutes of simulation — when the write is doomed:
     missing parent directory, unwritable parent, or the path naming an
@@ -247,6 +247,12 @@ def _validate_resume(parser: argparse.ArgumentParser, args) -> None:
         )
 
 
+def _validate_profile_spans(parser: argparse.ArgumentParser, args) -> None:
+    """``--profile-spans`` writes into the trace, so it needs ``--trace-out``."""
+    if getattr(args, "profile_spans", False) and args.trace_out is None:
+        parser.error("--profile-spans requires --trace-out (spans go into the trace)")
+
+
 def _validate_switches(parser: argparse.ArgumentParser, args) -> None:
     """Reject ``fleet`` group flags given without ``--chaos`` / ``--hier``."""
     if args.command != "fleet":
@@ -331,7 +337,7 @@ def _cmd_train(args) -> int:
     # fig7's calibrated trace.
     profile = active_profile(args.full)
     app = get_app(args.app)
-    cal = fig7_calibration(args.app, profile)
+    cal = fig7_calibration(args.app, profile, result_cache=True)
     agent, cfg = tuned_agent_setup(args.seed, app=app)
     result = train_deeppower(
         app, cal.trace,
@@ -342,7 +348,6 @@ def _cmd_train(args) -> int:
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
         trace_out=args.trace_out,
-        metrics_out=args.metrics_out,
         profile=args.profile_spans,
     )
     agent.save(args.out)
@@ -350,8 +355,6 @@ def _cmd_train(args) -> int:
     print(f"final mean reward: {result.episodes[-1].mean_reward:.3f}")
     if args.trace_out:
         print(f"trace written to {args.trace_out}")
-    if args.metrics_out:
-        print(f"metrics written to {args.metrics_out}")
     return 0
 
 
@@ -660,8 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--no-cache", action="store_true",
-        help="read and write nothing under REPRO_CACHE: retrain every agent "
-        "and rerun every cell instead of reusing stored ones",
+        help="read and write nothing under REPRO_CACHE: recalibrate every "
+        "workload, retrain every agent and rerun every cell instead of "
+        "reusing stored ones",
     )
     sp.add_argument(
         "--trace-dir", type=_out_dir_arg, default=None,
@@ -701,13 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
         "whole training run here",
     )
     sp.add_argument(
-        "--metrics-out", type=_out_file_arg, default=None,
-        help="write the final metrics-registry snapshot (JSON) here",
-    )
-    sp.add_argument(
         "--profile-spans", action="store_true",
         help="time instrumented hot paths (engine loop, controller tick, "
-        "agent update) and include span stats in the trace/metrics outputs",
+        "agent update) and end the trace with their span-summary event "
+        "(needs --trace-out)",
     )
     sp.set_defaults(fn=_cmd_train)
 
@@ -843,8 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--app", default="xapian", choices=APP_NAMES)
     sp.add_argument(
         "--intensities", default="0,0.5,1",
-        help="comma-separated bus-fault intensities (>= 0; 0 doubles as "
-        "the direct-vs-bus bitwise identity check)",
+        help="comma-separated bus-fault intensities (>= 0; 0 is the "
+        "fault-free bus)",
     )
     sp.add_argument(
         "--seed", type=int, default=7,
@@ -858,8 +859,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--full", action="store_true", help="full-scale profile")
     sp.add_argument(
         "--no-cache", action="store_true",
-        help="read and write nothing under REPRO_CACHE: retrain the agent "
-        "instead of reusing the stored one (--policy trained only)",
+        help="read and write nothing under REPRO_CACHE: recalibrate the "
+        "workload and retrain the agent (--policy trained) instead of "
+        "reusing stored ones",
     )
     sp.add_argument(
         "--trace-dir", type=_out_dir_arg, default=None,
@@ -955,6 +957,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate_switches(parser, args)
     _validate_resume(parser, args)
+    _validate_profile_spans(parser, args)
     return args.fn(args)
 
 

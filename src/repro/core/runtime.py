@@ -159,21 +159,12 @@ class DeepPowerRuntime:
         self._trace = obs.trace if obs is not None else None
         self._spans = obs.spans if obs is not None else None
         self._last_switches = 0
-        self._m_steps = self._m_trips = self._m_rearms = None
-        self._g_reward = self._g_power = None
         if obs is not None:
             engine.spans = obs.spans  # None when not profiling
             self.controller.bind_spans(obs.spans)
             self.monitor.bind_obs(obs)
-            server.telemetry.bind_obs(obs)
             if self._trace is not None:
                 self.controller.enable_window_stats()
-            m = obs.metrics
-            self._m_steps = m.counter("drl.steps")
-            self._m_trips = m.counter("watchdog.trips")
-            self._m_rearms = m.counter("watchdog.rearms")
-            self._g_reward = m.gauge("drl.reward")
-            self._g_power = m.gauge("power.watts")
         # The policy loop reaches the node only over the bus.
         self.endpoint = PolicyEndpoint(
             engine,
@@ -317,8 +308,6 @@ class DeepPowerRuntime:
                 self.endpoint.node.engage()
                 self._prev = None  # no transition bridges the outage
                 fallback_now = True
-                if self._m_trips is not None:
-                    self._m_trips.inc()
                 if self._trace is not None:
                     self._trace.emit(
                         "watchdog-trip",
@@ -331,8 +320,6 @@ class DeepPowerRuntime:
                 # next action lands (one LongTime later).
                 self.endpoint.node.release(SAFE_ACTION)
                 self._last_tick_count = self.controller.tick_count
-                if self._m_rearms is not None:
-                    self._m_rearms.inc()
                 if self._trace is not None:
                     self._trace.emit(
                         "watchdog-rearm", t=self.engine.now, step=self.step_count
@@ -371,9 +358,7 @@ class DeepPowerRuntime:
         """
         step_no = self.step_count
         self.step_count += 1
-        if self._m_steps is not None:
-            self._m_steps.inc()
-        if not (self.cfg.record_steps or self.obs is not None):
+        if not (self.cfg.record_steps or self._trace is not None):
             return
         if snap is None:
             power_w = rps = avg_freq = float("nan")
@@ -385,10 +370,6 @@ class DeepPowerRuntime:
             rps = snap.num_req / window
             avg_freq = float(freqs.mean())
             queue_len, timeouts = snap.queue_len, snap.timeouts
-            if self._g_power is not None:
-                self._g_power.set(power_w)
-                if rb is not None:
-                    self._g_reward.set(rb.total)
         if self.cfg.record_steps:
             self.records.append(
                 StepRecord(

@@ -138,7 +138,6 @@ def train_deeppower(
     keep_histories: bool = False,
     obs=None,
     trace_out: Optional[str] = None,
-    metrics_out: Optional[str] = None,
     profile: bool = False,
 ) -> TrainingResult:
     """Train a DeepPower agent over repeated plays of ``trace``.
@@ -164,12 +163,13 @@ def train_deeppower(
         Collect per-step reward/action/frequency arrays for every episode
         on the result (and inside snapshots, so a resumed result still
         carries the full history).
-    obs, trace_out, metrics_out, profile:
+    obs, trace_out, profile:
         Observability: pass a ready :class:`~repro.obs.Observability`
-        handle via ``obs`` (caller owns its lifecycle), or give output
-        paths and training builds (and closes) its own.  The trace gets
+        handle via ``obs`` (caller owns its lifecycle), or give a trace
+        path and training builds (and closes) its own.  The trace gets
         ``episode-start`` / ``episode-end`` / ``checkpoint`` events plus
-        every per-run event the runtime and runner emit.
+        every per-run event the runtime and runner emit; ``profile`` adds
+        its ``span-summary`` and needs ``trace_out``.
     """
     from ..experiments.runner import run_policy  # deferred: avoids core->experiments cycle
     from ..obs import Observability
@@ -178,6 +178,8 @@ def train_deeppower(
         raise ValueError("episodes must be positive")
     if checkpoint_every <= 0:
         raise ValueError("checkpoint_every must be positive")
+    if obs is None and profile and not trace_out:
+        raise ValueError("profile needs trace_out: span stats are written into the trace")
     rngs = RngRegistry(seed)
     if agent is None:
         agent = DeepPowerAgent(rngs.get("agent"), default_ddpg_config())
@@ -185,10 +187,9 @@ def train_deeppower(
     cfg.train = True
 
     own_obs = False
-    if obs is None and (trace_out or metrics_out or profile):
+    if obs is None and trace_out:
         obs = Observability.from_paths(
             trace_out=trace_out,
-            metrics_out=metrics_out,
             profile=profile,
             meta={"app": app.name, "episodes": episodes, "seed": seed,
                   "num_cores": num_cores, "mode": "train"},

@@ -97,16 +97,14 @@ class PowerMonitor:
         self._last_sample = self.read()
         self.samples: List[EnergySample] = []
         self._trace = None
-        self._m_glitches = None
 
     def bind_obs(self, obs) -> None:
-        """Attach observability sinks: every ``window_energy`` read emits a
-        ``rapl-window`` trace event and glitches count into the metrics
-        registry.  The unbound default adds one branch per window read."""
+        """Attach the run's trace: every ``window_energy`` read emits a
+        ``rapl-window`` event and every glitch a ``rapl-glitch`` event.
+        The unbound default adds one branch per window read."""
         if obs is None:
             return
         self._trace = obs.trace
-        self._m_glitches = obs.metrics.counter("rapl.glitches")
 
     # ---------------------------------------------------------------- reading
 
@@ -172,8 +170,6 @@ class PowerMonitor:
 
     def _note_glitch(self, delta: float, replacement: float) -> None:
         self.glitch_count += 1
-        if self._m_glitches is not None:
-            self._m_glitches.inc()
         if self._trace is not None:
             self._trace.emit(
                 "rapl-glitch",

@@ -4,6 +4,8 @@
 when running without frequency scaling."  :func:`calibrate_to_sla` performs
 that scaling: it searches the multiplicative trace factor under which the
 unmanaged baseline's p99 latency lands at ``target_fraction`` of the SLA.
+Given a result store, the search's outcome is kept there, so a rerun of
+the same calibration runs no probe.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..baselines.simple import MaxFrequencyPolicy
+from ..parallel.cache import RunResultCache, resolve_cache
 from ..workload.apps import AppSpec
 from ..workload.trace import WorkloadTrace
 from .runner import run_policy
@@ -41,6 +44,7 @@ def calibrate_to_sla(
     max_iter: int = 8,
     initial_load: float = 0.45,
     max_load: float = 0.85,
+    result_cache: "bool | RunResultCache | None" = None,
 ) -> CalibrationResult:
     """Scale ``base_trace`` so the unmanaged baseline's p99 ≈ target.
 
@@ -58,6 +62,12 @@ def calibrate_to_sla(
         Cap on the mean utilisation: near-deterministic service times make
         p99-vs-load a cliff (M/D/c), and without a cap the search can park
         the system on the wrong side of it.
+    result_cache:
+        Store the result under ``REPRO_CACHE`` (``True``) or in the given
+        store, keyed on the app, the base trace's content, every search
+        parameter and the store's schema version; a stored result is
+        returned without a probe run.  ``None``/``False`` reads and
+        writes nothing.
 
     Notes
     -----
@@ -68,6 +78,25 @@ def calibrate_to_sla(
     if not 0.0 < target_fraction <= 1.5:
         raise ValueError("target_fraction must be in (0, 1.5]")
     nw = num_workers if num_workers is not None else num_cores
+    cache = resolve_cache(result_cache)
+    if cache is not None:
+        key = cache.key({
+            "kind": "calibration",
+            "app": app.name,
+            "trace_edges": base_trace.edges,
+            "trace_rates": base_trace.rates,
+            "target_fraction": target_fraction,
+            "num_cores": num_cores,
+            "num_workers": nw,
+            "seed": seed,
+            "tol": tol,
+            "max_iter": max_iter,
+            "initial_load": initial_load,
+            "max_load": max_load,
+        })
+        stored = cache.get(key)
+        if stored is not None:
+            return stored
     trace = base_trace.scaled_to_mean(app.rps_for_load(initial_load, nw))
 
     achieved = 0.0
@@ -97,10 +126,13 @@ def calibrate_to_sla(
 
     mean_load = trace.mean_rate() * app.service.expected_work() / (nw * 2.1)
     scale = trace.mean_rate() / base_trace.mean_rate()
-    return CalibrationResult(
+    result = CalibrationResult(
         trace=trace,
         scale=scale,
         baseline_p99_fraction=achieved,
         iterations=it,
         mean_load=mean_load,
     )
+    if cache is not None:
+        cache.put(key, result)
+    return result

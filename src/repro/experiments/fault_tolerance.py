@@ -117,7 +117,7 @@ def run_fault_tolerance(
     profile = active_profile(full)
     app = get_app(app_name)
     nw = workers_for(app_name, profile.num_cores)
-    cal = fig7_calibration(app_name, profile)
+    cal = fig7_calibration(app_name, profile, result_cache=result_cache)
     agent, dp_cfg, _ = trained_agent(
         app_name, cal.trace, profile, nw, seed=seed, result_cache=result_cache
     )

@@ -86,11 +86,16 @@ def calibration_target_for(app_name: str) -> float:
     return CALIBRATION_TARGET.get(app_name, DEFAULT_CALIBRATION_TARGET)
 
 
-def fig7_calibration(app_name: str, profile: ExperimentProfile) -> CalibrationResult:
+def fig7_calibration(
+    app_name: str,
+    profile: ExperimentProfile,
+    result_cache: "bool | RunResultCache | None" = None,
+) -> CalibrationResult:
     """The diurnal evaluation trace scaled to ``app_name``'s SLA target.
 
     Its trace is the one the standard fig7 agent trains on, so every
     experiment that reuses that agent calibrates through here.
+    ``result_cache`` stores the result (see :func:`calibrate_to_sla`).
     """
     from .calibration import calibrate_to_sla
 
@@ -98,6 +103,7 @@ def fig7_calibration(app_name: str, profile: ExperimentProfile) -> CalibrationRe
         get_app(app_name), evaluation_trace(profile), profile.num_cores,
         num_workers=workers_for(app_name, profile.num_cores),
         target_fraction=calibration_target_for(app_name),
+        result_cache=result_cache,
     )
 
 
@@ -217,12 +223,12 @@ def run_fig7(
 
     ``jobs`` fans the evaluation grid over forked worker processes (results
     are bitwise identical to ``jobs=1``: every cell owns its engine and RNG
-    stack).  ``result_cache`` stores each trained agent as soon as it is
-    trained and each evaluation cell once the grid returns, keyed by
-    content; a re-run loads both instead of recomputing.  ``False`` reads
-    and writes nothing.  ``trace_dir`` writes a per-cell JSONL
-    observability trace (traced cells always execute; see
-    :func:`repro.parallel.run_grid`).
+    stack).  ``result_cache`` stores each calibration and each trained
+    agent as soon as it exists and each evaluation cell as soon as it
+    finishes, keyed by content; a re-run loads them instead of
+    recomputing.  ``False`` reads and writes nothing.  ``trace_dir``
+    writes a per-cell JSONL observability trace (traced cells always
+    execute; see :func:`repro.parallel.run_grid`).
     """
     from ..parallel import RunSpec, resolve_cache, run_grid
 
@@ -231,14 +237,15 @@ def run_fig7(
     cache = resolve_cache(result_cache)
 
     with tempfile.TemporaryDirectory(prefix="fig7-agents-") as tmpdir:
-        # Stage 1 (serial): calibrate the workload and train/load the agent
-        # for each app.  Training dominates wall-clock, so it stays
-        # in-process; the agent reaches the evaluation grid as an .npz file
-        # (a temporary copy only when the store is off).
+        # Stage 1 (serial): calibrate the workload and train the agent for
+        # each app, or load both from the store.  Training dominates
+        # wall-clock, so it stays in-process; the agent reaches the
+        # evaluation grid as an .npz file (a temporary copy only when the
+        # store is off).
         staged = []
         for name in apps:
             nw = workers_for(name, profile.num_cores)
-            cal = fig7_calibration(name, profile)
+            cal = fig7_calibration(name, profile, result_cache=cache)
             agent, _, agent_path = trained_agent(
                 name, cal.trace, profile, nw, seed=seed, result_cache=cache,
                 verbose=verbose,

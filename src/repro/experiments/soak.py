@@ -196,13 +196,16 @@ def run_soak(
     cal = calibrate_to_sla(
         app, soak_trace(profile.trace_duration), profile.num_cores,
         num_workers=nw, target_fraction=calibration_target_for(app_name),
+        result_cache=result_cache,
     )
     if policy == "trained":
         # The standard fig7 agent, trained on fig7's calibrated diurnal
         # trace; evaluating it on the soak workload doubles as a
         # generalisation check and keeps the agent store shared.
         agent, dp_cfg, _ = trained_agent(
-            app_name, fig7_calibration(app_name, profile).trace, profile, nw,
+            app_name,
+            fig7_calibration(app_name, profile, result_cache=result_cache).trace,
+            profile, nw,
             seed=seed, result_cache=result_cache,
         )
         make_agent = lambda: agent  # frozen weights; act is stateless

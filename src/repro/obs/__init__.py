@@ -1,37 +1,34 @@
-"""Observability layer: metrics registry, structured run traces, spans.
+"""Observability layer: structured run traces, spans, trace readers.
 
 The paper evaluates DeepPower through per-interval introspection (Fig 8's
 frequency/queue/reward time series, Fig 7's run summaries); this package
-is the substrate that makes the repro equally inspectable:
+is the substrate that makes the repro equally inspectable.  The trace is
+the one record of a run: every step, watchdog transition, RAPL window and
+glitch, and run summary is an event in it.
 
-* :class:`MetricsRegistry` — counters/gauges/histograms with cheap
-  snapshotting (:mod:`repro.obs.registry`),
 * :class:`TraceWriter` — schema-versioned JSONL run events with buffered
   atomic writes (:mod:`repro.obs.trace`),
 * :class:`SpanRecorder` — wall-clock span timing for the engine loop,
-  ``agent.update()`` and ``ThreadController.tick()``
-  (:mod:`repro.obs.spans`),
-* :func:`summarize_trace` — Fig 8-style per-interval tables rebuilt from
-  a trace file (:mod:`repro.obs.summarize`).
+  ``agent.update()`` and ``ThreadController.tick()``; its stats close the
+  trace as one ``span-summary`` event (:mod:`repro.obs.spans`),
+* :func:`summarize_trace` — Fig 8-style per-interval tables and per-kind
+  event counts rebuilt from a trace file (:mod:`repro.obs.summarize`).
 
-:class:`Observability` bundles the three runtime pieces behind one handle
-that instrumented layers accept as an optional parameter.  The default
-everywhere is ``None`` — no registry, no trace, no spans, no measurable
-cost — so observability is strictly opt-in (the perf-smoke benchmark
-gates on exactly this).
+:class:`Observability` bundles the trace and spans behind one handle that
+instrumented layers accept as an optional parameter.  The default
+everywhere is ``None`` — no trace, no spans, no measurable cost — and a
+handle with neither sink runs exactly as ``None`` does (the perf gate's
+``--obs-check`` times that handle against ``None``).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .query import trace_query, trace_tail
-    from .registry import Counter, Gauge, Histogram, MetricsRegistry
     from .spans import SpanRecorder
     from .summarize import (
         FleetTraceSummary,
@@ -50,10 +47,6 @@ if TYPE_CHECKING:
     )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "SpanRecorder",
     "TraceWriter",
     "TraceError",
@@ -75,50 +68,41 @@ __getattr__, __dir__ = lazy_exports(__name__)
 
 
 class Observability:
-    """One handle bundling trace + metrics + spans for a run.
+    """One handle bundling the trace and spans of a run.
 
     Parameters
     ----------
     trace:
         A :class:`TraceWriter`, or None for no event trace.
-    metrics:
-        A shared :class:`MetricsRegistry` (one is created if omitted).
     profile:
         Attach a :class:`SpanRecorder` so instrumented hot paths time
         themselves (off by default — span recording costs two
-        ``perf_counter`` calls per region).
-    metrics_out:
-        Path the registry snapshot (plus span stats) is written to on
-        :meth:`close`.
+        ``perf_counter`` calls per region).  Its stats are written into
+        the trace on :meth:`close`, so profiling needs a trace.
     """
 
     def __init__(
         self,
         trace: Optional[TraceWriter] = None,
-        metrics: Optional[MetricsRegistry] = None,
         profile: bool = False,
-        metrics_out: Optional[str] = None,
     ) -> None:
-        from . import registry, spans
+        from . import spans
 
         self.trace = trace
-        self.metrics = metrics if metrics is not None else registry.MetricsRegistry()
         self.spans: Optional[SpanRecorder] = spans.SpanRecorder() if profile else None
-        self.metrics_out = metrics_out
         self._closed = False
 
     @classmethod
     def from_paths(
         cls,
         trace_out: Optional[str] = None,
-        metrics_out: Optional[str] = None,
         profile: bool = False,
         meta: Optional[Dict[str, Any]] = None,
         trace_segment_events: Optional[int] = None,
         trace_compress: Optional[str] = None,
         trace_shard_key: Optional[str] = None,
     ) -> "Observability":
-        """Build from CLI-style output paths (either may be None).
+        """Build from a CLI-style output path (None = no trace).
 
         ``trace_segment_events`` / ``trace_compress`` / ``trace_shard_key``
         forward to :class:`TraceWriter` — segmented, compressed and/or
@@ -137,7 +121,7 @@ class Observability:
             if trace_out
             else None
         )
-        return cls(trace=trace, metrics_out=metrics_out, profile=profile)
+        return cls(trace=trace, profile=profile)
 
     # ------------------------------------------------------------------- sinks
 
@@ -146,23 +130,14 @@ class Observability:
             self.trace.flush()
 
     def close(self) -> None:
-        """Finalize every sink: span summary into the trace, trace published
-        atomically, metrics snapshot written to ``metrics_out`` (idempotent)."""
+        """Finalize the trace: span summary appended, file published
+        atomically (idempotent)."""
         if self._closed:
             return
         if self.trace is not None and not self.trace.closed:
             if self.spans is not None and len(self.spans):
                 self.trace.emit("span-summary", spans=self.spans.stats())
             self.trace.close()
-        if self.metrics_out is not None:
-            payload = self.metrics.snapshot()
-            if self.spans is not None and len(self.spans):
-                payload["spans"] = self.spans.stats()
-            tmp = self.metrics_out + ".tmp"
-            with open(tmp, "w") as f:
-                json.dump(payload, f, indent=2, sort_keys=True)
-                f.write("\n")
-            os.replace(tmp, self.metrics_out)
         self._closed = True
 
     def __enter__(self) -> "Observability":

@@ -93,11 +93,12 @@ def summarize_trace(
     ``drl-step`` events provide reward/state/action/queue/power;
     ``controller-window`` events (matched by episode + step, within the
     last ``join_window`` steps) contribute tick counts, window frequency
-    stats and DVFS switch counts.  Bus-mode runs additionally feed the
-    ``control`` aggregation from ``bus-drop``, ``stale-window``,
-    ``cmd-retry`` and ``deadline-miss`` events (degraded ``drl-step``
-    events carry ``state: null`` and NaN telemetry; they appear in the
-    interval table like any other step).
+    stats and DVFS switch counts.  The control bus's ``bus-drop``,
+    ``stale-window``, ``cmd-retry`` and ``deadline-miss`` events feed the
+    ``control`` aggregation (degraded ``drl-step`` events carry
+    ``state: null`` and NaN telemetry; they appear in the interval table
+    like any other step).  ``counts`` tallies every event kind, so the
+    run's step, watchdog and RAPL-glitch totals read off it directly.
     """
     if join_window < 1:
         raise ValueError(f"join_window must be >= 1, got {join_window}")

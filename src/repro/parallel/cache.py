@@ -11,7 +11,8 @@ way: bump :data:`CACHE_SCHEMA_VERSION`, which namespaces the whole store.
 It is the one place experiments persist anything.  Layout::
 
     $REPRO_CACHE/                 (default ./.artifacts)
-        runs/v<schema>/ab/abcdef...pkl   run results, sharded by key prefix
+        runs/v<schema>/ab/abcdef...pkl   run results and workload
+                                         calibrations, sharded by key prefix
         runs/v<schema>/ab/abcdef...npz   trained DeepPower agents, keyed on
                                          their full training recipe
 
@@ -132,9 +133,9 @@ def plan_digest(plan: Any) -> Optional[str]:
 class RunResultCache:
     """Content-addressed store under ``<root>/runs/v<schema>/``.
 
-    :meth:`get`/:meth:`put` hold pickled run results; trained agents are
-    ``.npz`` files at ``path_for(key, ".npz")``, written by the agent's
-    own atomic save.
+    :meth:`get`/:meth:`put` hold pickled run results and calibrations;
+    trained agents are ``.npz`` files at ``path_for(key, ".npz")``,
+    written by the agent's own atomic save.
 
     Parameters
     ----------

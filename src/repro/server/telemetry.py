@@ -67,25 +67,6 @@ class TelemetryChannel:
         self._win_completed = 0
         self._win_timeouts = 0
         self._last_snapshot_t = server.engine.now
-        self._m_arrivals = None
-        self._m_completions = None
-        self._m_timeouts = None
-        self._g_queue = None
-
-    def bind_obs(self, obs) -> None:
-        """Mirror window totals into an observability metrics registry.
-
-        Counters accumulate across windows (they never reset with the
-        window); the queue gauge tracks the instantaneous length at each
-        snapshot.  Unbound (the default) costs one branch per snapshot.
-        """
-        if obs is None:
-            return
-        m = obs.metrics
-        self._m_arrivals = m.counter("telemetry.arrivals")
-        self._m_completions = m.counter("telemetry.completions")
-        self._m_timeouts = m.counter("telemetry.timeouts")
-        self._g_queue = m.gauge("telemetry.queue_len")
 
     # ------------------------------------------------ server-side increments
 
@@ -128,11 +109,6 @@ class TelemetryChannel:
             completed=self._win_completed,
             utilization=srv.cpu_utilization(),
         )
-        if self._m_arrivals is not None:
-            self._m_arrivals.inc(self._win_arrivals)
-            self._m_completions.inc(self._win_completed)
-            self._m_timeouts.inc(self._win_timeouts)
-            self._g_queue.set(float(snap.queue_len))
         self._win_arrivals = 0
         self._win_completed = 0
         self._win_timeouts = 0

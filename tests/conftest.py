@@ -20,6 +20,16 @@ def live_events(engine: Engine) -> Iterator[Tuple[float, int, Callable, Tuple[An
             yield time, priority, callback, args
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _run_store(tmp_path_factory):
+    """Point ``REPRO_CACHE`` at a temporary store for the whole session, so
+    runs that store calibrations or cells by default never write into (or
+    read a stale entry from) the working directory's ``.artifacts``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE", str(tmp_path_factory.mktemp("repro-cache")))
+        yield
+
+
 @pytest.fixture
 def engine() -> Engine:
     return Engine()

@@ -41,7 +41,7 @@ def test_refuses_to_overwrite_the_e2e_report(capsys):
 @pytest.mark.parametrize(
     "section,key,tolerance",
     [
-        ("obs", "metrics_only_overhead", 0.02),
+        ("obs", "untraced_overhead", 0.02),
         ("hier", "hier_overhead", 0.05),
     ],
 )
@@ -116,7 +116,7 @@ STUB_SECTIONS = {
                     "codecs": {}},
     "bench_hier_overhead": {"heuristic_seconds": 1.0, "learned_seconds": 1.0,
                             "decisions": 1},
-    "bench_obs_overhead": {"plain_seconds": 1.0, "metrics_only_seconds": 1.0,
+    "bench_obs_overhead": {"plain_seconds": 1.0, "untraced_seconds": 1.0,
                            "traced_seconds": 1.0, "traced_overhead": 1.0},
 }
 

@@ -395,28 +395,38 @@ class TestParser:
 
     def test_train_metrics_hold_steps_and_spans(self, monkeypatch, tmp_path):
         # The traced-training smoke run's facts, on a 3 s trace in place
-        # of fig7's calibrated one.
-        import json
+        # of fig7's calibrated one: the trace holds the steps and spans.
         from types import SimpleNamespace
 
         import repro.experiments.fig7_main as fig7_main
+        from repro.obs import read_trace
         from repro.workload import constant_trace
         from repro.workload.apps import get_app
 
         rps = get_app("xapian").rps_for_load(0.4, 4)
         monkeypatch.setattr(
             fig7_main, "fig7_calibration",
-            lambda app, profile: SimpleNamespace(trace=constant_trace(rps, 3.0)),
+            lambda app, profile, result_cache=None: SimpleNamespace(
+                trace=constant_trace(rps, 3.0)
+            ),
         )
-        metrics = tmp_path / "metrics.json"
+        trace = tmp_path / "train.trace.jsonl"
         assert main([
             "train", "--app", "xapian", "--episodes", "2", "--seed", "3",
             "--out", str(tmp_path / "agent.npz"),
-            "--metrics-out", str(metrics), "--profile-spans",
+            "--trace-out", str(trace), "--profile-spans",
         ]) == 0
-        payload = json.loads(metrics.read_text())
-        assert payload["counters"]["drl.steps"] > 0, payload
-        assert payload["spans"], "--profile-spans produced no spans"
+        events = list(read_trace(str(trace)))
+        assert sum(e["kind"] == "drl-step" for e in events) > 0
+        (summary,) = [e for e in events if e["kind"] == "span-summary"]
+        assert summary["spans"], "--profile-spans produced no spans"
+
+    def test_profile_spans_requires_trace_out(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--out", str(tmp_path / "agent.npz"), "--profile-spans"])
+        assert exc.value.code == 2
+        assert "--profile-spans requires --trace-out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_uses_the_experiment_recipe(self, monkeypatch, tmp_path):
         # ``train`` builds the agent fig7, soak and ``fleet --agent`` use:

@@ -176,6 +176,40 @@ class TestFig7Helpers:
         assert "img-dnn" in out and len(trained) == 2
         assert list(root.iterdir()) == []
 
+    def test_warm_rerun_simulates_nothing(self, agent_store, monkeypatch, tmp_path):
+        """A warm fig7 rerun loads calibrations, agents and cells: it runs
+        no calibration probe and no ``run_policy`` at all, and cold, warm,
+        ``jobs=1`` and ``jobs=2`` render the same bytes."""
+        from dataclasses import replace
+
+        import repro.experiments.calibration as calibration
+        import repro.experiments.runner as runner
+        from repro.experiments.registry import get_experiment
+
+        fig7, trained, root = agent_store
+        short = replace(SMOKE, trace_duration=10.0, trace_segments=5)
+        monkeypatch.setattr(fig7, "active_profile", lambda full=None: short)
+
+        def fig7_text(jobs, store):
+            monkeypatch.setenv("REPRO_CACHE", str(store))
+            return get_experiment("fig7").execute(jobs=jobs, apps=("img-dnn",))
+
+        cold = fig7_text(1, root / "a")
+        assert fig7_text(2, root / "b") == cold
+        assert len(trained) == 2
+
+        runs = []
+        for mod in (runner, calibration):
+            real = mod.run_policy
+
+            def counting(*args, _real=real, _name=mod.__name__, **kwargs):
+                runs.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, "run_policy", counting)
+        assert fig7_text(1, root / "a") == cold
+        assert fig7_text(2, root / "b") == cold
+        assert runs == [] and len(trained) == 2
 
 @pytest.fixture
 def agent_store(tmp_path, monkeypatch):

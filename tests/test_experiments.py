@@ -84,6 +84,74 @@ class TestCalibration:
             calibrate_to_sla(tiny_app, base, 2, target_fraction=0.0)
 
 
+class TestCalibrationStore:
+    """A stored calibration is returned without a probe run, and any input
+    of the search addresses a different entry."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        import repro.experiments.calibration as calibration
+
+        calls = []
+        real = calibration.run_policy
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "run_policy", counting)
+        return calls
+
+    def _base(self, rngs):
+        from repro.workload import diurnal_trace
+
+        return diurnal_trace(rngs.get("t"), duration=10.0, num_segments=5)
+
+    def test_rerun_loads_the_stored_result(self, tiny_app, rngs, tmp_path, probes):
+        from repro.parallel import RunResultCache
+
+        cache = RunResultCache(str(tmp_path))
+        base = self._base(rngs)
+        first = calibrate_to_sla(tiny_app, base, 2, tol=0.15, result_cache=cache)
+        n = len(probes)
+        assert n >= 1
+        again = calibrate_to_sla(tiny_app, base, 2, tol=0.15, result_cache=cache)
+        assert len(probes) == n
+        np.testing.assert_array_equal(again.trace.edges, first.trace.edges)
+        np.testing.assert_array_equal(again.trace.rates, first.trace.rates)
+        for name in ("scale", "baseline_p99_fraction", "iterations", "mean_load"):
+            assert getattr(again, name) == getattr(first, name)
+        assert len(list(tmp_path.rglob("*.pkl"))) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"target_fraction": 0.6}, {"seed": 5}, {"num_workers": 1}, {"num_cores": 3},
+        {"max_iter": 2}, {"base": "busier"},
+    ])
+    def test_each_input_is_part_of_the_key(
+        self, tiny_app, rngs, tmp_path, probes, change
+    ):
+        from repro.parallel import RunResultCache
+
+        cache = RunResultCache(str(tmp_path))
+        base = self._base(rngs)
+        kwargs = dict(num_cores=2, tol=0.15, max_iter=3)
+        calibrate_to_sla(tiny_app, base, result_cache=cache, **kwargs)
+        n = len(probes)
+        change = dict(change)
+        if change.pop("base", None):
+            base = base.scaled(1.1)
+        calibrate_to_sla(tiny_app, base, result_cache=cache, **{**kwargs, **change})
+        assert len(probes) > n
+        assert len(list(tmp_path.rglob("*.pkl"))) == 2
+
+    def test_no_store_reads_and_writes_nothing(self, tiny_app, rngs, tmp_path, probes):
+        base = self._base(rngs)
+        for off in (None, False):
+            calibrate_to_sla(tiny_app, base, 2, tol=0.15, max_iter=2, result_cache=off)
+        assert len(probes) >= 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestScenarios:
     def test_profile_selection(self, monkeypatch):
         monkeypatch.delenv("REPRO_FULL", raising=False)

@@ -3,6 +3,8 @@
 import math
 import os
 
+import pytest
+
 from repro.baselines import MaxFrequencyPolicy
 from repro.core import DeepPowerAgent, default_ddpg_config
 from repro.core.runtime import DeepPowerConfig, DeepPowerRuntime
@@ -219,14 +221,14 @@ class TestRaplObs:
         assert mon.window_energy() > 0
         mon._note_glitch(-5.0, 0.0)
         obs.close()
-        assert obs.metrics.counter("rapl.glitches").value == 1
-        kinds = [e["kind"] for e in read_trace(trace_path)]
-        assert "rapl-window" in kinds and "rapl-glitch" in kinds
+        assert mon.glitch_count == 1
+        counts = summarize_trace(trace_path).counts
+        assert counts["rapl-window"] == 1 and counts["rapl-glitch"] == 1
 
 
 class TestSpanProfiling:
     def test_profiled_training_reports_hot_spans(self, tiny_app, tmp_path):
-        metrics_path = str(tmp_path / "m.json")
+        trace_path = str(tmp_path / "train.trace.jsonl")
         wl = constant_trace(tiny_app.rps_for_load(0.4, 2), 2.0)
         train_deeppower(
             tiny_app,
@@ -235,14 +237,79 @@ class TestSpanProfiling:
             num_cores=2,
             seed=5,
             agent=_agent(),
-            metrics_out=metrics_path,
+            trace_out=trace_path,
             profile=True,
         )
-        import json
-
-        payload = json.load(open(metrics_path))
-        spans = payload["spans"]
+        events = list(read_trace(trace_path))
+        assert events[-1]["kind"] == "span-summary"
+        spans = events[-1]["spans"]
         assert spans["controller.tick"]["count"] > 0
         assert spans["engine.run_until"]["count"] > 0
         assert spans["agent.update"]["count"] > 0
-        assert payload["counters"]["drl.steps"] > 0
+        assert sum(e["kind"] == "drl-step" for e in events) > 0
+
+    def test_profile_without_trace_is_refused(self, tiny_app):
+        wl = constant_trace(tiny_app.rps_for_load(0.4, 2), 2.0)
+        with pytest.raises(ValueError, match="trace_out"):
+            train_deeppower(tiny_app, wl, episodes=1, num_cores=2, profile=True)
+
+
+class TestTraceHoldsRunTotals:
+    """Each run total is a count of trace events: one traced, watchdog-on
+    run under the standard fault plan trips, re-arms and glitches, and the
+    trace's per-kind counts equal the live objects' counters."""
+
+    def test_event_counts_match_live_counters(self, tiny_app, tmp_path):
+        from repro.control import ControlPlaneConfig
+        from repro.faults import FaultHarness, standard_fault_plan
+
+        duration = 12.0
+        trace_path = str(tmp_path / "faulted.trace.jsonl")
+        obs = Observability(trace=TraceWriter(trace_path))
+        ctx = build_context(
+            tiny_app, constant_trace(tiny_app.rps_for_load(0.4, 2), duration), 2, seed=4
+        )
+        agent = _agent()
+        rt = DeepPowerRuntime(
+            ctx.engine, ctx.server, ctx.monitor, agent,
+            DeepPowerConfig(long_time=0.5, control=ControlPlaneConfig(watchdog=True)),
+            obs=obs,
+        )
+        plan = standard_fault_plan(0.05, duration, long_time=0.5, seed=3)
+        FaultHarness(
+            plan, ctx.engine, cpu=ctx.cpu, monitor=ctx.monitor,
+            telemetry=ctx.server.telemetry, agent=agent,
+        ).arm()
+        rt.start()
+        ctx.source.start()
+        ctx.engine.run_until(duration)
+        rt.stop()
+        obs.close()
+
+        counts = summarize_trace(trace_path).counts
+        wd, mon = rt.watchdog, ctx.monitor
+        assert wd.trips > 0 and wd.recoveries > 0 and mon.glitch_count > 0
+        assert counts["drl-step"] == rt.step_count
+        assert counts["watchdog-trip"] == wd.trips
+        assert counts["watchdog-rearm"] == wd.recoveries
+        assert counts["rapl-glitch"] == mon.glitch_count
+
+    def test_handle_without_sinks_runs_as_none(self, tiny_app):
+        """An attached ``Observability()`` with neither trace nor spans is
+        the untraced run, bit for bit, and enables no window stats."""
+        wl = constant_trace(tiny_app.rps_for_load(0.5, 2), 4.0)
+        runs = []
+        for obs in (None, Observability()):
+            res = run_policy(
+                lambda ctx: DeepPowerRuntime(
+                    ctx.engine, ctx.server, ctx.monitor, _agent(),
+                    DeepPowerConfig(record_steps=False), obs=ctx.obs,
+                ),
+                tiny_app, wl, 2, seed=6,
+                extras_fn=lambda ctx, rt: {"runtime": rt}, obs=obs,
+            )
+            runtime = res.extras["runtime"]
+            assert not runtime.controller._win
+            assert runtime.records == []
+            runs.append((res.metrics, runtime.step_count))
+        assert runs[0] == runs[1]

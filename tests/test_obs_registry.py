@@ -1,94 +1,8 @@
-"""Tests for the metrics registry and span recorder."""
-
-import json
-import math
-import os
+"""Tests for the span recorder."""
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, SpanRecorder
-
-
-class TestCounter:
-    def test_starts_at_zero_and_increments(self):
-        c = Counter("x")
-        assert c.value == 0
-        c.inc()
-        c.inc(5)
-        assert c.value == 6
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="only go up"):
-            Counter("x").inc(-1)
-
-
-class TestGauge:
-    def test_set_overwrites(self):
-        g = Gauge("x")
-        g.set(3)
-        g.set(1.5)
-        assert g.value == 1.5
-
-
-class TestHistogram:
-    def test_streaming_moments(self):
-        h = Histogram("x")
-        for v in (1.0, 2.0, 3.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.mean == pytest.approx(2.0)
-        assert h.min == 1.0 and h.max == 3.0
-        assert h.stddev == pytest.approx(math.sqrt(2.0 / 3.0))
-
-    def test_empty_histogram_is_nan(self):
-        h = Histogram("x")
-        assert math.isnan(h.mean) and math.isnan(h.stddev)
-        d = h.as_dict()
-        assert d["count"] == 0 and math.isnan(d["min"]) and math.isnan(d["max"])
-
-
-class TestMetricsRegistry:
-    def test_get_or_create_returns_same_handle(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("b") is reg.gauge("b")
-        assert reg.histogram("c") is reg.histogram("c")
-        assert len(reg) == 3
-        assert "a" in reg and "z" not in reg
-
-    def test_type_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(TypeError, match="already registered"):
-            reg.gauge("a")
-
-    def test_invalid_name_raises(self):
-        with pytest.raises(ValueError, match="invalid metric name"):
-            MetricsRegistry().counter("spaces are bad")
-
-    def test_snapshot_structure(self):
-        reg = MetricsRegistry()
-        reg.counter("steps").inc(3)
-        reg.gauge("queue").set(7.0)
-        reg.histogram("lat").observe(0.5)
-        snap = reg.snapshot()
-        assert snap["counters"] == {"steps": 3}
-        assert snap["gauges"] == {"queue": 7.0}
-        assert snap["histograms"]["lat"]["count"] == 1
-
-    def test_dump_is_valid_json_and_atomic(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.counter("steps").inc()
-        path = str(tmp_path / "m.json")
-        reg.dump(path)
-        assert not os.path.exists(path + ".tmp")
-        assert json.load(open(path))["counters"]["steps"] == 1
-
-    def test_reset_drops_metrics(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        reg.reset()
-        assert len(reg) == 0
+from repro.obs import SpanRecorder
 
 
 class TestSpanRecorder:

@@ -285,23 +285,19 @@ class TestSummarize:
 
 
 class TestObservability:
-    def test_disabled_handle_has_registry_only(self):
+    def test_disabled_handle_has_no_sinks(self):
         obs = Observability()
         assert obs.trace is None and obs.spans is None
+        assert not hasattr(obs, "metrics")
         obs.close()  # nothing to write; must not raise
 
-    def test_close_writes_metrics_and_span_summary(self, tmp_path):
+    def test_close_writes_span_summary_into_trace(self, tmp_path):
         trace_path = str(tmp_path / "t.jsonl")
-        metrics_path = str(tmp_path / "m.json")
-        obs = Observability.from_paths(
-            trace_out=trace_path, metrics_out=metrics_path, profile=True, meta={"a": 1}
-        )
-        obs.metrics.counter("steps").inc(2)
+        obs = Observability.from_paths(trace_out=trace_path, profile=True, meta={"a": 1})
         obs.spans.record("tick", 0.5)
         obs.close()
         obs.close()  # idempotent
-        kinds = [e["kind"] for e in read_trace(trace_path)]
-        assert kinds == ["trace-header", "span-summary"]
-        payload = json.load(open(metrics_path))
-        assert payload["counters"]["steps"] == 2
-        assert payload["spans"]["tick"]["count"] == 1
+        events = list(read_trace(trace_path))
+        assert [e["kind"] for e in events] == ["trace-header", "span-summary"]
+        assert events[1]["spans"]["tick"]["count"] == 1
+        assert os.listdir(tmp_path) == ["t.jsonl"]

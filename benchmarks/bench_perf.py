@@ -15,10 +15,10 @@ runs only the section it gates::
 The section flags ``--fleet``, ``--trace``, ``--hier`` and ``--obs-check``
 combine; with none of them the grid runs.  ``--check`` gates the grid,
 trace and fleet-scaling sections.  The two overhead A/Bs (``--obs-check``,
-``--hier``) gate themselves: each times its arms in rounds (``--hier``
-back to back, ``--obs-check`` interleaved in turns of simulated time) and
-compares the median of per-round ratios, so the gate does not depend on
-how fast the machine is.  The grid gate likewise reads the median
+``--hier``) gate themselves: each times its arms in rounds, interleaved
+in turns of simulated time (:func:`run_in_turns`), and compares the
+median of per-round ratios, so the gate does not depend on how fast the
+machine is.  The grid gate likewise reads the median
 serial/parallel ratio of ``GRID_ROUNDS`` alternating rounds; it is
 skipped, with the reason recorded, when the grid's jobs oversubscribe
 the machine's cores.  The 256-node
@@ -32,6 +32,7 @@ The JSON report is written to ``--out`` when one is given; it is never
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -52,8 +53,9 @@ DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "bench_perf_baseline.
 
 #: Gate report schema version (documented in EXPERIMENTS.md).
 #: Schema 8: the gated ``obs`` arm is ``untraced`` (was ``metrics_only``)
-#: and the obs arms are timed in interleaved turns.
-BENCH_SCHEMA = 8
+#: and the obs arms are timed in interleaved turns.  Schema 9: so are the
+#: ``hier`` arms.
+BENCH_SCHEMA = 9
 
 #: --fleet --check fails when 256-node nodes/sec falls below (1 - this) *
 #: the committed baseline.
@@ -83,9 +85,9 @@ OBS_OVERHEAD_TOLERANCE = 0.02
 #: Rounds of the obs A/B; the gate reads the median of their ratios.
 OBS_ROUNDS = 9
 
-#: Simulated seconds an obs A/B arm runs before the next arm takes its
-#: turn (see :func:`bench_obs_overhead`).
-OBS_TURN_SECONDS = 2.0
+#: Simulated seconds an A/B arm runs before the next arm takes its turn
+#: (see :func:`run_in_turns`).
+TURN_SECONDS = 2.0
 
 #: --hier fails when the learned budget coordinator (frozen actor) costs
 #: more than this fractional slowdown over the heuristic coordinator at
@@ -102,17 +104,28 @@ OVERHEAD_GATES = {
 }
 
 
-def paired_rounds(arms: dict, repeats: int, warmup: str) -> list:
-    """Time every arm back to back, ``repeats`` times, after one warmup.
+def run_in_turns(advance: dict, duration: float, turn: float) -> dict:
+    """Advance every arm to ``duration`` in turns; each arm's wall seconds.
 
-    Each arm is a zero-argument callable that runs once and returns its
-    own wall seconds.  The ``warmup`` arm runs once untimed first to absorb
-    import and allocator cold start.  Back-to-back arms see near-identical
-    machine load, so ratios taken within a round cancel the slow
-    background drift a few-percent gate has no headroom for.
+    ``advance[name](t)`` runs arm ``name`` up to simulated time ``t``.
+    Each turn moves every arm ``turn`` simulated seconds further, the arms
+    taking their turns in every order in rotation; an arm's time is the
+    sum of its turns.  A host slowdown that outlasts a few turns therefore
+    lands on every arm alike, which back-to-back whole runs did not
+    achieve: there, two identical arms read ratios of 0.82-1.22 per round
+    on a shared 2-vCPU host.
     """
-    arms[warmup]()
-    return [{name: run() for name, run in arms.items()} for _ in range(repeats)]
+    spent = dict.fromkeys(advance, 0.0)
+    orders = list(itertools.permutations(advance))
+    t, k = 0.0, 0
+    while t < duration:
+        t = min(t + turn, duration)
+        for name in orders[k % len(orders)]:
+            t0 = time.perf_counter()
+            advance[name](t)
+            spent[name] += time.perf_counter() - t0
+        k += 1
+    return spent
 
 
 def median_ratio(rounds: list, arm: str, base: str) -> float:
@@ -133,18 +146,13 @@ def bench_obs_overhead(
     Drives :class:`DeepPowerRuntime` (``gemini`` would dodge the
     instrumented runtime) because that is where the obs branches live.
     Each round starts one run per arm on the same trace and seed and
-    advances them in turns of ``OBS_TURN_SECONDS`` simulated seconds,
-    cycling through every order of the arms; an arm's time is the sum of
-    its turns.  A host slowdown that outlasts a few turns therefore lands
-    on every arm alike, which back-to-back whole runs did not achieve:
-    there, two identical arms read ratios of 0.82-1.22 per round on a
-    shared 2-vCPU host.  The simulated duration is floored at 240 s, and
-    one untimed round absorbs cold start.  The gated ``untraced`` arm
+    advances them in turns of ``TURN_SECONDS`` simulated seconds
+    (:func:`run_in_turns`).  The simulated duration is floored at 240 s,
+    and one untimed round absorbs cold start.  The gated ``untraced`` arm
     attaches an ``Observability()`` with no sinks, which must run as the
     plain one does.  The traced arm writes a real JSONL trace to a
     throwaway file and is reported but not gated.
     """
-    import itertools
     import tempfile
 
     from repro.core import DeepPowerAgent, default_ddpg_config
@@ -178,16 +186,10 @@ def bench_obs_overhead(
                 ),
             }
             engines = {name: start(obs) for name, obs in handles.items()}
-            spent = dict.fromkeys(handles, 0.0)
-            orders = list(itertools.permutations(handles))
-            t, turn = 0.0, 0
-            while t < duration:
-                t = min(t + OBS_TURN_SECONDS, duration)
-                for name in orders[turn % len(orders)]:
-                    t0 = time.perf_counter()
-                    engines[name].run_until(t)
-                    spent[name] += time.perf_counter() - t0
-                turn += 1
+            spent = run_in_turns(
+                {name: eng.run_until for name, eng in engines.items()},
+                duration, TURN_SECONDS,
+            )
             for obs in handles.values():
                 if obs is not None:
                     obs.close()
@@ -213,17 +215,17 @@ def bench_hier_overhead(
 ) -> dict:
     """In-process A/B of the learned budget coordinator vs the heuristic.
 
-    Each round of :func:`paired_rounds` runs the identical 64-node batched
-    fleet under the heuristic
-    :class:`~repro.cluster.powercap.PowerCapCoordinator` and under the
-    learned coordinator with a frozen actor (``train=False`` — the
-    decision path minus learner updates, which are a tunable training
-    cost rather than fixed overhead), with the learned run as warmup.
-    Light per-worker load and the cheap tick-driven ``controller`` policy
-    keep the shared pipeline thin, so the ratio actually stresses the
-    coordinator path instead of burying it.  48 simulated seconds make
-    each arm run for over a second of wall time, so the gate is not
-    reading host noise.
+    Each round runs the identical 64-node batched fleet under the
+    heuristic :class:`~repro.cluster.powercap.PowerCapCoordinator` and
+    under the learned coordinator with a frozen actor (``train=False`` —
+    the decision path minus learner updates, which are a tunable training
+    cost rather than fixed overhead).  Both fleets are built and started,
+    advanced in turns of ``TURN_SECONDS`` simulated seconds
+    (:func:`run_in_turns`) and finished; an arm's time also counts its
+    build, start and finish.  One untimed round absorbs cold start.  Light
+    per-worker load and the cheap tick-driven ``controller`` policy keep
+    the shared pipeline thin, so the ratio actually stresses the
+    coordinator path instead of burying it.
     """
     from repro.cluster import ClusterConfig, ClusterSim, fleet_power_budget
     from repro.hier import HierConfig
@@ -236,24 +238,32 @@ def bench_hier_overhead(
     hier = HierConfig(train=False)
     decisions = []
 
-    def _timed(learned: bool):
-        def run() -> float:
+    def one_round() -> dict:
+        spent, sims = {}, {}
+        for name in ("heuristic", "learned"):
             config = ClusterConfig(
                 app="xapian", num_nodes=nodes, cores_per_node=cores_per_node,
                 policy="controller", routing="jsq", seed=seed,
                 power_cap_watts=budget,
-                hier=hier if learned else None,
+                hier=hier if name == "learned" else None,
             )
             t0 = time.perf_counter()
-            metrics = ClusterSim(config, trace).run()
-            wall = time.perf_counter() - t0
-            if learned:
-                decisions.append(metrics.hier_decisions)
-            return wall
-        return run
+            sims[name] = ClusterSim(config, trace)
+            sims[name].start()
+            spent[name] = time.perf_counter() - t0
+        turns = run_in_turns(
+            {name: sim.engine.run_until for name, sim in sims.items()},
+            duration, TURN_SECONDS,
+        )
+        for name, sim in sims.items():
+            t0 = time.perf_counter()
+            metrics = sim.finish()
+            spent[name] += turns[name] + time.perf_counter() - t0
+        decisions.append(metrics.hier_decisions)
+        return spent
 
-    arms = {"heuristic": _timed(False), "learned": _timed(True)}
-    rounds = paired_rounds(arms, repeats, warmup="learned")
+    one_round()
+    rounds = [one_round() for _ in range(repeats)]
     if decisions[-1] == 0:  # pragma: no cover - sanity guard
         raise AssertionError("hier bench made no coordinator decisions")
     return {

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..cpu.core import Core
-from ..workload.request import Request
+from ..server.server import PolicyHooks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.runner import RunContext
@@ -19,11 +19,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["PowerManager"]
 
 
-class PowerManager:
+class PowerManager(PolicyHooks):
     """Base class for request-hook driven power managers.
 
-    Subclasses override any of :meth:`on_arrival`, :meth:`on_start`,
-    :meth:`on_complete`, and :meth:`setup` / :meth:`teardown`.
+    Subclasses override any of the request hooks (:meth:`on_arrival`,
+    :meth:`on_start`, :meth:`on_complete`; the server calls only the
+    overridden ones) and :meth:`setup` / :meth:`teardown`.
 
     Parameters
     ----------
@@ -69,15 +70,6 @@ class PowerManager:
 
     def teardown(self) -> None:
         """Called once at stop (cancel periodic tasks)."""
-
-    def on_arrival(self, request: Request) -> None:
-        """A request entered the server."""
-
-    def on_start(self, request: Request, core: Core) -> None:
-        """A worker began executing ``request`` on ``core``."""
-
-    def on_complete(self, request: Request, core: Core) -> None:
-        """``request`` finished on ``core``."""
 
     # -------------------------------------------------------------- utilities
 

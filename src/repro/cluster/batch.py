@@ -30,8 +30,8 @@ techniques that make the stacked tick hold:
 
 * *Row views, not copies.*  ``cpu._freqs`` and ``server._begin_times`` are
   re-pointed at rows of the fleet matrices, so all existing per-node code
-  — frequency listeners, dispatch/completion bookkeeping, ``evacuate()`` —
-  keeps maintaining the stacked state in place.  Nothing is mirrored, so
+  — each core's DVFS write, dispatch/completion bookkeeping, ``evacuate()``
+  — keeps maintaining the stacked state in place.  Nothing is mirrored, so
   nothing can drift.
 * *Identical IEEE op order.*  The stacked score/frequency math performs
   the same operations per element as the per-node tick
@@ -117,13 +117,15 @@ class FleetBatch:
         self.all_indices = np.arange(n)
 
         # ---- SoA state ------------------------------------------------------
-        # Frequency matrix [N, C]: each cpu's listener-synced mirror becomes
-        # a row view, so every DVFS write anywhere keeps it current.
+        # Frequency matrix [N, C]: each cpu's frequency row becomes a row
+        # view, so every DVFS write anywhere keeps it current.
         self.freqs = np.empty((n, c))
         for i, node in enumerate(self.nodes):
             self.freqs[i, :] = node.cpu._freqs
             node.cpu._freqs = self.freqs[i]
         self._fw = self.freqs[:, :w]  # worker-core columns
+        # Worker cores in row-major [N, W] order: flat index r * W + c.
+        self._wcores = [core for node in self.nodes for core in node.cpu.cores[:w]]
         # Begin-times matrix [N, W]: the servers' incrementally-maintained
         # buffers become row views the same way.
         self.begins = np.empty((n, w))
@@ -189,9 +191,12 @@ class FleetBatch:
 
     def live_candidates(self) -> Tuple[np.ndarray, np.ndarray, int]:
         """``(live_idx, degraded_mask_over_live, num_degraded)``, cached
-        until the next lifecycle/detector state change."""
+        until the next lifecycle/detector state change.  With no node down
+        ``live_idx`` is :attr:`all_indices` itself."""
         if self._cands_version != self._version:
             live = np.nonzero(~self.down)[0]
+            if live.size == self.num_nodes:
+                live = self.all_indices
             deg = self.degraded[live]
             self._cands = (live, deg, int(deg.sum()))
             self._cands_version = self._version
@@ -317,8 +322,8 @@ class FleetBatch:
         """Algorithm 1 for every worker core of every node, one event.
 
         Same per-element IEEE operations as the per-node tick; only DVFS
-        levels that changed get a write (via each core's listener the
-        writes land straight back in the frequency matrix rows).
+        levels that changed get a write, in node then core order (each
+        core's write lands straight back in the frequency matrix rows).
         """
         now = self._engine.now
         b = self.begins
@@ -346,11 +351,11 @@ class FleetBatch:
             for i in self._ov_rows:
                 diff[i, :] = False
                 self.nodes[i].cpu._actuator.write_row(raw[i].tolist(), q[i].tolist())
-        rows, cols = np.nonzero(diff)
-        if rows.size:
-            nodes = self.nodes
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                nodes[r].cpu.cores[c].set_frequency(float(q[r, c]), quantize=False)
+        idx = np.flatnonzero(diff)
+        if idx.size:
+            cores = self._wcores
+            for k, f in zip(idx.tolist(), q.reshape(-1)[idx].tolist()):
+                cores[k].set_frequency(f, quantize=False)
         self._tick_total += 1
         if self._live_tick_counts:
             for ctrl in self._controllers:

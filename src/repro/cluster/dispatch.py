@@ -110,8 +110,11 @@ class JoinShortestQueueRouter(Router):
 
     def select_batch(self, batch: FleetBatch, cand_idx: np.ndarray) -> int:
         # argmin returns the first minimum: ties go to the first candidate
-        # (backlogs are exact integers).
-        return int(np.argmin(batch.backlog[cand_idx]))
+        # (backlogs are exact integers).  ``all_indices`` is every node in
+        # id order, so the backlog needs no gather then.
+        if cand_idx is batch.all_indices:
+            return int(batch.backlog.argmin())
+        return int(batch.backlog[cand_idx].argmin())
 
 
 class PowerAwareRouter(Router):

@@ -33,7 +33,7 @@ The dispatcher's :class:`~repro.cluster.batch.FleetBatch` needs no
 lifecycle code: state flips flow through the ``ClusterNode.state`` setter
 into the batch's down/degraded masks, ``evacuate()`` fires the server's
 reset hook (zeroing the stacked backlog entry), and parked-core writes
-land in the stacked frequency rows via the normal core listeners.  Fault
+land in the stacked frequency rows through each core's own write.  Fault
 events share ``PRIORITY_CONTROL`` with controller ticks, but every fault
 event coinciding with a tick time was scheduled strictly earlier in
 simulated time than that tick's reschedule (ticks re-arm one short-time

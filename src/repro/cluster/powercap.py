@@ -77,6 +77,18 @@ class CapWindow:
         return float(sum(self.powers))
 
 
+def _shape_power(table: Any, pm: Any, cores: int) -> Tuple[np.ndarray, float]:
+    """(worst-case socket power per DVFS level, all-idle draw at fmin) of
+    a ``cores``-core node; the array is read-only."""
+    busy = np.ones(cores, dtype=bool)
+    worst = np.array(
+        [pm.socket_power(np.full(cores, lvl), busy) for lvl in table.levels]
+    )
+    worst.flags.writeable = False
+    idle = pm.socket_power(np.full(cores, table.fmin), np.zeros(cores, dtype=bool))
+    return worst, idle
+
+
 class PowerCapCoordinator:
     """Apportion ``budget_watts`` across fleet nodes every
     :data:`CAP_WINDOW` seconds.
@@ -106,35 +118,27 @@ class PowerCapCoordinator:
         self.budget_watts = float(budget_watts)
         self.trace = trace
         # Worst-case (all workers busy) node power per DVFS level, per node:
-        # the ceiling decision compares targets against these.
+        # the ceiling decision compares targets against these.  With the
+        # all-idle floor they depend only on the node's shape, so each
+        # distinct (table, power model, cores) is evaluated once and its
+        # nodes share the read-only array.
+        shapes: Dict[Tuple[Any, Any, int], Tuple[np.ndarray, float]] = {}
         self._level_power: List[np.ndarray] = []
         self._levels: List[Tuple[float, ...]] = []
+        idle_floor: List[float] = []
         for n in self.nodes:
-            table, pm, cores = n.cpu.table, n.cpu.power_model, n.cpu.num_cores
-            levels = table.levels
-            worst = np.array(
-                [
-                    pm.socket_power(
-                        np.full(cores, lvl), np.ones(cores, dtype=bool)
-                    )
-                    for lvl in levels
-                ]
-            )
-            self._levels.append(levels)
-            self._level_power.append(worst)
+            key = (n.cpu.table, n.cpu.power_model, n.cpu.num_cores)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = _shape_power(*key)
+            self._levels.append(n.cpu.table.levels)
+            self._level_power.append(shape[0])
+            idle_floor.append(shape[1])
         self._floor = np.array([lp[0] for lp in self._level_power])
         self._cap = np.array([lp[-1] for lp in self._level_power])
         # All-idle draw at fmin: what a down (parked) node still burns, and
         # therefore what membership-aware apportioning reserves for it.
-        self._idle_floor = np.array(
-            [
-                n.cpu.power_model.socket_power(
-                    np.full(n.cpu.num_cores, n.cpu.table.fmin),
-                    np.zeros(n.cpu.num_cores, dtype=bool),
-                )
-                for n in self.nodes
-            ]
-        )
+        self._idle_floor = np.array(idle_floor)
         # Two baselines: energy as read (partition-frozen; apportioning
         # runs on it) and energy actually drawn (what windows report).
         self._last_energy = np.zeros(len(self.nodes))

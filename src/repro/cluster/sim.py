@@ -407,8 +407,16 @@ class ClusterSim:
         Mirrors the single-node runner's protocol: power/energy accounting
         closes at trace end, then an event-stepped drain (bounded by
         ``drain_grace``, default ``10 * SLA``) lets in-flight requests
-        finish so their latencies count.
+        finish so their latencies count.  Equal to :meth:`start`, then
+        ``engine.run_until(trace.duration)`` (in one call or several),
+        then :meth:`finish`.
         """
+        self.start()
+        self.engine.run_until(self.trace.duration)
+        return self.finish(drain_grace)
+
+    def start(self) -> None:
+        """Start drivers, coordinator, lifecycle, fleet tick and source."""
         cfg = self.config
         duration = self.trace.duration
         tw = self._trace_writer
@@ -433,21 +441,21 @@ class ClusterSim:
         if self.lifecycle is not None:
             self.lifecycle.start()
         self._adopt_batched_controllers()
-        health_task = None
+        self._health_task = None
         if self.detector is not None:
-            health_task = self.engine.every(
+            self._health_task = self.engine.every(
                 CAP_WINDOW,
                 self.detector.check,
                 start_delay=CAP_WINDOW,
                 priority=PRIORITY_CONTROL + 1,
             )
-        window_task = None
+        self._window_task = None
         if tw is not None:
             self._win_energy = np.array(
                 [n.monitor.total_energy() for n in self.nodes]
             )
             self._win_time = self.engine.now
-            window_task = self.engine.every(
+            self._window_task = self.engine.every(
                 CAP_WINDOW,
                 self._emit_node_windows,
                 start_delay=CAP_WINDOW,
@@ -455,8 +463,14 @@ class ClusterSim:
             )
         self.source.start()
 
-        self.engine.run_until(duration)
+    def finish(self, drain_grace: Optional[float] = None) -> FleetMetrics:
+        """Close accounting at trace end, drain, stop and summarise.
 
+        Call once the engine has run to ``trace.duration``.
+        """
+        cfg = self.config
+        duration = self.trace.duration
+        tw = self._trace_writer
         # Power accounting stops at trace end (paper convention: the
         # workload window, not the drain tail).
         node_energy = [n.monitor.total_energy() for n in self.nodes]
@@ -474,10 +488,10 @@ class ClusterSim:
                 break
             self.engine.step()
 
-        if window_task is not None:
-            window_task.stop()
-        if health_task is not None:
-            health_task.stop()
+        if self._window_task is not None:
+            self._window_task.stop()
+        if self._health_task is not None:
+            self._health_task.stop()
         if self.coordinator is not None:
             self.coordinator.stop()
         self.batch.detach()

@@ -45,17 +45,19 @@ class Cpu:
         self.engine = engine
         self.table = table
         self.power_model = power_model
-        self.cores: List[Core] = [
-            Core(engine, i, table, power_model) for i in range(num_cores)
-        ]
-        self._created_at = engine.now
-        # Listener-synced mirror of per-core frequencies plus scratch
-        # buffers for the batched (vector-quantised) set_frequencies path.
+        # Per-core frequencies, written by each core's set_frequency, plus
+        # scratch buffers for the batched (vector-quantised)
+        # set_frequencies path.
         self._freqs = np.full(num_cores, table.fmax)
         self._clamp_buf = np.empty(num_cores)
         self._apply_buf = np.empty(num_cores)
-        for core in self.cores:
-            core.add_frequency_listener(self._note_freq_change)
+        # Frequency -> (idle, busy) watts, shared by the socket's cores.
+        self._watts_of: dict = {}
+        self.cores: List[Core] = [
+            Core(engine, i, table, power_model, cpu=self)
+            for i in range(num_cores)
+        ]
+        self._created_at = engine.now
         #: Highest DVFS level any core may run at (see :meth:`set_ceiling`).
         self.ceiling = table.turbo
         #: Optional ``fn(cpu)`` called after every ceiling move.
@@ -63,9 +65,6 @@ class Cpu:
         #: Armed :class:`~repro.faults.injectors.ActuatorFaults`, which
         #: takes over batched writes (see :meth:`set_frequencies`).
         self._actuator = None
-
-    def _note_freq_change(self, core: Core, old: float, new: float) -> None:
-        self._freqs[core.core_id] = new
 
     # ------------------------------------------------------------------ sizes
 
@@ -151,8 +150,9 @@ class Cpu:
         clamped = self._clamp_buf[:n]
         np.minimum(np.asarray(freqs, dtype=float)[:n], self.ceiling, out=clamped)
         self.table.quantize_into(clamped, applied)
-        for i in np.nonzero(applied != self._freqs[:n])[0]:
-            cores[i].set_frequency(float(applied[i]), quantize=False)
+        idx = np.flatnonzero(applied != self._freqs[:n])
+        for i, f in zip(idx.tolist(), applied[idx].tolist()):
+            cores[i].set_frequency(f, quantize=False)
         return applied
 
     # ------------------------------------------------------------------ meters

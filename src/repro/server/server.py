@@ -10,8 +10,10 @@ framework.  Power managers attach through three hook points:
 * ``on_complete(request, core)`` — it finished.
 
 ReTail uses ``on_start`` (per-request frequency choice), Gemini uses
-``on_arrival``/``on_start`` plus its own periodic boost check, DeepPower's
-thread controller ignores all three and ticks on its own schedule.
+``on_start``/``on_complete`` plus its own periodic boost check, DeepPower's
+thread controller ignores all three and ticks on its own schedule.  The
+server calls only the hooks a policy overrides (see
+:meth:`Server.set_policy`).
 
 Contention model
 ----------------
@@ -28,7 +30,7 @@ RMSE.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -81,25 +83,27 @@ def contention_inflation(
     return float(out) if np.isscalar(work) else out
 
 
-class PolicyHooks(Protocol):
-    """Callbacks a power-management policy may implement (all optional)."""
-
-    def on_arrival(self, request: Request) -> None: ...
-
-    def on_start(self, request: Request, core) -> None: ...
-
-    def on_complete(self, request: Request, core) -> None: ...
+#: The request hooks, in the order a request meets them.
+_HOOKS = ("on_arrival", "on_start", "on_complete")
 
 
-class _NullPolicy:
+class PolicyHooks:
+    """Request callbacks a power-management policy may override.
+
+    Every default does nothing, and :meth:`Server.set_policy` binds only
+    the hooks a policy overrides, so an inherited default costs the
+    request path nothing.  A policy need not subclass this: any object's
+    ``on_*`` methods are bound.
+    """
+
     def on_arrival(self, request: Request) -> None:
-        pass
+        """A request entered the server."""
 
     def on_start(self, request: Request, core) -> None:
-        pass
+        """A worker began executing ``request`` on ``core``."""
 
     def on_complete(self, request: Request, core) -> None:
-        pass
+        """``request`` finished on ``core``."""
 
 
 class Server:
@@ -146,7 +150,10 @@ class Server:
         self._begin_times = np.full(n, np.nan)
         self.metrics = LatencyRecorder(app.sla, keep_requests=keep_requests)
         self.telemetry = TelemetryChannel(self)
-        self._policy: PolicyHooks = _NullPolicy()
+        # The attached policy's overridden hooks (None: not called).
+        self._on_arrival: Optional[Callable[[Request], None]] = None
+        self._on_start: Optional[Callable[[Request, object], None]] = None
+        self._on_complete: Optional[Callable[[Request, object], None]] = None
         self._mean_work = app.service.expected_work()
         # A paused (crashed) server accepts arrivals into the queue but never
         # dispatches them; the cluster lifecycle flips this around crashes.
@@ -160,8 +167,16 @@ class Server:
     # ----------------------------------------------------------------- wiring
 
     def set_policy(self, policy: Optional[PolicyHooks]) -> None:
-        """Attach a power-management policy's request hooks."""
-        self._policy = policy if policy is not None else _NullPolicy()
+        """Attach a power-management policy's request hooks (None detaches).
+
+        A hook the policy lacks, or inherits unchanged from
+        :class:`PolicyHooks`, is not called at all.
+        """
+        for name in _HOOKS:
+            hook = getattr(policy, name, None)
+            if getattr(hook, "__func__", None) is getattr(PolicyHooks, name):
+                hook = None
+            setattr(self, "_" + name, hook)
 
     @property
     def num_workers(self) -> int:
@@ -173,7 +188,8 @@ class Server:
         """Client-side entry point: a request arrives at the server."""
         self.metrics.on_arrival(req)
         self.telemetry.note_arrival()
-        self._policy.on_arrival(req)
+        if self._on_arrival is not None:
+            self._on_arrival(req)
         if self._idle and not self._paused:
             self._dispatch(self._idle.pop(), req)
         else:
@@ -249,13 +265,15 @@ class Server:
         )
         worker.start(req, effective)
         self._begin_times[worker.core_id] = req.arrival_time
-        self._policy.on_start(req, worker.core)
+        if self._on_start is not None:
+            self._on_start(req, worker.core)
 
     def _worker_done(self, worker: Worker, req: Request) -> None:
         latency = self.metrics.on_complete(req)
         self.telemetry.note_completion(latency > req.sla)
         self._begin_times[worker.core_id] = np.nan
-        self._policy.on_complete(req, worker.core)
+        if self._on_complete is not None:
+            self._on_complete(req, worker.core)
         if self.queue and not self._paused:
             self._dispatch(worker, self.queue.pop())
         else:

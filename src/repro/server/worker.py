@@ -51,7 +51,10 @@ class Worker:
         self._remaining_work = 0.0
         self._progress_t = 0.0
         self._completion_ev: Optional[Event] = None
-        core.add_frequency_listener(self._on_freq_change)
+        if core.worker is not None:
+            raise ValueError(f"core {core.core_id} already has a pinned worker")
+        # The core retimes this worker on each of its frequency changes.
+        core.worker = self
 
     # ------------------------------------------------------------------ state
 
@@ -83,8 +86,12 @@ class Worker:
         self.current = req
         self._remaining_work = effective_work
         self._progress_t = now
-        self.core.set_busy(True)
-        self._schedule_completion()
+        core = self.core
+        core.set_busy(True)
+        # _freq is Core.frequency without the property call.
+        self._completion_ev = self.engine.schedule_at(
+            now + effective_work / core._freq, self._complete
+        )
 
     def inflate_work(self, extra_work: float) -> None:
         """Add ``extra_work`` GHz-seconds to the in-flight request.
@@ -96,15 +103,7 @@ class Worker:
             raise ValueError("extra_work must be >= 0")
         if self.current is None or extra_work == 0.0:
             return
-        now = self.engine.now
-        self._remaining_work = (
-            max(0.0, self._remaining_work - (now - self._progress_t) * self.core.frequency)
-            + extra_work
-        )
-        self._progress_t = now
-        if self._completion_ev is not None:
-            self.engine.cancel(self._completion_ev)
-        self._schedule_completion()
+        self._retime(self.core._freq, extra_work)
 
     def abort(self) -> Optional[Request]:
         """Tear the in-flight request off this worker (node crash path).
@@ -130,27 +129,26 @@ class Worker:
 
     # ---------------------------------------------------------------- internal
 
-    def _schedule_completion(self) -> None:
-        assert self.current is not None
-        # schedule_after's float expression without its extra call; _freq is
-        # Core.frequency without the property call.
-        engine = self.engine
-        self._completion_ev = engine.schedule_at(
-            engine.now + self._remaining_work / self.core._freq, self._complete
-        )
+    def _retime(self, rate: float, extra_work: float = 0.0) -> None:
+        """Retire the work done at ``rate`` GHz since the last progress
+        stamp, add ``extra_work``, and move the completion to the core's
+        current frequency.
 
-    def _on_freq_change(self, core: Core, old: float, new: float) -> None:
-        """Re-derive the completion time after a DVFS transition."""
-        if self.current is None:
-            return
-        now = self.engine.now
-        self._remaining_work = max(
-            0.0, self._remaining_work - (now - self._progress_t) * old
-        )
+        The pinned core calls this with its old level on every real
+        frequency change of a busy worker (see
+        :meth:`~repro.cpu.core.Core.set_frequency`).
+        """
+        engine = self.engine
+        now = engine.now
+        rem = self._remaining_work - (now - self._progress_t) * rate
+        # max(0.0, rem) without the call; NaN clamps to 0.0 the same way.
+        rem = (rem if rem > 0.0 else 0.0) + extra_work
+        self._remaining_work = rem
         self._progress_t = now
-        if self._completion_ev is not None:
-            self.engine.cancel(self._completion_ev)
-        self._schedule_completion()
+        engine.cancel(self._completion_ev)
+        self._completion_ev = engine.schedule_at(
+            now + rem / self.core._freq, self._complete
+        )
 
     def _complete(self) -> None:
         req = self.current

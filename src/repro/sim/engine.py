@@ -13,7 +13,10 @@ Design notes
   ``entry[3] is not None``.  ``cancel`` is O(1); cancelled entries stay in the
   heap until popped, and the heap is compacted when the fraction of dead
   entries grows too large, so a workload that reschedules completions on
-  every DVFS step stays O(log n) amortized.
+  every DVFS step stays O(log n) amortized.  Compaction rewrites the heap
+  list in place: a callback fired by :meth:`Engine.run_until` may cancel
+  enough to compact, and the loop keeps reading the same list.  Pop order
+  is unchanged, because ``(time, priority, seq)`` orders entries totally.
 * The clock is ``float`` seconds.  All latency-critical quantities in the
   paper are milliseconds and up, far above double-precision resolution.
 """
@@ -56,9 +59,11 @@ class Engine:
     """
 
     # Compact the heap when more than this fraction of entries are cancelled
-    # (and the heap is big enough for compaction to matter).
+    # (and the heap is big enough for compaction to matter).  A 256-node
+    # capped fleet holds about 900 entries for 160 live ones, so the floor
+    # sits below a fleet's heap, not above it.
     _COMPACT_RATIO = 0.5
-    _COMPACT_MIN = 4096
+    _COMPACT_MIN = 256
 
     def __init__(self, start_time: float = 0.0) -> None:
         #: Current virtual time in seconds.  A plain attribute so hot
@@ -141,7 +146,9 @@ class Engine:
             # not keep request/worker objects alive for the rest of the run.
             ev[4] = ()
             self._cancelled += 1
-            self._maybe_compact()
+            n = len(self._heap)
+            if self._cancelled > n * self._COMPACT_RATIO and n >= self._COMPACT_MIN:
+                self._compact()
 
     def every(
         self,
@@ -243,12 +250,13 @@ class Engine:
             self._cancelled -= 1
         return None
 
-    def _maybe_compact(self) -> None:
-        n = len(self._heap)
-        if n >= self._COMPACT_MIN and self._cancelled > n * self._COMPACT_RATIO:
-            self._heap = [ev for ev in self._heap if ev[3] is not None]
-            heapq.heapify(self._heap)
-            self._cancelled = 0
+    def _compact(self) -> None:
+        """Drop every cancelled entry, in place: a running ``run_until``
+        holds this list as a local."""
+        heap = self._heap
+        heap[:] = [ev for ev in heap if ev[3] is not None]
+        heapq.heapify(heap)
+        self._cancelled = 0
 
 
 class PeriodicTask:

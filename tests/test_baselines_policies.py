@@ -175,3 +175,39 @@ class TestGemini:
         )
         assert res.metrics.completed > 50
         assert res.metrics.avg_power_watts > 0
+
+
+class TestRequestHooks:
+    """The server calls the hooks a policy overrides and skips the rest."""
+
+    @pytest.mark.parametrize(
+        "cls, hooks",
+        [(GeminiPolicy, ("on_start", "on_complete")), (RetailPolicy, ("on_start",))],
+    )
+    def test_overridden_hooks_fire(self, tiny_app, monkeypatch, cls, hooks):
+        calls = {name: 0 for name in hooks}
+        for name in hooks:
+            def counted(self, *args, _real=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        ctx = _ctx(tiny_app, rate=60.0, duration=2.0)
+        pol = cls(ctx)
+        pol.start()
+        assert ctx.server._on_arrival is None
+        ctx.source.start()
+        ctx.engine.run_until(3.0)
+        completed = ctx.server.metrics.completed
+        assert completed > 0
+        assert calls["on_start"] == completed + ctx.server.busy_workers()
+        if "on_complete" in calls:
+            assert calls["on_complete"] == completed
+
+    def test_inherited_hooks_are_not_bound(self, tiny_app):
+        ctx = _ctx(tiny_app)
+        MaxFrequencyPolicy(ctx).start()
+        server = ctx.server
+        assert (server._on_arrival, server._on_start, server._on_complete) == (
+            None, None, None,
+        )

@@ -30,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.sim.engine import Engine
 
 GOLDEN_PATH = Path(__file__).with_name("cli_goldens.json")
 
@@ -84,15 +85,32 @@ def _regen(path=GOLDEN_PATH):
 
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
-    """One traced run per golden scenario, shared by the tests below."""
+    """One traced run per golden scenario, shared by the tests below.
+
+    ``traced.compactions[name]`` counts the event-heap compactions made
+    while an engine loop was running during that scenario's run.
+    """
     cache = {}
+    compactions = {}
+    real_compact = Engine._compact
 
     def get(name):
         if name not in cache:
+            count = 0
+
+            def counting(engine):
+                nonlocal count
+                count += engine._running
+                real_compact(engine)
+
             out = tmp_path_factory.mktemp(name) / "run1.trace.jsonl"
-            cache[name] = _run(_goldens()[name]["argv"], out)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Engine, "_compact", counting)
+                cache[name] = _run(_goldens()[name]["argv"], out)
+            compactions[name] = count
         return cache[name]
 
+    get.compactions = compactions
     return get
 
 
@@ -110,6 +128,13 @@ def test_reproduces_recorded_digests(traced, name):
     assert _digests(stdout, trace) == {
         "stdout": want["stdout"], "trace": want["trace"]
     }, name
+
+
+def test_scale_64_compacts_inside_run_loops(traced):
+    # The heap is compacted under a running run_until, and the run still
+    # reproduces its golden digests (test_reproduces_recorded_digests).
+    traced("fleet-scale-64")
+    assert traced.compactions["fleet-scale-64"] > 0
 
 
 def test_fleet_stdout_independent_of_trace_out(traced):

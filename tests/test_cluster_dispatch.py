@@ -151,6 +151,25 @@ class TestHealthAwareDispatch:
             assert nodes[1].routed == 0
             assert nodes[0].routed + nodes[2].routed == 6
 
+    def test_jsq_picks_same_node_with_a_node_down(self):
+        # With no node down every node is a candidate and JSQ reads the
+        # backlog whole; with one down it gathers the live candidates.
+        # Either way the shortest live backlog wins.
+        picks = []
+        for down in (None, 0, 3):
+            _, _, nodes = _fleet(4)
+            disp = Dispatcher(nodes, JoinShortestQueueRouter())
+            for node, depth in zip(nodes, (2, 1, 0, 1)):
+                for i in range(depth):
+                    node.submit(_request(i))
+            if down is None:
+                assert disp.batch.live_candidates()[0] is disp.batch.all_indices
+            else:
+                nodes[down].state = DOWN
+            disp.submit(_request(9))
+            picks.append([node.routed for node in nodes])
+        assert picks == [[2, 1, 1, 1]] * 3
+
     def test_health_aware_off_keeps_feeding_down_nodes(self):
         _, _, nodes = _fleet(2)
         nodes[1].state = DOWN

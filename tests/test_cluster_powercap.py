@@ -158,6 +158,28 @@ class TestApportion:
         assert coord._ceiling_for(0, 0.0) == levels[0]
         assert coord._ceiling_for(0, float(worst[-1])) == levels[-1]
 
+    def test_level_tables_built_once_per_node_shape(self):
+        engine = Engine()
+        app = get_app("xapian")
+        nodes = [ClusterNode(engine, i, app, 2 + i % 2, seed=3) for i in range(4)]
+        coord = PowerCapCoordinator(engine, nodes, 500.0)
+        # Nodes of one shape share one read-only array; values are the
+        # per-node computation's.
+        assert coord._level_power[0] is coord._level_power[2]
+        assert coord._level_power[1] is coord._level_power[3]
+        assert not coord._level_power[0].flags.writeable
+        for node, worst, idle in zip(nodes, coord._level_power, coord._idle_floor):
+            cores = node.cpu.num_cores
+            assert worst.tolist() == [
+                DEFAULT_POWER_MODEL.socket_power(
+                    np.full(cores, lvl), np.ones(cores, dtype=bool)
+                )
+                for lvl in DEFAULT_TABLE.levels
+            ]
+            assert idle == DEFAULT_POWER_MODEL.socket_power(
+                np.full(cores, DEFAULT_TABLE.fmin), np.zeros(cores, dtype=bool)
+            )
+
     def test_rejects_bad_parameters(self):
         engine, nodes = _nodes(1)
         with pytest.raises(ValueError, match="budget_watts"):

@@ -69,6 +69,19 @@ class TestDeterminism:
                       power_cap_watts=budget)
         assert _run_json(cfg, trace) == _run_json(cfg, trace)
 
+    def test_run_in_chunks_equals_one_run(self):
+        # start(), run_until in turns, finish() is run(): the --hier gate
+        # of benchmarks/bench_perf.py interleaves two fleets this way.
+        trace = _trace()
+        cfg = _config(policy="controller", num_nodes=16,
+                      power_cap_watts=fleet_power_budget(16, 2, fraction=0.7))
+        sim = ClusterSim(cfg, trace)
+        sim.start()
+        for t in (0.5, 2.0, 2.0, trace.duration):
+            sim.engine.run_until(t)
+        chunked = json.dumps(sim.finish().as_dict(), sort_keys=True)
+        assert chunked == _run_json(cfg, trace)
+
     def test_seed_changes_fleet(self):
         trace = _trace()
         assert _run_json(_config(seed=11), trace) != _run_json(

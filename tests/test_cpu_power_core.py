@@ -1,12 +1,15 @@
-"""Tests for the power model and single-core energy accounting."""
+"""Tests for the power model, single-core energy accounting and the DVFS
+write contract."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu import DEFAULT_POWER_MODEL, DEFAULT_TABLE, Core, PowerModel
+from repro.cpu import DEFAULT_POWER_MODEL, DEFAULT_TABLE, Core, Cpu, PowerModel
+from repro.server import Worker
 from repro.sim import Engine
+from repro.workload import Request
 
 
 class TestPowerModel:
@@ -103,15 +106,6 @@ class TestCoreEnergy:
         core.set_frequency(1.45)  # quantizes to 1.5 -> still no-op
         assert core.switch_count == n
 
-    def test_frequency_listener_invoked_on_real_change(self):
-        eng = Engine()
-        core = Core(eng, 0, DEFAULT_TABLE, DEFAULT_POWER_MODEL)
-        calls = []
-        core.add_frequency_listener(lambda c, old, new: calls.append((old, new)))
-        core.set_frequency(1.0)
-        core.set_frequency(1.0)
-        assert calls == [(2.1, 1.0)]
-
     def test_work_rate_equals_frequency(self):
         eng = Engine()
         core = Core(eng, 0, DEFAULT_TABLE, DEFAULT_POWER_MODEL)
@@ -126,6 +120,103 @@ class TestCoreEnergy:
         core.set_busy(True)
         eng.run_until(1.0)
         assert core.busy_seconds() == pytest.approx(1.0)
+
+
+class TestWriteContract:
+    """One ``Core.set_frequency`` call does the whole DVFS write: energy,
+    watts, the socket's frequency row and the pinned worker's retime."""
+
+    def _busy_worker(self, work=3.0):
+        eng = Engine()
+        cpu = Cpu(eng, 2)
+        done = []
+        worker = Worker(eng, cpu[0], lambda w, r: done.append(r))
+        worker.start(_request(work), work)
+        return eng, cpu, worker, done
+
+    def test_busy_worker_completion_moves_to_remaining_over_new(self):
+        eng, cpu, worker, done = self._busy_worker(work=3.0)
+        old_ev = worker._completion_ev
+        eng.run_until(0.5)
+        cpu[0].set_frequency(1.0)
+        remaining = 3.0 - 0.5 * DEFAULT_TABLE.fmax
+        assert worker._remaining_work == remaining
+        assert worker._completion_ev is not old_ev
+        assert old_ev[3] is None  # the stale completion was cancelled
+        assert worker._completion_ev[0] == 0.5 + remaining / 1.0
+        assert eng.pending_events == 1
+        eng.run_until(worker._completion_ev[0])
+        assert len(done) == 1 and done[0].finish_time == 0.5 + remaining / 1.0
+
+    def test_idle_worker_is_not_retimed(self):
+        eng = Engine()
+        cpu = Cpu(eng, 1)
+        worker = Worker(eng, cpu[0], lambda w, r: None)
+        cpu[0].set_frequency(1.0)
+        assert worker._completion_ev is None
+        assert eng.pending_events == 0
+        # A request finished earlier leaves nothing behind to move either.
+        worker.start(_request(0.21), 0.21)
+        eng.run_until(1.0)
+        assert worker.current is None
+        cpu[0].set_frequency(2.1)
+        assert worker._completion_ev is None
+        assert eng.pending_events == 0
+
+    def test_frequency_row_follows_writes(self):
+        eng = Engine()
+        cpu = Cpu(eng, 3)
+        cpu[1].set_frequency(1.2)
+        assert cpu._freqs.tolist() == [2.1, 1.2, 2.1]
+        assert cpu.frequencies().tolist() == [c.frequency for c in cpu.cores]
+
+    def test_frequency_row_follows_writes_into_fleet_batch(self):
+        from repro.cluster.batch import FleetBatch
+        from repro.cluster.node import ClusterNode
+        from repro.workload.apps import get_app
+
+        eng = Engine()
+        nodes = [ClusterNode(eng, i, get_app("xapian"), 2, seed=5) for i in range(2)]
+        batch = FleetBatch(nodes)
+        nodes[1].cpu[0].set_frequency(0.9)
+        assert nodes[1].cpu._freqs.base is batch.freqs
+        assert batch.freqs.tolist() == [[2.1, 2.1], [0.9, 2.1]]
+
+    def test_noop_write_changes_nothing(self):
+        eng, cpu, worker, _ = self._busy_worker()
+        core = cpu[0]
+        eng.run_until(0.25)
+        ev = worker._completion_ev
+        state = (core.switch_count, core._last_t, core._watts, worker._progress_t,
+                 worker._remaining_work, cpu._freqs.tolist(), eng.pending_events)
+        assert core.set_frequency(2.1) == 2.1
+        assert core.set_frequency(2.05) == 2.1  # quantises to the same level
+        assert worker._completion_ev is ev and ev[3] is not None
+        assert state == (core.switch_count, core._last_t, core._watts,
+                         worker._progress_t, worker._remaining_work,
+                         cpu._freqs.tolist(), eng.pending_events)
+
+    def test_cores_of_one_socket_share_one_watts_table(self):
+        cpu = Cpu(Engine(), 4)
+        assert len({id(c._watts_of) for c in cpu.cores}) == 1
+        cpu[0].set_frequency(1.0)
+        assert cpu[3]._watts_of[1.0] == (
+            DEFAULT_POWER_MODEL.core_power(1.0, False),
+            DEFAULT_POWER_MODEL.core_power(1.0, True),
+        )
+
+    def test_one_worker_per_core(self):
+        eng = Engine()
+        core = Core(eng, 0, DEFAULT_TABLE, DEFAULT_POWER_MODEL)
+        Worker(eng, core, lambda w, r: None)
+        with pytest.raises(ValueError, match="pinned worker"):
+            Worker(eng, core, lambda w, r: None)
+
+
+def _request(work):
+    return Request(
+        req_id=0, arrival_time=0.0, work=work, features=np.zeros(3), sla=1.0
+    )
 
 
 @given(

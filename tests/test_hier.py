@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.powercap import PowerCapCoordinator
 from repro.cluster.sim import (
@@ -27,6 +29,7 @@ from repro.hier import (
     fleet_state_dim,
 )
 from repro.hier import agent as hier_agent
+from repro.hier.obs import window_p99
 from repro.obs import Observability, render_fleet_summary, summarize_fleet_trace
 from repro.parallel.cells import derive_seed
 from repro.workload.apps import get_app
@@ -166,6 +169,17 @@ class TestFleetObserver:
         per_node = state.reshape(3, FEATURES_PER_NODE)
         np.testing.assert_allclose(per_node[:, 4], 0.0)  # down mask
         np.testing.assert_allclose(per_node[:, 5], 0.0)  # degraded mask
+
+
+@given(
+    values=st.lists(
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        min_size=1, max_size=300,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_window_p99_is_numpy_quantile_bit_for_bit(values):
+    assert window_p99(values) == float(np.quantile(values, 0.99))
 
 
 class TestLearnedCoordinatorSim:

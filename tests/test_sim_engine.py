@@ -283,8 +283,9 @@ def test_property_cancelled_subset_never_fires(n, cancel_idx):
 
 # One engine operation: schedule a one-shot event, start a periodic task,
 # cancel a handle (fired, cancelled or live), stop a task, run to a horizon
-# (inclusive or not) or step once.  Offsets come from a small grid so equal
-# (time, priority) ties are common.
+# (inclusive or not), step once, or run through a callback that compacts
+# the heap (see the property test).  Offsets come from a small grid so
+# equal (time, priority) ties are common.
 _OFFSETS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 _PRIORITIES = st.sampled_from([PRIORITY_DEFAULT, PRIORITY_CONTROL])
 _ENGINE_OPS = st.one_of(
@@ -294,6 +295,7 @@ _ENGINE_OPS = st.one_of(
     st.tuples(st.just("stop"), st.integers(0, 10**6)),
     st.tuples(st.just("run"), _OFFSETS, st.booleans()),
     st.tuples(st.just("step")),
+    st.tuples(st.just("flush"), st.booleans()),
 )
 
 
@@ -309,6 +311,7 @@ class _ReferenceEngine:
         self.now = 0.0
         self.interval = {}  # periodic label -> period
         self.next_time = {}  # periodic label -> accumulated next firing time
+        self.actions = {}  # label -> fn() run right after it fires
 
     def add(self, time, priority, label):
         self.pending[label] = (time, priority, self.order, label)
@@ -326,6 +329,9 @@ class _ReferenceEngine:
             self.next_time[label] += self.interval[label]
             self.add(self.next_time[label], priority, label)
         self.fired.append(label)
+        action = self.actions.pop(label, None)
+        if action is not None:
+            action()
 
     def run_until(self, horizon, inclusive):
         while self.pending:
@@ -340,15 +346,21 @@ class _ReferenceEngine:
     ops=st.lists(_ENGINE_OPS, min_size=20, max_size=80),
     burst_at=st.integers(0, 80),
     burst_keep_every=st.integers(40, 80),
+    flush_at=st.integers(0, 80),
 )
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_property_engine_matches_sorted_reference(ops, burst_at, burst_keep_every):
+def test_property_engine_matches_sorted_reference(
+    ops, burst_at, burst_keep_every, flush_at
+):
     """Schedules, cancels (also after firing), periodic stops, runs and steps
     fire in (time, priority, scheduling order) like a sorted reference list,
     with exact pending and processed counts, across heap compaction.
 
     A burst of more than ``_COMPACT_MIN`` events, most of them cancelled at
-    once, is spliced in at ``burst_at`` so that compaction runs.
+    once, is spliced in at ``burst_at`` so that compaction runs.  A
+    ``flush`` (one spliced in at ``flush_at``) runs to a horizon through a
+    callback that cancels a burst, compacting the heap under the running
+    loop, and then schedules events earlier than a live one behind it.
     """
     eng = Engine()
     ref = _ReferenceEngine()
@@ -356,9 +368,11 @@ def test_property_engine_matches_sorted_reference(ops, burst_at, burst_keep_ever
     handles = []  # (handle, label)
     tasks = []
     compacted = False
+    compacted_in_run = False
     n_burst = Engine._COMPACT_MIN + 64
     ops = list(ops)
     ops.insert(min(burst_at, len(ops)), ("burst",))
+    ops.insert(min(flush_at, len(ops)), ("flush", True))
 
     def cancel(handle, label):
         nonlocal compacted
@@ -408,11 +422,44 @@ def test_property_engine_matches_sorted_reference(ops, burst_at, burst_keep_ever
                 if i % burst_keep_every:
                     cancel(handle, label)
             handles.extend(burst[::burst_keep_every])
+        elif kind == "flush":
+            k = len(handles)
+            t0 = eng.now
+            burst_labels = [("f", k, i) for i in range(n_burst)]
+            burst = [eng.schedule_at(t0 + 1.0, fired.append, lb) for lb in burst_labels]
+            for lb in burst_labels:
+                ref.add(t0 + 1.0, PRIORITY_DEFAULT, lb)
+            live = ("e", k)
+            handles.append((eng.schedule_at(t0 + 1.0, fired.append, live), live))
+            ref.add(t0 + 1.0, PRIORITY_DEFAULT, live)
+            early = [(0.0, ("c", k, 0)), (0.25, ("c", k, 1))]
+
+            def flush(k=k, burst=burst, early=early):
+                nonlocal compacted_in_run
+                fired.append(("c", k))
+                size = len(eng._heap)
+                for handle in burst:
+                    eng.cancel(handle)
+                compacted_in_run |= len(eng._heap) < size
+                for off, lb in early:
+                    eng.schedule_at(eng.now + off, fired.append, lb)
+
+            def ref_flush(burst_labels=burst_labels, early=early):
+                for lb in burst_labels:
+                    ref.remove(lb)
+                for off, lb in early:
+                    ref.add(ref.now + off, PRIORITY_DEFAULT, lb)
+
+            eng.schedule_at(t0 + 0.5, flush)
+            ref.add(t0 + 0.5, PRIORITY_DEFAULT, ("c", k))
+            ref.actions[("c", k)] = ref_flush
+            eng.run_until(t0 + 1.0, inclusive=op[1])
+            ref.run_until(t0 + 1.0, op[1])
         assert fired == ref.fired
         assert eng.now == ref.now
         assert eng.pending_events == len(ref.pending)
         assert eng.processed_events == ref.processed
-    assert compacted
+    assert compacted and compacted_in_run
     eng.run_until(eng.now + 2.0)
     ref.run_until(ref.now + 2.0, True)
     assert fired == ref.fired

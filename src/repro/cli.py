@@ -291,9 +291,10 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .baselines import GeminiPolicy, MaxFrequencyPolicy, RetailPolicy
-    from .experiments.calibration import calibrate_to_sla
+    from .experiments.fig7_main import DEFAULT_CALIBRATION_TARGET, calibration_spec
     from .experiments.runner import run_policy
-    from .experiments.scenarios import active_profile, evaluation_trace, workers_for
+    from .parallel.grid import run_grid
+    from .experiments.scenarios import active_profile, workers_for
     from .workload.apps import get_app
     from .analysis.reporting import format_table
 
@@ -305,9 +306,10 @@ def _cmd_compare(args) -> int:
     profile = active_profile(args.full)
     app = get_app(args.app)
     nw = workers_for(args.app, profile.num_cores)
-    cal = calibrate_to_sla(
-        app, evaluation_trace(profile), profile.num_cores, num_workers=nw
+    [cal] = run_grid(
+        [calibration_spec(args.app, profile, DEFAULT_CALIBRATION_TARGET)], cache=True
     )
+    cal = cal.unwrap()
     rows = []
     for name in args.policies.split(","):
         name = name.strip()

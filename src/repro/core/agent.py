@@ -10,11 +10,11 @@ on CPU between DRL steps.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..nn.network import TwoHeadMLP
+from ..nn.network import Module, TwoHeadMLP
 from ..nn.serialization import load_modules, save_modules
 from ..rl.ddpg import DdpgAgent, DdpgConfig
 from .state_observer import STATE_DIM
@@ -100,29 +100,28 @@ class DeepPowerAgent(DdpgAgent):
 
     # ------------------------------------------------------------ persistence
 
+    def _networks(self) -> Dict[str, Module]:
+        return dict(
+            actor=self.actor, actor_target=self.actor_target,
+            critic=self.critic, critic_target=self.critic_target,
+        )
+
     def save(self, path: str) -> None:
         """Persist actor + critic (+ targets) parameters to ``path``."""
-        save_modules(
-            {
-                "actor": self.actor,
-                "actor_target": self.actor_target,
-                "critic": self.critic,
-                "critic_target": self.critic_target,
-            },
-            path,
-        )
+        save_modules(self._networks(), path)
 
     def load(self, path: str) -> None:
         """Restore parameters saved by :meth:`save`."""
-        load_modules(
-            {
-                "actor": self.actor,
-                "actor_target": self.actor_target,
-                "critic": self.critic,
-                "critic_target": self.critic_target,
-            },
-            path,
-        )
+        load_modules(self._networks(), path)
+
+    def network_arrays(self) -> Dict[str, Dict[str, np.ndarray]]:
+        """Copies of the four networks' parameters, by network name."""
+        return {name: net.state_dict() for name, net in self._networks().items()}
+
+    def load_network_arrays(self, arrays: Dict[str, Dict[str, np.ndarray]]) -> None:
+        """Restore parameters taken by :meth:`network_arrays`."""
+        for name, net in self._networks().items():
+            net.load_state_dict(arrays[name])
 
     def parameter_count(self) -> int:
         """Actor parameter count (paper §5.5 reports 2096)."""

@@ -17,13 +17,15 @@ only on the episode index and the agent snapshot is bit-exact (networks,
 optimizer slots, replay pool, noise schedule, RNG stream), the resumed
 run's reward/action/frequency histories are bitwise identical to an
 uninterrupted run with the same seed.
+
+Experiments train their agents as :class:`TrainSpec` grid cells.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,13 +33,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.runner import RunResult
 
 from ..checkpoint import CheckpointManager
+from ..rl.ddpg import DdpgConfig
 from ..sim.rng import RngRegistry
-from ..workload.apps import AppSpec
+from ..workload.apps import AppSpec, get_app
 from ..workload.trace import WorkloadTrace
 from .agent import DeepPowerAgent, default_ddpg_config
 from .runtime import DeepPowerConfig, DeepPowerRuntime
 
-__all__ = ["EpisodeStats", "TrainingResult", "train_deeppower", "evaluate_deeppower"]
+__all__ = [
+    "EpisodeStats", "TrainingResult", "TrainSpec", "train_agents", "train_deeppower",
+    "evaluate_deeppower",
+]
 
 
 @dataclass(frozen=True)
@@ -307,3 +313,80 @@ def evaluate_deeppower(
         extras_fn=_runtime_extras,
         obs=obs,
     )
+
+
+@dataclass(frozen=True)
+class TrainSpec:
+    """One DeepPower agent's training recipe, as a grid cell.
+
+    :func:`~repro.parallel.run_grid` trains it (in a forked worker when
+    ``jobs > 1``, bitwise equal to training in-process) and stores the
+    agent's network arrays, keyed on every field but ``arrays``, which
+    holds them once trained (see :func:`train_agents`).  A DeepPower
+    ``RunSpec`` evaluates :meth:`agent` under ``config``.
+    """
+
+    app: str
+    trace: WorkloadTrace
+    episodes: int
+    num_cores: int
+    seed: int
+    ddpg: DdpgConfig
+    config: DeepPowerConfig
+    num_workers: Optional[int] = None
+    #: The agent's generator: this stream of ``RngRegistry(seed)``, or
+    #: ``np.random.default_rng(seed)`` when None.
+    rng_stream: Optional[str] = "agent"
+    arrays: Optional[Dict[str, Dict[str, np.ndarray]]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    #: Training runs DeepPower, untraced.
+    policy = "deeppower"
+    label = ""
+    trace_out = None
+
+    def fresh_agent(self) -> DeepPowerAgent:
+        """The untrained agent this recipe starts from."""
+        rng = (
+            RngRegistry(self.seed).get(self.rng_stream)
+            if self.rng_stream is not None
+            else np.random.default_rng(self.seed)
+        )
+        return DeepPowerAgent(rng, copy.copy(self.ddpg))
+
+    def agent(self) -> DeepPowerAgent:
+        """The trained agent: a fresh one loaded with ``arrays``."""
+        if self.arrays is None:
+            raise ValueError("TrainSpec has no arrays; train it with train_agents")
+        agent = self.fresh_agent()
+        agent.load_network_arrays(self.arrays)
+        return agent
+
+    def execute(self) -> Tuple[Dict[str, Dict[str, np.ndarray]], Dict[str, Any]]:
+        agent = self.fresh_agent()
+        train_deeppower(
+            get_app(self.app), self.trace, episodes=self.episodes,
+            num_cores=self.num_cores, num_workers=self.num_workers, seed=self.seed,
+            agent=agent, config=self.config,
+        )
+        return agent.network_arrays(), {}
+
+    def imports(self) -> Tuple[str, ...]:
+        return ("repro.experiments.runner", "repro.core.training")
+
+    def cache_payload(self) -> dict:
+        return {"kind": "deeppower-agent", "recipe": replace(self, arrays=None)}
+
+
+def train_agents(
+    specs: Sequence[TrainSpec], jobs: int = 1, result_cache=None
+) -> List[TrainSpec]:
+    """The specs, in order, with their ``arrays`` trained over ``jobs``
+    workers or loaded from the store."""
+    from ..parallel.grid import run_grid
+
+    return [
+        replace(out.spec, arrays=out.unwrap())
+        for out in run_grid(specs, jobs=jobs, cache=result_cache)
+    ]

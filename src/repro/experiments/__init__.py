@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .calibration import CalibrationResult, calibrate_to_sla
+    from .calibration import CalibrationResult, CalibrationSpec, calibrate_to_sla
     from .registry import REGISTRY, Experiment, get_experiment, list_experiments
     from .runner import RunContext, RunResult, build_context, run_policy
     from .scenarios import (
@@ -31,6 +31,7 @@ __all__ = [
     "build_context",
     "run_policy",
     "CalibrationResult",
+    "CalibrationSpec",
     "calibrate_to_sla",
     "ExperimentProfile",
     "SMOKE",

@@ -14,7 +14,6 @@
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -25,13 +24,14 @@ from ..core.agent import DeepPowerAgent, default_ddpg_config
 from ..core.reward import RewardCalculator, RewardConfig, auto_eta_for
 from ..core.runtime import DeepPowerConfig
 from ..core.state_observer import StateObserver
-from ..core.training import evaluate_deeppower, train_deeppower
+from ..core.training import TrainSpec, train_agents
+from ..parallel.grid import RunSpec, run_grid
 from ..rl.dqn import DqnAgent, DqnConfig, action_grid
 from ..sim.events import PRIORITY_CONTROL
 from ..workload.apps import get_app
-from .calibration import calibrate_to_sla
+from .fig7_main import TUNED_DDPG, fig7_agents, fig7_calibration, tuned_agent_setup
 from .runner import run_policy
-from .scenarios import active_profile, evaluation_trace, workers_for
+from .scenarios import active_profile
 
 __all__ = [
     "FlatDrlRuntime",
@@ -202,6 +202,31 @@ def _train_and_eval_runtime(runtime_cls, agent_builder, app, trace, profile, epi
     return res.metrics
 
 
+def _row(variant: str, m, sla: float) -> AblationRow:
+    return AblationRow(variant, m.avg_power_watts, m.tail_latency / sla, m.timeout_rate)
+
+
+def _summary(m, sla: float) -> dict:
+    return {
+        "power": m.avg_power_watts,
+        "p99_over_sla": m.tail_latency / sla,
+        "timeout_rate": m.timeout_rate,
+    }
+
+
+def _frozen_runs(trace, profile, trainings, jobs, result_cache, overrides=None):
+    """Metrics of each trained agent evaluated frozen on ``trace``, one run
+    cell each; ``overrides`` holds each cell's ``DeepPowerConfig`` changes."""
+    specs = [
+        RunSpec(
+            t.app, "deeppower", trace, profile.num_cores, seed=60_001,
+            num_workers=t.num_workers, policy_kwargs=kw, training=t,
+        )
+        for t, kw in zip(trainings, overrides or [()] * len(trainings))
+    ]
+    return [out.unwrap() for out in run_grid(specs, jobs=jobs, cache=result_cache)]
+
+
 def run_hierarchy_ablation(
     app_name: str = "xapian",
     full: Optional[bool] = None,
@@ -209,41 +234,25 @@ def run_hierarchy_ablation(
     result_cache=True,
 ) -> List[AblationRow]:
     """DeepPower vs flat DRL vs DQN-hierarchical on one app."""
-    from .fig7_main import trained_agent, tuned_agent_setup
-
     profile = active_profile(full)
     app = get_app(app_name)
-    nw = workers_for(app_name, profile.num_cores)
-    cal = calibrate_to_sla(
-        app, evaluation_trace(profile), profile.num_cores, num_workers=nw
-    )
+    [(cal, training)] = fig7_agents([app_name], profile, seed=seed, result_cache=result_cache)
     trace = cal.trace
-    rows: List[AblationRow] = []
 
-    # Full DeepPower (stored agent from the Fig 7 pipeline).
-    agent, dp_cfg, _ = trained_agent(
-        app_name, trace, profile, nw, seed=seed, result_cache=result_cache
-    )
-    m = evaluate_deeppower(
-        agent, app, trace, num_cores=profile.num_cores, seed=60_001, config=dp_cfg,
-        num_workers=nw,
-    ).metrics
-    rows.append(AblationRow("deeppower (hierarchical DDPG)", m.avg_power_watts, m.tail_latency / app.sla, m.timeout_rate))
+    # Full DeepPower (the stored agent of the Fig 7 pipeline).
+    [m] = _frozen_runs(trace, profile, [training], 1, result_cache)
+    rows = [_row("deeppower (hierarchical DDPG)", m, app.sla)]
 
     # Flat DRL (no thread controller).
     _, cfg = tuned_agent_setup(seed)
-    rngs_seed = np.random.default_rng(seed)
     flat_agent_builder = lambda: DeepPowerAgent(
-        np.random.default_rng(seed), default_ddpg_config(
-            noise_sigma=0.8, noise_decay=0.9997, noise_mu=0.1,
-            noise_min_sigma=0.12, gamma=0.95,
-        )
+        np.random.default_rng(seed), default_ddpg_config(**TUNED_DDPG)
     )
     m = _train_and_eval_runtime(
         FlatDrlRuntime, flat_agent_builder, app, trace, profile,
         profile.train_episodes, cfg,
     )
-    rows.append(AblationRow("flat DRL (no controller)", m.avg_power_watts, m.tail_latency / app.sla, m.timeout_rate))
+    rows.append(_row("flat DRL (no controller)", m, app.sla))
 
     # DQN top layer over a 5x5 action grid.
     grid = action_grid(2, 5)
@@ -255,44 +264,8 @@ def run_hierarchy_ablation(
         DqnHierarchicalRuntime, dqn_builder, app, trace, profile,
         profile.train_episodes, cfg, extra=grid,
     )
-    rows.append(AblationRow("hierarchical DQN (5x5 grid)", m.avg_power_watts, m.tail_latency / app.sla, m.timeout_rate))
-    del rngs_seed
+    rows.append(_row("hierarchical DQN (5x5 grid)", m, app.sla))
     return rows
-
-
-def _reward_weight_cell(item: tuple) -> dict:
-    """One (alpha, beta) sweep cell: train a fresh agent, evaluate frozen.
-
-    Module-level so the process pool can pickle it; everything the cell
-    needs travels in the item tuple.
-    """
-    app_name, alpha, beta, trace, episodes, num_cores, seed = item
-    app = get_app(app_name)
-    agent = DeepPowerAgent(
-        np.random.default_rng(seed),
-        default_ddpg_config(
-            noise_sigma=0.8, noise_decay=0.9997, noise_mu=0.1,
-            noise_min_sigma=0.12, gamma=0.95,
-        ),
-    )
-    cfg = DeepPowerConfig(
-        updates_per_step=4,
-        reward=RewardConfig(alpha=alpha, beta=beta, gamma_q=0.5),
-    )
-    train_deeppower(
-        app, trace, episodes=episodes,
-        num_cores=num_cores, seed=seed, agent=agent, config=cfg,
-    )
-    m = evaluate_deeppower(
-        agent, app, trace, num_cores=num_cores, seed=60_001, config=cfg,
-    ).metrics
-    return {
-        "alpha": alpha,
-        "beta": beta,
-        "power": m.avg_power_watts,
-        "p99_over_sla": m.tail_latency / app.sla,
-        "timeout_rate": m.timeout_rate,
-    }
 
 
 def run_reward_weight_sweep(
@@ -302,49 +275,36 @@ def run_reward_weight_sweep(
     full: Optional[bool] = None,
     seed: int = 7,
     jobs: int = 1,
+    result_cache=True,
 ) -> List[dict]:
     """Train small agents under different (alpha, beta) reward weights.
 
-    Every cell trains from scratch with its own RNGs, so fanning the sweep
-    out over ``jobs`` processes reproduces the serial results exactly.
+    Each agent is a training cell on its own recipe (``gamma_q`` 0.5, one
+    worker per core, the default ``LongTime``), evaluated frozen in a run
+    cell; both stages fan out over ``jobs`` processes and are stored.
     """
-    from ..parallel import ParallelMap
-
     profile = active_profile(full)
     app = get_app(app_name)
-    nw = workers_for(app_name, profile.num_cores)
-    cal = calibrate_to_sla(
-        app, evaluation_trace(profile), profile.num_cores, num_workers=nw
-    )
-    items = [
-        (app_name, alpha, beta, cal.trace, profile.train_episodes,
-         profile.num_cores, seed)
-        for alpha in alphas
-        for beta in betas
+    trace = fig7_calibration(app_name, profile, result_cache).trace
+    weights = [(alpha, beta) for alpha in alphas for beta in betas]
+    recipes = [
+        TrainSpec(
+            app_name, trace, profile.train_episodes, profile.num_cores, seed,
+            ddpg=default_ddpg_config(**TUNED_DDPG),
+            config=DeepPowerConfig(
+                updates_per_step=4,
+                reward=RewardConfig(alpha=alpha, beta=beta, gamma_q=0.5),
+            ),
+            rng_stream=None,
+        )
+        for alpha, beta in weights
     ]
-    return ParallelMap(jobs=jobs).map_values(_reward_weight_cell, items)
-
-
-def _short_time_cell(item: tuple) -> dict:
-    """One multiplier of the ShortTime sweep, from a saved frozen agent."""
-    app_name, agent_path, agent_seed, mult, trace, num_cores, num_workers = item
-    from .fig7_main import tuned_agent_setup
-
-    app = get_app(app_name)
-    agent, dp_cfg = tuned_agent_setup(agent_seed, app=app)
-    agent.load(agent_path)
-    cfg = copy.copy(dp_cfg)
-    cfg.short_time = app.short_time * mult
-    m = evaluate_deeppower(
-        agent, app, trace, num_cores=num_cores, seed=60_001, config=cfg,
-        num_workers=num_workers,
-    ).metrics
-    return {
-        "short_time_ms": cfg.short_time * 1e3,
-        "power": m.avg_power_watts,
-        "p99_over_sla": m.tail_latency / app.sla,
-        "timeout_rate": m.timeout_rate,
-    }
+    trained = train_agents(recipes, jobs=jobs, result_cache=result_cache)
+    runs = _frozen_runs(trace, profile, trained, jobs, result_cache)
+    return [
+        {"alpha": alpha, "beta": beta, **_summary(m, app.sla)}
+        for (alpha, beta), m in zip(weights, runs)
+    ]
 
 
 def run_short_time_sweep(
@@ -356,31 +316,18 @@ def run_short_time_sweep(
     result_cache=True,
 ) -> List[dict]:
     """Controller-tick granularity sweep with a frozen trained agent."""
-    import tempfile
-
-    from ..parallel import ParallelMap
-    from .fig7_main import trained_agent
-
     profile = active_profile(full)
     app = get_app(app_name)
-    nw = workers_for(app_name, profile.num_cores)
-    cal = calibrate_to_sla(
-        app, evaluation_trace(profile), profile.num_cores, num_workers=nw
+    [(cal, training)] = fig7_agents([app_name], profile, seed=seed, result_cache=result_cache)
+    short_times = [app.short_time * mult for mult in multipliers]
+    runs = _frozen_runs(
+        cal.trace, profile, [training] * len(short_times), jobs, result_cache,
+        [(("short_time", short_time),) for short_time in short_times],
     )
-    agent, _, agent_path = trained_agent(
-        app_name, cal.trace, profile, nw, seed=seed, result_cache=result_cache
-    )
-    # The frozen agent travels to the workers as an .npz file (a temporary
-    # copy only when the store is off).
-    with tempfile.TemporaryDirectory(prefix="shorttime-") as tmpdir:
-        if agent_path is None:
-            agent_path = os.path.join(tmpdir, f"{app_name}.npz")
-            agent.save(agent_path)
-        items = [
-            (app_name, agent_path, seed, mult, cal.trace, profile.num_cores, nw)
-            for mult in multipliers
-        ]
-        return ParallelMap(jobs=jobs).map_values(_short_time_cell, items)
+    return [
+        {"short_time_ms": short_time * 1e3, **_summary(m, app.sla)}
+        for short_time, m in zip(short_times, runs)
+    ]
 
 
 def render_ablation_rows(rows: List[AblationRow]) -> str:

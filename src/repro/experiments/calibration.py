@@ -4,22 +4,22 @@
 when running without frequency scaling."  :func:`calibrate_to_sla` performs
 that scaling: it searches the multiplicative trace factor under which the
 unmanaged baseline's p99 latency lands at ``target_fraction`` of the SLA.
-Given a result store, the search's outcome is kept there, so a rerun of
-the same calibration runs no probe.
+:class:`CalibrationSpec` makes one search a grid cell, so
+:func:`repro.parallel.run_grid` stores its outcome and a rerun of the same
+calibration runs no probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Optional, Tuple
 
 from ..baselines.simple import MaxFrequencyPolicy
-from ..parallel.cache import RunResultCache, resolve_cache
-from ..workload.apps import AppSpec
+from ..workload.apps import AppSpec, get_app
 from ..workload.trace import WorkloadTrace
 from .runner import run_policy
 
-__all__ = ["CalibrationResult", "calibrate_to_sla"]
+__all__ = ["CalibrationResult", "CalibrationSpec", "calibrate_to_sla"]
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ def calibrate_to_sla(
     max_iter: int = 8,
     initial_load: float = 0.45,
     max_load: float = 0.85,
-    result_cache: "bool | RunResultCache | None" = None,
 ) -> CalibrationResult:
     """Scale ``base_trace`` so the unmanaged baseline's p99 ≈ target.
 
@@ -62,12 +61,6 @@ def calibrate_to_sla(
         Cap on the mean utilisation: near-deterministic service times make
         p99-vs-load a cliff (M/D/c), and without a cap the search can park
         the system on the wrong side of it.
-    result_cache:
-        Store the result under ``REPRO_CACHE`` (``True``) or in the given
-        store, keyed on the app, the base trace's content, every search
-        parameter and the store's schema version; a stored result is
-        returned without a probe run.  ``None``/``False`` reads and
-        writes nothing.
 
     Notes
     -----
@@ -78,25 +71,6 @@ def calibrate_to_sla(
     if not 0.0 < target_fraction <= 1.5:
         raise ValueError("target_fraction must be in (0, 1.5]")
     nw = num_workers if num_workers is not None else num_cores
-    cache = resolve_cache(result_cache)
-    if cache is not None:
-        key = cache.key({
-            "kind": "calibration",
-            "app": app.name,
-            "trace_edges": base_trace.edges,
-            "trace_rates": base_trace.rates,
-            "target_fraction": target_fraction,
-            "num_cores": num_cores,
-            "num_workers": nw,
-            "seed": seed,
-            "tol": tol,
-            "max_iter": max_iter,
-            "initial_load": initial_load,
-            "max_load": max_load,
-        })
-        stored = cache.get(key)
-        if stored is not None:
-            return stored
     trace = base_trace.scaled_to_mean(app.rps_for_load(initial_load, nw))
 
     achieved = 0.0
@@ -126,13 +100,47 @@ def calibrate_to_sla(
 
     mean_load = trace.mean_rate() * app.service.expected_work() / (nw * 2.1)
     scale = trace.mean_rate() / base_trace.mean_rate()
-    result = CalibrationResult(
+    return CalibrationResult(
         trace=trace,
         scale=scale,
         baseline_p99_fraction=achieved,
         iterations=it,
         mean_load=mean_load,
     )
-    if cache is not None:
-        cache.put(key, result)
-    return result
+
+
+@dataclass(frozen=True)
+class CalibrationSpec:
+    """One :func:`calibrate_to_sla` search as a grid cell.
+
+    It follows the spec protocol of :class:`~repro.parallel.RunSpec`, so
+    :func:`~repro.parallel.run_grid` runs it and stores its
+    :class:`CalibrationResult`, keyed on every field: the arguments of
+    :func:`calibrate_to_sla`, with the app given by catalog name.
+    """
+
+    app: str
+    base_trace: WorkloadTrace
+    num_cores: int
+    num_workers: Optional[int] = None
+    target_fraction: float = 0.7
+    seed: int = 999
+    tol: float = 0.07
+    max_iter: int = 8
+    initial_load: float = 0.45
+    max_load: float = 0.85
+
+    #: Probes run the unmanaged baseline, untraced.
+    policy = "baseline"
+    label = ""
+    trace_out = None
+
+    def execute(self) -> Tuple[CalibrationResult, Dict[str, Any]]:
+        args = {f.name: getattr(self, f.name) for f in fields(self)}
+        return calibrate_to_sla(get_app(args.pop("app")), **args), {}
+
+    def imports(self) -> Tuple[str, ...]:
+        return ("repro.experiments.calibration",)
+
+    def cache_payload(self) -> dict:
+        return {"kind": "calibration", "spec": self}

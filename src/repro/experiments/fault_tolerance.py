@@ -31,9 +31,9 @@ from ..faults.injectors import FaultHarness
 from ..faults.plan import FaultPlan, standard_fault_plan
 from ..server.metrics import RunMetrics
 from ..workload.apps import get_app
-from .fig7_main import EVAL_SEED, fig7_calibration, trained_agent
+from .fig7_main import EVAL_SEED, fig7_agents
 from .runner import run_policy
-from .scenarios import active_profile, workers_for
+from .scenarios import active_profile
 
 __all__ = ["FaultToleranceRow", "run_fault_tolerance", "render_fault_tolerance"]
 
@@ -116,14 +116,13 @@ def run_fault_tolerance(
     """
     profile = active_profile(full)
     app = get_app(app_name)
-    nw = workers_for(app_name, profile.num_cores)
-    cal = fig7_calibration(app_name, profile, result_cache=result_cache)
-    agent, dp_cfg, _ = trained_agent(
-        app_name, cal.trace, profile, nw, seed=seed, result_cache=result_cache
+    [(cal, training)] = fig7_agents(
+        [app_name], profile, seed=seed, result_cache=result_cache
     )
-    trace = cal.trace
+    agent, nw, trace = training.agent(), training.num_workers, cal.trace
     dp_cfg = replace(
-        dp_cfg, train=False, control=replace(dp_cfg.control, watchdog=True)
+        training.config, train=False,
+        control=replace(training.config.control, watchdog=True),
     )
 
     rows: List[FaultToleranceRow] = []

@@ -16,18 +16,17 @@ Expected shape versus the paper:
 * DeepPower's mean/tail ratio is the highest (short requests run slow,
   long requests ramp up).
 
-Trained agents and evaluation cells are stored under ``REPRO_CACHE``
-(default ``.artifacts/``), keyed by content, so re-running the bench
-reuses them.
+Calibrations, trained agents and evaluation cells are grid cells stored
+under ``REPRO_CACHE`` (default ``.artifacts/``), keyed by content, so
+re-running the bench reuses them.  The helpers here build the standard
+calibration and agent recipe that the other single-node experiments
+share.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.agent import DeepPowerAgent, default_ddpg_config
 from ..core.reward import RewardConfig
@@ -38,15 +37,20 @@ from ..workload.apps import get_app
 from .scenarios import ExperimentProfile, active_profile, evaluation_trace, workers_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.training import TrainSpec
     from ..parallel import RunResultCache
-    from .calibration import CalibrationResult
+    from .calibration import CalibrationResult, CalibrationSpec
 
 __all__ = [
     "PolicyOutcome",
     "Fig7AppResult",
     "run_fig7",
     "render_fig7",
+    "TUNED_DDPG",
+    "tuned_config",
     "tuned_agent_setup",
+    "agent_recipe",
+    "fig7_agents",
     "FIG7_POLICIES",
 ]
 
@@ -81,9 +85,34 @@ DEFAULT_CALIBRATION_TARGET = 0.7
 #: timeout signal needs more weight to cut through the sampling noise.
 REWARD_OVERRIDES = {"sphinx": {"beta": 30.0}, "xapian": {"beta": 26.0}}
 
+#: DDPG settings tuned for the simulated stack (over
+#: :func:`~repro.core.agent.default_ddpg_config`): exploration stays alive
+#: long enough (min sigma) for the critic to see mid-range actions in
+#: healthy states — see DESIGN.md's notes on the corner-collapse failure
+#: mode.
+TUNED_DDPG = dict(
+    noise_sigma=0.8, noise_decay=0.9997, noise_mu=0.1, noise_min_sigma=0.12, gamma=0.95,
+)
+
 
 def calibration_target_for(app_name: str) -> float:
     return CALIBRATION_TARGET.get(app_name, DEFAULT_CALIBRATION_TARGET)
+
+
+def calibration_spec(
+    app_name: str,
+    profile: ExperimentProfile,
+    target_fraction: Optional[float] = None,
+) -> CalibrationSpec:
+    """The calibration cell of the diurnal evaluation trace for ``app_name``,
+    at ``target_fraction`` or the app's fig7 target."""
+    from .calibration import CalibrationSpec
+
+    return CalibrationSpec(
+        app_name, evaluation_trace(profile), profile.num_cores,
+        num_workers=workers_for(app_name, profile.num_cores),
+        target_fraction=target_fraction or calibration_target_for(app_name),
+    )
 
 
 def fig7_calibration(
@@ -93,188 +122,124 @@ def fig7_calibration(
 ) -> CalibrationResult:
     """The diurnal evaluation trace scaled to ``app_name``'s SLA target.
 
-    Its trace is the one the standard fig7 agent trains on, so every
-    experiment that reuses that agent calibrates through here.
-    ``result_cache`` stores the result (see :func:`calibrate_to_sla`).
+    Its trace is the one the standard fig7 agent trains on.
+    ``result_cache`` stores the calibration cell (see
+    :func:`repro.parallel.run_grid`).
     """
-    from .calibration import calibrate_to_sla
+    from ..parallel.grid import run_grid
 
-    return calibrate_to_sla(
-        get_app(app_name), evaluation_trace(profile), profile.num_cores,
-        num_workers=workers_for(app_name, profile.num_cores),
-        target_fraction=calibration_target_for(app_name),
-        result_cache=result_cache,
-    )
+    return run_grid([calibration_spec(app_name, profile)], cache=result_cache)[0].unwrap()
 
 
-def tuned_agent_setup(seed: int = 7, app=None):
-    """The DDPG/reward configuration tuned for the simulated stack.
+def tuned_config(app=None) -> DeepPowerConfig:
+    """The reward and framework configuration tuned for the simulated stack.
 
-    Exploration stays alive long enough (min sigma) for the critic to see
-    mid-range actions in healthy states — see DESIGN.md's notes on the
-    corner-collapse failure mode.  ``LongTime`` follows the app profile
-    (paper §4.6: it "can be changed according to the service time of
-    different applications" — Sphinx's second-scale requests need a longer
-    decision window to see a meaningful arrival sample).
+    ``LongTime`` follows the app profile (paper §4.6: it "can be changed
+    according to the service time of different applications").
     """
-    rngs = RngRegistry(seed)
-    agent = DeepPowerAgent(
-        rngs.get("agent"),
-        default_ddpg_config(
-            noise_sigma=0.8,
-            noise_decay=0.9997,
-            noise_mu=0.1,
-            noise_min_sigma=0.12,
-            gamma=0.95,
-        ),
-    )
     reward_kwargs = dict(alpha=2.0, beta=20.0, gamma_q=0.8)
     if app is not None:
         reward_kwargs.update(REWARD_OVERRIDES.get(app.name, {}))
-    cfg = DeepPowerConfig(
+    return DeepPowerConfig(
         long_time=app.long_time if app is not None else 1.0,
         updates_per_step=4,
         reward=RewardConfig(**reward_kwargs),
     )
-    return agent, cfg
 
 
-def trained_agent(
+def tuned_agent_setup(seed: int = 7, app=None):
+    """A fresh agent with :data:`TUNED_DDPG`, and :func:`tuned_config`."""
+    rngs = RngRegistry(seed)
+    agent = DeepPowerAgent(rngs.get("agent"), default_ddpg_config(**TUNED_DDPG))
+    return agent, tuned_config(app)
+
+
+def agent_recipe(
     app_name: str,
     trace,
     profile: ExperimentProfile,
     num_workers: int,
     seed: int = 7,
-    result_cache: "bool | RunResultCache | None" = True,
-    verbose: bool = False,
-):
-    """Train a DeepPower agent for one app, or load it from the store.
+) -> TrainSpec:
+    """The training cell of the agent :func:`tuned_agent_setup` builds,
+    under :func:`tuned_config`, on ``trace`` for the profile's episodes."""
+    from ..core.training import TrainSpec
 
-    Returns ``(agent, config, path)``.  With ``result_cache`` on, the agent
-    lives in the run-result store at ``path``, addressed by its full
-    training recipe: app, trace content, episodes, cores, workers, seed,
-    both configs and the store's schema version.  A recipe change can
-    therefore never load a stale agent, and an unreadable entry is evicted
-    and retrained.  With ``result_cache`` off, nothing is read or written
-    and ``path`` is None.
-    """
-    from ..core.training import train_deeppower
-    from ..parallel.cache import resolve_cache
-
-    app = get_app(app_name)
-    agent, cfg = tuned_agent_setup(seed, app=app)
-    cache = resolve_cache(result_cache)
-    path = None
-    if cache is not None:
-        recipe = {
-            "kind": "deeppower-agent",
-            "app": app_name,
-            "trace_edges": trace.edges,
-            "trace_rates": trace.rates,
-            "episodes": profile.train_episodes,
-            "num_cores": profile.num_cores,
-            "num_workers": num_workers,
-            "seed": seed,
-            "agent": agent.cfg,
-            "config": cfg,
-        }
-        path = cache.path_for(cache.key(recipe), ".npz")
-        if os.path.exists(path):
-            try:
-                agent.load(path)
-                return agent, cfg, path
-            except Exception as exc:  # corrupt/truncated entry -> retrain
-                warnings.warn(
-                    f"discarding unreadable agent {path!r} ({exc}); retraining",
-                    stacklevel=2,
-                )
-                os.remove(path)
-                # The failed load may have partially written network
-                # weights; rebuild the agent before training.
-                agent, cfg = tuned_agent_setup(seed, app=app)
-    train_deeppower(
-        app,
-        trace,
-        episodes=profile.train_episodes,
-        num_cores=profile.num_cores,
+    return TrainSpec(
+        app_name, trace, profile.train_episodes, profile.num_cores, seed,
+        ddpg=default_ddpg_config(**TUNED_DDPG),
+        config=tuned_config(get_app(app_name)),
         num_workers=num_workers,
-        seed=seed,
-        agent=agent,
-        config=cfg,
-        verbose=verbose,
     )
-    if path is not None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        agent.save(path)
-    return agent, cfg, path
+
+
+def fig7_agents(
+    apps: Sequence[str],
+    profile: ExperimentProfile,
+    seed: int = 7,
+    jobs: int = 1,
+    result_cache: "bool | RunResultCache | None" = None,
+) -> List[Tuple[CalibrationResult, TrainSpec]]:
+    """Calibrate each app's workload, then train its standard agent on it.
+
+    Two grid stages over ``jobs`` workers: every calibration cell, then
+    every training cell; both are stored in ``result_cache``.  Returns
+    ``(calibration, trained spec)`` per app, in order.
+    """
+    from ..core.training import train_agents
+    from ..parallel.grid import run_grid
+
+    specs = [calibration_spec(name, profile) for name in apps]
+    cals = [out.unwrap() for out in run_grid(specs, jobs=jobs, cache=result_cache)]
+    recipes = [
+        agent_recipe(spec.app, cal.trace, profile, spec.num_workers, seed=seed)
+        for spec, cal in zip(specs, cals)
+    ]
+    return list(zip(cals, train_agents(recipes, jobs=jobs, result_cache=result_cache)))
 
 
 def run_fig7(
     apps: Optional[Sequence[str]] = None,
     full: Optional[bool] = None,
     seed: int = 7,
-    verbose: bool = False,
     jobs: int = 1,
     result_cache: "bool | RunResultCache | None" = True,
     trace_dir: Optional[str] = None,
 ) -> Dict[str, Fig7AppResult]:
-    """The full Fig 7 pipeline, staged: calibrate/train per app, then fan
-    the whole (app x policy) evaluation grid out at once.
+    """The full Fig 7 pipeline in three grid stages: calibrate every app,
+    train every app's agent, then evaluate the whole (app x policy) grid.
 
-    ``jobs`` fans the evaluation grid over forked worker processes (results
-    are bitwise identical to ``jobs=1``: every cell owns its engine and RNG
-    stack).  ``result_cache`` stores each calibration and each trained
-    agent as soon as it exists and each evaluation cell as soon as it
-    finishes, keyed by content; a re-run loads them instead of
-    recomputing.  ``False`` reads and writes nothing.  ``trace_dir``
-    writes a per-cell JSONL observability trace (traced cells always
+    ``jobs`` fans each stage over forked worker processes (results are
+    bitwise identical to ``jobs=1``: every cell owns its engine and RNG
+    stack).  ``result_cache`` stores each cell as soon as it finishes,
+    keyed by content; a re-run loads them instead of recomputing.
+    ``False`` reads and writes nothing.  ``trace_dir`` writes a per-cell
+    JSONL observability trace of the evaluation grid (traced cells always
     execute; see :func:`repro.parallel.run_grid`).
     """
-    from ..parallel import RunSpec, resolve_cache, run_grid
+    from ..parallel import RunSpec, run_grid
 
     profile = active_profile(full)
     apps = apps if apps is not None else ("xapian", "masstree", "moses", "sphinx", "img-dnn")
-    cache = resolve_cache(result_cache)
-
-    with tempfile.TemporaryDirectory(prefix="fig7-agents-") as tmpdir:
-        # Stage 1 (serial): calibrate the workload and train the agent for
-        # each app, or load both from the store.  Training dominates
-        # wall-clock, so it stays in-process; the agent reaches the
-        # evaluation grid as an .npz file (a temporary copy only when the
-        # store is off).
-        staged = []
-        for name in apps:
-            nw = workers_for(name, profile.num_cores)
-            cal = fig7_calibration(name, profile, result_cache=cache)
-            agent, _, agent_path = trained_agent(
-                name, cal.trace, profile, nw, seed=seed, result_cache=cache,
-                verbose=verbose,
-            )
-            if agent_path is None:
-                agent_path = os.path.join(tmpdir, f"{name}.npz")
-                agent.save(agent_path)
-            staged.append((name, nw, cal, agent_path))
-
-        # Stage 2: one flat grid of (app x policy) evaluation cells.
-        specs: List[RunSpec] = [
-            RunSpec(
-                app=name,
-                policy=pol,
-                trace=cal.trace,
-                num_cores=profile.num_cores,
-                seed=EVAL_SEED,
-                num_workers=nw,
-                agent_path=agent_path if pol == "deeppower" else None,
-                agent_seed=seed,
-                label=f"fig7-{profile.name}",
-            )
-            for name, nw, cal, agent_path in staged
-            for pol in FIG7_POLICIES
-        ]
-        outcomes = iter(run_grid(specs, jobs=jobs, cache=cache, trace_dir=trace_dir))
+    staged = fig7_agents(apps, profile, seed=seed, jobs=jobs, result_cache=result_cache)
+    specs: List[RunSpec] = [
+        RunSpec(
+            app=training.app,
+            policy=pol,
+            trace=cal.trace,
+            num_cores=profile.num_cores,
+            seed=EVAL_SEED,
+            num_workers=training.num_workers,
+            training=training if pol == "deeppower" else None,
+            label=f"fig7-{profile.name}",
+        )
+        for cal, training in staged
+        for pol in FIG7_POLICIES
+    ]
+    outcomes = iter(run_grid(specs, jobs=jobs, cache=result_cache, trace_dir=trace_dir))
 
     results: Dict[str, Fig7AppResult] = {}
-    for name, _, cal, _ in staged:
+    for name, (cal, _) in zip(apps, staged):
         runs: Dict[str, RunMetrics] = {
             pol: next(outcomes).unwrap() for pol in FIG7_POLICIES
         }

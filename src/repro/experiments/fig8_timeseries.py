@@ -17,9 +17,8 @@ import numpy as np
 from ..analysis.reporting import sparkline
 from ..core.training import evaluate_deeppower
 from ..workload.apps import get_app
-from .calibration import calibrate_to_sla
-from .fig7_main import trained_agent
-from .scenarios import active_profile, evaluation_trace, workers_for
+from .fig7_main import fig7_agents
+from .scenarios import active_profile
 
 __all__ = ["Fig8Result", "run_fig8", "render_fig8"]
 
@@ -44,18 +43,11 @@ def run_fig8(
     result_cache=True,
 ) -> Fig8Result:
     profile = active_profile(full)
-    app = get_app(app_name)
-    nw = workers_for(app_name, profile.num_cores)
-    base_trace = evaluation_trace(profile)
-    cal = calibrate_to_sla(
-        app, base_trace, profile.num_cores, num_workers=nw, target_fraction=0.7
-    )
-    agent, dp_cfg, _ = trained_agent(
-        app_name, cal.trace, profile, nw, seed=seed, result_cache=result_cache
-    )
+    [(cal, training)] = fig7_agents([app_name], profile, seed=seed, result_cache=result_cache)
     run = evaluate_deeppower(
-        agent, app, cal.trace, num_cores=profile.num_cores, seed=99, config=dp_cfg,
-        num_workers=nw,
+        training.agent(), get_app(app_name), cal.trace,
+        num_cores=profile.num_cores, seed=99, config=training.config,
+        num_workers=training.num_workers,
     )
     recs = run.extras["records"]
     times = np.array([r.time for r in recs])

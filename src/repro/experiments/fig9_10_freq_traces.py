@@ -29,10 +29,9 @@ from ..cpu.dvfs import DEFAULT_TABLE
 from ..core.thread_controller import ThreadController
 from ..core.training import evaluate_deeppower
 from ..workload.apps import get_app
-from .calibration import calibrate_to_sla
-from .fig7_main import trained_agent
+from .fig7_main import fig7_agents
 from .runner import run_policy
-from .scenarios import active_profile, evaluation_trace, workers_for
+from .scenarios import active_profile
 
 __all__ = [
     "FreqTraceResult",
@@ -101,11 +100,8 @@ def run_freq_traces(
     """Frequency traces for DeepPower / ReTail / Gemini on one app."""
     profile = active_profile(full)
     app = get_app(app_name)
-    nw = workers_for(app_name, profile.num_cores)
-    base_trace = evaluation_trace(profile)
-    cal = calibrate_to_sla(
-        app, base_trace, profile.num_cores, num_workers=nw, target_fraction=0.7
-    )
+    [(cal, training)] = fig7_agents([app_name], profile, seed=seed, result_cache=result_cache)
+    nw = training.num_workers
     trace = cal.trace
     sample_period = app.short_time  # one sample per controller tick
     out: Dict[str, FreqTraceResult] = {}
@@ -149,12 +145,10 @@ def run_freq_traces(
         )
 
     # --- DeepPower -----------------------------------------------------------
-    agent, dp_cfg, _ = trained_agent(
-        app_name, trace, profile, nw, seed=seed, result_cache=result_cache
-    )
     run = evaluate_deeppower(
-        agent, app, trace, num_cores=profile.num_cores, seed=99, config=dp_cfg,
-        num_workers=nw, keep_requests=True, record_freq_trace=True,
+        training.agent(), app, trace, num_cores=profile.num_cores, seed=99,
+        config=training.config, num_workers=nw, keep_requests=True,
+        record_freq_trace=True,
     )
     controller: ThreadController = run.extras["controller"]
     times, freqs = controller.trace_arrays()

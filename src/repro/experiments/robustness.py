@@ -11,7 +11,7 @@ Two distribution shifts probe whether the learned policy generalises:
 * **Closed loop** — a fixed client population self-throttles under
   queueing, inverting the open-loop tail dynamics.
 
-Both reuse the cached Fig 7 agent (no retraining on the shifted
+Both reuse the stored Fig 7 agent (no retraining on the shifted
 distribution — that is the point).
 """
 
@@ -21,17 +21,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..analysis.reporting import format_table
-from ..baselines.gemini import GeminiPolicy
-from ..baselines.retail import RetailPolicy
-from ..baselines.simple import MaxFrequencyPolicy
-from ..core.training import evaluate_deeppower
+from ..parallel.grid import RunSpec, run_grid
 from ..server.metrics import RunMetrics
 from ..sim.rng import RngRegistry
-from ..workload.apps import get_app
 from ..workload.burst import mmpp_trace
-from .fig7_main import fig7_calibration, trained_agent
-from .runner import run_policy
-from .scenarios import active_profile, workers_for
+from .fig7_main import FIG7_POLICIES, fig7_agents
+from .scenarios import active_profile
 
 __all__ = ["RobustnessRow", "run_mmpp_robustness", "render_robustness"]
 
@@ -48,6 +43,7 @@ def run_mmpp_robustness(
     burst_ratio: float = 2.5,
     seed: int = 7,
     full: Optional[bool] = None,
+    jobs: int = 1,
     result_cache=True,
 ) -> Dict[str, RobustnessRow]:
     """Evaluate all policies under a flash-crowd MMPP arrival process.
@@ -57,12 +53,9 @@ def run_mmpp_robustness(
     times of a few seconds, far more abrupt than the training trace.
     """
     profile = active_profile(full)
-    app = get_app(app_name)
-    nw = workers_for(app_name, profile.num_cores)
     # Calibrate on the standard diurnal workload (= training conditions).
-    cal = fig7_calibration(app_name, profile, result_cache=result_cache)
-    agent, dp_cfg, _ = trained_agent(
-        app_name, cal.trace, profile, nw, seed=seed, result_cache=result_cache
+    [(cal, training)] = fig7_agents(
+        [app_name], profile, seed=seed, result_cache=result_cache
     )
 
     # Build an MMPP with the same mean rate: calm/burst around the mean.
@@ -79,23 +72,20 @@ def run_mmpp_robustness(
         mean_calm=calm_dwell, mean_burst=burst_dwell,
     )
 
-    runs: Dict[str, RunMetrics] = {}
-    runs["baseline"] = run_policy(
-        lambda ctx: MaxFrequencyPolicy(ctx), app, trace, profile.num_cores,
-        seed=999, num_workers=nw,
-    ).metrics
-    runs["retail"] = run_policy(
-        lambda ctx: RetailPolicy(ctx), app, trace, profile.num_cores,
-        seed=999, num_workers=nw,
-    ).metrics
-    runs["gemini"] = run_policy(
-        lambda ctx: GeminiPolicy(ctx), app, trace, profile.num_cores,
-        seed=999, num_workers=nw,
-    ).metrics
-    runs["deeppower"] = evaluate_deeppower(
-        agent, app, trace, num_cores=profile.num_cores, seed=999, config=dp_cfg,
-        num_workers=nw,
-    ).metrics
+    outcomes = run_grid(
+        [
+            RunSpec(
+                app_name, pol, trace, profile.num_cores, seed=999,
+                num_workers=training.num_workers,
+                training=training if pol == "deeppower" else None,
+            )
+            for pol in FIG7_POLICIES
+        ],
+        jobs=jobs, cache=result_cache,
+    )
+    runs: Dict[str, RunMetrics] = {
+        pol: out.unwrap() for pol, out in zip(FIG7_POLICIES, outcomes)
+    }
 
     base_p = runs["baseline"].avg_power_watts
     return {

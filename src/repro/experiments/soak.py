@@ -24,15 +24,15 @@ from ..control import ControlPlaneConfig
 from ..core.runtime import DeepPowerRuntime
 from ..faults.bus import standard_bus_plan
 from ..obs import Observability, TraceWriter
+from ..parallel.grid import run_grid
 from ..workload.apps import get_app
 from ..workload.trace import WorkloadTrace
-from .calibration import calibrate_to_sla
+from .calibration import CalibrationSpec
 from .fig7_main import (
     EVAL_SEED,
     calibration_target_for,
-    fig7_calibration,
-    trained_agent,
-    tuned_agent_setup,
+    fig7_agents,
+    tuned_config,
 )
 from .runner import run_policy
 from .scenarios import active_profile, workers_for
@@ -193,26 +193,23 @@ def run_soak(
     profile = active_profile(full)
     app = get_app(app_name)
     nw = workers_for(app_name, profile.num_cores)
-    cal = calibrate_to_sla(
-        app, soak_trace(profile.trace_duration), profile.num_cores,
+    [cal] = run_grid([CalibrationSpec(
+        app_name, soak_trace(profile.trace_duration), profile.num_cores,
         num_workers=nw, target_fraction=calibration_target_for(app_name),
-        result_cache=result_cache,
-    )
+    )], cache=result_cache)
+    trace = cal.unwrap().trace
     if policy == "trained":
         # The standard fig7 agent, trained on fig7's calibrated diurnal
         # trace; evaluating it on the soak workload doubles as a
         # generalisation check and keeps the agent store shared.
-        agent, dp_cfg, _ = trained_agent(
-            app_name,
-            fig7_calibration(app_name, profile, result_cache=result_cache).trace,
-            profile, nw,
-            seed=seed, result_cache=result_cache,
+        [(_, training)] = fig7_agents(
+            [app_name], profile, seed=seed, result_cache=result_cache
         )
+        agent, dp_cfg = training.agent(), training.config
         make_agent = lambda: agent  # frozen weights; act is stateless
     else:
-        _, dp_cfg = tuned_agent_setup(seed, app=app)
+        dp_cfg = tuned_config(app)
         make_agent = ReactivePolicy
-    trace = cal.trace
     dp_cfg = replace(dp_cfg, train=False)
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)

@@ -8,13 +8,15 @@ change to an input yields a different address automatically.  Code changes
 that alter run *semantics* without changing inputs are handled the blunt
 way: bump :data:`CACHE_SCHEMA_VERSION`, which namespaces the whole store.
 
-It is the one place experiments persist anything.  Layout::
+It is the one place experiments persist anything, and
+:func:`repro.parallel.run_grid` is the one code path that reads or writes
+it.  Layout::
 
     $REPRO_CACHE/                 (default ./.artifacts)
-        runs/v<schema>/ab/abcdef...pkl   run results and workload
-                                         calibrations, sharded by key prefix
-        runs/v<schema>/ab/abcdef...npz   trained DeepPower agents, keyed on
-                                         their full training recipe
+        runs/v<schema>/ab/abcdef...pkl   one pickled grid cell each: a run
+                                         result, a workload calibration or
+                                         a trained agent's network arrays,
+                                         sharded by key prefix
 
 Writes are atomic (unique temp file + ``os.replace``), so concurrent
 writers — a ``--jobs`` pool, or pytest-xdist workers sharing a cache dir —
@@ -133,9 +135,10 @@ def plan_digest(plan: Any) -> Optional[str]:
 class RunResultCache:
     """Content-addressed store under ``<root>/runs/v<schema>/``.
 
-    :meth:`get`/:meth:`put` hold pickled run results and calibrations;
-    trained agents are ``.npz`` files at ``path_for(key, ".npz")``,
-    written by the agent's own atomic save.
+    :meth:`get`/:meth:`put` hold the pickled result of one grid cell each:
+    a :class:`~repro.parallel.RunSpec` run, a
+    :class:`~repro.experiments.calibration.CalibrationSpec` calibration or
+    a :class:`~repro.core.training.TrainSpec` agent's network arrays.
 
     Parameters
     ----------
@@ -161,9 +164,9 @@ class RunResultCache:
 
     # ------------------------------------------------------------------ paths
 
-    def path_for(self, key: str, suffix: str = ".pkl") -> str:
-        """Entry path of ``key``: ``.pkl`` for run results, ``.npz`` agents."""
-        return os.path.join(self.dir, key[:2], key + suffix)
+    def path_for(self, key: str) -> str:
+        """Entry path of ``key``."""
+        return os.path.join(self.dir, key[:2], key + ".pkl")
 
     def key(self, payload: Any) -> str:
         """Address for a payload; schema version is part of the content."""
@@ -212,12 +215,6 @@ class RunResultCache:
 
     def contains(self, key: str) -> bool:
         return os.path.exists(self.path_for(key))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RunResultCache(dir={self.dir!r}, hits={self.hits}, "
-            f"misses={self.misses})"
-        )
 
 
 def resolve_cache(

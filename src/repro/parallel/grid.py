@@ -2,11 +2,12 @@
 
 A :class:`RunSpec` captures *everything* that determines one
 ``run_policy`` cell — app, policy, trace content, seed, core/worker
-counts, policy kwargs, and (for DeepPower) the trained-agent artifact —
-so the cell can execute in any process and its result can be addressed
-by content.  :func:`run_grid` executes a list of specs through a
+counts, policy kwargs, and (for DeepPower) the training cell of its
+agent — so the cell can execute in any process and its result can be
+addressed by content.  :func:`run_grid` executes a list of specs through a
 :class:`~repro.parallel.pool.ParallelMap` with an optional
-:class:`~repro.parallel.cache.RunResultCache` in front.
+:class:`~repro.parallel.cache.RunResultCache` in front; it is the only
+code that reads or writes that store.
 
 Because every cell builds its own engine/RNG stack from the spec alone,
 ``run_grid(specs, jobs=8)`` is bitwise identical to
@@ -19,16 +20,19 @@ from __future__ import annotations
 import importlib
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..server.metrics import RunMetrics
 from ..workload.apps import get_app
 from ..workload.trace import WorkloadTrace
-from .cache import RunResultCache, file_digest
+from .cache import RunResultCache, resolve_cache
 from .cells import GRID_POLICIES, grid_policy, policy_modules
 from .pool import ParallelMap
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.training import TrainSpec
 
 __all__ = [
     "RunSpec",
@@ -85,11 +89,12 @@ class RunSpec:
         Forwarded to ``run_policy``.
     policy_kwargs:
         Sorted ``(name, value)`` pairs for the policy constructor
-        (e.g. ``(("use_turbo", False),)`` for Table 3's no-turbo baseline).
-    agent_path, agent_seed:
-        DeepPower only: the trained-agent ``.npz`` to load and the seed its
-        config was tuned with.  The *file digest* enters the cache key, so
-        retraining invalidates dependent cached evaluations.
+        (e.g. ``(("use_turbo", False),)`` for Table 3's no-turbo baseline);
+        for DeepPower, overrides of the training cell's ``DeepPowerConfig``.
+    training:
+        DeepPower only: the :class:`~repro.core.training.TrainSpec` of the
+        agent, with its trained arrays.  Its recipe enters the cache key,
+        so a different agent never reuses a stored evaluation.
     extras:
         Names from :data:`EXTRAS_COLLECTORS` to evaluate on the finished run.
     label:
@@ -108,8 +113,7 @@ class RunSpec:
     seed: int
     num_workers: Optional[int] = None
     policy_kwargs: Tuple[Tuple[str, Any], ...] = ()
-    agent_path: Optional[str] = None
-    agent_seed: int = 7
+    training: Optional["TrainSpec"] = None
     extras: Tuple[str, ...] = ()
     label: str = ""
     trace_out: Optional[str] = None
@@ -117,10 +121,11 @@ class RunSpec:
     def execute(self) -> Tuple[RunMetrics, Dict[str, Any]]:
         """Run this cell from scratch (the generic spec protocol).
 
-        ``run_grid`` accepts *any* spec object exposing ``execute()`` /
-        ``imports()`` / ``cache_payload()`` / ``label`` / ``trace_out`` —
-        e.g. the fleet's :class:`~repro.cluster.sim.FleetSpec` — so new
-        grid shapes reuse the pool + cache machinery without touching it.
+        ``run_grid`` accepts *any* spec object exposing ``execute()`` (which
+        returns ``(result, extras)``) / ``imports()`` / ``cache_payload()`` /
+        ``label`` / ``trace_out`` — e.g. ``FleetSpec``, ``CalibrationSpec``
+        or ``TrainSpec`` — so new grid shapes reuse the pool + cache
+        machinery without touching it.
         """
         return execute_run_spec(self)
 
@@ -129,7 +134,7 @@ class RunSpec:
         return ("repro.experiments.runner", *policy_modules(self.policy))
 
     def cache_payload(self) -> dict:
-        """Content entering the cache key (agent folded in by digest)."""
+        """Content entering the cache key (the agent by its recipe)."""
         return {
             "kind": "run-spec",
             "app": self.app,
@@ -140,8 +145,7 @@ class RunSpec:
             "seed": self.seed,
             "num_workers": self.num_workers,
             "policy_kwargs": list(self.policy_kwargs),
-            "agent_digest": file_digest(self.agent_path) if self.agent_path else None,
-            "agent_seed": self.agent_seed if self.agent_path else None,
+            "training": self.training and self.training.cache_payload(),
             "extras": list(self.extras),
             "label": self.label,
         }
@@ -149,7 +153,8 @@ class RunSpec:
 
 @dataclass
 class GridOutcome:
-    """Result of one grid cell (metrics + extras, or a captured error)."""
+    """Result of one grid cell (result + extras, or a captured error);
+    ``metrics`` holds the first value the spec's ``execute()`` returned."""
 
     spec: RunSpec
     metrics: Optional[RunMetrics] = None
@@ -215,20 +220,17 @@ def execute_run_spec(spec: RunSpec) -> Tuple[RunMetrics, Dict[str, Any]]:
         )
     try:
         if spec.policy == "deeppower":
-            if spec.agent_path is None:
-                raise ValueError("deeppower spec needs agent_path")
+            if spec.training is None:
+                raise ValueError("deeppower spec needs its training cell")
             from ..core.training import evaluate_deeppower
-            from ..experiments.fig7_main import tuned_agent_setup
 
-            agent, cfg = tuned_agent_setup(spec.agent_seed, app=app)
-            agent.load(spec.agent_path)
             res = evaluate_deeppower(
-                agent,
+                spec.training.agent(),
                 app,
                 spec.trace,
                 num_cores=spec.num_cores,
                 seed=spec.seed,
-                config=cfg,
+                config=replace(spec.training.config, **kwargs),
                 num_workers=spec.num_workers,
                 obs=obs,
             )
@@ -293,10 +295,13 @@ def grid_trace_path(trace_dir: str, spec: RunSpec, index: int) -> str:
 def run_grid(
     specs: Sequence[RunSpec],
     jobs: int = 1,
-    cache: Optional[RunResultCache] = None,
+    cache: "bool | RunResultCache | None" = None,
     trace_dir: Optional[str] = None,
 ) -> List[GridOutcome]:
     """Execute a grid of specs, in parallel and through the result cache.
+
+    ``cache`` is a store, ``True`` for the store under ``REPRO_CACHE``, or
+    ``None``/``False`` to read and write nothing.
 
     Cache hits never enter the pool; misses are executed (fanned out over
     ``jobs`` forked workers) and each is written back as soon as it
@@ -316,6 +321,7 @@ def run_grid(
     Outcomes are returned in spec order regardless of completion order.
     """
     specs = list(specs)
+    cache = resolve_cache(cache)
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
         specs = [

@@ -725,6 +725,7 @@ class TestSoakPieces:
 
     def test_trained_soak_asks_for_the_fig7_agent(self, monkeypatch):
         """``--policy trained`` trains on fig7's calibrated trace."""
+        import repro.experiments.fig7_main as fig7_main
         import repro.experiments.soak as soak
         from repro.experiments.fig7_main import fig7_calibration
         from repro.experiments.scenarios import active_profile
@@ -735,7 +736,7 @@ class TestSoakPieces:
         def stub(app_name, trace, *args, **kwargs):
             raise Asked(trace)
 
-        monkeypatch.setattr(soak, "trained_agent", stub)
+        monkeypatch.setattr(fig7_main, "agent_recipe", stub)
         with pytest.raises(Asked) as asked:
             soak.run_soak(policy="trained", full=False)
         fig7 = fig7_calibration("xapian", active_profile(False)).trace

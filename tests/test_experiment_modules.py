@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.training import train_agents
 from repro.cpu import DEFAULT_TABLE
 from repro.parallel import CACHE_SCHEMA_VERSION
 from repro.experiments.fig4_controller import run_fig4
@@ -105,24 +106,26 @@ class TestFig7Helpers:
     def test_agent_cache_roundtrip(self, agent_store):
         """A stored agent loads back with its trained weights."""
         fig7, trained, root = agent_store
-        first, _, path = fig7.trained_agent("xapian", constant_trace(100.0, 10.0), SMOKE, 4)
-        again, _, path2 = fig7.trained_agent("xapian", constant_trace(100.0, 10.0), SMOKE, 4)
-        assert len(trained) == 1 and path2 == path
-        assert path.startswith(str(root / "runs" / f"v{CACHE_SCHEMA_VERSION}"))
-        assert path.endswith(".npz")
-        want, got = first.actor.state_dict(), again.actor.state_dict()
+        spec = fig7.agent_recipe("xapian", constant_trace(100.0, 10.0), SMOKE, 4)
+        [first] = train_agents([spec], result_cache=True)
+        [again] = train_agents([spec], result_cache=True)
+        assert len(trained) == 1
+        [entry] = root.rglob("*.pkl")
+        assert str(entry).startswith(str(root / "runs" / f"v{CACHE_SCHEMA_VERSION}"))
+        want, got = first.agent().actor.state_dict(), again.agent().actor.state_dict()
         for k in want:
             np.testing.assert_array_equal(got[k], want[k])
+        fresh = spec.fresh_agent().actor.state_dict()
+        assert not np.array_equal(got["p0"], fresh["p0"])
 
     def test_agent_cache_is_keyed_on_the_training_trace(self, agent_store):
         """An agent trained on one trace is never loaded for another."""
         fig7, trained, root = agent_store
         calm, busy = constant_trace(100.0, 10.0), constant_trace(150.0, 10.0)
-        fig7.trained_agent("xapian", calm, SMOKE, 4)
-        fig7.trained_agent("xapian", busy, SMOKE, 4)
-        fig7.trained_agent("xapian", calm, SMOKE, 4)
+        for trace in (calm, busy, calm):
+            train_agents([fig7.agent_recipe("xapian", trace, SMOKE, 4)], result_cache=True)
         assert len(trained) == 2
-        assert len(list(root.rglob("*.npz"))) == 2
+        assert len(list(root.rglob("*.pkl"))) == 2
 
     @pytest.mark.parametrize("change", ["num_workers", "beta", "updates_per_step"])
     def test_agent_store_misses_on_any_recipe_change(
@@ -132,46 +135,47 @@ class TestFig7Helpers:
 
         fig7, trained, root = agent_store
         trace = constant_trace(100.0, 10.0)
-        fig7.trained_agent("masstree", trace, SMOKE, 2)
+        train_agents([fig7.agent_recipe("masstree", trace, SMOKE, 2)], result_cache=True)
         workers = 2
         if change == "num_workers":
             workers = 4
         elif change == "beta":
             monkeypatch.setitem(fig7.REWARD_OVERRIDES, "masstree", {"beta": 21.0})
         else:
-            setup = fig7.tuned_agent_setup
+            tuned = fig7.tuned_config
 
-            def more_updates(seed, app=None):
-                agent, cfg = setup(seed, app=app)
-                return agent, replace(cfg, updates_per_step=cfg.updates_per_step + 1)
+            def more_updates(app=None):
+                cfg = tuned(app)
+                return replace(cfg, updates_per_step=cfg.updates_per_step + 1)
 
-            monkeypatch.setattr(fig7, "tuned_agent_setup", more_updates)
-        fig7.trained_agent("masstree", trace, SMOKE, workers)
+            monkeypatch.setattr(fig7, "tuned_config", more_updates)
+        train_agents(
+            [fig7.agent_recipe("masstree", trace, SMOKE, workers)], result_cache=True
+        )
         assert len(trained) == 2
-        assert len(list(root.rglob("*.npz"))) == 2
+        assert len(list(root.rglob("*.pkl"))) == 2
         assert trained[1]["num_workers"] == workers
 
     def test_truncated_agent_entry_is_evicted_and_retrained(self, agent_store):
         fig7, trained, root = agent_store
-        trace = constant_trace(100.0, 10.0)
-        _, _, path = fig7.trained_agent("xapian", trace, SMOKE, 4)
-        with open(path, "r+b") as f:
+        spec = fig7.agent_recipe("xapian", constant_trace(100.0, 10.0), SMOKE, 4)
+        train_agents([spec], result_cache=True)
+        [entry] = root.rglob("*.pkl")
+        with open(entry, "r+b") as f:
             f.truncate(64)
-        with pytest.warns(UserWarning, match="discarding unreadable agent"):
-            fig7.trained_agent("xapian", trace, SMOKE, 4)
+        train_agents([spec], result_cache=True)
         assert len(trained) == 2
-        fig7.trained_agent("xapian", trace, SMOKE, 4)  # the rewrite loads
+        [again] = train_agents([spec], result_cache=True)  # the rewrite loads
         assert len(trained) == 2
+        assert again.agent() is not None
 
     def test_store_off_reads_and_writes_nothing(self, agent_store):
         """``result_cache=False`` leaves REPRO_CACHE empty, agents included."""
         from repro.experiments.registry import get_experiment
 
         fig7, trained, root = agent_store
-        _, _, path = fig7.trained_agent(
-            "xapian", constant_trace(100.0, 10.0), SMOKE, 4, result_cache=False
-        )
-        assert path is None
+        spec = fig7.agent_recipe("xapian", constant_trace(100.0, 10.0), SMOKE, 4)
+        train_agents([spec], result_cache=False)
         out = get_experiment("fig7").execute(result_cache=False, apps=("img-dnn",))
         assert "img-dnn" in out and len(trained) == 2
         assert list(root.iterdir()) == []
@@ -182,8 +186,6 @@ class TestFig7Helpers:
         ``jobs=1`` and ``jobs=2`` render the same bytes."""
         from dataclasses import replace
 
-        import repro.experiments.calibration as calibration
-        import repro.experiments.runner as runner
         from repro.experiments.registry import get_experiment
 
         fig7, trained, root = agent_store
@@ -198,18 +200,77 @@ class TestFig7Helpers:
         assert fig7_text(2, root / "b") == cold
         assert len(trained) == 2
 
-        runs = []
-        for mod in (runner, calibration):
-            real = mod.run_policy
-
-            def counting(*args, _real=real, _name=mod.__name__, **kwargs):
-                runs.append(_name)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(mod, "run_policy", counting)
+        runs = _count_runs(monkeypatch)
         assert fig7_text(1, root / "a") == cold
         assert fig7_text(2, root / "b") == cold
         assert runs == [] and len(trained) == 2
+
+
+def _count_runs(monkeypatch) -> list:
+    """Record every ``run_policy`` call: calibration probes, training
+    episodes and evaluations alike."""
+    import repro.experiments.calibration as calibration
+    import repro.experiments.runner as runner
+
+    runs = []
+    for mod in (runner, calibration):
+        real = mod.run_policy
+
+        def counting(*args, _real=real, _name=mod.__name__, **kwargs):
+            runs.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "run_policy", counting)
+    return runs
+
+
+#: Experiment id -> (keyword arguments, whether a warm rerun must run no
+#: ``run_policy`` at all).  The rest keep evaluations that need probes a
+#: ``RunSpec`` cannot carry, or non-DeepPower learners, in-process.
+WARM_RERUNS = {
+    "fig7": ({"apps": ("img-dnn",)}, True),
+    "table3": ({"apps": ("img-dnn",), "loads": (0.5,)}, True),
+    "robustness-mmpp": ({}, True),
+    "fig8": ({}, False),
+    "fig9": ({}, False),
+    "fig10": ({}, False),
+    "ablation-hierarchy": ({}, False),
+    "ablation-reward": ({"alphas": (1.0, 2.0), "betas": (6.0,)}, False),
+    "ablation-shorttime": ({"multipliers": (0.5, 4.0)}, False),
+    "fault-tolerance": ({"fault_rates": (0.0, 0.05)}, False),
+    "control-soak": ({"policy": "trained", "intensities": (0.0, 1.0)}, False),
+}
+
+
+# The stubbed trainer's agent acts constantly, so fig8's correlations are NaN.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("exp_id", sorted(WARM_RERUNS))
+def test_warm_rerun_trains_and_probes_nothing(exp_id, agent_store, monkeypatch):
+    """Every experiment takes its calibrations and DeepPower agents from
+    stored cells: a warm rerun runs no calibration probe and no training
+    episode, and renders the same bytes."""
+    from dataclasses import replace
+
+    import repro.experiments.scenarios as scenarios
+    from repro.experiments.registry import get_experiment
+
+    _, trained, _ = agent_store
+    monkeypatch.setattr(
+        scenarios, "SMOKE",
+        replace(SMOKE, trace_duration=8.0, trace_segments=4, train_episodes=1,
+                table3_duration=8.0),
+    )
+    kwargs, simulates_nothing = WARM_RERUNS[exp_id]
+    exp = get_experiment(exp_id)
+    cold = exp.execute(**kwargs)
+    n_trained = len(trained)
+    runs = _count_runs(monkeypatch)
+    assert exp.execute(**kwargs) == cold
+    assert len(trained) == n_trained
+    assert "repro.experiments.calibration" not in runs
+    if simulates_nothing:
+        assert runs == []
+
 
 @pytest.fixture
 def agent_store(tmp_path, monkeypatch):
@@ -230,6 +291,6 @@ def agent_store(tmp_path, monkeypatch):
             {k: v + 1.0 for k, v in agent.actor.state_dict().items()}
         )
 
-    # fig7 imports the trainer where it trains, so stub it at its source.
+    # A training cell calls the trainer of its own module.
     monkeypatch.setattr(repro.core.training, "train_deeppower", train)
     return fig7, trained, tmp_path

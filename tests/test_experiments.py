@@ -85,8 +85,8 @@ class TestCalibration:
 
 
 class TestCalibrationStore:
-    """A stored calibration is returned without a probe run, and any input
-    of the search addresses a different entry."""
+    """A stored calibration cell is returned without a probe run, and any
+    input of the search addresses a different entry."""
 
     @pytest.fixture
     def probes(self, monkeypatch):
@@ -102,21 +102,30 @@ class TestCalibrationStore:
         monkeypatch.setattr(calibration, "run_policy", counting)
         return calls
 
-    def _base(self, rngs):
+    def _spec(self, rngs, **kwargs):
+        from repro.experiments import CalibrationSpec
         from repro.workload import diurnal_trace
 
-        return diurnal_trace(rngs.get("t"), duration=10.0, num_segments=5)
+        base = diurnal_trace(rngs.get("t"), duration=10.0, num_segments=5)
+        return CalibrationSpec("img-dnn", base, **{"num_cores": 2, "tol": 0.15, **kwargs})
 
-    def test_rerun_loads_the_stored_result(self, tiny_app, rngs, tmp_path, probes):
+    def _calibrate(self, spec, cache):
+        from repro.parallel import run_grid
+
+        [out] = run_grid([spec], cache=cache)
+        return out
+
+    def test_rerun_loads_the_stored_result(self, rngs, tmp_path, probes):
         from repro.parallel import RunResultCache
 
         cache = RunResultCache(str(tmp_path))
-        base = self._base(rngs)
-        first = calibrate_to_sla(tiny_app, base, 2, tol=0.15, result_cache=cache)
+        spec = self._spec(rngs)
+        first = self._calibrate(spec, cache)
         n = len(probes)
-        assert n >= 1
-        again = calibrate_to_sla(tiny_app, base, 2, tol=0.15, result_cache=cache)
-        assert len(probes) == n
+        assert n >= 1 and not first.from_cache
+        again = self._calibrate(spec, cache)
+        assert len(probes) == n and again.from_cache
+        first, again = first.unwrap(), again.unwrap()
         np.testing.assert_array_equal(again.trace.edges, first.trace.edges)
         np.testing.assert_array_equal(again.trace.rates, first.trace.rates)
         for name in ("scale", "baseline_p99_fraction", "iterations", "mean_load"):
@@ -127,27 +136,27 @@ class TestCalibrationStore:
         {"target_fraction": 0.6}, {"seed": 5}, {"num_workers": 1}, {"num_cores": 3},
         {"max_iter": 2}, {"base": "busier"},
     ])
-    def test_each_input_is_part_of_the_key(
-        self, tiny_app, rngs, tmp_path, probes, change
-    ):
+    def test_each_input_is_part_of_the_key(self, rngs, tmp_path, probes, change):
+        from dataclasses import replace
+
         from repro.parallel import RunResultCache
 
         cache = RunResultCache(str(tmp_path))
-        base = self._base(rngs)
-        kwargs = dict(num_cores=2, tol=0.15, max_iter=3)
-        calibrate_to_sla(tiny_app, base, result_cache=cache, **kwargs)
+        spec = self._spec(rngs, max_iter=3)
+        self._calibrate(spec, cache)
         n = len(probes)
         change = dict(change)
         if change.pop("base", None):
-            base = base.scaled(1.1)
-        calibrate_to_sla(tiny_app, base, result_cache=cache, **{**kwargs, **change})
+            change["base_trace"] = spec.base_trace.scaled(1.1)
+        self._calibrate(replace(spec, **change), cache)
         assert len(probes) > n
         assert len(list(tmp_path.rglob("*.pkl"))) == 2
 
-    def test_no_store_reads_and_writes_nothing(self, tiny_app, rngs, tmp_path, probes):
-        base = self._base(rngs)
+    def test_no_store_reads_and_writes_nothing(self, rngs, tmp_path, probes, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        spec = self._spec(rngs, max_iter=2)
         for off in (None, False):
-            calibrate_to_sla(tiny_app, base, 2, tol=0.15, max_iter=2, result_cache=off)
+            self._calibrate(spec, off)
         assert len(probes) >= 2
         assert list(tmp_path.iterdir()) == []
 

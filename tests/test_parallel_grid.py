@@ -64,6 +64,7 @@ class TestRunSpec:
             RunSpec(**{**_kw(base), "trace": constant_trace(121.0, 1.5)}),
             RunSpec(**{**_kw(base), "label": "other"}),
             RunSpec(**{**_kw(base), "policy_kwargs": (("use_turbo", False),)}),
+            RunSpec(**{**_kw(base), "training": _untrained("xapian", 4)}),
         ):
             assert content_key(changed.cache_payload()) != content_key(
                 base.cache_payload()
@@ -82,22 +83,29 @@ class TestRunSpec:
     def test_extras_registry_names(self):
         assert set(EXTRAS) <= set(EXTRAS_COLLECTORS)
 
-    def test_deeppower_runs_the_specs_worker_count(self, tmp_path):
+    def test_deeppower_runs_the_specs_worker_count(self):
         """Masstree's half-socket pool holds for every policy, DeepPower too."""
-        from repro.experiments.fig7_main import tuned_agent_setup
-        from repro.workload import get_app
-
-        agent_path = str(tmp_path / "agent.npz")
-        tuned_agent_setup(7, app=get_app("masstree"))[0].save(agent_path)
+        training = _untrained("masstree", 2)
         for policy in ("baseline", "deeppower"):
             spec = RunSpec(
                 app="masstree", policy=policy, trace=constant_trace(200.0, 2.0),
                 num_cores=4, seed=3, num_workers=2,
-                agent_path=agent_path if policy == "deeppower" else None,
+                training=training if policy == "deeppower" else None,
                 extras=("worker_completed",),
             )
             _, extras = execute_run_spec(spec)
             assert len(extras["worker_completed"]) == 2, policy
+
+
+def _untrained(app: str, workers: int):
+    """The standard agent's training cell, holding its untrained arrays."""
+    from dataclasses import replace
+
+    from repro.experiments.fig7_main import agent_recipe
+    from repro.experiments.scenarios import SMOKE
+
+    spec = agent_recipe(app, constant_trace(200.0, 2.0), SMOKE, workers)
+    return replace(spec, arrays=spec.fresh_agent().network_arrays())
 
 
 def _kw(spec: RunSpec) -> dict:
@@ -109,8 +117,7 @@ def _kw(spec: RunSpec) -> dict:
         "seed": spec.seed,
         "num_workers": spec.num_workers,
         "policy_kwargs": spec.policy_kwargs,
-        "agent_path": spec.agent_path,
-        "agent_seed": spec.agent_seed,
+        "training": spec.training,
         "extras": spec.extras,
         "label": spec.label,
     }
@@ -300,3 +307,37 @@ class TestGridFailureIsolation:
             outs[1].unwrap()
         # Spec order is preserved regardless of which worker finished first.
         assert [o.spec.app for o in outs] == [good[0].app, "no-such-app", good[1].app]
+
+
+@pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
+def test_agent_trained_in_a_worker_equals_in_process(monkeypatch):
+    """A training cell run in a forked worker trains the same bits as one
+    run in-process: the same network arrays and the same fig7 rows."""
+    from dataclasses import replace
+
+    import repro.experiments.scenarios as scenarios
+    from repro.core.training import train_agents
+    from repro.experiments.fig7_main import agent_recipe, render_fig7, run_fig7
+
+    short = replace(scenarios.SMOKE, trace_duration=6.0, trace_segments=3, train_episodes=1)
+    monkeypatch.setattr(scenarios, "SMOKE", short)
+    recipes = [
+        agent_recipe(app, constant_trace(120.0, 6.0), short, 4)
+        for app in ("xapian", "img-dnn")
+    ]
+    serial = train_agents(recipes, jobs=1)
+    forked = train_agents(recipes, jobs=2)
+    for a, b in zip(serial, forked):
+        for net in ("actor", "actor_target", "critic", "critic_target"):
+            for k, want in a.arrays[net].items():
+                np.testing.assert_array_equal(b.arrays[net][k], want)
+
+    apps = ("xapian", "img-dnn")
+    serial = run_fig7(apps=apps, jobs=1, result_cache=False)
+    forked = run_fig7(apps=apps, jobs=2, result_cache=False)
+    for app in apps:
+        assert (
+            forked[app].outcomes["deeppower"].metrics
+            == serial[app].outcomes["deeppower"].metrics
+        )
+    assert render_fig7(forked) == render_fig7(serial)

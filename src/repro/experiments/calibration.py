@@ -66,14 +66,16 @@ def calibrate_to_sla(
     -----
     p99 grows monotonically (and very steeply near saturation) with the
     scale factor, so a damped multiplicative update converges in a few
-    probes; each probe is one baseline run of the full trace.
+    probes; each probe is one baseline run of the full trace.  A search
+    that runs out of probes returns the probed trace closest to the
+    target, with that probe's fraction.
     """
     if not 0.0 < target_fraction <= 1.5:
         raise ValueError("target_fraction must be in (0, 1.5]")
     nw = num_workers if num_workers is not None else num_cores
     trace = base_trace.scaled_to_mean(app.rps_for_load(initial_load, nw))
 
-    achieved = 0.0
+    best = None  # (distance to the target, trace, p99 fraction) of the closest probe
     for it in range(1, max_iter + 1):
         res = run_policy(
             lambda ctx: MaxFrequencyPolicy(ctx),
@@ -84,6 +86,8 @@ def calibrate_to_sla(
             num_workers=nw,
         )
         achieved = res.metrics.tail_latency / app.sla
+        if best is None or abs(achieved - target_fraction) < best[0]:
+            best = (abs(achieved - target_fraction), trace, achieved)
         if achieved > 0 and abs(achieved - target_fraction) <= tol * target_fraction:
             break
         if achieved <= 0:
@@ -98,6 +102,7 @@ def calibrate_to_sla(
         if mean_load > max_load:
             trace = trace.scaled(max_load / mean_load)
 
+    _, trace, achieved = best
     mean_load = trace.mean_rate() * app.service.expected_work() / (nw * 2.1)
     scale = trace.mean_rate() / base_trace.mean_rate()
     return CalibrationResult(

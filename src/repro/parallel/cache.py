@@ -45,7 +45,7 @@ __all__ = [
 
 #: Bump when run semantics change (simulator physics, metrics definitions,
 #: policy behaviour) so stale entries can never masquerade as fresh runs.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 def default_cache_root() -> str:

@@ -76,6 +76,33 @@ class TestCalibration:
         assert cal.baseline_p99_fraction == pytest.approx(0.6, rel=0.3)
         assert 0.0 < cal.mean_load < 1.0
 
+    def test_unconverged_search_returns_its_closest_probe(
+        self, tiny_app, rngs, monkeypatch
+    ):
+        """A search that runs out of probes returns a trace it measured,
+        the one closest to the target, with that probe's own fraction."""
+        import repro.experiments.calibration as calibration
+        from repro.workload import diurnal_trace
+
+        probes = []
+        real = calibration.run_policy
+
+        def recording(factory, app, trace, *args, **kwargs):
+            res = real(factory, app, trace, *args, **kwargs)
+            probes.append((trace, res.metrics.tail_latency / app.sla))
+            return res
+
+        monkeypatch.setattr(calibration, "run_policy", recording)
+        base = diurnal_trace(rngs.get("t"), duration=10.0, num_segments=5)
+        cal = calibrate_to_sla(
+            tiny_app, base, num_cores=2, target_fraction=0.6, tol=1e-9, max_iter=3
+        )
+        assert cal.iterations == len(probes) == 3
+        trace, fraction = min(probes, key=lambda p: abs(p[1] - 0.6))
+        np.testing.assert_array_equal(cal.trace.rates, trace.rates)
+        assert cal.baseline_p99_fraction == fraction
+        assert cal.scale == trace.mean_rate() / base.mean_rate()
+
     def test_validation(self, tiny_app, rngs):
         from repro.workload import diurnal_trace
 

@@ -291,9 +291,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .baselines import GeminiPolicy, MaxFrequencyPolicy, RetailPolicy
-    from .experiments.fig7_main import DEFAULT_CALIBRATION_TARGET, calibration_spec
+    from .experiments.fig7_main import fig7_calibration
     from .experiments.runner import run_policy
-    from .parallel.grid import run_grid
     from .experiments.scenarios import active_profile, workers_for
     from .workload.apps import get_app
     from .analysis.reporting import format_table
@@ -306,10 +305,8 @@ def _cmd_compare(args) -> int:
     profile = active_profile(args.full)
     app = get_app(args.app)
     nw = workers_for(args.app, profile.num_cores)
-    [cal] = run_grid(
-        [calibration_spec(args.app, profile, DEFAULT_CALIBRATION_TARGET)], cache=True
-    )
-    cal = cal.unwrap()
+    # fig7's workload for the app, from the store.
+    cal = fig7_calibration(args.app, profile, result_cache=True)
     rows = []
     for name in args.policies.split(","):
         name = name.strip()

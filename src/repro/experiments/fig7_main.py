@@ -99,19 +99,15 @@ def calibration_target_for(app_name: str) -> float:
     return CALIBRATION_TARGET.get(app_name, DEFAULT_CALIBRATION_TARGET)
 
 
-def calibration_spec(
-    app_name: str,
-    profile: ExperimentProfile,
-    target_fraction: Optional[float] = None,
-) -> CalibrationSpec:
+def calibration_spec(app_name: str, profile: ExperimentProfile) -> CalibrationSpec:
     """The calibration cell of the diurnal evaluation trace for ``app_name``,
-    at ``target_fraction`` or the app's fig7 target."""
+    at its fig7 target."""
     from .calibration import CalibrationSpec
 
     return CalibrationSpec(
         app_name, evaluation_trace(profile), profile.num_cores,
         num_workers=workers_for(app_name, profile.num_cores),
-        target_fraction=target_fraction or calibration_target_for(app_name),
+        target_fraction=calibration_target_for(app_name),
     )
 
 

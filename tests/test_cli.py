@@ -428,6 +428,33 @@ class TestParser:
         assert "--profile-spans requires --trace-out" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_compare_plays_the_fig7_trace(self, monkeypatch, capsys):
+        # ``compare --app moses`` plays fig7's workload: moses's own
+        # calibration target (0.85), not the default 0.7.
+        from dataclasses import replace
+
+        import numpy as np
+
+        import repro.experiments.runner as runner
+        import repro.experiments.scenarios as scenarios
+        from repro.experiments.fig7_main import fig7_calibration
+
+        short = replace(scenarios.SMOKE, trace_duration=10.0, trace_segments=5)
+        monkeypatch.setattr(scenarios, "SMOKE", short)
+        played = []
+        real = runner.run_policy
+
+        def recording(factory, app, trace, *args, **kwargs):
+            played.append(trace)
+            return real(factory, app, trace, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_policy", recording)
+        assert main(["compare", "--app", "moses", "--policies", "baseline"]) == 0
+        assert "baseline" in capsys.readouterr().out
+        compared = played[-1]
+        want = fig7_calibration("moses", short).trace
+        np.testing.assert_array_equal(compared.rates, want.rates)
+
     def test_train_uses_the_experiment_recipe(self, monkeypatch, tmp_path):
         # ``train`` builds the agent fig7, soak and ``fleet --agent`` use:
         # the app's tuned reward on fig7's calibrated trace.

@@ -214,12 +214,12 @@ def _summary(m, sla: float) -> dict:
     }
 
 
-def _frozen_runs(trace, profile, trainings, jobs, result_cache, overrides=None):
+def _frozen_runs(trace, trainings, jobs, result_cache, overrides=None):
     """Metrics of each trained agent evaluated frozen on ``trace``, one run
     cell each; ``overrides`` holds each cell's ``DeepPowerConfig`` changes."""
     specs = [
         RunSpec(
-            t.app, "deeppower", trace, profile.num_cores, seed=60_001,
+            t.app, "deeppower", trace, t.num_cores, seed=60_001,
             num_workers=t.num_workers, policy_kwargs=kw, training=t,
         )
         for t, kw in zip(trainings, overrides or [()] * len(trainings))
@@ -240,7 +240,7 @@ def run_hierarchy_ablation(
     trace = cal.trace
 
     # Full DeepPower (the stored agent of the Fig 7 pipeline).
-    [m] = _frozen_runs(trace, profile, [training], 1, result_cache)
+    [m] = _frozen_runs(trace, [training], 1, result_cache)
     rows = [_row("deeppower (hierarchical DDPG)", m, app.sla)]
 
     # Flat DRL (no thread controller).
@@ -300,7 +300,7 @@ def run_reward_weight_sweep(
         for alpha, beta in weights
     ]
     trained = train_agents(recipes, jobs=jobs, result_cache=result_cache)
-    runs = _frozen_runs(trace, profile, trained, jobs, result_cache)
+    runs = _frozen_runs(trace, trained, jobs, result_cache)
     return [
         {"alpha": alpha, "beta": beta, **_summary(m, app.sla)}
         for (alpha, beta), m in zip(weights, runs)
@@ -321,7 +321,7 @@ def run_short_time_sweep(
     [(cal, training)] = fig7_agents([app_name], profile, seed=seed, result_cache=result_cache)
     short_times = [app.short_time * mult for mult in multipliers]
     runs = _frozen_runs(
-        cal.trace, profile, [training] * len(short_times), jobs, result_cache,
+        cal.trace, [training] * len(short_times), jobs, result_cache,
         [(("short_time", short_time),) for short_time in short_times],
     )
     return [

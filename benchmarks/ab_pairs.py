@@ -8,11 +8,13 @@ Usage::
     python benchmarks/ab_pairs.py --base HEAD~1 --workload node-deeppower --metric setup_s
 
 Each pair runs ``benchmarks/e2e/run.py --workload W --seed S --runs 1``
-once in a checkout of the base and once in this checkout, alternating
-which side goes first so drift on the host hits both alike.  The base
-checkout is ``git archive`` of ``--base`` extracted into a temporary
-directory (honouring ``TMPDIR``) and removed afterwards; the repository
-itself gains no worktree entry.
+once in a copy of the base and once in a copy of this checkout,
+alternating which side goes first so drift on the host hits both alike.
+Both copies live in temporary directories (honouring ``TMPDIR``) and are
+removed afterwards, so neither side gains from where it runs.  The base
+is ``git archive`` of ``--base``; the change is this checkout's tracked
+files plus its untracked, not-ignored ones, as the working tree holds
+them.  The repository itself gains no worktree entry.
 
 Prints every pair, then each side's median and quartiles of the
 ``--metric`` (any end-to-end metric of ``BENCHMARK.json``; default
@@ -31,12 +33,14 @@ import argparse
 import contextlib
 import importlib.util
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, ContextManager, Dict, Iterator, List, Tuple
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 METRIC = "node_s_per_wall_s"
@@ -54,8 +58,9 @@ BETTER = _better()
 
 #: ``runner(checkout, workload, seed)`` -> one run's result, see :func:`run_e2e`.
 Runner = Callable[[Path, str, int], Dict]
-#: ``checkout(rev)`` -> context manager yielding a checkout of ``rev``.
-Checkout = Callable[[str], ContextManager[Path]]
+#: ``checkout(rev)`` -> context manager yielding a copy of ``rev``, or of
+#: the working tree when ``rev`` is None; see :func:`tree_copy`.
+Checkout = Callable[[Optional[str]], ContextManager[Path]]
 
 
 def _load_summarize() -> Callable[[List[float]], Dict]:
@@ -98,17 +103,33 @@ def run_e2e(checkout: Path, workload: str, seed: int) -> Dict:
 
 
 @contextlib.contextmanager
-def base_checkout(rev: str) -> Iterator[Path]:
-    """The files of ``rev`` in a temporary directory, removed on exit."""
-    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
-        archive = Path(tmp) / "base.tar"
-        path = Path(tmp) / "base"
+def tree_copy(rev: Optional[str]) -> Iterator[Path]:
+    """The files of ``rev`` in a temporary directory, removed on exit.
+
+    With ``rev`` None, the working tree's files instead: the tracked ones
+    and the untracked ones git does not ignore, as they are on disk.
+    """
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        path = Path(tmp) / "tree"
         path.mkdir()
-        for cmd in (
-            ["git", "archive", "--output", str(archive), rev],
-            ["tar", "-xf", str(archive), "-C", str(path)],
-        ):
-            subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True)
+        if rev is None:
+            listed = subprocess.run(
+                ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                cwd=ROOT, check=True, capture_output=True,
+            ).stdout
+            for name in filter(None, listed.split(b"\0")):
+                src = ROOT / os.fsdecode(name)
+                if src.is_file():  # a tracked file deleted on disk is listed too
+                    dst = path / os.fsdecode(name)
+                    dst.parent.mkdir(parents=True, exist_ok=True)
+                    shutil.copy2(src, dst)
+        else:
+            archive = Path(tmp) / "base.tar"
+            for cmd in (
+                ["git", "archive", "--output", str(archive), rev],
+                ["tar", "-xf", str(archive), "-C", str(path)],
+            ):
+                subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True)
         yield path
 
 
@@ -178,7 +199,7 @@ def report(results: List[Tuple[Dict, Dict]], metric: str = METRIC) -> List[str]:
 
 
 def main(
-    argv=None, runner: Runner = run_e2e, checkout: Checkout = base_checkout
+    argv=None, runner: Runner = run_e2e, checkout: Checkout = tree_copy
 ) -> int:
     p = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
@@ -194,13 +215,13 @@ def main(
     if args.pairs < 1:
         p.error("--pairs must be positive")
 
-    with checkout(args.base) as base_path:
-        print(f"# base {args.base}; change {ROOT}; "
+    with checkout(args.base) as base_path, checkout(None) as change_path:
+        print(f"# base {args.base}; change: the working tree of {ROOT}; "
               f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.metric}",
               flush=True)
         try:
             results = run_pairs(
-                runner, base_path, ROOT, args.workload, args.seed, args.pairs,
+                runner, base_path, change_path, args.workload, args.seed, args.pairs,
                 args.metric,
             )
         except RuntimeError as err:

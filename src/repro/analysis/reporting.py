@@ -1,6 +1,6 @@
-"""Plain-text rendering for benchmark output and EXPERIMENTS.md tables.
+"""Plain-text rendering for experiment output and EXPERIMENTS.md tables.
 
-The benches run headless (no matplotlib offline), so every figure is
+Experiments run headless (no matplotlib offline), so every figure is
 re-expressed as the table/series the plot encodes: text tables, text
 heatmaps and unicode sparklines make the *shape* inspectable in a
 terminal and diffable in a file.

@@ -7,6 +7,7 @@ List and run paper experiments::
     deeppower list
     deeppower experiment fig5
     deeppower experiment fig7 --full
+    deeppower experiment fig1 fig2 table2 --jobs 2   # exit 1 if a claim fails
 
 Quick policy comparison on one app::
 
@@ -273,7 +274,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    exp = get_experiment(args.id)
+    exps = [get_experiment(exp_id) for exp_id in args.ids]
     kwargs = dict(
         jobs=args.jobs,
         result_cache=not args.no_cache,
@@ -281,12 +282,22 @@ def _cmd_experiment(args) -> int:
     )
     if args.full:
         # Some experiments (fig5, table2, overhead) have no full profile.
-        if "full" not in inspect.signature(exp.run).parameters:
-            print(f"experiment {exp.id!r} has no --full profile", file=sys.stderr)
-            return 2
+        for exp in exps:
+            if "full" not in inspect.signature(exp.run).parameters:
+                print(f"experiment {exp.id!r} has no --full profile", file=sys.stderr)
+                return 2
         kwargs["full"] = True
-    print(exp.execute(**kwargs))
-    return 0
+    failed = 0
+    for exp in exps:
+        if len(exps) > 1:
+            print(f"== {exp.id}: {exp.description}", file=sys.stderr, flush=True)
+        result = exp.compute(**kwargs)
+        print(exp.render(result))
+        for claim in exp.failed_claims(result, full=kwargs.get("full")):
+            print(f"claim failed: {exp.id}: {claim}")
+            failed += 1
+        sys.stdout.flush()
+    return 1 if failed else 0
 
 
 def _cmd_compare(args) -> int:
@@ -649,9 +660,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("list", help="list available paper experiments")
     sp.set_defaults(fn=_cmd_list)
 
-    sp = sub.add_parser("experiment", help="run one paper experiment by id")
+    sp = sub.add_parser(
+        "experiment", help="run paper experiments by id and check their claims",
+        description="Run each experiment, print its table, then one line per "
+        "paper claim its result fails.  Exit status 1 when any claim failed.",
+    )
     sp.add_argument(
-        "id", metavar="ID", choices=[e.id for e in list_experiments()],
+        "ids", metavar="ID", nargs="+", choices=[e.id for e in list_experiments()],
         help="experiment id, e.g. fig7, table2 (see 'deeppower list')",
     )
     sp.add_argument("--full", action="store_true", help="full-scale profile")

@@ -39,6 +39,8 @@ __all__ = [
     "run_hierarchy_ablation",
     "run_reward_weight_sweep",
     "run_short_time_sweep",
+    "check_hierarchy_ablation",
+    "check_short_time_sweep",
 ]
 
 
@@ -336,3 +338,33 @@ def render_ablation_rows(rows: List[AblationRow]) -> str:
         [[r.variant, r.power_watts, r.p99_over_sla, f"{r.timeout_rate:.2%}"] for r in rows],
         "{:.2f}",
     )
+
+
+def check_hierarchy_ablation(rows: List[AblationRow]) -> List[str]:
+    """The hierarchy's claim that ``rows`` fails: the thread controller
+    keeps the tail under control where coarse whole-interval frequency
+    setting cannot react within the DRL window, so DeepPower's p99/SLA is
+    within 0.10 and its timeout rate within 1 point of flat DRL's."""
+    by_name = {r.variant.split(" ")[0]: r for r in rows}
+    dp, flat = by_name["deeppower"], by_name["flat"]
+    claims = [
+        (f"DeepPower p99/SLA {dp.p99_over_sla:.2f} <= flat DRL's {flat.p99_over_sla:.2f} + 0.10",
+         dp.p99_over_sla <= flat.p99_over_sla + 0.10),
+        (f"DeepPower timeouts {dp.timeout_rate:.2%} <= flat DRL's {flat.timeout_rate:.2%} + 1 point",
+         dp.timeout_rate <= flat.timeout_rate + 0.01),
+    ]
+    return [claim for claim, holds in claims if not holds]
+
+
+def check_short_time_sweep(rows: List[dict]) -> List[str]:
+    """The tick-granularity claim that ``rows`` fails: coarser ticks
+    degrade the tail, so the coarsest tick's p99/SLA is no better than the
+    finest's (within 0.05)."""
+    finest, coarsest = rows[0], rows[-1]
+    if coarsest["p99_over_sla"] >= finest["p99_over_sla"] - 0.05:
+        return []
+    return [
+        f"coarsest tick ({coarsest['short_time_ms']:g} ms) p99/SLA "
+        f"{coarsest['p99_over_sla']:.3f} >= finest ({finest['short_time_ms']:g} ms) "
+        f"{finest['p99_over_sla']:.3f} - 0.05"
+    ]

@@ -35,7 +35,7 @@ from ..parallel.grid import run_grid
 from .fleet import FLEET_LOAD, fleet_dimensions, fmt_cell
 from .scenarios import active_profile, evaluation_trace
 
-__all__ = ["run_chaos", "render_chaos", "CHAOS_ROUTINGS", "CHAOS_INTENSITIES"]
+__all__ = ["run_chaos", "render_chaos", "check_chaos", "CHAOS_ROUTINGS", "CHAOS_INTENSITIES"]
 
 #: Routing policies swept (display order).
 CHAOS_ROUTINGS = ("round-robin", "jsq", "power-aware")
@@ -185,3 +185,50 @@ def render_chaos(result: dict) -> str:
         format_table(headers, table_rows, "{:.2f}"),
     ]
     return "\n".join(lines)
+
+
+def check_chaos(result: dict) -> List[str]:
+    """The chaos claims that ``result`` fails.
+
+    Every cell runs.  The no-fault rows are clean: no crash, nothing
+    redispatched, full availability, SLA met.  At intensity 1 faults flow
+    (crashes, redispatches, availability below 1), and the acceptance
+    contrast holds: round-robin with health-aware failover meets the SLA
+    on the surviving nodes, while the no-failover ablation, which keeps
+    feeding dead nodes, misses it with a p99 more than 5x larger.
+    """
+    rows = {
+        (r["routing"], r["intensity"], r["failover"]): r["metrics"]
+        for r in result["rows"]
+        if "metrics" in r
+    }
+    errored = len(result["rows"]) - len(rows)
+    if errored:
+        return [f"every cell runs ({errored} errored)"]
+    claims = []
+    for routing in CHAOS_ROUTINGS:
+        base = rows[(routing, 0.0, True)]
+        claims += [
+            (f"{routing} without faults: {base['crashes']} crashes == 0", base["crashes"] == 0),
+            (f"{routing} without faults: {base['redispatches']} redispatches == 0",
+             base["redispatches"] == 0),
+            (f"{routing} without faults: availability {base['fleet_availability']:.4f} == 1.0",
+             base["fleet_availability"] == 1.0),
+            (f"{routing} without faults meets the SLA", base["fleet"]["sla_met"]),
+        ]
+    chaotic = rows[("round-robin", 1.0, True)]
+    ablation = rows[("round-robin", 1.0, False)]
+    tail, ablation_tail = chaotic["fleet"]["tail_latency"], ablation["fleet"]["tail_latency"]
+    claims += [
+        (f"round-robin at intensity 1: {chaotic['crashes']} crashes >= 1", chaotic["crashes"] >= 1),
+        (f"round-robin at intensity 1: {chaotic['redispatches']} redispatches >= 1",
+         chaotic["redispatches"] >= 1),
+        (f"round-robin at intensity 1: availability {chaotic['fleet_availability']:.4f} < 1.0",
+         chaotic["fleet_availability"] < 1.0),
+        ("round-robin with failover meets the SLA at intensity 1", chaotic["fleet"]["sla_met"]),
+        ("round-robin without failover misses the SLA at intensity 1",
+         not ablation["fleet"]["sla_met"]),
+        (f"no-failover p99 {ablation_tail * 1e3:.2f} ms > 5 x failover p99 {tail * 1e3:.2f} ms",
+         ablation_tail > 5 * tail),
+    ]
+    return [claim for claim, holds in claims if not holds]

@@ -19,6 +19,7 @@ degradation versus silent corruption.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
@@ -35,7 +36,13 @@ from .fig7_main import EVAL_SEED, fig7_agents
 from .runner import run_policy
 from .scenarios import active_profile
 
-__all__ = ["FaultToleranceRow", "run_fault_tolerance", "render_fault_tolerance"]
+__all__ = [
+    "FaultToleranceRow", "run_fault_tolerance", "render_fault_tolerance", "check_fault_tolerance",
+    "FAULT_RATES",
+]
+
+#: Per-DVFS-write failure probabilities swept; 0.0 is the clean control run.
+FAULT_RATES = (0.0, 0.01, 0.05)
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,7 @@ def _row(policy: str, rate: float, result) -> FaultToleranceRow:
 
 def run_fault_tolerance(
     app_name: str = "xapian",
-    fault_rates: Sequence[float] = (0.0, 0.01, 0.05),
+    fault_rates: Sequence[float] = FAULT_RATES,
     seed: int = 7,
     full: Optional[bool] = None,
     result_cache=True,
@@ -167,3 +174,44 @@ def render_fault_tolerance(rows: List[FaultToleranceRow]) -> str:
         table,
         "{:.2f}",
     )
+
+
+def check_fault_tolerance(rows: List[FaultToleranceRow]) -> List[str]:
+    """The graceful-degradation claims that ``rows`` fails.
+
+    The clean runs inject nothing and never fire the watchdog.  At the
+    top rate faults flow, and the watchdog trips into the fallback
+    governor and recovers from it.  The protected runtime's QoS and power
+    stay finite and within a modest factor of its clean run: p99 within 2x
+    max(clean p99, SLA), timeouts within 5 points, power within 2x.
+    """
+    policies = ("baseline", "retail", "gemini", "deeppower")
+    by_cell = {(r.policy, r.rate): r for r in rows}
+    if set(by_cell) != {(p, r) for p in policies for r in FAULT_RATES}:
+        return [f"the sweep holds exactly the cells {policies} x {FAULT_RATES}"]
+    top = max(FAULT_RATES)
+    clean, worst = by_cell[("deeppower", 0.0)], by_cell[("deeppower", top)]
+    cm, wm = clean.metrics, worst.metrics
+    claims = [
+        (f"{pol} clean run injects nothing (got {by_cell[(pol, 0.0)].injected})",
+         by_cell[(pol, 0.0)].injected == 0)
+        for pol in policies
+    ]
+    claims += [
+        (f"clean DeepPower run: {clean.trips} watchdog trips and {clean.anomalies} anomalies == 0",
+         clean.trips == 0 and clean.anomalies == 0),
+        (f"faults injected at rate {top}: {worst.injected} > 0", worst.injected > 0),
+        (f"watchdog trips at rate {top}: {worst.trips} >= 1", worst.trips >= 1),
+        (f"watchdog recoveries at rate {top}: {worst.recoveries} >= 1", worst.recoveries >= 1),
+        (f"fallback steps at rate {top}: {worst.fallback_steps} >= 1", worst.fallback_steps >= 1),
+        (f"power at rate {top} is finite", math.isfinite(wm.avg_power_watts)),
+        (f"p99 at rate {top} is finite", math.isfinite(wm.tail_latency)),
+        (f"p99 at rate {top} {wm.tail_latency * 1e3:.2f} ms <= 2 x max(clean p99, SLA) "
+         f"{max(cm.tail_latency, cm.sla) * 1e3:.2f} ms",
+         wm.tail_latency <= 2.0 * max(cm.tail_latency, cm.sla)),
+        (f"timeouts at rate {top} {wm.timeout_rate:.2%} <= clean {cm.timeout_rate:.2%} + 5 points",
+         wm.timeout_rate <= cm.timeout_rate + 0.05),
+        (f"power at rate {top} {wm.avg_power_watts:.2f} W <= 2 x clean {cm.avg_power_watts:.2f} W",
+         wm.avg_power_watts <= 2.0 * cm.avg_power_watts),
+    ]
+    return [claim for claim, holds in claims if not holds]

@@ -12,7 +12,7 @@ slope during request execution, and the turbo fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from ..workload.trace import constant_trace
 from .runner import build_context
 from .scenarios import active_profile
 
-__all__ = ["Fig11Result", "run_fig11", "render_fig11", "FIG11_SETTINGS"]
+__all__ = ["Fig11Result", "run_fig11", "render_fig11", "check_fig11", "FIG11_SETTINGS"]
 
 #: The paper's three parameter settings.
 FIG11_SETTINGS = ((0.4, 1.0), (0.5, 0.75), (0.6, 0.5))
@@ -111,3 +111,26 @@ def render_fig11(results: Dict[Tuple[float, float], Fig11Result]) -> str:
         rows,
         "{:.2f}",
     )
+
+
+def check_fig11(results: Dict[Tuple[float, float], Fig11Result]) -> List[str]:
+    """Fig 11's claims that ``results`` fails: a higher BaseFreq gives a
+    warmer idle floor, and a higher ScalingCoef a faster within-request
+    ramp and more turbo residency."""
+    ordered = [results[s] for s in FIG11_SETTINGS]  # BaseFreq rising, ScalingCoef falling
+    floors = [r.idle_floor for r in ordered]
+    ramps = [r.mean_busy_ramp for r in ordered]
+    turbo = [r.turbo_fraction for r in ordered]
+
+    def at_settings(values) -> str:
+        return ", ".join(f"{v:.3g}" for v in values) + f" at {FIG11_SETTINGS}"
+
+    claims = [
+        (f"idle floor rises with BaseFreq ({at_settings(floors)})", floors == sorted(floors)),
+        (f"busy ramp rises with ScalingCoef ({at_settings(ramps)})",
+         ramps == sorted(ramps, reverse=True)),
+        (f"turbo residency rises with ScalingCoef ({at_settings(turbo)})",
+         turbo == sorted(turbo, reverse=True)),
+        ("every busy ramp > 0", all(r > 0 for r in ramps)),
+    ]
+    return [claim for claim, holds in claims if not holds]

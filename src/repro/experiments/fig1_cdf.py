@@ -9,7 +9,7 @@ and reports the normalised CDF plus tail ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..sim.rng import RngRegistry
 from ..workload.apps import get_app
 from .scenarios import active_profile
 
-__all__ = ["Fig1Result", "run_fig1", "render_fig1"]
+__all__ = ["Fig1Result", "run_fig1", "render_fig1", "check_fig1"]
 
 #: The four apps the paper plots in Fig 1.
 FIG1_APPS = ("xapian", "masstree", "moses", "sphinx")
@@ -78,3 +78,19 @@ def render_fig1(results: Dict[str, Fig1Result]) -> str:
     return format_table(
         ["app", "p99/mean", "p99.9/mean", "CDF over [0, 8x mean]"], rows, "{:.2f}"
     )
+
+
+def check_fig1(results: Dict[str, Fig1Result]) -> List[str]:
+    """Fig 1's claims that ``results`` fails: Moses has the heaviest tail
+    (p99 ~8x the mean), the tails are long except on the near-deterministic
+    apps, and every CDF is a proper distribution."""
+    ratios = {k: v.tail_ratio_p99 for k, v in results.items()}
+    heaviest = max(ratios, key=ratios.get)
+    claims = [
+        (f"moses has the heaviest p99/mean tail (got {heaviest})", heaviest == "moses"),
+        (f"moses p99/mean {ratios['moses']:.2f} > 6.0", ratios["moses"] > 6.0),
+        (f"xapian p99/mean {ratios['xapian']:.2f} > 3.0", ratios["xapian"] > 3.0),
+        (f"sphinx p99/mean {ratios['sphinx']:.2f} < 3.5", ratios["sphinx"] < 3.5),
+    ]
+    claims += [(f"{name} CDF ends at {r.p[-1]} == 1.0", r.p[-1] == 1.0) for name, r in results.items()]
+    return [claim for claim, holds in claims if not holds]

@@ -11,7 +11,7 @@ load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from ..sim.rng import RngRegistry
 from ..workload.apps import get_app
 from .scenarios import active_profile
 
-__all__ = ["Fig2Result", "run_fig2", "render_fig2", "FIG2_APPS", "FIG2_LOADS"]
+__all__ = ["Fig2Result", "run_fig2", "render_fig2", "check_fig2", "FIG2_APPS", "FIG2_LOADS"]
 
 #: The two apps the paper uses for the motivation heatmap.
 FIG2_APPS = ("masstree", "sphinx")
@@ -75,3 +75,19 @@ def render_fig2(results: Dict[str, Fig2Result]) -> str:
             f"{r.stats['offdiag_mean']:.2f}  worst {r.stats['offdiag_max']:.2f}"
         )
     return "\n\n".join(blocks)
+
+
+def check_fig2(results: Dict[str, Fig2Result]) -> List[str]:
+    """Fig 2's claims that ``results`` fails: the diagonal is ~1 by
+    construction, and prediction degrades substantially across load gaps."""
+    claims = []
+    for name, r in results.items():
+        m = r.matrix
+        claims += [
+            (f"{name}: relative RMSE diagonal within 0.02 of 1.0",
+             np.allclose(np.diag(m), 1.0, atol=0.02)),
+            (f"{name}: highest->lowest-load relative RMSE {m[-1, 0]:.2f} > 1.2", m[-1, 0] > 1.2),
+            (f"{name}: off-diagonal mean {r.stats['offdiag_mean']:.2f} > 1.0",
+             r.stats["offdiag_mean"] > 1.0),
+        ]
+    return [claim for claim, holds in claims if not holds]

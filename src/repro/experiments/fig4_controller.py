@@ -18,12 +18,13 @@ import numpy as np
 
 from ..analysis.reporting import sparkline
 from ..core.thread_controller import ThreadController
+from ..cpu.dvfs import DEFAULT_TABLE
 from ..workload.apps import get_app
 from ..workload.trace import constant_trace
 from .runner import build_context
 from .scenarios import active_profile
 
-__all__ = ["Fig4Result", "run_fig4", "render_fig4"]
+__all__ = ["Fig4Result", "run_fig4", "render_fig4", "check_fig4"]
 
 
 @dataclass(frozen=True)
@@ -98,3 +99,30 @@ def render_fig4(result: Fig4Result) -> str:
         f"after: {result.frequency[half:].mean():.2f} GHz",
     ]
     return "\n".join(lines)
+
+
+def check_fig4(result: Fig4Result) -> List[str]:
+    """Fig 4's claims that ``result`` fails: every frequency is a DVFS
+    level; the idle floor follows BaseFreq and rises with the update; and
+    requests are served on the observed core, whose frequency ramps
+    during processing (at least 3 levels visited)."""
+    table = DEFAULT_TABLE
+    freq = result.frequency
+    levels = np.unique(freq)
+    floor_before = table.quantize(table.from_score(result.params_before[0]))
+    floor_after = table.quantize(table.from_score(result.params_after[0]))
+    half = len(result.times) // 2
+    before, after = freq[:half], freq[half + 1 :]
+    claims = [
+        ("every frequency is a DVFS table level", all(f in table for f in levels)),
+        (f"min frequency before the update {before.min():.2f} GHz >= "
+         f"BaseFreq floor {floor_before:.2f} GHz", before.min() >= floor_before - 1e-9),
+        (f"min frequency after the update {after.min():.2f} GHz >= "
+         f"BaseFreq floor {floor_after:.2f} GHz", after.min() >= floor_after - 1e-9),
+        (f"mean frequency after the update {freq[half:].mean():.2f} GHz > "
+         f"before {before.mean():.2f} GHz", freq[half:].mean() > before.mean()),
+        (f"{len(result.request_spans)} requests served on the core > 3",
+         len(result.request_spans) > 3),
+        (f"{len(levels)} frequency levels visited >= 3", len(levels) >= 3),
+    ]
+    return [claim for claim, holds in claims if not holds]

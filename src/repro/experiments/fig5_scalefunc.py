@@ -8,13 +8,14 @@ converges to 1 as x grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
 from ..analysis.reporting import sparkline
 from ..core.reward import scale_func
 
-__all__ = ["Fig5Result", "run_fig5", "render_fig5"]
+__all__ = ["Fig5Result", "run_fig5", "render_fig5", "check_fig5"]
 
 
 @dataclass(frozen=True)
@@ -42,3 +43,17 @@ def render_fig5(result: Fig5Result) -> str:
         + "shape: " + sparkline(result.y, 80) + "\n"
         + vals
     )
+
+
+def check_fig5(result: Fig5Result) -> List[str]:
+    """Fig 5's claims that ``result`` fails: at eta = 100 scaleFunc is ~0
+    below eta, 0.5 at a change point near eta, converges to 1 above, and
+    never falls."""
+    claims = [
+        (f"change point {result.change_point:.1f} within 5 of eta 100",
+         abs(result.change_point - 100.0) < 5.0),
+        (f"scaleFunc(10) {scale_func(10, 100.0):.4f} < 0.02", scale_func(10, 100.0) < 0.02),
+        (f"scaleFunc(1e5) {scale_func(1e5, 100.0):.4f} > 0.99", scale_func(1e5, 100.0) > 0.99),
+        ("scaleFunc is monotone", np.all(np.diff(result.y) >= -1e-12)),
+    ]
+    return [claim for claim, holds in claims if not holds]

@@ -9,7 +9,7 @@ experiment exposes the synthetic equivalent and its structural statistics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from ..sim.rng import RngRegistry
 from ..workload.trace import WorkloadTrace, synthesize_month
 from .scenarios import active_profile
 
-__all__ = ["Fig6Result", "run_fig6", "render_fig6"]
+__all__ = ["Fig6Result", "run_fig6", "render_fig6", "check_fig6"]
 
 
 @dataclass(frozen=True)
@@ -69,3 +69,17 @@ def render_fig6(result: Fig6Result) -> str:
             f"{result.trough_mean_ratio:.2f}  day-lag autocorr {result.daily_autocorr:.2f}",
         ]
     )
+
+
+def check_fig6(result: Fig6Result) -> List[str]:
+    """Fig 6's claims that ``result`` fails, the structural statistics of
+    the paper's trace: a strong diurnal pattern, a meaningful
+    peak-to-trough swing and non-negative rates."""
+    claims = [
+        (f"daily autocorrelation {result.daily_autocorr:.2f} > 0.6", result.daily_autocorr > 0.6),
+        (f"peak/mean {result.peak_mean_ratio:.2f} > 1.4", result.peak_mean_ratio > 1.4),
+        (f"trough/mean {result.trough_mean_ratio:.2f} < 0.6", result.trough_mean_ratio < 0.6),
+        ("every monthly rate > 0", (result.month.rates > 0).all()),
+        ("every downsampled rate >= 0", (result.downsampled.rates >= 0).all()),
+    ]
+    return [claim for claim, holds in claims if not holds]

@@ -18,7 +18,7 @@ Expected shape versus the paper:
 
 Calibrations, trained agents and evaluation cells are grid cells stored
 under ``REPRO_CACHE`` (default ``.artifacts/``), keyed by content, so
-re-running the bench reuses them.  The helpers here build the standard
+re-running the experiment reuses them.  The helpers here build the standard
 calibration and agent recipe that the other single-node experiments
 share.
 """
@@ -46,6 +46,7 @@ __all__ = [
     "Fig7AppResult",
     "run_fig7",
     "render_fig7",
+    "check_fig7",
     "TUNED_DDPG",
     "tuned_config",
     "tuned_agent_setup",
@@ -56,6 +57,10 @@ __all__ = [
 
 FIG7_POLICIES = ("baseline", "retail", "gemini", "deeppower")
 EVAL_SEED = 424242
+#: Apps whose Fig 7 claims the smoke profile checks: Xapian (ms-scale
+#: search with a real tail) and Masstree (the fastest SLA, where Gemini's
+#: machinery breaks down).  The full profile checks every app.
+SMOKE_CHECKED_APPS = ("xapian", "masstree")
 
 
 @dataclass(frozen=True)
@@ -287,3 +292,39 @@ def render_fig7(results: Dict[str, Fig7AppResult]) -> str:
         rows,
         "{:.2f}",
     )
+
+
+def check_fig7(results: Dict[str, Fig7AppResult], full: Optional[bool] = None) -> List[str]:
+    """Fig 7's claims that ``results`` fails, on ``SMOKE_CHECKED_APPS`` at
+    the smoke profile and on every app at full.
+
+    Fig 7a: every manager saves power against the baseline.  Fig 7b:
+    DeepPower's p99 stays within 1.25x the SLA at smoke, whose agents
+    train for only a few episodes, and 1.15x at full, where agents still
+    ride the boundary within seed noise; and within 1.10x the best
+    prediction baseline's p99.  Fig 7c: DeepPower times out least among
+    the managers, within 1 point of small-sample noise.
+    """
+    profile = active_profile(full)
+    slack = 1.15 if profile.is_full else 1.25
+    claims = []
+    for name in results if profile.is_full else SMOKE_CHECKED_APPS:
+        ar = results[name]
+        m = {pol: o.metrics for pol, o in ar.outcomes.items()}
+        base, dp = m["baseline"], m["deeppower"]
+        claims += [
+            (f"{name}: {pol} power {m[pol].avg_power_watts:.2f} W < baseline "
+             f"{base.avg_power_watts:.2f} W", m[pol].avg_power_watts < base.avg_power_watts)
+            for pol in ("retail", "gemini", "deeppower")
+        ]
+        best_tail = min(m["retail"].tail_latency, m["gemini"].tail_latency)
+        best_timeouts = min(m["retail"].timeout_rate, m["gemini"].timeout_rate)
+        claims += [
+            (f"{name}: DeepPower p99/SLA {dp.tail_latency / ar.sla:.2f}x <= {slack}x",
+             dp.tail_latency <= ar.sla * slack),
+            (f"{name}: DeepPower p99 {dp.tail_latency * 1e3:.2f} ms <= 1.10 x the best "
+             f"manager's {best_tail * 1e3:.2f} ms", dp.tail_latency <= best_tail * 1.10),
+            (f"{name}: DeepPower timeouts {dp.timeout_rate:.2%} <= the best manager's "
+             f"{best_timeouts:.2%} + 1 point", dp.timeout_rate <= best_timeouts + 0.01),
+        ]
+    return [claim for claim, holds in claims if not holds]

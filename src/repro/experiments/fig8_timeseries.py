@@ -10,7 +10,7 @@ average frequency correlates with load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ..workload.apps import get_app
 from .fig7_main import fig7_agents
 from .scenarios import active_profile
 
-__all__ = ["Fig8Result", "run_fig8", "render_fig8"]
+__all__ = ["Fig8Result", "run_fig8", "render_fig8", "check_fig8"]
 
 
 @dataclass(frozen=True)
@@ -85,3 +85,22 @@ def render_fig8(r: Fig8Result) -> str:
             f"corr(actions, rps) = {r.corr_action_rps:.2f}",
         ]
     )
+
+
+def check_fig8(result: Fig8Result) -> List[str]:
+    """Fig 8's claims that ``result`` fails: "the variation curve of the
+    power consumption basically matches the RPS", the actions stay in
+    [0, 1], and the average worker frequency stays in the DVFS range."""
+    r = result
+    claims = [
+        (f"power/RPS correlation {r.corr_power_rps:.2f} > 0.3", r.corr_power_rps > 0.3),
+        (f"{len(r.times)} DRL intervals > 20", len(r.times) > 20),
+        ("every BaseFreq action within [0, 1]", np.all((r.base_freq >= 0) & (r.base_freq <= 1))),
+        ("every ScalingCoef action within [0, 1]",
+         np.all((r.scaling_coef >= 0) & (r.scaling_coef <= 1))),
+        (f"min average frequency {r.avg_frequency.min():.2f} GHz >= 0.8",
+         r.avg_frequency.min() >= 0.8 - 1e-9),
+        (f"max average frequency {r.avg_frequency.max():.2f} GHz <= 3.0",
+         r.avg_frequency.max() <= 3.0 + 1e-9),
+    ]
+    return [claim for claim, holds in claims if not holds]

@@ -39,6 +39,8 @@ __all__ = [
     "run_fig9",
     "run_fig10",
     "render_freq_traces",
+    "check_fig9",
+    "check_fig10",
 ]
 
 
@@ -187,3 +189,42 @@ def render_freq_traces(results: Dict[str, FreqTraceResult]) -> str:
         if r.freqs.size:
             lines.append(f"{r.policy:10s} core0 freq: " + sparkline(r.freqs[:, 0], 90))
     return "\n".join(lines)
+
+
+def check_fig9(results: Dict[str, FreqTraceResult]) -> List[str]:
+    """Fig 9's claims on Xapian that ``results`` fails: DeepPower scales
+    frequency gradually *during* each request (more than 2 levels per
+    request, more than either baseline) while ReTail picks a level once
+    or twice (fewer than 3); and because it ramps instead of boosting,
+    DeepPower sits at turbo less than half the time."""
+    dp, rt, gm = (results[pol] for pol in ("deeppower", "retail", "gemini"))
+    claims = [
+        (f"DeepPower freq levels/request {dp.levels_per_request:.2f} > 2.0",
+         dp.levels_per_request > 2.0),
+        (f"DeepPower freq levels/request {dp.levels_per_request:.2f} > "
+         f"ReTail's {rt.levels_per_request:.2f}", dp.levels_per_request > rt.levels_per_request),
+        (f"DeepPower freq levels/request {dp.levels_per_request:.2f} > "
+         f"Gemini's {gm.levels_per_request:.2f}", dp.levels_per_request > gm.levels_per_request),
+        (f"ReTail freq levels/request {rt.levels_per_request:.2f} < 3.0",
+         rt.levels_per_request < 3.0),
+        (f"DeepPower turbo fraction {dp.turbo_fraction:.1%} < 50%", dp.turbo_fraction < 0.5),
+    ]
+    return [claim for claim, holds in claims if not holds]
+
+
+def check_fig10(results: Dict[str, FreqTraceResult]) -> List[str]:
+    """Fig 10's claims on Sphinx that ``results`` fails: the same picture
+    at second scale, DeepPower's gradual multi-level ramps (more than 2
+    levels per request) against fewer levels per request under ReTail and
+    Gemini."""
+    dp = results["deeppower"]
+    claims = [(f"DeepPower freq levels/request {dp.levels_per_request:.2f} > 2.0",
+               dp.levels_per_request > 2.0)]
+    for pol in ("retail", "gemini"):
+        r = results[pol]
+        claims += [
+            (f"{pol} freq levels/request {r.levels_per_request:.2f} < "
+             f"DeepPower's {dp.levels_per_request:.2f}", r.levels_per_request < dp.levels_per_request),
+            (f"{pol} frequency trace is not empty", r.freqs.size > 0),
+        ]
+    return [claim for claim, holds in claims if not holds]

@@ -1,7 +1,7 @@
 """Shared experiment configuration: smoke vs full profiles.
 
 Every experiment reads an :class:`ExperimentProfile`.  The default (smoke)
-profile keeps pytest-benchmark runs in seconds; setting the environment
+profile keeps ``deeppower experiment`` runs in seconds; setting the environment
 variable ``REPRO_FULL=1`` (or passing ``full=True``) upgrades to the
 full-scale profile whose results are recorded in EXPERIMENTS.md.
 

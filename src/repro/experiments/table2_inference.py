@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -26,8 +26,9 @@ from ..rl.ddpg import DdpgAgent, DdpgConfig
 from ..rl.dqn import DqnAgent, DqnConfig
 from ..rl.sac import SacAgent, SacConfig
 from ..nn.network import TwoHeadMLP
+from ..workload.apps import PAPER_APPS
 
-__all__ = ["InferenceTiming", "run_table2", "render_table2"]
+__all__ = ["InferenceTiming", "run_table2", "render_table2", "check_table2"]
 
 
 @dataclass(frozen=True)
@@ -93,3 +94,20 @@ def run_table2(
 def render_table2(results: Dict[str, InferenceTiming]) -> str:
     rows = [[r.algorithm, r.mean_us, r.p95_us] for r in results.values()]
     return format_table(["algorithm", "inference mean (us)", "p95 (us)"], rows, "{:.1f}")
+
+
+def check_table2(results: Dict[str, InferenceTiming]) -> List[str]:
+    """Table 2's claims that ``results`` fails: an inference costs tens to
+    hundreds of microseconds, the order of a fast LC request's service
+    time, so request-level DRL control is infeasible; and actor-based
+    methods cost more than a single value-net argmax."""
+    masstree_us = PAPER_APPS["masstree"].mean_service_fmax * 1e6
+    ddpg, dqn, sac = (results[name].mean_us for name in ("DDPG", "DQN", "SAC"))
+    claims = [
+        (f"DDPG inference {ddpg:.1f} us > 10 us", ddpg > 10.0),
+        (f"DDPG inference {ddpg:.1f} us > 0.1 x masstree service time {masstree_us:.1f} us",
+         ddpg > 0.1 * masstree_us),
+        (f"DDPG inference {ddpg:.1f} us > DQN {dqn:.1f} us", ddpg > dqn),
+        (f"SAC inference {sac:.1f} us > DQN {dqn:.1f} us", sac > dqn),
+    ]
+    return [claim for claim, holds in claims if not holds]

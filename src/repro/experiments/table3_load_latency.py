@@ -24,7 +24,7 @@ from ..workload.apps import get_app
 from ..workload.trace import constant_trace
 from .scenarios import active_profile, workers_for
 
-__all__ = ["Table3Row", "run_table3", "render_table3", "TABLE3_LOADS"]
+__all__ = ["Table3Row", "run_table3", "render_table3", "check_table3", "TABLE3_LOADS"]
 
 TABLE3_LOADS = (0.2, 0.5, 0.7)
 
@@ -108,3 +108,38 @@ def render_table3(results: Dict[str, Table3Row]) -> str:
             + ["n/a" if v != v else v for v in (row.p99_ms[l] for l in loads)]
         )
     return format_table(headers, rows, "{:.2f}")
+
+
+def check_table3(results: Dict[str, Table3Row], full: Optional[bool] = None) -> List[str]:
+    """Table 3's claims that ``results`` fails.
+
+    The tail grows with load (within 5 % small-sample noise for the
+    near-deterministic app at low load), and 70 % load stays servable:
+    p99 within 2.2x the SLA at the smoke profile, whose 4-core socket
+    queues burstier, and 1.4x at full.  Img-dnn's deterministic service
+    keeps its tail far below the SLA at every load (paper: 2.30 / 2.30 /
+    2.48 ms vs SLA 5), unlike the long-tailed apps, whose p99 sits near
+    their SLA.
+    """
+    envelope = 1.4 if active_profile(full).is_full else 2.2
+    claims = []
+    for name, row in results.items():
+        p99 = row.p99_ms
+        claims += [
+            (f"{name}: p99@70% {p99[0.7]:.2f} ms >= 0.95 x p99@20% {p99[0.2]:.2f} ms",
+             p99[0.7] >= p99[0.2] * 0.95),
+            (f"{name}: p99@70% {p99[0.7]:.2f} ms <= {envelope} x SLA {row.sla_ms:.2f} ms",
+             p99[0.7] <= row.sla_ms * envelope),
+        ]
+    img = results["img-dnn"]
+    claims += [
+        (f"img-dnn: p99@{load:.0%} {v:.2f} ms <= 0.7 x SLA {img.sla_ms:.2f} ms",
+         v <= img.sla_ms * 0.7)
+        for load, v in img.p99_ms.items()
+    ]
+    img_ratio = img.p99_ms[0.7] / img.sla_ms
+    for name in ("xapian", "masstree", "moses", "sphinx"):
+        ratio = results[name].p99_ms[0.7] / results[name].sla_ms
+        claims.append((f"{name}: p99@70%/SLA {ratio:.2f} > img-dnn's {img_ratio:.2f}",
+                       ratio > img_ratio))
+    return [claim for claim, holds in claims if not holds]

@@ -29,10 +29,12 @@ class FakeRunner:
         self.energy = dict(zip(("base", "change"), energy))
         self.digest = dict(zip(("base", "change"), digest))
         self.calls = []
+        self.dirs = set()
 
     def __call__(self, checkout, workload, seed):
         side = "base" if Path(checkout) == self.base_dir else "change"
         self.calls.append((side, workload, seed))
+        self.dirs.add(Path(checkout))
         metrics = {
             "node_s_per_wall_s": 100.0,
             "setup_s": 0.5,
@@ -44,29 +46,34 @@ class FakeRunner:
 
 
 def _main(tool, runner, tmp_path, *extra):
+    """Run the tool on copies under ``tmp_path``: ``base`` for the base
+    revision, ``change`` for the working tree."""
     revs = []
 
     @contextlib.contextmanager
     def checkout(rev):
         revs.append(rev)
-        yield tmp_path
+        yield tmp_path / ("change" if rev is None else "base")
 
     rc = tool.main(
         ["--base", "HEAD~1", "--workload", "fleet-chaos", "--seed", "2", *extra],
         runner=runner, checkout=checkout,
     )
-    assert revs == ["HEAD~1"]
+    assert revs == ["HEAD~1", None]
     return rc
 
 
 def test_alternates_sides_and_reports_the_pairs(tmp_path, capsys):
     tool = _load()
     runner = FakeRunner(
-        tmp_path, base=[80, 82, 84, 79], change=[100, 104, 83, 106]
+        tmp_path / "base", base=[80, 82, 84, 79], change=[100, 104, 83, 106]
     )
     assert _main(tool, runner, tmp_path, "--pairs", "4") == 0
     sides = [side for side, _, _ in runner.calls]
     assert sides == ["base", "change", "change", "base"] * 2
+    # Both sides run in their copies, never in the repository itself.
+    assert runner.dirs == {tmp_path / "base", tmp_path / "change"}
+    assert tool.ROOT not in runner.dirs
     assert {(w, s) for _, w, s in runner.calls} == {("fleet-chaos", 2)}
     out = capsys.readouterr().out
     assert "base   node_s_per_wall_s median 81 q1=79.25 q3=83.5 n=4" in out
@@ -83,7 +90,7 @@ def test_lower_is_better_metric_counts_drops_as_wins(tmp_path, capsys):
     # is faster, and the gap is the base median minus the change median.
     tool = _load()
     runner = FakeRunner(
-        tmp_path, base=[0.50, 0.48, 0.52, 0.49], change=[0.37, 0.36, 0.53, 0.38],
+        tmp_path / "base", base=[0.50, 0.48, 0.52, 0.49], change=[0.37, 0.36, 0.53, 0.38],
         metric="setup_s",
     )
     assert _main(tool, runner, tmp_path, "--pairs", "4", "--metric", "setup_s") == 0
@@ -97,7 +104,7 @@ def test_lower_is_better_metric_counts_drops_as_wins(tmp_path, capsys):
 
 def test_metric_must_be_an_end_to_end_metric(tmp_path, capsys):
     tool = _load()
-    runner = FakeRunner(tmp_path, base=[1.0], change=[1.0])
+    runner = FakeRunner(tmp_path / "base", base=[1.0], change=[1.0])
     with pytest.raises(SystemExit):
         _main(tool, runner, tmp_path, "--metric", "sim.events")
     assert "invalid choice" in capsys.readouterr().err
@@ -106,7 +113,7 @@ def test_metric_must_be_an_end_to_end_metric(tmp_path, capsys):
 def test_reports_energy_and_digest_mismatches(tmp_path, capsys):
     tool = _load()
     runner = FakeRunner(
-        tmp_path, base=[80, 80], change=[79, 90],
+        tmp_path / "base", base=[80, 80], change=[79, 90],
         energy=(5.0, 5.5), digest=("a", "b"),
     )
     assert _main(tool, runner, tmp_path, "--pairs", "2") == 0
@@ -135,8 +142,34 @@ def test_base_checkout_holds_the_revision(tmp_path, monkeypatch):
         pytest.skip("not a git checkout")
     monkeypatch.setenv("TMPDIR", str(tmp_path))
     monkeypatch.setattr(tempfile, "tempdir", None)
-    with tool.base_checkout("HEAD") as path:
+    with tool.tree_copy("HEAD") as path:
         assert path.is_relative_to(tmp_path)
         assert (path / "benchmarks" / "e2e" / "run.py").is_file()
         assert not (path / ".git").exists()
+    assert not path.exists()
+
+
+def test_change_copy_holds_the_working_tree(tmp_path, monkeypatch):
+    # The change side is a copy of the working tree: tracked files as
+    # they are on disk and untracked ones git does not ignore.
+    tool = _load()
+    repo = tmp_path / "repo"
+    (repo / "sub").mkdir(parents=True)
+    for name, text in {
+        ".gitignore": "*.log\n", "tracked.py": "edited\n", "gone.py": "",
+        "sub/new.py": "new\n", "run.log": "ignored\n",
+    }.items():
+        (repo / name).write_text(text)
+    for cmd in (["git", "init", "-q"], ["git", "add", ".gitignore", "tracked.py", "gone.py"]):
+        if subprocess.run(cmd, cwd=repo, capture_output=True).returncode != 0:
+            pytest.skip("git is unavailable")
+    (repo / "gone.py").unlink()
+    monkeypatch.setattr(tool, "ROOT", repo)
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    with tool.tree_copy(None) as path:
+        assert path.is_relative_to(tmp_path) and not path.is_relative_to(repo)
+        files = sorted(str(f.relative_to(path)) for f in path.rglob("*") if f.is_file())
+        assert files == [".gitignore", "sub/new.py", "tracked.py"]
+        assert (path / "tracked.py").read_text() == "edited\n"
     assert not path.exists()

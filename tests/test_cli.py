@@ -4,7 +4,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
-from repro.experiments.registry import Experiment
+from repro.experiments.registry import REGISTRY, Experiment
 
 #: A minimal valid learned-coordinator fleet command line.
 HIER = ["fleet", "--hier", "ddpg", "--power-cap", "auto"]
@@ -277,22 +277,8 @@ class TestParser:
     def test_help_imports_no_experiment(self):
         # The registry lists ids and descriptions without importing the
         # experiments, so the help text costs no experiment's compile.
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "repro.cli", "--help"],
-            capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=os.path.dirname(repro.__path__[0])),
-        )
-        assert "deeppower" in proc.stdout
-        loaded = {
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines() if line.startswith("import time:")
-        }
+        out, loaded = _run_with_importtime("--help")
+        assert "deeppower" in out
         experiments = sorted(m for m in loaded if m.startswith("repro.experiments."))
         assert experiments == ["repro.experiments.registry"]
         # The fleet --policy choices come from parallel.cells, not the fleet.
@@ -301,6 +287,14 @@ class TestParser:
             if m == "repro.cluster.node" or m == "repro.server" or m.startswith("repro.server.")
         )
         assert fleet == []
+
+    def test_list_imports_no_experiment(self):
+        # Listing reads ids and descriptions; no run, render or check
+        # module is imported.
+        out, loaded = _run_with_importtime("list")
+        assert "fig7" in out
+        experiments = sorted(m for m in loaded if m.startswith("repro.experiments."))
+        assert experiments == ["repro.experiments.registry"]
 
     def test_fleet_policy_choices_are_the_node_policies(self):
         from repro.cluster.node import NODE_POLICIES
@@ -313,6 +307,26 @@ class TestParser:
         assert main(["experiment", "fig5"]) == 0
         out = capsys.readouterr().out
         assert "scaleFunc" in out
+
+    def test_experiment_prints_failed_claims_and_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(REGISTRY["fig5"], "_check", lambda result: ["scaleFunc stays flat"])
+        assert main(["experiment", "fig5"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("\nclaim failed: fig5: scaleFunc stays flat\n")
+
+    def test_experiment_prints_only_the_table_when_claims_hold(self, capsys):
+        from repro.experiments.fig5_scalefunc import render_fig5, run_fig5
+
+        assert main(["experiment", "fig5"]) == 0
+        assert capsys.readouterr().out == render_fig5(run_fig5()) + "\n"
+
+    def test_experiment_runs_every_id_and_fails_on_any(self, capsys, monkeypatch):
+        # Several ids run in order; one failed claim fails the command.
+        monkeypatch.setattr(REGISTRY["fig5"], "_check", lambda result: ["flat"])
+        assert main(["experiment", "fig5", "table2"]) == 1
+        out, err = capsys.readouterr()
+        assert out.index("scaleFunc") < out.index("claim failed: fig5: flat") < out.index("DDPG")
+        assert "== fig5: " in err and "== table2: " in err
 
     def test_experiment_full_rejected_without_full_profile(self, capsys):
         assert main(["experiment", "fig5", "--full"]) == 2
@@ -479,3 +493,23 @@ class TestParser:
         assert seen["num_workers"] == 4
         want = fig7_calibration("xapian", SMOKE).trace
         np.testing.assert_array_equal(seen["trace"].rates, want.rates)
+
+
+def _run_with_importtime(*argv):
+    """``(stdout, imported module names)`` of ``python -m repro.cli *argv``."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro.cli", *argv],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(repro.__path__[0])),
+    )
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    return proc.stdout, loaded

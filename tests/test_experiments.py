@@ -280,6 +280,21 @@ class TestRenderers:
             assert isinstance(out, str) and len(out) > 10
 
 
+#: Experiments that check the paper's claims on their own result.
+CHECKED = {
+    "fig1", "fig2", "table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8",
+    "fig9", "fig10", "fig11", "overhead", "ablation-hierarchy",
+    "ablation-shorttime", "robustness-mmpp", "fault-tolerance", "chaos",
+}
+
+
+@pytest.mark.parametrize("exp_id", sorted(REGISTRY))
+def test_check_resolves_to_a_callable(exp_id):
+    exp = REGISTRY[exp_id]
+    assert (exp._check is not None) == (exp_id in CHECKED)
+    assert exp.check is None or callable(exp.check)
+
+
 class TestChaosExperiment:
     def test_registered(self):
         assert "chaos" in REGISTRY

@@ -51,12 +51,13 @@ techniques that make the stacked tick hold:
 * *Injector rows go to their injector.*  An armed
   :class:`~repro.faults.injectors.ActuatorFaults` must make one draw per
   write and delay the raw (unclamped) request, so the batch flags those
-  nodes once (injectors are armed before adoption) and hands their raw
-  and quantised rows to its
+  nodes once (injectors are armed before adoption) and asks each one's
+  :meth:`~repro.faults.injectors.ActuatorFaults.clean_row` first, as the
+  per-node tick does: a clean row takes its draws there and the batch
+  writes its changed levels through the cores' unwrapped setters; any
+  other row goes, raw and quantised, to
   :meth:`~repro.faults.injectors.ActuatorFaults.write_row`, which takes
-  the draws from the injector's prefetched block.  Only the per-node
-  tick asks :meth:`~repro.faults.injectors.ActuatorFaults.clean_row`
-  first: here the rows are already built, so there is nothing to skip.
+  the draws from the injector's prefetched block.
 * *Down nodes keep ticking.*  The lifecycle never stops a crashed node's
   controller (its parked cores just keep being re-asserted), so the
   fleet tick deliberately includes down nodes too; the lifecycle masks
@@ -157,7 +158,7 @@ class FleetBatch:
         self._tick_task: Optional[PeriodicTask] = None
         self._tick_total = 0
         self._live_tick_counts = False
-        self._ov_rows: List[int] = []
+        self._ov_rows: List[Tuple[int, Any, List[Any]]] = []
         self._base = np.empty((n, 1))
         self._coef = np.empty((n, 1))
         self._ceil = np.empty((n, 1))
@@ -239,7 +240,11 @@ class FleetBatch:
         for c in ctrls:
             if not isinstance(c, ThreadController):
                 return False
-            if "tick" in c.__dict__ or c.record_trace or c._win:
+            # An instance-level tick (bind_spans) is not a method bound to
+            # c.  Reading c.__dict__ instead would build the instance dict,
+            # which in CPython 3.11 leaves every attribute load of the tick
+            # unspecialised.
+            if getattr(c.tick, "__self__", None) is not c or c.record_trace or c._win:
                 return False
             if c._task is None or c._task.stopped:
                 return False
@@ -271,10 +276,7 @@ class FleetBatch:
             return True
         self._live_tick_counts = bool(live_tick_counts)
         self._tick_total = 0
-        self._sla = ref.sla
-        self._fmin = ref._fmin
-        self._fspan = ref._fspan
-        self._turbo = ref._turbo
+        self._sla, self._fmin, self._fspan, self._turbo = ref._consts[:4]
         self._table = ref.table
         for i, c in enumerate(ctrls):
             self._base[i, 0] = c.base_freq
@@ -283,11 +285,16 @@ class FleetBatch:
         for i, node in enumerate(self.nodes):
             self._ceil[i, 0] = node.cpu.ceiling
             node.cpu._ceiling_listener = self._make_ceiling_hook(i)
-        # Nodes with an armed actuator fault injector hand their raw rows
-        # to its row write; injectors are armed before adoption.
+        # Nodes with an armed actuator fault injector: (row, injector,
+        # worker cores); injectors are armed before adoption.
         self._ov_rows = [
-            i for i, node in enumerate(self.nodes) if node.cpu._actuator is not None
+            (i, node.cpu._actuator, node.cpu.cores[:w])
+            for i, node in enumerate(self.nodes)
+            if node.cpu._actuator is not None
         ]
+        self._plain_rows = np.ones((n, 1), dtype=bool)
+        for i, _, _ in self._ov_rows:
+            self._plain_rows[i, 0] = False
         # Reused per-tick buffers (the fleet tick must not allocate).
         self._scores_buf = np.empty((n, w))
         self._raw_buf = np.empty((n, w))
@@ -348,9 +355,20 @@ class FleetBatch:
         diff = self._diff_mask
         np.not_equal(q, self._fw, out=diff)
         if self._ov_rows:
-            for i in self._ov_rows:
-                diff[i, :] = False
-                self.nodes[i].cpu._actuator.write_row(raw[i].tolist(), q[i].tolist())
+            w = self.num_workers
+            levels = q.tolist()
+            changed = diff.any(axis=1).tolist()
+            for i, actuator, wcores in self._ov_rows:
+                if actuator.clean_row(w):
+                    # The row's draws are taken: write past the per-core
+                    # closures, as write_row would with no fault drawn.
+                    if changed[i]:
+                        for core, f in zip(wcores, levels[i]):
+                            if f != core._freq:
+                                core._true_set_frequency(f, quantize=False)
+                else:
+                    actuator.write_row(raw[i].tolist(), levels[i])
+            diff &= self._plain_rows
         idx = np.flatnonzero(diff)
         if idx.size:
             cores = self._wcores

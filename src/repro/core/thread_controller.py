@@ -20,6 +20,7 @@ frequency selection.
 from __future__ import annotations
 
 import math
+from math import ceil
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, List, Optional
@@ -79,19 +80,29 @@ class ThreadController:
         self.trace: List[FrequencyTracePoint] = []
         self._task: Optional[PeriodicTask] = None
         self.tick_count = 0
-        # Precomputed span for the score -> frequency interpolation.
-        self._fmin = self.table.fmin
-        self._fspan = self.table.fmax - self.table.fmin
-        self._turbo = self.table.turbo
+        # Everything the tick reads that never changes, unpacked in one go:
+        # the SLA, the score -> frequency interpolation (fmin, fmax - fmin,
+        # turbo) and FrequencyTable.quantize's constants (fmax, step, the
+        # levels and the top sustained index).  A controller keeps under
+        # 30 attributes, past which CPython gives up its shared-key dict
+        # (about 1.3 KB more per instance).
+        table = self.table
+        levels = table.levels
+        self._consts = (
+            self.sla, table.fmin, table.fmax - table.fmin, table.turbo,
+            table.fmax, table.step, levels, len(levels) - 2,
+        )
         self.cpu = server.cpu
         # Reused scores() buffers, one slot per worker core.
         nw = server.num_workers
         self._scores_buf = np.empty(nw)
         self._idle_mask = np.empty(nw, dtype=bool)
-        # Idle cores' (raw request, level), cached on (base_freq, ceiling)
-        # by the tick.
-        self._idle_key: Optional[tuple] = None
-        self._idle = (0.0, 0.0)
+        # Levels that depend on (base_freq, ceiling) only, refreshed by the
+        # tick when either moves: an idle core's raw request and level, and
+        # the levels of a turbo score and of a request above the ceiling.
+        self._key_base = math.nan
+        self._key_ceiling = math.nan
+        self._idle_raw = self._idle = self._top = self._capped = 0.0
         # Fleet-batch hook: when a FleetBatch has adopted this controller's
         # tick, it mirrors (base_freq, scaling_coef) into its stacked
         # parameter arrays through this callback on every set_params.
@@ -240,59 +251,90 @@ class ThreadController:
 
     def frequency_for_score(self, score: float) -> float:
         """Algorithm 1 lines 6-10 for one score value."""
+        _, fmin, fspan, turbo = self._consts[:4]
         if score >= 1.0:
-            return self._turbo
-        return self.table.quantize(self._fmin + self._fspan * score)
+            return turbo
+        return self.table.quantize(fmin + fspan * score)
+
+    def _refresh_levels(self, base: float, ceiling: float) -> None:
+        """Re-derive the tick's cached levels for ``(base, ceiling)``."""
+        quantize = self.table.quantize
+        _, fmin, fspan, turbo = self._consts[:4]
+        r = turbo if base >= 1.0 else fmin + fspan * base
+        self._idle_raw = r
+        self._idle = quantize(ceiling if r > ceiling else r)
+        self._top = quantize(ceiling if turbo > ceiling else turbo)
+        self._capped = quantize(ceiling)
+        self._key_base = base
+        self._key_ceiling = ceiling
 
     def tick(self) -> None:
         """One controller pass over all worker cores.
 
         One python loop fuses score, interpolation, turbo override, ceiling
         clamp, quantisation and write per core, and only cores whose
-        quantised level changes get a DVFS write; idle cores reuse a level
-        cached on ``(base_freq, ceiling)``.  With an armed actuator fault
+        quantised level changes get a DVFS write.  The levels that depend
+        on ``(base_freq, ceiling)`` alone (an idle core's, a turbo score's
+        and a request clamped to the ceiling) are cached until one of the
+        two floats moves; every other request is quantised by
+        :meth:`~repro.cpu.dvfs.FrequencyTable.quantize` inlined, the same
+        IEEE operations in the same order.  With an armed actuator fault
         injector the same loop runs whenever
         :meth:`~repro.faults.injectors.ActuatorFaults.clean_row` takes a
         fault-free row (no delays, no offline core, no failure drawn), and
         writes through each core's unwrapped setter; any other tick
-        collects the raw and quantised row for the injector's
+        collects the raw and quantised row (through ``quantize`` itself)
+        for the injector's
         :meth:`~repro.faults.injectors.ActuatorFaults.write_row`.
         A trace-recording controller then appends the tick's
         :meth:`scores` and the worker cores' frequencies after the writes.
         """
         now = self.engine.now
-        nw = self.server.num_workers
         self.tick_count += 1
-        base, coef, sla = self.base_freq, self.scaling_coef, self.sla
-        fmin, fspan, turbo = self._fmin, self._fspan, self._turbo
+        sla, fmin, fspan, turbo, fmax, step, levels, top = self._consts
+        base, coef = self.base_freq, self.scaling_coef
         cpu = self.cpu
-        quantize = self.table.quantize
         ceiling = cpu.ceiling
-        if self._idle_key != (base, ceiling):
-            r = turbo if base >= 1.0 else fmin + fspan * base
-            self._idle = (r, quantize(ceiling if r > ceiling else r))
-            self._idle_key = (base, ceiling)
-        idle_raw, idle = self._idle
+        if base != self._key_base or ceiling != self._key_ceiling:
+            self._refresh_levels(base, ceiling)
+        idle = self._idle
         begins = self.server.begin_times().tolist()
         actuator = cpu._actuator
         if actuator is None or actuator.clean_row(len(begins)):
             # A clean row has already taken its draws: write past the
             # injector's per-core closures.
             wrapped = actuator is not None
+            top_q, capped = self._top, self._capped
             for b, core in zip(begins, cpu.cores):
                 if b != b:
                     q = idle
                 else:
                     s = (now - b) / sla * coef + base
-                    r = turbo if s >= 1.0 else fmin + fspan * s
-                    q = quantize(ceiling if r > ceiling else r)
+                    if s >= 1.0:
+                        q = top_q
+                    else:
+                        r = fmin + fspan * s
+                        if r > ceiling:
+                            q = capped
+                        # FrequencyTable.quantize(r), inlined.
+                        elif r <= fmin:
+                            q = levels[0]
+                        elif r >= turbo:
+                            q = turbo
+                        elif r > fmax:
+                            q = fmax
+                        else:
+                            i = ceil((r - fmin) / step - 1e-9)
+                            q = levels[i if i < top else top]
                 if q != core._freq:
                     if wrapped:
                         core._true_set_frequency(q, quantize=False)
                     else:
                         core.set_frequency(q, quantize=False)
         else:
-            raw, levels = [], []
+            quantize = self.table.quantize
+            idle_raw = self._idle_raw
+            raw, row = [], []
             for b in begins:
                 if b != b:
                     r, q = idle_raw, idle
@@ -301,20 +343,22 @@ class ThreadController:
                     r = turbo if s >= 1.0 else fmin + fspan * s
                     q = quantize(ceiling if r > ceiling else r)
                 raw.append(r)
-                levels.append(q)
-            actuator.write_row(raw, levels)
-        if self._win:
-            self._win_observe(float(cpu._freqs[:nw].mean()))
-        if self.record_trace:
-            self.trace.append(
-                FrequencyTracePoint(
-                    time=now,
-                    frequencies=cpu._freqs[:nw].copy(),
-                    scores=self.scores(now).copy(),
-                    base_freq=base,
-                    scaling_coef=coef,
+                row.append(q)
+            actuator.write_row(raw, row)
+        if self._win or self.record_trace:
+            nw = len(begins)
+            if self._win:
+                self._win_observe(float(cpu._freqs[:nw].mean()))
+            if self.record_trace:
+                self.trace.append(
+                    FrequencyTracePoint(
+                        time=now,
+                        frequencies=cpu._freqs[:nw].copy(),
+                        scores=self.scores(now).copy(),
+                        base_freq=base,
+                        scaling_coef=coef,
+                    )
                 )
-            )
 
     # ------------------------------------------------------------------ traces
 

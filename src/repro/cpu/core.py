@@ -142,10 +142,23 @@ class Core:
         return f
 
     def set_busy(self, busy: bool) -> None:
-        """Mark the core busy (executing) or idle.  Idempotent."""
-        if busy == self._busy:
+        """Mark the core busy (executing) or idle.  Idempotent.
+
+        Settles the energy meter at the old state first, inlined as in
+        :meth:`set_frequency`: every dispatch and completion lands here.
+        """
+        was = self._busy
+        if busy == was:
             return
-        self._advance()
+        now = self.engine.now
+        dt = now - self._last_t
+        if dt > 0.0:
+            self._energy += self._watts[was] * dt
+            if was:
+                self._busy_time += dt
+            self._last_t = now
+        elif dt < 0.0:  # pragma: no cover - clock never goes backwards
+            raise RuntimeError("virtual clock moved backwards")
         self._busy = busy
 
     # ----------------------------------------------------------------- meters

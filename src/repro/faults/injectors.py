@@ -189,9 +189,9 @@ class ActuatorFaults(_Injector):
     Armed, it wraps every core's ``set_frequency`` (for single writers:
     ceiling clamps, governors, baselines) and registers itself as its
     socket's row writer, :meth:`write_row`, for batched writes.  The
-    controller tick first asks :meth:`clean_row` whether its row would draw
-    no fault at all, and only otherwise builds the row for
-    :meth:`write_row`.
+    controller ticks (per node and stacked) first ask :meth:`clean_row`
+    whether a row would draw no fault at all, and only otherwise hand the
+    row to :meth:`write_row`.
     """
 
     def __init__(
@@ -208,6 +208,10 @@ class ActuatorFaults(_Injector):
         self._block: List[float] = []
         self._pos = 0
         self._blocks = 0
+        # Block index of the next prefetched uniform below dvfs_fail_prob
+        # (len(block) when none is left); stale once _pos has passed it,
+        # and reset by every refill.
+        self._fail_at = -1
 
     @property
     def drawn(self) -> int:
@@ -220,6 +224,7 @@ class ActuatorFaults(_Injector):
         block = self._block[self._pos:] + self.rng.random(DRAW_BLOCK).tolist()
         self._block, self._pos = block, 0
         self._blocks += 1
+        self._fail_at = -1
         return block
 
     def _draw(self) -> float:
@@ -273,6 +278,12 @@ class ActuatorFaults(_Injector):
         A plan with no DVFS probabilities draws nothing and returns True.
         In every other case nothing is consumed and the row belongs to
         :meth:`write_row`.
+
+        O(1) amortised per call: the block position of the next failing
+        uniform is cached and searched again only once :meth:`_draw` (the
+        per-core closures, :meth:`write_row`) has consumed past it or a
+        refill has re-laid the block, so a uniform is scanned once per
+        block that holds it.
         """
         plan = self.plan
         if plan.dvfs_delay_prob > 0.0:
@@ -292,9 +303,15 @@ class ActuatorFaults(_Injector):
         while end > len(block):
             block = self._refill()
             pos, end = 0, k
-        for u in block[pos:end]:
-            if u < fail_p:
-                return False
+        fail_at = self._fail_at
+        if fail_at < pos:
+            n = len(block)
+            fail_at = pos
+            while fail_at < n and block[fail_at] >= fail_p:
+                fail_at += 1
+            self._fail_at = fail_at
+        if fail_at < end:
+            return False
         self._pos = end
         return True
 

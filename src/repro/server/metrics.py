@@ -107,18 +107,27 @@ class LatencyRecorder:
         self.arrived = 0
         self.completed = 0
         self.timeouts = 0
+        # The telemetry window's counters (arrivals, completions, completions
+        # past their request's SLA), read and reset by
+        # TelemetryChannel.snapshot; reset() leaves them alone.
+        self.win_arrivals = 0
+        self.win_completed = 0
+        self.win_timeouts = 0
 
     # --------------------------------------------------------------- recording
 
     def on_arrival(self, req: Request) -> None:
         self.arrived += 1
+        self.win_arrivals += 1
 
     def on_complete(self, req: Request) -> float:
         """Record a finished request; returns its end-to-end latency.
 
         Latency, service and queue time come straight from the request's
         stamps (the same values as its ``latency``/``service_time``/
-        ``queue_time`` views), each computed once.
+        ``queue_time`` views), each computed once.  The run counts a
+        timeout against the recorder's SLA, the telemetry window against
+        the request's own.
         """
         finish = req.finish_time
         if finish is None:  # pragma: no cover - server always stamps finish_time
@@ -127,6 +136,9 @@ class LatencyRecorder:
         start = req.start_time
         lat = finish - arrival
         self.completed += 1
+        self.win_completed += 1
+        if lat > req.sla:
+            self.win_timeouts += 1
         self.latencies.append(lat)
         if start is None:  # pragma: no cover - a finished request has started
             self.service_times.append(0.0)
@@ -167,14 +179,18 @@ class LatencyRecorder:
         """
         lat = np.asarray(self.latencies) if self.latencies else np.zeros(0)
         nan = float("nan")
-        q = lambda p: float(np.quantile(lat, p)) if lat.size else nan
+        # One sort for the three quantiles.
+        tail, p50, p95 = (
+            np.quantile(lat, [self.tail_quantile, 0.5, 0.95]).tolist()
+            if lat.size else (nan, nan, nan)
+        )
         return RunMetrics(
             completed=self.completed,
             timeouts=self.timeouts,
             mean_latency=float(lat.mean()) if lat.size else nan,
-            tail_latency=q(self.tail_quantile),
-            p50_latency=q(0.5),
-            p95_latency=q(0.95),
+            tail_latency=tail,
+            p50_latency=p50,
+            p95_latency=p95,
             mean_service=float(np.mean(self.service_times)) if self.service_times else nan,
             mean_queue_time=float(np.mean(self.queue_times)) if self.queue_times else nan,
             sla=self.sla,

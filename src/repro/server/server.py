@@ -187,7 +187,6 @@ class Server:
     def submit(self, req: Request) -> None:
         """Client-side entry point: a request arrives at the server."""
         self.metrics.on_arrival(req)
-        self.telemetry.note_arrival()
         if self._on_arrival is not None:
             self._on_arrival(req)
         if self._idle and not self._paused:
@@ -269,8 +268,7 @@ class Server:
             self._on_start(req, worker.core)
 
     def _worker_done(self, worker: Worker, req: Request) -> None:
-        latency = self.metrics.on_complete(req)
-        self.telemetry.note_completion(latency > req.sla)
+        self.metrics.on_complete(req)
         self._begin_times[worker.core_id] = np.nan
         if self._on_complete is not None:
             self._on_complete(req, worker.core)

@@ -2,11 +2,12 @@
 
 The paper's server sends the framework "comprehensive information about the
 system (the number of timeout requests, the length of queue)" over TCP once
-per DRL interval.  :class:`TelemetryChannel` reproduces that contract: it
-accumulates window counters (arrivals, completions, timeouts) and, on
-``snapshot()``, emits a :class:`TelemetrySnapshot` holding both the raw
-8-dimensional state inputs of §4.4.1 and the reward inputs of §4.4.2, then
-resets the window.
+per DRL interval.  :class:`TelemetryChannel` reproduces that contract: the
+server's :class:`~repro.server.metrics.LatencyRecorder` counts the window
+(arrivals, completions, timeouts) as it records each request and, on
+``snapshot()``, the channel emits a :class:`TelemetrySnapshot` holding both
+the raw 8-dimensional state inputs of §4.4.1 and the reward inputs of
+§4.4.2, then resets the window.
 """
 
 from __future__ import annotations
@@ -63,20 +64,7 @@ class TelemetryChannel:
 
     def __init__(self, server: "Server") -> None:
         self.server = server
-        self._win_arrivals = 0
-        self._win_completed = 0
-        self._win_timeouts = 0
         self._last_snapshot_t = server.engine.now
-
-    # ------------------------------------------------ server-side increments
-
-    def note_arrival(self) -> None:
-        self._win_arrivals += 1
-
-    def note_completion(self, timed_out: bool) -> None:
-        self._win_completed += 1
-        if timed_out:
-            self._win_timeouts += 1
 
     # -------------------------------------------------------------- snapshots
 
@@ -98,19 +86,18 @@ class TelemetryChannel:
                     if w.current is not None and w.current.time_remaining(now) < thresh
                 )
             )
+        rec = srv.metrics
         snap = TelemetrySnapshot(
             time=now,
             window=now - self._last_snapshot_t,
-            num_req=self._win_arrivals,
+            num_req=rec.win_arrivals,
             queue_len=len(srv.queue),
             queue_frac=qf,
             core_frac=tuple(cf),
-            timeouts=self._win_timeouts,
-            completed=self._win_completed,
+            timeouts=rec.win_timeouts,
+            completed=rec.win_completed,
             utilization=srv.cpu_utilization(),
         )
-        self._win_arrivals = 0
-        self._win_completed = 0
-        self._win_timeouts = 0
+        rec.win_arrivals = rec.win_completed = rec.win_timeouts = 0
         self._last_snapshot_t = now
         return snap

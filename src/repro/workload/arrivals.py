@@ -104,7 +104,20 @@ class OpenLoopSource:
         self._next_id += 1
         self.generated += 1
         self.sink(req)
-        nxt = self._draw_next_arrival(t)
+        # _draw_next_arrival(t)'s first step, inlined: while t is inside
+        # the current segment and its rate is positive, draw the gap here
+        # and walk the segments only when the candidate lands past its end.
+        seg = self._seg
+        seg_end = self._edges[seg + 1]
+        rate = self._rates[seg]
+        if t < seg_end and rate > 0.0:
+            nxt = t + self.rng.exponential(1.0 / rate)
+            if nxt <= seg_end:
+                self.engine.schedule_at(nxt, self._arrive, nxt)
+                return
+            nxt = self._draw_next_arrival(seg_end)
+        else:
+            nxt = self._draw_next_arrival(t)
         if nxt is None:
             self._finish()
         else:

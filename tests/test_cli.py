@@ -332,6 +332,57 @@ class TestParser:
         assert main(["experiment", "fig5", "--full"]) == 2
         assert "'fig5' has no --full profile" in capsys.readouterr().err
 
+    def _fake_experiments(self, monkeypatch):
+        """fig7 as a run with a full profile, fig5 and table2 as runs
+        without one; each records the ``full`` its run and check saw."""
+        calls = []
+
+        def with_full(full=None):
+            calls.append(("fig7", full))
+            return "fig7 rows"
+
+        def single(name):
+            def run():
+                calls.append((name, "run"))
+                return f"{name} rows"
+
+            return run
+
+        def check(result, full=None):
+            calls.append((result, "check", full))
+            return []
+
+        fakes = {
+            "fig7": Experiment("fig7", "full", with_full, str, check),
+            "fig5": Experiment("fig5", "single", single("fig5"), str, check),
+            "table2": Experiment("table2", "single", single("table2"), str),
+        }
+        monkeypatch.setattr(cli, "get_experiment", fakes.__getitem__)
+        return calls
+
+    def test_experiment_full_runs_profileless_ids_at_their_only_one(
+        self, monkeypatch, capsys
+    ):
+        calls = self._fake_experiments(monkeypatch)
+        assert main(["experiment", "fig5", "fig7", "table2", "--full", "--no-cache"]) == 0
+        assert calls == [
+            ("fig5", "run"), ("fig5 rows", "check", None),
+            ("fig7", True), ("fig7 rows", "check", True),
+            ("table2", "run"),
+        ]
+        out, err = capsys.readouterr()
+        assert out == "fig5 rows\nfig7 rows\ntable2 rows\n"
+        (line,) = [l for l in err.splitlines() if "--full" in l]
+        assert line == "no --full profile, run at their only one: fig5, table2"
+
+    def test_experiment_full_single_profileless_id_is_a_usage_error(
+        self, monkeypatch, capsys
+    ):
+        calls = self._fake_experiments(monkeypatch)
+        assert main(["experiment", "table2", "--full", "--no-cache"]) == 2
+        assert calls == []
+        assert "'table2' has no --full profile" in capsys.readouterr().err
+
     @pytest.mark.parametrize("exp_id", ["fig9", "fig10"])
     def test_experiment_full_reaches_freq_traces(self, monkeypatch, exp_id):
         # fig9/fig10 wrap one run function; --full must still reach it.

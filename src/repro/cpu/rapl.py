@@ -201,6 +201,13 @@ class PowerMonitor:
         """Joules consumed since the monitor was attached."""
         return self.read().energy
 
+    def true_energy(self) -> float:
+        """Joules the socket consumed since the monitor was attached, taken
+        from the cores rather than through :meth:`read`: equal to
+        :meth:`total_energy` on a healthy counter, and out of reach of the
+        sensor faults that wrap ``read``."""
+        return self.cpu.energy_joules() - self._base_energy
+
     def average_power(self) -> float:
         """Average watts since the monitor was attached."""
         dt = self.engine.now - self._base_time

@@ -183,7 +183,9 @@ def check_fault_tolerance(rows: List[FaultToleranceRow]) -> List[str]:
     top rate faults flow, and the watchdog trips into the fallback
     governor and recovers from it.  The protected runtime's QoS and power
     stay finite and within a modest factor of its clean run: p99 within 2x
-    max(clean p99, SLA), timeouts within 5 points, power within 2x.
+    max(clean p99, SLA), timeouts within 5 points.  Every policy's reported
+    power at the top rate stays within 2x its clean run: sensor faults
+    corrupt what a policy reads, never the energy the run reports.
     """
     policies = ("baseline", "retail", "gemini", "deeppower")
     by_cell = {(r.policy, r.rate): r for r in rows}
@@ -211,7 +213,10 @@ def check_fault_tolerance(rows: List[FaultToleranceRow]) -> List[str]:
          wm.tail_latency <= 2.0 * max(cm.tail_latency, cm.sla)),
         (f"timeouts at rate {top} {wm.timeout_rate:.2%} <= clean {cm.timeout_rate:.2%} + 5 points",
          wm.timeout_rate <= cm.timeout_rate + 0.05),
-        (f"power at rate {top} {wm.avg_power_watts:.2f} W <= 2 x clean {cm.avg_power_watts:.2f} W",
-         wm.avg_power_watts <= 2.0 * cm.avg_power_watts),
     ]
+    for pol in policies:
+        cold, hot = (by_cell[(pol, r)].metrics.avg_power_watts for r in (0.0, top))
+        claims.append(
+            (f"{pol} power at rate {top} {hot:.2f} W <= 2 x clean {cold:.2f} W", hot <= 2.0 * cold)
+        )
     return [claim for claim, holds in claims if not holds]

@@ -157,8 +157,9 @@ def run_policy(
     ctx.engine.run_until(duration)
 
     # Power accounting stops at trace end: the paper reports power over the
-    # workload window, not over the drain tail.
-    energy = ctx.monitor.total_energy()
+    # workload window, not over the drain tail.  It reads the socket itself,
+    # not the monitor, so injected sensor faults cannot reach the report.
+    energy = ctx.monitor.true_energy()
     switches = ctx.cpu.total_switches()
 
     grace = drain_grace if drain_grace is not None else 10.0 * app.sla

@@ -475,3 +475,59 @@ class TestFaultToleranceAcceptance:
         assert rt.watchdog is None
         assert rt.watchdog_stats() is None
         assert all(not r.fallback and r.anomalies == 0 for r in rt.records)
+
+
+class TestReportedEnergy:
+    """A run reports the energy the cores drew, whatever its sensor read."""
+
+    def test_sensor_faults_never_reach_the_reported_energy(self, tiny_app):
+        from repro.baselines import MaxFrequencyPolicy
+        from repro.experiments.runner import run_policy
+
+        # Nothing reads the monitor during the run, so the closing report
+        # would be the first read after the glitch.
+        plan = FaultPlan(
+            events=(
+                FaultEvent(0.5, "sensor.glitch", magnitude=3.2 * 65536.0),
+                FaultEvent(1.0, "sensor.freeze", duration=2.0),
+            ),
+            sensor_noise_std=50.0,
+            seed=1,
+        )
+
+        def faulted(ctx):
+            driver = MaxFrequencyPolicy(ctx)
+            FaultHarness(plan, ctx.engine, monitor=ctx.monitor).arm()
+            return driver
+
+        trace = constant_trace(tiny_app.rps_for_load(0.4, 2), 2.0)
+        clean = run_policy(MaxFrequencyPolicy, tiny_app, trace, 2, seed=1).metrics
+        hit = run_policy(faulted, tiny_app, trace, 2, seed=1).metrics
+        assert hit.energy_joules == clean.energy_joules
+        assert hit.avg_power_watts == clean.avg_power_watts
+
+    def test_check_flags_a_policy_whose_faulted_power_blows_up(self):
+        from repro.experiments.fault_tolerance import (
+            FAULT_RATES, FaultToleranceRow, check_fault_tolerance,
+        )
+        from repro.server.metrics import RunMetrics
+
+        def row(policy, rate, watts):
+            faulted = int(rate > 0)
+            metrics = RunMetrics(
+                completed=100, timeouts=0, mean_latency=0.001, tail_latency=0.002,
+                p50_latency=0.001, p95_latency=0.002, mean_service=0.001,
+                mean_queue_time=0.0, sla=0.01, duration=1.0,
+                energy_joules=watts, avg_power_watts=watts,
+            )
+            return FaultToleranceRow(
+                policy, rate, metrics, injected=5 * faulted, trips=faulted,
+                recoveries=faulted, fallback_steps=faulted, anomalies=0,
+            )
+
+        policies = ("baseline", "retail", "gemini", "deeppower")
+        rows = [row(p, r, 20.0) for r in FAULT_RATES for p in policies]
+        assert check_fault_tolerance(rows) == []
+        rows[-3] = row("retail", max(FAULT_RATES), 3515.36)
+        [failed] = check_fault_tolerance(rows)
+        assert failed.startswith("retail power at rate")

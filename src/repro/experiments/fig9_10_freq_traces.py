@@ -16,7 +16,7 @@ We quantify the visual with two statistics per policy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Optional
 
@@ -26,8 +26,8 @@ from ..analysis.reporting import format_table, sparkline
 from ..baselines.gemini import GeminiPolicy
 from ..baselines.retail import RetailPolicy
 from ..cpu.dvfs import DEFAULT_TABLE
-from ..core.thread_controller import ThreadController
-from ..core.training import evaluate_deeppower
+from ..core.runtime import DeepPowerRuntime
+from ..sim.events import PRIORITY_LATE
 from ..workload.apps import get_app
 from .fig7_main import fig7_agents
 from .runner import run_policy
@@ -57,7 +57,8 @@ class FreqTraceResult:
 
 
 class _FreqSampler:
-    """Samples per-core frequency on a fixed grid during a run."""
+    """Samples per-core frequency on a fixed grid during a run, from t = 0,
+    after every same-time event (so after the controller's tick)."""
 
     def __init__(self, ctx, period: float):
         self.ctx = ctx
@@ -67,7 +68,9 @@ class _FreqSampler:
         self._task = None
 
     def start(self):
-        self._task = self.ctx.engine.every(self.period, self._sample)
+        self._task = self.ctx.engine.every(
+            self.period, self._sample, start_delay=0.0, priority=PRIORITY_LATE
+        )
 
     def _sample(self):
         self.times.append(self.ctx.engine.now)
@@ -77,14 +80,6 @@ class _FreqSampler:
         return np.array(self.times), (
             np.stack(self.rows) if self.rows else np.zeros((0, 0))
         )
-
-
-def _levels_per_request(ctx) -> float:
-    reqs = [r for r in ctx.server.metrics.requests if r.finish_time is not None]
-    if not reqs:
-        return 0.0
-    switches = ctx.cpu.total_switches()
-    return 1.0 + switches / max(len(reqs), 1)
 
 
 def _turbo_fraction(freqs: np.ndarray, turbo: float) -> float:
@@ -99,19 +94,22 @@ def run_freq_traces(
     full: Optional[bool] = None,
     result_cache=True,
 ) -> Dict[str, FreqTraceResult]:
-    """Frequency traces for DeepPower / ReTail / Gemini on one app."""
+    """Frequency traces for DeepPower / ReTail / Gemini on one app, each
+    sampled once per controller tick and counted over the trace window."""
     profile = active_profile(full)
     app = get_app(app_name)
     [(cal, training)] = fig7_agents([app_name], profile, seed=seed, result_cache=result_cache)
     nw = training.num_workers
     trace = cal.trace
     sample_period = app.short_time  # one sample per controller tick
+    agent, dp_cfg = training.agent(), replace(training.config, train=False)
     out: Dict[str, FreqTraceResult] = {}
 
-    # --- prediction baselines ------------------------------------------------
     for label, factory in (
         ("retail", lambda ctx: RetailPolicy(ctx)),
         ("gemini", lambda ctx: GeminiPolicy(ctx)),
+        ("deeppower", lambda ctx: DeepPowerRuntime(
+            ctx.engine, ctx.server, ctx.monitor, agent, dp_cfg)),
     ):
         holder = {}
 
@@ -130,43 +128,19 @@ def run_freq_traces(
 
             return Both()
 
-        res = run_policy(
-            driver, app, trace, profile.num_cores, seed=99, num_workers=nw,
-            keep_requests=True,
-            extras_fn=lambda ctx, drv: {"ctx": ctx},
-        )
+        res = run_policy(driver, app, trace, profile.num_cores, seed=99, num_workers=nw)
         times, freqs = holder["sampler"].arrays()
+        m = res.metrics
         out[label] = FreqTraceResult(
             app=app_name,
             policy=label,
             times=times,
             freqs=freqs,
-            levels_per_request=_levels_per_request(res.extras["ctx"]),
+            levels_per_request=1.0 + m.dvfs_switches / max(m.completed, 1),
             turbo_fraction=_turbo_fraction(freqs, DEFAULT_TABLE.turbo),
             mean_frequency=float(freqs.mean()) if freqs.size else 0.0,
         )
-
-    # --- DeepPower -----------------------------------------------------------
-    run = evaluate_deeppower(
-        training.agent(), app, trace, num_cores=profile.num_cores, seed=99,
-        config=training.config, num_workers=nw, keep_requests=True,
-        record_freq_trace=True,
-    )
-    controller: ThreadController = run.extras["controller"]
-    times, freqs = controller.trace_arrays()
-    reqs = run.metrics.completed
-    switches = run.metrics.dvfs_switches
-    out["deeppower"] = FreqTraceResult(
-        app=app_name,
-        policy="deeppower",
-        times=times,
-        freqs=freqs,
-        levels_per_request=1.0 + switches / max(reqs, 1),
-        turbo_fraction=_turbo_fraction(freqs, DEFAULT_TABLE.turbo),
-        mean_frequency=float(freqs.mean()) if freqs.size else 0.0,
-    )
     return out
-
 
 
 #: Fig 9 (Xapian) and Fig 10 (Sphinx): the same traces on two apps.

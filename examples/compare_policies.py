@@ -11,6 +11,7 @@ Run:  python examples/compare_policies.py --app masstree
 
 import argparse
 import os
+from dataclasses import replace
 
 from repro.analysis import format_table
 from repro.baselines import (
@@ -20,7 +21,7 @@ from repro.baselines import (
     UtilizationOraclePolicy,
 )
 from repro.cpu import OndemandGovernor
-from repro.core import evaluate_deeppower
+from repro.core import DeepPowerRuntime
 from repro.experiments import calibrate_to_sla, run_policy, workers_for
 from repro.experiments.fig7_main import tuned_agent_setup
 from repro.sim import RngRegistry
@@ -81,7 +82,11 @@ def main() -> None:
     if args.deeppower and os.path.exists(args.deeppower):
         agent, cfg = tuned_agent_setup(seed=args.seed, app=app)
         agent.load(args.deeppower)
-        m = evaluate_deeppower(agent, app, trace, num_cores=NUM_CORES, seed=777, config=cfg).metrics
+        frozen = replace(cfg, train=False)
+        m = run_policy(
+            lambda ctx: DeepPowerRuntime(ctx.engine, ctx.server, ctx.monitor, agent, frozen),
+            app, trace, NUM_CORES, seed=777,
+        ).metrics
         rows.append([
             "deeppower", m.avg_power_watts,
             f"{1 - m.avg_power_watts / base_power:.1%}",

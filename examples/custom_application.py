@@ -10,9 +10,11 @@ workload, and trains a small agent on it.
 Run:  python examples/custom_application.py
 """
 
+from dataclasses import replace
+
 from repro.analysis import format_table
 from repro.baselines import MaxFrequencyPolicy
-from repro.core import evaluate_deeppower, train_deeppower
+from repro.core import DeepPowerRuntime, train_deeppower
 from repro.experiments import calibrate_to_sla, run_policy
 from repro.experiments.fig7_main import tuned_agent_setup
 from repro.sim import RngRegistry
@@ -51,7 +53,11 @@ def main() -> None:
         agent=agent, config=cfg, verbose=True,
     )
 
-    dp = evaluate_deeppower(agent, app, cal.trace, num_cores=NUM_CORES, seed=5, config=cfg).metrics
+    frozen = replace(cfg, train=False)
+    dp = run_policy(
+        lambda ctx: DeepPowerRuntime(ctx.engine, ctx.server, ctx.monitor, agent, frozen),
+        app, cal.trace, NUM_CORES, seed=5,
+    ).metrics
     bl = run_policy(
         lambda ctx: MaxFrequencyPolicy(ctx), app, cal.trace, NUM_CORES, seed=5
     ).metrics

@@ -9,12 +9,13 @@ Run:  python examples/train_deeppower.py [--episodes 30] [--app xapian]
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
 from repro.analysis import format_table, sparkline
 from repro.baselines import MaxFrequencyPolicy
-from repro.core import evaluate_deeppower, train_deeppower
+from repro.core import DeepPowerRuntime, train_deeppower
 from repro.experiments import calibrate_to_sla, run_policy
 from repro.experiments.fig7_main import tuned_agent_setup
 from repro.sim import RngRegistry
@@ -51,7 +52,12 @@ def main() -> None:
     print("reward curve:", sparkline(result.reward_curve(), 60))
 
     # ---- held-out evaluation -------------------------------------------------
-    run = evaluate_deeppower(agent, app, cal.trace, num_cores=NUM_CORES, seed=99, config=cfg)
+    frozen = replace(cfg, train=False)
+    run = run_policy(
+        lambda ctx: DeepPowerRuntime(ctx.engine, ctx.server, ctx.monitor, agent, frozen),
+        app, cal.trace, NUM_CORES, seed=99,
+        extras_fn=lambda ctx, runtime: {"records": runtime.records},
+    )
     base_run = run_policy(
         lambda ctx: MaxFrequencyPolicy(ctx), app, cal.trace, NUM_CORES, seed=99
     )

@@ -24,7 +24,6 @@ if TYPE_CHECKING:
     from .training import (
         EpisodeStats,
         TrainingResult,
-        evaluate_deeppower,
         train_deeppower,
     )
 
@@ -47,7 +46,6 @@ __all__ = [
     "EpisodeStats",
     "TrainingResult",
     "train_deeppower",
-    "evaluate_deeppower",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__)

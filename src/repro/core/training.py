@@ -4,8 +4,9 @@ The paper trains the agent online against a long-running workload, saves
 the network parameters, then evaluates the frozen policy on a short
 workload.  :func:`train_deeppower` runs E episodes of a trace (fresh
 simulated stack per episode, shared agent and replay pool — the standard
-episodic-training arrangement for a system that must be restartable), and
-:func:`evaluate_deeppower` replays the policy deterministically.
+episodic-training arrangement for a system that must be restartable); a
+DeepPower :class:`~repro.parallel.RunSpec` replays the trained policy
+deterministically.
 
 Crash safety: with ``checkpoint_dir`` set, training autosaves the complete
 learner state (plus episode statistics and, optionally, per-step histories)
@@ -42,7 +43,6 @@ from .runtime import DeepPowerConfig, DeepPowerRuntime
 
 __all__ = [
     "EpisodeStats", "TrainingResult", "TrainSpec", "train_agents", "train_deeppower",
-    "evaluate_deeppower",
 ]
 
 
@@ -94,13 +94,7 @@ def _make_runtime_factory(agent: DeepPowerAgent, config: DeepPowerConfig, obs=No
 
 
 def _runtime_extras(ctx, driver):
-    return {
-        "records": driver.records,
-        "freq_trace": driver.controller.trace,
-        "controller": driver.controller,
-        "runtime": driver,
-        "watchdog": driver.watchdog,
-    }
+    return {"records": driver.records, "freq_trace": driver.controller.trace}
 
 
 def _episode_history(run: "RunResult") -> Dict[str, np.ndarray]:
@@ -281,38 +275,6 @@ def train_deeppower(
         if own_obs:
             obs.close()
     return result
-
-
-def evaluate_deeppower(
-    agent: DeepPowerAgent,
-    app: AppSpec,
-    trace: WorkloadTrace,
-    num_cores: int = 4,
-    seed: int = 12345,
-    config: Optional[DeepPowerConfig] = None,
-    num_workers: Optional[int] = None,
-    keep_requests: bool = False,
-    record_freq_trace: bool = False,
-    obs=None,
-) -> "RunResult":
-    """Run a frozen DeepPower policy (no exploration, no updates)."""
-    from ..experiments.runner import run_policy  # deferred: avoids core->experiments cycle
-
-    cfg = copy.copy(config) if config is not None else DeepPowerConfig()
-    cfg.train = False
-    cfg.record_freq_trace = record_freq_trace
-    factory = _make_runtime_factory(agent, cfg, obs=obs)
-    return run_policy(
-        factory,
-        app,
-        trace,
-        num_cores,
-        seed=seed,
-        num_workers=num_workers,
-        keep_requests=keep_requests,
-        extras_fn=_runtime_extras,
-        obs=obs,
-    )
 
 
 @dataclass(frozen=True)

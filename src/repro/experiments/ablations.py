@@ -13,8 +13,7 @@
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -29,13 +28,15 @@ from ..parallel.grid import RunSpec, run_grid
 from ..rl.dqn import DqnAgent, DqnConfig, action_grid
 from ..sim.events import PRIORITY_CONTROL
 from ..workload.apps import get_app
-from .fig7_main import TUNED_DDPG, fig7_agents, fig7_calibration, tuned_agent_setup
+from ..workload.trace import WorkloadTrace
+from .fig7_main import TUNED_DDPG, fig7_agents, fig7_calibration, tuned_config
 from .runner import run_policy
 from .scenarios import active_profile
 
 __all__ = [
     "FlatDrlRuntime",
     "DqnHierarchicalRuntime",
+    "HierarchyAblationSpec",
     "run_hierarchy_ablation",
     "run_reward_weight_sweep",
     "run_short_time_sweep",
@@ -180,28 +181,63 @@ class AblationRow:
     timeout_rate: float
 
 
-def _train_and_eval_runtime(runtime_cls, agent_builder, app, trace, profile, episodes, cfg, extra=None):
-    """Train a runtime variant episodically, then evaluate frozen."""
-    agent = agent_builder()
+@dataclass(frozen=True)
+class HierarchyAblationSpec:
+    """One top-layer variant of the hierarchy ablation as a grid cell.
 
-    def factory(ctx, train):
-        c = copy.copy(cfg)
-        c.train = train
-        args = [ctx.engine, ctx.server, ctx.monitor, agent]
-        if extra is not None:
-            args.append(extra)
-        return runtime_cls(*args, c)
+    It trains a fresh agent on ``episodes`` plays of ``trace`` (arrival
+    seeds ``50_000 + episode``), then evaluates it frozen at seed
+    ``60_001``, and stores the evaluation's metrics.  ``variant`` is
+    ``"flat"`` (:class:`FlatDrlRuntime` on a DDPG agent) or ``"dqn"``
+    (:class:`DqnHierarchicalRuntime` over a 5x5 action grid).
+    """
 
-    for ep in range(episodes):
-        run_policy(
-            lambda ctx: factory(ctx, True),
-            app, trace, profile.num_cores, seed=50_000 + ep,
+    variant: str
+    app: str
+    trace: WorkloadTrace
+    num_cores: int
+    episodes: int
+    config: DeepPowerConfig
+    seed: int
+
+    label = ""
+    trace_out = None
+
+    @property
+    def policy(self) -> str:
+        return self.variant
+
+    def _runtime_factory(self):
+        rng = np.random.default_rng(self.seed)
+        if self.variant == "flat":
+            agent = DeepPowerAgent(rng, default_ddpg_config(**TUNED_DDPG))
+            return lambda ctx, cfg: FlatDrlRuntime(
+                ctx.engine, ctx.server, ctx.monitor, agent, cfg
+            )
+        grid = action_grid(2, 5)
+        agent = DqnAgent(
+            DqnConfig(state_dim=8, num_actions=len(grid), epsilon_decay=0.999), rng
         )
-    res = run_policy(
-        lambda ctx: factory(ctx, False),
-        app, trace, profile.num_cores, seed=60_001,
-    )
-    return res.metrics
+        return lambda ctx, cfg: DqnHierarchicalRuntime(
+            ctx.engine, ctx.server, ctx.monitor, agent, grid, cfg
+        )
+
+    def execute(self):
+        build = self._runtime_factory()
+        plays = [(50_000 + ep, True) for ep in range(self.episodes)] + [(60_001, False)]
+        for seed, train in plays:
+            cfg = replace(self.config, train=train)
+            run = run_policy(
+                lambda ctx: build(ctx, cfg), get_app(self.app), self.trace,
+                self.num_cores, seed=seed,
+            )
+        return run.metrics, {}
+
+    def imports(self):
+        return ("repro.experiments.runner", "repro.experiments.ablations")
+
+    def cache_payload(self) -> dict:
+        return {"kind": "hierarchy-ablation", "cell": self}
 
 
 def _row(variant: str, m, sla: float) -> AblationRow:
@@ -229,45 +265,46 @@ def _frozen_runs(trace, trainings, jobs, result_cache, overrides=None):
     return [out.unwrap() for out in run_grid(specs, jobs=jobs, cache=result_cache)]
 
 
+#: Row label of each hierarchy-ablation variant, in table order.
+HIERARCHY_VARIANTS = {
+    "flat": "flat DRL (no controller)",
+    "dqn": "hierarchical DQN (5x5 grid)",
+}
+
+
 def run_hierarchy_ablation(
     app_name: str = "xapian",
     full: Optional[bool] = None,
     seed: int = 7,
+    jobs: int = 1,
     result_cache=True,
 ) -> List[AblationRow]:
-    """DeepPower vs flat DRL vs DQN-hierarchical on one app."""
+    """DeepPower vs flat DRL vs DQN-hierarchical on one app, three stored
+    cells: the Fig 7 pipeline's agent evaluated frozen, and each variant
+    trained and evaluated in its own cell."""
     profile = active_profile(full)
-    app = get_app(app_name)
-    [(cal, training)] = fig7_agents([app_name], profile, seed=seed, result_cache=result_cache)
-    trace = cal.trace
-
-    # Full DeepPower (the stored agent of the Fig 7 pipeline).
-    [m] = _frozen_runs(trace, [training], 1, result_cache)
-    rows = [_row("deeppower (hierarchical DDPG)", m, app.sla)]
-
-    # Flat DRL (no thread controller).
-    _, cfg = tuned_agent_setup(seed)
-    flat_agent_builder = lambda: DeepPowerAgent(
-        np.random.default_rng(seed), default_ddpg_config(**TUNED_DDPG)
+    [(cal, training)] = fig7_agents(
+        [app_name], profile, seed=seed, jobs=jobs, result_cache=result_cache
     )
-    m = _train_and_eval_runtime(
-        FlatDrlRuntime, flat_agent_builder, app, trace, profile,
-        profile.train_episodes, cfg,
-    )
-    rows.append(_row("flat DRL (no controller)", m, app.sla))
-
-    # DQN top layer over a 5x5 action grid.
-    grid = action_grid(2, 5)
-    dqn_builder = lambda: DqnAgent(
-        DqnConfig(state_dim=8, num_actions=len(grid), epsilon_decay=0.999),
-        np.random.default_rng(seed),
-    )
-    m = _train_and_eval_runtime(
-        DqnHierarchicalRuntime, dqn_builder, app, trace, profile,
-        profile.train_episodes, cfg, extra=grid,
-    )
-    rows.append(_row("hierarchical DQN (5x5 grid)", m, app.sla))
-    return rows
+    specs = [
+        RunSpec(
+            app_name, "deeppower", cal.trace, profile.num_cores, seed=60_001,
+            num_workers=training.num_workers, training=training,
+        ),
+        *(
+            HierarchyAblationSpec(
+                variant, app_name, cal.trace, profile.num_cores,
+                profile.train_episodes, tuned_config(), seed,
+            )
+            for variant in HIERARCHY_VARIANTS
+        ),
+    ]
+    names = ["deeppower (hierarchical DDPG)", *HIERARCHY_VARIANTS.values()]
+    sla = get_app(app_name).sla
+    return [
+        _row(name, run.unwrap(), sla)
+        for name, run in zip(names, run_grid(specs, jobs=jobs, cache=result_cache))
+    ]
 
 
 def run_reward_weight_sweep(

@@ -24,16 +24,10 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from ..analysis.reporting import format_table
-from ..baselines.gemini import GeminiPolicy
-from ..baselines.retail import RetailPolicy
-from ..baselines.simple import MaxFrequencyPolicy
-from ..core.runtime import DeepPowerRuntime
-from ..faults.injectors import FaultHarness
-from ..faults.plan import FaultPlan, standard_fault_plan
+from ..faults.plan import standard_fault_plan
+from ..parallel.grid import RunSpec, run_grid
 from ..server.metrics import RunMetrics
-from ..workload.apps import get_app
-from .fig7_main import EVAL_SEED, fig7_agents
-from .runner import run_policy
+from .fig7_main import EVAL_SEED, FIG7_POLICIES, fig7_agents
 from .scenarios import active_profile
 
 __all__ = [
@@ -61,56 +55,12 @@ class FaultToleranceRow:
     anomalies: int
 
 
-def _faulted(factory, plan: FaultPlan):
-    """Wrap a driver factory so the run is armed with ``plan``.
-
-    The harness is stashed on the context for ``_extras`` to collect.
-    """
-
-    def wrapped(ctx):
-        driver = factory(ctx)
-        ctx.fault_harness = FaultHarness(
-            plan,
-            ctx.engine,
-            cpu=ctx.cpu,
-            monitor=ctx.monitor,
-            telemetry=ctx.server.telemetry,
-        ).arm()
-        return driver
-
-    return wrapped
-
-
-def _extras(ctx, driver):
-    out = {"harness": getattr(ctx, "fault_harness", None)}
-    if isinstance(driver, DeepPowerRuntime):
-        out["runtime"] = driver
-        out["watchdog"] = driver.watchdog
-        out["records"] = driver.records
-    return out
-
-
-def _row(policy: str, rate: float, result) -> FaultToleranceRow:
-    harness = result.extras.get("harness")
-    wd = result.extras.get("watchdog")
-    stats = wd.stats() if wd is not None else {}
-    return FaultToleranceRow(
-        policy=policy,
-        rate=rate,
-        metrics=result.metrics,
-        injected=harness.total_injected if harness is not None else 0,
-        trips=stats.get("trips", 0),
-        recoveries=stats.get("recoveries", 0),
-        fallback_steps=stats.get("fallback_steps", 0),
-        anomalies=stats.get("total_anomalies", 0),
-    )
-
-
 def run_fault_tolerance(
     app_name: str = "xapian",
     fault_rates: Sequence[float] = FAULT_RATES,
     seed: int = 7,
     full: Optional[bool] = None,
+    jobs: int = 1,
     result_cache=True,
 ) -> List[FaultToleranceRow]:
     """Sweep fault rates over all policies; DeepPower runs watchdog-protected.
@@ -119,39 +69,33 @@ def run_fault_tolerance(
     scales telemetry-drop probability, sensor noise, and enables the
     deterministic backbone of :func:`~repro.faults.plan.standard_fault_plan`
     (three telemetry blackouts, one RAPL freeze, one multi-wrap glitch).
-    Rate 0 is the clean control run.
+    Rate 0 is the clean control run.  Every (rate, policy) pair is a stored
+    run cell.
     """
     profile = active_profile(full)
-    app = get_app(app_name)
     [(cal, training)] = fig7_agents(
-        [app_name], profile, seed=seed, result_cache=result_cache
+        [app_name], profile, seed=seed, jobs=jobs, result_cache=result_cache
     )
-    agent, nw, trace = training.agent(), training.num_workers, cal.trace
-    dp_cfg = replace(
-        training.config, train=False,
-        control=replace(training.config.control, watchdog=True),
-    )
-
-    rows: List[FaultToleranceRow] = []
-    for rate in fault_rates:
-        plan = standard_fault_plan(
-            rate, trace.duration, long_time=dp_cfg.long_time, seed=seed
-        )
-        policies = {
-            "baseline": lambda ctx: MaxFrequencyPolicy(ctx),
-            "retail": lambda ctx: RetailPolicy(ctx),
-            "gemini": lambda ctx: GeminiPolicy(ctx),
-            "deeppower": lambda ctx: DeepPowerRuntime(
-                ctx.engine, ctx.server, ctx.monitor, agent, dp_cfg
+    trace = cal.trace
+    watchdog = (("control", replace(training.config.control, watchdog=True)),)
+    cells = [(rate, policy) for rate in fault_rates for policy in FIG7_POLICIES]
+    specs = [
+        RunSpec(
+            app_name, policy, trace, profile.num_cores, seed=EVAL_SEED,
+            num_workers=training.num_workers,
+            policy_kwargs=watchdog if policy == "deeppower" else (),
+            training=training if policy == "deeppower" else None,
+            extras=("fault_counts",),
+            fault_plan=standard_fault_plan(
+                rate, trace.duration, long_time=training.config.long_time, seed=seed
             ),
-        }
-        for name, factory in policies.items():
-            result = run_policy(
-                _faulted(factory, plan), app, trace, profile.num_cores,
-                seed=EVAL_SEED, num_workers=nw, extras_fn=_extras,
-            )
-            rows.append(_row(name, rate, result))
-    return rows
+        )
+        for rate, policy in cells
+    ]
+    return [
+        FaultToleranceRow(policy, rate, run.unwrap(), **run.extras["fault_counts"])
+        for (rate, policy), run in zip(cells, run_grid(specs, jobs=jobs, cache=result_cache))
+    ]
 
 
 def render_fault_tolerance(rows: List[FaultToleranceRow]) -> str:
@@ -187,7 +131,7 @@ def check_fault_tolerance(rows: List[FaultToleranceRow]) -> List[str]:
     power at the top rate stays within 2x its clean run: sensor faults
     corrupt what a policy reads, never the energy the run reports.
     """
-    policies = ("baseline", "retail", "gemini", "deeppower")
+    policies = FIG7_POLICIES
     by_cell = {(r.policy, r.rate): r for r in rows}
     if set(by_cell) != {(p, r) for p in policies for r in FAULT_RATES}:
         return [f"the sweep holds exactly the cells {policies} x {FAULT_RATES}"]

@@ -15,8 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..analysis.reporting import sparkline
-from ..core.training import evaluate_deeppower
-from ..workload.apps import get_app
+from ..parallel.grid import RunSpec, run_grid
 from .fig7_main import fig7_agents
 from .scenarios import active_profile
 
@@ -40,33 +39,32 @@ def run_fig8(
     app_name: str = "xapian",
     seed: int = 7,
     full: Optional[bool] = None,
+    jobs: int = 1,
     result_cache=True,
 ) -> Fig8Result:
     profile = active_profile(full)
-    [(cal, training)] = fig7_agents([app_name], profile, seed=seed, result_cache=result_cache)
-    run = evaluate_deeppower(
-        training.agent(), get_app(app_name), cal.trace,
-        num_cores=profile.num_cores, seed=99, config=training.config,
-        num_workers=training.num_workers,
+    [(cal, training)] = fig7_agents(
+        [app_name], profile, seed=seed, jobs=jobs, result_cache=result_cache
     )
-    recs = run.extras["records"]
-    times = np.array([r.time for r in recs])
-    rps = np.array([r.rps for r in recs])
-    power = np.array([r.power_watts for r in recs])
-    actions = np.stack([r.action for r in recs])
-    avg_f = np.array([r.avg_frequency for r in recs])
+    [run] = run_grid([RunSpec(
+        app_name, "deeppower", cal.trace, profile.num_cores, seed=99,
+        num_workers=training.num_workers, training=training, extras=("step_series",),
+    )], jobs=jobs, cache=result_cache)
+    run.unwrap()
+    steps = run.extras["step_series"]
+    rps, power, actions = steps["rps"], steps["power"], steps["actions"]
 
     def _corr(a, b):
         return float(np.corrcoef(a, b)[0, 1]) if len(a) > 2 else 0.0
 
     return Fig8Result(
         app=app_name,
-        times=times,
+        times=steps["time"],
         rps=rps,
         power=power,
         base_freq=actions[:, 0],
         scaling_coef=actions[:, 1],
-        avg_frequency=avg_f,
+        avg_frequency=steps["avg_frequency"],
         corr_power_rps=_corr(power, rps),
         corr_action_rps=_corr(actions[:, 0] + actions[:, 1], rps),
     )

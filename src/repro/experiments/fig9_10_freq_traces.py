@@ -16,21 +16,16 @@ We quantify the visual with two statistics per policy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..analysis.reporting import format_table, sparkline
-from ..baselines.gemini import GeminiPolicy
-from ..baselines.retail import RetailPolicy
 from ..cpu.dvfs import DEFAULT_TABLE
-from ..core.runtime import DeepPowerRuntime
-from ..sim.events import PRIORITY_LATE
-from ..workload.apps import get_app
+from ..parallel.grid import RunSpec, run_grid
 from .fig7_main import fig7_agents
-from .runner import run_policy
 from .scenarios import active_profile
 
 __all__ = [
@@ -56,32 +51,6 @@ class FreqTraceResult:
     mean_frequency: float
 
 
-class _FreqSampler:
-    """Samples per-core frequency on a fixed grid during a run, from t = 0,
-    after every same-time event (so after the controller's tick)."""
-
-    def __init__(self, ctx, period: float):
-        self.ctx = ctx
-        self.period = period
-        self.times: List[float] = []
-        self.rows: List[np.ndarray] = []
-        self._task = None
-
-    def start(self):
-        self._task = self.ctx.engine.every(
-            self.period, self._sample, start_delay=0.0, priority=PRIORITY_LATE
-        )
-
-    def _sample(self):
-        self.times.append(self.ctx.engine.now)
-        self.rows.append(self.ctx.cpu.frequencies()[: self.ctx.server.num_workers])
-
-    def arrays(self):
-        return np.array(self.times), (
-            np.stack(self.rows) if self.rows else np.zeros((0, 0))
-        )
-
-
 def _turbo_fraction(freqs: np.ndarray, turbo: float) -> float:
     if freqs.size == 0:
         return 0.0
@@ -92,48 +61,32 @@ def run_freq_traces(
     app_name: str = "xapian",
     seed: int = 7,
     full: Optional[bool] = None,
+    jobs: int = 1,
     result_cache=True,
 ) -> Dict[str, FreqTraceResult]:
-    """Frequency traces for DeepPower / ReTail / Gemini on one app, each
+    """Frequency traces for ReTail / Gemini / DeepPower on one app, each
     sampled once per controller tick and counted over the trace window."""
     profile = active_profile(full)
-    app = get_app(app_name)
-    [(cal, training)] = fig7_agents([app_name], profile, seed=seed, result_cache=result_cache)
-    nw = training.num_workers
-    trace = cal.trace
-    sample_period = app.short_time  # one sample per controller tick
-    agent, dp_cfg = training.agent(), replace(training.config, train=False)
+    [(cal, training)] = fig7_agents(
+        [app_name], profile, seed=seed, jobs=jobs, result_cache=result_cache
+    )
+    policies = ("retail", "gemini", "deeppower")
+    specs = [
+        RunSpec(
+            app_name, policy, cal.trace, profile.num_cores, seed=99,
+            num_workers=training.num_workers,
+            training=training if policy == "deeppower" else None,
+            extras=("freq_samples",),
+        )
+        for policy in policies
+    ]
     out: Dict[str, FreqTraceResult] = {}
-
-    for label, factory in (
-        ("retail", lambda ctx: RetailPolicy(ctx)),
-        ("gemini", lambda ctx: GeminiPolicy(ctx)),
-        ("deeppower", lambda ctx: DeepPowerRuntime(
-            ctx.engine, ctx.server, ctx.monitor, agent, dp_cfg)),
-    ):
-        holder = {}
-
-        def driver(ctx, factory=factory, holder=holder):
-            pol = factory(ctx)
-            sampler = _FreqSampler(ctx, sample_period)
-            holder["sampler"] = sampler
-
-            class Both:
-                def start(self):
-                    pol.start()
-                    sampler.start()
-
-                def stop(self):
-                    pol.stop()
-
-            return Both()
-
-        res = run_policy(driver, app, trace, profile.num_cores, seed=99, num_workers=nw)
-        times, freqs = holder["sampler"].arrays()
-        m = res.metrics
-        out[label] = FreqTraceResult(
+    for policy, run in zip(policies, run_grid(specs, jobs=jobs, cache=result_cache)):
+        m = run.unwrap()
+        times, freqs = run.extras["freq_samples"]
+        out[policy] = FreqTraceResult(
             app=app_name,
-            policy=label,
+            policy=policy,
             times=times,
             freqs=freqs,
             levels_per_request=1.0 + m.dvfs_switches / max(m.completed, 1),

@@ -45,6 +45,8 @@ class RunContext:
     num_cores: int
     #: Optional :class:`~repro.obs.Observability` handle for this run.
     obs: Any = None
+    #: The :class:`~repro.faults.injectors.FaultHarness` armed on this run.
+    faults: Any = None
 
 
 @dataclass

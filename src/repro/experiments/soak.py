@@ -145,7 +145,6 @@ def soak_trace(duration: float) -> WorkloadTrace:
 def _extras(ctx, driver):
     out = {}
     if isinstance(driver, DeepPowerRuntime):
-        out["runtime"] = driver
         out["control"] = driver.control_stats()
         out["degraded_steps"] = sum(1 for r in driver.records if r.degraded)
     return out

@@ -27,12 +27,13 @@ import numpy as np
 from ..server.metrics import RunMetrics
 from ..workload.apps import get_app
 from ..workload.trace import WorkloadTrace
-from .cache import RunResultCache, resolve_cache
+from .cache import RunResultCache, plan_digest, resolve_cache
 from .cells import GRID_POLICIES, grid_policy, policy_modules
 from .pool import ParallelMap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.training import TrainSpec
+    from ..faults.plan import FaultPlan
 
 __all__ = [
     "RunSpec",
@@ -46,28 +47,87 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- extras
+#
+# A collector is called with the run's ``ctx`` once the policy is built and
+# the fault plan armed, before anything starts, and returns the reader that
+# the end of the run calls with the driver.  A reader returns picklable
+# arrays and numbers only: a cell's extras are stored.
 
-def _extras_worker_completed(ctx, driver) -> np.ndarray:
+
+def _worker_completed(ctx):
     """Per-worker completed-request counts (a fine-grained determinism probe)."""
-    return np.array([w.completed_count for w in ctx.server.workers])
+    return lambda driver: np.array([w.completed_count for w in ctx.server.workers])
 
 
-def _extras_final_frequencies(ctx, driver) -> np.ndarray:
+def _final_frequencies(ctx):
     """Per-core frequencies at run end."""
-    return ctx.cpu.frequencies()
+    return lambda driver: ctx.cpu.frequencies()
 
 
-def _extras_event_count(ctx, driver) -> int:
+def _event_count(ctx):
     """Total simulation events processed (whole-trajectory fingerprint)."""
-    return ctx.engine.processed_events
+    return lambda driver: ctx.engine.processed_events
 
 
-#: Name -> ``fn(ctx, driver)`` returning a *picklable* artifact.  Specs name
-#: the collectors they want; everything here must be cheap and deterministic.
+def _step_series(ctx):
+    """A DeepPower run's per-DRL-step series (Fig 8)."""
+
+    def read(driver):
+        recs = driver.records
+        return {
+            "time": np.array([r.time for r in recs]),
+            "rps": np.array([r.rps for r in recs]),
+            "power": np.array([r.power_watts for r in recs]),
+            "actions": np.stack([r.action for r in recs]) if recs else np.zeros((0, 2)),
+            "avg_frequency": np.array([r.avg_frequency for r in recs]),
+        }
+
+    return read
+
+
+def _freq_samples(ctx):
+    """``(times, freqs)``: the worker cores' frequencies every ShortTime
+    from t = 0, each taken after every same-time event (so after the
+    controller's tick)."""
+    from ..sim.events import PRIORITY_LATE
+
+    times, rows, workers = [], [], ctx.server.num_workers
+
+    def sample():
+        times.append(ctx.engine.now)
+        rows.append(ctx.cpu.frequencies()[:workers])
+
+    ctx.engine.every(ctx.app.short_time, sample, start_delay=0.0, priority=PRIORITY_LATE)
+    return lambda driver: (np.array(times), np.stack(rows) if rows else np.zeros((0, 0)))
+
+
+def _fault_counts(ctx):
+    """Faults the cell's plan delivered, and the watchdog's trips,
+    recoveries, fallback steps and anomalies (0 without a watchdog)."""
+
+    def read(driver):
+        watchdog = getattr(driver, "watchdog", None)
+        stats = watchdog.stats() if watchdog is not None else {}
+        return {
+            "injected": ctx.faults.total_injected if ctx.faults is not None else 0,
+            "trips": stats.get("trips", 0),
+            "recoveries": stats.get("recoveries", 0),
+            "fallback_steps": stats.get("fallback_steps", 0),
+            "anomalies": stats.get("total_anomalies", 0),
+        }
+
+    return read
+
+
+#: Name -> ``collector(ctx) -> reader(driver)``.  Specs name the collectors
+#: they want; everything here must be cheap and deterministic.
 EXTRAS_COLLECTORS: Dict[str, Callable] = {
-    "worker_completed": _extras_worker_completed,
-    "final_frequencies": _extras_final_frequencies,
-    "event_count": _extras_event_count,
+    "worker_completed": _worker_completed,
+    "final_frequencies": _final_frequencies,
+    "event_count": _event_count,
+    "step_series": _step_series,
+    "freq_samples": _freq_samples,
+    "fault_counts": _fault_counts,
 }
 
 
@@ -96,7 +156,12 @@ class RunSpec:
         agent, with its trained arrays.  Its recipe enters the cache key,
         so a different agent never reuses a stored evaluation.
     extras:
-        Names from :data:`EXTRAS_COLLECTORS` to evaluate on the finished run.
+        Names from :data:`EXTRAS_COLLECTORS` to attach to the run.
+    fault_plan:
+        A :class:`~repro.faults.plan.FaultPlan` armed on the node (sensor,
+        actuator and telemetry) once the policy is built, before the run
+        starts.  It enters the cache key by content; an empty plan keys
+        like ``None``, since arming it changes nothing.
     label:
         Free-form tag folded into the cache key (profile name etc.).
     trace_out:
@@ -115,6 +180,7 @@ class RunSpec:
     policy_kwargs: Tuple[Tuple[str, Any], ...] = ()
     training: Optional["TrainSpec"] = None
     extras: Tuple[str, ...] = ()
+    fault_plan: Optional["FaultPlan"] = None
     label: str = ""
     trace_out: Optional[str] = None
 
@@ -147,6 +213,7 @@ class RunSpec:
             "policy_kwargs": list(self.policy_kwargs),
             "training": self.training and self.training.cache_payload(),
             "extras": list(self.extras),
+            "fault_plan": plan_digest(self.fault_plan),
             "label": self.label,
         }
 
@@ -178,20 +245,28 @@ class GridOutcome:
 
 # ------------------------------------------------------------------ execution
 
-def _make_extras_fn(names: Sequence[str]):
-    if not names:
-        return None
-    for name in names:
-        if name not in EXTRAS_COLLECTORS:
-            raise KeyError(
-                f"unknown extras collector {name!r}; "
-                f"available: {sorted(EXTRAS_COLLECTORS)}"
-            )
+def _policy_factory(spec: RunSpec) -> Callable:
+    """``factory(ctx) -> driver`` of the spec's policy; DeepPower runs its
+    trained agent frozen, with ``policy_kwargs`` overriding its config."""
+    kwargs = dict(spec.policy_kwargs)
+    if spec.policy == "deeppower":
+        if spec.training is None:
+            raise ValueError("deeppower spec needs its training cell")
+        from ..core.runtime import DeepPowerRuntime
 
-    def extras_fn(ctx, driver):
-        return {name: EXTRAS_COLLECTORS[name](ctx, driver) for name in names}
-
-    return extras_fn
+        agent = spec.training.agent()
+        config = replace(spec.training.config, **kwargs, train=False)
+        return lambda ctx: DeepPowerRuntime(
+            ctx.engine, ctx.server, ctx.monitor, agent, config, obs=ctx.obs
+        )
+    try:
+        policy_cls = grid_policy(spec.policy)
+    except KeyError:
+        raise KeyError(
+            f"unknown grid policy {spec.policy!r}; "
+            f"available: {sorted(GRID_POLICIES) + ['deeppower']}"
+        ) from None
+    return lambda ctx: policy_cls(ctx, **kwargs)
 
 
 def execute_run_spec(spec: RunSpec) -> Tuple[RunMetrics, Dict[str, Any]]:
@@ -203,9 +278,27 @@ def execute_run_spec(spec: RunSpec) -> Tuple[RunMetrics, Dict[str, Any]]:
     from ..experiments.runner import run_policy
     from ..obs import Observability
 
-    app = get_app(spec.app)
-    kwargs = dict(spec.policy_kwargs)
-    extras_fn = _make_extras_fn(spec.extras)
+    for name in spec.extras:
+        if name not in EXTRAS_COLLECTORS:
+            raise KeyError(
+                f"unknown extras collector {name!r}; "
+                f"available: {sorted(EXTRAS_COLLECTORS)}"
+            )
+    make_policy = _policy_factory(spec)
+    readers: Dict[str, Callable] = {}
+
+    def driver_factory(ctx):
+        driver = make_policy(ctx)
+        if spec.fault_plan is not None:
+            from ..faults.injectors import FaultHarness
+
+            ctx.faults = FaultHarness(
+                spec.fault_plan, ctx.engine, cpu=ctx.cpu, monitor=ctx.monitor,
+                telemetry=ctx.server.telemetry,
+            ).arm()
+        readers.update((name, EXTRAS_COLLECTORS[name](ctx)) for name in spec.extras)
+        return driver
+
     obs = None
     if spec.trace_out:
         obs = Observability.from_paths(
@@ -219,64 +312,22 @@ def execute_run_spec(spec: RunSpec) -> Tuple[RunMetrics, Dict[str, Any]]:
             },
         )
     try:
-        if spec.policy == "deeppower":
-            if spec.training is None:
-                raise ValueError("deeppower spec needs its training cell")
-            from ..core.training import evaluate_deeppower
-
-            res = evaluate_deeppower(
-                spec.training.agent(),
-                app,
-                spec.trace,
-                num_cores=spec.num_cores,
-                seed=spec.seed,
-                config=replace(spec.training.config, **kwargs),
-                num_workers=spec.num_workers,
-                obs=obs,
-            )
-            # evaluate_deeppower's extras hold live runtime objects (engine,
-            # controller); re-derive only the picklable collectors requested.
-            extras: Dict[str, Any] = {}
-            if extras_fn is not None:
-                runtime = res.extras["runtime"]
-                ctx = _RuntimeCtx(runtime)
-                extras = extras_fn(ctx, runtime)
-            return res.metrics, extras
-
-        try:
-            policy_cls = grid_policy(spec.policy)
-        except KeyError:
-            raise KeyError(
-                f"unknown grid policy {spec.policy!r}; "
-                f"available: {sorted(GRID_POLICIES) + ['deeppower']}"
-            ) from None
-
-        def driver_factory(ctx):
-            return policy_cls(ctx, **kwargs)
-
         res = run_policy(
             driver_factory,
-            app,
+            get_app(spec.app),
             spec.trace,
             spec.num_cores,
             seed=spec.seed,
             num_workers=spec.num_workers,
-            extras_fn=extras_fn,
+            extras_fn=lambda ctx, driver: {
+                name: read(driver) for name, read in readers.items()
+            },
             obs=obs,
         )
         return res.metrics, res.extras
     finally:
         if obs is not None:
             obs.close()
-
-
-class _RuntimeCtx:
-    """Adapter exposing the ``ctx``-shaped attributes extras collectors use."""
-
-    def __init__(self, runtime) -> None:
-        self.server = runtime.server
-        self.cpu = runtime.server.cpu
-        self.engine = runtime.engine
 
 
 def _cell_worker(spec) -> Tuple[Any, Dict[str, Any]]:

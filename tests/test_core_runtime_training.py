@@ -8,7 +8,6 @@ from repro.core import (
     DeepPowerConfig,
     DeepPowerRuntime,
     default_ddpg_config,
-    evaluate_deeppower,
     train_deeppower,
 )
 from repro.core.agent import build_actor
@@ -135,16 +134,39 @@ class TestTrainingLoop:
         assert all(e.completed > 0 for e in res.episodes)
         assert res.reward_curve().shape == (3,)
 
-    def test_evaluate_runs_frozen(self, tiny_app, rngs):
-        trace = constant_trace(tiny_app.rps_for_load(0.4, 2), 6.0)
-        agent = _agent(warmup=4, batch_size=8)
-        cfg = DeepPowerConfig(long_time=0.5)
-        run = evaluate_deeppower(
-            agent, tiny_app, trace, num_cores=2, seed=11, config=cfg
+    def test_evaluate_runs_frozen(self, monkeypatch):
+        """A DeepPower run cell plays its trained agent frozen: every act
+        is exploration-free and no update runs."""
+        from dataclasses import replace
+
+        from repro.experiments.fig7_main import agent_recipe
+        from repro.experiments.scenarios import SMOKE
+        from repro.parallel import RunSpec
+        from repro.parallel.grid import execute_run_spec
+
+        explores = []
+        real_act = DeepPowerAgent.act
+
+        def act(self, state, explore=True):
+            explores.append(explore)
+            return real_act(self, state, explore)
+
+        monkeypatch.setattr(DeepPowerAgent, "act", act)
+        monkeypatch.setattr(
+            DeepPowerAgent, "update", lambda self: pytest.fail("a frozen run updated")
         )
-        assert run.metrics.completed > 0
-        assert run.metrics.avg_power_watts > 0
-        assert "records" in run.extras
+        trace = constant_trace(200.0, 3.0)
+        recipe = agent_recipe("xapian", trace, SMOKE, 4)
+        training = replace(recipe, arrays=recipe.fresh_agent().network_arrays())
+        spec = RunSpec(
+            "xapian", "deeppower", trace, 4, seed=11, training=training,
+            extras=("step_series",),
+        )
+        metrics, extras = execute_run_spec(spec)
+        assert metrics.completed > 0
+        assert metrics.avg_power_watts > 0
+        assert len(extras["step_series"]["time"]) > 0
+        assert explores and not any(explores)
 
     def test_invalid_episode_count(self, tiny_app, rngs):
         trace = constant_trace(10.0, 1.0)

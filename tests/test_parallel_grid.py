@@ -7,10 +7,13 @@ server) from the spec alone.
 """
 
 import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.control import ControlPlaneConfig
+from repro.faults import FaultPlan, standard_fault_plan
 from repro.parallel import RunSpec, RunResultCache, run_grid
 from repro.parallel.grid import EXTRAS_COLLECTORS, execute_run_spec
 from repro.workload.trace import constant_trace
@@ -38,17 +41,32 @@ def _specs(duration=1.5):
     return specs
 
 
+def _assert_same(a, b):
+    """``a`` and ``b`` are equal to the bit: arrays, numbers and their
+    containers."""
+    assert type(a) is type(b)
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            _assert_same(a[k], b[k])
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        assert a == b
+
+
 def _assert_outcomes_bitwise_equal(a_list, b_list):
     assert len(a_list) == len(b_list)
     for a, b in zip(a_list, b_list):
         assert a.ok and b.ok
         # RunMetrics is a dataclass of floats/ints: == is exact, not approx.
         assert a.metrics == b.metrics
-        assert a.extras["event_count"] == b.extras["event_count"]
-        assert np.array_equal(a.extras["worker_completed"], b.extras["worker_completed"])
-        assert np.array_equal(
-            a.extras["final_frequencies"], b.extras["final_frequencies"]
-        )
+        assert a.extras.keys() == set(a.spec.extras)
+        _assert_same(a.extras, b.extras)
 
 
 class TestRunSpec:
@@ -65,10 +83,20 @@ class TestRunSpec:
             RunSpec(**{**_kw(base), "label": "other"}),
             RunSpec(**{**_kw(base), "policy_kwargs": (("use_turbo", False),)}),
             RunSpec(**{**_kw(base), "training": _untrained("xapian", 4)}),
+            RunSpec(**{**_kw(base), "fault_plan": standard_fault_plan(0.05, 1.5)}),
         ):
             assert content_key(changed.cache_payload()) != content_key(
                 base.cache_payload()
             )
+        # Plans key by content; arming an empty plan changes nothing, so it
+        # keys like no plan.
+        plan_keys = {
+            content_key(RunSpec(**{**_kw(base), "fault_plan": plan}).cache_payload())
+            for plan in (standard_fault_plan(0.05, 1.5), standard_fault_plan(0.05, 1.5, seed=1))
+        }
+        assert len(plan_keys) == 2
+        empty = RunSpec(**{**_kw(base), "fault_plan": FaultPlan()})
+        assert content_key(empty.cache_payload()) == content_key(base.cache_payload())
 
     def test_unknown_policy_raises(self):
         spec = RunSpec(**{**_kw(_specs()[0]), "policy": "nope"})
@@ -83,6 +111,22 @@ class TestRunSpec:
     def test_extras_registry_names(self):
         assert set(EXTRAS) <= set(EXTRAS_COLLECTORS)
 
+    def test_every_collector_stores_plain_data(self):
+        """Each collector's output survives a pickle round trip unchanged
+        and holds no simulator object, so a stored cell never carries a
+        live engine, controller, runtime or watchdog."""
+        trace = constant_trace(200.0, 2.0)
+        spec = RunSpec(
+            app="xapian", policy="deeppower", trace=trace, num_cores=4, seed=3,
+            training=_untrained("xapian", 4), extras=tuple(EXTRAS_COLLECTORS),
+            policy_kwargs=(("control", ControlPlaneConfig(watchdog=True)),),
+            fault_plan=standard_fault_plan(0.05, 2.0, long_time=0.25, seed=3),
+        )
+        _, extras = execute_run_spec(spec)
+        assert extras.keys() == EXTRAS_COLLECTORS.keys()
+        _assert_plain(extras)
+        _assert_same(pickle.loads(pickle.dumps(extras)), extras)
+
     def test_deeppower_runs_the_specs_worker_count(self):
         """Masstree's half-socket pool holds for every policy, DeepPower too."""
         training = _untrained("masstree", 2)
@@ -95,6 +139,21 @@ class TestRunSpec:
             )
             _, extras = execute_run_spec(spec)
             assert len(extras["worker_completed"]) == 2, policy
+
+
+def _assert_plain(value):
+    """``value`` is numbers, strings, arrays of numbers and containers."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            assert isinstance(k, str)
+            _assert_plain(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _assert_plain(v)
+    elif isinstance(value, np.ndarray):
+        assert value.dtype.kind in "biuf"
+    else:
+        assert isinstance(value, (bool, int, float, str, np.generic)), type(value)
 
 
 def _untrained(app: str, workers: int):
@@ -119,17 +178,36 @@ def _kw(spec: RunSpec) -> dict:
         "policy_kwargs": spec.policy_kwargs,
         "training": spec.training,
         "extras": spec.extras,
+        "fault_plan": spec.fault_plan,
         "label": spec.label,
     }
+
+
+def _probe_specs(duration=1.5):
+    """A faulted cell counting its faults, and a frequency-sampled one."""
+    trace = constant_trace(120.0, duration)
+    return [
+        RunSpec(
+            app="xapian", policy="gemini", trace=trace, num_cores=4, seed=11,
+            extras=("fault_counts",),
+            fault_plan=standard_fault_plan(0.05, duration, long_time=0.25, seed=3),
+        ),
+        RunSpec(
+            app="xapian", policy="retail", trace=trace, num_cores=4, seed=11,
+            extras=("freq_samples",),
+        ),
+    ]
 
 
 class TestGridDeterminism:
     @pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
     def test_jobs4_bitwise_identical_to_serial(self):
-        specs = _specs()
+        specs = _specs() + _probe_specs()
         serial = run_grid(specs, jobs=1)
         fanned = run_grid(specs, jobs=4)
         _assert_outcomes_bitwise_equal(serial, fanned)
+        assert serial[-2].extras["fault_counts"]["injected"] > 0
+        assert serial[-1].extras["freq_samples"][1].size > 0
 
     def test_serial_rerun_bitwise_identical(self):
         specs = _specs(duration=1.0)[:2]

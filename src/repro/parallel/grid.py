@@ -2,9 +2,9 @@
 
 A :class:`RunSpec` captures *everything* that determines one
 ``run_policy`` cell — app, policy, trace content, seed, core/worker
-counts, policy kwargs, and (for DeepPower) the training cell of its
-agent — so the cell can execute in any process and its result can be
-addressed by content.  :func:`run_grid` executes a list of specs through a
+counts, policy kwargs, (for DeepPower) the training cell of its agent,
+and the fault plan armed on the node — so the cell can execute in any
+process and its result can be addressed by content.  :func:`run_grid` executes a list of specs through a
 :class:`~repro.parallel.pool.ParallelMap` with an optional
 :class:`~repro.parallel.cache.RunResultCache` in front; it is the only
 code that reads or writes that store.
@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 import numpy as np
 
 from ..server.metrics import RunMetrics
+from ..sim.events import PRIORITY_LATE
 from ..workload.apps import get_app
 from ..workload.trace import WorkloadTrace
 from .cache import RunResultCache, plan_digest, resolve_cache
@@ -89,8 +90,6 @@ def _freq_samples(ctx):
     """``(times, freqs)``: the worker cores' frequencies every ShortTime
     from t = 0, each taken after every same-time event (so after the
     controller's tick)."""
-    from ..sim.events import PRIORITY_LATE
-
     times, rows, workers = [], [], ctx.server.num_workers
 
     def sample():

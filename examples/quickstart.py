@@ -4,35 +4,21 @@
 Builds the full simulated stack (multicore CPU with DVFS + RAPL, an
 open-loop Xapian-like workload, a worker-thread server), then compares the
 unmanaged baseline against DeepPower's thread controller with hand-picked
-parameters — no learning yet; see ``train_deeppower.py`` for the full
-hierarchy.
+parameters (the ``controller`` policy of grid cells and fleets) — no
+learning yet; see ``train_deeppower.py`` for the full hierarchy.
 
 Run:  python examples/quickstart.py
 """
 
 from repro.analysis import format_table
 from repro.baselines import MaxFrequencyPolicy
-from repro.core import ThreadController
+from repro.core import FixedController
 from repro.experiments import run_policy
 from repro.sim import RngRegistry
 from repro.workload import diurnal_trace, get_app
 
 NUM_CORES = 4
 DURATION = 40.0
-
-
-class FixedController:
-    """Thread controller with constant (BaseFreq, ScalingCoef)."""
-
-    def __init__(self, ctx, base_freq: float, scaling_coef: float):
-        self.tc = ThreadController(ctx.engine, ctx.server)
-        self.tc.set_params(base_freq, scaling_coef)
-
-    def start(self):
-        self.tc.start()
-
-    def stop(self):
-        self.tc.stop()
 
 
 def main() -> None:

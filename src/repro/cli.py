@@ -313,18 +313,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .baselines import GeminiPolicy, MaxFrequencyPolicy, RetailPolicy
     from .experiments.fig7_main import fig7_calibration
     from .experiments.runner import run_policy
     from .experiments.scenarios import active_profile, workers_for
+    from .parallel.cells import GRID_POLICIES, grid_policy
     from .workload.apps import get_app
     from .analysis.reporting import format_table
 
-    factories = {
-        "baseline": lambda ctx: MaxFrequencyPolicy(ctx),
-        "retail": lambda ctx: RetailPolicy(ctx),
-        "gemini": lambda ctx: GeminiPolicy(ctx),
-    }
     profile = active_profile(args.full)
     app = get_app(args.app)
     nw = workers_for(args.app, profile.num_cores)
@@ -333,11 +328,11 @@ def _cmd_compare(args) -> int:
     rows = []
     for name in args.policies.split(","):
         name = name.strip()
-        if name not in factories:
-            print(f"unknown policy {name!r}; choose from {sorted(factories)}", file=sys.stderr)
+        if name not in GRID_POLICIES:
+            print(f"unknown policy {name!r}; choose from {sorted(GRID_POLICIES)}", file=sys.stderr)
             return 2
         m = run_policy(
-            factories[name], app, cal.trace, profile.num_cores,
+            grid_policy(name), app, cal.trace, profile.num_cores,
             seed=args.seed, num_workers=nw,
         ).metrics
         rows.append(

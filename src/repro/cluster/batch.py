@@ -222,8 +222,8 @@ class FleetBatch:
         Returns ``False`` (adopting nothing) unless every controller is a
         plain, started, homogeneous
         :class:`~repro.core.thread_controller.ThreadController` with no
-        instance-level ``tick`` override, no trace recording and no window
-        stats.  Below :data:`SCALAR_BATCH_CUTOFF` nodes the fleet tick
+        instance-level ``tick`` override and no window stats.  Below
+        :data:`SCALAR_BATCH_CUTOFF` nodes the fleet tick
         calls each controller's own :meth:`tick`, which keeps its
         ``tick_count``; from the cutoff up it is the stacked tick, and with
         ``live_tick_counts`` each controller's ``tick_count`` is advanced
@@ -244,7 +244,7 @@ class FleetBatch:
             # c.  Reading c.__dict__ instead would build the instance dict,
             # which in CPython 3.11 leaves every attribute load of the tick
             # unspecialised.
-            if getattr(c.tick, "__self__", None) is not c or c.record_trace or c._win:
+            if getattr(c.tick, "__self__", None) is not c or c._win:
                 return False
             if c._task is None or c._task.stopped:
                 return False

@@ -15,7 +15,7 @@ the same substream-splitting discipline the parallel grid uses for cells.
 
 Policy drivers attach through the same factory protocol the single-node
 runner uses; :func:`build_node_driver` resolves the policy name through
-the baseline table it shares with the grid (:mod:`repro.parallel.cells`)
+the policy table it shares with the grid (:mod:`repro.parallel.cells`)
 or builds a frozen evaluation-mode DeepPower runtime per node.  The
 driver receives a :class:`NodeContext`, which is shaped like
 :class:`~repro.experiments.runner.RunContext`
@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..cpu.rapl import PowerMonitor
 from ..cpu.topology import Cpu
-from ..parallel.cells import GRID_POLICIES, derive_seed, grid_policy
+from ..parallel.cells import POLICY_NAMES, derive_seed, grid_policy
 from ..server.server import Server
 from ..sim.engine import Engine
 from ..sim.rng import RngRegistry
@@ -40,7 +40,6 @@ from ..workload.apps import AppSpec
 __all__ = [
     "NodeContext",
     "ClusterNode",
-    "FixedControllerDriver",
     "AGENT_SEED",
     "NODE_POLICIES",
     "build_node_driver",
@@ -224,47 +223,19 @@ def _deeppower_node_driver(node: ClusterNode, agent_path: Optional[str]):
     return DeepPowerRuntime(node.engine, node.server, node.monitor, agent, cfg)
 
 
-def _baseline_node_driver(policy: str):
+def _grid_node_driver(policy: str):
+    """``build(node, agent_path)`` of a :data:`GRID_POLICIES` policy."""
+
     def build(node: ClusterNode, agent_path):
         return grid_policy(policy)(node.context())
 
     return build
 
 
-class FixedControllerDriver:
-    """DeepPower's 1 ms thread controller with frozen ``(BaseFreq,
-    ScalingCoef) = (0.35, 0.6)`` and no learner on top.
-
-    The cheapest tick-driven node policy: per-request work is just the
-    server pipeline, and the whole per-tick cost is Algorithm 1 itself —
-    which makes it the policy the fleet-scaling benchmark uses to measure
-    the fleet tick (:mod:`repro.cluster.batch`) at 4-1024 nodes, and a
-    reasonable static operating point in its own right (the paper's Fig 4
-    frequency floor).
-    """
-
-    def __init__(self, node: ClusterNode) -> None:
-        from ..core.thread_controller import ThreadController
-
-        self.controller = ThreadController(node.engine, node.server)
-        self.controller.set_params(0.35, 0.6)
-
-    def start(self) -> None:
-        self.controller.start()
-
-    def stop(self) -> None:
-        self.controller.stop()
-
-
-def _controller_node_driver(node: ClusterNode, agent_path: Optional[str]):
-    return FixedControllerDriver(node)
-
-
 #: Per-node policy name -> ``build(node, agent_path)``.
 NODE_POLICIES: Dict[str, Callable] = {
-    **{name: _baseline_node_driver(name) for name in GRID_POLICIES},
-    "deeppower": _deeppower_node_driver,
-    "controller": _controller_node_driver,
+    name: _deeppower_node_driver if name == "deeppower" else _grid_node_driver(name)
+    for name in POLICY_NAMES
 }
 
 

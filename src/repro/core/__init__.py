@@ -20,7 +20,7 @@ if TYPE_CHECKING:
     from .reward import RewardBreakdown, RewardCalculator, RewardConfig, scale_func
     from .runtime import DeepPowerConfig, DeepPowerRuntime, StepRecord
     from .state_observer import STATE_DIM, StateObserver
-    from .thread_controller import FrequencyTracePoint, ThreadController
+    from .thread_controller import FixedController, ThreadController
     from .training import (
         EpisodeStats,
         TrainingResult,
@@ -32,7 +32,7 @@ __all__ = [
     "ACTION_DIM",
     "StateObserver",
     "ThreadController",
-    "FrequencyTracePoint",
+    "FixedController",
     "scale_func",
     "RewardConfig",
     "RewardCalculator",

@@ -62,8 +62,6 @@ class DeepPowerConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
     #: Record per-step history (state/action/reward/power) for figures.
     record_steps: bool = True
-    #: Record the controller's per-tick frequency trace (figures only).
-    record_freq_trace: bool = False
     #: Train the networks online (Algorithm 2); False = evaluation mode.
     train: bool = True
     #: DDPG updates per DRL step while training.
@@ -118,12 +116,7 @@ class DeepPowerRuntime:
         self.monitor = monitor
         self.agent = agent
         self.cfg = config or DeepPowerConfig()
-        self.controller = ThreadController(
-            engine,
-            server,
-            short_time=self.cfg.short_time,
-            record_trace=self.cfg.record_freq_trace,
-        )
+        self.controller = ThreadController(engine, server, short_time=self.cfg.short_time)
         self.observer = StateObserver(
             num_workers=server.num_workers, window=self.cfg.long_time
         )

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from math import ceil
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,18 +30,7 @@ from ..server.server import Server
 from ..sim.engine import Engine, PeriodicTask
 from ..sim.events import PRIORITY_CONTROL
 
-__all__ = ["ThreadController", "FrequencyTracePoint"]
-
-
-@dataclass(frozen=True)
-class FrequencyTracePoint:
-    """One controller tick's record (per-core), for Figs 4/9/10/11."""
-
-    time: float
-    frequencies: np.ndarray
-    scores: np.ndarray
-    base_freq: float
-    scaling_coef: float
+__all__ = ["ThreadController", "FixedController"]
 
 
 class ThreadController:
@@ -56,8 +44,6 @@ class ThreadController:
         those cores.
     short_time:
         Tick interval (paper ``ShortTime``); defaults to the app profile's.
-    record_trace:
-        Keep a per-tick frequency trace (memory-heavy; figures only).
     """
 
     def __init__(
@@ -65,7 +51,6 @@ class ThreadController:
         engine: Engine,
         server: Server,
         short_time: Optional[float] = None,
-        record_trace: bool = False,
     ) -> None:
         self.engine = engine
         self.server = server
@@ -76,8 +61,6 @@ class ThreadController:
             raise ValueError("short_time must be positive")
         self.base_freq = 1.0
         self.scaling_coef = 0.0
-        self.record_trace = record_trace
-        self.trace: List[FrequencyTracePoint] = []
         self._task: Optional[PeriodicTask] = None
         self.tick_count = 0
         # Everything the tick reads that never changes, unpacked in one go:
@@ -93,10 +76,6 @@ class ThreadController:
             table.fmax, table.step, levels, len(levels) - 2,
         )
         self.cpu = server.cpu
-        # Reused scores() buffers, one slot per worker core.
-        nw = server.num_workers
-        self._scores_buf = np.empty(nw)
-        self._idle_mask = np.empty(nw, dtype=bool)
         # Levels that depend on (base_freq, ceiling) only, refreshed by the
         # tick when either moves: an idle core's raw request and level, and
         # the levels of a turbo score and of a request above the ceiling.
@@ -232,23 +211,6 @@ class ThreadController:
 
     # -------------------------------------------------------------------- tick
 
-    def scores(self, now: float) -> np.ndarray:
-        """Algorithm 1 lines 4-5 for every worker core (vectorised).
-
-        Single numpy pass over the server's begin-times buffer (NaN marks
-        an idle worker, whose consumed time is 0).  Returns a buffer that
-        is *reused on every call* — copy to retain across ticks.
-        """
-        begins = self.server.begin_times()
-        buf = self._scores_buf
-        np.isnan(begins, out=self._idle_mask)
-        np.subtract(now, begins, out=buf)
-        buf /= self.sla
-        buf *= self.scaling_coef
-        buf += self.base_freq
-        np.copyto(buf, self.base_freq, where=self._idle_mask)
-        return buf
-
     def frequency_for_score(self, score: float) -> float:
         """Algorithm 1 lines 6-10 for one score value."""
         _, fmin, fspan, turbo = self._consts[:4]
@@ -286,8 +248,6 @@ class ThreadController:
         collects the raw and quantised row (through ``quantize`` itself)
         for the injector's
         :meth:`~repro.faults.injectors.ActuatorFaults.write_row`.
-        A trace-recording controller then appends the tick's
-        :meth:`scores` and the worker cores' frequencies after the writes.
         """
         now = self.engine.now
         self.tick_count += 1
@@ -345,30 +305,32 @@ class ThreadController:
                 raw.append(r)
                 row.append(q)
             actuator.write_row(raw, row)
-        if self._win or self.record_trace:
-            nw = len(begins)
-            if self._win:
-                self._win_observe(float(cpu._freqs[:nw].mean()))
-            if self.record_trace:
-                self.trace.append(
-                    FrequencyTracePoint(
-                        time=now,
-                        frequencies=cpu._freqs[:nw].copy(),
-                        scores=self.scores(now).copy(),
-                        base_freq=base,
-                        scaling_coef=coef,
-                    )
-                )
+        if self._win:
+            self._win_observe(float(cpu._freqs[: len(begins)].mean()))
 
-    # ------------------------------------------------------------------ traces
 
-    def trace_arrays(self):
-        """``(times, freq_matrix)`` from the recorded trace.
+class FixedController:
+    """The thread controller alone, from fixed ``(BaseFreq, ScalingCoef)``:
+    the grid and fleet ``controller`` policy.  ``(0.35, 0.6)`` is Fig 4's
+    operating point.  ``retune`` holds ``(time, base_freq, scaling_coef)``
+    updates, scheduled at start (Fig 4's midway update)."""
 
-        ``freq_matrix`` has shape (ticks, num_workers).
-        """
-        if not self.trace:
-            return np.zeros(0), np.zeros((0, len(self.server.workers)))
-        times = np.array([p.time for p in self.trace])
-        freqs = np.stack([p.frequencies for p in self.trace])
-        return times, freqs
+    def __init__(
+        self,
+        ctx,
+        base_freq: float = 0.35,
+        scaling_coef: float = 0.6,
+        retune: Sequence[Tuple[float, float, float]] = (),
+    ) -> None:
+        self.controller = ThreadController(ctx.engine, ctx.server)
+        self.controller.set_params(base_freq, scaling_coef)
+        self.retune = tuple(retune)
+
+    def start(self) -> None:
+        c = self.controller
+        c.start()
+        for time, base_freq, scaling_coef in self.retune:
+            c.engine.schedule_at(time, c.set_params, base_freq, scaling_coef)
+
+    def stop(self) -> None:
+        self.controller.stop()

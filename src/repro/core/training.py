@@ -84,23 +84,28 @@ class TrainingResult:
         return float(curve[half:].mean()) >= float(curve[:half].mean())
 
 
-def _make_runtime_factory(agent: DeepPowerAgent, config: DeepPowerConfig, obs=None):
+def _make_runtime_factory(agent: DeepPowerAgent, config: DeepPowerConfig, obs=None, freqs=False):
+    """``(factory, extras_fn)``: the runtime, then its step records and,
+    with ``freqs``, the ``freq_samples`` grid collector's reading."""
+    from ..parallel.grid import EXTRAS_COLLECTORS
+
+    readers = {}
+
     def factory(ctx):
-        return DeepPowerRuntime(
-            ctx.engine, ctx.server, ctx.monitor, agent, config, obs=obs
-        )
+        driver = DeepPowerRuntime(ctx.engine, ctx.server, ctx.monitor, agent, config, obs=obs)
+        if freqs:
+            readers["freq_samples"] = EXTRAS_COLLECTORS["freq_samples"](ctx)
+        return driver
 
-    return factory
+    def extras(ctx, driver):
+        return {"records": driver.records, **{k: read(driver) for k, read in readers.items()}}
 
-
-def _runtime_extras(ctx, driver):
-    return {"records": driver.records, "freq_trace": driver.controller.trace}
+    return factory, extras
 
 
 def _episode_history(run: "RunResult") -> Dict[str, np.ndarray]:
     """Per-step arrays for one episode (the deterministic-resume payload)."""
     records = run.extras["records"]
-    trace = run.extras.get("freq_trace") or []
     return {
         "rewards": np.array(
             [r.reward.total for r in records if r.reward is not None]
@@ -109,9 +114,8 @@ def _episode_history(run: "RunResult") -> Dict[str, np.ndarray]:
             np.stack([r.action for r in records]) if records else np.zeros((0, 2))
         ),
         "avg_frequency": np.array([r.avg_frequency for r in records]),
-        "core_frequencies": (
-            np.stack([p.frequencies for p in trace]) if trace else np.zeros((0, 0))
-        ),
+        # Worker-core frequencies every ShortTime, (ticks, workers).
+        "core_frequencies": run.extras["freq_samples"][1],
         # Degraded-window flags; all-False on a fault-free bus.
         # Part of the resume payload so a run resumed mid-outage must
         # reproduce the outage bookkeeping, not just the learner state.
@@ -160,9 +164,10 @@ def train_deeppower(
         trained after a resume are bitwise identical to the uninterrupted
         same-seed run.
     keep_histories:
-        Collect per-step reward/action/frequency arrays for every episode
-        on the result (and inside snapshots, so a resumed result still
-        carries the full history).
+        Collect per-step reward/action/frequency arrays and the per-tick
+        worker-core frequencies for every episode on the result (and
+        inside snapshots, so a resumed result still carries the full
+        history).
     obs, trace_out, profile:
         Observability: pass a ready :class:`~repro.obs.Observability`
         handle via ``obs`` (caller owns its lifecycle), or give a trace
@@ -215,7 +220,7 @@ def train_deeppower(
             if verbose:  # pragma: no cover - console convenience
                 print(f"resumed from {record.path} at episode {start_ep}")
 
-    factory = _make_runtime_factory(agent, cfg, obs=obs)
+    factory, extras_fn = _make_runtime_factory(agent, cfg, obs=obs, freqs=keep_histories)
     try:
         for ep in range(start_ep, episodes):
             if tracer is not None:
@@ -227,7 +232,7 @@ def train_deeppower(
                 num_cores,
                 seed=seed * 10_000 + ep + 1,
                 num_workers=num_workers,
-                extras_fn=_runtime_extras,
+                extras_fn=extras_fn,
                 obs=obs,
             )
             rewards = np.array(

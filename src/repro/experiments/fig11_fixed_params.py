@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.reporting import format_table
-from ..core.thread_controller import ThreadController
+from ..cpu.dvfs import DEFAULT_TABLE
+from ..parallel.grid import RunSpec, run_grid
 from ..workload.apps import get_app
 from ..workload.trace import constant_trace
-from .runner import build_context
 from .scenarios import active_profile
 
 __all__ = ["Fig11Result", "run_fig11", "render_fig11", "check_fig11", "FIG11_SETTINGS"]
@@ -48,25 +48,37 @@ def run_fig11(
     app_name: str = "xapian",
     seed: int = 2023,
     full: Optional[bool] = None,
+    jobs: int = 1,
+    result_cache=True,
 ) -> Dict[Tuple[float, float], Fig11Result]:
-    """Run the controller with pinned parameters over a short window."""
+    """Run the controller with pinned parameters over a short window, one
+    stored ``controller`` cell per setting, sampled every tick."""
     profile = active_profile(full)
     app = get_app(app_name)
     window = window_physical * app.dilation
+    trace = constant_trace(app.rps_for_load(load, profile.num_cores), window)
+    specs = [
+        RunSpec(
+            app_name, "controller", trace, profile.num_cores, seed,
+            policy_kwargs=(("base_freq", bf), ("scaling_coef", sc)),
+            extras=("freq_samples", "begin_samples"),
+        )
+        for bf, sc in settings
+    ]
     out: Dict[Tuple[float, float], Fig11Result] = {}
-    for bf, sc in settings:
-        trace = constant_trace(app.rps_for_load(load, profile.num_cores), window)
-        ctx = build_context(app, trace, profile.num_cores, seed, keep_requests=True)
-        tc = ThreadController(ctx.engine, ctx.server, record_trace=True)
-        tc.set_params(bf, sc)
-        tc.start()
-        ctx.source.start()
-        ctx.engine.run_until(window)
-        times, freqs = tc.trace_arrays()
-
-        table = ctx.cpu.table
+    table = DEFAULT_TABLE
+    for (bf, sc), run in zip(settings, run_grid(specs, jobs=jobs, cache=result_cache)):
+        run.unwrap()
+        # The run drains past the trace; the figure is the window itself.
+        times, freqs = run.extras["freq_samples"]
+        in_window = times <= window
+        times, freqs = times[in_window], freqs[in_window]
+        begins = run.extras["begin_samples"][1][in_window]
+        # Algorithm 1's scores in the controller's own IEEE operations; an
+        # idle worker scores BaseFreq.
+        scores = (times[:, None] - begins) / app.sla * sc + bf
+        scores[np.isnan(begins)] = bf
         idle_floor = table.quantize(table.from_score(bf))
-        scores = np.stack([p.scores for p in tc.trace])
         busy = scores > bf + 1e-12  # score above floor => request in flight
         # Observed ramp: regression of busy frequency on *consumed time*
         # (elapsed / SLA) — the paper's x-axis; slope ~ sc * (fmax - fmin)

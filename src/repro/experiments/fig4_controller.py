@@ -17,11 +17,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..analysis.reporting import sparkline
-from ..core.thread_controller import ThreadController
 from ..cpu.dvfs import DEFAULT_TABLE
+from ..parallel.grid import RunSpec, run_grid
 from ..workload.apps import get_app
 from ..workload.trace import constant_trace
-from .runner import build_context
 from .scenarios import active_profile
 
 __all__ = ["Fig4Result", "run_fig4", "render_fig4", "check_fig4"]
@@ -49,38 +48,43 @@ def run_fig4(
     core_id: int = 0,
     app_name: str = "xapian",
     full: Optional[bool] = None,
+    jobs: int = 1,
+    result_cache=True,
 ) -> Fig4Result:
     """Drive the controller for ``window`` seconds, updating params midway.
 
     The window scales with the app's time dilation so the recorded trace
     covers the same number of requests as the paper's physical 2 seconds.
+    The run is one stored ``controller`` cell, sampled every tick.
     """
     profile = active_profile(full)
     app = get_app(app_name)
     window = window * app.dilation
-    rps = app.rps_for_load(load, profile.num_cores)
-    trace = constant_trace(rps, window)
-    ctx = build_context(app, trace, profile.num_cores, seed, keep_requests=True)
-
-    controller = ThreadController(ctx.engine, ctx.server, record_trace=True)
-    controller.set_params(*params_before)
-    controller.start()
-    ctx.source.start()
-
     update_time = window / 2.0
-    ctx.engine.schedule_at(update_time, controller.set_params, *params_after)
-    ctx.engine.run_until(window)
-
-    times, freqs = controller.trace_arrays()
-    spans = [
-        (r.start_time, r.finish_time)
-        for r in ctx.server.metrics.requests
-        if r.core_id == core_id and r.start_time is not None and r.finish_time is not None
-    ]
+    spec = RunSpec(
+        app_name, "controller",
+        constant_trace(app.rps_for_load(load, profile.num_cores), window),
+        profile.num_cores, seed,
+        policy_kwargs=(
+            ("base_freq", params_before[0]),
+            ("retune", ((update_time, *params_after),)),
+            ("scaling_coef", params_before[1]),
+        ),
+        extras=("freq_samples", "request_spans"),
+    )
+    [run] = run_grid([spec], jobs=jobs, cache=result_cache)
+    run.unwrap()
+    # The run drains past the trace; the figure is the window itself.
+    times, freqs = run.extras["freq_samples"]
+    in_window = times <= window
+    spans = run.extras["request_spans"]
+    served = (spans["core"] == core_id) & (spans["finish"] <= window)
     return Fig4Result(
-        times=times,
-        frequency=freqs[:, core_id],
-        request_spans=spans,
+        times=times[in_window],
+        frequency=freqs[in_window, core_id],
+        request_spans=list(
+            zip(spans["start"][served].tolist(), spans["finish"][served].tolist())
+        ),
         param_updates=[update_time],
         params_before=params_before,
         params_after=params_after,

@@ -19,7 +19,11 @@ from ..parallel.grid import RunSpec, run_grid
 from .fig7_main import fig7_agents
 from .scenarios import active_profile
 
-__all__ = ["Fig8Result", "run_fig8", "render_fig8", "check_fig8"]
+__all__ = ["Fig8Result", "run_fig8", "render_fig8", "check_fig8", "DEEPPOWER_EXTRAS"]
+
+#: Extras of the seed-99 DeepPower evaluation cell.  Fig 9 and Fig 10 ask
+#: for the same tuple, so fig8 and fig9 read one stored cell.
+DEEPPOWER_EXTRAS = ("freq_samples", "step_series")
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ def run_fig8(
     )
     [run] = run_grid([RunSpec(
         app_name, "deeppower", cal.trace, profile.num_cores, seed=99,
-        num_workers=training.num_workers, training=training, extras=("step_series",),
+        num_workers=training.num_workers, training=training, extras=DEEPPOWER_EXTRAS,
     )], jobs=jobs, cache=result_cache)
     run.unwrap()
     steps = run.extras["step_series"]

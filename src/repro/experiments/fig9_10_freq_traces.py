@@ -26,6 +26,7 @@ from ..analysis.reporting import format_table, sparkline
 from ..cpu.dvfs import DEFAULT_TABLE
 from ..parallel.grid import RunSpec, run_grid
 from .fig7_main import fig7_agents
+from .fig8_timeseries import DEEPPOWER_EXTRAS
 from .scenarios import active_profile
 
 __all__ = [
@@ -76,7 +77,7 @@ def run_freq_traces(
             app_name, policy, cal.trace, profile.num_cores, seed=99,
             num_workers=training.num_workers,
             training=training if policy == "deeppower" else None,
-            extras=("freq_samples",),
+            extras=DEEPPOWER_EXTRAS if policy == "deeppower" else ("freq_samples",),
         )
         for policy in policies
     ]

@@ -1,5 +1,5 @@
 """What a grid cell and a fleet node share to build their world: a stable
-per-item seed and the baseline policies by name.
+per-item seed and the non-learning policies by name.
 
 Imports nothing from the process pool or the grid runner, so a fleet
 loads neither :mod:`multiprocessing` nor :mod:`pickle`.
@@ -34,27 +34,26 @@ def derive_seed(base_seed: int, *parts: object, bits: int = 31) -> int:
     return int.from_bytes(digest[:8], "big") % (1 << bits)
 
 
-#: Baseline policy name -> (module, class) of its power manager; a class
-#: is built as ``cls(ctx, **kwargs)``.
+#: Policy name -> (module, class) of its power manager; a class is built
+#: as ``cls(ctx, **kwargs)``.  Every policy but DeepPower, whose cells and
+#: nodes build a trained agent.
 GRID_POLICIES: Dict[str, Tuple[str, str]] = {
     "baseline": ("repro.baselines.simple", "MaxFrequencyPolicy"),
     "retail": ("repro.baselines.retail", "RetailPolicy"),
     "gemini": ("repro.baselines.gemini", "GeminiPolicy"),
+    "controller": ("repro.core.thread_controller", "FixedController"),
 }
 
-#: Modules the non-baseline policies import to build themselves.
-_POLICY_MODULES: Dict[str, Tuple[str, ...]] = {
-    "deeppower": ("repro.core.training", "repro.experiments.fig7_main"),
-    "controller": ("repro.core.thread_controller",),
-}
+#: Modules DeepPower imports to build itself.
+_DEEPPOWER_MODULES = ("repro.core.training", "repro.experiments.fig7_main")
 
 #: Every per-node policy name, in ``NODE_POLICIES`` order; the CLI lists
 #: these without importing the fleet.
-POLICY_NAMES: Tuple[str, ...] = (*GRID_POLICIES, *_POLICY_MODULES)
+POLICY_NAMES: Tuple[str, ...] = ("baseline", "retail", "gemini", "deeppower", "controller")
 
 
 def grid_policy(name: str) -> type:
-    """The power-manager class of baseline policy ``name``."""
+    """The power-manager class of policy ``name`` (any but DeepPower)."""
     module, cls = GRID_POLICIES[name]
     return getattr(importlib.import_module(module), cls)
 
@@ -63,4 +62,4 @@ def policy_modules(name: str) -> Tuple[str, ...]:
     """Modules that building policy ``name`` imports (none if unknown)."""
     if name in GRID_POLICIES:
         return (GRID_POLICIES[name][0],)
-    return _POLICY_MODULES.get(name, ())
+    return _DEEPPOWER_MODULES if name == "deeppower" else ()

@@ -86,18 +86,46 @@ def _step_series(ctx):
     return read
 
 
-def _freq_samples(ctx):
-    """``(times, freqs)``: the worker cores' frequencies every ShortTime
-    from t = 0, each taken after every same-time event (so after the
-    controller's tick)."""
-    times, rows, workers = [], [], ctx.server.num_workers
+def _every_tick(ctx, read) -> Callable:
+    """A reader of ``(times, rows)``: ``read()`` every ShortTime from t = 0,
+    each taken after every same-time event (so after the controller's
+    tick), through the drain tail."""
+    times, rows = [], []
 
     def sample():
         times.append(ctx.engine.now)
-        rows.append(ctx.cpu.frequencies()[:workers])
+        rows.append(read())
 
     ctx.engine.every(ctx.app.short_time, sample, start_delay=0.0, priority=PRIORITY_LATE)
     return lambda driver: (np.array(times), np.stack(rows) if rows else np.zeros((0, 0)))
+
+
+def _freq_samples(ctx):
+    """``(times, freqs)``: the worker cores' frequencies every ShortTime."""
+    workers = ctx.server.num_workers
+    return _every_tick(ctx, lambda: ctx.cpu.frequencies()[:workers])
+
+
+def _begin_samples(ctx):
+    """``(times, begins)``: the workers' in-flight request arrival times
+    (Algorithm 1's BeginTimes, NaN while idle) every ShortTime."""
+    return _every_tick(ctx, lambda: ctx.server.begin_times().copy())
+
+
+def _request_spans(ctx):
+    """Core, start and finish time of every completed request, in
+    completion order (the server keeps its requests for this)."""
+    ctx.server.metrics.keep_requests = True
+
+    def read(driver):
+        reqs = ctx.server.metrics.requests
+        return {
+            "core": np.array([r.core_id for r in reqs], dtype=int),
+            "start": np.array([r.start_time for r in reqs], dtype=float),
+            "finish": np.array([r.finish_time for r in reqs], dtype=float),
+        }
+
+    return read
 
 
 def _fault_counts(ctx):
@@ -126,6 +154,8 @@ EXTRAS_COLLECTORS: Dict[str, Callable] = {
     "event_count": _event_count,
     "step_series": _step_series,
     "freq_samples": _freq_samples,
+    "begin_samples": _begin_samples,
+    "request_spans": _request_spans,
     "fault_counts": _fault_counts,
 }
 
@@ -141,14 +171,15 @@ class RunSpec:
     app:
         App name from the catalog (``get_app``).
     policy:
-        ``"baseline"`` / ``"retail"`` / ``"gemini"`` / ``"deeppower"``.
+        A :data:`GRID_POLICIES` name or ``"deeppower"``.
     trace:
         The exact workload trace to play (content enters the cache key).
     num_cores, seed, num_workers:
         Forwarded to ``run_policy``.
     policy_kwargs:
         Sorted ``(name, value)`` pairs for the policy constructor
-        (e.g. ``(("use_turbo", False),)`` for Table 3's no-turbo baseline);
+        (e.g. ``(("use_turbo", False),)`` for Table 3's no-turbo baseline,
+        or a ``controller``'s ``base_freq``/``scaling_coef``/``retune``);
         for DeepPower, overrides of the training cell's ``DeepPowerConfig``.
     training:
         DeepPower only: the :class:`~repro.core.training.TrainSpec` of the

@@ -276,7 +276,7 @@ def _train(tiny_app, agent, episodes, **kw):
         num_cores=2,
         seed=5,
         agent=agent,
-        config=DeepPowerConfig(long_time=0.5, record_freq_trace=True),
+        config=DeepPowerConfig(long_time=0.5),
         keep_histories=True,
         **kw,
     )

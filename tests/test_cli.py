@@ -302,6 +302,7 @@ class TestParser:
         fleet = build_parser()._subparsers._group_actions[0].choices["fleet"]
         (policy,) = [a for a in fleet._actions if a.dest == "policy"]
         assert list(policy.choices) == list(NODE_POLICIES)
+        assert policy.choices == ("baseline", "retail", "gemini", "deeppower", "controller")
 
     def test_experiment_fig5(self, capsys):
         assert main(["experiment", "fig5"]) == 0

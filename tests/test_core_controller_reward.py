@@ -161,11 +161,24 @@ class TestAutoEta:
         assert eta == pytest.approx(expected)
 
 
+def _tick_samples(engine, srv, app):
+    """Readers of the ``freq_samples`` and ``begin_samples`` collectors on
+    a bare engine and server."""
+    from types import SimpleNamespace
+
+    from repro.parallel.grid import EXTRAS_COLLECTORS
+
+    ctx = SimpleNamespace(engine=engine, server=srv, cpu=srv.cpu, app=app)
+    freqs = EXTRAS_COLLECTORS["freq_samples"](ctx)
+    begins = EXTRAS_COLLECTORS["begin_samples"](ctx)
+    return lambda: (freqs(None), begins(None)[1])
+
+
 class TestThreadController:
     def _setup(self, engine, tiny_app, cores=2):
         cpu = Cpu(engine, cores)
         srv = Server(engine, cpu, tiny_app)
-        tc = ThreadController(engine, srv, record_trace=True)
+        tc = ThreadController(engine, srv)
         return cpu, srv, tc
 
     def test_idle_core_runs_at_base_freq_interpolation(self, engine, tiny_app):
@@ -179,10 +192,14 @@ class TestThreadController:
     def test_score_grows_with_elapsed_time(self, engine, tiny_app):
         cpu, srv, tc = self._setup(engine, tiny_app, cores=1)
         tc.set_params(0.2, 1.0)
+        samples = _tick_samples(engine, srv, tiny_app)
+        tc.start()
         srv.submit(_req(work=100.0, sla=tiny_app.sla))
         engine.run_until(tiny_app.sla * 0.5)
-        sc = tc.scores(engine.now)
-        assert sc[0] == pytest.approx(0.2 + 0.5, rel=0.05)
+        (times, freqs), begins = samples()
+        score = (times[-1] - begins[-1, 0]) / tiny_app.sla * 1.0 + 0.2
+        assert score == pytest.approx(0.2 + 0.5, rel=0.05)
+        assert freqs[-1, 0] == tc.frequency_for_score(score)
 
     def test_turbo_when_score_reaches_one(self, engine, tiny_app):
         cpu, srv, tc = self._setup(engine, tiny_app, cores=1)
@@ -196,11 +213,17 @@ class TestThreadController:
         """BeginTimes is the request *arrival* time (Algorithm 1)."""
         cpu, srv, tc = self._setup(engine, tiny_app, cores=1)
         tc.set_params(0.0, 1.0)
+        samples = _tick_samples(engine, srv, tiny_app)
+        tc.start()
         engine.run_until(1.0)
         old = _req(0, arrival=1.0 - tiny_app.sla * 0.7, work=100.0, sla=tiny_app.sla)
         srv.submit(old)
-        sc = tc.scores(engine.now)
-        assert sc[0] == pytest.approx(0.7, rel=0.01)
+        engine.run_until(1.0 + 1.5 * tiny_app.short_time)
+        (times, freqs), begins = samples()
+        assert begins[-1, 0] == old.arrival_time
+        score = (times[-1] - begins[-1, 0]) / tiny_app.sla
+        assert score == pytest.approx(0.7, abs=2 * tiny_app.short_time / tiny_app.sla)
+        assert freqs[-1, 0] == tc.frequency_for_score(score)
 
     def test_params_clipped(self, engine, tiny_app):
         _, _, tc = self._setup(engine, tiny_app)
@@ -210,11 +233,12 @@ class TestThreadController:
     def test_trace_recording(self, engine, tiny_app):
         cpu, srv, tc = self._setup(engine, tiny_app)
         tc.set_params(0.3, 0.5)
+        samples = _tick_samples(engine, srv, tiny_app)
         tc.start()
         engine.run_until(tiny_app.short_time * 10.5)
-        times, freqs = tc.trace_arrays()
-        assert len(times) == 11  # ticks at 0, dt, ..., 10*dt
-        assert freqs.shape == (11, 2)
+        (times, freqs), begins = samples()
+        assert len(times) == 11 == tc.tick_count  # ticks at 0, dt, ..., 10*dt
+        assert freqs.shape == begins.shape == (11, 2)
 
     def test_stop_halts_ticking(self, engine, tiny_app):
         _, _, tc = self._setup(engine, tiny_app)

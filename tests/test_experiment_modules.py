@@ -227,12 +227,14 @@ def _count_runs(monkeypatch) -> list:
 #: nothing at all).  control-soak runs its cells in-process: its trace files
 #: are pinned byte for byte and its reactive top layer is not a stored agent.
 WARM_RERUNS = {
+    "fig4": ({}, True),
     "fig7": ({"apps": ("img-dnn",)}, True),
     "table3": ({"apps": ("img-dnn",), "loads": (0.5,)}, True),
     "robustness-mmpp": ({}, True),
     "fig8": ({}, True),
     "fig9": ({}, True),
     "fig10": ({}, True),
+    "fig11": ({}, True),
     "ablation-hierarchy": ({}, True),
     "ablation-reward": ({"alphas": (1.0, 2.0), "betas": (6.0,)}, True),
     "ablation-shorttime": ({"multipliers": (0.5, 4.0)}, True),
@@ -270,6 +272,33 @@ def test_warm_rerun_trains_and_probes_nothing(exp_id, agent_store, monkeypatch):
         assert runs == []
     else:  # control-soak: its three soak cells, no probe or training episode
         assert len(runs) == 3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_cold_fig8_then_fig9_evaluate_deeppower_once(agent_store, monkeypatch):
+    """fig8 and fig9 ask for one canonical DeepPower cell, so a cold pair
+    builds the DeepPower runtime once."""
+    from dataclasses import replace
+
+    import repro.core.runtime as runtime
+    import repro.experiments.scenarios as scenarios
+    from repro.experiments.registry import get_experiment
+
+    monkeypatch.setattr(
+        scenarios, "SMOKE",
+        replace(SMOKE, trace_duration=8.0, trace_segments=4, train_episodes=1),
+    )
+    built = []
+    real_init = runtime.DeepPowerRuntime.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(runtime.DeepPowerRuntime, "__init__", counting)
+    get_experiment("fig8").execute()
+    get_experiment("fig9").execute()
+    assert len(built) == 1
 
 
 @pytest.fixture

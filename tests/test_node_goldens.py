@@ -30,7 +30,7 @@ import pytest
 from repro.baselines import GeminiPolicy, MaxFrequencyPolicy, RetailPolicy
 from repro.baselines.simple import FixedFrequencyPolicy, UtilizationOraclePolicy
 from repro.core.runtime import DeepPowerConfig, DeepPowerRuntime
-from repro.core.thread_controller import ThreadController
+from repro.core.thread_controller import FixedController
 from repro.experiments.fig7_main import tuned_agent_setup
 from repro.experiments.runner import run_policy
 from repro.faults import FaultHarness, standard_fault_plan
@@ -41,20 +41,6 @@ GOLDEN_PATH = Path(__file__).with_name("node_goldens.json")
 CORES = 4
 SEED = 3
 DURATION = 4.0
-
-
-class _ControllerPolicy:
-    """The thread controller alone, at fixed parameters."""
-
-    def __init__(self, ctx):
-        self.controller = ThreadController(ctx.engine, ctx.server)
-        self.controller.set_params(0.35, 0.6)
-
-    def start(self):
-        self.controller.start()
-
-    def stop(self):
-        self.controller.stop()
 
 
 def _deeppower(ctx):
@@ -82,12 +68,12 @@ def _faulted(factory):
 POLICIES = {
     "baseline": MaxFrequencyPolicy,
     "fixed": lambda ctx: FixedFrequencyPolicy(ctx, 1.6),
-    "controller": _ControllerPolicy,
+    "controller": FixedController,
     "retail": RetailPolicy,
     "gemini": GeminiPolicy,
     "oracle": UtilizationOraclePolicy,
     "deeppower": _deeppower,
-    "controller+faults": _faulted(_ControllerPolicy),
+    "controller+faults": _faulted(FixedController),
     "deeppower+faults": _faulted(_deeppower),
 }
 

@@ -54,7 +54,8 @@ def _assert_same(a, b):
         for x, y in zip(a, b):
             _assert_same(x, y)
     elif isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+        # Bytes, not ==: an idle worker's begin time is NaN.
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     else:
         assert a == b
 
@@ -100,8 +101,24 @@ class TestRunSpec:
 
     def test_unknown_policy_raises(self):
         spec = RunSpec(**{**_kw(_specs()[0]), "policy": "nope"})
-        with pytest.raises(KeyError, match="unknown grid policy"):
+        with pytest.raises(KeyError, match="unknown grid policy") as exc:
             execute_run_spec(spec)
+        assert "'controller'" in str(exc.value) and "'deeppower'" in str(exc.value)
+
+    def test_controller_cell_runs_the_fixed_controller(self):
+        """A ``controller`` cell is ``FixedController`` at its
+        ``policy_kwargs``: the same metrics as the plain run."""
+        from repro.core import FixedController
+        from repro.experiments.runner import run_policy
+        from repro.workload.apps import get_app
+
+        spec = _probe_specs()[-1]
+        metrics, _ = execute_run_spec(spec)
+        plain = run_policy(
+            lambda ctx: FixedController(ctx, 0.8, 0.75), get_app("xapian"),
+            spec.trace, 4, seed=11,
+        ).metrics
+        assert metrics.as_dict() == plain.as_dict()
 
     def test_unknown_extras_collector_raises(self):
         spec = RunSpec(**{**_kw(_specs()[0]), "extras": ("bogus",)})
@@ -184,7 +201,8 @@ def _kw(spec: RunSpec) -> dict:
 
 
 def _probe_specs(duration=1.5):
-    """A faulted cell counting its faults, and a frequency-sampled one."""
+    """A faulted cell counting its faults, a frequency-sampled one and a
+    fixed-parameter controller sampling begin times and request spans."""
     trace = constant_trace(120.0, duration)
     return [
         RunSpec(
@@ -196,6 +214,11 @@ def _probe_specs(duration=1.5):
             app="xapian", policy="retail", trace=trace, num_cores=4, seed=11,
             extras=("freq_samples",),
         ),
+        RunSpec(
+            app="xapian", policy="controller", trace=trace, num_cores=4, seed=11,
+            policy_kwargs=(("base_freq", 0.8), ("scaling_coef", 0.75)),
+            extras=("begin_samples", "request_spans"),
+        ),
     ]
 
 
@@ -206,8 +229,11 @@ class TestGridDeterminism:
         serial = run_grid(specs, jobs=1)
         fanned = run_grid(specs, jobs=4)
         _assert_outcomes_bitwise_equal(serial, fanned)
-        assert serial[-2].extras["fault_counts"]["injected"] > 0
-        assert serial[-1].extras["freq_samples"][1].size > 0
+        assert serial[-3].extras["fault_counts"]["injected"] > 0
+        assert serial[-2].extras["freq_samples"][1].size > 0
+        controller = serial[-1]
+        assert controller.extras["begin_samples"][1].shape[1] == 4
+        assert controller.extras["request_spans"]["finish"].size == controller.metrics.completed
 
     def test_serial_rerun_bitwise_identical(self):
         specs = _specs(duration=1.0)[:2]

@@ -67,7 +67,7 @@ def _training_history():
     result = train_deeppower(
         app, constant_trace(app.rps_for_load(0.4, 2), 3.0), episodes=2,
         num_cores=2, seed=5, keep_histories=True,
-        config=DeepPowerConfig(long_time=0.5, record_freq_trace=True),
+        config=DeepPowerConfig(long_time=0.5),
     )
     arrays = []
     for history in result.histories:

@@ -118,17 +118,21 @@ class TestSetFrequenciesBatched:
 
 
 class TestControllerScalarVsVector:
-    """The fused per-core tick against the vectorised :meth:`scores`
-    reference, with and without trace recording."""
+    """The fused per-core tick against Algorithm 1 applied to the sampled
+    begin times, with and without the per-tick samplers attached."""
 
-    def _run(self, record_trace, num_cores=4, duration=3.0, ceilings=()):
+    def _run(self, sampled, num_cores=4, duration=3.0, ceilings=()):
+        from repro.parallel.grid import EXTRAS_COLLECTORS
         from repro.workload.apps import get_app
 
         app = get_app("xapian")
         load = 140.0 * num_cores / 4
         ctx = build_context(app, constant_trace(load, duration), num_cores, 9)
-        tc = ThreadController(ctx.engine, ctx.server, record_trace=record_trace)
+        tc = ThreadController(ctx.engine, ctx.server)
         tc.set_params(0.45, 0.7)
+        readers = [
+            EXTRAS_COLLECTORS[name](ctx) for name in ("freq_samples", "begin_samples")
+        ] if sampled else []
         for t, level in ceilings:
             ctx.engine.schedule_at(t, ctx.cpu.set_ceiling, level)
         writes = []
@@ -143,28 +147,31 @@ class TestControllerScalarVsVector:
         tc.start()
         ctx.source.start()
         ctx.engine.run_until(duration)
-        return ctx, tc, writes
+        return ctx, tc, writes, [read(None) for read in readers]
 
     @pytest.mark.parametrize("num_cores", [4, 17, 40])
     def test_recording_a_trace_changes_no_write(self, num_cores, ceilings=()):
-        ctx_p, tc_p, writes_p = self._run(False, num_cores, ceilings=ceilings)
-        ctx_r, tc_r, writes_r = self._run(True, num_cores, ceilings=ceilings)
+        ctx_p, tc_p, writes_p, _ = self._run(False, num_cores, ceilings=ceilings)
+        ctx_r, tc_r, writes_r, samples = self._run(True, num_cores, ceilings=ceilings)
+        (times, freqs), (_, begins) = samples
         assert writes_p and writes_r == writes_p
-        assert tc_p.tick_count == tc_r.tick_count == len(tc_r.trace)
-        assert not tc_p.trace
-        assert ctx_p.engine.processed_events == ctx_r.engine.processed_events
+        assert tc_p.tick_count == tc_r.tick_count == len(times)
+        # The two samplers add one event each per tick and nothing else.
+        assert ctx_r.engine.processed_events == ctx_p.engine.processed_events + 2 * len(times)
         assert ctx_p.cpu.energy_joules() == ctx_r.cpu.energy_joules()
         assert [w.completed_count for w in ctx_p.server.workers] == [
             w.completed_count for w in ctx_r.server.workers
         ]
-        # Each point holds the per-core scores and the levels written for
-        # them (the reference mapping applies while no ceiling binds).
-        assert tc_r.trace[-1].frequencies.shape == (num_cores,)
+        # Each sample holds the levels written for the scores of the
+        # sampled begin times (the reference mapping applies while no
+        # ceiling binds).
+        assert freqs.shape == begins.shape == (len(times), num_cores)
         if not ceilings:
-            for point in tc_r.trace[::97]:
-                assert [
-                    tc_r.frequency_for_score(s) for s in point.scores
-                ] == point.frequencies.tolist()
+            sla = ctx_r.server.sla
+            for k in range(0, len(times), 97):
+                scores = (times[k] - begins[k]) / sla * 0.7 + 0.45
+                scores[np.isnan(begins[k])] = 0.45
+                assert [tc_r.frequency_for_score(s) for s in scores] == freqs[k].tolist()
 
     def test_recording_changes_no_write_under_moving_ceiling(self):
         # The ceiling crosses the idle cores' level (1.4 GHz at BaseFreq
@@ -172,18 +179,6 @@ class TestControllerScalarVsVector:
         self.test_recording_a_trace_changes_no_write(
             4, ceilings=((0.5, 1.0), (1.0, 3.0), (1.5, 1.2), (2.0, 0.8), (2.5, 2.1))
         )
-
-    def test_scores_buffer_reused_and_idle_uses_base(self):
-        from repro.workload.apps import get_app
-
-        app = get_app("xapian")
-        ctx = build_context(app, constant_trace(50.0, 1.0), 4, 2)
-        tc = ThreadController(ctx.engine, ctx.server)
-        tc.set_params(0.3, 0.5)
-        s1 = tc.scores(0.0)
-        s2 = tc.scores(0.0)
-        assert s1 is s2  # documented buffer reuse
-        assert np.array_equal(s1, np.full(4, 0.3))  # all idle -> BaseFreq
 
 
 class TestBeginTimesBuffer:

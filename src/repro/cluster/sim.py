@@ -688,7 +688,6 @@ class FleetSpec:
             "cap_boost": CAP_BOOST,
             "agent_digest": file_digest(cfg.agent_path) if cfg.agent_path else None,
             "agent_seed": AGENT_SEED if cfg.agent_path else None,
-            "label": self.label,
             # A faulted run must never collide with a clean run of the same
             # spec: the digest is None exactly when the plan is a no-op.
             "fault_plan": plan_digest(cfg.fault_plan),

@@ -84,7 +84,10 @@ def run_freq_traces(
     out: Dict[str, FreqTraceResult] = {}
     for policy, run in zip(policies, run_grid(specs, jobs=jobs, cache=result_cache)):
         m = run.unwrap()
+        # The run drains past the trace; the statistics are the window's.
         times, freqs = run.extras["freq_samples"]
+        in_window = times <= cal.trace.duration
+        times, freqs = times[in_window], freqs[in_window]
         out[policy] = FreqTraceResult(
             app=app_name,
             policy=policy,

@@ -145,7 +145,7 @@ REGISTRY: Dict[str, Experiment] = {
         Experiment("ablation-shorttime", "controller tick granularity sweep", "ablations:run_short_time_sweep", _render_dicts, "ablations:check_short_time_sweep"),
         Experiment("robustness-mmpp", "policies under flash-crowd (MMPP) arrivals", "robustness:run_mmpp_robustness", "robustness:render_robustness", "robustness:check_mmpp_robustness"),
         Experiment("fault-tolerance", "policies under injected sensor/actuator faults", "fault_tolerance:run_fault_tolerance", "fault_tolerance:render_fault_tolerance", "fault_tolerance:check_fault_tolerance"),
-        Experiment("control-soak", "DeepPower over a lossy control bus: degraded mode vs no-defence ablation", "soak:run_soak", "soak:render_soak"),
+        Experiment("control-soak", "DeepPower over a lossy control bus: degraded mode vs no-defence ablation", "soak:run_soak", "soak:render_soak", "soak:check_control_soak"),
         Experiment("fleet", "cluster fleet: routing x power policy grid under a global power cap", "fleet:run_fleet", "fleet:render_fleet"),
         Experiment("chaos", "fleet under seeded node failures: fault intensity x routing, failover vs none", "chaos:run_chaos", "chaos:render_chaos", "chaos:check_chaos"),
         Experiment("hier", "hierarchical fleet RL: learned vs heuristic budget coordinator vs uncapped", "hier:run_hier", "hier:render_hier"),

@@ -9,11 +9,14 @@ escalation, node deadline fallback) with an ablation that runs the same
 lossy bus but never defends itself — it trusts whatever reading it last
 saw and lets the thread controller free-run on frozen parameters through
 partitions.  Intensity 0 is the fault-free reference cell.
+
+Every cell is a stored ``reactive`` grid cell (:func:`reactive_runtime`),
+so a warm rerun simulates nothing; ``--trace-dir`` traces each cell
+under its :func:`~repro.parallel.grid.grid_trace_path` name.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
@@ -23,36 +26,26 @@ from ..analysis.reporting import format_table
 from ..control import ControlPlaneConfig
 from ..core.runtime import DeepPowerRuntime
 from ..faults.bus import standard_bus_plan
-from ..obs import Observability, TraceWriter
-from ..parallel.grid import run_grid
+from ..parallel.grid import RunSpec, run_grid
 from ..workload.apps import get_app
 from ..workload.trace import WorkloadTrace
 from .calibration import CalibrationSpec
-from .fig7_main import (
-    EVAL_SEED,
-    calibration_target_for,
-    fig7_agents,
-    tuned_config,
-)
-from .runner import run_policy
+from .fig7_main import EVAL_SEED, calibration_target_for, tuned_config
 from .scenarios import active_profile, workers_for
 
 __all__ = [
     "SOAK_INTENSITIES",
     "SOAK_LOAD_SHAPE",
-    "SOAK_POLICIES",
     "ReactivePolicy",
+    "reactive_runtime",
     "soak_trace",
     "run_soak",
     "render_soak",
+    "check_control_soak",
 ]
 
 #: Default fault-intensity grid (0 = the fault-free reference cell).
 SOAK_INTENSITIES = (0.0, 0.5, 1.0)
-
-#: Top-layer policies the soak can drive over the bus.
-SOAK_POLICIES = ("reactive", "trained")
-
 
 class ReactivePolicy:
     """Deterministic load-following policy standing in for a converged agent.
@@ -142,16 +135,21 @@ def soak_trace(duration: float) -> WorkloadTrace:
     return WorkloadTrace(np.array(edges), np.array(rates))
 
 
-def _extras(ctx, driver):
-    out = {}
-    if isinstance(driver, DeepPowerRuntime):
-        out["control"] = driver.control_stats()
-        out["degraded_steps"] = sum(1 for r in driver.records if r.degraded)
-    return out
+def reactive_runtime(
+    ctx, control: ControlPlaneConfig = ControlPlaneConfig()
+) -> DeepPowerRuntime:
+    """The ``reactive`` grid policy: DeepPower's runtime with a
+    :class:`ReactivePolicy` top layer, at the app's tuned config, frozen,
+    over the bus ``control`` describes."""
+    cfg = replace(tuned_config(ctx.app), train=False, control=control)
+    return DeepPowerRuntime(
+        ctx.engine, ctx.server, ctx.monitor, ReactivePolicy(), cfg, obs=ctx.obs
+    )
 
 
-def _control_summary(stats: dict, degraded_steps: int) -> dict:
-    """Flatten ``DeepPowerRuntime.control_stats()`` into row counters."""
+def _control_summary(extras: dict) -> dict:
+    """Flatten a ``control_stats`` collector's reading into row counters."""
+    stats = extras["control"]
     bus = stats["bus"]
     drops = sum(
         ch["dropped_fault"] + ch["dropped_partition"] for ch in bus.values()
@@ -161,7 +159,7 @@ def _control_summary(stats: dict, degraded_steps: int) -> dict:
         "sheds": sum(ch["shed"] for ch in bus.values()),
         "retries": stats["loop"]["retries"],
         "stale_windows": stats["loop"]["stale_windows"],
-        "degraded_steps": degraded_steps,
+        "degraded_steps": extras["degraded_steps"],
         "escalations": stats["loop"]["safe_escalations"],
         "node_engagements": stats["node"]["safe_engagements"],
         "commands_lost": stats["loop"]["commands_lost"],
@@ -173,22 +171,19 @@ def run_soak(
     intensities: Sequence[float] = SOAK_INTENSITIES,
     seed: int = 7,
     full: Optional[bool] = None,
+    jobs: int = 1,
     result_cache=True,
     trace_dir: Optional[str] = None,
-    policy: str = "reactive",
 ) -> dict:
     """Sweep bus-fault intensity: degraded-mode vs ablation.
 
     Cells per intensity: ``degraded`` (full hardening) and ``ablation``
     (same lossy bus, ``degraded_mode=False``); intensity 0 runs a single
-    fault-free ``degraded`` cell.
-    ``policy`` picks the top layer: ``reactive`` (default, deterministic
-    load-following — see :class:`ReactivePolicy`) or ``trained`` (the
-    cached DDPG agent).  Returns a plain-data dict (cache/checkpoint
-    friendly).
+    fault-free ``degraded`` cell.  Each cell is a stored ``reactive``
+    :class:`~repro.parallel.grid.RunSpec` whose ``policy_kwargs`` carry
+    its :class:`~repro.control.ControlPlaneConfig`; ``seed`` seeds the
+    bus fault plan.  Returns a plain-data dict.
     """
-    if policy not in SOAK_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; known: {SOAK_POLICIES}")
     profile = active_profile(full)
     app = get_app(app_name)
     nw = workers_for(app_name, profile.num_cores)
@@ -197,77 +192,41 @@ def run_soak(
         num_workers=nw, target_fraction=calibration_target_for(app_name),
     )], cache=result_cache)
     trace = cal.unwrap().trace
-    if policy == "trained":
-        # The standard fig7 agent, trained on fig7's calibrated diurnal
-        # trace; evaluating it on the soak workload doubles as a
-        # generalisation check and keeps the agent store shared.
-        [(_, training)] = fig7_agents(
-            [app_name], profile, seed=seed, result_cache=result_cache
-        )
-        agent, dp_cfg = training.agent(), training.config
-        make_agent = lambda: agent  # frozen weights; act is stateless
-    else:
-        dp_cfg = tuned_config(app)
-        make_agent = ReactivePolicy
-    dp_cfg = replace(dp_cfg, train=False)
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-
-    def run_cell(mode: str, intensity: float):
+    long_time = tuned_config(app).long_time
+    cells = []
+    for intensity in sorted(set(float(i) for i in intensities)):
         plan = standard_bus_plan(
-            intensity, trace.duration, seed=seed, long_time=dp_cfg.long_time
+            intensity, trace.duration, seed=seed, long_time=long_time
         )
-        control = ControlPlaneConfig(
-            fault_plan=None if plan.is_empty else plan,
-            degraded_mode=(mode != "ablation"),
-        )
-        cfg = replace(dp_cfg, control=control)
-        obs = None
-        trace_path = None
-        if trace_dir is not None:
-            trace_path = os.path.join(
-                trace_dir, f"soak-{mode}-i{intensity:g}.trace.jsonl"
+        for mode in ("degraded",) if intensity == 0.0 else ("degraded", "ablation"):
+            control = ControlPlaneConfig(
+                fault_plan=None if plan.is_empty else plan,
+                degraded_mode=(mode != "ablation"),
             )
-            obs = Observability(trace=TraceWriter(trace_path))
-        cell_agent = make_agent()
-        try:
-            result = run_policy(
-                lambda ctx: DeepPowerRuntime(
-                    ctx.engine, ctx.server, ctx.monitor, cell_agent, cfg, obs=ctx.obs
-                ),
-                app, trace, profile.num_cores,
-                seed=EVAL_SEED, num_workers=nw, extras_fn=_extras, obs=obs,
-            )
-        finally:
-            if obs is not None:
-                obs.close()
-        return result, trace_path
-
-    rows: List[dict] = []
-
-    def add_row(mode: str, intensity: float):
-        result, trace_path = run_cell(mode, intensity)
-        rows.append({
+            cells.append((mode, intensity, RunSpec(
+                app_name, "reactive", trace, profile.num_cores, seed=EVAL_SEED,
+                num_workers=nw, policy_kwargs=(("control", control),),
+                extras=("control_stats",), label=f"soak-{mode}-i{intensity:g}",
+            )))
+    runs = run_grid(
+        [spec for _, _, spec in cells], jobs=jobs, cache=result_cache,
+        trace_dir=trace_dir,
+    )
+    rows = [
+        {
             "mode": mode,
             "intensity": intensity,
-            "metrics": result.metrics.as_dict(),
-            "control": _control_summary(
-                result.extras["control"], result.extras["degraded_steps"]
-            ),
-            "trace_path": trace_path,
-        })
-
-    for intensity in sorted(set(float(i) for i in intensities)):
-        add_row("degraded", intensity)
-        if intensity != 0.0:
-            add_row("ablation", intensity)
-
+            "metrics": run.unwrap().as_dict(),
+            "control": _control_summary(run.extras["control_stats"]),
+            "trace_path": run.spec.trace_out,
+        }
+        for (mode, intensity, _), run in zip(cells, runs)
+    ]
     return {
         "profile": profile.name,
         "app": app_name,
         "seed": seed,
         "sla": app.sla,
-        "policy": policy,
         "rows": rows,
     }
 
@@ -297,3 +256,29 @@ def render_soak(result: dict) -> str:
         table,
         "{:.2f}",
     )
+
+
+def check_control_soak(result: dict) -> List[str]:
+    """Control-soak's claims that ``result`` fails: degraded mode meets the
+    SLA at every intensity; at intensity 1 its bus drops messages and it
+    retries, while the no-defence ablation of the same bus misses the SLA;
+    on the fault-free bus (intensity 0) no control counter moves."""
+    rows = {(r["mode"], r["intensity"]): r for r in result["rows"]}
+    needed = (("degraded", 0.0), ("degraded", 1.0), ("ablation", 1.0))
+    missing = [f"a row ({mode}, intensity {i:g})" for mode, i in needed if (mode, i) not in rows]
+    if missing:
+        return missing
+    ratio = {cell: row["metrics"]["tail_latency"] / result["sla"] for cell, row in rows.items()}
+    lossy = rows["degraded", 1.0]["control"]
+    moved = {k: v for k, v in rows["degraded", 0.0]["control"].items() if v}
+    claims = [
+        (f"degraded p99/SLA {r:.2f}x <= 1 at intensity {i:g}", r <= 1.0)
+        for (mode, i), r in ratio.items() if mode == "degraded"
+    ] + [
+        (f"degraded drops {lossy['drops']} > 0 at intensity 1", lossy["drops"] > 0),
+        (f"degraded retries {lossy['retries']} > 0 at intensity 1", lossy["retries"] > 0),
+        (f"ablation p99/SLA {ratio['ablation', 1.0]:.2f}x > 1 at intensity 1",
+         ratio["ablation", 1.0] > 1.0),
+        (f"no control counter moves at intensity 0 (got {moved})", not moved),
+    ]
+    return [claim for claim, holds in claims if not holds]

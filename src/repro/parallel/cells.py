@@ -34,14 +34,17 @@ def derive_seed(base_seed: int, *parts: object, bits: int = 31) -> int:
     return int.from_bytes(digest[:8], "big") % (1 << bits)
 
 
-#: Policy name -> (module, class) of its power manager; a class is built
-#: as ``cls(ctx, **kwargs)``.  Every policy but DeepPower, whose cells and
-#: nodes build a trained agent.
+#: Policy name -> (module, name) of its power manager, built as
+#: ``cls(ctx, **kwargs)``.  Every policy but DeepPower, whose cells and
+#: nodes build a trained agent; ``reactive`` is DeepPower's runtime with
+#: control-soak's non-learned top layer, on the bus its ``control`` kwarg
+#: describes.
 GRID_POLICIES: Dict[str, Tuple[str, str]] = {
     "baseline": ("repro.baselines.simple", "MaxFrequencyPolicy"),
     "retail": ("repro.baselines.retail", "RetailPolicy"),
     "gemini": ("repro.baselines.gemini", "GeminiPolicy"),
     "controller": ("repro.core.thread_controller", "FixedController"),
+    "reactive": ("repro.experiments.soak", "reactive_runtime"),
 }
 
 #: Modules DeepPower imports to build itself.

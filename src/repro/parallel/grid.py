@@ -146,6 +146,19 @@ def _fault_counts(ctx):
     return read
 
 
+def _control_stats(ctx):
+    """A DeepPower run's control-plane counters (``control_stats()``) and
+    its count of degraded DRL steps."""
+
+    def read(driver):
+        return {
+            "control": driver.control_stats(),
+            "degraded_steps": sum(1 for r in driver.records if r.degraded),
+        }
+
+    return read
+
+
 #: Name -> ``collector(ctx) -> reader(driver)``.  Specs name the collectors
 #: they want; everything here must be cheap and deterministic.
 EXTRAS_COLLECTORS: Dict[str, Callable] = {
@@ -157,6 +170,7 @@ EXTRAS_COLLECTORS: Dict[str, Callable] = {
     "begin_samples": _begin_samples,
     "request_spans": _request_spans,
     "fault_counts": _fault_counts,
+    "control_stats": _control_stats,
 }
 
 
@@ -179,7 +193,8 @@ class RunSpec:
     policy_kwargs:
         Sorted ``(name, value)`` pairs for the policy constructor
         (e.g. ``(("use_turbo", False),)`` for Table 3's no-turbo baseline,
-        or a ``controller``'s ``base_freq``/``scaling_coef``/``retune``);
+        a ``controller``'s ``base_freq``/``scaling_coef``/``retune``, or a
+        ``reactive`` cell's ``control``);
         for DeepPower, overrides of the training cell's ``DeepPowerConfig``.
     training:
         DeepPower only: the :class:`~repro.core.training.TrainSpec` of the
@@ -193,7 +208,9 @@ class RunSpec:
         starts.  It enters the cache key by content; an empty plan keys
         like ``None``, since arming it changes nothing.
     label:
-        Free-form tag folded into the cache key (profile name etc.).
+        Free-form tag naming the cell's trace file and trace header.  Not
+        part of the cache key: two cells that differ only in label are the
+        same world and share one stored result.
     trace_out:
         Write a JSONL observability trace of the cell here.  Deliberately
         *excluded* from the cache key — the trace is a side artifact of
@@ -244,7 +261,6 @@ class RunSpec:
             "training": self.training and self.training.cache_payload(),
             "extras": list(self.extras),
             "fault_plan": plan_digest(self.fault_plan),
-            "label": self.label,
         }
 
 

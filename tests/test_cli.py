@@ -438,7 +438,7 @@ class TestParser:
         ["compare", "--app", "nope"],
         ["train", "--app", "nope"],
         ["fleet", "--app", "nope"],
-        ["soak", "--app", "nope"],
+        ["fleet", "--routing", "nope"],
         ["experiment", "nope"],
     ])
     def test_unknown_name_is_a_usage_error(self, capsys, argv):
@@ -516,13 +516,20 @@ class TestParser:
 
         monkeypatch.setattr(runner, "run_policy", recording)
         assert main(["compare", "--app", "moses", "--policies", "baseline"]) == 0
-        assert "baseline" in capsys.readouterr().out
+        table = capsys.readouterr().out
+        assert "baseline" in table
         compared = played[-1]
         want = fig7_calibration("moses", short).trace
         np.testing.assert_array_equal(compared.rates, want.rates)
+        # Each policy is a stored cell: the same comparison again simulates
+        # nothing and prints the same table.
+        n_played = len(played)
+        assert main(["compare", "--app", "moses", "--policies", "baseline"]) == 0
+        assert capsys.readouterr().out == table
+        assert len(played) == n_played
 
     def test_train_uses_the_experiment_recipe(self, monkeypatch, tmp_path):
-        # ``train`` builds the agent fig7, soak and ``fleet --agent`` use:
+        # ``train`` builds the agent fig7 and ``fleet --agent`` use:
         # the app's tuned reward on fig7's calibrated trace.
         from types import SimpleNamespace
 

@@ -716,30 +716,3 @@ class TestSoakPieces:
         start = 0.60 * trace.duration
         seg = np.searchsorted(trace.edges, start, side="left") - 1
         assert trace.rates[seg] == np.min(trace.rates)
-
-    def test_run_soak_rejects_unknown_policy(self):
-        from repro.experiments.soak import run_soak
-
-        with pytest.raises(ValueError, match="policy"):
-            run_soak(policy="pid")
-
-    def test_trained_soak_asks_for_the_fig7_agent(self, monkeypatch):
-        """``--policy trained`` trains on fig7's calibrated trace."""
-        import repro.experiments.fig7_main as fig7_main
-        import repro.experiments.soak as soak
-        from repro.experiments.fig7_main import fig7_calibration
-        from repro.experiments.scenarios import active_profile
-
-        class Asked(Exception):
-            pass
-
-        def stub(app_name, trace, *args, **kwargs):
-            raise Asked(trace)
-
-        monkeypatch.setattr(fig7_main, "agent_recipe", stub)
-        with pytest.raises(Asked) as asked:
-            soak.run_soak(policy="trained", full=False)
-        fig7 = fig7_calibration("xapian", active_profile(False)).trace
-        got = asked.value.args[0]
-        np.testing.assert_array_equal(got.edges, fig7.edges)
-        np.testing.assert_array_equal(got.rates, fig7.rates)

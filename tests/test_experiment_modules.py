@@ -223,23 +223,22 @@ def _count_runs(monkeypatch) -> list:
     return runs
 
 
-#: Experiment id -> (keyword arguments, whether a warm rerun must simulate
-#: nothing at all).  control-soak runs its cells in-process: its trace files
-#: are pinned byte for byte and its reactive top layer is not a stored agent.
+#: Experiment id -> keyword arguments of a run whose warm rerun simulates
+#: nothing at all.
 WARM_RERUNS = {
-    "fig4": ({}, True),
-    "fig7": ({"apps": ("img-dnn",)}, True),
-    "table3": ({"apps": ("img-dnn",), "loads": (0.5,)}, True),
-    "robustness-mmpp": ({}, True),
-    "fig8": ({}, True),
-    "fig9": ({}, True),
-    "fig10": ({}, True),
-    "fig11": ({}, True),
-    "ablation-hierarchy": ({}, True),
-    "ablation-reward": ({"alphas": (1.0, 2.0), "betas": (6.0,)}, True),
-    "ablation-shorttime": ({"multipliers": (0.5, 4.0)}, True),
-    "fault-tolerance": ({"fault_rates": (0.0, 0.05)}, True),
-    "control-soak": ({"policy": "trained", "intensities": (0.0, 1.0)}, False),
+    "fig4": {},
+    "fig7": {"apps": ("img-dnn",)},
+    "table3": {"apps": ("img-dnn",), "loads": (0.5,)},
+    "robustness-mmpp": {},
+    "fig8": {},
+    "fig9": {},
+    "fig10": {},
+    "fig11": {},
+    "ablation-hierarchy": {},
+    "ablation-reward": {"alphas": (1.0, 2.0), "betas": (6.0,)},
+    "ablation-shorttime": {"multipliers": (0.5, 4.0)},
+    "fault-tolerance": {"fault_rates": (0.0, 0.05)},
+    "control-soak": {"intensities": (0.0, 1.0)},
 }
 
 
@@ -248,8 +247,8 @@ WARM_RERUNS = {
 @pytest.mark.parametrize("exp_id", sorted(WARM_RERUNS))
 def test_warm_rerun_trains_and_probes_nothing(exp_id, agent_store, monkeypatch):
     """Every experiment takes its calibrations and DeepPower agents from
-    stored cells: a warm rerun runs no calibration probe and no training
-    episode, and renders the same bytes."""
+    stored cells: a warm rerun runs no calibration probe, no training
+    episode and no evaluation, and renders the same bytes."""
     from dataclasses import replace
 
     import repro.experiments.scenarios as scenarios
@@ -261,17 +260,14 @@ def test_warm_rerun_trains_and_probes_nothing(exp_id, agent_store, monkeypatch):
         replace(SMOKE, trace_duration=8.0, trace_segments=4, train_episodes=1,
                 table3_duration=8.0),
     )
-    kwargs, simulates_nothing = WARM_RERUNS[exp_id]
+    kwargs = WARM_RERUNS[exp_id]
     exp = get_experiment(exp_id)
     cold = exp.execute(**kwargs)
     n_trained = len(trained)
     runs = _count_runs(monkeypatch)
     assert exp.execute(**kwargs) == cold
     assert len(trained) == n_trained
-    if simulates_nothing:
-        assert runs == []
-    else:  # control-soak: its three soak cells, no probe or training episode
-        assert len(runs) == 3
+    assert runs == []
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -323,3 +319,74 @@ def agent_store(tmp_path, monkeypatch):
     # A training cell calls the trainer of its own module.
     monkeypatch.setattr(repro.core.training, "train_deeppower", train)
     return fig7, trained, tmp_path
+
+
+def test_chaos_reuses_the_fleet_grids_retail_cells(monkeypatch, tmp_path):
+    """Chaos's three fault-free rows are the fleet grid's three uncapped
+    ``retail`` cells under other labels.  A label only names a trace, so
+    after a cold fleet grid, chaos builds three fleets fewer than it does
+    cold, and renders the same bytes."""
+    from dataclasses import replace
+
+    import repro.cluster.sim as sim
+    import repro.experiments.scenarios as scenarios
+    from repro.experiments.registry import get_experiment
+    from repro.parallel import RunResultCache
+
+    monkeypatch.setattr(
+        scenarios, "SMOKE", replace(SMOKE, trace_duration=4.0, trace_segments=4)
+    )
+    built = []
+    real_init = sim.ClusterSim.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sim.ClusterSim, "__init__", counting)
+    fleet, chaos = get_experiment("fleet"), get_experiment("chaos")
+
+    def chaos_run(root) -> tuple:
+        before = len(built)
+        text = chaos.execute(result_cache=RunResultCache(root=str(root)))
+        return text, len(built) - before
+
+    cold_text, cold_built = chaos_run(tmp_path / "chaos-alone")
+    fleet.execute(result_cache=RunResultCache(root=str(tmp_path / "shared")))
+    text, n_built = chaos_run(tmp_path / "shared")
+    assert text == cold_text
+    assert n_built == cold_built - 3
+
+
+def test_freq_traces_count_the_trace_window_only(monkeypatch):
+    """Fig 9/10's turbo fraction and mean frequency are the trace window's:
+    samples of the drain tail past ``trace.duration`` do not count."""
+    from types import SimpleNamespace
+
+    import repro.experiments.fig9_10_freq_traces as fig9_10
+    from repro.parallel.grid import GridOutcome
+
+    trace = constant_trace(100.0, 2.0)
+    monkeypatch.setattr(
+        fig9_10, "fig7_agents",
+        lambda apps, profile, **kwargs: [
+            (SimpleNamespace(trace=trace), SimpleNamespace(num_workers=2))
+        ],
+    )
+    times = np.array([0.0, 1.0, 2.0, 3.0, 4.0])  # the last two drain
+    lo, turbo = DEFAULT_TABLE.fmin, DEFAULT_TABLE.turbo
+    freqs = np.array([[lo, lo]] * 3 + [[turbo, turbo]] * 2)
+    monkeypatch.setattr(
+        fig9_10, "run_grid",
+        lambda specs, **kwargs: [
+            GridOutcome(
+                spec=spec, metrics=SimpleNamespace(dvfs_switches=0, completed=1),
+                extras={"freq_samples": (times, freqs)},
+            )
+            for spec in specs
+        ],
+    )
+    for result in fig9_10.run_freq_traces(full=False, result_cache=False).values():
+        np.testing.assert_array_equal(result.times, [0.0, 1.0, 2.0])
+        assert result.turbo_fraction == 0.0
+        assert result.mean_frequency == pytest.approx(lo)

@@ -81,7 +81,6 @@ class TestRunSpec:
         for changed in (
             RunSpec(**{**_kw(base), "seed": 12}),
             RunSpec(**{**_kw(base), "trace": constant_trace(121.0, 1.5)}),
-            RunSpec(**{**_kw(base), "label": "other"}),
             RunSpec(**{**_kw(base), "policy_kwargs": (("use_turbo", False),)}),
             RunSpec(**{**_kw(base), "training": _untrained("xapian", 4)}),
             RunSpec(**{**_kw(base), "fault_plan": standard_fault_plan(0.05, 1.5)}),
@@ -89,6 +88,10 @@ class TestRunSpec:
             assert content_key(changed.cache_payload()) != content_key(
                 base.cache_payload()
             )
+        # The label only names the cell's trace: a relabelled cell is the
+        # same world and keys the same.
+        relabelled = RunSpec(**{**_kw(base), "label": "other"})
+        assert content_key(relabelled.cache_payload()) == content_key(base.cache_payload())
         # Plans key by content; arming an empty plan changes nothing, so it
         # keys like no plan.
         plan_keys = {

@@ -284,7 +284,8 @@ class TestRenderers:
 CHECKED = {
     "fig1", "fig2", "table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8",
     "fig9", "fig10", "fig11", "overhead", "ablation-hierarchy",
-    "ablation-shorttime", "robustness-mmpp", "fault-tolerance", "chaos",
+    "ablation-shorttime", "robustness-mmpp", "fault-tolerance", "control-soak",
+    "chaos",
 }
 
 

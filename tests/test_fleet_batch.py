@@ -538,9 +538,10 @@ class TestAdoption:
         assert verdicts == ([True] if adopts else [])
 
 
-#: ``content_key`` of the spec below, recorded before the single-path change.
+#: ``content_key`` of the spec below, recorded before the single-path change
+#: and re-recorded once when the label left the key.
 RECORDED_CACHE_KEY = (
-    "82429fc82a51e4a5f151fd0b0269c6d20846005cd04468ce622a4b386324c59a"
+    "bb3a2086a0134760abb446c8c1e575773dac7157b29e8ff72dfe33d2371d92e7"
 )
 
 

@@ -120,17 +120,18 @@ class TestPlanDigest:
         assert key() == key(fault_plan=FleetFaultPlan())  # empty plan = clean
         assert key(fault_plan=plan) != key(fault_plan=plan, health_aware=False)
         # Keys recorded when FleetSpec still mirrored ClusterConfig's fields
-        # one by one: results cached then must still hit.
+        # one by one, re-recorded once when the label left the key: results
+        # cached under them must still hit.
         assert key() == (
-            "8b640521049c4bd7de6843bfcc7759aba90647c190af9802d24bee86c144939e"
+            "596f61b694f55774996a53da79439c4ecc5ce5fa7b2401376a8ce5c7eb1f5602"
         )
         assert key(fault_plan=plan, health_aware=False) == (
-            "90c8889d473c38da7fc84ca0be05bd58e053aba36b5b7fd3d166910906841105"
+            "2a346961e320a817f20eb44927b306ed256307b35888aae5b2ecbe20a11a92f1"
         )
         assert key(
             routing="power-aware", power_cap_watts=40.0,
             hier=HierConfig(algo="ddpg"),
-        ) == "284f3fa7442aff63d244e5ce712eb56d009011b47af234d6514aa6ea886fac8a"
+        ) == "85702d498bf40f6d838076cd2b62b041322a14d5ebd941f80a52ac49e202695b"
 
 
 class TestRunResultCache:
